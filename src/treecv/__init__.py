@@ -46,6 +46,7 @@ from .dataio import (
     synth_classification,
     synth_regression,
 )
+from .forkjoin import WorkerError
 from .learners import LsqSgd, MeanPredictor, OnlineKMeans, Pegasos, RecordingLearner
 from .rng import SplitMix64Stream, derive_seed
 from .standard import brute_force_oracle, standard_cv
@@ -85,6 +86,7 @@ __all__ = [
     "UntrainedModelError",
     "UpdateFailedError",
     "WorkCounters",
+    "WorkerError",
     "ZERO_ONE",
     "brute_force_oracle",
     "derive_seed",

@@ -9,7 +9,8 @@ Subcommands:
 
 All randomness derives from --seed; records are appended as soon as each
 run finishes, so a partial output file is still valid CSV.  Exit codes:
-0 success, 2 validation error, 1 runtime failure.
+0 success, 2 validation error, 1 runtime failure (for `run`, also when
+any record has status "error").
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 
 from .core import CrossValidationError
 from .dataio import fit_transform, parse_sparse_text
+from .forkjoin import MAX_WORKERS
 from .harness import (
     BENCH_FIELDS,
     DEFAULT_LOSS,
@@ -63,7 +65,8 @@ def _add_plan_arguments(parser):
     parser.add_argument("--reps", type=int, default=1, metavar="M")
     parser.add_argument("--seed", type=int, default=0, metavar="S")
     parser.add_argument("--threads", type=int, default=0, metavar="T",
-                        help="fork-join workers inside each run (0 or 1: sequential)")
+                        help="forked worker processes inside each run (0 or 1: sequential; "
+                             f"at most {MAX_WORKERS})")
     parser.add_argument("--lambda", dest="lam", type=float, default=1e-4,
                         help="regularization strength for pegasos")
     parser.add_argument("--alpha", type=float,
@@ -217,6 +220,7 @@ def cmd_run(args) -> int:
     failures = sum(1 for r in records if r["status"] == "error")
     if failures:
         print(f"{failures} run(s) recorded errors", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import copyreg
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -29,7 +30,18 @@ from .rng import SplitMix64Stream
 
 
 class CrossValidationError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Errors pickle with their message and attributes (such as
+    `chunk_range` and `line_number`), so a worker process can send them
+    back to its parent.
+    """
+
+    def __reduce__(self):
+        # Exception pickles as type(self)(*self.args), which subclasses
+        # whose __init__ takes other arguments cannot replay; rebuild from
+        # args and attributes without calling __init__.
+        return (copyreg.__newobj__, (type(self), *self.args), self.__dict__)
 
 
 class InvalidFoldCountError(CrossValidationError, ValueError):

@@ -24,6 +24,7 @@ from .core import (
     partition as make_partition,
 )
 from .dataio import synth_blobs, synth_classification, synth_regression
+from .forkjoin import check_workers
 from .learners import LsqSgd, MeanPredictor, OnlineKMeans, Pegasos
 from .rng import SplitMix64Stream, derive_seed
 from .standard import brute_force_oracle, standard_cv
@@ -33,6 +34,7 @@ TAG_REPETITION = 7
 TAG_STABILITY_CHUNK_ORDER = 8
 TAG_STABILITY_LEARNER = 9
 TAG_STABILITY_DATA = 10
+TAG_STABILITY_GAP = 11
 
 LEARNER_NAMES = ("pegasos", "lsqsgd", "kmeans", "mean")
 DEFAULT_LOSS = {
@@ -141,6 +143,7 @@ class ExperimentPlan:
                 raise ValueError(f"unknown ordering {o!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        check_workers(self.threads)
         for kv in self.k_values:
             if kv != "n" and (not isinstance(kv, int) or kv < 2):
                 raise ValueError(f"k values must be integers >= 2 or 'n', got {kv!r}")
@@ -397,8 +400,8 @@ def stability_rows(plan: ExperimentPlan, synth_spec: str, n_list: list[int],
                 _respec_seed(synth_spec, data_seed), n_override=n
             )
             factory = make_learner_factory(plan, dataset)
-            gaps.append(stability_gap(factory, dataset, n_chunks, loss,
-                                      seed=derive_seed(plan.base_seed, rep)))
+            gap_seed = derive_seed(plan.base_seed, TAG_STABILITY_GAP, rep)
+            gaps.append(stability_gap(factory, dataset, n_chunks, loss, seed=gap_seed))
         yield {
             "learner": plan.learner, "n": n, "chunks": n_chunks, "seeds": n_seeds,
             "mean_gap": repr(math.fsum(gaps) / len(gaps)),

@@ -10,7 +10,6 @@ order the tree schedule induces and confirm fold-score equality.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 from .core import (
@@ -24,7 +23,9 @@ from .core import (
     WorkCounters,
     evaluate_chunk,
     make_report,
+    partition as make_partition,
 )
+from .forkjoin import check_workers, fork, join_all
 from .rng import SplitMix64Stream, derive_seed
 
 TAG_FOLD_LEARNER = 3
@@ -66,6 +67,11 @@ def _run_fold(learner_factory, dataset, partition, loss, ordering, seed, fold):
     return score, counters
 
 
+def _run_folds(learner_factory, dataset, partition, loss, ordering, seed, folds):
+    return [_run_fold(learner_factory, dataset, partition, loss, ordering, seed, fold)
+            for fold in folds]
+
+
 def standard_cv(
     learner_factory: Callable[[], IncrementalLearner],
     dataset: Dataset,
@@ -79,21 +85,22 @@ def standard_cv(
 
     Fixed ordering feeds each fold's training chunks in dataset order;
     randomized ordering feeds a seeded shuffle of the fold's training
-    points.  Folds are independent, so max_workers > 1 runs them on a
-    thread pool with bit-identical results.
+    points.  Folds are independent, so max_workers > 1 splits them into
+    min(max_workers, k) contiguous groups, each run by its own forked
+    worker process, with bit-identical results.
     """
     if ordering not in ("fixed", "randomized"):
         raise ValueError(f"ordering must be 'fixed' or 'randomized', got {ordering!r}")
+    check_workers(max_workers)
     _check_partition(partition, dataset)
     k = partition.k
     start = time.perf_counter()
     if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(
-                lambda fold: _run_fold(learner_factory, dataset, partition, loss,
-                                       ordering, seed, fold),
-                range(k),
-            ))
+        groups = make_partition(k, min(max_workers, k))
+        joins = [fork(_run_folds, learner_factory, dataset, partition, loss, ordering, seed,
+                      range(g.start, g.stop))
+                 for g in map(groups.chunk_slice, range(groups.k))]
+        results = [r for group in join_all(joins) for r in group]
     else:
         results = [_run_fold(learner_factory, dataset, partition, loss, ordering, seed, fold)
                    for fold in range(k)]

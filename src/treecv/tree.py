@@ -14,6 +14,12 @@ each internal node, "save-revert" snapshots and later restores the same
 object.  Both produce identical results; fork-join parallel runs
 require "copy" because the two children own their models concurrently.
 
+Fork-join runs (max_workers > 1) split the top floor(log2(max_workers))
+levels of the recursion across worker processes made with the POSIX
+"fork" start method (see `forkjoin`): at each of those nodes a worker
+trains and descends the right branch from a copy-on-write image of the
+node's model, and the parent process the left.
+
 Determinism: all shuffles and learner streams are derived from the run
 seed and the position in the recursion, never from execution order, so
 sequential and fork-join runs of the same configuration produce
@@ -23,7 +29,6 @@ bit-identical reports (wall time aside).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,6 +46,7 @@ from .core import (
     make_report,
     partition as make_partition,
 )
+from .forkjoin import check_workers, fork, join_all
 from .rng import SplitMix64Stream, derive_seed
 
 # Stream purpose tags; every derive_seed call site in the package uses a
@@ -57,8 +63,9 @@ class TreeCvConfig:
     """Scheduler options.
 
     max_workers <= 1 runs sequentially; larger values fork the top
-    recursion levels onto a thread pool.  The seed fully determines all
-    shuffles and learner streams regardless of worker count.
+    floor(log2(max_workers)) recursion levels onto worker processes, up
+    to `forkjoin.MAX_WORKERS`.  The seed fully determines all shuffles
+    and learner streams regardless of worker count.
     """
 
     strategy: str = "copy"
@@ -71,6 +78,7 @@ class TreeCvConfig:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.ordering not in ORDERINGS:
             raise ValueError(f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
+        check_workers(self.max_workers)
         if self.max_workers > 1 and self.strategy == "save-revert":
             raise ValueError("fork-join execution requires the copy strategy")
 
@@ -186,10 +194,17 @@ def _recurse(ctx, s, e, model, depth, counters, traces) -> float:
     return total
 
 
-def _recurse_forked(ctx, s, e, model, depth, counters, traces, pool, fork_depth) -> float:
-    """Fork-join recursion: materialize both child models, run the right
-    child on the pool, the left inline.  Only the top `fork_depth` levels
-    fork, which bounds pooled tasks below the worker count."""
+def _recurse_forked(ctx, s, e, model, depth, counters, traces, fork_depth) -> float:
+    """Fork-join recursion over the top `fork_depth` levels.
+
+    At each such node a forked worker takes the right branch, starting
+    from a copy-on-write image of the incoming model, while this process
+    runs the left branch inline; below those levels `_recurse` takes
+    over.  The worker sends back its partial sum, fold scores, counters
+    and node traces, merged here so that the report and the pre-order
+    trace equal a sequential run's.  A failure in the left branch takes
+    precedence over one in the right, as in sequential order.
+    """
     if s == e or depth >= fork_depth:
         return _recurse(ctx, s, e, model, depth, counters, traces)
     counters.nodes_visited += 1
@@ -198,21 +213,32 @@ def _recurse_forked(ctx, s, e, model, depth, counters, traces, pool, fork_depth)
         traces.append(NodeTrace(s, e, m, _fed_points(ctx.partition, m + 1, e),
                                 _fed_points(ctx.partition, s, m), depth))
     counters.snapshots += 1
-    right_model = model.clone()
-    model.reseed(_branch_seed(ctx, s, m))
-    _feed(ctx, model, m + 1, e, counters)
-    right_model.reseed(_branch_seed(ctx, m + 1, e))
-    _feed(ctx, right_model, s, m, counters)
-    right_counters = WorkCounters()
-    right_traces = [] if traces is not None else None
-    future = pool.submit(_recurse_forked, ctx, m + 1, e, right_model, depth + 1,
-                         right_counters, right_traces, pool, fork_depth)
-    total = _recurse_forked(ctx, s, m, model, depth + 1, counters, traces, pool, fork_depth)
-    total += future.result()
+    join_right = fork(_right_branch, ctx, s, e, model, depth + 1, traces is not None,
+                      fork_depth)
+
+    def left() -> float:
+        model.reseed(_branch_seed(ctx, s, m))
+        _feed(ctx, model, m + 1, e, counters)
+        return _recurse_forked(ctx, s, m, model, depth + 1, counters, traces, fork_depth)
+
+    total, (right_total, scores, right_counters, right_traces) = join_all([left, join_right])
+    ctx.fold_scores[m + 1:e + 1] = scores
     counters.merge(right_counters)
     if traces is not None:
         traces.extend(right_traces)
-    return total
+    return total + right_total
+
+
+def _right_branch(ctx, s, e, model, depth, trace, fork_depth):
+    """Worker side of a fork at node (s, e): feed chunks s..m, recurse
+    into m+1..e, and return what the parent needs to merge."""
+    m = (s + e) // 2
+    counters = WorkCounters()
+    traces = [] if trace else None
+    model.reseed(_branch_seed(ctx, m + 1, e))
+    _feed(ctx, model, s, m, counters)
+    total = _recurse_forked(ctx, m + 1, e, model, depth, counters, traces, fork_depth)
+    return total, ctx.fold_scores[m + 1:e + 1], counters, traces
 
 
 def tree_cv(
@@ -230,9 +256,13 @@ def tree_cv(
     own, in the order the tree induces; fold i's score is the mean loss
     on chunk i.  `trace_sink`, when given, receives one NodeTrace per
     visited node in sequential pre-order; `on_leaf` is called with
-    (fold_index, model) right after each fold is scored.
+    (fold_index, model) right after each fold is scored, and requires a
+    sequential run: under fork-join most leaves live in worker processes.
     """
     config.validate()
+    if on_leaf is not None and config.max_workers > 1:
+        raise ValueError("on_leaf needs a sequential run (max_workers <= 1): "
+                         "worker processes cannot call back into this one")
     if partition.n != dataset.n:
         raise InvalidChunkError(
             f"partition covers {partition.n} points but dataset has {dataset.n}"
@@ -244,9 +274,8 @@ def tree_cv(
     model.reseed(derive_seed(config.seed, TAG_BRANCH_LEARNER, 0, k - 1))
     start = time.perf_counter()
     if config.max_workers > 1:
-        fork_depth = max(0, config.max_workers.bit_length() - 1)
-        with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-            _recurse_forked(ctx, 0, k - 1, model, 0, counters, trace_sink, pool, fork_depth)
+        fork_depth = config.max_workers.bit_length() - 1
+        _recurse_forked(ctx, 0, k - 1, model, 0, counters, trace_sink, fork_depth)
     else:
         _recurse(ctx, 0, k - 1, model, 0, counters, trace_sink)
     wall = time.perf_counter() - start

@@ -70,6 +70,8 @@ def test_plan_validation():
         small_plan(schedulers=("grid",)).validate()
     with pytest.raises(ValueError):
         small_plan(repetitions=0).validate()
+    with pytest.raises(ValueError, match="at most 64"):
+        small_plan(threads=65).validate()
 
 
 def test_run_records_shape_and_scheduler_agreement():
@@ -323,6 +325,25 @@ def test_cli_validation_failures_exit_2(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("row_id,status,estimate\n", encoding="utf-8")
     assert main(["report", str(empty)]) == 2
+
+
+def test_cli_run_exits_1_when_a_row_records_an_error(tmp_path):
+    out = tmp_path / "records.csv"
+    # k=50 exceeds n=10, so the first row fails and the second still runs
+    code = main(["run", "--synth", "regression:n=10,d=2,seed=1", "--learner", "mean",
+                 "--k", "50,2", "--out", str(out)])
+    assert code == 1
+    assert [r["status"] for r in read_csv(out)] == ["error", "ok"]
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_cli_rejects_thread_counts_above_the_cap(command, capsys):
+    args = [command, "--synth", "regression:n=10,d=2", "--learner", "mean",
+            "--threads", "65"]
+    if command == "bench":
+        args += ["--n-grid", "10"]
+    assert main(args) == 2
+    assert "at most 64" in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -2,6 +2,7 @@
 hold-out correctness, determinism, and preservation strategies."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -296,6 +297,19 @@ def test_config_validation():
         TreeCvConfig(strategy="save-revert", max_workers=4).validate()
 
 
+def test_forked_execution_rejects_what_it_cannot_honour():
+    ds = regression_data(8)
+    part = partition(ds, 4)
+    with pytest.raises(ValueError, match="at most 64"):
+        TreeCvConfig(max_workers=65).validate()
+    with pytest.raises(ValueError, match="at most 64"):
+        standard_cv(mean_factory(), ds, part, SQUARED, max_workers=1000)
+    with pytest.raises(ValueError, match="on_leaf"):
+        tree_cv(mean_factory(), ds, part, SQUARED, TreeCvConfig(max_workers=2),
+                on_leaf=lambda fold, model: None)
+    assert multiprocessing.active_children() == []
+
+
 def test_partition_dataset_mismatch():
     ds = regression_data(10)
     with pytest.raises(InvalidChunkError):
@@ -308,6 +322,30 @@ def test_update_failure_is_annotated_with_chunk_range():
     with pytest.raises(UpdateFailedError) as info:
         tree_cv(mean_factory(), ds, part, SQUARED)
     assert info.value.chunk_range == (2, 3)  # the root's first feed
+
+
+class FailsOnMarkedRow(MeanPredictor):
+    """Mean predictor whose update raises on an outcome of exactly -1."""
+
+    def _update_point(self, x, y):
+        if y == -1.0:
+            raise RuntimeError("marked row")
+        super()._update_point(x, y)
+
+    def fresh(self):
+        return FailsOnMarkedRow(self.dim)
+
+
+def test_worker_only_failure_reaches_the_caller_with_its_chunk_range():
+    # With k=2 the root's worker feeds chunk 0 and the parent chunk 1, so
+    # only the worker meets the marked row.
+    ds = Dataset(np.zeros((4, 1)), np.array([0.5, -1.0, 0.25, 0.75]))
+    part = partition(ds, 2)
+    with pytest.raises(UpdateFailedError) as info:
+        tree_cv(lambda: FailsOnMarkedRow(1), ds, part, SQUARED, TreeCvConfig(max_workers=2))
+    assert info.value.chunk_range == (0, 0)
+    assert "marked row" in str(info.value)
+    assert multiprocessing.active_children() == []
 
 
 def test_restore_failure_is_fatal():

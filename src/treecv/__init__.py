@@ -14,7 +14,6 @@ from .core import (
     DataPoint,
     Dataset,
     DegenerateRangeError,
-    InconsistentStateError,
     IncrementalLearner,
     InvalidChunkError,
     InvalidFoldCountError,
@@ -60,7 +59,6 @@ __all__ = [
     "DataPoint",
     "Dataset",
     "DegenerateRangeError",
-    "InconsistentStateError",
     "IncrementalLearner",
     "InvalidChunkError",
     "InvalidFoldCountError",

@@ -88,10 +88,6 @@ class UpdateFailedError(CrossValidationError, RuntimeError):
         self.chunk_range = (start, end)
 
 
-class InconsistentStateError(CrossValidationError, RuntimeError):
-    """Model preservation failed mid-run; the model state is unrecoverable."""
-
-
 # ---------------------------------------------------------------------------
 # Datasets
 
@@ -363,11 +359,11 @@ class WorkCounters:
     """Instrumentation totals for one cross-validation run.
 
     point_updates counts single-point applications of a learner's update
-    rule; snapshots counts model preservation events (state copies or
-    save points); nodes_visited counts recursion-tree nodes; transfers
-    counts chunk-to-model incorporation events, the number of times a
-    model would be shipped to a chunk's storage node in a distributed
-    run; evaluations counts per-point loss evaluations.
+    rule; snapshots counts model preservation events (state copies);
+    nodes_visited counts recursion-tree nodes; transfers counts
+    chunk-to-model incorporation events, the number of times a model
+    would be shipped to a chunk's storage node in a distributed run;
+    evaluations counts per-point loss evaluations.
     """
 
     point_updates: int = 0

@@ -14,6 +14,8 @@ import math
 import statistics
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     CrossValidationError,
     CvReport,
@@ -149,6 +151,21 @@ class ExperimentPlan:
                 raise ValueError(f"k values must be integers >= 2 or 'n', got {kv!r}")
 
 
+def check_labels(plan: ExperimentPlan, dataset: Dataset) -> None:
+    """Reject data whose labels the plan's learner or loss cannot read.
+
+    Pegasos and the zero-one loss take binary labels as -1.0 / +1.0:
+    Pegasos scales its step by the label, so with 0/1 labels it would
+    silently never learn from the 0 class.
+    """
+    if plan.learner != "pegasos" and plan.loss != "zeroone":
+        return
+    if dataset.y is None or not np.isin(dataset.y, (-1.0, 1.0)).all():
+        raise ValueError(f"learner {plan.learner!r} with loss {plan.loss!r} needs every label "
+                         "to be -1 or +1; use --binarize-label to map one class to +1 "
+                         "and the rest to -1")
+
+
 def make_learner_factory(plan: ExperimentPlan, dataset: Dataset):
     """Factory for the plan's learner, with data-dependent defaults."""
     dim = dataset.dim
@@ -245,6 +262,7 @@ def iter_run_records(plan: ExperimentPlan, dataset: Dataset, trace_log: list | N
     tree runs append (row_id, NodeTrace) pairs to it.
     """
     plan.validate()
+    check_labels(plan, dataset)
     n, d = dataset.n, dataset.dim
     row_id = 0
     for k_value in plan.k_values:
@@ -286,6 +304,7 @@ def bench_rows(plan: ExperimentPlan, dataset: Dataset, n_grid: list[int]):
         raise ValueError("n grid must be ascending")
     if n_grid[-1] > dataset.n:
         raise ValueError(f"n grid exceeds dataset size {dataset.n}")
+    check_labels(plan, dataset)
     for n in n_grid:
         data_n = dataset.head(n)
         for k_value in plan.k_values:

@@ -50,18 +50,11 @@ def _run_fold(learner_factory, dataset, partition, loss, ordering, seed, fold):
     model = learner_factory().fresh()
     model.reseed(derive_seed(seed, TAG_FOLD_LEARNER, fold))
     x, y = dataset.x, dataset.y
+    rows = _train_rows(partition, fold)
     if ordering == "randomized":
-        rows = _train_rows(partition, fold)
         SplitMix64Stream(derive_seed(seed, TAG_FOLD_SHUFFLE, fold)).shuffle(rows)
-        model.update(x[rows], y[rows] if y is not None else None)
-        counters.point_updates += len(rows)
-    else:
-        for c in range(partition.k):
-            if c == fold:
-                continue
-            sl = partition.chunk_slice(c)
-            model.update(x[sl], y[sl] if y is not None else None)
-            counters.point_updates += sl.stop - sl.start
+    model.update(x[rows], y[rows] if y is not None else None)
+    counters.point_updates += len(rows)
     counters.model_transfers += partition.k - 1
     score = evaluate_chunk(model, dataset, partition.chunk_slice(fold), loss, counters)
     return score, counters
@@ -102,8 +95,7 @@ def standard_cv(
                  for g in map(groups.chunk_slice, range(groups.k))]
         results = [r for group in join_all(joins) for r in group]
     else:
-        results = [_run_fold(learner_factory, dataset, partition, loss, ordering, seed, fold)
-                   for fold in range(k)]
+        results = _run_folds(learner_factory, dataset, partition, loss, ordering, seed, range(k))
     wall = time.perf_counter() - start
     counters = WorkCounters()
     for _, fold_counters in results:

@@ -2,23 +2,19 @@
 
 `tree_cv` computes the k-fold estimate with a single logical training
 pass organized as a binary recursion over chunk ranges.  A node holding
-out chunks s..e preserves its incoming model, trains it on the second
-half of the range, recurses into the first half, then trains the
-preserved model on the first half and recurses into the second.  Leaves
+out chunks s..e preserves a copy of its incoming model, trains the model
+on the second half of the range, recurses into the first half, then
+trains the copy on the first half and recurses into the second.  Leaves
 evaluate a model that has been trained on every chunk except their own.
 Relative to training one model, the extra work is a log2(k) factor
 instead of the k-fold repetition of the standard method.
-
-Model preservation is pluggable: "copy" duplicates the model state at
-each internal node, "save-revert" snapshots and later restores the same
-object.  Both produce identical results; fork-join parallel runs
-require "copy" because the two children own their models concurrently.
 
 Fork-join runs (max_workers > 1) split the top floor(log2(max_workers))
 levels of the recursion across worker processes made with the POSIX
 "fork" start method (see `forkjoin`): at each of those nodes a worker
 trains and descends the right branch from a copy-on-write image of the
-node's model, and the parent process the left.
+node's model, which stands in for the copy, and the parent process the
+left.
 
 Determinism: all shuffles and learner streams are derived from the run
 seed and the position in the recursion, never from execution order, so
@@ -32,10 +28,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .core import (
     CvReport,
     Dataset,
-    InconsistentStateError,
     IncrementalLearner,
     InvalidChunkError,
     Loss,
@@ -54,7 +51,6 @@ from .rng import SplitMix64Stream, derive_seed
 TAG_BRANCH_LEARNER = 1
 TAG_NODE_SHUFFLE = 2
 
-STRATEGIES = ("copy", "save-revert")
 ORDERINGS = ("fixed", "randomized")
 
 
@@ -68,19 +64,14 @@ class TreeCvConfig:
     and learner streams regardless of worker count.
     """
 
-    strategy: str = "copy"
     ordering: str = "fixed"
     max_workers: int = 0
     seed: int = 0
 
     def validate(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.ordering not in ORDERINGS:
             raise ValueError(f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
         check_workers(self.max_workers)
-        if self.max_workers > 1 and self.strategy == "save-revert":
-            raise ValueError("fork-join execution requires the copy strategy")
 
 
 @dataclass(frozen=True)
@@ -101,144 +92,108 @@ class NodeTrace:
     depth: int
 
 
-class _RunContext:
-    __slots__ = ("dataset", "partition", "loss", "config", "fold_scores", "on_leaf")
+class _Run:
+    """What every node of one run reads, and the totals it writes.
 
-    def __init__(self, dataset, partition, loss, config, on_leaf):
+    A forked worker gets its own copy-on-write image of the run and sends
+    back the fold scores, counters and traces of its subtree.
+    """
+
+    __slots__ = ("dataset", "partition", "loss", "ordering", "seed", "fork_depth",
+                 "on_leaf", "fold_scores", "counters", "traces")
+
+    def __init__(self, dataset, partition, loss, config, on_leaf, traces):
         self.dataset = dataset
         self.partition = partition
         self.loss = loss
-        self.config = config
-        self.fold_scores = [0.0] * partition.k
+        self.ordering = config.ordering
+        self.seed = config.seed
+        # <= 0 for sequential runs: no level forks
+        self.fork_depth = config.max_workers.bit_length() - 1
         self.on_leaf = on_leaf
+        self.fold_scores = [0.0] * partition.k
+        self.counters = WorkCounters()
+        self.traces = traces
 
 
-def _feed(ctx: _RunContext, model: IncrementalLearner, first: int, last: int,
-          counters: WorkCounters) -> None:
-    """Train the model on chunks first..last inclusive.
+def _fed_rows(part: Partition, ordering: str, seed: int, first: int, last: int):
+    """Rows of chunks first..last in the order they are fed.
 
-    Fixed ordering feeds the chunks in dataset order, one update per
-    chunk.  Randomized ordering feeds one batch holding a fresh uniform
-    permutation of the range's points, drawn from a stream derived from
-    the run seed and the fed range.
+    Fixed ordering feeds them in dataset order, as a slice.  Randomized
+    ordering feeds a uniform permutation of them, as an index array,
+    drawn from a stream derived from the run seed and the fed range.
     """
-    part = ctx.partition
-    x, y = ctx.dataset.x, ctx.dataset.y
     rows = part.range_slice(first, last)
+    if ordering == "randomized":
+        stream = SplitMix64Stream(derive_seed(seed, TAG_NODE_SHUFFLE, first, last))
+        return stream.permutation(rows.stop - rows.start) + rows.start
+    return rows
+
+
+def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> None:
+    """Visit chunk range s..e with a model trained on every other chunk.
+
+    A leaf scores its chunk.  An internal node preserves its model for
+    the right branch and descends: in the top `run.fork_depth` levels a
+    forked worker takes the right branch from a copy-on-write image of
+    the model while this process runs the left; below them the right
+    branch runs inline on a clone.  Either way a left-branch failure
+    takes precedence, as in sequential order.
+    """
+    run.counters.nodes_visited += 1
+    part = run.partition
+    if s == e:
+        if run.traces is not None:
+            run.traces.append(NodeTrace(s, s, s, 0, 0, depth))
+        run.fold_scores[s] = evaluate_chunk(model, run.dataset, part.chunk_slice(s), run.loss,
+                                            run.counters)
+        if run.on_leaf is not None:
+            run.on_leaf(s, model)
+        return
+    m = (s + e) // 2
+    if run.traces is not None:
+        b = part.bounds
+        run.traces.append(NodeTrace(s, e, m, b[e + 1] - b[m + 1], b[m + 1] - b[s], depth))
+    run.counters.snapshots += 1
+    if depth < run.fork_depth:
+        join_right = fork(_worker_branch, run, m + 1, e, model, s, m, depth + 1)
+        _, (scores, counters, traces) = join_all([
+            lambda: _branch(run, s, m, model, m + 1, e, depth + 1), join_right])
+        run.fold_scores[m + 1:e + 1] = scores
+        run.counters.merge(counters)
+        if run.traces is not None:
+            run.traces.extend(traces)
+    else:
+        right = model.clone()
+        _branch(run, s, m, model, m + 1, e, depth + 1)
+        _branch(run, m + 1, e, right, s, m, depth + 1)
+
+
+def _branch(run: _Run, s: int, e: int, model: IncrementalLearner, first: int, last: int,
+            depth: int) -> None:
+    """Reseed the model for subtree s..e, train it on chunks first..last,
+    and visit the subtree."""
+    model.reseed(derive_seed(run.seed, TAG_BRANCH_LEARNER, s, e))
+    rows = _fed_rows(run.partition, run.ordering, run.seed, first, last)
+    x = run.dataset.x[rows]
+    y = run.dataset.y[rows] if run.dataset.y is not None else None
     try:
-        if ctx.config.ordering == "randomized":
-            stream = SplitMix64Stream(
-                derive_seed(ctx.config.seed, TAG_NODE_SHUFFLE, first, last)
-            )
-            order = stream.permutation(rows.stop - rows.start) + rows.start
-            model.update(x[order], y[order] if y is not None else None)
-        else:
-            for c in range(first, last + 1):
-                sl = part.chunk_slice(c)
-                model.update(x[sl], y[sl] if y is not None else None)
+        model.update(x, y)
     except Exception as err:
         raise UpdateFailedError(first, last, err) from err
-    counters.point_updates += rows.stop - rows.start
-    counters.model_transfers += last - first + 1
+    run.counters.point_updates += x.shape[0]
+    run.counters.model_transfers += last - first + 1
+    _node(run, s, e, model, depth)
 
 
-def _branch_seed(ctx: _RunContext, s: int, e: int) -> int:
-    return derive_seed(ctx.config.seed, TAG_BRANCH_LEARNER, s, e)
-
-
-def _fed_points(part: Partition, first: int, last: int) -> int:
-    sl = part.range_slice(first, last)
-    return sl.stop - sl.start
-
-
-def _leaf(ctx, s, model, depth, counters, traces) -> float:
-    if traces is not None:
-        traces.append(NodeTrace(s, s, s, 0, 0, depth))
-    score = evaluate_chunk(model, ctx.dataset, ctx.partition.chunk_slice(s), ctx.loss, counters)
-    ctx.fold_scores[s] = score
-    if ctx.on_leaf is not None:
-        ctx.on_leaf(s, model)
-    return score / ctx.partition.k
-
-
-def _recurse(ctx, s, e, model, depth, counters, traces) -> float:
-    """Sequential recursion; returns the partial sum of fold scores / k."""
-    counters.nodes_visited += 1
-    if s == e:
-        return _leaf(ctx, s, model, depth, counters, traces)
-    m = (s + e) // 2
-    if traces is not None:
-        traces.append(NodeTrace(s, e, m, _fed_points(ctx.partition, m + 1, e),
-                                _fed_points(ctx.partition, s, m), depth))
-    counters.snapshots += 1
-    if ctx.config.strategy == "copy":
-        preserved = model.clone()
-        saved = None
-    else:
-        preserved = None
-        saved = model.snapshot()
-    model.reseed(_branch_seed(ctx, s, m))
-    _feed(ctx, model, m + 1, e, counters)
-    total = _recurse(ctx, s, m, model, depth + 1, counters, traces)
-    if preserved is None:
-        try:
-            model.restore(saved)
-        except Exception as err:
-            raise InconsistentStateError(
-                f"could not revert model at chunk range ({s}, {e})"
-            ) from err
-        preserved = model
-    preserved.reseed(_branch_seed(ctx, m + 1, e))
-    _feed(ctx, preserved, s, m, counters)
-    total += _recurse(ctx, m + 1, e, preserved, depth + 1, counters, traces)
-    return total
-
-
-def _recurse_forked(ctx, s, e, model, depth, counters, traces, fork_depth) -> float:
-    """Fork-join recursion over the top `fork_depth` levels.
-
-    At each such node a forked worker takes the right branch, starting
-    from a copy-on-write image of the incoming model, while this process
-    runs the left branch inline; below those levels `_recurse` takes
-    over.  The worker sends back its partial sum, fold scores, counters
-    and node traces, merged here so that the report and the pre-order
-    trace equal a sequential run's.  A failure in the left branch takes
-    precedence over one in the right, as in sequential order.
-    """
-    if s == e or depth >= fork_depth:
-        return _recurse(ctx, s, e, model, depth, counters, traces)
-    counters.nodes_visited += 1
-    m = (s + e) // 2
-    if traces is not None:
-        traces.append(NodeTrace(s, e, m, _fed_points(ctx.partition, m + 1, e),
-                                _fed_points(ctx.partition, s, m), depth))
-    counters.snapshots += 1
-    join_right = fork(_right_branch, ctx, s, e, model, depth + 1, traces is not None,
-                      fork_depth)
-
-    def left() -> float:
-        model.reseed(_branch_seed(ctx, s, m))
-        _feed(ctx, model, m + 1, e, counters)
-        return _recurse_forked(ctx, s, m, model, depth + 1, counters, traces, fork_depth)
-
-    total, (right_total, scores, right_counters, right_traces) = join_all([left, join_right])
-    ctx.fold_scores[m + 1:e + 1] = scores
-    counters.merge(right_counters)
-    if traces is not None:
-        traces.extend(right_traces)
-    return total + right_total
-
-
-def _right_branch(ctx, s, e, model, depth, trace, fork_depth):
-    """Worker side of a fork at node (s, e): feed chunks s..m, recurse
-    into m+1..e, and return what the parent needs to merge."""
-    m = (s + e) // 2
-    counters = WorkCounters()
-    traces = [] if trace else None
-    model.reseed(_branch_seed(ctx, m + 1, e))
-    _feed(ctx, model, s, m, counters)
-    total = _recurse_forked(ctx, m + 1, e, model, depth, counters, traces, fork_depth)
-    return total, ctx.fold_scores[m + 1:e + 1], counters, traces
+def _worker_branch(run: _Run, s: int, e: int, model: IncrementalLearner, first: int,
+                   last: int, depth: int):
+    """Forked side of a node: run the branch on this process's copy of
+    the run and return what the parent merges."""
+    run.counters = WorkCounters()
+    run.traces = [] if run.traces is not None else None
+    _branch(run, s, e, model, first, last, depth)
+    return run.fold_scores[s:e + 1], run.counters, run.traces
 
 
 def tree_cv(
@@ -268,18 +223,13 @@ def tree_cv(
             f"partition covers {partition.n} points but dataset has {dataset.n}"
         )
     k = partition.k
-    counters = WorkCounters()
-    ctx = _RunContext(dataset, partition, loss, config, on_leaf)
+    run = _Run(dataset, partition, loss, config, on_leaf, trace_sink)
     model = learner_factory().fresh()
     model.reseed(derive_seed(config.seed, TAG_BRANCH_LEARNER, 0, k - 1))
     start = time.perf_counter()
-    if config.max_workers > 1:
-        fork_depth = config.max_workers.bit_length() - 1
-        _recurse_forked(ctx, 0, k - 1, model, 0, counters, trace_sink, fork_depth)
-    else:
-        _recurse(ctx, 0, k - 1, model, 0, counters, trace_sink)
+    _node(run, 0, k - 1, model, 0)
     wall = time.perf_counter() - start
-    return make_report(ctx.fold_scores, counters, wall, "tree", config.ordering, config.seed)
+    return make_report(run.fold_scores, run.counters, wall, "tree", config.ordering, config.seed)
 
 
 def loocv(
@@ -304,13 +254,10 @@ def tree_feed_orders(part: Partition, ordering: str = "fixed", seed: int = 0) ->
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
     orders: list[list[int]] = [[] for _ in range(part.k)]
+    index = np.arange(part.n)
 
     def fed_rows(first: int, last: int) -> list[int]:
-        rows = part.range_slice(first, last)
-        if ordering == "randomized":
-            stream = SplitMix64Stream(derive_seed(seed, TAG_NODE_SHUFFLE, first, last))
-            return (stream.permutation(rows.stop - rows.start) + rows.start).tolist()
-        return list(range(rows.start, rows.stop))
+        return index[_fed_rows(part, ordering, seed, first, last)].tolist()
 
     def walk(s: int, e: int, fed: list[int]) -> None:
         if s == e:

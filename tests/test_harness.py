@@ -20,7 +20,14 @@ from treecv.harness import (
     stability_rows,
     make_learner_factory,
 )
-from treecv import SQUARED, ZERO_ONE, get_loss, synth_classification, synth_regression
+from treecv import (
+    SQUARED,
+    ZERO_ONE,
+    Dataset,
+    get_loss,
+    synth_classification,
+    synth_regression,
+)
 
 
 def small_plan(**overrides):
@@ -115,6 +122,21 @@ def test_failed_run_records_error_and_continues():
     assert records[0]["status"] == "error"
     assert "fold count" in records[0]["error"]
     assert records[1]["status"] == "ok"
+
+
+@pytest.mark.parametrize("learner,loss", [("pegasos", "zeroone"), ("pegasos", "squared"),
+                                          ("mean", "zeroone")])
+def test_runs_reject_labels_outside_plus_minus_one(learner, loss):
+    ones = synth_classification(20, 2, margin=0.2, noise=0.1, seed=8)
+    zero_one = Dataset(ones.x, (ones.y + 1.0) / 2.0)
+    unlabeled = Dataset(ones.x)
+    plan = small_plan(learner=learner, loss=loss, k_values=(2,))
+    for dataset in (zero_one, unlabeled):
+        with pytest.raises(ValueError, match="--binarize-label"):
+            next(iter_run_records(plan, dataset))
+        with pytest.raises(ValueError, match="--binarize-label"):
+            next(bench_rows(plan, dataset, [20]))
+    assert all(r["status"] == "ok" for r in iter_run_records(plan, ones))
 
 
 def test_verify_flag_replays_tree_runs():
@@ -286,6 +308,15 @@ def test_cli_data_file_and_transforms(tmp_path):
     ])
     assert code == 0
     assert read_csv(out)[0]["n"] == "4"
+
+
+def test_cli_rejects_zero_one_labels_for_pegasos(tmp_path, capsys):
+    data = tmp_path / "points.txt"
+    data.write_text("1 1:2.0 2:1.0\n0 1:4.0\n1 2:3.0\n0 1:1.0 2:1.0\n", encoding="utf-8")
+    args = ["run", "--data", str(data), "--learner", "pegasos", "--k", "2"]
+    assert main(args) == 2
+    assert "--binarize-label" in capsys.readouterr().err
+    assert main(args + ["--binarize-label", "1"]) == 0
 
 
 def test_cli_bench(tmp_path):

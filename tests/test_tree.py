@@ -1,5 +1,5 @@
 """Scheduler semantics: recursion structure, feeding orders, counters,
-hold-out correctness, determinism, and preservation strategies."""
+hold-out correctness, determinism, and fork-join execution."""
 
 import math
 import multiprocessing
@@ -9,7 +9,6 @@ import pytest
 
 from treecv import (
     Dataset,
-    InconsistentStateError,
     InvalidChunkError,
     MeanPredictor,
     Pegasos,
@@ -18,6 +17,7 @@ from treecv import (
     TreeCvConfig,
     UpdateFailedError,
     ZERO_ONE,
+    brute_force_oracle,
     loocv,
     partition,
     standard_cv,
@@ -26,9 +26,7 @@ from treecv import (
     tree_cv,
     tree_feed_orders,
 )
-from treecv.core import WorkCounters
 from treecv.rng import SplitMix64Stream
-from treecv.tree import _recurse, _RunContext
 
 
 def mean_factory(dim=1):
@@ -261,6 +259,29 @@ def test_fork_join_matches_sequential_bit_exactly(workers):
                      TreeCvConfig(ordering="randomized", seed=31, max_workers=workers))
     assert forked.comparable() == sequential.comparable()
 
+    stream = SplitMix64Stream(workers)
+    for _ in range(2):
+        n = 4 + stream.randbelow(36)
+        k = 2 + stream.randbelow(n - 2)
+        ds = synth_classification(n, 6, margin=0.2, noise=0.1, seed=n * 5 + k)
+        part = partition(ds, k)
+        for ordering in ("fixed", "randomized"):
+            seq_traces, par_traces = [], []
+            sequential = tree_cv(factory, ds, part, ZERO_ONE,
+                                 TreeCvConfig(ordering=ordering, seed=k), trace_sink=seq_traces)
+            forked = tree_cv(factory, ds, part, ZERO_ONE,
+                             TreeCvConfig(ordering=ordering, seed=k, max_workers=workers),
+                             trace_sink=par_traces)
+            assert forked.comparable() == sequential.comparable()
+            assert par_traces == seq_traces
+            c = forked.counters
+            assert (c.nodes_visited, c.snapshots, c.evaluations) == (2 * k - 1, k - 1, n)
+            assert c.point_updates == sum(t.points_fed_left + t.points_fed_right
+                                          for t in par_traces)
+            orders = tree_feed_orders(part, ordering, seed=k)
+            replay = brute_force_oracle(factory, ds, part, ZERO_ONE, orders, seed=k)
+            assert forked.fold_scores == replay.fold_scores
+
 
 def test_fork_join_preserves_trace_order():
     ds = regression_data(32)
@@ -272,29 +293,13 @@ def test_fork_join_preserves_trace_order():
     assert seq_traces == par_traces
 
 
-def test_save_revert_matches_copy():
-    ds = synth_classification(60, 4, margin=0.2, noise=0.1, seed=6)
-    part = partition(ds, 10)
-    factory = lambda: Pegasos(4, 1e-2)
-    for ordering in ("fixed", "randomized"):
-        by_copy = tree_cv(factory, ds, part, ZERO_ONE,
-                          TreeCvConfig(strategy="copy", ordering=ordering, seed=2))
-        by_revert = tree_cv(factory, ds, part, ZERO_ONE,
-                            TreeCvConfig(strategy="save-revert", ordering=ordering, seed=2))
-        assert by_copy.comparable() == by_revert.comparable()
-
-
 # ---------------------------------------------------------------------------
 # Validation and failure paths
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TreeCvConfig(strategy="move").validate()
-    with pytest.raises(ValueError):
         TreeCvConfig(ordering="sorted").validate()
-    with pytest.raises(ValueError):
-        TreeCvConfig(strategy="save-revert", max_workers=4).validate()
 
 
 def test_forked_execution_rejects_what_it_cannot_honour():
@@ -348,39 +353,12 @@ def test_worker_only_failure_reaches_the_caller_with_its_chunk_range():
     assert multiprocessing.active_children() == []
 
 
-def test_restore_failure_is_fatal():
-    class BrokenRestore(MeanPredictor):
-        def restore(self, state):
-            raise RuntimeError("corrupted")
-
-        def fresh(self):
-            return BrokenRestore(self.dim)
-
-    ds = regression_data(6)
-    config = TreeCvConfig(strategy="save-revert")
-    with pytest.raises(InconsistentStateError):
-        tree_cv(lambda: BrokenRestore(1), ds, partition(ds, 3), SQUARED, config)
-
-
-# ---------------------------------------------------------------------------
-# Recursion return value
-
-
-def test_recursion_returns_partial_sum_of_scaled_fold_scores():
-    ds = regression_data(12, seed=44)
-    part = partition(ds, 4)
-    ctx = _RunContext(ds, part, SQUARED, TreeCvConfig(), None)
-    model = MeanPredictor(1)
-    total = _recurse(ctx, 0, part.k - 1, model.fresh(), 0, WorkCounters(), None)
-    assert total == pytest.approx(math.fsum(ctx.fold_scores) / part.k, rel=1e-12)
-
-
-def test_leaf_returns_scaled_chunk_score():
-    ds = regression_data(9, seed=45)
-    part = partition(ds, 3)
-    ctx = _RunContext(ds, part, SQUARED, TreeCvConfig(), None)
-    model = MeanPredictor(1)
-    trained = model.fresh()
-    trained.update(ds.x[part.range_slice(0, 1)], ds.y[part.range_slice(0, 1)])
-    value = _recurse(ctx, 2, 2, trained, 0, WorkCounters(), None)
-    assert value == pytest.approx(ctx.fold_scores[2] / 3, rel=1e-15)
+def test_left_branch_failure_wins_over_the_workers():
+    # With k=2 both branches meet a marked row; the parent's left branch
+    # feeds chunk 1, and its failure is the one a sequential run raises.
+    ds = Dataset(np.zeros((4, 1)), np.array([-1.0, 0.5, -1.0, 0.75]))
+    part = partition(ds, 2)
+    with pytest.raises(UpdateFailedError) as info:
+        tree_cv(lambda: FailsOnMarkedRow(1), ds, part, SQUARED, TreeCvConfig(max_workers=2))
+    assert info.value.chunk_range == (1, 1)
+    assert multiprocessing.active_children() == []

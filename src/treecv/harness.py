@@ -300,6 +300,7 @@ def bench_rows(plan: ExperimentPlan, dataset: Dataset, n_grid: list[int]):
     The dataset is sliced to its first n points for each grid entry, so a
     single generated dataset serves the whole sweep.
     """
+    plan.validate()
     if sorted(n_grid) != list(n_grid):
         raise ValueError("n grid must be ascending")
     if n_grid[-1] > dataset.n:

@@ -2,7 +2,7 @@
 
 All four learners are single-pass online algorithms: `update` applies the
 single-point rule to each row of the batch in order, and training state is
-small enough that snapshots are plain value copies.
+small enough that a clone is a plain value copy.
 
 * `Pegasos`: regularized hinge-loss SGD for binary classification.  The
   model is the last iterate (no averaging, no projection), step size
@@ -19,8 +19,9 @@ small enough that snapshots are plain value copies.
   for scheduler-equivalence tests.
 
 `RecordingLearner` wraps any learner and logs every point it is fed; the
-scheduler tests and the CLI's --verify path use it to replay training
-sequences.
+scheduler tests use it to check the sequence each fold model is trained
+on.  (The CLI's --verify path instead replays `tree_feed_orders` through
+`brute_force_oracle`.)
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    IncrementalLearner,
-    LabelRequiredError,
-    SavedState,
-    StateMismatchError,
-    UntrainedModelError,
-)
+from .core import IncrementalLearner, LabelRequiredError, UntrainedModelError
 
 
 def _exact_add(partials: list[float], value: float) -> None:
@@ -81,16 +76,10 @@ class Pegasos(IncrementalLearner):
     def fresh(self):
         return Pegasos(self.dim, self.lam, seed=self.rng.state)
 
-    def _fingerprint(self):
-        return ("pegasos", self.dim, self.lam)
-
-    def _get_state(self):
-        return (self.w.copy(), self.t)
-
-    def _set_state(self, payload):
-        w, t = payload
-        self.w = w.copy()
-        self.t = t
+    def clone(self):
+        twin = self.fresh()
+        twin.w, twin.t = self.w.copy(), self.t
+        return twin
 
 
 class LsqSgd(IncrementalLearner):
@@ -129,17 +118,10 @@ class LsqSgd(IncrementalLearner):
     def fresh(self):
         return LsqSgd(self.dim, self.alpha, seed=self.rng.state)
 
-    def _fingerprint(self):
-        return ("lsqsgd", self.dim, self.alpha)
-
-    def _get_state(self):
-        return (self.w.copy(), self.w_avg.copy(), self.t)
-
-    def _set_state(self, payload):
-        w, w_avg, t = payload
-        self.w = w.copy()
-        self.w_avg = w_avg.copy()
-        self.t = t
+    def clone(self):
+        twin = self.fresh()
+        twin.w, twin.w_avg, twin.t = self.w.copy(), self.w_avg.copy(), self.t
+        return twin
 
 
 class OnlineKMeans(IncrementalLearner):
@@ -188,17 +170,11 @@ class OnlineKMeans(IncrementalLearner):
     def fresh(self):
         return OnlineKMeans(self.dim, self.n_clusters, seed=self.rng.state)
 
-    def _fingerprint(self):
-        return ("kmeans", self.dim, self.n_clusters)
-
-    def _get_state(self):
-        return (self.centers.copy(), self.counts.copy(), self.n_centers)
-
-    def _set_state(self, payload):
-        centers, counts, n_centers = payload
-        self.centers = centers.copy()
-        self.counts = counts.copy()
-        self.n_centers = n_centers
+    def clone(self):
+        twin = self.fresh()
+        twin.centers, twin.counts = self.centers.copy(), self.counts.copy()
+        twin.n_centers = self.n_centers
+        return twin
 
 
 class MeanPredictor(IncrementalLearner):
@@ -233,23 +209,17 @@ class MeanPredictor(IncrementalLearner):
     def fresh(self):
         return MeanPredictor(self.dim, seed=self.rng.state)
 
-    def _fingerprint(self):
-        return ("mean", self.dim)
-
-    def _get_state(self):
-        return (tuple(self._partials), self.count)
-
-    def _set_state(self, payload):
-        partials, count = payload
-        self._partials = list(partials)
-        self.count = count
+    def clone(self):
+        twin = self.fresh()
+        twin._partials, twin.count = list(self._partials), self.count
+        return twin
 
 
 class RecordingLearner(IncrementalLearner):
     """Wrapper that records every fed point before forwarding to the inner
-    learner.  `seen` is the list of (x, y) pairs in feeding order; it is
-    saved and restored with the model, so each branch of a scheduler run
-    carries exactly its own history.
+    learner.  `seen` is the list of (x, y) pairs in feeding order; a clone
+    copies it with the model, so each branch of a scheduler run carries
+    exactly its own history.
     """
 
     def __init__(self, inner: IncrementalLearner):
@@ -270,21 +240,7 @@ class RecordingLearner(IncrementalLearner):
     def fresh(self):
         return RecordingLearner(self.inner.fresh())
 
-    def _fingerprint(self):
-        return ("recording", self.inner._fingerprint())
-
-    def snapshot(self) -> SavedState:
-        return SavedState(self._fingerprint(), (list(self.seen), self.inner.snapshot()))
-
-    def restore(self, state: SavedState) -> None:
-        if state.fingerprint != self._fingerprint():
-            raise StateMismatchError("saved state does not match recording learner")
-        seen, inner_state = state.payload
-        self.seen = list(seen)
-        self.inner.restore(inner_state)
-
-    def _get_state(self):  # pragma: no cover - snapshot() is overridden
-        raise NotImplementedError
-
-    def _set_state(self, payload):  # pragma: no cover
-        raise NotImplementedError
+    def clone(self):
+        twin = RecordingLearner(self.inner.clone())
+        twin.seen = list(self.seen)
+        return twin

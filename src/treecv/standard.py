@@ -12,6 +12,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .core import (
     CvReport,
     Dataset,
@@ -50,11 +52,17 @@ def _run_fold(learner_factory, dataset, partition, loss, ordering, seed, fold):
     model = learner_factory().fresh()
     model.reseed(derive_seed(seed, TAG_FOLD_LEARNER, fold))
     x, y = dataset.x, dataset.y
-    rows = _train_rows(partition, fold)
     if ordering == "randomized":
+        rows = _train_rows(partition, fold)
         SplitMix64Stream(derive_seed(seed, TAG_FOLD_SHUFFLE, fold)).shuffle(rows)
-    model.update(x[rows], y[rows] if y is not None else None)
-    counters.point_updates += len(rows)
+        x, y = x[rows], y[rows] if y is not None else None
+    else:
+        # two slices: fancy indexing through a list of n ints costs ~5x more
+        sl = partition.chunk_slice(fold)
+        x = np.concatenate((x[:sl.start], x[sl.stop:]))
+        y = np.concatenate((y[:sl.start], y[sl.stop:])) if y is not None else None
+    model.update(x, y)
+    counters.point_updates += x.shape[0]
     counters.model_transfers += partition.k - 1
     score = evaluate_chunk(model, dataset, partition.chunk_slice(fold), loss, counters)
     return score, counters

@@ -342,10 +342,14 @@ def test_cli_stability(tmp_path):
     assert [float(r["mean_gap"]) for r in rows] == [0.0, 0.0]
 
 
-def test_cli_validation_failures_exit_2(tmp_path):
+def test_cli_validation_failures_exit_2(tmp_path, capsys):
     # k below 2 is a plan validation error
     assert main(["run", "--synth", "regression:n=10,d=2", "--learner", "mean",
                  "--k", "1"]) == 2
+    # so is a bench with no repetitions
+    assert main(["bench", "--synth", "regression:n=10,d=2", "--learner", "mean",
+                 "--k", "2", "--n-grid", "10", "--reps", "0"]) == 2
+    assert "repetitions" in capsys.readouterr().err
     # malformed data file is a validation error with a line number
     bad = tmp_path / "bad.txt"
     bad.write_text("1 3:1 2:1\n", encoding="utf-8")

@@ -13,7 +13,6 @@ from treecv import (
     OnlineKMeans,
     Pegasos,
     RecordingLearner,
-    StateMismatchError,
     UntrainedModelError,
 )
 from treecv.harness import ExperimentPlan, stability_rows
@@ -225,7 +224,7 @@ def test_mean_predictor_untrained_errors():
 
 
 # ---------------------------------------------------------------------------
-# Snapshot / restore
+# Clone
 
 
 LEARNER_BUILDERS = [
@@ -247,64 +246,43 @@ def _probe(model, points):
 
 
 @pytest.mark.parametrize("build", LEARNER_BUILDERS)
-def test_snapshot_restore_is_bit_exact(build):
+def test_clone_is_bit_exact_and_independent(build):
     stream = SplitMix64Stream(77)
     x = stream.normal_array(40).reshape(20, 2)
     y = np.where(x[:, 0] > 0, 1.0, -1.0)
     probes = [x[i] for i in range(5)]
 
+    assert _probe(build().clone(), probes) == _probe(build(), probes)
     model = build()
     model.update(x[:7], y[:7])
-    saved = model.snapshot()
+    twin = model.clone()
     before = _probe(model, probes)
+    assert type(twin) is type(model)
+    assert _probe(twin, probes) == before
+    assert twin.rng.state == model.rng.state
+    assert twin.rng is not model.rng
+
+    # training the original leaves the clone as it was
     model.update(x[7:12], y[7:12])
-    model.restore(saved)
-    assert _probe(model, probes) == before
-    assert model.rng.state == saved.payload[0]
+    assert _probe(twin, probes) == before
 
-    # replay determinism: restore then re-apply the same point twice
-    model.restore(saved)
-    model.update(x[12:13], y[12:13])
-    first = _probe(model, probes)
-    model.restore(saved)
-    model.update(x[12:13], y[12:13])
-    assert _probe(model, probes) == first
+    # the same rows train both to bit-identical models
+    twin.update(x[7:12], y[7:12])
+    assert _probe(twin, probes) == _probe(model, probes)
+    assert twin.rng.state == model.rng.state
 
 
-@pytest.mark.parametrize("build", LEARNER_BUILDERS)
-def test_snapshot_of_fresh_restores_to_fresh(build):
-    model = build()
-    saved = model.snapshot()
-    x = np.ones((3, 2))
-    model.update(x, np.array([1.0, -1.0, 1.0]))
-    model.restore(saved)
-    fresh = build()
-    assert _probe(model, [np.ones(2)]) == _probe(fresh, [np.ones(2)])
-
-
-def test_restore_rejects_mismatched_configuration():
-    a = Pegasos(dim=2, lam=0.1)
-    b = Pegasos(dim=3, lam=0.1)
-    with pytest.raises(StateMismatchError):
-        b.restore(a.snapshot())
-    c = Pegasos(dim=2, lam=0.2)
-    with pytest.raises(StateMismatchError):
-        c.restore(a.snapshot())
-    with pytest.raises(StateMismatchError):
-        OnlineKMeans(dim=2, n_clusters=2).restore(OnlineKMeans(dim=2, n_clusters=3).snapshot())
-
-
-def test_recording_learner_tracks_and_restores_history():
+def test_recording_learner_clone_carries_its_own_history():
     model = RecordingLearner(MeanPredictor(1))
     x = np.arange(4.0).reshape(4, 1)
     y = np.array([1.0, 2.0, 3.0, 4.0])
     model.update(x[:2], y[:2])
-    saved = model.snapshot()
+    twin = model.clone()
     model.update(x[2:], y[2:])
     assert len(model.seen) == 4
-    model.restore(saved)
-    assert len(model.seen) == 2
-    assert model.predict(np.zeros(1)) == 1.5
+    assert len(twin.seen) == 2
+    assert twin.predict(np.zeros(1)) == 1.5
+    assert model.predict(np.zeros(1)) == 2.5
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,16 @@ class FailsOnMarkedRow(MeanPredictor):
         return FailsOnMarkedRow(self.dim)
 
 
+def test_clone_keeps_a_subclass_update_rule():
+    # With n=k=4, row 0 is first fed to the clone that node (0,1) makes
+    # for its right branch; a clone that lost the subclass would train on
+    # it without failing.
+    ds = Dataset(np.zeros((4, 1)), np.array([-1.0, 0.5, 0.25, 0.75]))
+    with pytest.raises(UpdateFailedError) as info:
+        tree_cv(lambda: FailsOnMarkedRow(1), ds, partition(ds, 4), SQUARED, TreeCvConfig())
+    assert info.value.chunk_range == (0, 0)
+
+
 def test_worker_only_failure_reaches_the_caller_with_its_chunk_range():
     # With k=2 the root's worker feeds chunk 0 and the parent chunk 1, so
     # only the worker meets the marked row.

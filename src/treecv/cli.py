@@ -195,10 +195,12 @@ def cmd_run(args) -> int:
     dataset = _load_dataset(args)
     plan = _build_plan(args, verify=args.verify, trace=args.trace)
     trace_log = [] if args.trace else None
+    # checks the plan before the sink writes its header
+    pending = iter_run_records(plan, dataset, trace_log=trace_log)
     sink = _CsvSink(args.out, RUN_FIELDS)
     records = []
     try:
-        for record in iter_run_records(plan, dataset, trace_log=trace_log):
+        for record in pending:
             sink.write(record)
             records.append(record)
     finally:
@@ -228,10 +230,11 @@ def cmd_bench(args) -> int:
     dataset = _load_dataset(args)
     plan = _build_plan(args)
     n_grid = [int(tok) for tok in args.n_grid.split(",")]
+    pending = bench_rows(plan, dataset, n_grid)  # checks the plan before the header
     rows = []
     sink = _CsvSink(args.out, BENCH_FIELDS)
     try:
-        for row in bench_rows(plan, dataset, n_grid):
+        for row in pending:
             sink.write(row)
             rows.append(row)
     finally:

@@ -283,12 +283,14 @@ class IncrementalLearner(ABC):
         """Absorb a batch: one pass over the rows of x in order."""
         if x.ndim == 1:
             x = x.reshape(1, -1)
+        update_point = self._update_point
         if y is None:
-            for i in range(x.shape[0]):
-                self._update_point(x[i], None)
+            for xi in x:
+                update_point(xi, None)
         else:
-            for i in range(x.shape[0]):
-                self._update_point(x[i], float(y[i]))
+            # a float64 memoryview yields Python floats without a list of them
+            for xi, yi in zip(x, memoryview(np.asarray(y, dtype=np.float64)), strict=True):
+                update_point(xi, yi)
 
     @abstractmethod
     def _update_point(self, x: np.ndarray, y: float | None) -> None: ...

@@ -259,10 +259,15 @@ def iter_run_records(plan: ExperimentPlan, dataset: Dataset, trace_log: list | N
     order.  Standard runs whose projected point updates exceed the plan
     budget yield a "budget-exceeded" record; a failing run yields an
     "error" record and execution continues.  When `trace_log` is a list,
-    tree runs append (row_id, NodeTrace) pairs to it.
+    tree runs append (row_id, NodeTrace) pairs to it.  The plan and the
+    labels are checked when this is called, before any record.
     """
     plan.validate()
     check_labels(plan, dataset)
+    return _run_records(plan, dataset, trace_log)
+
+
+def _run_records(plan: ExperimentPlan, dataset: Dataset, trace_log: list | None):
     n, d = dataset.n, dataset.dim
     row_id = 0
     for k_value in plan.k_values:
@@ -298,7 +303,8 @@ def bench_rows(plan: ExperimentPlan, dataset: Dataset, n_grid: list[int]):
     """Median wall time and update counts over an ascending n grid.
 
     The dataset is sliced to its first n points for each grid entry, so a
-    single generated dataset serves the whole sweep.
+    single generated dataset serves the whole sweep.  The plan, the grid
+    and the labels are checked when this is called, before any row.
     """
     plan.validate()
     if sorted(n_grid) != list(n_grid):
@@ -306,6 +312,10 @@ def bench_rows(plan: ExperimentPlan, dataset: Dataset, n_grid: list[int]):
     if n_grid[-1] > dataset.n:
         raise ValueError(f"n grid exceeds dataset size {dataset.n}")
     check_labels(plan, dataset)
+    return _bench_rows(plan, dataset, n_grid)
+
+
+def _bench_rows(plan: ExperimentPlan, dataset: Dataset, n_grid: list[int]):
     for n in n_grid:
         data_n = dataset.head(n)
         for k_value in plan.k_values:

@@ -99,15 +99,18 @@ class _Run:
     back the fold scores, counters and traces of its subtree.
     """
 
-    __slots__ = ("dataset", "partition", "loss", "ordering", "seed", "fork_depth",
-                 "on_leaf", "fold_scores", "counters", "traces")
+    __slots__ = ("dataset", "partition", "loss", "ordering", "learner_seed", "shuffle_seed",
+                 "fork_depth", "on_leaf", "fold_scores", "counters", "traces")
 
     def __init__(self, dataset, partition, loss, config, on_leaf, traces):
         self.dataset = dataset
         self.partition = partition
         self.loss = loss
         self.ordering = config.ordering
-        self.seed = config.seed
+        # derive_seed folds its tags left to right, so a node's seed is
+        # derive_seed(prefix, s, e) for these prefixes
+        self.learner_seed = derive_seed(config.seed, TAG_BRANCH_LEARNER)
+        self.shuffle_seed = derive_seed(config.seed, TAG_NODE_SHUFFLE)
         # <= 0 for sequential runs: no level forks
         self.fork_depth = config.max_workers.bit_length() - 1
         self.on_leaf = on_leaf
@@ -116,17 +119,18 @@ class _Run:
         self.traces = traces
 
 
-def _fed_rows(part: Partition, ordering: str, seed: int, first: int, last: int):
+def _fed_rows(part: Partition, ordering: str, shuffle_seed: int, first: int, last: int):
     """Rows of chunks first..last in the order they are fed.
 
     Fixed ordering feeds them in dataset order, as a slice.  Randomized
-    ordering feeds a uniform permutation of them, as an index array,
-    drawn from a stream derived from the run seed and the fed range.
+    ordering feeds a uniform permutation of them, as an int64 index
+    array, drawn from the stream derive_seed(shuffle_seed, first, last);
+    `shuffle_seed` is derive_seed(run seed, TAG_NODE_SHUFFLE).
     """
     rows = part.range_slice(first, last)
     if ordering == "randomized":
-        stream = SplitMix64Stream(derive_seed(seed, TAG_NODE_SHUFFLE, first, last))
-        return stream.permutation(rows.stop - rows.start) + rows.start
+        rows = np.arange(rows.start, rows.stop, dtype=np.int64)
+        SplitMix64Stream(derive_seed(shuffle_seed, first, last)).shuffle(memoryview(rows))
     return rows
 
 
@@ -173,8 +177,8 @@ def _branch(run: _Run, s: int, e: int, model: IncrementalLearner, first: int, la
             depth: int) -> None:
     """Reseed the model for subtree s..e, train it on chunks first..last,
     and visit the subtree."""
-    model.reseed(derive_seed(run.seed, TAG_BRANCH_LEARNER, s, e))
-    rows = _fed_rows(run.partition, run.ordering, run.seed, first, last)
+    model.reseed(derive_seed(run.learner_seed, s, e))
+    rows = _fed_rows(run.partition, run.ordering, run.shuffle_seed, first, last)
     x = run.dataset.x[rows]
     y = run.dataset.y[rows] if run.dataset.y is not None else None
     try:
@@ -183,6 +187,7 @@ def _branch(run: _Run, s: int, e: int, model: IncrementalLearner, first: int, la
         raise UpdateFailedError(first, last, err) from err
     run.counters.point_updates += x.shape[0]
     run.counters.model_transfers += last - first + 1
+    del rows, x, y  # free this batch before the subtree feeds its own
     _node(run, s, e, model, depth)
 
 
@@ -225,7 +230,7 @@ def tree_cv(
     k = partition.k
     run = _Run(dataset, partition, loss, config, on_leaf, trace_sink)
     model = learner_factory().fresh()
-    model.reseed(derive_seed(config.seed, TAG_BRANCH_LEARNER, 0, k - 1))
+    model.reseed(derive_seed(run.learner_seed, 0, k - 1))
     start = time.perf_counter()
     _node(run, 0, k - 1, model, 0)
     wall = time.perf_counter() - start
@@ -255,9 +260,10 @@ def tree_feed_orders(part: Partition, ordering: str = "fixed", seed: int = 0) ->
         raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
     orders: list[list[int]] = [[] for _ in range(part.k)]
     index = np.arange(part.n)
+    shuffle_seed = derive_seed(seed, TAG_NODE_SHUFFLE)
 
     def fed_rows(first: int, last: int) -> list[int]:
-        return index[_fed_rows(part, ordering, seed, first, last)].tolist()
+        return index[_fed_rows(part, ordering, shuffle_seed, first, last)].tolist()
 
     def walk(s: int, e: int, fed: list[int]) -> None:
         if s == e:

@@ -362,6 +362,22 @@ def test_cli_validation_failures_exit_2(tmp_path, capsys):
     assert main(["report", str(empty)]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["bench", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
+     "--n-grid", "10", "--reps", "0"],
+    ["bench", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
+     "--n-grid", "20"],
+    ["run", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "1"],
+    ["run", "--synth", "regression:n=10,d=2", "--learner", "pegasos", "--k", "2"],
+], ids=["bench-no-reps", "bench-grid-beyond-data", "run-k-below-2", "run-pegasos-real-labels"])
+def test_cli_writes_no_output_when_validation_fails(args, tmp_path, capsys):
+    assert main(args) == 2
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "out.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_run_exits_1_when_a_row_records_an_error(tmp_path):
     out = tmp_path / "records.csv"
     # k=50 exceeds n=10, so the first row fails and the second still runs

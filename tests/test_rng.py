@@ -2,10 +2,15 @@
 derivation stability.  These vectors define the reproducibility contract;
 a failure here means every seeded result in the package has changed."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from treecv.core import partition
 from treecv.rng import SplitMix64Stream, derive_seed
+from treecv.tree import tree_feed_orders
 
 # Reference SplitMix64 output sequence for seed 0.
 SEED0_VECTORS = [
@@ -25,6 +30,55 @@ DERIVED_VECTORS = {
     (42, 1, 2): 0x89665BE40A2033E9,
     (42, 2, 1): 0x8C5264AF796B5460,
 }
+
+
+# Fisher-Yates reference vectors: SplitMix64Stream(derive_seed(SHUFFLE_SEED, n))
+# shuffling range(n), and the stream state afterwards, as made by the scalar
+# loop (one randbelow(i + 1) per position i from the last down).  Sizes
+# straddle the bulk-draw threshold; n = 1000 is pinned by `_digest`.
+SHUFFLE_SEED = 20150701
+SHUFFLE_VECTORS = {
+    0: (0x8FAAC2B284636552, []),
+    1: (0xEA0C74B4CF29C7EB, [0]),
+    2: (0x895331E0DFBAB4E6, [0, 1]),
+    16: (0xC6BEC35B57A43B36, [15, 9, 12, 11, 4, 1, 8, 10, 2, 3, 0, 13, 7, 14, 6, 5]),
+    17: (0xAF86B8F1755E5F27, [1, 7, 13, 16, 11, 0, 6, 2, 5, 9, 3, 4, 15, 12, 14, 10, 8]),
+    23: (0xBD7FA69A6A1448AA, [15, 2, 3, 9, 20, 6, 22, 1, 17, 8, 5, 11, 12, 21, 18, 10, 7, 19,
+                              14, 0, 4, 13, 16]),
+    24: (0x0BFCC7E7DEDC80D9, [22, 17, 2, 4, 20, 12, 11, 18, 10, 21, 16, 6, 9, 13, 8, 15, 7, 0,
+                              23, 3, 19, 5, 1, 14]),
+    64: (0x71637B54826BFF07, [57, 31, 0, 34, 2, 47, 12, 59, 28, 43, 33, 11, 21, 14, 63, 45, 46,
+                              55, 44, 5, 42, 40, 15, 8, 17, 3, 38, 7, 9, 27, 56, 10, 41, 49, 13,
+                              26, 62, 39, 29, 4, 58, 36, 54, 53, 48, 30, 23, 1, 25, 20, 16, 61,
+                              24, 52, 18, 37, 6, 19, 60, 50, 22, 51, 32, 35]),
+    1000: (0x83F032E3038EAAD1, "bd30a901973f8712"),
+}
+
+# _digest of each fold's order in tree_feed_orders(partition(100, 4), "randomized", 5):
+# every fed range there has 25 or 50 rows.
+TREE_ORDER_DIGESTS = ["2e715143e288ea72", "e1b913b22396a54c", "795af24a2fe681df",
+                      "4c4c747b3cf7ead0"]
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=np.int64).tobytes()).hexdigest()[:16]
+
+
+def scalar_shuffle(stream, values) -> None:
+    """The reference Fisher-Yates loop, one randbelow draw per position."""
+    for i in range(len(values) - 1, 0, -1):
+        j = stream.randbelow(i + 1)
+        values[i], values[j] = values[j], values[i]
+
+
+def shuffled(n: int, container: str, stream) -> list[int]:
+    if container == "list":
+        values = list(range(n))
+        stream.shuffle(values)
+        return values
+    values = np.arange(n)
+    stream.shuffle(values if container == "ndarray" else memoryview(values))
+    return values.tolist()
 
 
 def test_seed0_reference_sequence():
@@ -92,3 +146,101 @@ def test_single_element_shuffle_is_identity():
     values = [42]
     SplitMix64Stream(0).shuffle(values)
     assert values == [42]
+
+
+@pytest.mark.parametrize("container", ["ndarray", "list", "memoryview"])
+@pytest.mark.parametrize("n", sorted(SHUFFLE_VECTORS))
+def test_shuffle_matches_reference_vectors(n, container):
+    state, expected = SHUFFLE_VECTORS[n]
+    stream = SplitMix64Stream(derive_seed(SHUFFLE_SEED, n))
+    got = shuffled(n, container, stream)
+    assert (got if isinstance(expected, list) else _digest(got)) == expected
+    assert stream.state == state
+
+
+def test_tree_feed_orders_match_reference_vectors():
+    orders = tree_feed_orders(partition(100, 4), "randomized", 5)
+    assert [_digest(order) for order in orders] == TREE_ORDER_DIGESTS
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
+       st.integers(0, 2**64 - 1))
+def test_derive_seed_folds_tags_left_to_right(seed, tag, a, b):
+    assert derive_seed(derive_seed(seed, tag), a, b) == derive_seed(seed, tag, a, b)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 400), st.integers(0, 2**64 - 1))
+def test_shuffle_equals_the_scalar_loop(n, seed):
+    reference = SplitMix64Stream(seed)
+    expected = list(range(n))
+    scalar_shuffle(reference, expected)
+    stream = SplitMix64Stream(seed)
+    assert shuffled(n, "memoryview", stream) == expected
+    assert stream.state == reference.state
+
+
+class PlantedStream(SplitMix64Stream):
+    """A stream whose bulk draws carry 2**64 - 1 at one position."""
+
+    def __init__(self, seed: int, position: int):
+        super().__init__(seed)
+        self.position = position
+
+    def next_u64_array(self, count):
+        draws = super().next_u64_array(count)
+        draws[self.position] = 2**64 - 1
+        return draws
+
+
+def test_shuffle_falls_back_to_the_scalar_loop_on_a_rejected_draw():
+    # draw 0 is for position 39, bound 40: not a power of two, so randbelow
+    # rejects 2**64 - 1, which is above (2**64 // 40) * 40
+    n, seed = 40, 123
+    reference = SplitMix64Stream(seed)
+    expected = list(range(n))
+    scalar_shuffle(reference, expected)
+    planted = PlantedStream(seed, 0)
+    assert planted.next_u64_array(1)[0] == 2**64 - 1
+    planted.set_state(seed)
+    values = np.arange(n)
+    planted.shuffle(memoryview(values))
+    assert values.tolist() == expected
+    assert planted.state == reference.state
+
+
+def _unshift_xor(z: int, shift: int) -> int:
+    """Inverse of z ^ (z >> shift) on 64 bits."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ (x >> shift)
+    return x
+
+
+def state_before(output: int) -> int:
+    """The stream state whose next output is `output`: the SplitMix64
+    finalizer inverted step by step."""
+    mask = 2**64 - 1
+    z = _unshift_xor(output, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 2**64)) & mask
+    z = _unshift_xor(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & mask
+    z = _unshift_xor(z, 30)
+    return (z - 0x9E3779B97F4A7C15) & mask
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_shuffle_rejects_a_real_draw_like_randbelow(n):
+    # the first draw is 2**64 - 1, which randbelow(n) rejects for n not a
+    # power of two; n = 5 takes the scalar loop, n = 40 the bulk path's
+    # fallback, and both must then draw once more
+    start = state_before(2**64 - 1)
+    assert SplitMix64Stream(start).next_u64() == 2**64 - 1
+    reference = SplitMix64Stream(start)
+    expected = list(range(n))
+    scalar_shuffle(reference, expected)
+    # n draws for n - 1 positions: exactly one was rejected
+    assert reference.state == (start + n * 0x9E3779B97F4A7C15) & (2**64 - 1)
+    stream = SplitMix64Stream(start)
+    assert shuffled(n, "list", stream) == expected
+    assert stream.state == reference.state

@@ -255,9 +255,11 @@ def cmd_stability(args) -> int:
         n_clusters=args.clusters,
     )
     n_list = [int(tok) for tok in args.n_list.split(",")]
+    # checks the plan and counts before the sink writes its header
+    pending = stability_rows(plan, args.synth, n_list, args.seeds, args.chunks)
     sink = _CsvSink(args.out, STABILITY_FIELDS)
     try:
-        for row in stability_rows(plan, args.synth, n_list, args.seeds, args.chunks):
+        for row in pending:
             sink.write(row)
     finally:
         sink.close()

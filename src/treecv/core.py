@@ -215,10 +215,18 @@ def partition(dataset: Dataset | int, k: int) -> Partition:
 
 @dataclass(frozen=True)
 class Loss:
-    """Pointwise performance measure: (prediction, x, y) -> nonnegative real."""
+    """Pointwise performance measure: (prediction, x, y) -> nonnegative real.
+
+    `batch`, when given, computes the same measure over a whole chunk:
+    (predictions, X, Y) -> float64 array of per-row losses, with Y None
+    for unlabeled data.  Each element must equal `fn` on that row bit for
+    bit; `evaluate_chunk` uses it when present and calls `fn` per row
+    otherwise, so a loss built as Loss(name, fn) stays valid.
+    """
 
     name: str
     fn: Callable[[object, np.ndarray, float | None], float]
+    batch: Callable[[np.ndarray, np.ndarray, np.ndarray | None], np.ndarray] | None = None
 
     def __call__(self, prediction, x: np.ndarray, y: float | None) -> float:
         return self.fn(prediction, x, y)
@@ -230,6 +238,12 @@ def _zero_one(prediction, x, y):
     return 0.0 if prediction == y else 1.0
 
 
+def _zero_one_batch(predictions, x, y):
+    if y is None:
+        raise LabelRequiredError("misclassification loss requires a labeled point")
+    return (predictions != y).astype(np.float64)
+
+
 def _squared(prediction, x, y):
     if y is None:
         raise LabelRequiredError("squared loss requires a labeled point")
@@ -237,14 +251,26 @@ def _squared(prediction, x, y):
     return diff * diff
 
 
+def _squared_batch(predictions, x, y):
+    if y is None:
+        raise LabelRequiredError("squared loss requires a labeled point")
+    diff = predictions - y
+    return diff * diff
+
+
 def _quantization(prediction, x, y):
     diff = x - prediction
-    return float(diff @ diff)
+    return float(np.einsum("i,i->", diff, diff))
 
 
-ZERO_ONE = Loss("zeroone", _zero_one)
-SQUARED = Loss("squared", _squared)
-QUANTIZATION = Loss("quantization", _quantization)
+def _quantization_batch(predictions, x, y):
+    diffs = x - predictions
+    return np.einsum("ij,ij->i", diffs, diffs)
+
+
+ZERO_ONE = Loss("zeroone", _zero_one, _zero_one_batch)
+SQUARED = Loss("squared", _squared, _squared_batch)
+QUANTIZATION = Loss("quantization", _quantization, _quantization_batch)
 
 LOSSES = {loss.name: loss for loss in (ZERO_ONE, SQUARED, QUANTIZATION)}
 
@@ -298,6 +324,23 @@ class IncrementalLearner(ABC):
     @abstractmethod
     def predict(self, x: np.ndarray):
         """Prediction for one input vector."""
+
+    def predict_many(self, x: np.ndarray) -> np.ndarray:
+        """Predictions for the rows of x, stacked in one array.
+
+        The default calls `predict` per row.  An override must give each
+        row exactly the prediction `predict` gives it, whatever the
+        number of rows in the batch: `evaluate_chunk` uses this method,
+        while a loss without a batch form scores one `predict` at a time.
+        """
+        return np.asarray([self.predict(row) for row in x])
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A subclass that redefines predict alone gets the per-row default,
+        # so a batched predict_many inherited from its base cannot bypass it.
+        if "predict" in cls.__dict__ and "predict_many" not in cls.__dict__:
+            cls.predict_many = IncrementalLearner.predict_many
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -408,11 +451,14 @@ def evaluate_chunk(
     if m == 0:
         raise InvalidChunkError("cannot evaluate an empty chunk")
     y = dataset.y[chunk] if dataset.y is not None else None
-    values = []
-    for i in range(m):
-        xi = x[i]
-        yi = float(y[i]) if y is not None else None
-        values.append(loss(model.predict(xi), xi, yi))
+    if loss.batch is not None:
+        values = loss.batch(model.predict_many(x), x, y).tolist()
+    else:
+        values = []
+        for i in range(m):
+            xi = x[i]
+            yi = float(y[i]) if y is not None else None
+            values.append(loss(model.predict(xi), xi, yi))
     if counters is not None:
         counters.evaluations += m
     return math.fsum(values) / m

@@ -162,8 +162,9 @@ def check_labels(plan: ExperimentPlan, dataset: Dataset) -> None:
         return
     if dataset.y is None or not np.isin(dataset.y, (-1.0, 1.0)).all():
         raise ValueError(f"learner {plan.learner!r} with loss {plan.loss!r} needs every label "
-                         "to be -1 or +1; use --binarize-label to map one class to +1 "
-                         "and the rest to -1")
+                         "to be -1 or +1; a classification spec gives them, and "
+                         "--binarize-label maps one class of a data file to +1 and the "
+                         "rest to -1")
 
 
 def make_learner_factory(plan: ExperimentPlan, dataset: Dataset):
@@ -347,29 +348,30 @@ def _bench_rows(plan: ExperimentPlan, dataset: Dataset, n_grid: list[int]):
 
 def speedup_summary(rows: list[dict]) -> list[str]:
     """Human-readable ratios from bench rows: scheduler speedup per cell,
+    next to the ratio of point updates it would be if time followed work,
     and the measured overhead of randomized feeding where both orderings
     were benchmarked."""
     by_key = {}
     for row in rows:
         if row["reps"]:
-            by_key[(row["n"], row["k"], row["scheduler"], row["ordering"])] = float(
-                row["median_wall_time"]
+            by_key[(row["n"], row["k"], row["scheduler"], row["ordering"])] = (
+                float(row["median_wall_time"]), int(row["point_updates"])
             )
     lines = []
-    for (n, k, scheduler, ordering), wall in sorted(by_key.items()):
+    for (n, k, scheduler, ordering), (wall, updates) in sorted(by_key.items()):
         if scheduler == "standard":
-            tree_wall = by_key.get((n, k, "tree", ordering))
-            if tree_wall:
+            tree = by_key.get((n, k, "tree", ordering))
+            if tree and tree[0]:
                 lines.append(
                     f"n={n} k={k} ordering={ordering}: standard/tree wall ratio "
-                    f"{wall / tree_wall:.2f}"
+                    f"{wall / tree[0]:.2f}, update ratio {updates / tree[1]:.2f}"
                 )
         if ordering == "randomized":
-            fixed_wall = by_key.get((n, k, scheduler, "fixed"))
-            if fixed_wall:
+            fixed = by_key.get((n, k, scheduler, "fixed"))
+            if fixed and fixed[0]:
                 lines.append(
                     f"n={n} k={k} scheduler={scheduler}: randomized/fixed wall ratio "
-                    f"{wall / fixed_wall:.2f}"
+                    f"{wall / fixed[0]:.2f}"
                 )
     return lines
 
@@ -419,8 +421,24 @@ def stability_rows(plan: ExperimentPlan, synth_spec: str, n_list: list[int],
     """Mean |incremental - batch| gap per training-set size, over seeds.
 
     Each seed draws a fresh dataset from the synthetic spec and a fresh
-    chunk order, so the row reports the expected gap at that size.
+    chunk order, so the row reports the expected gap at that size.  The
+    plan, the sizes, the counts and the spec's labels are checked when
+    this is called, before any row.
     """
+    plan.validate()
+    if n_seeds < 1:
+        raise ValueError("need at least one seed")
+    if n_chunks < 1:
+        raise ValueError("need at least one training chunk")
+    if not n_list or min(n_list) < n_chunks + 1:
+        raise ValueError(f"every training size must be at least chunks + 1 = {n_chunks + 1}")
+    # every seed of the spec draws labels from the same domain
+    check_labels(plan, make_synth_dataset(synth_spec, n_override=min(n_list)))
+    return _stability_rows(plan, synth_spec, n_list, n_seeds, n_chunks)
+
+
+def _stability_rows(plan: ExperimentPlan, synth_spec: str, n_list: list[int], n_seeds: int,
+                    n_chunks: int):
     loss = get_loss(plan.loss)
     for n in n_list:
         gaps = []

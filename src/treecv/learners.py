@@ -7,7 +7,13 @@ small enough that a clone is a plain value copy.
 * `Pegasos`: regularized hinge-loss SGD for binary classification.  The
   model is the last iterate (no averaging, no projection), step size
   1/(lambda*t), and the step counter t persists across incremental calls
-  so batch and chunked feeding share one trajectory.
+  so batch and chunked feeding share one trajectory.  The iterate is
+  stored as w = a*v, a positive scalar times a vector: the shrink by
+  1 - 1/t that every step applies to w is one multiply of `a`, so a
+  point costs one dot product and, on a margin violation, one scaled add
+  into `v` (the scaled representation of Shalev-Shwartz et al., ICML
+  2007).  At t = 1 the factor is 0; the step restarts from v = 0, a = 1
+  there, so `a` never reaches 0.  `w` reads and assigns the product.
 * `LsqSgd`: least-squares SGD with iterates projected into the unit
   l2-ball; predictions use the running average of the projected iterates.
 * `OnlineKMeans`: sequential k-means.  The first K distinct points become
@@ -17,6 +23,11 @@ small enough that a clone is a plain value copy.
   sum is kept as exact float partials, so the model is bit-for-bit
   insensitive to feeding order and batching; it is the exactness oracle
   for scheduler-equivalence tests.
+
+Every learner predicts a batch with `predict_many`, reducing rows with
+`np.einsum`, whose result for a row does not depend on how many rows
+the batch holds (a BLAS `X @ w` does, in the last bits); `predict(x)` is
+`predict_many` of a one-row batch, so a prediction has one definition.
 
 `RecordingLearner` wraps any learner and logs every point it is fed; the
 scheduler tests use it to check the sequence each fold model is trained
@@ -57,28 +68,47 @@ class Pegasos(IncrementalLearner):
             raise ValueError("lam must be positive")
         self.dim = dim
         self.lam = lam
-        self.w = np.zeros(dim)
+        self.a = 1.0
+        self.v = np.zeros(dim)
         self.t = 0
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.a * self.v
+
+    @w.setter
+    def w(self, value) -> None:
+        self.a = 1.0
+        self.v = np.array(value, dtype=np.float64)
 
     def _update_point(self, x, y):
         if y is None:
             raise LabelRequiredError("classification update requires a binary label")
-        self.t += 1
-        eta = 1.0 / (self.lam * self.t)
-        margin = y * float(self.w @ x)
-        self.w *= 1.0 - eta * self.lam
+        v = self.v
+        margin = y * (self.a * float(v.dot(x)))
+        t = self.t = self.t + 1
+        if t == 1:
+            v.fill(0.0)
+            a = self.a = 1.0
+        else:
+            a = self.a = self.a * (1.0 - 1.0 / t)
         if margin < 1.0:
-            self.w += (eta * y) * x
+            v += (y / (self.lam * t * a)) * x
+
+    def predict_many(self, x) -> np.ndarray:
+        # a > 0, so w . x and v . x share their sign; einsum sums from +0.0,
+        # so a zero product is +0.0 and copysign maps the tie to +1
+        return np.copysign(1.0, np.einsum("ij,j->i", x, self.v))
 
     def predict(self, x) -> float:
-        return 1.0 if float(self.w @ x) >= 0.0 else -1.0
+        return float(self.predict_many(x[None])[0])
 
     def fresh(self):
         return Pegasos(self.dim, self.lam, seed=self.rng.state)
 
     def clone(self):
         twin = self.fresh()
-        twin.w, twin.t = self.w.copy(), self.t
+        twin.a, twin.v, twin.t = self.a, self.v.copy(), self.t
         return twin
 
 
@@ -104,16 +134,20 @@ class LsqSgd(IncrementalLearner):
     def _update_point(self, x, y):
         if y is None:
             raise LabelRequiredError("regression update requires a real outcome")
-        residual = float(self.w @ x) - y
+        # ndarray.dot reduces like `@` but skips the matmul ufunc's dispatch
+        residual = float(self.w.dot(x)) - y
         self.w -= (2.0 * self.alpha * residual) * x
-        norm = math.sqrt(float(self.w @ self.w))
+        norm = math.sqrt(float(self.w.dot(self.w)))
         if norm > 1.0:
             self.w /= norm
         self.t += 1
         self.w_avg += (self.w - self.w_avg) / self.t
 
+    def predict_many(self, x) -> np.ndarray:
+        return np.einsum("ij,j->i", x, self.w_avg)
+
     def predict(self, x) -> float:
-        return float(self.w_avg @ x)
+        return float(self.predict_many(x[None])[0])
 
     def fresh(self):
         return LsqSgd(self.dim, self.alpha, seed=self.rng.state)
@@ -162,10 +196,20 @@ class OnlineKMeans(IncrementalLearner):
         self.counts[j] += 1
         self.centers[j] += (x - self.centers[j]) / self.counts[j]
 
-    def predict(self, x) -> np.ndarray:
+    def predict_many(self, x) -> np.ndarray:
+        """The nearest center to each row, one row of centers per row of x."""
         if self.n_centers == 0:
             raise UntrainedModelError("k-means has no centers before any update")
-        return self.centers[self._nearest(x)].copy()
+        active = self.centers[: self.n_centers]
+        # one einsum per center sums each row's squares as `_nearest` does
+        distances = np.empty((self.n_centers, x.shape[0]))
+        for j, center in enumerate(active):
+            diffs = x - center
+            distances[j] = np.einsum("ij,ij->i", diffs, diffs)
+        return active[distances.argmin(axis=0)]
+
+    def predict(self, x) -> np.ndarray:
+        return self.predict_many(x[None])[0]
 
     def fresh(self):
         return OnlineKMeans(self.dim, self.n_clusters, seed=self.rng.state)
@@ -201,10 +245,13 @@ class MeanPredictor(IncrementalLearner):
         _exact_add(self._partials, y)
         self.count += 1
 
-    def predict(self, x) -> float:
+    def predict_many(self, x) -> np.ndarray:
         if self.count == 0:
             raise UntrainedModelError("mean predictor has seen no outcomes")
-        return self.total / self.count
+        return np.full(x.shape[0], self.total / self.count)
+
+    def predict(self, x) -> float:
+        return float(self.predict_many(x[None])[0])
 
     def fresh(self):
         return MeanPredictor(self.dim, seed=self.rng.state)
@@ -230,6 +277,9 @@ class RecordingLearner(IncrementalLearner):
     def _update_point(self, x, y):
         self.seen.append((x.copy(), y))
         self.inner._update_point(x, y)
+
+    def predict_many(self, x):
+        return self.inner.predict_many(x)
 
     def predict(self, x):
         return self.inner.predict(x)

@@ -125,10 +125,12 @@ def _fed_rows(part: Partition, ordering: str, shuffle_seed: int, first: int, las
     Fixed ordering feeds them in dataset order, as a slice.  Randomized
     ordering feeds a uniform permutation of them, as an int64 index
     array, drawn from the stream derive_seed(shuffle_seed, first, last);
-    `shuffle_seed` is derive_seed(run seed, TAG_NODE_SHUFFLE).
+    `shuffle_seed` is derive_seed(run seed, TAG_NODE_SHUFFLE).  A single
+    row stays a slice: its Fisher-Yates shuffle draws nothing, and a
+    slice gathers as a view.
     """
     rows = part.range_slice(first, last)
-    if ordering == "randomized":
+    if ordering == "randomized" and rows.stop - rows.start > 1:
         rows = np.arange(rows.start, rows.stop, dtype=np.int64)
         SplitMix64Stream(derive_seed(shuffle_seed, first, last)).shuffle(memoryview(rows))
     return rows

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecv import (
     Dataset,
     InvalidChunkError,
     InvalidFoldCountError,
     LabelRequiredError,
+    Loss,
+    LsqSgd,
     MeanPredictor,
+    OnlineKMeans,
     Pegasos,
     QUANTIZATION,
     SQUARED,
@@ -109,6 +113,53 @@ def test_quantization_loss_ignores_label():
     x = np.array([4.0])
     center = np.array([0.0])
     assert QUANTIZATION(center, x, None) == 16.0
+
+
+@settings(deadline=None)
+@given(st.integers(1, 60), st.integers(1, 30), st.integers(0, 2**64 - 1), st.integers(-6, 6))
+def test_batch_losses_equal_their_pointwise_forms(n, d, seed, scale):
+    stream = SplitMix64Stream(seed)
+    x = stream.normal_array(n * d).reshape(n, d) * 10.0 ** scale
+    centers = stream.normal_array(n * d).reshape(n, d)
+    signs = np.where(stream.uniform_array(n) < 0.5, 1.0, -1.0)
+    y = np.where(stream.uniform_array(n) < 0.5, signs, -signs)
+    outcomes = stream.normal_array(n) * 10.0 ** scale
+    for loss, predictions, labels in ((ZERO_ONE, signs, y), (SQUARED, outcomes, y),
+                                      (QUANTIZATION, centers, None)):
+        batch = loss.batch(predictions, x, labels)
+        assert batch.dtype == np.float64 and batch.shape == (n,)
+        for i in range(n):
+            yi = None if labels is None else float(labels[i])
+            value = np.float64(loss(predictions[i], x[i], yi))
+            assert value.tobytes() == batch[i].tobytes()
+
+
+def test_labeled_batch_losses_need_labels():
+    for loss in (ZERO_ONE, SQUARED):
+        with pytest.raises(LabelRequiredError):
+            loss.batch(np.zeros(1), np.zeros((1, 1)), None)
+
+
+@pytest.mark.parametrize("name", ["pegasos", "lsqsgd", "kmeans", "mean"])
+@pytest.mark.parametrize("k", [2, 7, 60])
+def test_evaluate_chunk_pointwise_loss_equals_the_batched_path(name, k):
+    stream = SplitMix64Stream(4242)
+    x = stream.normal_array(60 * 12).reshape(60, 12)
+    labels = np.where(x[:, 0] + 0.5 * stream.normal_array(60) > 0, 1.0, -1.0)
+    model, loss = {
+        "pegasos": (Pegasos(12, 1e-2), ZERO_ONE),
+        "lsqsgd": (LsqSgd(12, 0.05), SQUARED),
+        "kmeans": (OnlineKMeans(12, 3), QUANTIZATION),
+        "mean": (MeanPredictor(12), SQUARED),
+    }[name]
+    ds = Dataset(x, None if loss is QUANTIZATION else labels)
+    model.update(ds.x[:40], None if ds.y is None else ds.y[:40])
+    pointwise = Loss(loss.name, loss.fn)
+    part = partition(ds, k)
+    for i in range(k):
+        chunk = part.chunk_slice(i)
+        batched = evaluate_chunk(model, ds, chunk, loss)
+        assert evaluate_chunk(model, ds, chunk, pointwise) == batched
 
 
 def test_get_loss_names():

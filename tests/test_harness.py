@@ -16,6 +16,7 @@ from treecv.harness import (
     make_synth_dataset,
     parse_synth_spec,
     render_pivot,
+    speedup_summary,
     stability_gap,
     stability_rows,
     make_learner_factory,
@@ -165,6 +166,31 @@ def test_bench_rows_sweep():
         list(bench_rows(plan, dataset, [120, 60]))
     with pytest.raises(ValueError):
         list(bench_rows(plan, dataset, [60, 500]))
+
+
+def test_speedup_summary_puts_the_update_ratio_beside_the_wall_ratio():
+    def row(scheduler, ordering, wall, updates):
+        return {"n": 100, "k": 10, "scheduler": scheduler, "ordering": ordering, "reps": 3,
+                "median_wall_time": repr(wall), "point_updates": updates}
+
+    lines = speedup_summary([row("tree", "fixed", 0.5, 400), row("standard", "fixed", 1.5, 900),
+                             row("tree", "randomized", 1.0, 400)])
+    assert lines == [
+        "n=100 k=10 ordering=fixed: standard/tree wall ratio 3.00, update ratio 2.25",
+        "n=100 k=10 scheduler=tree: randomized/fixed wall ratio 2.00",
+    ]
+
+
+def test_stability_rows_check_their_arguments_when_called():
+    plan = small_plan(learner="mean", loss="squared")
+    for n_list, seeds, chunks in (([40], 0, 4), ([40], 2, 0), ([4], 2, 4), ([], 2, 4)):
+        with pytest.raises(ValueError):
+            stability_rows(plan, "regression:d=3", n_list, seeds, chunks)
+    with pytest.raises(ValueError):
+        stability_rows(plan, "spiral:d=3", [40], 2, 4)
+    pegasos = small_plan(learner="pegasos", loss="zeroone")
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        stability_rows(pegasos, "regression:d=3", [40], 2, 4)
 
 
 def test_bench_single_point_grid_single_row_per_cell():
@@ -369,7 +395,12 @@ def test_cli_validation_failures_exit_2(tmp_path, capsys):
      "--n-grid", "20"],
     ["run", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "1"],
     ["run", "--synth", "regression:n=10,d=2", "--learner", "pegasos", "--k", "2"],
-], ids=["bench-no-reps", "bench-grid-beyond-data", "run-k-below-2", "run-pegasos-real-labels"])
+    ["stability", "--synth", "regression:d=3", "--learner", "mean", "--n-list", "20",
+     "--seeds", "0", "--chunks", "2"],
+    ["stability", "--synth", "regression:d=3", "--learner", "mean", "--n-list", "20",
+     "--seeds", "2", "--chunks", "0"],
+], ids=["bench-no-reps", "bench-grid-beyond-data", "run-k-below-2", "run-pegasos-real-labels",
+        "stability-no-seeds", "stability-no-chunks"])
 def test_cli_writes_no_output_when_validation_fails(args, tmp_path, capsys):
     assert main(args) == 2
     assert capsys.readouterr().out == ""

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecv import (
     LabelRequiredError,
@@ -99,6 +100,55 @@ def test_batch_update_equals_pointwise_updates():
 
 def test_pegasos_untrained_predicts_from_zero_weights():
     assert Pegasos(dim=2).predict(np.array([1.0, -1.0])) == 1.0
+
+
+def reference_pegasos(x, y, lam):
+    """The unscaled update loop: w shrinks by 1 - eta*lam every step."""
+    w, t = np.zeros(x.shape[1]), 0
+    for xi, yi in zip(x, y):
+        t += 1
+        eta = 1.0 / (lam * t)
+        margin = yi * float(w @ xi)
+        w *= 1.0 - eta * lam
+        if margin < 1.0:
+            w += (eta * yi) * xi
+    return w, t
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-4, 1e-2, 10.0])
+def test_scaled_pegasos_tracks_the_unscaled_update_loop(lam):
+    stream = SplitMix64Stream(808)
+    x = stream.normal_array(5000 * 4).reshape(5000, 4)
+    y = np.where(x @ np.array([1.0, -2.0, 0.5, 0.0]) + 0.3 * stream.normal_array(5000) > 0,
+                 1.0, -1.0)
+    w, t = reference_pegasos(x, y, lam)
+    model = feed(Pegasos(dim=4, lam=lam), x, y)
+    assert model.t == t
+    assert np.abs(model.w - w).max() <= 1e-9 * np.abs(w).max()
+    assert model.predict_many(x).tolist() == np.where(x @ w >= 0.0, 1.0, -1.0).tolist()
+
+
+def test_pegasos_clone_carries_the_scale():
+    stream = SplitMix64Stream(12)
+    x = stream.normal_array(30).reshape(10, 3)
+    y = np.where(x[:, 1] > 0, 1.0, -1.0)
+    model = feed(Pegasos(dim=3, lam=0.05), x, y)
+    assert model.a != 1.0
+    twin = model.clone()
+    assert (twin.a, twin.t) == (model.a, model.t)
+    assert np.array_equal(twin.w, model.w)
+    feed(twin, x, y)
+    feed(model, x, y)
+    assert np.array_equal(twin.w, model.w)
+
+
+def test_pegasos_assigned_weights_are_copied():
+    weights = np.array([1.0, -2.0])
+    model = Pegasos(dim=2, lam=0.5)
+    model.w = weights
+    feed(model, [[0.0, 0.0]], [1.0])  # t = 1 restarts from w = 0
+    assert weights.tolist() == [1.0, -2.0]
+    assert model.w.tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +320,63 @@ def test_clone_is_bit_exact_and_independent(build):
     twin.update(x[7:12], y[7:12])
     assert _probe(twin, probes) == _probe(model, probes)
     assert twin.rng.state == model.rng.state
+
+
+# ---------------------------------------------------------------------------
+# Batched prediction
+
+
+def _trained(name, d, x, trained, seed):
+    """A built-in learner of the given kind trained on the first rows of x."""
+    stream = SplitMix64Stream(seed)
+    if name == "pegasos":
+        model = Pegasos(dim=d, lam=10.0 ** -stream.randbelow(7))
+        y = np.where(stream.uniform_array(len(x)) < 0.5, 1.0, -1.0)
+    elif name == "lsqsgd":
+        model = LsqSgd(dim=d, alpha=0.5 ** stream.randbelow(10))
+        y = stream.normal_array(len(x))
+    elif name == "kmeans":
+        model = OnlineKMeans(dim=d, n_clusters=1 + stream.randbelow(4))
+        y = None
+    elif name == "mean":
+        model = MeanPredictor(dim=d)
+        y = stream.normal_array(len(x))
+    else:
+        model = RecordingLearner(LsqSgd(dim=d, alpha=0.1))
+        y = stream.normal_array(len(x))
+    model.update(x[:trained], None if y is None else y[:trained])
+    return model
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["pegasos", "lsqsgd", "kmeans", "mean", "recording"]),
+       st.integers(1, 80), st.integers(1, 40), st.integers(0, 2**64 - 1),
+       st.integers(-6, 6), st.booleans())
+def test_predict_is_the_one_row_batch_bit_for_bit(name, n, d, seed, scale, sparse):
+    stream = SplitMix64Stream(seed)
+    x = stream.normal_array(n * d).reshape(n, d) * 10.0 ** scale
+    if sparse:  # exact zeros and repeated rows, as sparse text yields
+        x[stream.uniform_array(n * d).reshape(n, d) < 0.5] = 0.0
+        x[n // 2:] = x[: n - n // 2]
+    trained = 1 + stream.randbelow(n)
+    model = _trained(name, d, x, trained, seed)
+    batch = model.predict_many(x)
+    assert batch.shape[0] == n
+    for i in range(n):
+        row = np.asarray(model.predict(x[i]), dtype=np.float64)
+        assert row.tobytes() == batch[i].tobytes()
+        # any slice of the batch predicts the same bits
+        assert model.predict_many(x[i:])[0].tobytes() == batch[i].tobytes()
+
+
+def test_subclass_overriding_predict_alone_is_batched_through_it():
+    class AlwaysNegative(Pegasos):
+        def predict(self, x):
+            return -1.0
+
+    model = AlwaysNegative(dim=2)
+    assert model.predict_many(np.ones((3, 2))).tolist() == [-1.0, -1.0, -1.0]
+    assert Pegasos(dim=2).predict_many(np.ones((3, 2))).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_recording_learner_clone_carries_its_own_history():

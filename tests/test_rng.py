@@ -163,6 +163,18 @@ def test_tree_feed_orders_match_reference_vectors():
     assert [_digest(order) for order in orders] == TREE_ORDER_DIGESTS
 
 
+# _digest of all folds' orders, concatenated, in tree_feed_orders(part, "randomized", 5):
+# at leave-one-out every leaf-level range holds one row; partition(50, 20) has
+# chunks of 2 and 3 rows.
+SMALL_RANGE_ORDER_DIGESTS = {(37, 37): "dec3dbc8e434e5d9", (50, 20): "dee40ddbb69d853e"}
+
+
+@pytest.mark.parametrize("n, k", sorted(SMALL_RANGE_ORDER_DIGESTS))
+def test_tree_feed_orders_match_reference_vectors_for_small_ranges(n, k):
+    orders = tree_feed_orders(partition(n, k), "randomized", 5)
+    assert _digest(np.concatenate(orders)) == SMALL_RANGE_ORDER_DIGESTS[n, k]
+
+
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
        st.integers(0, 2**64 - 1))
 def test_derive_seed_folds_tags_left_to_right(seed, tag, a, b):

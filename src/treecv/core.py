@@ -22,8 +22,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .rng import SplitMix64Stream
-
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -292,16 +290,16 @@ class IncrementalLearner(ABC):
     Subclasses implement the single-point update rule, prediction, `fresh`
     and `clone`.  `update` performs one in-order pass over the batch, so
     feeding a dataset in one call or in consecutive slices yields the same
-    model.  Each instance owns a deterministic random stream; `clone`
-    copies it along with the model state, so a clone predicts and trains
-    bit-identically to its source.
+    model.  `clone` copies the whole model state, so a clone predicts and
+    trains bit-identically to its source; a learner that needs randomness
+    keeps its own stream in that state.
 
     Instances are single-threaded mutable objects; hand them between
     threads, never share them.
     """
 
-    def __init__(self, seed: int = 0):
-        self.rng = SplitMix64Stream(seed)
+    # Only the benchmark's TracingLearner reads this; delete it once that stops copying it.
+    rng = None
 
     # -- training ---------------------------------------------------------
 
@@ -348,14 +346,10 @@ class IncrementalLearner(ABC):
     def fresh(self) -> "IncrementalLearner":
         """A new untrained model with the same configuration."""
 
-    def reseed(self, seed: int) -> None:
-        """Point the model's random stream at a new derived position."""
-        self.rng = SplitMix64Stream(seed)
-
     # Per learner: a generic __dict__/deepcopy clone made LOOCV ~11% slower.
     @abstractmethod
     def clone(self) -> "IncrementalLearner":
-        """Independent copy with identical state and stream position."""
+        """Independent copy with identical state."""
 
 
 # ---------------------------------------------------------------------------

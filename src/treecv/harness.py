@@ -34,7 +34,6 @@ from .tree import NodeTrace, TreeCvConfig, tree_cv, tree_feed_orders
 
 TAG_REPETITION = 7
 TAG_STABILITY_CHUNK_ORDER = 8
-TAG_STABILITY_LEARNER = 9
 TAG_STABILITY_DATA = 10
 TAG_STABILITY_GAP = 11
 
@@ -154,17 +153,20 @@ class ExperimentPlan:
 def check_labels(plan: ExperimentPlan, dataset: Dataset) -> None:
     """Reject data whose labels the plan's learner or loss cannot read.
 
-    Pegasos and the zero-one loss take binary labels as -1.0 / +1.0:
-    Pegasos scales its step by the label, so with 0/1 labels it would
-    silently never learn from the 0 class.
+    Every learner but k-means and every loss but quantization reads an
+    outcome per point.  Pegasos and the zero-one loss take binary labels
+    as -1.0 / +1.0: Pegasos scales its step by the label, so with 0/1
+    labels it would silently never learn from the 0 class.
     """
-    if plan.learner != "pegasos" and plan.loss != "zeroone":
-        return
-    if dataset.y is None or not np.isin(dataset.y, (-1.0, 1.0)).all():
-        raise ValueError(f"learner {plan.learner!r} with loss {plan.loss!r} needs every label "
-                         "to be -1 or +1; a classification spec gives them, and "
-                         "--binarize-label maps one class of a data file to +1 and the "
-                         "rest to -1")
+    if plan.learner == "pegasos" or plan.loss == "zeroone":
+        if dataset.y is None or not np.isin(dataset.y, (-1.0, 1.0)).all():
+            raise ValueError(f"learner {plan.learner!r} with loss {plan.loss!r} needs every "
+                             "label to be -1 or +1; a classification spec gives them, and "
+                             "--binarize-label maps one class of a data file to +1 and the "
+                             "rest to -1")
+    elif dataset.y is None and (plan.learner != "kmeans" or plan.loss != "quantization"):
+        reader = f"learner {plan.learner!r}" if plan.learner != "kmeans" else f"loss {plan.loss!r}"
+        raise ValueError(f"{reader} needs an outcome for every point, but the data is unlabeled")
 
 
 def make_learner_factory(plan: ExperimentPlan, dataset: Dataset):
@@ -396,15 +398,12 @@ def stability_gap(learner_factory, dataset: Dataset, n_chunks: int, loss: Loss,
     part = make_partition(dataset, n_chunks + 1)
     test_slice = part.chunk_slice(n_chunks)
     x, y = dataset.x, dataset.y
-    learner_seed = derive_seed(seed, TAG_STABILITY_LEARNER)
 
     batch = learner_factory().fresh()
-    batch.reseed(learner_seed)
     train = slice(0, test_slice.start)
     batch.update(x[train], y[train] if y is not None else None)
 
     incremental = learner_factory().fresh()
-    incremental.reseed(learner_seed)
     cell_order = list(range(n_chunks))
     SplitMix64Stream(derive_seed(seed, TAG_STABILITY_CHUNK_ORDER)).shuffle(cell_order)
     for cell in cell_order:

@@ -62,8 +62,7 @@ def _exact_add(partials: list[float], value: float) -> None:
 class Pegasos(IncrementalLearner):
     """Linear hinge-loss SGD classifier; predicts sign(w . x), ties as +1."""
 
-    def __init__(self, dim: int, lam: float = 1e-4, seed: int = 0):
-        super().__init__(seed)
+    def __init__(self, dim: int, lam: float = 1e-4):
         if lam <= 0:
             raise ValueError("lam must be positive")
         self.dim = dim
@@ -104,7 +103,7 @@ class Pegasos(IncrementalLearner):
         return float(self.predict_many(x[None])[0])
 
     def fresh(self):
-        return Pegasos(self.dim, self.lam, seed=self.rng.state)
+        return Pegasos(self.dim, self.lam)
 
     def clone(self):
         twin = self.fresh()
@@ -121,8 +120,7 @@ class LsqSgd(IncrementalLearner):
     used for prediction.
     """
 
-    def __init__(self, dim: int, alpha: float, seed: int = 0):
-        super().__init__(seed)
+    def __init__(self, dim: int, alpha: float):
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         self.dim = dim
@@ -150,7 +148,7 @@ class LsqSgd(IncrementalLearner):
         return float(self.predict_many(x[None])[0])
 
     def fresh(self):
-        return LsqSgd(self.dim, self.alpha, seed=self.rng.state)
+        return LsqSgd(self.dim, self.alpha)
 
     def clone(self):
         twin = self.fresh()
@@ -167,8 +165,7 @@ class OnlineKMeans(IncrementalLearner):
     seen.  Distance ties go to the lowest center index.
     """
 
-    def __init__(self, dim: int, n_clusters: int, seed: int = 0):
-        super().__init__(seed)
+    def __init__(self, dim: int, n_clusters: int):
         if n_clusters < 1:
             raise ValueError("n_clusters must be at least 1")
         self.dim = dim
@@ -212,7 +209,7 @@ class OnlineKMeans(IncrementalLearner):
         return self.predict_many(x[None])[0]
 
     def fresh(self):
-        return OnlineKMeans(self.dim, self.n_clusters, seed=self.rng.state)
+        return OnlineKMeans(self.dim, self.n_clusters)
 
     def clone(self):
         twin = self.fresh()
@@ -229,8 +226,7 @@ class MeanPredictor(IncrementalLearner):
     on an untrained model is an error.
     """
 
-    def __init__(self, dim: int = 1, seed: int = 0):
-        super().__init__(seed)
+    def __init__(self, dim: int = 1):
         self.dim = dim
         self._partials: list[float] = []
         self.count = 0
@@ -254,7 +250,7 @@ class MeanPredictor(IncrementalLearner):
         return float(self.predict_many(x[None])[0])
 
     def fresh(self):
-        return MeanPredictor(self.dim, seed=self.rng.state)
+        return MeanPredictor(self.dim)
 
     def clone(self):
         twin = self.fresh()
@@ -270,7 +266,6 @@ class RecordingLearner(IncrementalLearner):
     """
 
     def __init__(self, inner: IncrementalLearner):
-        super().__init__(inner.rng.state)
         self.inner = inner
         self.seen: list[tuple[np.ndarray, float | None]] = []
 
@@ -283,9 +278,6 @@ class RecordingLearner(IncrementalLearner):
 
     def predict(self, x):
         return self.inner.predict(x)
-
-    def reseed(self, seed):
-        self.inner.reseed(seed)
 
     def fresh(self):
         return RecordingLearner(self.inner.fresh())

@@ -1,13 +1,12 @@
 """Counter-based random number generation with derivable substreams.
 
 Every source of randomness in this package (dataset shuffles, per-node
-training permutations, learner streams, synthetic data) draws from a
-SplitMix64 stream.  The generator is counter-based: output i is a pure
-function of (seed, i), so streams can be replayed, snapshotted by value,
-and generated in bulk with numpy.  Substreams are derived by hashing the
-parent seed together with integer tags, which keeps every component's
-randomness an explicit function of the run seed and its position in the
-computation.
+training permutations, synthetic data) draws from a SplitMix64 stream.
+The generator is counter-based: output i is a pure function of (seed,
+i), so streams can be replayed, snapshotted by value, and generated in
+bulk with numpy.  Substreams are derived by hashing the parent seed
+together with integer tags, which keeps every component's randomness an
+explicit function of the run seed and its position in the computation.
 
 `shuffle` is a Fisher-Yates shuffle whose index draws are exactly those of
 `randbelow`, one per position from the last down.  Above a small size it
@@ -70,8 +69,8 @@ def derive_seed(seed: int, *tags: int) -> int:
 class SplitMix64Stream:
     """Sequential view of a SplitMix64 counter stream.
 
-    State is the single 64-bit counter, so `state` / `set_state` give
-    exact snapshot and replay.
+    State is the single 64-bit counter, so `state` is an exact snapshot:
+    `SplitMix64Stream(stream.state)` replays the stream from there.
     """
 
     __slots__ = ("_state",)
@@ -82,9 +81,6 @@ class SplitMix64Stream:
     @property
     def state(self) -> int:
         return self._state
-
-    def set_state(self, state: int) -> None:
-        self._state = state & _MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64

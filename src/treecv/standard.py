@@ -30,7 +30,6 @@ from .core import (
 from .forkjoin import check_workers, fork, join_all
 from .rng import SplitMix64Stream, derive_seed
 
-TAG_FOLD_LEARNER = 3
 TAG_FOLD_SHUFFLE = 4
 
 
@@ -50,7 +49,6 @@ def _train_rows(partition: Partition, fold: int) -> list[int]:
 def _run_fold(learner_factory, dataset, partition, loss, ordering, seed, fold):
     counters = WorkCounters()
     model = learner_factory().fresh()
-    model.reseed(derive_seed(seed, TAG_FOLD_LEARNER, fold))
     x, y = dataset.x, dataset.y
     if ordering == "randomized":
         rows = _train_rows(partition, fold)
@@ -123,7 +121,8 @@ def brute_force_oracle(
 
     `fold_orders[i]` must be a permutation of the row indices outside
     chunk i; each fold's model is trained in exactly that order.  The
-    report's ordering field is set to "explicit".
+    report's ordering field is set to "explicit"; `seed` draws nothing
+    and is only recorded in the report.
     """
     _check_partition(partition, dataset)
     k = partition.k
@@ -141,7 +140,6 @@ def brute_force_oracle(
     for fold, order in enumerate(fold_orders):
         order = list(int(i) for i in order)
         model = learner_factory().fresh()
-        model.reseed(derive_seed(seed, TAG_FOLD_LEARNER, fold))
         model.update(x[order], y[order] if y is not None else None)
         counters.point_updates += len(order)
         counters.model_transfers += k - 1

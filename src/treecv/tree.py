@@ -16,8 +16,8 @@ trains and descends the right branch from a copy-on-write image of the
 node's model, which stands in for the copy, and the parent process the
 left.
 
-Determinism: all shuffles and learner streams are derived from the run
-seed and the position in the recursion, never from execution order, so
+Determinism: every node's shuffle is derived from the run seed and the
+node's position in the recursion, never from execution order, so
 sequential and fork-join runs of the same configuration produce
 bit-identical reports (wall time aside).
 """
@@ -46,9 +46,8 @@ from .core import (
 from .forkjoin import check_workers, fork, join_all
 from .rng import SplitMix64Stream, derive_seed
 
-# Stream purpose tags; every derive_seed call site in the package uses a
+# Stream purpose tag; every derive_seed call site in the package uses a
 # distinct leading tag so no two components share a stream.
-TAG_BRANCH_LEARNER = 1
 TAG_NODE_SHUFFLE = 2
 
 ORDERINGS = ("fixed", "randomized")
@@ -61,7 +60,7 @@ class TreeCvConfig:
     max_workers <= 1 runs sequentially; larger values fork the top
     floor(log2(max_workers)) recursion levels onto worker processes, up
     to `forkjoin.MAX_WORKERS`.  The seed fully determines all shuffles
-    and learner streams regardless of worker count.
+    regardless of worker count.
     """
 
     ordering: str = "fixed"
@@ -99,17 +98,15 @@ class _Run:
     back the fold scores, counters and traces of its subtree.
     """
 
-    __slots__ = ("dataset", "partition", "loss", "ordering", "learner_seed", "shuffle_seed",
-                 "fork_depth", "on_leaf", "fold_scores", "counters", "traces")
+    __slots__ = ("dataset", "partition", "loss", "ordering", "shuffle_seed", "fork_depth",
+                 "on_leaf", "fold_scores", "counters", "traces")
 
     def __init__(self, dataset, partition, loss, config, on_leaf, traces):
         self.dataset = dataset
         self.partition = partition
         self.loss = loss
         self.ordering = config.ordering
-        # derive_seed folds its tags left to right, so a node's seed is
-        # derive_seed(prefix, s, e) for these prefixes
-        self.learner_seed = derive_seed(config.seed, TAG_BRANCH_LEARNER)
+        # a per-run prefix: derive_seed folds its tags left to right
         self.shuffle_seed = derive_seed(config.seed, TAG_NODE_SHUFFLE)
         # <= 0 for sequential runs: no level forks
         self.fork_depth = config.max_workers.bit_length() - 1
@@ -177,9 +174,7 @@ def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> N
 
 def _branch(run: _Run, s: int, e: int, model: IncrementalLearner, first: int, last: int,
             depth: int) -> None:
-    """Reseed the model for subtree s..e, train it on chunks first..last,
-    and visit the subtree."""
-    model.reseed(derive_seed(run.learner_seed, s, e))
+    """Train the model on chunks first..last, then visit subtree s..e."""
     rows = _fed_rows(run.partition, run.ordering, run.shuffle_seed, first, last)
     x = run.dataset.x[rows]
     y = run.dataset.y[rows] if run.dataset.y is not None else None
@@ -229,12 +224,10 @@ def tree_cv(
         raise InvalidChunkError(
             f"partition covers {partition.n} points but dataset has {dataset.n}"
         )
-    k = partition.k
     run = _Run(dataset, partition, loss, config, on_leaf, trace_sink)
     model = learner_factory().fresh()
-    model.reseed(derive_seed(run.learner_seed, 0, k - 1))
     start = time.perf_counter()
-    _node(run, 0, k - 1, model, 0)
+    _node(run, 0, partition.k - 1, model, 0)
     wall = time.perf_counter() - start
     return make_report(run.fold_scores, run.counters, wall, "tree", config.ordering, config.seed)
 

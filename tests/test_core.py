@@ -210,10 +210,10 @@ def test_evaluate_chunk_rejects_empty_chunk():
 def test_evaluate_chunk_does_not_mutate_model():
     model = MeanPredictor(1)
     model.update(np.zeros((2, 1)), np.array([1.0, 5.0]))
-    before = (list(model._partials), model.count, model.rng.state)
+    before = (list(model._partials), model.count)
     ds = labeled([[0.0], [0.0]], [2.0, 4.0])
     evaluate_chunk(model, ds, slice(0, 2), SQUARED)
-    assert (list(model._partials), model.count, model.rng.state) == before
+    assert (list(model._partials), model.count) == before
 
 
 # ---------------------------------------------------------------------------

@@ -399,8 +399,13 @@ def test_cli_validation_failures_exit_2(tmp_path, capsys):
      "--seeds", "0", "--chunks", "2"],
     ["stability", "--synth", "regression:d=3", "--learner", "mean", "--n-list", "20",
      "--seeds", "2", "--chunks", "0"],
+    ["run", "--synth", "blobs:n=30,d=3", "--learner", "lsqsgd", "--k", "2"],
+    ["run", "--synth", "blobs:n=30,d=3", "--learner", "mean", "--k", "2"],
+    ["stability", "--synth", "blobs:d=3", "--learner", "lsqsgd", "--n-list", "30",
+     "--seeds", "2", "--chunks", "2"],
 ], ids=["bench-no-reps", "bench-grid-beyond-data", "run-k-below-2", "run-pegasos-real-labels",
-        "stability-no-seeds", "stability-no-chunks"])
+        "stability-no-seeds", "stability-no-chunks", "run-lsqsgd-unlabeled",
+        "run-mean-unlabeled", "stability-lsqsgd-unlabeled"])
 def test_cli_writes_no_output_when_validation_fails(args, tmp_path, capsys):
     assert main(args) == 2
     assert capsys.readouterr().out == ""

@@ -278,10 +278,10 @@ def test_mean_predictor_untrained_errors():
 
 
 LEARNER_BUILDERS = [
-    lambda: Pegasos(dim=2, lam=0.3, seed=5),
-    lambda: LsqSgd(dim=2, alpha=0.2, seed=5),
-    lambda: OnlineKMeans(dim=2, n_clusters=2, seed=5),
-    lambda: MeanPredictor(dim=2, seed=5),
+    lambda: Pegasos(dim=2, lam=0.3),
+    lambda: LsqSgd(dim=2, alpha=0.2),
+    lambda: OnlineKMeans(dim=2, n_clusters=2),
+    lambda: MeanPredictor(dim=2),
 ]
 
 
@@ -309,8 +309,6 @@ def test_clone_is_bit_exact_and_independent(build):
     before = _probe(model, probes)
     assert type(twin) is type(model)
     assert _probe(twin, probes) == before
-    assert twin.rng.state == model.rng.state
-    assert twin.rng is not model.rng
 
     # training the original leaves the clone as it was
     model.update(x[7:12], y[7:12])
@@ -319,7 +317,6 @@ def test_clone_is_bit_exact_and_independent(build):
     # the same rows train both to bit-identical models
     twin.update(x[7:12], y[7:12])
     assert _probe(twin, probes) == _probe(model, probes)
-    assert twin.rng.state == model.rng.state
 
 
 # ---------------------------------------------------------------------------

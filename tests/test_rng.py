@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treecv import dataio, harness, standard, tree
 from treecv.core import partition
 from treecv.rng import SplitMix64Stream, derive_seed
 from treecv.tree import tree_feed_orders
@@ -104,13 +105,31 @@ def test_derive_seed_is_stable_and_tag_sensitive():
     assert derive_seed(7, 1, 2) != derive_seed(8, 1, 2)
 
 
+def test_purpose_tags_are_distinct_and_keep_their_numbers():
+    tags = [(name, value) for module in (tree, standard, dataio, harness)
+            for name, value in vars(module).items() if name.startswith("TAG_")]
+    assert dict(tags) == {
+        "TAG_NODE_SHUFFLE": 2,
+        "TAG_FOLD_SHUFFLE": 4,
+        "TAG_SYNTH": 5,
+        "TAG_DATASET_SHUFFLE": 6,
+        "TAG_REPETITION": 7,
+        "TAG_STABILITY_CHUNK_ORDER": 8,
+        "TAG_STABILITY_DATA": 10,
+        "TAG_STABILITY_GAP": 11,
+    }
+    # one module defines each tag, and no two tags share a number
+    assert len({name for name, _ in tags}) == len(tags)
+    assert len({value for _, value in tags}) == len(tags)
+
+
 def test_state_snapshot_replays():
     stream = SplitMix64Stream(99)
     stream.next_u64_array(17)
     mark = stream.state
     ahead = [stream.next_u64() for _ in range(5)]
-    stream.set_state(mark)
-    assert [stream.next_u64() for _ in range(5)] == ahead
+    replay = SplitMix64Stream(mark)
+    assert [replay.next_u64() for _ in range(5)] == ahead
 
 
 def test_uniform_range_and_precision():
@@ -214,7 +233,7 @@ def test_shuffle_falls_back_to_the_scalar_loop_on_a_rejected_draw():
     scalar_shuffle(reference, expected)
     planted = PlantedStream(seed, 0)
     assert planted.next_u64_array(1)[0] == 2**64 - 1
-    planted.set_state(seed)
+    planted = PlantedStream(seed, 0)
     values = np.arange(n)
     planted.shuffle(memoryview(values))
     assert values.tolist() == expected

@@ -283,6 +283,53 @@ def test_fork_join_matches_sequential_bit_exactly(workers):
             assert forked.fold_scores == replay.fold_scores
 
 
+class DropsHalf(MeanPredictor):
+    """Mean predictor that keeps each point with probability 1/2 (the
+    first always), drawn from a stream it keeps in its state."""
+
+    def __init__(self, dim=1, seed=0):
+        super().__init__(dim)
+        self.seed = seed
+        self.rng = SplitMix64Stream(seed)
+        self.draws = 0
+
+    def _update_point(self, x, y):
+        self.draws += 1
+        if self.rng.next_u64() >> 63 or self.count == 0:
+            super()._update_point(x, y)
+
+    def fresh(self):
+        return DropsHalf(self.dim, self.seed)
+
+    def clone(self):
+        twin = super().clone()
+        twin.rng, twin.draws = SplitMix64Stream(self.rng.state), self.draws
+        return twin
+
+
+@pytest.mark.parametrize("ordering", ["fixed", "randomized"])
+def test_learner_with_its_own_stream_matches_oracle_and_fork_join(ordering):
+    factory = lambda: DropsHalf(1, seed=77)
+    stream = SplitMix64Stream(13)
+    for _ in range(4):
+        n = 4 + stream.randbelow(40)
+        k = 2 + stream.randbelow(n - 1)
+        ds = regression_data(n, seed=n * 7 + k)
+        part = partition(ds, k)
+        leaves = {}
+        report = tree_cv(factory, ds, part, SQUARED, TreeCvConfig(ordering=ordering, seed=k),
+                         on_leaf=lambda fold, model: leaves.update({fold: model}))
+        orders = tree_feed_orders(part, ordering, seed=k)
+        replay = brute_force_oracle(factory, ds, part, SQUARED, orders, seed=k)
+        assert report.fold_scores == replay.fold_scores
+        forked = tree_cv(factory, ds, part, SQUARED,
+                         TreeCvConfig(ordering=ordering, seed=k, max_workers=2))
+        assert forked.comparable() == report.comparable()
+        # every fold model drew once per training point, and dropped some
+        assert [leaves[i].draws for i in range(k)] == [n - size for size in part.sizes()]
+        assert any(m.count < m.draws for m in leaves.values())
+
+
 def test_fork_join_preserves_trace_order():
     ds = regression_data(32)
     part = partition(ds, 8)

@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 from .core import CrossValidationError
 from .dataio import fit_transform, parse_sparse_text
@@ -151,7 +152,7 @@ def _parse_k_values(text: str) -> tuple:
     return tuple(values)
 
 
-def _build_plan(args, verify=False, trace=False) -> ExperimentPlan:
+def _build_plan(args, verify=False) -> ExperimentPlan:
     return ExperimentPlan(
         learner=args.learner,
         loss=args.loss or DEFAULT_LOSS[args.learner],
@@ -166,56 +167,38 @@ def _build_plan(args, verify=False, trace=False) -> ExperimentPlan:
         threads=args.threads,
         update_budget=args.update_budget,
         verify=verify,
-        trace=trace,
     )
 
 
-class _CsvSink:
-    """CSV writer over a file path or stdout, flushing after every row."""
-
-    def __init__(self, path, fields):
-        self.path = path
-        self.fields = fields
-        self.handle = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
-        self.writer = csv.DictWriter(self.handle, fieldnames=fields)
-        self.writer.writeheader()
-
-    def write(self, row: dict) -> None:
-        self.writer.writerow(row)
-        self.handle.flush()
-
-    def close(self) -> None:
-        if self.path:
-            self.handle.close()
+def _write_csv(path, fields, rows) -> list[dict]:
+    """Write rows as CSV to a file path or stdout, flushing after every
+    row, and return the rows written."""
+    handle = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
+    written = []
+    try:
+        writer = csv.DictWriter(handle, fieldnames=fields)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(row)
+            handle.flush()
+            written.append(row)
+    finally:
+        if path:
+            handle.close()
+    return written
 
 
 def cmd_run(args) -> int:
     if args.trace and not args.out:
         raise ValueError("--trace needs --out so trace rows get their own file")
     dataset = _load_dataset(args)
-    plan = _build_plan(args, verify=args.verify, trace=args.trace)
     trace_log = [] if args.trace else None
-    # checks the plan before the sink writes its header
-    pending = iter_run_records(plan, dataset, trace_log=trace_log)
-    sink = _CsvSink(args.out, RUN_FIELDS)
-    records = []
-    try:
-        for record in pending:
-            sink.write(record)
-            records.append(record)
-    finally:
-        sink.close()
+    # checks the plan before the header is written
+    pending = iter_run_records(_build_plan(args, verify=args.verify), dataset, trace_log)
+    records = _write_csv(args.out, RUN_FIELDS, pending)
     if args.trace:
-        trace_sink = _CsvSink(f"{args.out}.trace", TRACE_FIELDS)
-        try:
-            for row_id, node in trace_log:
-                trace_sink.write({
-                    "row_id": row_id, "start": node.start, "end": node.end,
-                    "mid": node.mid, "points_fed_left": node.points_fed_left,
-                    "points_fed_right": node.points_fed_right, "depth": node.depth,
-                })
-        finally:
-            trace_sink.close()
+        _write_csv(f"{args.out}.trace", TRACE_FIELDS,
+                   ({"row_id": row_id, **asdict(node)} for row_id, node in trace_log))
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
             json.dump(records, handle, indent=2)
@@ -228,18 +211,9 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     dataset = _load_dataset(args)
-    plan = _build_plan(args)
     n_grid = [int(tok) for tok in args.n_grid.split(",")]
-    pending = bench_rows(plan, dataset, n_grid)  # checks the plan before the header
-    rows = []
-    sink = _CsvSink(args.out, BENCH_FIELDS)
-    try:
-        for row in pending:
-            sink.write(row)
-            rows.append(row)
-    finally:
-        sink.close()
-    for line in speedup_summary(rows):
+    pending = bench_rows(_build_plan(args), dataset, n_grid)  # checks before the header
+    for line in speedup_summary(_write_csv(args.out, BENCH_FIELDS, pending)):
         print(line, file=sys.stderr)
     return 0
 
@@ -255,14 +229,9 @@ def cmd_stability(args) -> int:
         n_clusters=args.clusters,
     )
     n_list = [int(tok) for tok in args.n_list.split(",")]
-    # checks the plan and counts before the sink writes its header
-    pending = stability_rows(plan, args.synth, n_list, args.seeds, args.chunks)
-    sink = _CsvSink(args.out, STABILITY_FIELDS)
-    try:
-        for row in pending:
-            sink.write(row)
-    finally:
-        sink.close()
+    # checks the plan and counts before the header is written
+    _write_csv(args.out, STABILITY_FIELDS,
+               stability_rows(plan, args.synth, n_list, args.seeds, args.chunks))
     return 0
 
 
@@ -281,12 +250,7 @@ def cmd_report(args) -> int:
         else:
             print(text)
         return 0
-    sink = _CsvSink(args.out, REPORT_FIELDS)
-    try:
-        for row in rows:
-            sink.write(row)
-    finally:
-        sink.close()
+    _write_csv(args.out, REPORT_FIELDS, rows)
     return 0
 
 

@@ -6,13 +6,16 @@ dataset; every cell is fully determined by the plan plus the base seed
 and repetition index.  Execution emits one flat record per run, in
 canonical (k, scheduler, ordering, repetition) order, which the report
 stage aggregates into mean +/- std tables with full row traceability.
+A benchmark sweep summarizes that same run stream, taken over the first
+n points for each n of its grid, into one row per cell.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -51,7 +54,7 @@ RUN_FIELDS = [
     "nodes_visited", "model_transfers", "evaluations", "wall_time", "error",
 ]
 
-TRACE_FIELDS = ["row_id", "start", "end", "mid", "points_fed_left", "points_fed_right", "depth"]
+TRACE_FIELDS = ["row_id"] + [f.name for f in fields(NodeTrace)]
 
 BENCH_FIELDS = [
     "n", "k", "scheduler", "ordering", "reps", "median_wall_time",
@@ -97,7 +100,11 @@ def make_synth_dataset(spec: str, n_override: int | None = None) -> Dataset:
     key for size sweeps.
     """
     kind, params = parse_synth_spec(spec)
-    n = int(n_override if n_override is not None else params.get("n", 1000))
+    return _synth(kind, params, n_override if n_override is not None else params.get("n", 1000))
+
+
+def _synth(kind: str, params: dict, n) -> Dataset:
+    n = int(n)
     d = int(params.get("d", 10))
     seed = int(params.get("seed", 0))
     if kind == "classification":
@@ -130,7 +137,6 @@ class ExperimentPlan:
     threads: int = 0
     update_budget: int = 10_000_000
     verify: bool = False
-    trace: bool = False
 
     def validate(self) -> None:
         if self.learner not in LEARNER_NAMES:
@@ -219,42 +225,6 @@ def execute_run(plan: ExperimentPlan, dataset: Dataset, scheduler: str, ordering
                        max_workers=plan.threads)
 
 
-def _report_record(plan, report, scheduler, ordering, k, n, d, rep, run_seed, row_id):
-    c = report.counters
-    return {
-        "row_id": row_id,
-        "status": "ok",
-        "learner": plan.learner,
-        "loss": plan.loss,
-        "scheduler": scheduler,
-        "ordering": ordering,
-        "k": k,
-        "n": n,
-        "d": d,
-        "rep": rep,
-        "run_seed": run_seed,
-        "estimate": repr(report.estimate),
-        "fold_scores": ";".join(repr(s) for s in report.fold_scores),
-        "point_updates": c.point_updates,
-        "snapshots": c.snapshots,
-        "nodes_visited": c.nodes_visited,
-        "model_transfers": c.model_transfers,
-        "evaluations": c.evaluations,
-        "wall_time": repr(report.wall_time),
-        "error": "",
-    }
-
-
-def _stub_record(plan, status, scheduler, ordering, k, n, d, rep, run_seed, row_id, error=""):
-    record = dict.fromkeys(RUN_FIELDS, "")
-    record.update({
-        "row_id": row_id, "status": status, "learner": plan.learner, "loss": plan.loss,
-        "scheduler": scheduler, "ordering": ordering, "k": k, "n": n, "d": d,
-        "rep": rep, "run_seed": run_seed, "error": error,
-    })
-    return record
-
-
 def iter_run_records(plan: ExperimentPlan, dataset: Dataset, trace_log: list | None = None):
     """Execute the whole plan, yielding one flat record per run.
 
@@ -262,12 +232,20 @@ def iter_run_records(plan: ExperimentPlan, dataset: Dataset, trace_log: list | N
     order.  Standard runs whose projected point updates exceed the plan
     budget yield a "budget-exceeded" record; a failing run yields an
     "error" record and execution continues.  When `trace_log` is a list,
-    tree runs append (row_id, NodeTrace) pairs to it.  The plan and the
-    labels are checked when this is called, before any record.
+    tree runs append (row_id, NodeTrace) pairs to it.  The plan, the
+    labels and the learner's parameters are checked when this is called,
+    before any record.
     """
+    _check_entry(plan, dataset)
+    return _run_records(plan, dataset, trace_log)
+
+
+def _check_entry(plan: ExperimentPlan, dataset: Dataset) -> None:
+    """Checks every stream makes before its first row.  Building one
+    learner runs the learner's own parameter checks."""
     plan.validate()
     check_labels(plan, dataset)
-    return _run_records(plan, dataset, trace_log)
+    make_learner_factory(plan, dataset)()
 
 
 def _run_records(plan: ExperimentPlan, dataset: Dataset, trace_log: list | None):
@@ -280,22 +258,38 @@ def _run_records(plan: ExperimentPlan, dataset: Dataset, trace_log: list | None)
                 for rep in range(plan.repetitions):
                     run_seed = derive_seed(plan.base_seed, TAG_REPETITION, rep)
                     row_id += 1
+                    record = dict.fromkeys(RUN_FIELDS, "")
+                    record.update({
+                        "row_id": row_id, "status": "ok", "learner": plan.learner,
+                        "loss": plan.loss, "scheduler": scheduler, "ordering": ordering,
+                        "k": k, "n": n, "d": d, "rep": rep, "run_seed": run_seed,
+                    })
                     if scheduler == "standard" and standard_update_cost(n, k) > plan.update_budget:
-                        yield _stub_record(plan, "budget-exceeded", scheduler, ordering,
-                                           k, n, d, rep, run_seed, row_id)
+                        record["status"] = "budget-exceeded"
+                        yield record
                         continue
-                    sink = [] if (plan.trace and scheduler == "tree") else None
+                    sink = [] if trace_log is not None else None
                     try:
                         report = execute_run(plan, dataset, scheduler, ordering, k,
                                              run_seed, trace_sink=sink)
                     except CrossValidationError as err:
-                        yield _stub_record(plan, "error", scheduler, ordering, k, n, d,
-                                           rep, run_seed, row_id, error=str(err))
+                        record.update({"status": "error", "error": str(err)})
+                        yield record
                         continue
-                    if sink is not None and trace_log is not None:
+                    if sink:
                         trace_log.extend((row_id, t) for t in sink)
-                    yield _report_record(plan, report, scheduler, ordering, k, n, d,
-                                         rep, run_seed, row_id)
+                    c = report.counters
+                    record.update({
+                        "estimate": repr(report.estimate),
+                        "fold_scores": ";".join(repr(s) for s in report.fold_scores),
+                        "point_updates": c.point_updates,
+                        "snapshots": c.snapshots,
+                        "nodes_visited": c.nodes_visited,
+                        "model_transfers": c.model_transfers,
+                        "evaluations": c.evaluations,
+                        "wall_time": repr(report.wall_time),
+                    })
+                    yield record
 
 
 # ---------------------------------------------------------------------------
@@ -305,47 +299,48 @@ def _run_records(plan: ExperimentPlan, dataset: Dataset, trace_log: list | None)
 def bench_rows(plan: ExperimentPlan, dataset: Dataset, n_grid: list[int]):
     """Median wall time and update counts over an ascending n grid.
 
-    The dataset is sliced to its first n points for each grid entry, so a
-    single generated dataset serves the whole sweep.  The plan, the grid
-    and the labels are checked when this is called, before any row.
+    Each row summarizes the `plan.repetitions` run records of one cell of
+    the plan, run on the first n points of the dataset for each grid
+    entry, so a single generated dataset serves the whole sweep.  The
+    plan, the grid, the labels and the learner's parameters are checked
+    when this is called, before any row.
     """
-    plan.validate()
+    if not n_grid:
+        raise ValueError("n grid must not be empty")
     if sorted(n_grid) != list(n_grid):
         raise ValueError("n grid must be ascending")
     if n_grid[-1] > dataset.n:
         raise ValueError(f"n grid exceeds dataset size {dataset.n}")
-    check_labels(plan, dataset)
+    _check_entry(plan, dataset)
+    smallest = n_grid[0]
+    if any(not 2 <= resolve_k(kv, smallest) <= smallest for kv in plan.k_values):
+        raise ValueError(f"every fold count must satisfy 2 <= k <= {smallest}, "
+                         "the smallest grid size")
     return _bench_rows(plan, dataset, n_grid)
 
 
 def _bench_rows(plan: ExperimentPlan, dataset: Dataset, n_grid: list[int]):
     for n in n_grid:
-        data_n = dataset.head(n)
-        for k_value in plan.k_values:
-            k = resolve_k(k_value, n)
-            for scheduler in plan.schedulers:
-                for ordering in plan.orderings:
-                    if scheduler == "standard" and standard_update_cost(n, k) > plan.update_budget:
-                        yield {
-                            "n": n, "k": k, "scheduler": scheduler, "ordering": ordering,
-                            "reps": 0, "median_wall_time": "budget-exceeded",
-                            "point_updates": standard_update_cost(n, k), "estimate_mean": "",
-                        }
-                        continue
-                    walls, estimates, updates = [], [], 0
-                    for rep in range(plan.repetitions):
-                        run_seed = derive_seed(plan.base_seed, TAG_REPETITION, rep)
-                        report = execute_run(plan, data_n, scheduler, ordering, k, run_seed)
-                        walls.append(report.wall_time)
-                        estimates.append(report.estimate)
-                        updates = report.counters.point_updates
-                    yield {
-                        "n": n, "k": k, "scheduler": scheduler, "ordering": ordering,
-                        "reps": plan.repetitions,
-                        "median_wall_time": repr(statistics.median(walls)),
-                        "point_updates": updates,
-                        "estimate_mean": repr(math.fsum(estimates) / len(estimates)),
-                    }
+        records = _run_records(plan, dataset.head(n), None)
+        while cell := list(islice(records, plan.repetitions)):
+            first = cell[0]
+            row = {key: first[key] for key in ("n", "k", "scheduler", "ordering")}
+            if first["status"] == "budget-exceeded":
+                row.update({"reps": 0, "median_wall_time": "budget-exceeded",
+                            "point_updates": standard_update_cost(n, first["k"]),
+                            "estimate_mean": ""})
+                yield row
+                continue
+            for record in cell:
+                if record["status"] == "error":
+                    raise CrossValidationError(record["error"])
+            row.update({
+                "reps": len(cell),
+                "median_wall_time": repr(statistics.median(float(r["wall_time"]) for r in cell)),
+                "point_updates": cell[-1]["point_updates"],
+                "estimate_mean": repr(math.fsum(float(r["estimate"]) for r in cell) / len(cell)),
+            })
+            yield row
 
 
 def speedup_summary(rows: list[dict]) -> list[str]:
@@ -422,9 +417,10 @@ def stability_rows(plan: ExperimentPlan, synth_spec: str, n_list: list[int],
     Each seed draws a fresh dataset from the synthetic spec and a fresh
     chunk order, so the row reports the expected gap at that size.  The
     plan, the sizes, the counts and the spec's labels are checked when
-    this is called, before any row.
+    plan, the sizes, the counts, the spec's labels and the learner's
+    parameters are checked when this is called, before any row.
     """
-    plan.validate()
+    kind, params = parse_synth_spec(synth_spec)
     if n_seeds < 1:
         raise ValueError("need at least one seed")
     if n_chunks < 1:
@@ -432,20 +428,18 @@ def stability_rows(plan: ExperimentPlan, synth_spec: str, n_list: list[int],
     if not n_list or min(n_list) < n_chunks + 1:
         raise ValueError(f"every training size must be at least chunks + 1 = {n_chunks + 1}")
     # every seed of the spec draws labels from the same domain
-    check_labels(plan, make_synth_dataset(synth_spec, n_override=min(n_list)))
-    return _stability_rows(plan, synth_spec, n_list, n_seeds, n_chunks)
+    _check_entry(plan, _synth(kind, params, min(n_list)))
+    return _stability_rows(plan, kind, params, n_list, n_seeds, n_chunks)
 
 
-def _stability_rows(plan: ExperimentPlan, synth_spec: str, n_list: list[int], n_seeds: int,
-                    n_chunks: int):
+def _stability_rows(plan: ExperimentPlan, kind: str, params: dict, n_list: list[int],
+                    n_seeds: int, n_chunks: int):
     loss = get_loss(plan.loss)
     for n in n_list:
         gaps = []
         for rep in range(n_seeds):
             data_seed = derive_seed(plan.base_seed, TAG_STABILITY_DATA, n, rep)
-            dataset = make_synth_dataset(
-                _respec_seed(synth_spec, data_seed), n_override=n
-            )
+            dataset = _synth(kind, dict(params, seed=data_seed), n)
             factory = make_learner_factory(plan, dataset)
             gap_seed = derive_seed(plan.base_seed, TAG_STABILITY_GAP, rep)
             gaps.append(stability_gap(factory, dataset, n_chunks, loss, seed=gap_seed))
@@ -454,14 +448,6 @@ def _stability_rows(plan: ExperimentPlan, synth_spec: str, n_list: list[int], n_
             "mean_gap": repr(math.fsum(gaps) / len(gaps)),
             "max_gap": repr(max(gaps)),
         }
-
-
-def _respec_seed(synth_spec: str, seed: int) -> str:
-    """Replace (or add) the seed key in a synthetic spec string."""
-    kind, params = parse_synth_spec(synth_spec)
-    params["seed"] = seed
-    body = ",".join(f"{key}={value!r}" for key, value in sorted(params.items()))
-    return f"{kind}:{body}"
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +462,9 @@ def aggregate_records(records: list[dict]):
     contributing row ids for each cell."""
     if not records:
         raise ValueError("no records to aggregate")
+    missing = [f for f in ("row_id", "status", *GROUP_KEYS, "estimate") if f not in records[0]]
+    if missing:
+        raise ValueError(f"records lack the run-record column(s) {', '.join(missing)}")
     groups: dict[tuple, list[dict]] = {}
     for record in records:
         if record["status"] != "ok":

@@ -2,13 +2,18 @@
 
 import csv
 import json
+import math
+import os
+import pathlib
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 from treecv.cli import main
 from treecv.harness import (
+    TAG_REPETITION,
     ExperimentPlan,
     aggregate_records,
     bench_rows,
@@ -25,9 +30,13 @@ from treecv import (
     SQUARED,
     ZERO_ONE,
     Dataset,
+    TreeCvConfig,
+    derive_seed,
     get_loss,
+    partition,
     synth_classification,
     synth_regression,
+    tree_cv,
 )
 
 
@@ -166,6 +175,43 @@ def test_bench_rows_sweep():
         list(bench_rows(plan, dataset, [120, 60]))
     with pytest.raises(ValueError):
         list(bench_rows(plan, dataset, [60, 500]))
+
+
+def test_bench_rows_check_the_grid_against_the_fold_counts_when_called():
+    dataset = synth_regression(40, 2, noise=0.2, seed=1)
+    with pytest.raises(ValueError, match="must not be empty"):
+        bench_rows(small_plan(), dataset, [])
+    with pytest.raises(ValueError, match="smallest grid size"):
+        bench_rows(small_plan(k_values=(30,)), dataset, [20, 40])
+    with pytest.raises(ValueError, match="smallest grid size"):
+        bench_rows(small_plan(k_values=("n",)), dataset, [1, 40])
+    assert len(list(bench_rows(small_plan(k_values=(20, "n")), dataset, [20, 40]))) == 8
+
+
+def test_bench_rows_summarize_the_run_records_of_each_cell():
+    dataset = synth_classification(60, 3, margin=0.2, noise=0.1, seed=9)
+    plan = small_plan(learner="pegasos", loss="zeroone", k_values=(4, "n"),
+                      orderings=("fixed", "randomized"), repetitions=3, update_budget=2000)
+    rows = list(bench_rows(plan, dataset, [30, 60]))
+    expected = []
+    for n in (30, 60):
+        records = list(iter_run_records(plan, dataset.head(n)))
+        for first in range(0, len(records), plan.repetitions):
+            cell = records[first:first + plan.repetitions]
+            row = {key: cell[0][key] for key in ("n", "k", "scheduler", "ordering")}
+            if cell[0]["status"] == "budget-exceeded":
+                row.update(reps=0, point_updates=row["n"] * row["k"] - row["n"],
+                           estimate_mean="")
+            else:
+                row.update(reps=3, point_updates=cell[-1]["point_updates"],
+                           estimate_mean=repr(math.fsum(float(r["estimate"]) for r in cell) / 3))
+            expected.append(row)
+    assert [{k: v for k, v in r.items() if k != "median_wall_time"} for r in rows] == expected
+    # standard LOOCV needs 60*59 = 3540 updates at n=60, over the budget
+    over = [r for r in rows if r["reps"] == 0]
+    assert [(r["n"], r["k"], r["scheduler"]) for r in over] == [(60, 60, "standard")] * 2
+    assert all(r["median_wall_time"] == "budget-exceeded" for r in over)
+    assert all(float(r["median_wall_time"]) > 0 for r in rows if r["reps"])
 
 
 def test_speedup_summary_puts_the_update_ratio_beside_the_wall_ratio():
@@ -324,6 +370,34 @@ def test_cli_run_trace_verify_and_json(tmp_path):
     assert len(payload) == 1 and payload[0]["status"] == "ok"
 
 
+def test_cli_trace_rows_are_the_tree_node_traces(tmp_path):
+    out = tmp_path / "records.csv"
+    spec = "classification:n=30,d=2,seed=6"
+    assert main(["run", "--synth", spec, "--learner", "pegasos", "--k", "5",
+                 "--scheduler", "both", "--ordering", "randomized", "--reps", "2",
+                 "--seed", "3", "--trace", "--out", str(out)]) == 0
+    dataset = make_synth_dataset(spec)
+    factory = make_learner_factory(small_plan(learner="pegasos", loss="zeroone"), dataset)
+    expected = []
+    for rep in range(2):  # tree runs are rows 1 and 2; the standard rows 3 and 4 have none
+        traces = []
+        config = TreeCvConfig(ordering="randomized", seed=derive_seed(3, TAG_REPETITION, rep))
+        tree_cv(factory, dataset, partition(dataset, 5), ZERO_ONE, config, trace_sink=traces)
+        expected += [{"row_id": str(rep + 1), **{k: str(v) for k, v in asdict(t).items()}}
+                     for t in traces]
+    assert read_csv(str(out) + ".trace") == expected
+
+
+def test_cli_report_rejects_records_that_are_not_run_records(tmp_path, capsys):
+    bench = tmp_path / "bench.csv"
+    assert main(["bench", "--synth", "regression:n=20,d=2", "--learner", "mean", "--k", "2",
+                 "--n-grid", "20", "--out", str(bench)]) == 0
+    out = tmp_path / "report.csv"
+    assert main(["report", str(bench), "--out", str(out)]) == 2
+    assert "row_id, status, learner, loss, estimate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_data_file_and_transforms(tmp_path):
     data = tmp_path / "points.txt"
     data.write_text("1 1:2.0 2:1.0\n2 1:4.0\n1 2:3.0\n2 1:1.0 2:1.0\n", encoding="utf-8")
@@ -403,9 +477,21 @@ def test_cli_validation_failures_exit_2(tmp_path, capsys):
     ["run", "--synth", "blobs:n=30,d=3", "--learner", "mean", "--k", "2"],
     ["stability", "--synth", "blobs:d=3", "--learner", "lsqsgd", "--n-list", "30",
      "--seeds", "2", "--chunks", "2"],
+    ["run", "--synth", "regression:n=20,d=2", "--learner", "lsqsgd", "--k", "2",
+     "--alpha", "-1"],
+    ["run", "--synth", "classification:n=20,d=2", "--learner", "pegasos", "--k", "2",
+     "--lambda", "0"],
+    ["bench", "--synth", "blobs:n=20,d=2", "--learner", "kmeans", "--k", "2",
+     "--clusters", "0", "--n-grid", "20"],
+    ["stability", "--synth", "regression:d=3", "--learner", "lsqsgd", "--alpha", "0",
+     "--n-list", "20", "--seeds", "2", "--chunks", "2"],
+    ["bench", "--synth", "regression:n=40,d=2", "--learner", "mean", "--k", "30",
+     "--n-grid", "20,40"],
 ], ids=["bench-no-reps", "bench-grid-beyond-data", "run-k-below-2", "run-pegasos-real-labels",
         "stability-no-seeds", "stability-no-chunks", "run-lsqsgd-unlabeled",
-        "run-mean-unlabeled", "stability-lsqsgd-unlabeled"])
+        "run-mean-unlabeled", "stability-lsqsgd-unlabeled", "run-lsqsgd-negative-alpha",
+        "run-pegasos-zero-lambda", "bench-kmeans-no-clusters", "stability-lsqsgd-zero-alpha",
+        "bench-k-above-smallest-grid-size"])
 def test_cli_writes_no_output_when_validation_fails(args, tmp_path, capsys):
     assert main(args) == 2
     assert capsys.readouterr().out == ""
@@ -434,10 +520,11 @@ def test_cli_rejects_thread_counts_above_the_cap(command, capsys):
 
 
 def test_module_entry_point():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "treecv", "run", "--synth", "regression:n=12,d=2,seed=1",
          "--learner", "mean", "--k", "3", "--reps", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("row_id,status")

@@ -21,7 +21,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .core import CrossValidationError
+from .core import LOSSES, ORDERINGS, CrossValidationError
 from .dataio import fit_transform, parse_sparse_text
 from .forkjoin import MAX_WORKERS
 from .harness import (
@@ -57,12 +57,12 @@ def _add_data_arguments(parser):
 
 def _add_plan_arguments(parser):
     parser.add_argument("--learner", choices=LEARNER_NAMES, required=True)
-    parser.add_argument("--loss", choices=("zeroone", "squared", "quantization"),
+    parser.add_argument("--loss", choices=tuple(LOSSES),
                         help="defaults to the learner's natural loss")
     parser.add_argument("--k", default="5",
                         help="comma-separated fold counts; the token n means LOOCV")
     parser.add_argument("--scheduler", choices=("tree", "standard", "both"), default="tree")
-    parser.add_argument("--ordering", choices=("fixed", "randomized", "both"), default="fixed")
+    parser.add_argument("--ordering", choices=(*ORDERINGS, "both"), default="fixed")
     parser.add_argument("--reps", type=int, default=1, metavar="M")
     parser.add_argument("--seed", type=int, default=0, metavar="S")
     parser.add_argument("--threads", type=int, default=0, metavar="T",
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab = sub.add_parser("stability", help="incremental-vs-batch gap measurement")
     p_stab.add_argument("--synth", required=True, help="synthetic spec without a fixed n")
     p_stab.add_argument("--learner", choices=LEARNER_NAMES, required=True)
-    p_stab.add_argument("--loss", choices=("zeroone", "squared", "quantization"))
+    p_stab.add_argument("--loss", choices=tuple(LOSSES))
     p_stab.add_argument("--n-list", required=True, help="comma-separated training sizes")
     p_stab.add_argument("--seeds", type=int, default=50, help="independent repetitions")
     p_stab.add_argument("--chunks", type=int, default=10,
@@ -158,7 +158,7 @@ def _build_plan(args, verify=False) -> ExperimentPlan:
         loss=args.loss or DEFAULT_LOSS[args.learner],
         k_values=_parse_k_values(args.k),
         schedulers=("tree", "standard") if args.scheduler == "both" else (args.scheduler,),
-        orderings=("fixed", "randomized") if args.ordering == "both" else (args.ordering,),
+        orderings=ORDERINGS if args.ordering == "both" else (args.ordering,),
         repetitions=args.reps,
         base_seed=args.seed,
         lam=args.lam,

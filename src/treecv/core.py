@@ -1,5 +1,5 @@
-"""Shared domain types: datasets, partitions, losses, the incremental
-learner contract, and cross-validation run reports.
+"""Shared domain types and checks: datasets, partitions, orderings, losses,
+the incremental learner contract, chunk evaluation and run reports.
 
 Conventions used throughout the package:
 
@@ -207,6 +207,15 @@ def partition(dataset: Dataset | int, k: int) -> Partition:
     return Partition(tuple(bounds))
 
 
+def check_partition(part: Partition, dataset: Dataset) -> None:
+    if part.n != dataset.n:
+        raise InvalidChunkError(f"partition covers {part.n} points but dataset has {dataset.n}")
+
+
+# Feeding orders: the dataset's own, or a seeded shuffle per training set.
+ORDERINGS = ("fixed", "randomized")
+
+
 # ---------------------------------------------------------------------------
 # Losses
 
@@ -219,7 +228,8 @@ class Loss:
     (predictions, X, Y) -> float64 array of per-row losses, with Y None
     for unlabeled data.  Each element must equal `fn` on that row bit for
     bit; `evaluate_chunk` uses it when present and calls `fn` per row
-    otherwise, so a loss built as Loss(name, fn) stays valid.
+    otherwise, so a loss built as Loss(name, fn) stays valid.  Each
+    built-in loss is one numpy function that serves as both forms.
     """
 
     name: str
@@ -233,13 +243,8 @@ class Loss:
 def _zero_one(prediction, x, y):
     if y is None:
         raise LabelRequiredError("misclassification loss requires a labeled point")
-    return 0.0 if prediction == y else 1.0
-
-
-def _zero_one_batch(predictions, x, y):
-    if y is None:
-        raise LabelRequiredError("misclassification loss requires a labeled point")
-    return (predictions != y).astype(np.float64)
+    # np.not_equal returns a numpy bool for scalars too, so one cast serves both
+    return np.not_equal(prediction, y).astype(np.float64)
 
 
 def _squared(prediction, x, y):
@@ -249,26 +254,14 @@ def _squared(prediction, x, y):
     return diff * diff
 
 
-def _squared_batch(predictions, x, y):
-    if y is None:
-        raise LabelRequiredError("squared loss requires a labeled point")
-    diff = predictions - y
-    return diff * diff
-
-
 def _quantization(prediction, x, y):
     diff = x - prediction
-    return float(np.einsum("i,i->", diff, diff))
+    return np.einsum("...i,...i->...", diff, diff)
 
 
-def _quantization_batch(predictions, x, y):
-    diffs = x - predictions
-    return np.einsum("ij,ij->i", diffs, diffs)
-
-
-ZERO_ONE = Loss("zeroone", _zero_one, _zero_one_batch)
-SQUARED = Loss("squared", _squared, _squared_batch)
-QUANTIZATION = Loss("quantization", _quantization, _quantization_batch)
+ZERO_ONE = Loss("zeroone", _zero_one, _zero_one)
+SQUARED = Loss("squared", _squared, _squared)
+QUANTIZATION = Loss("quantization", _quantization, _quantization)
 
 LOSSES = {loss.name: loss for loss in (ZERO_ONE, SQUARED, QUANTIZATION)}
 
@@ -287,12 +280,13 @@ def get_loss(name: str) -> Loss:
 class IncrementalLearner(ABC):
     """A model that can absorb new batches without retraining from scratch.
 
-    Subclasses implement the single-point update rule, prediction, `fresh`
-    and `clone`.  `update` performs one in-order pass over the batch, so
-    feeding a dataset in one call or in consecutive slices yields the same
-    model.  `clone` copies the whole model state, so a clone predicts and
-    trains bit-identically to its source; a learner that needs randomness
-    keeps its own stream in that state.
+    Subclasses implement the single-point update rule, `predict_many` (or
+    `predict` alone), `fresh` and `clone`.  `update` performs one in-order
+    pass over the batch, so feeding a dataset in one call or in
+    consecutive slices yields the same model.  `clone` copies the whole
+    model state, so a clone predicts and trains bit-identically to its
+    source; a learner that needs randomness keeps its own stream in that
+    state.
 
     Instances are single-threaded mutable objects; hand them between
     threads, never share them.
@@ -320,25 +314,27 @@ class IncrementalLearner(ABC):
     def _update_point(self, x: np.ndarray, y: float | None) -> None: ...
 
     @abstractmethod
-    def predict(self, x: np.ndarray):
-        """Prediction for one input vector."""
-
     def predict_many(self, x: np.ndarray) -> np.ndarray:
         """Predictions for the rows of x, stacked in one array.
 
-        The default calls `predict` per row.  An override must give each
-        row exactly the prediction `predict` gives it, whatever the
-        number of rows in the batch: `evaluate_chunk` uses this method,
-        while a loss without a batch form scores one `predict` at a time.
+        Each row must get the same bits whatever the number of rows in
+        the batch: `evaluate_chunk` predicts a chunk at a time, while
+        `predict` is a one-row batch.
         """
+
+    def predict(self, x: np.ndarray):
+        """Prediction for one input vector: row 0 of a one-row `predict_many`."""
+        return self.predict_many(x[None])[0]
+
+    def _predict_rows(self, x: np.ndarray) -> np.ndarray:
         return np.asarray([self.predict(row) for row in x])
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # A subclass that redefines predict alone gets the per-row default,
-        # so a batched predict_many inherited from its base cannot bypass it.
+        # A subclass that redefines predict alone is predicted through it, one
+        # row at a time, so a batched predict_many it inherits cannot bypass it.
         if "predict" in cls.__dict__ and "predict_many" not in cls.__dict__:
-            cls.predict_many = IncrementalLearner.predict_many
+            cls.predict_many = IncrementalLearner._predict_rows
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -448,11 +444,8 @@ def evaluate_chunk(
     if loss.batch is not None:
         values = loss.batch(model.predict_many(x), x, y).tolist()
     else:
-        values = []
-        for i in range(m):
-            xi = x[i]
-            yi = float(y[i]) if y is not None else None
-            values.append(loss(model.predict(xi), xi, yi))
+        ys = y.tolist() if y is not None else [None] * m
+        values = [loss.fn(model.predict(xi), xi, yi) for xi, yi in zip(x, ys)]
     if counters is not None:
         counters.evaluations += m
     return math.fsum(values) / m

@@ -20,6 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .core import (
+    ORDERINGS,
     CrossValidationError,
     CvReport,
     Dataset,
@@ -146,7 +147,7 @@ class ExperimentPlan:
             if s not in ("tree", "standard"):
                 raise ValueError(f"unknown scheduler {s!r}")
         for o in self.orderings:
-            if o not in ("fixed", "randomized"):
+            if o not in ORDERINGS:
                 raise ValueError(f"unknown ordering {o!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
@@ -416,7 +417,6 @@ def stability_rows(plan: ExperimentPlan, synth_spec: str, n_list: list[int],
 
     Each seed draws a fresh dataset from the synthetic spec and a fresh
     chunk order, so the row reports the expected gap at that size.  The
-    plan, the sizes, the counts and the spec's labels are checked when
     plan, the sizes, the counts, the spec's labels and the learner's
     parameters are checked when this is called, before any row.
     """
@@ -467,6 +467,8 @@ def aggregate_records(records: list[dict]):
         raise ValueError(f"records lack the run-record column(s) {', '.join(missing)}")
     groups: dict[tuple, list[dict]] = {}
     for record in records:
+        if None in record.values():  # csv.DictReader's filler for a cut line
+            raise ValueError(f"run record {record['row_id']} is cut short: it lacks fields")
         if record["status"] != "ok":
             continue
         key = (record["learner"], record["loss"], record["scheduler"],

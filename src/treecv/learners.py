@@ -26,8 +26,8 @@ small enough that a clone is a plain value copy.
 
 Every learner predicts a batch with `predict_many`, reducing rows with
 `np.einsum`, whose result for a row does not depend on how many rows
-the batch holds (a BLAS `X @ w` does, in the last bits); `predict(x)` is
-`predict_many` of a one-row batch, so a prediction has one definition.
+the batch holds (a BLAS `X @ w` does, in the last bits), and inherits
+`predict(x)`: row 0 of a one-row batch, so a prediction has one form.
 
 `RecordingLearner` wraps any learner and logs every point it is fed; the
 scheduler tests use it to check the sequence each fold model is trained
@@ -99,9 +99,6 @@ class Pegasos(IncrementalLearner):
         # so a zero product is +0.0 and copysign maps the tie to +1
         return np.copysign(1.0, np.einsum("ij,j->i", x, self.v))
 
-    def predict(self, x) -> float:
-        return float(self.predict_many(x[None])[0])
-
     def fresh(self):
         return Pegasos(self.dim, self.lam)
 
@@ -143,9 +140,6 @@ class LsqSgd(IncrementalLearner):
 
     def predict_many(self, x) -> np.ndarray:
         return np.einsum("ij,j->i", x, self.w_avg)
-
-    def predict(self, x) -> float:
-        return float(self.predict_many(x[None])[0])
 
     def fresh(self):
         return LsqSgd(self.dim, self.alpha)
@@ -205,9 +199,6 @@ class OnlineKMeans(IncrementalLearner):
             distances[j] = np.einsum("ij,ij->i", diffs, diffs)
         return active[distances.argmin(axis=0)]
 
-    def predict(self, x) -> np.ndarray:
-        return self.predict_many(x[None])[0]
-
     def fresh(self):
         return OnlineKMeans(self.dim, self.n_clusters)
 
@@ -246,9 +237,6 @@ class MeanPredictor(IncrementalLearner):
             raise UntrainedModelError("mean predictor has seen no outcomes")
         return np.full(x.shape[0], self.total / self.count)
 
-    def predict(self, x) -> float:
-        return float(self.predict_many(x[None])[0])
-
     def fresh(self):
         return MeanPredictor(self.dim)
 
@@ -275,9 +263,6 @@ class RecordingLearner(IncrementalLearner):
 
     def predict_many(self, x):
         return self.inner.predict_many(x)
-
-    def predict(self, x):
-        return self.inner.predict(x)
 
     def fresh(self):
         return RecordingLearner(self.inner.fresh())

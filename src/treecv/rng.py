@@ -134,9 +134,11 @@ class SplitMix64Stream:
         computed in numpy, with randbelow's rejection test (u - u % b >
         2**64 - b for bound b) applied to every draw; if any draw would
         be rejected, the stream goes back to where it started and the
-        scalar loop runs instead.  A memoryview over an integer array
-        swaps fastest; an ndarray works but makes a numpy scalar per
-        access.
+        scalar loop runs instead.  A list swaps fastest: shuffling one
+        and converting it to an int64 array took about two thirds of the
+        time of shuffling a memoryview over that array, at 1,000 and
+        10,000 elements (CPython 3.11, numpy 2.4).  An ndarray works but
+        makes a numpy scalar per access.
         """
         n = len(values)
         if n >= _BULK_MIN:

@@ -2,27 +2,30 @@
 
 `standard_cv` trains k independent models from scratch, one per fold; it
 is the correctness reference and the speedup baseline for the tree
-scheduler.  `brute_force_oracle` is the same computation with a caller
+scheduler.  `brute_force_oracle` runs the same fold loop with a caller
 supplied feeding order per fold, which lets tests replay the exact point
 order the tree schedule induces and confirm fold-score equality.
 """
 
 from __future__ import annotations
 
+import operator
 import time
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (
+    ORDERINGS,
     CvReport,
     Dataset,
     IncrementalLearner,
-    InvalidChunkError,
     InvalidOrderError,
     Loss,
     Partition,
     WorkCounters,
+    check_partition,
     evaluate_chunk,
     make_report,
     partition as make_partition,
@@ -33,42 +36,56 @@ from .rng import SplitMix64Stream, derive_seed
 TAG_FOLD_SHUFFLE = 4
 
 
-def _check_partition(partition: Partition, dataset: Dataset) -> None:
-    if partition.n != dataset.n:
-        raise InvalidChunkError(
-            f"partition covers {partition.n} points but dataset has {dataset.n}"
-        )
-
-
 def _train_rows(partition: Partition, fold: int) -> list[int]:
     """Row indices outside the fold's chunk, in dataset order."""
     sl = partition.chunk_slice(fold)
     return list(range(0, sl.start)) + list(range(sl.stop, partition.n))
 
 
-def _run_fold(learner_factory, dataset, partition, loss, ordering, seed, fold):
-    counters = WorkCounters()
-    model = learner_factory().fresh()
+def _shuffled_order(partition: Partition, seed: int, fold: int) -> list[int]:
+    rows = _train_rows(partition, fold)
+    SplitMix64Stream(derive_seed(seed, TAG_FOLD_SHUFFLE, fold)).shuffle(rows)
+    return rows
+
+
+def _checked_order(partition: Partition, fold_orders, fold: int) -> list[int]:
+    """Fold `fold`'s order as Python ints, if it permutes the fold's training rows."""
+    try:
+        order = list(map(operator.index, fold_orders[fold]))
+    except TypeError:
+        raise InvalidOrderError(f"fold {fold}: order entries must be integers") from None
+    if sorted(order) != _train_rows(partition, fold):
+        raise InvalidOrderError(f"fold {fold}: order is not a permutation of the training rows")
+    return order
+
+
+def _run_folds(learner_factory, dataset, partition, loss, folds, order_of):
+    """(score, counters) of each fold: a fresh model trained on the rows
+    `order_of(fold)` lists (None: the other chunks in dataset order) and
+    scored on the fold's chunk."""
     x, y = dataset.x, dataset.y
-    if ordering == "randomized":
-        rows = _train_rows(partition, fold)
-        SplitMix64Stream(derive_seed(seed, TAG_FOLD_SHUFFLE, fold)).shuffle(rows)
-        x, y = x[rows], y[rows] if y is not None else None
-    else:
-        # two slices: fancy indexing through a list of n ints costs ~5x more
+    results = []
+    for fold in folds:
         sl = partition.chunk_slice(fold)
-        x = np.concatenate((x[:sl.start], x[sl.stop:]))
-        y = np.concatenate((y[:sl.start], y[sl.stop:])) if y is not None else None
-    model.update(x, y)
-    counters.point_updates += x.shape[0]
-    counters.model_transfers += partition.k - 1
-    score = evaluate_chunk(model, dataset, partition.chunk_slice(fold), loss, counters)
-    return score, counters
+        order = order_of(fold)
+        if order is None:
+            # two slices: fancy indexing through a list of n ints costs ~5x more
+            fx = np.concatenate((x[:sl.start], x[sl.stop:]))
+            fy = np.concatenate((y[:sl.start], y[sl.stop:])) if y is not None else None
+        else:
+            fx, fy = x[order], y[order] if y is not None else None
+        model = learner_factory().fresh()
+        model.update(fx, fy)
+        counters = WorkCounters(point_updates=fx.shape[0], model_transfers=partition.k - 1)
+        results.append((evaluate_chunk(model, dataset, sl, loss, counters), counters))
+    return results
 
 
-def _run_folds(learner_factory, dataset, partition, loss, ordering, seed, folds):
-    return [_run_fold(learner_factory, dataset, partition, loss, ordering, seed, fold)
-            for fold in folds]
+def _report(results, wall: float, ordering: str, seed: int) -> CvReport:
+    counters = WorkCounters()
+    for _, fold_counters in results:
+        counters.merge(fold_counters)
+    return make_report([s for s, _ in results], counters, wall, "standard", ordering, seed)
 
 
 def standard_cv(
@@ -88,25 +105,23 @@ def standard_cv(
     min(max_workers, k) contiguous groups, each run by its own forked
     worker process, with bit-identical results.
     """
-    if ordering not in ("fixed", "randomized"):
-        raise ValueError(f"ordering must be 'fixed' or 'randomized', got {ordering!r}")
+    if ordering not in ORDERINGS:
+        raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
     check_workers(max_workers)
-    _check_partition(partition, dataset)
+    check_partition(partition, dataset)
     k = partition.k
+    order_of = (partial(_shuffled_order, partition, seed) if ordering == "randomized"
+                else lambda fold: None)
     start = time.perf_counter()
     if max_workers > 1:
         groups = make_partition(k, min(max_workers, k))
-        joins = [fork(_run_folds, learner_factory, dataset, partition, loss, ordering, seed,
-                      range(g.start, g.stop))
+        joins = [fork(_run_folds, learner_factory, dataset, partition, loss,
+                      range(g.start, g.stop), order_of)
                  for g in map(groups.chunk_slice, range(groups.k))]
         results = [r for group in join_all(joins) for r in group]
     else:
-        results = _run_folds(learner_factory, dataset, partition, loss, ordering, seed, range(k))
-    wall = time.perf_counter() - start
-    counters = WorkCounters()
-    for _, fold_counters in results:
-        counters.merge(fold_counters)
-    return make_report([s for s, _ in results], counters, wall, "standard", ordering, seed)
+        results = _run_folds(learner_factory, dataset, partition, loss, range(k), order_of)
+    return _report(results, time.perf_counter() - start, ordering, seed)
 
 
 def brute_force_oracle(
@@ -120,29 +135,15 @@ def brute_force_oracle(
     """Standard CV with an explicit feeding order per fold.
 
     `fold_orders[i]` must be a permutation of the row indices outside
-    chunk i; each fold's model is trained in exactly that order.  The
+    chunk i, given as integers; each fold's model is trained in exactly
+    that order.  Each order is checked just before its fold runs.  The
     report's ordering field is set to "explicit"; `seed` draws nothing
     and is only recorded in the report.
     """
-    _check_partition(partition, dataset)
-    k = partition.k
-    if len(fold_orders) != k:
-        raise InvalidOrderError(f"expected {k} fold orders, got {len(fold_orders)}")
-    for fold, order in enumerate(fold_orders):
-        if sorted(int(i) for i in order) != _train_rows(partition, fold):
-            raise InvalidOrderError(
-                f"fold {fold}: order is not a permutation of the training rows"
-            )
-    counters = WorkCounters()
-    scores = []
-    x, y = dataset.x, dataset.y
+    check_partition(partition, dataset)
+    if len(fold_orders) != partition.k:
+        raise InvalidOrderError(f"expected {partition.k} fold orders, got {len(fold_orders)}")
     start = time.perf_counter()
-    for fold, order in enumerate(fold_orders):
-        order = list(int(i) for i in order)
-        model = learner_factory().fresh()
-        model.update(x[order], y[order] if y is not None else None)
-        counters.point_updates += len(order)
-        counters.model_transfers += k - 1
-        scores.append(evaluate_chunk(model, dataset, partition.chunk_slice(fold), loss, counters))
-    wall = time.perf_counter() - start
-    return make_report(scores, counters, wall, "standard", "explicit", seed)
+    results = _run_folds(learner_factory, dataset, partition, loss, range(partition.k),
+                         partial(_checked_order, partition, fold_orders))
+    return _report(results, time.perf_counter() - start, "explicit", seed)

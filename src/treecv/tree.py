@@ -31,14 +31,15 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    ORDERINGS,
     CvReport,
     Dataset,
     IncrementalLearner,
-    InvalidChunkError,
     Loss,
     Partition,
     UpdateFailedError,
     WorkCounters,
+    check_partition,
     evaluate_chunk,
     make_report,
     partition as make_partition,
@@ -49,8 +50,6 @@ from .rng import SplitMix64Stream, derive_seed
 # Stream purpose tag; every derive_seed call site in the package uses a
 # distinct leading tag so no two components share a stream.
 TAG_NODE_SHUFFLE = 2
-
-ORDERINGS = ("fixed", "randomized")
 
 
 @dataclass(frozen=True)
@@ -220,10 +219,7 @@ def tree_cv(
     if on_leaf is not None and config.max_workers > 1:
         raise ValueError("on_leaf needs a sequential run (max_workers <= 1): "
                          "worker processes cannot call back into this one")
-    if partition.n != dataset.n:
-        raise InvalidChunkError(
-            f"partition covers {partition.n} points but dataset has {dataset.n}"
-        )
+    check_partition(partition, dataset)
     run = _Run(dataset, partition, loss, config, on_leaf, trace_sink)
     model = learner_factory().fresh()
     start = time.perf_counter()

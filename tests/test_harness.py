@@ -398,6 +398,18 @@ def test_cli_report_rejects_records_that_are_not_run_records(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_report_rejects_a_cut_record_naming_it(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    assert main(["run", "--synth", "classification:n=20,d=2", "--learner", "pegasos",
+                 "--k", "2", "--reps", "2", "--out", str(records)]) == 0
+    lines = records.read_text(encoding="utf-8").splitlines()
+    cut = tmp_path / "cut.csv"
+    cut.write_text("\n".join(lines[:3] + ["3,ok,pegasos"]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(cut)]) == 2
+    assert "run record 3 is cut short" in capsys.readouterr().err
+
+
 def test_cli_data_file_and_transforms(tmp_path):
     data = tmp_path / "points.txt"
     data.write_text("1 1:2.0 2:1.0\n2 1:4.0\n1 2:3.0\n2 1:1.0 2:1.0\n", encoding="utf-8")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treecv import (
+    IncrementalLearner,
     LabelRequiredError,
     LsqSgd,
     MeanPredictor,
@@ -374,6 +375,49 @@ def test_subclass_overriding_predict_alone_is_batched_through_it():
     model = AlwaysNegative(dim=2)
     assert model.predict_many(np.ones((3, 2))).tolist() == [-1.0, -1.0, -1.0]
     assert Pegasos(dim=2).predict_many(np.ones((3, 2))).tolist() == [1.0, 1.0, 1.0]
+
+
+class _BatchOnlySum(IncrementalLearner):
+    """A direct subclass that defines predict_many and no predict."""
+
+    def __init__(self, w):
+        self.w = np.asarray(w, dtype=float)
+
+    def _update_point(self, x, y):
+        pass
+
+    def predict_many(self, x):
+        return np.einsum("ij,j->i", x, self.w)
+
+    def fresh(self):
+        return _BatchOnlySum(self.w)
+
+    def clone(self):
+        return _BatchOnlySum(self.w.copy())
+
+
+def test_subclass_defining_predict_many_alone_predicts_its_one_row_batch():
+    stream = SplitMix64Stream(21)
+    model = _BatchOnlySum(stream.normal_array(5))
+    x = stream.normal_array(35).reshape(7, 5)
+    batch = model.predict_many(x)
+    for i in range(7):
+        assert np.float64(model.predict(x[i])).tobytes() == batch[i].tobytes()
+
+
+def test_subclass_defining_no_prediction_cannot_be_built():
+    class NoPrediction(IncrementalLearner):
+        def _update_point(self, x, y):
+            pass
+
+        def fresh(self):
+            return NoPrediction()
+
+        def clone(self):
+            return NoPrediction()
+
+    with pytest.raises(TypeError):
+        NoPrediction()
 
 
 def test_recording_learner_clone_carries_its_own_history():

@@ -7,6 +7,7 @@ import pytest
 
 from treecv import (
     Dataset,
+    InvalidChunkError,
     InvalidOrderError,
     MeanPredictor,
     Pegasos,
@@ -130,6 +131,28 @@ def test_oracle_rejects_bad_orders():
     held_out[1][0] = part.chunk_slice(1).start  # includes a held-out row
     with pytest.raises(InvalidOrderError):
         brute_force_oracle(lambda: MeanPredictor(1), ds, part, SQUARED, held_out)
+
+
+def test_oracle_takes_integer_indices_only():
+    ds = Dataset(np.arange(4.0).reshape(4, 1), np.arange(4.0))
+    part = partition(ds, 2)
+    with pytest.raises(InvalidOrderError):
+        brute_force_oracle(lambda: MeanPredictor(1), ds, part, SQUARED,
+                           [[2.9, 3.4], [0.5, 1.99]])
+    numpy_ints = [np.array([3, 2]), np.array([1, 0], dtype=np.int32)]
+    replay = brute_force_oracle(lambda: MeanPredictor(1), ds, part, SQUARED, numpy_ints)
+    assert replay.fold_scores == standard_cv(lambda: MeanPredictor(1), ds, part,
+                                             SQUARED).fold_scores
+
+
+def test_partition_dataset_mismatch():
+    ds = regression_data(10)
+    part = partition(12, 3)
+    with pytest.raises(InvalidChunkError):
+        standard_cv(lambda: MeanPredictor(1), ds, part, SQUARED)
+    with pytest.raises(InvalidChunkError):
+        brute_force_oracle(lambda: MeanPredictor(1), ds, part, SQUARED,
+                           tree_feed_orders(part))
 
 
 # ---------------------------------------------------------------------------

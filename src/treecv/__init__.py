@@ -11,7 +11,6 @@ benchmark CLI (`treecv run|bench|stability|report`).
 from .core import (
     CrossValidationError,
     CvReport,
-    DataPoint,
     Dataset,
     DegenerateRangeError,
     IncrementalLearner,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CrossValidationError",
     "CvReport",
-    "DataPoint",
     "Dataset",
     "DegenerateRangeError",
     "IncrementalLearner",

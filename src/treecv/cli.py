@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import asdict
 
@@ -30,6 +29,7 @@ from .harness import (
     LEARNER_NAMES,
     REPORT_FIELDS,
     RUN_FIELDS,
+    SCHEDULERS,
     STABILITY_FIELDS,
     TRACE_FIELDS,
     ExperimentPlan,
@@ -55,27 +55,30 @@ def _add_data_arguments(parser):
                         help="min-max scale outcomes into [0, 1]")
 
 
-def _add_plan_arguments(parser):
+def _add_learner_arguments(parser):
     parser.add_argument("--learner", choices=LEARNER_NAMES, required=True)
     parser.add_argument("--loss", choices=tuple(LOSSES),
                         help="defaults to the learner's natural loss")
-    parser.add_argument("--k", default="5",
-                        help="comma-separated fold counts; the token n means LOOCV")
-    parser.add_argument("--scheduler", choices=("tree", "standard", "both"), default="tree")
-    parser.add_argument("--ordering", choices=(*ORDERINGS, "both"), default="fixed")
-    parser.add_argument("--reps", type=int, default=1, metavar="M")
     parser.add_argument("--seed", type=int, default=0, metavar="S")
-    parser.add_argument("--threads", type=int, default=0, metavar="T",
-                        help="forked worker processes inside each run (0 or 1: sequential; "
-                             f"at most {MAX_WORKERS})")
     parser.add_argument("--lambda", dest="lam", type=float, default=1e-4,
                         help="regularization strength for pegasos")
     parser.add_argument("--alpha", type=float,
                         help="step size for lsqsgd (default: n**-0.5 of the full dataset)")
     parser.add_argument("--clusters", type=int, default=3, help="centers for kmeans")
+    parser.add_argument("--out", help="output CSV path (default: stdout)")
+
+
+def _add_grid_arguments(parser):
+    parser.add_argument("--k", default="5",
+                        help="comma-separated fold counts; the token n means LOOCV")
+    parser.add_argument("--scheduler", choices=(*SCHEDULERS, "both"), default="tree")
+    parser.add_argument("--ordering", choices=(*ORDERINGS, "both"), default="fixed")
+    parser.add_argument("--reps", type=int, default=1, metavar="M")
+    parser.add_argument("--threads", type=int, default=0, metavar="T",
+                        help=f"forked worker processes inside each run, 0 to {MAX_WORKERS} "
+                             "(0 or 1: sequential)")
     parser.add_argument("--update-budget", type=int, default=10_000_000,
                         help="skip standard runs whose point updates would exceed this")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,35 +90,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a cross-validation plan")
     _add_data_arguments(p_run)
-    _add_plan_arguments(p_run)
+    _add_learner_arguments(p_run)
+    _add_grid_arguments(p_run)
     p_run.add_argument("--trace", action="store_true",
                        help="also write recursion node traces to <out>.trace")
     p_run.add_argument("--verify", action="store_true",
                        help="replay each tree run through the standard oracle")
-    p_run.add_argument("--json", dest="json_out", metavar="PATH",
-                       help="also write the records as a JSON array")
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="runtime sweep over a grid of dataset sizes")
     _add_data_arguments(p_bench)
-    _add_plan_arguments(p_bench)
+    _add_learner_arguments(p_bench)
+    _add_grid_arguments(p_bench)
     p_bench.add_argument("--n-grid", required=True,
                          help="comma-separated ascending dataset sizes")
     p_bench.set_defaults(func=cmd_bench)
 
     p_stab = sub.add_parser("stability", help="incremental-vs-batch gap measurement")
     p_stab.add_argument("--synth", required=True, help="synthetic spec without a fixed n")
-    p_stab.add_argument("--learner", choices=LEARNER_NAMES, required=True)
-    p_stab.add_argument("--loss", choices=tuple(LOSSES))
+    _add_learner_arguments(p_stab)
     p_stab.add_argument("--n-list", required=True, help="comma-separated training sizes")
     p_stab.add_argument("--seeds", type=int, default=50, help="independent repetitions")
     p_stab.add_argument("--chunks", type=int, default=10,
                         help="training chunks for the incremental side")
-    p_stab.add_argument("--seed", type=int, default=0)
-    p_stab.add_argument("--lambda", dest="lam", type=float, default=1e-4)
-    p_stab.add_argument("--alpha", type=float)
-    p_stab.add_argument("--clusters", type=int, default=3)
-    p_stab.add_argument("--out", help="output CSV path (default: stdout)")
     p_stab.set_defaults(func=cmd_stability)
 
     p_report = sub.add_parser("report", help="aggregate run records")
@@ -133,13 +130,13 @@ def _load_dataset(args):
             dataset = parse_sparse_text(handle)
     else:
         dataset = make_synth_dataset(args.synth)
-    if getattr(args, "binarize_label", None) is not None:
+    if args.binarize_label is not None:
         dataset, _ = fit_transform(dataset, "binarize-label", target_label=args.binarize_label)
-    if getattr(args, "unit_variance", False):
+    if args.unit_variance:
         dataset, spec = fit_transform(dataset, "unit-variance")
         for warning in spec.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-    if getattr(args, "scale_targets", False):
+    if args.scale_targets:
         dataset, _ = fit_transform(dataset, "targets-to-unit")
     return dataset
 
@@ -152,21 +149,28 @@ def _parse_k_values(text: str) -> tuple:
     return tuple(values)
 
 
-def _build_plan(args, verify=False) -> ExperimentPlan:
+def _build_plan(args, **grid) -> ExperimentPlan:
+    """The plan of the shared learner options in `args`, over the cells in
+    `grid`: `_grid(args)` for `run` and `bench`; `stability` runs no folds."""
     return ExperimentPlan(
         learner=args.learner,
         loss=args.loss or DEFAULT_LOSS[args.learner],
-        k_values=_parse_k_values(args.k),
-        schedulers=("tree", "standard") if args.scheduler == "both" else (args.scheduler,),
-        orderings=ORDERINGS if args.ordering == "both" else (args.ordering,),
-        repetitions=args.reps,
         base_seed=args.seed,
         lam=args.lam,
         alpha=args.alpha,
         n_clusters=args.clusters,
+        **grid,
+    )
+
+
+def _grid(args) -> dict:
+    return dict(
+        k_values=_parse_k_values(args.k),
+        schedulers=SCHEDULERS if args.scheduler == "both" else (args.scheduler,),
+        orderings=ORDERINGS if args.ordering == "both" else (args.ordering,),
+        repetitions=args.reps,
         threads=args.threads,
         update_budget=args.update_budget,
-        verify=verify,
     )
 
 
@@ -193,15 +197,12 @@ def cmd_run(args) -> int:
         raise ValueError("--trace needs --out so trace rows get their own file")
     dataset = _load_dataset(args)
     trace_log = [] if args.trace else None
-    # checks the plan before the header is written
-    pending = iter_run_records(_build_plan(args, verify=args.verify), dataset, trace_log)
+    plan = _build_plan(args, **_grid(args), verify=args.verify)
+    pending = iter_run_records(plan, dataset, trace_log)  # checks before the header
     records = _write_csv(args.out, RUN_FIELDS, pending)
     if args.trace:
         _write_csv(f"{args.out}.trace", TRACE_FIELDS,
                    ({"row_id": row_id, **asdict(node)} for row_id, node in trace_log))
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(records, handle, indent=2)
     failures = sum(1 for r in records if r["status"] == "error")
     if failures:
         print(f"{failures} run(s) recorded errors", file=sys.stderr)
@@ -212,22 +213,15 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     dataset = _load_dataset(args)
     n_grid = [int(tok) for tok in args.n_grid.split(",")]
-    pending = bench_rows(_build_plan(args), dataset, n_grid)  # checks before the header
+    plan = _build_plan(args, **_grid(args))
+    pending = bench_rows(plan, dataset, n_grid)  # checks before the header
     for line in speedup_summary(_write_csv(args.out, BENCH_FIELDS, pending)):
         print(line, file=sys.stderr)
     return 0
 
 
 def cmd_stability(args) -> int:
-    plan = ExperimentPlan(
-        learner=args.learner,
-        loss=args.loss or DEFAULT_LOSS[args.learner],
-        k_values=(2,),
-        base_seed=args.seed,
-        lam=args.lam,
-        alpha=args.alpha,
-        n_clusters=args.clusters,
-    )
+    plan = _build_plan(args, k_values=(2,))
     n_list = [int(tok) for tok in args.n_list.split(",")]
     # checks the plan and counts before the header is written
     _write_csv(args.out, STABILITY_FIELDS,

@@ -18,7 +18,7 @@ import copyreg
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,13 +86,6 @@ class UpdateFailedError(CrossValidationError, RuntimeError):
 # Datasets
 
 
-class DataPoint(NamedTuple):
-    """A single input vector and its outcome (None when unlabeled)."""
-
-    x: np.ndarray
-    y: float | None
-
-
 class Dataset:
     """Immutable ordered multiset of points with a shared feature dimension.
 
@@ -131,12 +124,6 @@ class Dataset:
     @property
     def labeled(self) -> bool:
         return self.y is not None
-
-    def __len__(self) -> int:
-        return self.n
-
-    def point(self, i: int) -> DataPoint:
-        return DataPoint(self.x[i], float(self.y[i]) if self.y is not None else None)
 
     def take(self, indices) -> "Dataset":
         """New dataset holding the given rows in the given order."""
@@ -214,6 +201,11 @@ def check_partition(part: Partition, dataset: Dataset) -> None:
 
 # Feeding orders: the dataset's own, or a seeded shuffle per training set.
 ORDERINGS = ("fixed", "randomized")
+
+
+def check_ordering(ordering: str) -> None:
+    if ordering not in ORDERINGS:
+        raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +290,7 @@ class IncrementalLearner(ABC):
     # -- training ---------------------------------------------------------
 
     def update(self, x: np.ndarray, y: np.ndarray | None = None) -> None:
-        """Absorb a batch: one pass over the rows of x in order."""
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
+        """Absorb a batch: one pass over the rows of the 2-d x in order."""
         update_point = self._update_point
         if y is None:
             for xi in x:
@@ -394,10 +384,6 @@ class CvReport:
     scheduler: str
     ordering: str
     seed: int
-
-    @property
-    def k(self) -> int:
-        return len(self.fold_scores)
 
     def comparable(self) -> tuple:
         """Everything except wall time, for determinism checks."""

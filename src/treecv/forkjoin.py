@@ -29,9 +29,10 @@ class WorkerError(CrossValidationError, RuntimeError):
 
 
 def check_workers(max_workers: int) -> None:
-    """Reject worker counts above MAX_WORKERS (<= 1 means sequential)."""
-    if max_workers > MAX_WORKERS:
-        raise ValueError(f"max_workers must be at most {MAX_WORKERS}, got {max_workers}")
+    """Reject worker counts outside 0..MAX_WORKERS (0 or 1: sequential)."""
+    if not 0 <= max_workers <= MAX_WORKERS:
+        raise ValueError(f"max_workers must be at least 0 and at most {MAX_WORKERS}, "
+                         f"got {max_workers}")
 
 
 def fork(fn: Callable, *args) -> Callable[[], object]:

@@ -20,11 +20,11 @@ from itertools import islice
 import numpy as np
 
 from .core import (
-    ORDERINGS,
     CrossValidationError,
     CvReport,
     Dataset,
     Loss,
+    check_ordering,
     evaluate_chunk,
     get_loss,
     partition as make_partition,
@@ -42,6 +42,7 @@ TAG_STABILITY_DATA = 10
 TAG_STABILITY_GAP = 11
 
 LEARNER_NAMES = ("pegasos", "lsqsgd", "kmeans", "mean")
+SCHEDULERS = ("tree", "standard")
 DEFAULT_LOSS = {
     "pegasos": "zeroone",
     "lsqsgd": "squared",
@@ -144,11 +145,10 @@ class ExperimentPlan:
             raise ValueError(f"unknown learner {self.learner!r}")
         get_loss(self.loss)
         for s in self.schedulers:
-            if s not in ("tree", "standard"):
+            if s not in SCHEDULERS:
                 raise ValueError(f"unknown scheduler {s!r}")
         for o in self.orderings:
-            if o not in ORDERINGS:
-                raise ValueError(f"unknown ordering {o!r}")
+            check_ordering(o)
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         check_workers(self.threads)

@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    ORDERINGS,
     CvReport,
     Dataset,
     IncrementalLearner,
@@ -25,6 +24,7 @@ from .core import (
     Loss,
     Partition,
     WorkCounters,
+    check_ordering,
     check_partition,
     evaluate_chunk,
     make_report,
@@ -105,8 +105,7 @@ def standard_cv(
     min(max_workers, k) contiguous groups, each run by its own forked
     worker process, with bit-identical results.
     """
-    if ordering not in ORDERINGS:
-        raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
+    check_ordering(ordering)
     check_workers(max_workers)
     check_partition(partition, dataset)
     k = partition.k

@@ -31,7 +31,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    ORDERINGS,
     CvReport,
     Dataset,
     IncrementalLearner,
@@ -39,6 +38,7 @@ from .core import (
     Partition,
     UpdateFailedError,
     WorkCounters,
+    check_ordering,
     check_partition,
     evaluate_chunk,
     make_report,
@@ -56,10 +56,10 @@ TAG_NODE_SHUFFLE = 2
 class TreeCvConfig:
     """Scheduler options.
 
-    max_workers <= 1 runs sequentially; larger values fork the top
+    max_workers 0 or 1: sequential; larger values fork the top
     floor(log2(max_workers)) recursion levels onto worker processes, up
-    to `forkjoin.MAX_WORKERS`.  The seed fully determines all shuffles
-    regardless of worker count.
+    to `forkjoin.MAX_WORKERS`.  Negative counts are rejected.  The seed
+    fully determines all shuffles regardless of worker count.
     """
 
     ordering: str = "fixed"
@@ -67,8 +67,7 @@ class TreeCvConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.ordering not in ORDERINGS:
-            raise ValueError(f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
+        check_ordering(self.ordering)
         check_workers(self.max_workers)
 
 
@@ -247,8 +246,7 @@ def tree_feed_orders(part: Partition, ordering: str = "fixed", seed: int = 0) ->
     model accumulates on its way to being evaluated on chunk i.  Used to
     replay tree-trained models through the standard-CV oracle.
     """
-    if ordering not in ORDERINGS:
-        raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
+    check_ordering(ordering)
     orders: list[list[int]] = [[] for _ in range(part.k)]
     index = np.arange(part.n)
     shuffle_seed = derive_seed(seed, TAG_NODE_SHUFFLE)

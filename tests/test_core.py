@@ -50,13 +50,13 @@ def test_dataset_is_immutable_and_duplicates_are_legal():
     assert ds.n == 2 and ds.dim == 1
     with pytest.raises(ValueError):
         ds.x[0, 0] = 5.0
-    assert ds.point(0).y == 2.0
+    assert ds.y[0] == 2.0
 
 
 def test_unlabeled_dataset():
     ds = Dataset(np.zeros((3, 2)))
     assert not ds.labeled
-    assert ds.point(1).y is None
+    assert ds.y is None
 
 
 # ---------------------------------------------------------------------------

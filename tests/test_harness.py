@@ -1,7 +1,6 @@
 """Harness and CLI: plans, record streams, budgets, aggregation, exit codes."""
 
 import csv
-import json
 import math
 import os
 import pathlib
@@ -11,7 +10,7 @@ from dataclasses import asdict
 
 import pytest
 
-from treecv.cli import main
+from treecv.cli import build_parser, main
 from treecv.harness import (
     TAG_REPETITION,
     ExperimentPlan,
@@ -354,20 +353,16 @@ def test_cli_run_is_deterministic_modulo_wall_time(tmp_path):
     assert strip(read_csv(a)) == strip(read_csv(b))
 
 
-def test_cli_run_trace_verify_and_json(tmp_path):
+def test_cli_run_trace_and_verify(tmp_path):
     out = tmp_path / "records.csv"
-    jout = tmp_path / "records.json"
     code = main([
         "run", "--synth", "regression:n=16,d=2,noise=0.1,seed=2", "--learner", "mean",
-        "--k", "4", "--reps", "1", "--trace", "--verify",
-        "--out", str(out), "--json", str(jout),
+        "--k", "4", "--reps", "1", "--trace", "--verify", "--out", str(out),
     ])
     assert code == 0
     traces = read_csv(str(out) + ".trace")
     assert len(traces) == 7  # 2k-1 nodes for k=4
     assert {t["row_id"] for t in traces} == {"1"}
-    payload = json.loads(jout.read_text())
-    assert len(payload) == 1 and payload[0]["status"] == "ok"
 
 
 def test_cli_trace_rows_are_the_tree_node_traces(tmp_path):
@@ -454,6 +449,20 @@ def test_cli_stability(tmp_path):
     assert [float(r["mean_gap"]) for r in rows] == [0.0, 0.0]
 
 
+SHARED_OPTIONS = ("--learner", "--loss", "--seed", "--lambda", "--alpha", "--clusters", "--out")
+
+
+@pytest.mark.parametrize("option", SHARED_OPTIONS)
+def test_cli_shared_options_parse_the_same_in_every_command(option):
+    commands = build_parser()._subparsers._group_actions[0].choices
+    described = []
+    for name in ("run", "bench", "stability"):
+        action = commands[name]._option_string_actions[option]
+        described.append((action.dest, action.default, action.type, action.choices,
+                          action.help, action.metavar, action.required))
+    assert described[0] == described[1] == described[2]
+
+
 def test_cli_validation_failures_exit_2(tmp_path, capsys):
     # k below 2 is a plan validation error
     assert main(["run", "--synth", "regression:n=10,d=2", "--learner", "mean",
@@ -499,11 +508,15 @@ def test_cli_validation_failures_exit_2(tmp_path, capsys):
      "--n-list", "20", "--seeds", "2", "--chunks", "2"],
     ["bench", "--synth", "regression:n=40,d=2", "--learner", "mean", "--k", "30",
      "--n-grid", "20,40"],
+    ["run", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
+     "--threads", "-1"],
+    ["bench", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
+     "--n-grid", "10", "--threads", "-1"],
 ], ids=["bench-no-reps", "bench-grid-beyond-data", "run-k-below-2", "run-pegasos-real-labels",
         "stability-no-seeds", "stability-no-chunks", "run-lsqsgd-unlabeled",
         "run-mean-unlabeled", "stability-lsqsgd-unlabeled", "run-lsqsgd-negative-alpha",
         "run-pegasos-zero-lambda", "bench-kmeans-no-clusters", "stability-lsqsgd-zero-alpha",
-        "bench-k-above-smallest-grid-size"])
+        "bench-k-above-smallest-grid-size", "run-negative-threads", "bench-negative-threads"])
 def test_cli_writes_no_output_when_validation_fails(args, tmp_path, capsys):
     assert main(args) == 2
     assert capsys.readouterr().out == ""

@@ -1,7 +1,8 @@
 """Bit-identity of whole reports, pinned as digests.
 
-Each case builds one benchmark workload shape at a small size through the
-public API and hashes `comparable()` of its estimate.  A change that
+Each case builds one benchmark workload shape, or a standard-CV shape no
+workload runs (fixed order; labeled data in randomized order), at a small
+size through the public API and hashes `comparable()` of its estimate.  A change that
 alters any fold score, count or label in the last bit changes the digest;
 a change meant to keep reports bit-identical must leave these alone.
 """
@@ -44,6 +45,18 @@ def kfold16_lsqsgd_fixed(seed):
     return tree_cv(lambda: LsqSgd(20, 320 ** -0.5), data, partition(data, 16), SQUARED, config)
 
 
+def standard16_lsqsgd_fixed(seed):
+    data = synth_regression(320, 20, seed=seed)
+    return standard_cv(lambda: LsqSgd(20, 320 ** -0.5), data, partition(data, 16), SQUARED,
+                       "fixed", seed)
+
+
+def standard10_pegasos_randomized(seed):
+    data = synth_classification(200, 20, margin=0.3, noise=0.1, seed=seed)
+    return standard_cv(lambda: Pegasos(20, 1e-4), data, partition(data, 10), ZERO_ONE,
+                       "randomized", seed)
+
+
 def standard10_kmeans_parsed(seed):
     blobs = synth_blobs(200, 10, 5, seed=seed)
     text = serialize_sparse_text(Dataset(blobs.x, np.arange(200) % 5))
@@ -60,6 +73,10 @@ def standard10_kmeans_parsed(seed):
     (kfold16_lsqsgd_fixed, 801, "d7b0203cc3b1f48c"),
     (standard10_kmeans_parsed, 7, "da97592a42754ff0"),
     (standard10_kmeans_parsed, 801, "f821e2d677eb732a"),
+    (standard16_lsqsgd_fixed, 7, "245d7ad73807920f"),
+    (standard16_lsqsgd_fixed, 801, "9af9f70664054199"),
+    (standard10_pegasos_randomized, 7, "604424c6affaa50c"),
+    (standard10_pegasos_randomized, 801, "e4cc9676c2511bdb"),
 ])
 def test_report_digest_is_pinned(estimate, seed, digest):
     report = estimate(seed)

@@ -362,6 +362,18 @@ def test_forked_execution_rejects_what_it_cannot_honour():
     assert multiprocessing.active_children() == []
 
 
+def test_negative_worker_counts_are_rejected():
+    ds = regression_data(8)
+    part = partition(ds, 4)
+    with pytest.raises(ValueError, match="at least 0"):
+        TreeCvConfig(max_workers=-1).validate()
+    with pytest.raises(ValueError, match="at least 0"):
+        tree_cv(mean_factory(), ds, part, SQUARED, TreeCvConfig(max_workers=-1))
+    with pytest.raises(ValueError, match="at least 0"):
+        standard_cv(mean_factory(), ds, part, SQUARED, max_workers=-1)
+    assert multiprocessing.active_children() == []
+
+
 def test_partition_dataset_mismatch():
     ds = regression_data(10)
     with pytest.raises(InvalidChunkError):

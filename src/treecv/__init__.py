@@ -43,7 +43,7 @@ from .dataio import (
     synth_regression,
 )
 from .forkjoin import WorkerError
-from .learners import LsqSgd, MeanPredictor, OnlineKMeans, Pegasos, RecordingLearner
+from .learners import LsqSgd, MeanPredictor, OnlineKMeans, Pegasos
 from .rng import SplitMix64Stream, derive_seed
 from .standard import brute_force_oracle, standard_cv
 from .tree import NodeTrace, TreeCvConfig, loocv, tree_cv, tree_feed_orders
@@ -70,7 +70,6 @@ __all__ = [
     "Partition",
     "Pegasos",
     "QUANTIZATION",
-    "RecordingLearner",
     "SQUARED",
     "SplitMix64Stream",
     "TransformSpec",

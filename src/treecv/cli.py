@@ -151,7 +151,8 @@ def _parse_k_values(text: str) -> tuple:
 
 def _build_plan(args, **grid) -> ExperimentPlan:
     """The plan of the shared learner options in `args`, over the cells in
-    `grid`: `_grid(args)` for `run` and `bench`; `stability` runs no folds."""
+    `grid`: `_grid(args)` for `run` and `bench`; `stability` runs no folds
+    and keeps the plan's defaults."""
     return ExperimentPlan(
         learner=args.learner,
         loss=args.loss or DEFAULT_LOSS[args.learner],
@@ -221,7 +222,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    plan = _build_plan(args, k_values=(2,))
+    plan = _build_plan(args)
     n_list = [int(tok) for tok in args.n_list.split(",")]
     # checks the plan and counts before the header is written
     _write_csv(args.out, STABILITY_FIELDS,

@@ -150,8 +150,9 @@ class Dataset:
 class Partition:
     """Ordered division of n points into k contiguous, nonempty chunks.
 
-    `bounds` holds k+1 monotone row indices; chunk i covers rows
-    [bounds[i], bounds[i+1]).
+    `bounds` holds k+1 strictly increasing row indices from 0; chunk i
+    covers rows [bounds[i], bounds[i+1]).  The schedulers check a
+    partition with `check_partition`.
     """
 
     bounds: tuple[int, ...]
@@ -194,8 +195,18 @@ def partition(dataset: Dataset | int, k: int) -> Partition:
     return Partition(tuple(bounds))
 
 
-def check_partition(part: Partition, dataset: Dataset) -> None:
-    if part.n != dataset.n:
+def check_partition(part: Partition, dataset: Dataset | None = None) -> None:
+    """Reject bounds that do not split rows 0..n into k >= 2 nonempty
+    chunks, and, given a dataset, a partition of another size.  A
+    hand-built Partition is only checked here."""
+    bounds = part.bounds
+    if part.k < 2:
+        raise InvalidFoldCountError(f"a partition needs at least 2 chunks, got {part.k}")
+    if bounds[0] != 0:
+        raise InvalidChunkError(f"partition bounds must start at row 0, got {bounds[0]}")
+    if not all(a < b for a, b in zip(bounds, bounds[1:])):
+        raise InvalidChunkError("partition bounds must strictly increase: every chunk is nonempty")
+    if dataset is not None and part.n != dataset.n:
         raise InvalidChunkError(f"partition covers {part.n} points but dataset has {dataset.n}")
 
 

@@ -28,10 +28,11 @@ class WorkerError(CrossValidationError, RuntimeError):
     """A worker process died, or could not send its outcome back."""
 
 
-def check_workers(max_workers: int) -> None:
-    """Reject worker counts outside 0..MAX_WORKERS (0 or 1: sequential)."""
+def check_workers(max_workers: int, name: str = "max_workers") -> None:
+    """Reject worker counts outside 0..MAX_WORKERS (0 or 1: sequential);
+    the message calls the count `name`."""
     if not 0 <= max_workers <= MAX_WORKERS:
-        raise ValueError(f"max_workers must be at least 0 and at most {MAX_WORKERS}, "
+        raise ValueError(f"{name} must be at least 0 and at most {MAX_WORKERS}, "
                          f"got {max_workers}")
 
 

@@ -70,6 +70,15 @@ STABILITY_FIELDS = ["learner", "n", "chunks", "seeds", "mean_gap", "max_gap"]
 # Synthetic dataset specs
 
 
+# The keys each synthetic kind reads; the integral ones must be whole numbers.
+SYNTH_KEYS = {
+    "classification": ("n", "d", "margin", "noise", "seed"),
+    "regression": ("n", "d", "noise", "seed"),
+    "blobs": ("n", "d", "clusters", "spread", "seed"),
+}
+_INTEGRAL_KEYS = ("n", "d", "clusters", "seed")
+
+
 def _parse_number(text: str):
     """Integers stay exact (seeds are 64-bit); everything else is float."""
     try:
@@ -79,42 +88,53 @@ def _parse_number(text: str):
 
 
 def parse_synth_spec(spec: str) -> tuple[str, dict]:
-    """Parse "kind:key=value,key=value" into (kind, params)."""
+    """Parse "kind:key=value,key=value" into (kind, params).
+
+    Only the kind's own keys are accepted, and n, d, clusters and seed
+    must be whole numbers (1e3 is; 2.7 is not), returned as ints.
+    """
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
-    if kind not in ("classification", "regression", "blobs"):
+    if kind not in SYNTH_KEYS:
         raise ValueError(f"unknown synthetic kind {kind!r}")
     params: dict = {}
     if rest.strip():
         for item in rest.split(","):
             key, sep, value = item.partition("=")
+            key = key.strip()
             if not sep:
                 raise ValueError(f"expected key=value in synthetic spec, got {item!r}")
-            params[key.strip()] = _parse_number(value)
+            if key not in SYNTH_KEYS[kind]:
+                raise ValueError(f"unknown key {key!r} in {kind} spec; expected one of "
+                                 f"{', '.join(SYNTH_KEYS[kind])}")
+            number = _parse_number(value)
+            if key in _INTEGRAL_KEYS and isinstance(number, float):
+                if not number.is_integer():
+                    raise ValueError(f"{key} must be a whole number, got {value.strip()}")
+                number = int(number)
+            params[key] = number
     return kind, params
 
 
-def make_synth_dataset(spec: str, n_override: int | None = None) -> Dataset:
+def make_synth_dataset(spec: str) -> Dataset:
     """Materialize a synthetic dataset from its spec string.
 
     The string's own `seed` key (default 0) pins the dataset, so the same
-    string always yields the same points; `n_override` replaces the `n`
-    key for size sweeps.
+    string always yields the same points.
     """
     kind, params = parse_synth_spec(spec)
-    return _synth(kind, params, n_override if n_override is not None else params.get("n", 1000))
+    return _synth(kind, params, params.get("n", 1000))
 
 
-def _synth(kind: str, params: dict, n) -> Dataset:
-    n = int(n)
-    d = int(params.get("d", 10))
-    seed = int(params.get("seed", 0))
+def _synth(kind: str, params: dict, n: int) -> Dataset:
+    d = params.get("d", 10)
+    seed = params.get("seed", 0)
     if kind == "classification":
         return synth_classification(n, d, margin=params.get("margin", 0.3),
                                     noise=params.get("noise", 0.1), seed=seed)
     if kind == "regression":
         return synth_regression(n, d, noise=params.get("noise", 0.1), seed=seed)
-    return synth_blobs(n, d, n_clusters=int(params.get("clusters", 3)),
+    return synth_blobs(n, d, n_clusters=params.get("clusters", 3),
                        spread=params.get("spread", 1.0), seed=seed)
 
 
@@ -128,7 +148,7 @@ class ExperimentPlan:
 
     learner: str
     loss: str
-    k_values: tuple[object, ...]          # ints, or the string "n" for LOOCV
+    k_values: tuple[object, ...] = (5,)   # ints, or the string "n" for LOOCV
     schedulers: tuple[str, ...] = ("tree",)
     orderings: tuple[str, ...] = ("fixed",)
     repetitions: int = 1
@@ -144,6 +164,11 @@ class ExperimentPlan:
         if self.learner not in LEARNER_NAMES:
             raise ValueError(f"unknown learner {self.learner!r}")
         get_loss(self.loss)
+        if (self.learner == "kmeans") != (self.loss == "quantization"):
+            raise ValueError(f"loss {self.loss!r} cannot score learner {self.learner!r}: k-means "
+                             "predicts a center per row, which only quantization scores, and "
+                             "the other learners predict one number per row, which only "
+                             "zeroone and squared score")
         for s in self.schedulers:
             if s not in SCHEDULERS:
                 raise ValueError(f"unknown scheduler {s!r}")
@@ -151,19 +176,19 @@ class ExperimentPlan:
             check_ordering(o)
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        check_workers(self.threads)
+        check_workers(self.threads, "threads")
         for kv in self.k_values:
             if kv != "n" and (not isinstance(kv, int) or kv < 2):
                 raise ValueError(f"k values must be integers >= 2 or 'n', got {kv!r}")
 
 
 def check_labels(plan: ExperimentPlan, dataset: Dataset) -> None:
-    """Reject data whose labels the plan's learner or loss cannot read.
+    """Reject data whose labels the validated plan's learner cannot read.
 
-    Every learner but k-means and every loss but quantization reads an
-    outcome per point.  Pegasos and the zero-one loss take binary labels
-    as -1.0 / +1.0: Pegasos scales its step by the label, so with 0/1
-    labels it would silently never learn from the 0 class.
+    Every learner but k-means, and so every loss but quantization, reads
+    an outcome per point.  Pegasos and the zero-one loss take binary
+    labels as -1.0 / +1.0: Pegasos scales its step by the label, so with
+    0/1 labels it would silently never learn from the 0 class.
     """
     if plan.learner == "pegasos" or plan.loss == "zeroone":
         if dataset.y is None or not np.isin(dataset.y, (-1.0, 1.0)).all():
@@ -171,9 +196,9 @@ def check_labels(plan: ExperimentPlan, dataset: Dataset) -> None:
                              "label to be -1 or +1; a classification spec gives them, and "
                              "--binarize-label maps one class of a data file to +1 and the "
                              "rest to -1")
-    elif dataset.y is None and (plan.learner != "kmeans" or plan.loss != "quantization"):
-        reader = f"learner {plan.learner!r}" if plan.learner != "kmeans" else f"loss {plan.loss!r}"
-        raise ValueError(f"{reader} needs an outcome for every point, but the data is unlabeled")
+    elif dataset.y is None and plan.learner != "kmeans":
+        raise ValueError(f"learner {plan.learner!r} needs an outcome for every point, "
+                         "but the data is unlabeled")
 
 
 def make_learner_factory(plan: ExperimentPlan, dataset: Dataset):

@@ -28,11 +28,6 @@ Every learner predicts a batch with `predict_many`, reducing rows with
 `np.einsum`, whose result for a row does not depend on how many rows
 the batch holds (a BLAS `X @ w` does, in the last bits), and inherits
 `predict(x)`: row 0 of a one-row batch, so a prediction has one form.
-
-`RecordingLearner` wraps any learner and logs every point it is fed; the
-scheduler tests use it to check the sequence each fold model is trained
-on.  (The CLI's --verify path instead replays `tree_feed_orders` through
-`brute_force_oracle`.)
 """
 
 from __future__ import annotations
@@ -245,29 +240,3 @@ class MeanPredictor(IncrementalLearner):
         twin._partials, twin.count = list(self._partials), self.count
         return twin
 
-
-class RecordingLearner(IncrementalLearner):
-    """Wrapper that records every fed point before forwarding to the inner
-    learner.  `seen` is the list of (x, y) pairs in feeding order; a clone
-    copies it with the model, so each branch of a scheduler run carries
-    exactly its own history.
-    """
-
-    def __init__(self, inner: IncrementalLearner):
-        self.inner = inner
-        self.seen: list[tuple[np.ndarray, float | None]] = []
-
-    def _update_point(self, x, y):
-        self.seen.append((x.copy(), y))
-        self.inner._update_point(x, y)
-
-    def predict_many(self, x):
-        return self.inner.predict_many(x)
-
-    def fresh(self):
-        return RecordingLearner(self.inner.fresh())
-
-    def clone(self):
-        twin = RecordingLearner(self.inner.clone())
-        twin.seen = list(self.seen)
-        return twin

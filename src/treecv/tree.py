@@ -97,9 +97,9 @@ class _Run:
     """
 
     __slots__ = ("dataset", "partition", "loss", "ordering", "shuffle_seed", "fork_depth",
-                 "on_leaf", "fold_scores", "counters", "traces")
+                 "fold_scores", "counters", "traces")
 
-    def __init__(self, dataset, partition, loss, config, on_leaf, traces):
+    def __init__(self, dataset, partition, loss, config, traces):
         self.dataset = dataset
         self.partition = partition
         self.loss = loss
@@ -108,7 +108,6 @@ class _Run:
         self.shuffle_seed = derive_seed(config.seed, TAG_NODE_SHUFFLE)
         # <= 0 for sequential runs: no level forks
         self.fork_depth = config.max_workers.bit_length() - 1
-        self.on_leaf = on_leaf
         self.fold_scores = [0.0] * partition.k
         self.counters = WorkCounters()
         self.traces = traces
@@ -148,8 +147,6 @@ def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> N
             run.traces.append(NodeTrace(s, s, s, 0, 0, depth))
         run.fold_scores[s] = evaluate_chunk(model, run.dataset, part.chunk_slice(s), run.loss,
                                             run.counters)
-        if run.on_leaf is not None:
-            run.on_leaf(s, model)
         return
     m = (s + e) // 2
     if run.traces is not None:
@@ -203,23 +200,18 @@ def tree_cv(
     loss: Loss,
     config: TreeCvConfig = TreeCvConfig(),
     trace_sink: list[NodeTrace] | None = None,
-    on_leaf: Callable[[int, IncrementalLearner], None] | None = None,
 ) -> CvReport:
     """k-fold cross-validation via the recursive tree schedule.
 
     Every fold's model is trained incrementally on all chunks except its
     own, in the order the tree induces; fold i's score is the mean loss
     on chunk i.  `trace_sink`, when given, receives one NodeTrace per
-    visited node in sequential pre-order; `on_leaf` is called with
-    (fold_index, model) right after each fold is scored, and requires a
-    sequential run: under fork-join most leaves live in worker processes.
+    visited node in sequential pre-order.  `tree_feed_orders` gives the
+    sequence of rows each fold's model was fed.
     """
     config.validate()
-    if on_leaf is not None and config.max_workers > 1:
-        raise ValueError("on_leaf needs a sequential run (max_workers <= 1): "
-                         "worker processes cannot call back into this one")
     check_partition(partition, dataset)
-    run = _Run(dataset, partition, loss, config, on_leaf, trace_sink)
+    run = _Run(dataset, partition, loss, config, trace_sink)
     model = learner_factory().fresh()
     start = time.perf_counter()
     _node(run, 0, partition.k - 1, model, 0)
@@ -247,6 +239,7 @@ def tree_feed_orders(part: Partition, ordering: str = "fixed", seed: int = 0) ->
     replay tree-trained models through the standard-CV oracle.
     """
     check_ordering(ordering)
+    check_partition(part)
     orders: list[list[int]] = [[] for _ in range(part.k)]
     index = np.arange(part.n)
     shuffle_seed = derive_seed(seed, TAG_NODE_SHUFFLE)

@@ -10,8 +10,9 @@ from dataclasses import asdict
 
 import pytest
 
-from treecv.cli import build_parser, main
+from treecv.cli import _grid, build_parser, main
 from treecv.harness import (
+    LEARNER_NAMES,
     TAG_REPETITION,
     ExperimentPlan,
     aggregate_records,
@@ -26,6 +27,7 @@ from treecv.harness import (
     make_learner_factory,
 )
 from treecv import (
+    LOSSES,
     SQUARED,
     ZERO_ONE,
     Dataset,
@@ -63,6 +65,22 @@ def test_parse_synth_spec():
         parse_synth_spec("mixture:n=10")
     with pytest.raises(ValueError):
         parse_synth_spec("blobs:n10")
+    # integral floats are whole numbers; they come back as ints
+    assert parse_synth_spec("regression:n=1e3,seed=7.0") == ("regression", {"n": 1000, "seed": 7})
+    for spec, message in [
+        ("classification:n=40,dd=5", "unknown key 'dd'"),
+        ("classification:nosie=0.4", "unknown key 'nosie'"),
+        ("regression:margin=0.3", "unknown key 'margin'"),
+        ("classification:clusters=2", "unknown key 'clusters'"),
+        ("blobs:noise=0.1", "unknown key 'noise'"),
+        ("regression:n=40,d=2.7", "d must be a whole number"),
+        ("blobs:n=40.5", "n must be a whole number"),
+        ("blobs:clusters=1.5", "clusters must be a whole number"),
+        ("classification:seed=0.5", "seed must be a whole number"),
+        ("regression:n=inf", "n must be a whole number"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_synth_spec(spec)
 
 
 def test_make_synth_dataset_is_pinned_by_spec_string():
@@ -70,7 +88,6 @@ def test_make_synth_dataset_is_pinned_by_spec_string():
     b = make_synth_dataset("regression:n=50,d=3,seed=4")
     c = make_synth_dataset("regression:n=50,d=3,seed=5")
     assert a == b and a != c
-    assert make_synth_dataset("regression:n=50,d=3", n_override=20).n == 20
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +105,25 @@ def test_plan_validation():
         small_plan(repetitions=0).validate()
     with pytest.raises(ValueError, match="at most 64"):
         small_plan(threads=65).validate()
+
+
+def test_plan_rejects_learner_loss_pairs_that_cannot_score_each_other():
+    # k-means predicts centers, which only quantization scores; the other
+    # learners predict one number per row, which quantization cannot score
+    for learner in LEARNER_NAMES:
+        for loss in LOSSES:
+            plan = small_plan(learner=learner, loss=loss)
+            if (learner == "kmeans") == (loss == "quantization"):
+                plan.validate()
+            else:
+                with pytest.raises(ValueError, match="cannot score"):
+                    plan.validate()
+
+
+def test_plan_default_fold_counts_are_the_cli_default():
+    args = build_parser().parse_args(["run", "--synth", "regression:n=10,d=2",
+                                      "--learner", "mean"])
+    assert _grid(args)["k_values"] == ExperimentPlan("mean", "squared").k_values == (5,)
 
 
 def test_run_records_shape_and_scheduler_agreement():
@@ -483,43 +519,92 @@ def test_cli_validation_failures_exit_2(tmp_path, capsys):
     assert main(["report", str(empty)]) == 2
 
 
-@pytest.mark.parametrize("args", [
-    ["bench", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
-     "--n-grid", "10", "--reps", "0"],
-    ["bench", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
-     "--n-grid", "20"],
-    ["run", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "1"],
-    ["run", "--synth", "regression:n=10,d=2", "--learner", "pegasos", "--k", "2"],
-    ["stability", "--synth", "regression:d=3", "--learner", "mean", "--n-list", "20",
-     "--seeds", "0", "--chunks", "2"],
-    ["stability", "--synth", "regression:d=3", "--learner", "mean", "--n-list", "20",
-     "--seeds", "2", "--chunks", "0"],
-    ["run", "--synth", "blobs:n=30,d=3", "--learner", "lsqsgd", "--k", "2"],
-    ["run", "--synth", "blobs:n=30,d=3", "--learner", "mean", "--k", "2"],
-    ["stability", "--synth", "blobs:d=3", "--learner", "lsqsgd", "--n-list", "30",
-     "--seeds", "2", "--chunks", "2"],
-    ["run", "--synth", "regression:n=20,d=2", "--learner", "lsqsgd", "--k", "2",
-     "--alpha", "-1"],
-    ["run", "--synth", "classification:n=20,d=2", "--learner", "pegasos", "--k", "2",
-     "--lambda", "0"],
-    ["bench", "--synth", "blobs:n=20,d=2", "--learner", "kmeans", "--k", "2",
-     "--clusters", "0", "--n-grid", "20"],
-    ["stability", "--synth", "regression:d=3", "--learner", "lsqsgd", "--alpha", "0",
-     "--n-list", "20", "--seeds", "2", "--chunks", "2"],
-    ["bench", "--synth", "regression:n=40,d=2", "--learner", "mean", "--k", "30",
-     "--n-grid", "20,40"],
-    ["run", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
-     "--threads", "-1"],
-    ["bench", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
-     "--n-grid", "10", "--threads", "-1"],
-], ids=["bench-no-reps", "bench-grid-beyond-data", "run-k-below-2", "run-pegasos-real-labels",
-        "stability-no-seeds", "stability-no-chunks", "run-lsqsgd-unlabeled",
-        "run-mean-unlabeled", "stability-lsqsgd-unlabeled", "run-lsqsgd-negative-alpha",
-        "run-pegasos-zero-lambda", "bench-kmeans-no-clusters", "stability-lsqsgd-zero-alpha",
-        "bench-k-above-smallest-grid-size", "run-negative-threads", "bench-negative-threads"])
-def test_cli_writes_no_output_when_validation_fails(args, tmp_path, capsys):
+NO_OUTPUT_CASES = [
+    ("bench-no-reps",
+     ["bench", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
+      "--n-grid", "10", "--reps", "0"], "repetitions must be at least 1"),
+    ("bench-grid-beyond-data",
+     ["bench", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
+      "--n-grid", "20"], "n grid exceeds dataset size"),
+    ("run-k-below-2",
+     ["run", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "1"],
+     "k values must be integers >= 2"),
+    ("run-pegasos-real-labels",
+     ["run", "--synth", "regression:n=10,d=2", "--learner", "pegasos", "--k", "2"],
+     "needs every label to be -1 or +1"),
+    ("stability-no-seeds",
+     ["stability", "--synth", "regression:d=3", "--learner", "mean", "--n-list", "20",
+      "--seeds", "0", "--chunks", "2"], "need at least one seed"),
+    ("stability-no-chunks",
+     ["stability", "--synth", "regression:d=3", "--learner", "mean", "--n-list", "20",
+      "--seeds", "2", "--chunks", "0"], "need at least one training chunk"),
+    ("run-lsqsgd-unlabeled",
+     ["run", "--synth", "blobs:n=30,d=3", "--learner", "lsqsgd", "--k", "2"],
+     "the data is unlabeled"),
+    ("run-mean-unlabeled",
+     ["run", "--synth", "blobs:n=30,d=3", "--learner", "mean", "--k", "2"],
+     "the data is unlabeled"),
+    ("stability-lsqsgd-unlabeled",
+     ["stability", "--synth", "blobs:d=3", "--learner", "lsqsgd", "--n-list", "30",
+      "--seeds", "2", "--chunks", "2"], "the data is unlabeled"),
+    ("run-lsqsgd-negative-alpha",
+     ["run", "--synth", "regression:n=20,d=2", "--learner", "lsqsgd", "--k", "2",
+      "--alpha", "-1"], "alpha must be positive"),
+    ("run-pegasos-zero-lambda",
+     ["run", "--synth", "classification:n=20,d=2", "--learner", "pegasos", "--k", "2",
+      "--lambda", "0"], "lam must be positive"),
+    ("bench-kmeans-no-clusters",
+     ["bench", "--synth", "blobs:n=20,d=2", "--learner", "kmeans", "--k", "2",
+      "--clusters", "0", "--n-grid", "20"], "n_clusters must be at least 1"),
+    ("stability-lsqsgd-zero-alpha",
+     ["stability", "--synth", "regression:d=3", "--learner", "lsqsgd", "--alpha", "0",
+      "--n-list", "20", "--seeds", "2", "--chunks", "2"], "alpha must be positive"),
+    ("bench-k-above-smallest-grid-size",
+     ["bench", "--synth", "regression:n=40,d=2", "--learner", "mean", "--k", "30",
+      "--n-grid", "20,40"], "the smallest grid size"),
+    ("run-negative-threads",
+     ["run", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
+      "--threads", "-1"], "error: threads must be at least 0 and at most 64, got -1"),
+    ("bench-negative-threads",
+     ["bench", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
+      "--n-grid", "10", "--threads", "-1"],
+     "error: threads must be at least 0 and at most 64, got -1"),
+    ("run-kmeans-squared",
+     ["run", "--synth", "regression:n=60,d=3", "--learner", "kmeans", "--loss", "squared",
+      "--k", "3"], "loss 'squared' cannot score learner 'kmeans'"),
+    ("run-kmeans-squared-one-feature",
+     ["run", "--synth", "regression:n=60,d=1", "--learner", "kmeans", "--loss", "squared",
+      "--k", "3"], "loss 'squared' cannot score learner 'kmeans'"),
+    ("run-kmeans-zeroone",
+     ["run", "--synth", "classification:n=60,d=3", "--learner", "kmeans", "--loss",
+      "zeroone", "--k", "3"], "loss 'zeroone' cannot score learner 'kmeans'"),
+    ("run-lsqsgd-quantization",
+     ["run", "--synth", "regression:n=9,d=3", "--learner", "lsqsgd", "--loss", "quantization",
+      "--k", "3"], "loss 'quantization' cannot score learner 'lsqsgd'"),
+    ("bench-pegasos-quantization",
+     ["bench", "--synth", "classification:n=20,d=2", "--learner", "pegasos", "--loss",
+      "quantization", "--k", "2", "--n-grid", "20"],
+     "loss 'quantization' cannot score learner 'pegasos'"),
+    ("stability-kmeans-squared",
+     ["stability", "--synth", "regression:d=3", "--learner", "kmeans", "--loss", "squared",
+      "--n-list", "20", "--seeds", "2", "--chunks", "2"],
+     "loss 'squared' cannot score learner 'kmeans'"),
+    ("run-synth-unknown-keys",
+     ["run", "--synth", "classification:n=40,dd=5,nosie=0.4", "--learner", "pegasos",
+      "--k", "2"], "unknown key 'dd' in classification spec"),
+    ("stability-synth-fractional-d",
+     ["stability", "--synth", "regression:d=2.7", "--learner", "mean", "--n-list", "20",
+      "--seeds", "2", "--chunks", "2"], "d must be a whole number"),
+]
+
+
+@pytest.mark.parametrize("args,message", [case[1:] for case in NO_OUTPUT_CASES],
+                         ids=[case[0] for case in NO_OUTPUT_CASES])
+def test_cli_writes_no_output_when_validation_fails(args, message, tmp_path, capsys):
     assert main(args) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
     out = tmp_path / "out.csv"
     assert main(args + ["--out", str(out)]) == 2
     assert not out.exists()

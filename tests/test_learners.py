@@ -14,7 +14,6 @@ from treecv import (
     MeanPredictor,
     OnlineKMeans,
     Pegasos,
-    RecordingLearner,
     UntrainedModelError,
 )
 from treecv.harness import ExperimentPlan, stability_rows
@@ -336,18 +335,15 @@ def _trained(name, d, x, trained, seed):
     elif name == "kmeans":
         model = OnlineKMeans(dim=d, n_clusters=1 + stream.randbelow(4))
         y = None
-    elif name == "mean":
-        model = MeanPredictor(dim=d)
-        y = stream.normal_array(len(x))
     else:
-        model = RecordingLearner(LsqSgd(dim=d, alpha=0.1))
+        model = MeanPredictor(dim=d)
         y = stream.normal_array(len(x))
     model.update(x[:trained], None if y is None else y[:trained])
     return model
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.sampled_from(["pegasos", "lsqsgd", "kmeans", "mean", "recording"]),
+@given(st.sampled_from(["pegasos", "lsqsgd", "kmeans", "mean"]),
        st.integers(1, 80), st.integers(1, 40), st.integers(0, 2**64 - 1),
        st.integers(-6, 6), st.booleans())
 def test_predict_is_the_one_row_batch_bit_for_bit(name, n, d, seed, scale, sparse):
@@ -418,19 +414,6 @@ def test_subclass_defining_no_prediction_cannot_be_built():
 
     with pytest.raises(TypeError):
         NoPrediction()
-
-
-def test_recording_learner_clone_carries_its_own_history():
-    model = RecordingLearner(MeanPredictor(1))
-    x = np.arange(4.0).reshape(4, 1)
-    y = np.array([1.0, 2.0, 3.0, 4.0])
-    model.update(x[:2], y[:2])
-    twin = model.clone()
-    model.update(x[2:], y[2:])
-    assert len(model.seen) == 4
-    assert len(twin.seen) == 2
-    assert twin.predict(np.zeros(1)) == 1.5
-    assert model.predict(np.zeros(1)) == 2.5
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ import pytest
 from treecv import (
     Dataset,
     InvalidChunkError,
+    InvalidFoldCountError,
     MeanPredictor,
+    Partition,
     Pegasos,
-    RecordingLearner,
     SQUARED,
     TreeCvConfig,
     UpdateFailedError,
@@ -180,12 +181,43 @@ def test_order_insensitive_learner_matches_standard_cv_exactly():
 # Hold-out correctness and feeding orders (spy learner)
 
 
+class Recorder(MeanPredictor):
+    """Mean predictor that logs every point it is fed and, each time it
+    scores a chunk, files itself in `scored` under the chunk's rows.  A
+    clone carries its own copy of the log."""
+
+    def __init__(self, dim=1, scored=None):
+        super().__init__(dim)
+        self.scored = {} if scored is None else scored
+        self.seen = []
+
+    def _update_point(self, x, y):
+        self.seen.append((x.copy(), y))
+        super()._update_point(x, y)
+
+    def predict_many(self, x):
+        self.scored[x.tobytes()] = self
+        return super().predict_many(x)
+
+    def fresh(self):
+        return Recorder(self.dim, self.scored)
+
+    def clone(self):
+        twin = super().clone()
+        twin.seen = list(self.seen)
+        return twin
+
+
+def leaf_models(scored, ds, part):
+    """The model filed for each fold's chunk, in fold order."""
+    return [scored[ds.x[part.chunk_slice(i)].tobytes()] for i in range(part.k)]
+
+
 def spy_runs(ds, part, ordering, seed):
-    histories = {}
-    factory = lambda: RecordingLearner(MeanPredictor(ds.dim))
-    tree_cv(factory, ds, part, SQUARED, TreeCvConfig(ordering=ordering, seed=seed),
-            on_leaf=lambda fold, model: histories.__setitem__(fold, list(model.seen)))
-    return histories
+    scored = {}
+    tree_cv(lambda: Recorder(ds.dim, scored), ds, part, SQUARED,
+            TreeCvConfig(ordering=ordering, seed=seed))
+    return [model.seen for model in leaf_models(scored, ds, part)]
 
 
 @pytest.mark.parametrize("ordering", ["fixed", "randomized"])
@@ -283,12 +315,12 @@ def test_fork_join_matches_sequential_bit_exactly(workers):
             assert forked.fold_scores == replay.fold_scores
 
 
-class DropsHalf(MeanPredictor):
+class DropsHalf(Recorder):
     """Mean predictor that keeps each point with probability 1/2 (the
     first always), drawn from a stream it keeps in its state."""
 
-    def __init__(self, dim=1, seed=0):
-        super().__init__(dim)
+    def __init__(self, dim=1, seed=0, scored=None):
+        super().__init__(dim, scored)
         self.seed = seed
         self.rng = SplitMix64Stream(seed)
         self.draws = 0
@@ -299,7 +331,7 @@ class DropsHalf(MeanPredictor):
             super()._update_point(x, y)
 
     def fresh(self):
-        return DropsHalf(self.dim, self.seed)
+        return DropsHalf(self.dim, self.seed, self.scored)
 
     def clone(self):
         twin = super().clone()
@@ -316,9 +348,10 @@ def test_learner_with_its_own_stream_matches_oracle_and_fork_join(ordering):
         k = 2 + stream.randbelow(n - 1)
         ds = regression_data(n, seed=n * 7 + k)
         part = partition(ds, k)
-        leaves = {}
-        report = tree_cv(factory, ds, part, SQUARED, TreeCvConfig(ordering=ordering, seed=k),
-                         on_leaf=lambda fold, model: leaves.update({fold: model}))
+        scored = {}
+        report = tree_cv(lambda: DropsHalf(1, seed=77, scored=scored), ds, part, SQUARED,
+                         TreeCvConfig(ordering=ordering, seed=k))
+        leaves = leaf_models(scored, ds, part)
         orders = tree_feed_orders(part, ordering, seed=k)
         replay = brute_force_oracle(factory, ds, part, SQUARED, orders, seed=k)
         assert report.fold_scores == replay.fold_scores
@@ -326,8 +359,8 @@ def test_learner_with_its_own_stream_matches_oracle_and_fork_join(ordering):
                          TreeCvConfig(ordering=ordering, seed=k, max_workers=2))
         assert forked.comparable() == report.comparable()
         # every fold model drew once per training point, and dropped some
-        assert [leaves[i].draws for i in range(k)] == [n - size for size in part.sizes()]
-        assert any(m.count < m.draws for m in leaves.values())
+        assert [m.draws for m in leaves] == [n - size for size in part.sizes()]
+        assert any(m.count < m.draws for m in leaves)
 
 
 def test_fork_join_preserves_trace_order():
@@ -356,9 +389,6 @@ def test_forked_execution_rejects_what_it_cannot_honour():
         TreeCvConfig(max_workers=65).validate()
     with pytest.raises(ValueError, match="at most 64"):
         standard_cv(mean_factory(), ds, part, SQUARED, max_workers=1000)
-    with pytest.raises(ValueError, match="on_leaf"):
-        tree_cv(mean_factory(), ds, part, SQUARED, TreeCvConfig(max_workers=2),
-                on_leaf=lambda fold, model: None)
     assert multiprocessing.active_children() == []
 
 
@@ -378,6 +408,26 @@ def test_partition_dataset_mismatch():
     ds = regression_data(10)
     with pytest.raises(InvalidChunkError):
         tree_cv(mean_factory(), ds, partition(12, 3), SQUARED)
+
+
+@pytest.mark.parametrize("bounds,error", [
+    ((2, 5, 10), InvalidChunkError),
+    ((0, 10), InvalidFoldCountError),
+    ((10,), InvalidFoldCountError),
+    ((0, 6, 4, 10), InvalidChunkError),
+    ((0, 5, 5, 10), InvalidChunkError),
+], ids=["skips-rows-0-1", "one-chunk", "no-chunks", "not-monotone", "empty-chunk"])
+def test_hand_built_partitions_are_checked_before_any_training(bounds, error):
+    ds = regression_data(10)
+    part = Partition(bounds)
+    with pytest.raises(error):
+        tree_cv(mean_factory(), ds, part, SQUARED)
+    with pytest.raises(error):
+        standard_cv(mean_factory(), ds, part, SQUARED)
+    with pytest.raises(error):
+        brute_force_oracle(mean_factory(), ds, part, SQUARED, [[]] * part.k)
+    with pytest.raises(error):
+        tree_feed_orders(part)
 
 
 def test_update_failure_is_annotated_with_chunk_range():

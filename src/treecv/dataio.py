@@ -195,6 +195,14 @@ def _check_size(n: int, d: int) -> None:
         raise ValueError(f"need n >= 2 and d >= 1, got n={n}, d={d}")
 
 
+def _check_range(name: str, value: float, high: float = math.inf) -> None:
+    """Noise and spread are finite and at least 0, a probability also at
+    most 1; NaN fails the comparison."""
+    if not (0.0 <= value <= high and math.isfinite(value)):
+        bound = f"in [0, {high:g}]" if math.isfinite(high) else "at least 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value}")
+
+
 def _unit_direction(stream: SplitMix64Stream, d: int) -> np.ndarray:
     v = stream.normal_array(d)
     norm = float(np.sqrt(v @ v))
@@ -213,6 +221,9 @@ def synth_classification(n: int, d: int, margin: float = 0.0, noise: float = 0.0
     `noise`.  noise=0 with positive margin gives a separable set.
     """
     _check_size(n, d)
+    if not math.isfinite(margin):
+        raise ValueError(f"margin must be finite, got {margin}")
+    _check_range("noise", noise, 1.0)
     stream = SplitMix64Stream(derive_seed(seed, TAG_SYNTH, 1))
     w = _unit_direction(stream, d)
     x = stream.normal_array(n * d).reshape(n, d)
@@ -230,6 +241,7 @@ def synth_classification(n: int, d: int, margin: float = 0.0, noise: float = 0.0
 def synth_regression(n: int, d: int, noise: float = 0.0, seed: int = 0) -> Dataset:
     """Linear regression data with targets min-max scaled into [0, 1]."""
     _check_size(n, d)
+    _check_range("noise", noise)
     stream = SplitMix64Stream(derive_seed(seed, TAG_SYNTH, 2))
     w = _unit_direction(stream, d)
     x = stream.normal_array(n * d).reshape(n, d)
@@ -254,6 +266,7 @@ def synth_blobs(n: int, d: int, n_clusters: int, spread: float = 1.0, seed: int 
     _check_size(n, d)
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
+    _check_range("spread", spread)
     stream = SplitMix64Stream(derive_seed(seed, TAG_SYNTH, 3))
     centers = 10.0 * stream.normal_array(n_clusters * d).reshape(n_clusters, d)
     assignment = np.arange(n) % n_clusters

@@ -443,9 +443,15 @@ def stability_rows(plan: ExperimentPlan, synth_spec: str, n_list: list[int],
     Each seed draws a fresh dataset from the synthetic spec and a fresh
     chunk order, so the row reports the expected gap at that size.  The
     plan, the sizes, the counts, the spec's labels and the learner's
-    parameters are checked when this is called, before any row.
+    parameters are checked when this is called, before any row.  The spec
+    may not set `n` or `seed`: the sizes come from `n_list` and each
+    repetition derives its own data seed.
     """
     kind, params = parse_synth_spec(synth_spec)
+    for key in ("n", "seed"):
+        if key in params:
+            raise ValueError(f"the stability spec may not set {key!r}: sizes come from "
+                             f"--n-list and each repetition derives its own data seed")
     if n_seeds < 1:
         raise ValueError("need at least one seed")
     if n_chunks < 1:

@@ -14,6 +14,16 @@ draws them in one `next_u64_array` call and reduces them with numpy; the
 scalar loop is the reference, used for short inputs and whenever a draw
 would be rejected.
 
+`shuffle_ranges` shuffles many disjoint ranges at once, each with its own
+stream, and gives every range the permutation `shuffle` gives it.  It is
+the same computation rearranged, not a second generator: draw t of the
+stream seeded s is mix(s + (t+1)*gamma) whoever computes it, so the draws
+of all ranges come from one numpy pass over (seed, t) pairs; the picks
+and the rejection test are `shuffle`'s; and position i of each range is
+swapped with its pick in the same order as the scalar loop, only for all
+ranges in one fancy-index step.  A range with a rejected draw is redone
+by `shuffle` itself.  `derive_seeds` is `derive_seed` over arrays of tags.
+
 The stream is pinned by test vectors (see tests/test_rng.py); any change
 to the constants below is a breaking change to reproducibility.
 """
@@ -43,13 +53,19 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# the constants as numpy scalars, made once: the level shuffle calls the
+# finalizer on short arrays, where making them costs as much as the work
+_U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
+
 def _mix_array(z: np.ndarray) -> np.ndarray:
     """Vectorized SplitMix64 finalizer, in place on a uint64 array."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z ^= z >> _U30
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
     return z
 
 
@@ -63,6 +79,17 @@ def derive_seed(seed: int, *tags: int) -> int:
     for tag in tags:
         state = (state + _GAMMA) & _MASK64
         state = _mix(state ^ (tag & _MASK64))
+    return state
+
+
+def derive_seeds(seed: int, *tags: np.ndarray) -> np.ndarray:
+    """`derive_seed` elementwise over equal-length arrays of integer tags:
+    element i is derive_seed(seed, tags[0][i], tags[1][i], ...)."""
+    state = np.full(len(tags[0]), seed & _MASK64, dtype=np.uint64)
+    for tag in tags:
+        state += _U_GAMMA
+        state ^= np.asarray(tag).astype(np.uint64)  # two's complement, as tag & _MASK64
+        _mix_array(state)
     return state
 
 
@@ -91,7 +118,7 @@ class SplitMix64Stream:
         if count < 0:
             raise ValueError("count must be nonnegative")
         states = np.arange(1, count + 1, dtype=np.uint64)
-        states *= np.uint64(_GAMMA)
+        states *= _U_GAMMA
         states += np.uint64(self._state)
         self._state = (self._state + count * _GAMMA) & _MASK64
         return _mix_array(states)
@@ -170,6 +197,73 @@ class SplitMix64Stream:
 
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly shuffled int64 `np.arange(n)`."""
-        idx = np.arange(n, dtype=np.int64)
-        self.shuffle(memoryview(idx))
-        return idx
+        order = list(range(n))
+        self.shuffle(order)
+        return np.array(order, dtype=np.int64)
+
+
+def shuffle_ranges(values: np.ndarray, seeds, starts, stops) -> None:
+    """Shuffle disjoint slices of an int64 array in place, each with its own stream.
+
+    Afterwards values[starts[r]:stops[r]] is in the order that
+    `SplitMix64Stream(seeds[r]).shuffle` leaves that slice in, for every r.
+    The slices must not overlap.
+
+    A slice of length L takes draws t = 0..L-2, draw t being
+    mix(seed + (t+1)*gamma) with bound L - t, for position L-1-t.  All
+    draws of all slices are made, reduced to picks and checked against
+    randbelow's rejection test in one numpy pass, laid out by position
+    from the longest slice's last one down, so that each position's
+    swaps are one contiguous stretch.  Then one fancy-index swap per
+    position runs over every slice still that long, in the scalar loop's
+    order.  A slice with a rejected draw is left out of the swaps and
+    shuffled by `shuffle` instead.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    starts = np.asarray(starts, dtype=np.int64)
+    stops = np.asarray(stops, dtype=np.int64)
+    # slices longest first: those longer than position i are a prefix,
+    # active[i] of them
+    order = np.argsort(starts - stops, kind="stable")
+    lengths = (stops - starts)[order]
+    positions = np.arange(lengths.max(initial=0) - 1, 0, -1)
+    active = np.searchsorted(-lengths, -positions)
+    # one entry per draw, position-major: the slice is order[rank], and
+    # t + 1 = length - position.  Each array has an entry per draw, so the
+    # ones done with are dropped as it goes.
+    ends = np.cumsum(active)
+    rank = np.arange(int(active.sum())) - np.repeat(ends - active, active)
+    position = np.repeat(positions, active)
+    draws = (lengths[rank] - position).astype(np.uint64)
+    rank = order[rank]  # now the slice itself
+    draws *= _U_GAMMA
+    draws += seeds[rank]
+    _mix_array(draws)
+    bounds = position.astype(np.uint64)
+    bounds += np.uint64(1)
+    picks = draws % bounds
+    draws -= picks
+    np.negative(bounds, out=bounds)  # 2**64 - bound, in uint64
+    rejected = draws > bounds
+    del draws, bounds
+    swap_i = starts[rank]
+    swap_j = picks.view(np.int64)  # picks are below 2**63
+    swap_j += swap_i
+    swap_i += position
+    del picks, position
+    if rejected.any():
+        rejected = np.unique(rank[rejected])
+        skip = np.isin(rank, rejected)
+        swap_j[skip] = swap_i[skip]  # no-op swaps
+    else:
+        rejected = ()
+    for end, count in zip(ends.tolist(), active.tolist()):
+        i = swap_i[end - count:end]
+        j = swap_j[end - count:end]
+        held = values[i]
+        values[i] = values[j]
+        values[j] = held
+    for r in rejected:
+        part = values[starts[r]:stops[r]].tolist()
+        SplitMix64Stream(int(seeds[r])).shuffle(part)
+        values[starts[r]:stops[r]] = part

@@ -16,6 +16,19 @@ trains and descends the right branch from a copy-on-write image of the
 node's model, which stands in for the copy, and the parent process the
 left.
 
+Randomized runs feed each node's rows in the order of a Fisher-Yates
+shuffle drawn from a stream keyed by the run seed and the fed chunk
+range.  `_fed_rows` draws one range at a time.  Deep in the tree that is
+tens of thousands of short shuffles, so on entering a subtree of at most
+SUBTREE_ROWS rows the recursion draws every range of that subtree's wide
+levels at once (`_level_table`, with `rng.shuffle_ranges`) and frees them
+on leaving it.  The ranges fed at one depth are disjoint, so a level is
+one array indexed by row.  The permutations are the same either way:
+each range still gets the draws of its own stream, the same picks and
+the same swaps in the same order (see `rng`).  `tree_feed_orders`, which
+the oracle replays, keeps to `_fed_rows`, so the tests check one path
+against the other.
+
 Determinism: every node's shuffle is derived from the run seed and the
 node's position in the recursion, never from execution order, so
 sequential and fork-join runs of the same configuration produce
@@ -45,11 +58,21 @@ from .core import (
     partition as make_partition,
 )
 from .forkjoin import check_workers, fork, join_all
-from .rng import SplitMix64Stream, derive_seed
+from .rng import SplitMix64Stream, derive_seed, derive_seeds, shuffle_ranges
 
 # Stream purpose tag; every derive_seed call site in the package uses a
 # distinct leading tag so no two components share a stream.
 TAG_NODE_SHUFFLE = 2
+
+# A randomized run shuffles level by level inside every subtree of at
+# most SUBTREE_ROWS rows, on the levels where at least LEVEL_MIN_RANGES
+# ranges of two or more rows are fed.  The table of a subtree holds
+# about SUBTREE_ROWS * log2(SUBTREE_ROWS) int64 entries.  A lockstep
+# step (~2 us on a 2-vCPU Xeon VM) costs about as much as 10 elements of
+# a per-node shuffle, so a level of a few long ranges is cheaper one
+# range at a time.
+SUBTREE_ROWS = 4096
+LEVEL_MIN_RANGES = 16
 
 
 @dataclass(frozen=True)
@@ -97,7 +120,7 @@ class _Run:
     """
 
     __slots__ = ("dataset", "partition", "loss", "ordering", "shuffle_seed", "fork_depth",
-                 "fold_scores", "counters", "traces")
+                 "fold_scores", "counters", "traces", "row_bounds", "levels", "levels_base")
 
     def __init__(self, dataset, partition, loss, config, traces):
         self.dataset = dataset
@@ -111,6 +134,12 @@ class _Run:
         self.fold_scores = [0.0] * partition.k
         self.counters = WorkCounters()
         self.traces = traces
+        # the chunk bounds as an array, for randomized runs' level shuffles
+        self.row_bounds = (np.asarray(partition.bounds, dtype=np.int64)
+                           if config.ordering == "randomized" else None)
+        # the current subtree's level table (see _level_table), or None
+        self.levels = None
+        self.levels_base = 0
 
 
 def _fed_rows(part: Partition, ordering: str, shuffle_seed: int, first: int, last: int):
@@ -125,9 +154,47 @@ def _fed_rows(part: Partition, ordering: str, shuffle_seed: int, first: int, las
     """
     rows = part.range_slice(first, last)
     if ordering == "randomized" and rows.stop - rows.start > 1:
-        rows = np.arange(rows.start, rows.stop, dtype=np.int64)
-        SplitMix64Stream(derive_seed(shuffle_seed, first, last)).shuffle(memoryview(rows))
+        order = list(range(rows.start, rows.stop))
+        SplitMix64Stream(derive_seed(shuffle_seed, first, last)).shuffle(order)
+        rows = np.array(order, dtype=np.int64)
     return rows
+
+
+def _level_table(run: _Run, s: int, e: int, depth: int) -> dict:
+    """The fed rows of the wide levels of subtree s..e, by depth.
+
+    The ranges fed at a depth are the nodes at that depth (each node is
+    fed its sibling), so they are disjoint, and one int64 row over the
+    subtree's rows holds them all: the rows of range first..last, in the
+    order `_fed_rows` gives, sit at their own positions minus the
+    subtree's first row.  A level gets a row only if at least
+    LEVEL_MIN_RANGES of its ranges hold two or more rows.  One
+    `shuffle_ranges` call shuffles every range of every such level.
+    """
+    bounds = run.row_bounds
+    base, size = int(bounds[s]), int(bounds[e + 1] - bounds[s])
+    starts, ends = np.array([s]), np.array([e])
+    depths, firsts, lasts = [], [], []
+    while starts.size:
+        mids = (starts + ends) // 2
+        starts, ends = np.concatenate((starts, mids + 1)), np.concatenate((mids, ends))
+        depth += 1
+        fed = bounds[ends + 1] - bounds[starts] > 1
+        if np.count_nonzero(fed) >= LEVEL_MIN_RANGES:
+            depths.append(depth)
+            firsts.append(starts[fed])
+            lasts.append(ends[fed])
+        inner = starts < ends
+        starts, ends = starts[inner], ends[inner]
+    if not depths:
+        return {}
+    table = np.tile(np.arange(base, base + size), (len(depths), 1))
+    # row `row` of table row l is flat position l * size + row - base
+    shift = np.repeat(np.arange(len(depths)) * size - base, [len(f) for f in firsts])
+    firsts, lasts = np.concatenate(firsts), np.concatenate(lasts)
+    shuffle_ranges(table.reshape(-1), derive_seeds(run.shuffle_seed, firsts, lasts),
+                   bounds[firsts] + shift, bounds[lasts + 1] + shift)
+    return dict(zip(depths, table))
 
 
 def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> None:
@@ -162,15 +229,34 @@ def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> N
         if run.traces is not None:
             run.traces.extend(traces)
     else:
+        b = part.bounds
+        # a randomized run's first node of at most SUBTREE_ROWS rows
+        # shuffles its subtree's wide levels, if it has enough chunks for one
+        tabled = (run.levels is None and run.row_bounds is not None
+                  and e - s >= LEVEL_MIN_RANGES - 1 and b[e + 1] - b[s] <= SUBTREE_ROWS)
+        if tabled:
+            run.levels = _level_table(run, s, e, depth)
+            run.levels_base = b[s]
         right = model.clone()
         _branch(run, s, m, model, m + 1, e, depth + 1)
         _branch(run, m + 1, e, right, s, m, depth + 1)
+        if tabled:
+            run.levels = None
 
 
 def _branch(run: _Run, s: int, e: int, model: IncrementalLearner, first: int, last: int,
             depth: int) -> None:
-    """Train the model on chunks first..last, then visit subtree s..e."""
-    rows = _fed_rows(run.partition, run.ordering, run.shuffle_seed, first, last)
+    """Train the model on chunks first..last, then visit subtree s..e.
+
+    The rows come from the level table when it holds them, else from
+    `_fed_rows`; both give the same order.
+    """
+    lo, hi = run.partition.bounds[first], run.partition.bounds[last + 1]
+    level = run.levels.get(depth) if run.levels else None
+    if level is not None and hi - lo > 1:
+        rows = level[lo - run.levels_base:hi - run.levels_base]
+    else:
+        rows = _fed_rows(run.partition, run.ordering, run.shuffle_seed, first, last)
     x = run.dataset.x[rows]
     y = run.dataset.y[rows] if run.dataset.y is not None else None
     try:

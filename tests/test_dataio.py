@@ -192,6 +192,30 @@ def test_blobs_unlabeled_and_zero_spread_quantizes_exactly():
     assert report.estimate == 0.0
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda v: synth_classification(20, 3, noise=v), "noise must be finite and in [0, 1]"),
+    (lambda v: synth_regression(20, 3, noise=v), "noise must be finite and at least 0"),
+    (lambda v: synth_blobs(20, 3, 2, spread=v), "spread must be finite and at least 0"),
+], ids=["classification-noise", "regression-noise", "blobs-spread"])
+@pytest.mark.parametrize("value", [float("nan"), -0.5, float("inf")])
+def test_generators_reject_noise_and_spread_out_of_range(make, message, value):
+    with pytest.raises(ValueError) as info:
+        make(value)
+    assert message in str(info.value)
+
+
+def test_generators_accept_the_ends_of_their_ranges():
+    assert set(synth_classification(20, 3, noise=1.0).y) <= {-1.0, 1.0}
+    synth_regression(20, 3, noise=0.0)
+    synth_blobs(20, 3, 2, spread=0.0)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), float("-inf")])
+def test_classification_rejects_a_non_finite_margin(margin):
+    with pytest.raises(ValueError, match="margin must be finite"):
+        synth_classification(20, 3, margin=margin)
+
+
 # ---------------------------------------------------------------------------
 # Shuffle
 

@@ -272,6 +272,9 @@ def test_stability_rows_check_their_arguments_when_called():
     pegasos = small_plan(learner="pegasos", loss="zeroone")
     with pytest.raises(ValueError, match="-1 or \\+1"):
         stability_rows(pegasos, "regression:d=3", [40], 2, 4)
+    for key in ("n", "seed"):
+        with pytest.raises(ValueError, match=f"may not set '{key}'"):
+            stability_rows(plan, f"regression:d=3,{key}=50", [40], 2, 4)
 
 
 def test_bench_single_point_grid_single_row_per_cell():
@@ -595,6 +598,33 @@ NO_OUTPUT_CASES = [
     ("stability-synth-fractional-d",
      ["stability", "--synth", "regression:d=2.7", "--learner", "mean", "--n-list", "20",
       "--seeds", "2", "--chunks", "2"], "d must be a whole number"),
+    ("stability-synth-sets-n",
+     ["stability", "--synth", "regression:n=50,d=3", "--learner", "mean", "--n-list",
+      "20,40", "--seeds", "2", "--chunks", "2"], "the stability spec may not set 'n'"),
+    ("stability-synth-sets-seed",
+     ["stability", "--synth", "regression:d=3,seed=4", "--learner", "mean", "--n-list",
+      "20,40", "--seeds", "2", "--chunks", "2"], "the stability spec may not set 'seed'"),
+    ("run-classification-nan-noise",
+     ["run", "--synth", "classification:n=40,d=3,noise=nan", "--learner", "pegasos",
+      "--k", "2"], "noise must be finite and in [0, 1], got nan"),
+    ("run-classification-negative-noise",
+     ["run", "--synth", "classification:n=40,d=3,noise=-0.5", "--learner", "pegasos",
+      "--k", "2"], "noise must be finite and in [0, 1], got -0.5"),
+    ("bench-classification-noise-above-1",
+     ["bench", "--synth", "classification:n=40,d=3,noise=1.5", "--learner", "pegasos",
+      "--k", "2", "--n-grid", "40"], "noise must be finite and in [0, 1], got 1.5"),
+    ("run-classification-infinite-margin",
+     ["run", "--synth", "classification:n=40,d=3,margin=inf", "--learner", "pegasos",
+      "--k", "2"], "margin must be finite, got inf"),
+    ("run-regression-negative-noise",
+     ["run", "--synth", "regression:n=40,d=3,noise=-1", "--learner", "mean", "--k", "2"],
+     "noise must be finite and at least 0, got -1"),
+    ("stability-regression-nan-noise",
+     ["stability", "--synth", "regression:d=3,noise=nan", "--learner", "mean", "--n-list",
+      "20", "--seeds", "2", "--chunks", "2"], "noise must be finite and at least 0, got nan"),
+    ("run-blobs-negative-spread",
+     ["run", "--synth", "blobs:n=40,d=3,spread=-2", "--learner", "kmeans", "--k", "2"],
+     "spread must be finite and at least 0, got -2"),
 ]
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from treecv import dataio, harness, standard, tree
 from treecv.core import partition
-from treecv.rng import SplitMix64Stream, derive_seed
+from treecv.rng import SplitMix64Stream, derive_seed, derive_seeds, shuffle_ranges
 from treecv.tree import tree_feed_orders
 
 # Reference SplitMix64 output sequence for seed 0.
@@ -275,3 +275,84 @@ def test_shuffle_rejects_a_real_draw_like_randbelow(n):
     stream = SplitMix64Stream(start)
     assert shuffled(n, "list", stream) == expected
     assert stream.state == reference.state
+
+
+# ---------------------------------------------------------------------------
+# Level shuffle: many ranges at once, each as `shuffle` would shuffle it
+
+
+def per_range(values, seeds, starts, stops) -> list[int]:
+    """The reference: each slice through `shuffle`, one at a time."""
+    values = list(values)
+    for seed, a, b in zip(seeds, starts, stops):
+        part = values[a:b]
+        SplitMix64Stream(int(seed)).shuffle(part)
+        values[a:b] = part
+    return values
+
+
+@st.composite
+def range_sets(draw):
+    """Disjoint ranges with gaps between them, in shuffled order, lengths
+    0 to 60 so that some are ragged and some hold one row."""
+    lengths = draw(st.lists(st.integers(0, 60), max_size=24))
+    gaps = draw(st.lists(st.integers(0, 3), min_size=len(lengths), max_size=len(lengths)))
+    starts, at = [], 0
+    for gap, length in zip(gaps, lengths):
+        starts.append(at + gap)
+        at += gap + length
+    ranges = draw(st.permutations(list(zip(starts, lengths))))
+    firsts = draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(ranges),
+                           max_size=len(ranges)))
+    return ranges, firsts, at + draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(range_sets(), st.integers(0, 2**64 - 1))
+def test_shuffle_ranges_equals_shuffle_per_range(ranges_firsts_size, seed):
+    ranges, firsts, size = ranges_firsts_size
+    starts = [a for a, _ in ranges]
+    stops = [a + length for a, length in ranges]
+    lasts = [first ^ 0x5A5A for first in firsts]
+    seeds = derive_seeds(seed, np.array(firsts, dtype=np.int64), np.array(lasts, dtype=np.int64))
+    assert seeds.tolist() == [derive_seed(seed, f, l) for f, l in zip(firsts, lasts)]
+    values = np.arange(size, dtype=np.int64) * 7
+    expected = per_range(values.tolist(), seeds, starts, stops)
+    shuffle_ranges(values, seeds, starts, stops)
+    assert values.tolist() == expected
+
+
+@pytest.mark.parametrize("draw", [0, 17])
+def test_shuffle_ranges_redoes_only_a_range_with_a_rejected_draw(draw, monkeypatch):
+    # Like PlantedStream, but with a real seed: range 1 is seeded so that
+    # its draw `draw` is 2**64 - 1.  Its bound there, 40 - draw, is not a
+    # power of two, so randbelow rejects it.  That range alone is shuffled
+    # by `shuffle`; the others stay in lockstep.
+    planted = (state_before(2**64 - 1) - draw * 0x9E3779B97F4A7C15) & (2**64 - 1)
+    assert SplitMix64Stream(planted).next_u64_array(draw + 1)[draw] == 2**64 - 1
+    seeds = [derive_seed(9, 0), planted, derive_seed(9, 2)]
+    starts, stops = [0, 40, 80], [40, 80, 119]
+    expected = per_range(range(120), seeds, starts, stops)
+    shuffled_states = []
+    original = SplitMix64Stream.shuffle
+
+    def counting(stream, values):
+        shuffled_states.append(stream.state)
+        original(stream, values)
+
+    monkeypatch.setattr(SplitMix64Stream, "shuffle", counting)
+    values = np.arange(120, dtype=np.int64)
+    shuffle_ranges(values, np.array(seeds, dtype=np.uint64), starts, stops)
+    assert values.tolist() == expected
+    assert shuffled_states == [planted]
+    # the reference loop really did reject a draw there
+    reference = SplitMix64Stream(planted)
+    scalar_shuffle(reference, list(range(40)))
+    assert reference.state == (planted + 40 * 0x9E3779B97F4A7C15) & (2**64 - 1)
+
+
+def test_shuffle_ranges_of_nothing_changes_nothing():
+    values = np.arange(5, dtype=np.int64)
+    shuffle_ranges(values, np.array([], dtype=np.uint64), [], [])
+    shuffle_ranges(values, np.array([3, 4], dtype=np.uint64), [0, 2], [1, 2])
+    assert values.tolist() == [0, 1, 2, 3, 4]

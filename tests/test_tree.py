@@ -27,6 +27,7 @@ from treecv import (
     tree_cv,
     tree_feed_orders,
 )
+from treecv import tree
 from treecv.rng import SplitMix64Stream
 
 
@@ -371,6 +372,88 @@ def test_fork_join_preserves_trace_order():
     tree_cv(mean_factory(), ds, part, SQUARED, TreeCvConfig(seed=1, max_workers=4),
             trace_sink=par_traces)
     assert seq_traces == par_traces
+
+
+# ---------------------------------------------------------------------------
+# Level shuffle: randomized runs draw the wide levels of small subtrees at once
+
+
+class ShuffleCounts:
+    """Counts, in this process, the ranges `tree._fed_rows` shuffles one at
+    a time and the ranges the level table shuffles in bulk."""
+
+    def __init__(self, monkeypatch):
+        self.per_node = 0
+        self.bulk = 0
+        fed_rows, shuffle_ranges = tree._fed_rows, tree.shuffle_ranges
+
+        def counted_fed_rows(*args):
+            rows = fed_rows(*args)
+            self.per_node += isinstance(rows, np.ndarray)
+            return rows
+
+        def counted_shuffle_ranges(values, seeds, starts, stops):
+            self.bulk += len(seeds)
+            shuffle_ranges(values, seeds, starts, stops)
+
+        monkeypatch.setattr(tree, "_fed_rows", counted_fed_rows)
+        monkeypatch.setattr(tree, "shuffle_ranges", counted_shuffle_ranges)
+
+
+def multi_row_feeds(traces) -> int:
+    return sum((t.points_fed_left > 1) + (t.points_fed_right > 1) for t in traces)
+
+
+@pytest.mark.parametrize("seed", [7, 801])
+def test_level_table_feeds_most_ranges_of_the_n120_loocv_gates(seed, monkeypatch):
+    """The randomized n=120 LOOCV of tests/test_reference_digests.py
+    (loocv_pegasos_randomized) and of the benchmark's tiny oracle gate
+    (perfbench/workloads.py oracle_problems, run by the loocv-pegasos-rand
+    smoke tests in perfbench/test_perfbench.py) is fed mostly from the level
+    table, so those digests and that oracle replay check the bulk path."""
+    counts = ShuffleCounts(monkeypatch)
+    data = synth_classification(120, 20, margin=0.3, noise=0.1, seed=seed)
+    part = partition(data, data.n)
+    traces = []
+    report = tree_cv(lambda: Pegasos(20, 1e-4), data, part, ZERO_ONE,
+                     TreeCvConfig(ordering="randomized", seed=seed), trace_sink=traces)
+    assert counts.bulk + counts.per_node == multi_row_feeds(traces)
+    assert counts.bulk > 4 * counts.per_node
+    orders = tree_feed_orders(part, "randomized", seed)
+    replay = brute_force_oracle(lambda: Pegasos(20, 1e-4), data, part, ZERO_ONE, orders, seed)
+    assert report.fold_scores == replay.fold_scores
+
+
+def test_level_table_under_fork_join_matches_sequential(monkeypatch):
+    # with 4 workers the tables start two levels down, in each process; the
+    # parent's own subtree (rows 0-74) counts here
+    counts = ShuffleCounts(monkeypatch)
+    data = synth_classification(300, 5, margin=0.2, noise=0.1, seed=6)
+    part = partition(data, data.n)
+    factory = lambda: Pegasos(5, 1e-3)
+    forked = tree_cv(factory, data, part, ZERO_ONE,
+                     TreeCvConfig(ordering="randomized", seed=12, max_workers=4))
+    assert counts.bulk > 0
+    sequential = tree_cv(factory, data, part, ZERO_ONE,
+                         TreeCvConfig(ordering="randomized", seed=12))
+    assert forked.comparable() == sequential.comparable()
+    assert multiprocessing.active_children() == []
+
+
+def test_level_table_on_a_ragged_partition_matches_the_oracle(monkeypatch):
+    counts = ShuffleCounts(monkeypatch)
+    stream = SplitMix64Stream(41)
+    sizes = [1 + stream.randbelow(6) if stream.randbelow(3) else 1 for _ in range(48)]
+    bounds = tuple(int(b) for b in np.cumsum([0] + sizes))
+    data = synth_classification(bounds[-1], 4, margin=0.2, noise=0.1, seed=5)
+    part = Partition(bounds)
+    factory = lambda: Pegasos(4, 1e-3)
+    report = tree_cv(factory, data, part, ZERO_ONE, TreeCvConfig(ordering="randomized", seed=3))
+    assert counts.bulk > 0
+    assert len(set(sizes)) > 3
+    orders = tree_feed_orders(part, "randomized", seed=3)
+    replay = brute_force_oracle(factory, data, part, ZERO_ONE, orders, seed=3)
+    assert report.fold_scores == replay.fold_scores
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,9 @@ def parse_sparse_text(source, expected_dim: int | None = None) -> Dataset:
     if isinstance(source, str):
         source = io.StringIO(source)
     labels: list[float] = []
-    rows: list[list[tuple[int, float]]] = []
+    columns: list[int] = []
+    values: list[float] = []
+    counts: list[int] = []
     max_index = 0
     for line_number, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -53,7 +55,6 @@ def parse_sparse_text(source, expected_dim: int | None = None) -> Dataset:
             raise ParseError(line_number, f"unparsable label {tokens[0]!r}") from None
         if not math.isfinite(label):
             raise ParseError(line_number, f"non-finite label {tokens[0]!r}")
-        entries: list[tuple[int, float]] = []
         previous = 0
         for token in tokens[1:]:
             index_text, _, value_text = token.partition(":")
@@ -79,21 +80,21 @@ def parse_sparse_text(source, expected_dim: int | None = None) -> Dataset:
                 raise ParseError(
                     line_number, f"feature index {index} exceeds expected dimension {expected_dim}"
                 )
-            entries.append((index, value))
+            columns.append(index - 1)
+            values.append(value)
             previous = index
         labels.append(label)
-        rows.append(entries)
+        counts.append(len(tokens) - 1)
         if previous > max_index:
             max_index = previous
-    if not rows:
+    if not labels:
         raise ParseError(0, "no data lines in input")
     dim = expected_dim if expected_dim is not None else max_index
     if dim < 1:
         raise ParseError(0, "cannot infer a feature dimension from all-empty rows")
-    x = np.zeros((len(rows), dim))
-    for i, entries in enumerate(rows):
-        for index, value in entries:
-            x[i, index - 1] = value
+    n = len(labels)
+    x = np.zeros((n, dim))
+    x[np.repeat(np.arange(n), counts), columns] = values
     return Dataset(x, np.asarray(labels))
 
 
@@ -101,15 +102,12 @@ def serialize_sparse_text(dataset: Dataset) -> str:
     """Render a labeled dataset in the sparse text format, eliding zeros."""
     if dataset.y is None:
         raise ValueError("the sparse text format requires labeled data")
-    lines = []
-    for i in range(dataset.n):
-        parts = [repr(float(dataset.y[i]))]
-        row = dataset.x[i]
-        for j in range(dataset.dim):
-            v = float(row[j])
-            if v != 0.0:
-                parts.append(f"{j + 1}:{v!r}")
-        lines.append(" ".join(parts))
+    # one row's tolist() at a time: the whole matrix's would hold every cell,
+    # zeros included, as a Python float at once
+    lines = [
+        " ".join([repr(label), *(f"{j}:{v!r}" for j, v in enumerate(row.tolist(), start=1) if v)])
+        for label, row in zip(dataset.y.tolist(), dataset.x)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -223,6 +221,8 @@ def synth_classification(n: int, d: int, margin: float = 0.0, noise: float = 0.0
     _check_size(n, d)
     if not math.isfinite(margin):
         raise ValueError(f"margin must be finite, got {margin}")
+    if margin < 0.0:
+        raise ValueError(f"margin must be at least 0, got {margin}")
     _check_range("noise", noise, 1.0)
     stream = SplitMix64Stream(derive_seed(seed, TAG_SYNTH, 1))
     w = _unit_direction(stream, d)

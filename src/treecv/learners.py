@@ -58,8 +58,8 @@ class Pegasos(IncrementalLearner):
     """Linear hinge-loss SGD classifier; predicts sign(w . x), ties as +1."""
 
     def __init__(self, dim: int, lam: float = 1e-4):
-        if lam <= 0:
-            raise ValueError("lam must be positive")
+        if not (0.0 < lam < math.inf):
+            raise ValueError(f"lam must be positive and finite, got {lam}")
         self.dim = dim
         self.lam = lam
         self.a = 1.0
@@ -95,7 +95,7 @@ class Pegasos(IncrementalLearner):
         return np.copysign(1.0, np.einsum("ij,j->i", x, self.v))
 
     def fresh(self):
-        return Pegasos(self.dim, self.lam)
+        return type(self)(self.dim, self.lam)
 
     def clone(self):
         twin = self.fresh()
@@ -113,8 +113,8 @@ class LsqSgd(IncrementalLearner):
     """
 
     def __init__(self, dim: int, alpha: float):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (0.0 < alpha < math.inf):
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         self.dim = dim
         self.alpha = alpha
         self.w = np.zeros(dim)
@@ -137,7 +137,7 @@ class LsqSgd(IncrementalLearner):
         return np.einsum("ij,j->i", x, self.w_avg)
 
     def fresh(self):
-        return LsqSgd(self.dim, self.alpha)
+        return type(self)(self.dim, self.alpha)
 
     def clone(self):
         twin = self.fresh()
@@ -195,7 +195,7 @@ class OnlineKMeans(IncrementalLearner):
         return active[distances.argmin(axis=0)]
 
     def fresh(self):
-        return OnlineKMeans(self.dim, self.n_clusters)
+        return type(self)(self.dim, self.n_clusters)
 
     def clone(self):
         twin = self.fresh()
@@ -233,7 +233,7 @@ class MeanPredictor(IncrementalLearner):
         return np.full(x.shape[0], self.total / self.count)
 
     def fresh(self):
-        return MeanPredictor(self.dim)
+        return type(self)(self.dim)
 
     def clone(self):
         twin = self.fresh()

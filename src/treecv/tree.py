@@ -154,9 +154,8 @@ def _fed_rows(part: Partition, ordering: str, shuffle_seed: int, first: int, las
     """
     rows = part.range_slice(first, last)
     if ordering == "randomized" and rows.stop - rows.start > 1:
-        order = list(range(rows.start, rows.stop))
-        SplitMix64Stream(derive_seed(shuffle_seed, first, last)).shuffle(order)
-        rows = np.array(order, dtype=np.int64)
+        stream = SplitMix64Stream(derive_seed(shuffle_seed, first, last))
+        rows = rows.start + stream.permutation(rows.stop - rows.start)
     return rows
 
 

@@ -73,6 +73,15 @@ def test_parse_unparsable_number_error_carries_line_number():
     assert info.value.line_number == 2
 
 
+def test_parse_all_featureless_lines_need_expected_dim():
+    ds = parse_sparse_text("1\n-1\n", expected_dim=3)
+    assert ds.x.shape == (2, 3)
+    assert not ds.x.any()
+    assert ds.y.tolist() == [1.0, -1.0]
+    with pytest.raises(ParseError, match="cannot infer a feature dimension"):
+        parse_sparse_text("1\n-1\n")
+
+
 def test_parse_expected_dim_bounds():
     ds = parse_sparse_text("1 2:5\n", expected_dim=4)
     assert ds.dim == 4
@@ -97,6 +106,13 @@ def test_roundtrip_small():
         ds = Dataset(x, y)
         again = parse_sparse_text(serialize_sparse_text(ds), expected_dim=d)
         assert again == ds
+
+
+def test_all_zero_row_serializes_as_a_bare_label_and_round_trips():
+    ds = Dataset(np.array([[0.0, 1.5], [0.0, 0.0], [-2.0, 0.0]]), np.array([1.0, -1.0, 0.5]))
+    text = serialize_sparse_text(ds)
+    assert text.splitlines() == ["1.0 2:1.5", "-1.0", "0.5 1:-2.0"]
+    assert parse_sparse_text(text) == ds
 
 
 def test_serialize_requires_labels():
@@ -213,6 +229,12 @@ def test_generators_accept_the_ends_of_their_ranges():
 @pytest.mark.parametrize("margin", [float("nan"), float("inf"), float("-inf")])
 def test_classification_rejects_a_non_finite_margin(margin):
     with pytest.raises(ValueError, match="margin must be finite"):
+        synth_classification(20, 3, margin=margin)
+
+
+@pytest.mark.parametrize("margin", [-1.0, -1e-12])
+def test_classification_rejects_a_negative_margin(margin):
+    with pytest.raises(ValueError, match=f"margin must be at least 0, got {margin}"):
         synth_classification(20, 3, margin=margin)
 
 

@@ -556,6 +556,18 @@ NO_OUTPUT_CASES = [
     ("run-pegasos-zero-lambda",
      ["run", "--synth", "classification:n=20,d=2", "--learner", "pegasos", "--k", "2",
       "--lambda", "0"], "lam must be positive"),
+    ("run-lsqsgd-nan-alpha",
+     ["run", "--synth", "regression:n=40,d=3", "--learner", "lsqsgd", "--k", "4",
+      "--alpha", "nan"], "alpha must be positive and finite, got nan"),
+    ("run-lsqsgd-infinite-alpha",
+     ["run", "--synth", "regression:n=40,d=3", "--learner", "lsqsgd", "--k", "4",
+      "--alpha", "inf"], "alpha must be positive and finite, got inf"),
+    ("run-pegasos-nan-lambda",
+     ["run", "--synth", "classification:n=40,d=3", "--learner", "pegasos", "--k", "4",
+      "--lambda", "nan"], "lam must be positive and finite, got nan"),
+    ("bench-pegasos-infinite-lambda",
+     ["bench", "--synth", "classification:n=40,d=3", "--learner", "pegasos", "--k", "4",
+      "--lambda", "inf", "--n-grid", "40"], "lam must be positive and finite, got inf"),
     ("bench-kmeans-no-clusters",
      ["bench", "--synth", "blobs:n=20,d=2", "--learner", "kmeans", "--k", "2",
       "--clusters", "0", "--n-grid", "20"], "n_clusters must be at least 1"),
@@ -616,6 +628,9 @@ NO_OUTPUT_CASES = [
     ("run-classification-infinite-margin",
      ["run", "--synth", "classification:n=40,d=3,margin=inf", "--learner", "pegasos",
       "--k", "2"], "margin must be finite, got inf"),
+    ("run-classification-negative-margin",
+     ["run", "--synth", "classification:n=40,d=3,margin=-1", "--learner", "pegasos",
+      "--k", "4"], "margin must be at least 0, got -1"),
     ("run-regression-negative-noise",
      ["run", "--synth", "regression:n=40,d=3,noise=-1", "--learner", "mean", "--k", "2"],
      "noise must be finite and at least 0, got -1"),

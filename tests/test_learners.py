@@ -2,19 +2,26 @@
 order-insensitivity, and the incremental-vs-batch gap trend."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treecv import (
+    Dataset,
     IncrementalLearner,
     LabelRequiredError,
     LsqSgd,
     MeanPredictor,
     OnlineKMeans,
     Pegasos,
+    QUANTIZATION,
+    SQUARED,
     UntrainedModelError,
+    partition,
+    standard_cv,
+    tree_cv,
 )
 from treecv.harness import ExperimentPlan, stability_rows
 from treecv.rng import SplitMix64Stream
@@ -317,6 +324,57 @@ def test_clone_is_bit_exact_and_independent(build):
     # the same rows train both to bit-identical models
     twin.update(x[7:12], y[7:12])
     assert _probe(twin, probes) == _probe(model, probes)
+
+
+BUILT_INS = [
+    (Pegasos, (2, 0.3), SQUARED),
+    (LsqSgd, (2, 0.2), SQUARED),
+    (OnlineKMeans, (2, 2), QUANTIZATION),
+    (MeanPredictor, (2,), SQUARED),
+]
+BUILT_IN_IDS = ["pegasos", "lsqsgd", "kmeans", "mean"]
+MARK = 99.0
+
+
+def _refusing_subclass(base):
+    """A subclass of a built-in that changes only the update rule: it
+    refuses a row whose first feature is MARK."""
+    class Refusing(base):
+        def _update_point(self, x, y):
+            if x[0] == MARK:
+                raise RuntimeError("refused the marked row")
+            super()._update_point(x, y)
+    return Refusing
+
+
+@pytest.mark.parametrize("base, args, loss", BUILT_INS, ids=BUILT_IN_IDS)
+def test_subclass_of_a_built_in_fresh_and_clone_keep_the_subclass(base, args, loss):
+    model = _refusing_subclass(base)(*args)
+    assert type(model.fresh()) is type(model)
+    assert type(model.clone()) is type(model)
+
+
+@pytest.mark.parametrize("base, args, loss", BUILT_INS, ids=BUILT_IN_IDS)
+def test_schedulers_run_a_subclass_update_rule(base, args, loss):
+    x = SplitMix64Stream(5).normal_array(24).reshape(12, 2)
+    x[5, 0] = MARK
+    data = Dataset(x, np.where(np.arange(12) % 2 == 0, 1.0, -1.0))
+    factory = partial(_refusing_subclass(base), *args)
+    part = partition(data, 4)
+    with pytest.raises(Exception, match="refused the marked row"):
+        tree_cv(factory, data, part, loss)
+    with pytest.raises(Exception, match="refused the marked row"):
+        standard_cv(factory, data, part, loss)
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: Pegasos(dim=2, lam=v),
+    lambda v: LsqSgd(dim=2, alpha=v),
+], ids=["pegasos-lam", "lsqsgd-alpha"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_step_parameters_must_be_positive_and_finite(build, value):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        build(value)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,9 @@ def _add_grid_arguments(parser):
                         help=f"forked worker processes inside each run, 0 to {MAX_WORKERS} "
                              "(0 or 1: sequential)")
     parser.add_argument("--update-budget", type=int, default=10_000_000,
-                        help="skip standard runs whose point updates would exceed this")
+                        help="skip standard runs, and tree runs under --verify (whose "
+                             "oracle replay does as many updates), whose point updates "
+                             "would exceed this")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -256,11 +256,12 @@ def iter_run_records(plan: ExperimentPlan, dataset: Dataset, trace_log: list | N
 
     Runs are emitted in canonical (k, scheduler, ordering, repetition)
     order.  Standard runs whose projected point updates exceed the plan
-    budget yield a "budget-exceeded" record; a failing run yields an
-    "error" record and execution continues.  When `trace_log` is a list,
-    tree runs append (row_id, NodeTrace) pairs to it.  The plan, the
-    labels and the learner's parameters are checked when this is called,
-    before any record.
+    budget yield a "budget-exceeded" record, and so do verified tree
+    runs, whose oracle replay costs as many updates; a failing run
+    yields an "error" record and execution continues.  When `trace_log`
+    is a list, tree runs append (row_id, NodeTrace) pairs to it.  The
+    plan, the labels and the learner's parameters are checked when this
+    is called, before any record.
     """
     _check_entry(plan, dataset)
     return _run_records(plan, dataset, trace_log)
@@ -290,8 +291,12 @@ def _run_records(plan: ExperimentPlan, dataset: Dataset, trace_log: list | None)
                         "loss": plan.loss, "scheduler": scheduler, "ordering": ordering,
                         "k": k, "n": n, "d": d, "rep": rep, "run_seed": run_seed,
                     })
-                    if scheduler == "standard" and standard_update_cost(n, k) > plan.update_budget:
+                    cost = standard_update_cost(n, k)
+                    if cost > plan.update_budget and (scheduler == "standard" or plan.verify):
                         record["status"] = "budget-exceeded"
+                        if scheduler == "tree":
+                            record["error"] = (f"the --verify oracle replay costs {cost} point "
+                                               f"updates, over the budget of {plan.update_budget}")
                         yield record
                         continue
                     sink = [] if trace_log is not None else None

@@ -28,6 +28,14 @@ Every learner predicts a batch with `predict_many`, reducing rows with
 `np.einsum`, whose result for a row does not depend on how many rows
 the batch holds (a BLAS `X @ w` does, in the last bits), and inherits
 `predict(x)`: row 0 of a one-row batch, so a prediction has one form.
+
+`Pegasos` and `LsqSgd` also have a lockstep kernel (`LOCKSTEP`), which
+the tree schedule uses to run many models of one type at once: their
+state stacked into arrays of one row per model, one vectorized step that
+feeds each model one point, and one batched prediction.  Every model
+gets the bits the scalar path gives it: `np.vecdot` reduces each row
+with the BLAS dot product that `ndarray.dot` uses, and each row of
+`np.einsum("ij,ij->i", X, V)` is what `predict_many` gives that row.
 """
 
 from __future__ import annotations
@@ -240,3 +248,118 @@ class MeanPredictor(IncrementalLearner):
         twin._partials, twin.count = list(self._partials), self.count
         return twin
 
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i of `a` dotted with row i of `b`, bit for bit as `a[i].dot(b[i])`.
+
+    That reduces rows of two or more with BLAS ddot, as `np.vecdot` does,
+    but multiplies 1-element vectors, which keeps the sign of a -0.0 that
+    ddot's +0.0 start would drop.
+    """
+    return np.vecdot(a, b) if a.shape[1] > 1 else a[:, 0] * b[:, 0]
+
+
+class _Stack:
+    """m models of one built-in type, each field of their state stacked
+    into an array with one row per model: the lockstep kernel's state.
+
+    `proto`, a model of that type, holds the parameters all m share.
+    Subclasses name the state fields and define `feed` and `predict`.
+    """
+
+    fields: tuple[str, ...] = ()
+
+    def __init__(self, proto: IncrementalLearner, arrays):
+        self.proto = proto
+        for name, array in zip(self.fields, arrays):
+            setattr(self, name, array)
+
+    @classmethod
+    def of(cls, model: IncrementalLearner) -> "_Stack":
+        """A stack of one model: a copy of the state of `model`."""
+        return cls(model, [np.array([getattr(model, name)]) for name in cls.fields])
+
+    def take(self, index: np.ndarray) -> "_Stack":
+        """The models at `index`, in that order.  An index taken twice
+        preserves a model: its row is repeated."""
+        return type(self)(self.proto, [getattr(self, name)[index] for name in self.fields])
+
+    def model(self, i: int) -> IncrementalLearner:
+        """Model i as a learner of its own, holding a copy of its state."""
+        twin = self.proto.fresh()
+        for name in self.fields:
+            value = getattr(self, name)[i]
+            setattr(twin, name, value.copy() if value.ndim else value.item())
+        return twin
+
+    def put(self, i: int, model: IncrementalLearner) -> None:
+        """Write the state of `model` back as model i."""
+        for name in self.fields:
+            getattr(self, name)[i] = getattr(model, name)
+
+
+class PegasosStack(_Stack):
+    """Stacked `Pegasos` models: scales `a` (m,), vectors `v` (m, d) and
+    step counters `t` (m,)."""
+
+    fields = ("a", "v", "t")
+
+    def feed(self, x: np.ndarray, y: np.ndarray, widths) -> None:
+        """Feed the models in lockstep, each by `Pegasos._update_point`.
+
+        Step j feeds the next widths[j] rows of x and y, one to each of
+        the first widths[j] models.  Widths never grow, and the first is
+        the number of models.
+        """
+        lam = self.proto.lam
+        restart = np.flatnonzero(self.t == 0)  # their first step restarts from v = 0, a = 1
+        first = 0
+        for p in widths:
+            xs, ys = x[first:first + p], y[first:first + p]
+            first += p
+            a, v, t = self.a[:p], self.v[:p], self.t[:p]
+            margin = ys * (a * _rowdot(v, xs))
+            t += 1
+            a *= 1.0 - 1.0 / t
+            if restart.size:
+                a[restart] = 1.0
+                v[restart] = 0.0
+                restart = restart[:0]
+            hit = np.flatnonzero(margin < 1.0)
+            v[hit] += (ys / (lam * t * a))[hit, None] * xs[hit]
+
+    def predict(self, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Model owner[i]'s `predict_many` of row i of x, for every row."""
+        return np.copysign(1.0, np.einsum("ij,ij->i", x, self.v[owner]))
+
+
+class LsqSgdStack(_Stack):
+    """Stacked `LsqSgd` models: iterates `w` and averages `w_avg` (m, d)
+    and step counters `t` (m,)."""
+
+    fields = ("w", "w_avg", "t")
+
+    def feed(self, x: np.ndarray, y: np.ndarray, widths) -> None:
+        """Feed the models in lockstep, each by `LsqSgd._update_point`;
+        `widths` as for `PegasosStack.feed`."""
+        rate = 2.0 * self.proto.alpha
+        first = 0
+        for p in widths:
+            xs, ys = x[first:first + p], y[first:first + p]
+            first += p
+            w, w_avg, t = self.w[:p], self.w_avg[:p], self.t[:p]
+            w -= (rate * (_rowdot(w, xs) - ys))[:, None] * xs
+            norm = np.sqrt(_rowdot(w, w))
+            out = np.flatnonzero(norm > 1.0)
+            w[out] /= norm[out, None]
+            t += 1
+            w_avg += (w - w_avg) / t[:, None]
+
+    def predict(self, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Model owner[i]'s `predict_many` of row i of x, for every row."""
+        return np.einsum("ij,ij->i", x, self.w_avg[owner])
+
+
+# The lockstep kernel of each built-in type that has one, by exact type: a
+# subclass may change the update rule, so it runs its own.
+LOCKSTEP = {Pegasos: PegasosStack, LsqSgd: LsqSgdStack}

@@ -16,17 +16,29 @@ trains and descends the right branch from a copy-on-write image of the
 node's model, which stands in for the copy, and the parent process the
 left.
 
+Below the fork levels, the first node of at most SUBTREE_ROWS rows and
+at least LEVEL_MIN_RANGES chunks runs its subtree as one unit
+(`_subtree`).  If the model's exact type is `Pegasos` or `LsqSgd`, which
+have a lockstep kernel (`learners.LOCKSTEP`), the subtree runs level by
+level (`_levels`): the models of a level are rows of stacked arrays,
+preserving a model is a row repeat, a level of at least LEVEL_MIN_RANGES
+models is fed one vectorized step per position, and a level's leaves
+are scored in one batched prediction.  Every model gets the rows, the
+order and the bits the recursion gives it.  Any other learner, including
+a subclass of those two (it may override `_update_point`), runs the
+recursion, which holds only the log2(k) models of one root-to-leaf path.
+
 Randomized runs feed each node's rows in the order of a Fisher-Yates
 shuffle drawn from a stream keyed by the run seed and the fed chunk
 range.  `_fed_rows` draws one range at a time.  Deep in the tree that is
-tens of thousands of short shuffles, so on entering a subtree of at most
-SUBTREE_ROWS rows the recursion draws every range of that subtree's wide
-levels at once (`_level_table`, with `rng.shuffle_ranges`) and frees them
-on leaving it.  The ranges fed at one depth are disjoint, so a level is
-one array indexed by row.  The permutations are the same either way:
-each range still gets the draws of its own stream, the same picks and
-the same swaps in the same order (see `rng`).  `tree_feed_orders`, which
-the oracle replays, keeps to `_fed_rows`, so the tests check one path
+tens of thousands of short shuffles, so on entering such a subtree the
+run draws every range of the subtree's wide levels at once
+(`_level_table`, with `rng.shuffle_ranges`) and frees them on leaving
+it.  The ranges fed at one depth are disjoint, so a level is one array
+indexed by row.  The permutations are the same either way: each range
+still gets the draws of its own stream, the same picks and the same
+swaps in the same order (see `rng`).  `tree_feed_orders`, which the
+oracle replays, keeps to `_fed_rows`, so the tests check one path
 against the other.
 
 Determinism: every node's shuffle is derived from the run seed and the
@@ -37,6 +49,7 @@ bit-identical reports (wall time aside).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -58,20 +71,28 @@ from .core import (
     partition as make_partition,
 )
 from .forkjoin import check_workers, fork, join_all
+from .learners import LOCKSTEP
 from .rng import SplitMix64Stream, derive_seed, derive_seeds, shuffle_ranges
 
 # Stream purpose tag; every derive_seed call site in the package uses a
 # distinct leading tag so no two components share a stream.
 TAG_NODE_SHUFFLE = 2
 
-# A randomized run shuffles level by level inside every subtree of at
-# most SUBTREE_ROWS rows, on the levels where at least LEVEL_MIN_RANGES
-# ranges of two or more rows are fed.  The table of a subtree holds
-# about SUBTREE_ROWS * log2(SUBTREE_ROWS) int64 entries.  A lockstep
-# step (~2 us on a 2-vCPU Xeon VM) costs about as much as 10 elements of
-# a per-node shuffle, so a level of a few long ranges is cheaper one
-# range at a time.
-SUBTREE_ROWS = 4096
+# Subtrees of at most SUBTREE_ROWS rows and at least LEVEL_MIN_RANGES
+# chunks run as one unit.  Inside one, a randomized run shuffles at once
+# the levels where at least LEVEL_MIN_RANGES ranges of two or more rows
+# are fed: a table of about SUBTREE_ROWS * log2(SUBTREE_ROWS) int64
+# entries.  The level loop feeds a level of at least LEVEL_MIN_RANGES
+# models in lockstep.  On a 2-vCPU Xeon VM a Pegasos lockstep step costs
+# ~28 us whatever the width up to ~32 models, against ~2.4 us per point
+# of the scalar `update`, so it breaks even at ~12 models (an LsqSgd
+# step, against ~6 us per point, at ~4).  A subtree's level holds up to
+# SUBTREE_ROWS gathered rows and about as many models.  Pegasos LOOCV at
+# n=20000 and d=20 took 0.36 / 0.42 s (fixed / randomized, median of 7)
+# with a 4096-row bound, 0.32 / 0.36 s with 8192 and 0.28 / 0.32 s with
+# 16384, at tracemalloc peaks of 2.3, 3.6 and 6.4 MB: 8192 gives up a
+# tenth of the time to keep the memory near half of 16384's.
+SUBTREE_ROWS = 8192
 LEVEL_MIN_RANGES = 16
 
 
@@ -134,9 +155,8 @@ class _Run:
         self.fold_scores = [0.0] * partition.k
         self.counters = WorkCounters()
         self.traces = traces
-        # the chunk bounds as an array, for randomized runs' level shuffles
-        self.row_bounds = (np.asarray(partition.bounds, dtype=np.int64)
-                           if config.ordering == "randomized" else None)
+        # the chunk bounds as an array, for the level shuffles and the level loop
+        self.row_bounds = np.asarray(partition.bounds, dtype=np.int64)
         # the current subtree's level table (see _level_table), or None
         self.levels = None
         self.levels_base = 0
@@ -199,6 +219,29 @@ def _level_table(run: _Run, s: int, e: int, depth: int) -> dict:
 def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> None:
     """Visit chunk range s..e with a model trained on every other chunk.
 
+    Below the fork levels, the first node of at most SUBTREE_ROWS rows
+    and at least LEVEL_MIN_RANGES chunks runs its subtree with
+    `_subtree`; every other node is a `_visit`.
+    """
+    b = run.partition.bounds
+    if (run.levels is None and depth >= run.fork_depth and e - s >= LEVEL_MIN_RANGES - 1
+            and b[e + 1] - b[s] <= SUBTREE_ROWS):
+        _subtree(run, s, e, model, depth)
+    else:
+        _visit(run, s, e, model, depth)
+
+
+def _node_trace(b, s: int, e: int, depth: int) -> NodeTrace:
+    """The trace of node s..e at `depth`; `b` holds the chunk bounds."""
+    if s == e:
+        return NodeTrace(s, s, s, 0, 0, depth)
+    m = (s + e) // 2
+    return NodeTrace(s, e, m, b[e + 1] - b[m + 1], b[m + 1] - b[s], depth)
+
+
+def _visit(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> None:
+    """One node of the recursion.
+
     A leaf scores its chunk.  An internal node preserves its model for
     the right branch and descends: in the top `run.fork_depth` levels a
     forked worker takes the right branch from a copy-on-write image of
@@ -208,16 +251,13 @@ def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> N
     """
     run.counters.nodes_visited += 1
     part = run.partition
+    if run.traces is not None:
+        run.traces.append(_node_trace(part.bounds, s, e, depth))
     if s == e:
-        if run.traces is not None:
-            run.traces.append(NodeTrace(s, s, s, 0, 0, depth))
         run.fold_scores[s] = evaluate_chunk(model, run.dataset, part.chunk_slice(s), run.loss,
                                             run.counters)
         return
     m = (s + e) // 2
-    if run.traces is not None:
-        b = part.bounds
-        run.traces.append(NodeTrace(s, e, m, b[e + 1] - b[m + 1], b[m + 1] - b[s], depth))
     run.counters.snapshots += 1
     if depth < run.fork_depth:
         join_right = fork(_worker_branch, run, m + 1, e, model, s, m, depth + 1)
@@ -228,19 +268,155 @@ def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> N
         if run.traces is not None:
             run.traces.extend(traces)
     else:
-        b = part.bounds
-        # a randomized run's first node of at most SUBTREE_ROWS rows
-        # shuffles its subtree's wide levels, if it has enough chunks for one
-        tabled = (run.levels is None and run.row_bounds is not None
-                  and e - s >= LEVEL_MIN_RANGES - 1 and b[e + 1] - b[s] <= SUBTREE_ROWS)
-        if tabled:
-            run.levels = _level_table(run, s, e, depth)
-            run.levels_base = b[s]
         right = model.clone()
         _branch(run, s, m, model, m + 1, e, depth + 1)
         _branch(run, m + 1, e, right, s, m, depth + 1)
-        if tabled:
-            run.levels = None
+
+
+def _subtree(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> None:
+    """Run subtree s..e, of at most SUBTREE_ROWS rows, as one unit.
+
+    A randomized run first shuffles the subtree's wide levels into
+    `run.levels`.  A model whose exact type has a lockstep kernel, with
+    a loss that scores a batch, runs the subtree level by level
+    (`_levels`); any other runs the recursion.  The table is freed on
+    leaving.
+    """
+    run.levels = _level_table(run, s, e, depth) if run.ordering == "randomized" else {}
+    run.levels_base = run.partition.bounds[s]
+    try:
+        kernel = LOCKSTEP.get(type(model))
+        # both kernels' learners read labels: on unlabeled data the recursion
+        # raises the error their first update meets
+        if kernel is None or run.loss.batch is None or run.dataset.y is None:
+            _visit(run, s, e, model, depth)
+            return
+        try:
+            _levels(run, s, e, kernel.of(model), depth)
+        except Exception:
+            # An update or the loss failed, perhaps at an overflow that
+            # np.errstate turns into an error.  `model` is untouched, and
+            # the loop adds counters and traces only at its end, so the
+            # recursion reruns the subtree: it meets the failure sequential
+            # order meets first and raises it with its chunk range, or, if
+            # it meets none, gives the sequential results.
+            _visit(run, s, e, model, depth)
+    finally:
+        run.levels = None
+
+
+def _levels(run: _Run, s: int, e: int, stack, depth: int) -> None:
+    """Run subtree s..e one level at a time, starting from a stack of one
+    model, its root's.
+
+    Every internal node of a level preserves its model for both children
+    by a row repeat of the stack.  The children are sorted by the length
+    of the range they are fed, longest first, and a level of at least
+    LEVEL_MIN_RANGES models is fed in lockstep: step j feeds the j-th row
+    of each range to the models whose range is longer than j, a prefix.
+    A narrower level feeds each model its range with the scalar `update`.
+    The leaves of a level are scored in one batched prediction.  Every
+    model is fed the rows `_branch` would feed it, in the same order, and
+    gets the same bits.  Counters and node traces, which depend only on
+    the partition, are added once the subtree has run.
+    """
+    bounds = run.row_bounds
+    x_all, y_all = run.dataset.x, run.dataset.y
+    counters = WorkCounters(nodes_visited=2 * (e - s) + 1, snapshots=e - s,
+                            evaluations=int(bounds[e + 1] - bounds[s]))
+    starts, ends, level = np.array([s]), np.array([e]), depth
+    while True:
+        leaf = starts == ends
+        if leaf.any():
+            _score_leaves(run, stack, np.flatnonzero(leaf), starts[leaf])
+        inner = np.flatnonzero(~leaf)
+        if not inner.size:
+            break
+        # each inner node's children, left then right; a child is fed
+        # its sibling's range
+        parent_starts, parent_ends = starts[inner], ends[inner]
+        mids = (parent_starts + parent_ends) // 2
+        starts = np.column_stack((parent_starts, mids + 1)).ravel()
+        ends = np.column_stack((mids, parent_ends)).ravel()
+        sibling = np.arange(starts.size) ^ 1
+        firsts, lasts = starts[sibling], ends[sibling]
+        sizes = bounds[lasts + 1] - bounds[firsts]
+        # longest fed range first, so the models a step feeds are a prefix
+        order = np.argsort(-sizes, kind="stable")
+        starts, ends, firsts, lasts = starts[order], ends[order], firsts[order], lasts[order]
+        sizes = sizes[order]
+        # child c of the level takes the model of node inner[c // 2]
+        stack = stack.take(inner[order // 2])
+        level += 1
+        rows, offsets = _ranges(bounds[firsts], sizes)
+        rows = _level_rows(run, firsts, lasts, rows, level)
+        counters.point_updates += rows.size
+        counters.model_transfers += int((lasts - firsts).sum()) + lasts.size
+        if starts.size < LEVEL_MIN_RANGES:
+            for i, (start, size) in enumerate(zip(offsets.tolist(), sizes.tolist())):
+                fed = rows[start:start + size]
+                model = stack.model(i)
+                model.update(x_all[fed], y_all[fed])
+                stack.put(i, model)
+            continue
+        # each fed row's position within its range; a stable sort by it
+        # puts step j's rows in model order
+        position = np.arange(rows.size) - np.repeat(offsets, sizes)
+        rows = rows[np.argsort(position, kind="stable")]
+        stack.feed(x_all[rows], y_all[rows], np.bincount(position).tolist())
+    run.counters.merge(counters)
+    if run.traces is not None:
+        _trace_subtree(run.traces, run.partition.bounds, s, e, depth)
+
+
+def _ranges(lo: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows lo[i] .. lo[i] + sizes[i] - 1 of every range i, one range
+    after another, and the offset where each range starts among them."""
+    offsets = np.cumsum(sizes) - sizes
+    return np.repeat(lo - offsets, sizes) + np.arange(int(offsets[-1] + sizes[-1])), offsets
+
+
+def _level_rows(run: _Run, firsts: np.ndarray, lasts: np.ndarray, rows: np.ndarray,
+                depth: int) -> np.ndarray:
+    """The rows fed at one level, chunk range after chunk range, each in
+    the order `_fed_rows` gives: `rows` in dataset order, the level
+    table's order, or, for a level the table leaves out, each range of
+    two or more rows shuffled by `_fed_rows` itself."""
+    if run.ordering != "randomized":
+        return rows
+    table = run.levels.get(depth)
+    if table is not None:
+        return table[rows - run.levels_base]
+    b = run.partition.bounds
+    start = 0
+    for first, last in zip(firsts.tolist(), lasts.tolist()):
+        size = b[last + 1] - b[first]
+        if size > 1:
+            rows[start:start + size] = _fed_rows(run.partition, run.ordering, run.shuffle_seed,
+                                                 first, last)
+        start += size
+    return rows
+
+
+def _score_leaves(run: _Run, stack, leaves: np.ndarray, chunks: np.ndarray) -> None:
+    """Score model leaves[i] of the stack on its chunk, chunks[i], for
+    every i, in one batched prediction; each score is `evaluate_chunk`'s."""
+    b = run.row_bounds
+    sizes = b[chunks + 1] - b[chunks]
+    rows, offsets = _ranges(b[chunks], sizes)
+    x, y = run.dataset.x[rows], run.dataset.y[rows]
+    values = run.loss.batch(stack.predict(x, np.repeat(leaves, sizes)), x, y).tolist()
+    for chunk, start, size in zip(chunks.tolist(), offsets.tolist(), sizes.tolist()):
+        run.fold_scores[chunk] = math.fsum(values[start:start + size]) / size
+
+
+def _trace_subtree(traces: list, b, s: int, e: int, depth: int) -> None:
+    """Append the node traces of subtree s..e in the recursion's pre-order."""
+    traces.append(_node_trace(b, s, e, depth))
+    if s != e:
+        m = (s + e) // 2
+        _trace_subtree(traces, b, s, m, depth + 1)
+        _trace_subtree(traces, b, m + 1, e, depth + 1)
 
 
 def _branch(run: _Run, s: int, e: int, model: IncrementalLearner, first: int, last: int,

@@ -10,6 +10,7 @@ from dataclasses import asdict
 
 import pytest
 
+from treecv import harness
 from treecv.cli import _grid, build_parser, main
 from treecv.harness import (
     LEARNER_NAMES,
@@ -402,6 +403,32 @@ def test_cli_run_trace_and_verify(tmp_path):
     traces = read_csv(str(out) + ".trace")
     assert len(traces) == 7  # 2k-1 nodes for k=4
     assert {t["row_id"] for t in traces} == {"1"}
+
+
+def test_cli_verify_keeps_to_the_update_budget(tmp_path, monkeypatch):
+    out = tmp_path / "records.csv"
+
+    def run(k, *extra):
+        assert main(["run", "--synth", "classification:n=300,d=5,seed=1", "--learner",
+                     "pegasos", "--k", k, "--scheduler", "both", "--update-budget", "1000",
+                     "--out", str(out), *extra]) == 0
+        return read_csv(out)
+
+    # the oracle replay of a LOOCV at n=300 costs 300*299 = 89,700 updates,
+    # as the standard run does, so neither row runs
+    replays = []
+    monkeypatch.setattr(harness, "tree_feed_orders", lambda *args: replays.append(args))
+    tree_row, standard_row = run("n", "--verify")
+    assert (tree_row["scheduler"], standard_row["scheduler"]) == ("tree", "standard")
+    assert tree_row["status"] == standard_row["status"] == "budget-exceeded"
+    assert "oracle replay costs 89700 point updates" in tree_row["error"]
+    assert tree_row["estimate"] == tree_row["point_updates"] == ""
+    assert replays == []
+    monkeypatch.undo()
+    # at k=4 the replay costs 900 updates and runs
+    assert [r["status"] for r in run("4", "--verify")] == ["ok", "ok"]
+    # an unverified tree run does n*log2(k) updates and ignores the budget
+    assert [r["status"] for r in run("n")] == ["ok", "budget-exceeded"]
 
 
 def test_cli_trace_rows_are_the_tree_node_traces(tmp_path):

@@ -24,6 +24,7 @@ from treecv import (
     tree_cv,
 )
 from treecv.harness import ExperimentPlan, stability_rows
+from treecv.learners import LOCKSTEP
 from treecv.rng import SplitMix64Stream
 
 
@@ -472,6 +473,112 @@ def test_subclass_defining_no_prediction_cannot_be_built():
 
     with pytest.raises(TypeError):
         NoPrediction()
+
+
+# ---------------------------------------------------------------------------
+# Lockstep kernels
+
+
+def _distinct_models(name, m, d, stream, scale, sparse):
+    """m models of one built-in type and parameters, each trained on its
+    own 0-5 random rows (0 leaves it at t = 0), and a maker of rows and
+    outcomes.  Sparse data has exact zeros, zero outcomes and, for
+    LsqSgd, iterates whose zeros are -0.0, whose sign a dot product of
+    one element keeps."""
+    def rows(count):
+        x = stream.normal_array(count * d).reshape(count, d) * 10.0 ** scale
+        if name == "pegasos":
+            y = np.where(stream.uniform_array(count) < 0.5, 1.0, -1.0)
+        else:
+            y = stream.normal_array(count) * 10.0 ** stream.randbelow(3)
+        if sparse:
+            x[stream.uniform_array(count * d).reshape(count, d) < 0.5] = 0.0
+            if name == "lsqsgd":
+                y[stream.uniform_array(count) < 0.3] = 0.0
+        return x, y
+
+    if name == "pegasos":
+        proto = Pegasos(dim=d, lam=10.0 ** -stream.randbelow(7))
+    else:
+        proto = LsqSgd(dim=d, alpha=0.5 ** stream.randbelow(10))
+    models = []
+    for _ in range(m):
+        model = proto.fresh()
+        model.update(*rows(stream.randbelow(6)))
+        if sparse and name == "lsqsgd":
+            model.w[model.w == 0.0] = -0.0
+        models.append(model)
+    return models, rows
+
+
+def _stacked(models):
+    stack = LOCKSTEP[type(models[0])].of(models[0]).take(np.zeros(len(models), dtype=np.int64))
+    for i, model in enumerate(models):
+        stack.put(i, model)
+    return stack
+
+
+def _state_bytes(model):
+    return [np.asarray(getattr(model, name), dtype=np.float64).tobytes()
+            for name in LOCKSTEP[type(model)].fields]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(["pegasos", "lsqsgd"]), st.integers(1, 24), st.integers(1, 40),
+       st.integers(0, 2**64 - 1), st.integers(-3, 3), st.booleans())
+def test_lockstep_feed_is_the_scalar_update_byte_for_byte(name, m, d, seed, scale, sparse):
+    """m models fed one row per step, each model dropping out after its
+    own number of rows, end with the bytes of m scalar learners fed the
+    same rows by `update`; the models start at t = 0 or later."""
+    stream = SplitMix64Stream(seed)
+    models, rows = _distinct_models(name, m, d, stream, scale, sparse)
+    stack = _stacked(models)
+    lengths = sorted((1 + stream.randbelow(8) for _ in range(m)), reverse=True)
+    fed = [rows(length) for length in lengths]
+    for model, (x, y) in zip(models, fed):
+        for j in range(len(x)):
+            if name == "pegasos" and stream.randbelow(2):
+                # scale the row to put its margin within rounding of 1, where
+                # the last bit of the dot product decides whether it violates
+                dot = float(model.v.dot(x[j]))
+                if dot and model.t:
+                    x[j] *= 1.0 / (y[j] * model.a * dot)
+            model.update(x[j:j + 1], y[j:j + 1])
+    widths = [sum(length > j for length in lengths) for j in range(lengths[0])]
+    x = np.concatenate([fed[i][0][j:j + 1] for j in range(lengths[0]) for i in range(widths[j])])
+    y = np.concatenate([fed[i][1][j:j + 1] for j in range(lengths[0]) for i in range(widths[j])])
+    stack.feed(x, y, widths)
+    for i, model in enumerate(models):
+        assert _state_bytes(stack.model(i)) == _state_bytes(model)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["pegasos", "lsqsgd"]), st.integers(1, 16), st.integers(1, 60),
+       st.integers(1, 40), st.integers(0, 2**64 - 1), st.integers(-6, 6), st.booleans())
+def test_lockstep_predict_is_each_models_predict_many(name, m, n, d, seed, scale, sparse):
+    stream = SplitMix64Stream(seed)
+    models, rows = _distinct_models(name, m, d, stream, scale, sparse)
+    x, _ = rows(n)
+    owner = np.array([stream.randbelow(m) for _ in range(n)], dtype=np.int64)
+    if name == "pegasos":
+        # rows nearly orthogonal to their model's v, whose sign is rounding
+        for i in range(0, n, 2):
+            v = models[owner[i]].v
+            if v.dot(v):
+                x[i] -= (x[i].dot(v) / v.dot(v)) * v
+    batch = _stacked(models).predict(x, owner)
+    for i in range(n):
+        assert batch[i].tobytes() == models[owner[i]].predict_many(x)[i].tobytes()
+
+
+def test_lockstep_kernels_serve_only_the_exact_built_in_types():
+    assert set(LOCKSTEP) == {Pegasos, LsqSgd}
+    model = Pegasos(dim=3)
+    model.update(np.ones((2, 3)), np.array([1.0, -1.0]))
+    stack = LOCKSTEP[Pegasos].of(model).take(np.array([0, 0]))
+    twin = stack.model(1)
+    assert type(twin) is Pegasos and (twin.a, twin.t) == (model.a, model.t)
+    assert type(twin.t) is int and twin.v is not stack.v[1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from treecv import (
     Dataset,
     InvalidChunkError,
     InvalidFoldCountError,
+    LsqSgd,
     MeanPredictor,
     Partition,
     Pegasos,
@@ -28,6 +29,7 @@ from treecv import (
     tree_feed_orders,
 )
 from treecv import tree
+from treecv.learners import LsqSgdStack, PegasosStack
 from treecv.rng import SplitMix64Stream
 
 
@@ -454,6 +456,181 @@ def test_level_table_on_a_ragged_partition_matches_the_oracle(monkeypatch):
     orders = tree_feed_orders(part, "randomized", seed=3)
     replay = brute_force_oracle(factory, data, part, ZERO_ONE, orders, seed=3)
     assert report.fold_scores == replay.fold_scores
+
+
+# ---------------------------------------------------------------------------
+# Level loop: small subtrees of Pegasos and LsqSgd run level by level
+
+
+class LevelCounts:
+    """Counts, in this process, the subtrees `tree._levels` runs, the
+    levels it feeds in lockstep, and the exceptions it raises."""
+
+    def __init__(self, monkeypatch):
+        self.subtrees = self.lockstep = 0
+        self.failures = []
+        levels = tree._levels
+
+        def counted_levels(*args):
+            self.subtrees += 1
+            try:
+                levels(*args)
+            except Exception as err:
+                self.failures.append(err)
+                raise
+
+        monkeypatch.setattr(tree, "_levels", counted_levels)
+        for stack in (PegasosStack, LsqSgdStack):
+            feed = stack.feed
+
+            def counted_feed(stack_self, *args, feed=feed):
+                self.lockstep += 1
+                feed(stack_self, *args)
+
+            monkeypatch.setattr(stack, "feed", counted_feed)
+
+
+class PlainPegasos(Pegasos):
+    """A subclass with the base rule; it runs the recursion."""
+
+
+class PlainLsqSgd(LsqSgd):
+    """A subclass with the base rule; it runs the recursion."""
+
+
+def loocv_pegasos_n120(seed):
+    """The shape of loocv_pegasos_randomized in tests/test_reference_digests.py."""
+    data = synth_classification(120, 20, margin=0.3, noise=0.1, seed=seed)
+    return data, partition(data, data.n), lambda: Pegasos(20, 1e-4), ZERO_ONE
+
+
+def kfold16_lsqsgd_n320(seed):
+    """The shape of kfold16_lsqsgd_fixed in tests/test_reference_digests.py."""
+    data = synth_regression(320, 20, seed=seed)
+    return data, partition(data, 16), lambda: LsqSgd(20, 320 ** -0.5), SQUARED
+
+
+@pytest.mark.parametrize("shape, ordering", [(loocv_pegasos_n120, "randomized"),
+                                             (kfold16_lsqsgd_n320, "fixed")])
+def test_the_n120_loocv_and_n320_k16_digest_shapes_run_the_level_loop(shape, ordering,
+                                                                      monkeypatch):
+    """The tree digests of tests/test_reference_digests.py, and the tiny
+    oracle gate of the loocv benchmark workload (perfbench/workloads.py,
+    sequential at n=120), run the whole tree as one level loop with
+    lockstep levels, so those digests and that oracle replay check it."""
+    counts = LevelCounts(monkeypatch)
+    data, part, factory, loss = shape(7)
+    report = tree_cv(factory, data, part, loss, TreeCvConfig(ordering=ordering, seed=7))
+    assert (counts.subtrees, counts.failures) == (1, [])
+    assert counts.lockstep >= 1
+    orders = tree_feed_orders(part, ordering, 7)
+    assert report.fold_scores == brute_force_oracle(factory, data, part, loss, orders).fold_scores
+
+
+def runs_alike(factory, plain, data, part, loss, config):
+    """The exact type's report and node traces are those of a subclass
+    with the same rule, which runs the recursion."""
+    traces, plain_traces = [], []
+    report = tree_cv(factory, data, part, loss, config, trace_sink=traces)
+    recursion = tree_cv(plain, data, part, loss, config, trace_sink=plain_traces)
+    assert report.comparable() == recursion.comparable()
+    assert traces == plain_traces
+    return report
+
+
+@pytest.mark.parametrize("ordering", ["fixed", "randomized"])
+def test_level_loop_reports_and_traces_are_the_recursions(ordering, monkeypatch):
+    counts = LevelCounts(monkeypatch)
+    stream = SplitMix64Stream(29)
+    sizes = [1 + stream.randbelow(5) if stream.randbelow(3) else 1 for _ in range(70)]
+    ragged = Partition(tuple(int(b) for b in np.cumsum([0] + sizes)))
+    for n, part in ((120, None), (257, None), (ragged.n, ragged), (600, "k37")):
+        config = TreeCvConfig(ordering=ordering, seed=n)
+        data = synth_classification(n, 5, margin=0.2, noise=0.1, seed=n)
+        part = (partition(data, 37) if part == "k37" else part) or partition(data, n)
+        runs_alike(lambda: Pegasos(5, 1e-3), lambda: PlainPegasos(5, 1e-3), data, part,
+                   ZERO_ONE, config)
+        data = synth_regression(n, 5, seed=n)
+        runs_alike(lambda: LsqSgd(5, 0.3), lambda: PlainLsqSgd(5, 0.3), data, part, SQUARED,
+                   config)
+    assert counts.subtrees == 8 and counts.lockstep >= 8 and counts.failures == []
+
+
+def test_small_subtree_bound_runs_the_recursion_above_and_level_loops_below(monkeypatch):
+    # with 32-row subtrees, n=120 LOOCV recurses through depths 0-1 and
+    # runs the four 30-row subtrees at depth 2 level by level
+    monkeypatch.setattr(tree, "SUBTREE_ROWS", 32)
+    counts = LevelCounts(monkeypatch)
+    data, part, factory, loss = loocv_pegasos_n120(801)
+    config = TreeCvConfig(ordering="randomized", seed=801)
+    traces = []
+    report = tree_cv(factory, data, part, loss, config, trace_sink=traces)
+    assert (counts.subtrees, counts.failures) == (4, [])
+    assert counts.lockstep >= 4
+    assert len(traces) == 2 * 120 - 1
+    assert report.counters.point_updates == sum(t.points_fed_left + t.points_fed_right
+                                                for t in traces)
+    orders = tree_feed_orders(part, "randomized", 801)
+    assert report.fold_scores == brute_force_oracle(factory, data, part, loss, orders).fold_scores
+    forked_traces = []
+    forked = tree_cv(factory, data, part, loss,
+                     TreeCvConfig(ordering="randomized", seed=801, max_workers=4),
+                     trace_sink=forked_traces)
+    assert forked.comparable() == report.comparable()
+    assert forked_traces == traces
+    assert multiprocessing.active_children() == []
+
+
+class FailsOnMarkedPegasos(Pegasos):
+    """Pegasos whose update raises on a row whose first feature is 99."""
+
+    def _update_point(self, x, y):
+        if x[0] == 99.0:
+            raise RuntimeError("marked row")
+        super()._update_point(x, y)
+
+
+def test_a_pegasos_subclass_runs_its_own_update_rule_in_a_wide_tree(monkeypatch):
+    counts = LevelCounts(monkeypatch)
+    data = synth_classification(40, 3, margin=0.2, noise=0.1, seed=2)
+    x = data.x.copy()
+    x[5, 0] = 99.0
+    data = Dataset(x, data.y)
+    with pytest.raises(UpdateFailedError, match="marked row"):
+        tree_cv(lambda: FailsOnMarkedPegasos(3), data, partition(data, 40), ZERO_ONE)
+    assert counts.subtrees == 0
+    tree_cv(lambda: Pegasos(3), data, partition(data, 40), ZERO_ONE)
+    assert counts.subtrees == 1
+
+
+@pytest.mark.parametrize("learner", [Pegasos, LsqSgd])
+def test_unlabeled_data_raises_the_recursions_update_error(learner):
+    # n=120 LOOCV is one subtree; its first feed is chunks 60..119
+    data = Dataset(synth_classification(120, 4, margin=0.2, noise=0.1, seed=3).x)
+    with pytest.raises(UpdateFailedError, match="requires") as info:
+        loocv(lambda: learner(4, 0.1), data, SQUARED)
+    assert info.value.chunk_range == (60, 119)
+
+
+def test_a_failure_inside_the_level_loop_is_raised_as_the_recursion_raises_it(monkeypatch):
+    # The squared norm of an iterate fed a row of 1e160 overflows, which
+    # np.errstate turns into an error.  The level loop meets it in its own
+    # order, so the subtree reruns by the recursion, which raises the
+    # failure sequential order meets first, annotated with its range.
+    counts = LevelCounts(monkeypatch)
+    data = synth_regression(120, 4, seed=4)
+    x = data.x.copy()
+    x[[20, 100]] *= 1e160
+    data = Dataset(x, data.y)
+    errors = []
+    with np.errstate(over="raise"):
+        for factory in (lambda: LsqSgd(4, 0.1), lambda: PlainLsqSgd(4, 0.1)):
+            with pytest.raises(UpdateFailedError, match="overflow") as info:
+                loocv(factory, data, SQUARED, TreeCvConfig(ordering="randomized", seed=5))
+            errors.append(info.value.chunk_range)
+    assert errors[0] == errors[1]
+    assert counts.subtrees == 1
+    assert [type(err) for err in counts.failures] == [FloatingPointError]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copyreg
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -179,13 +180,24 @@ class Partition:
         return [self.chunk_size(i) for i in range(self.k)]
 
 
+def check_integer(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """`value` as an int if `operator.index` takes it, as it takes NumPy
+    integers; else raise `error`, a ValueError, naming it `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def partition(dataset: Dataset | int, k: int) -> Partition:
     """Split a dataset (or a point count) into k nearly equal chunks.
 
     The first n mod k chunks get ceil(n/k) points, the rest floor(n/k),
     so chunk sizes differ by at most one.
     """
-    n = dataset if isinstance(dataset, int) else dataset.n
+    k = check_integer(k, "fold count k", InvalidFoldCountError)
+    n = (dataset.n if isinstance(dataset, Dataset)
+         else check_integer(dataset, "point count n", InvalidFoldCountError))
     if not (2 <= k <= n):
         raise InvalidFoldCountError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
     base, extra = divmod(n, k)
@@ -196,10 +208,15 @@ def partition(dataset: Dataset | int, k: int) -> Partition:
 
 
 def check_partition(part: Partition, dataset: Dataset | None = None) -> None:
-    """Reject bounds that do not split rows 0..n into k >= 2 nonempty
-    chunks, and, given a dataset, a partition of another size.  A
-    hand-built Partition is only checked here."""
-    bounds = part.bounds
+    """Reject bounds that are not integers (as `operator.index` takes
+    them) or do not split rows 0..n into k >= 2 nonempty chunks, and,
+    given a dataset, a partition of another size.  A hand-built
+    Partition is only checked here."""
+    try:
+        # one pass in C, not check_integer per bound: LOOCV has n + 1 bounds
+        bounds = list(map(operator.index, part.bounds))
+    except TypeError as err:
+        raise InvalidChunkError(f"partition bounds must be integers: {err}") from None
     if part.k < 2:
         raise InvalidFoldCountError(f"a partition needs at least 2 chunks, got {part.k}")
     if bounds[0] != 0:

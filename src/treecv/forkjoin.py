@@ -17,7 +17,7 @@ import multiprocessing
 import pickle
 from typing import Callable
 
-from .core import CrossValidationError
+from .core import CrossValidationError, check_integer
 
 # Upper bound on max_workers anywhere in the package; larger values are
 # almost certainly typos and would fork that many processes.
@@ -29,9 +29,10 @@ class WorkerError(CrossValidationError, RuntimeError):
 
 
 def check_workers(max_workers: int, name: str = "max_workers") -> None:
-    """Reject worker counts outside 0..MAX_WORKERS (0 or 1: sequential);
-    the message calls the count `name`."""
-    if not 0 <= max_workers <= MAX_WORKERS:
+    """Reject worker counts that are not integers or lie outside
+    0..MAX_WORKERS (0 or 1: sequential); the message calls the count
+    `name`."""
+    if not 0 <= check_integer(max_workers, name) <= MAX_WORKERS:
         raise ValueError(f"{name} must be at least 0 and at most {MAX_WORKERS}, "
                          f"got {max_workers}")
 

@@ -254,9 +254,10 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     That reduces rows of two or more with BLAS ddot, as `np.vecdot` does,
     but multiplies 1-element vectors, which keeps the sign of a -0.0 that
-    ddot's +0.0 start would drop.
+    ddot's +0.0 start would drop.  Rows of no elements dot to +0.0, as
+    `ndarray.dot` gives.
     """
-    return np.vecdot(a, b) if a.shape[1] > 1 else a[:, 0] * b[:, 0]
+    return np.vecdot(a, b) if a.shape[1] != 1 else a[:, 0] * b[:, 0]
 
 
 class _Stack:

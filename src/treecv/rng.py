@@ -69,6 +69,16 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _picks(draws: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """randbelow's pick and rejection test, elementwise over uint64 arrays:
+    draw u with bound b picks u % b and is rejected when u - u % b >
+    2**64 - b.  Returns (picks, rejected); overwrites both arguments."""
+    picks = draws % bounds
+    draws -= picks
+    np.negative(bounds, out=bounds)  # 2**64 - bound, in uint64
+    return picks, draws > bounds
+
+
 def derive_seed(seed: int, *tags: int) -> int:
     """Derive a child seed from a parent seed and integer tags.
 
@@ -158,24 +168,20 @@ class SplitMix64Stream:
         randbelow(i + 1); the permutation and the stream state afterwards
         are those of that loop.  From `_BULK_MIN` elements on, the len-1
         draws come from one `next_u64_array` call and j = u % (i + 1) is
-        computed in numpy, with randbelow's rejection test (u - u % b >
-        2**64 - b for bound b) applied to every draw; if any draw would
-        be rejected, the stream goes back to where it started and the
-        scalar loop runs instead.  A list swaps fastest: shuffling one
-        and converting it to an int64 array took about two thirds of the
-        time of shuffling a memoryview over that array, at 1,000 and
-        10,000 elements (CPython 3.11, numpy 2.4).  An ndarray works but
-        makes a numpy scalar per access.
+        computed in numpy, with randbelow's rejection test applied to
+        every draw (`_picks`); if any draw would be rejected, the stream
+        goes back to where it started and the scalar loop runs instead.
+        A list swaps fastest: shuffling one and converting it to an int64
+        array took about two thirds of the time of shuffling a memoryview
+        over that array, at 1,000 and 10,000 elements (CPython 3.11,
+        numpy 2.4).  An ndarray works but makes a numpy scalar per access.
         """
         n = len(values)
         if n >= _BULK_MIN:
             start = self._state
             draws = self.next_u64_array(n - 1)
-            bounds = np.arange(n, 1, -1, dtype=np.uint64)
-            picks = draws % bounds
-            draws -= picks
-            np.negative(bounds, out=bounds)  # 2**64 - bound, in uint64
-            if not (draws > bounds).any():
+            picks, rejected = _picks(draws, np.arange(n, 1, -1, dtype=np.uint64))
+            if not rejected.any():
                 for i, j in zip(range(n - 1, 0, -1), memoryview(picks)):
                     values[i], values[j] = values[j], values[i]
                 return
@@ -241,10 +247,7 @@ def shuffle_ranges(values: np.ndarray, seeds, starts, stops) -> None:
     _mix_array(draws)
     bounds = position.astype(np.uint64)
     bounds += np.uint64(1)
-    picks = draws % bounds
-    draws -= picks
-    np.negative(bounds, out=bounds)  # 2**64 - bound, in uint64
-    rejected = draws > bounds
+    picks, rejected = _picks(draws, bounds)
     del draws, bounds
     swap_i = starts[rank]
     swap_j = picks.view(np.int64)  # picks are below 2**63

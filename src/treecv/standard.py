@@ -24,6 +24,7 @@ from .core import (
     Loss,
     Partition,
     WorkCounters,
+    check_integer,
     check_ordering,
     check_partition,
     evaluate_chunk,
@@ -107,6 +108,7 @@ def standard_cv(
     """
     check_ordering(ordering)
     check_workers(max_workers)
+    seed = check_integer(seed, "seed")
     check_partition(partition, dataset)
     k = partition.k
     order_of = (partial(_shuffled_order, partition, seed) if ordering == "randomized"

@@ -18,26 +18,30 @@ left.
 
 Below the fork levels, the first node of at most SUBTREE_ROWS rows and
 at least LEVEL_MIN_RANGES chunks runs its subtree as one unit
-(`_subtree`).  If the model's exact type is `Pegasos` or `LsqSgd`, which
-have a lockstep kernel (`learners.LOCKSTEP`), the subtree runs level by
-level (`_levels`): the models of a level are rows of stacked arrays,
-preserving a model is a row repeat, a level of at least LEVEL_MIN_RANGES
-models is fed one vectorized step per position, and a level's leaves
-are scored in one batched prediction.  Every model gets the rows, the
-order and the bits the recursion gives it.  Any other learner, including
-a subclass of those two (it may override `_update_point`), runs the
-recursion, which holds only the log2(k) models of one root-to-leaf path.
+(`_subtree`).  `_level_list` lists the subtree's levels once, and one
+rule reads that list: a level is wide when it has at least
+LEVEL_MIN_RANGES nodes.  If the model's exact type is `Pegasos` or
+`LsqSgd`, which have a lockstep kernel (`learners.LOCKSTEP`), the
+subtree runs level by level (`_levels`): the models of a level are rows
+of stacked arrays, preserving a model is a row repeat, a wide level is
+fed one vectorized step per position, and a level's leaves are scored in
+one batched prediction.  Every model gets the rows, the order and the
+bits the recursion gives it.  Any other learner, including a subclass of
+those two (it may override `_update_point`), runs the recursion, which
+holds only the log2(k) models of one root-to-leaf path.
 
 Randomized runs feed each node's rows in the order of a Fisher-Yates
 shuffle drawn from a stream keyed by the run seed and the fed chunk
 range.  `_fed_rows` draws one range at a time.  Deep in the tree that is
 tens of thousands of short shuffles, so on entering such a subtree the
-run draws every range of the subtree's wide levels at once
-(`_level_table`, with `rng.shuffle_ranges`) and frees them on leaving
-it.  The ranges fed at one depth are disjoint, so a level is one array
-indexed by row.  The permutations are the same either way: each range
-still gets the draws of its own stream, the same picks and the same
-swaps in the same order (see `rng`).  `tree_feed_orders`, which the
+run draws every range of two or more rows of the subtree's wide levels
+at once (`_level_table`, with `rng.shuffle_ranges`) and frees them on
+leaving it; a narrow level's ranges are drawn by `_fed_rows` as they are
+fed.  Both the level loop and the recursion fetch a range through
+`_rows`.  The ranges fed at one depth are disjoint, so a level is one
+array indexed by row.  The permutations are the same either way: each
+range still gets the draws of its own stream, the same picks and the
+same swaps in the same order (see `rng`).  `tree_feed_orders`, which the
 oracle replays, keeps to `_fed_rows`, so the tests check one path
 against the other.
 
@@ -50,7 +54,9 @@ bit-identical reports (wall time aside).
 from __future__ import annotations
 
 import math
+import operator
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,6 +70,7 @@ from .core import (
     Partition,
     UpdateFailedError,
     WorkCounters,
+    check_integer,
     check_ordering,
     check_partition,
     evaluate_chunk,
@@ -79,14 +86,14 @@ from .rng import SplitMix64Stream, derive_seed, derive_seeds, shuffle_ranges
 TAG_NODE_SHUFFLE = 2
 
 # Subtrees of at most SUBTREE_ROWS rows and at least LEVEL_MIN_RANGES
-# chunks run as one unit.  Inside one, a randomized run shuffles at once
-# the levels where at least LEVEL_MIN_RANGES ranges of two or more rows
-# are fed: a table of about SUBTREE_ROWS * log2(SUBTREE_ROWS) int64
-# entries.  The level loop feeds a level of at least LEVEL_MIN_RANGES
-# models in lockstep.  On a 2-vCPU Xeon VM a Pegasos lockstep step costs
-# ~28 us whatever the width up to ~32 models, against ~2.4 us per point
-# of the scalar `update`, so it breaks even at ~12 models (an LsqSgd
-# step, against ~6 us per point, at ~4).  A subtree's level holds up to
+# chunks run as one unit.  Inside one, a level is wide when it has at
+# least LEVEL_MIN_RANGES nodes.  A randomized run shuffles at once every
+# range of two or more rows of the wide levels: a table of about
+# SUBTREE_ROWS * log2(SUBTREE_ROWS) int64 entries.  The level loop feeds
+# a wide level's models in lockstep.  On a 2-vCPU Xeon VM a Pegasos
+# lockstep step costs ~28 us whatever the width up to ~32 models, against
+# ~2.4 us per point of the scalar `update`, so it breaks even at ~12
+# models (an LsqSgd step, against ~6 us per point, at ~4).  A subtree's level holds up to
 # SUBTREE_ROWS gathered rows and about as many models.  Pegasos LOOCV at
 # n=20000 and d=20 took 0.36 / 0.42 s (fixed / randomized, median of 7)
 # with a 4096-row bound, 0.32 / 0.36 s with 8192 and 0.28 / 0.32 s with
@@ -113,6 +120,7 @@ class TreeCvConfig:
     def validate(self) -> None:
         check_ordering(self.ordering)
         check_workers(self.max_workers)
+        check_integer(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -149,9 +157,9 @@ class _Run:
         self.loss = loss
         self.ordering = config.ordering
         # a per-run prefix: derive_seed folds its tags left to right
-        self.shuffle_seed = derive_seed(config.seed, TAG_NODE_SHUFFLE)
+        self.shuffle_seed = derive_seed(operator.index(config.seed), TAG_NODE_SHUFFLE)
         # <= 0 for sequential runs: no level forks
-        self.fork_depth = config.max_workers.bit_length() - 1
+        self.fork_depth = operator.index(config.max_workers).bit_length() - 1
         self.fold_scores = [0.0] * partition.k
         self.counters = WorkCounters()
         self.traces = traces
@@ -179,32 +187,73 @@ def _fed_rows(part: Partition, ordering: str, shuffle_seed: int, first: int, las
     return rows
 
 
-def _level_table(run: _Run, s: int, e: int, depth: int) -> dict:
+# One level below a subtree's root, as `_level_list` gives it.  The nodes
+# are the children of the level above's inner nodes in left-then-right
+# pairs, stably sorted by the length of the range they are fed, longest
+# first.  Node i holds out chunks starts[i]..ends[i], takes the model of
+# node parents[i] of the level above and is fed chunks firsts[i]..lasts[i]
+# (its sibling's), sizes[i] rows.  The one wide-level rule: a level is
+# wide when it has at least LEVEL_MIN_RANGES nodes.
+_Level = namedtuple("_Level", "depth starts ends parents firsts lasts sizes wide")
+
+
+def _rows(run: _Run, first: int, last: int, depth: int):
+    """The rows of chunks first..last fed at `depth`, in the order
+    `_fed_rows` gives: a slice of the level table when it holds that
+    depth and the range has two or more rows, else `_fed_rows`'s own."""
+    lo, hi = run.partition.bounds[first], run.partition.bounds[last + 1]
+    table = run.levels.get(depth) if run.levels else None
+    if table is not None and hi - lo > 1:
+        return table[lo - run.levels_base:hi - run.levels_base]
+    return _fed_rows(run.partition, run.ordering, run.shuffle_seed, first, last)
+
+
+def _level_list(run: _Run, s: int, e: int, depth: int) -> list[_Level]:
+    """The levels below the root of subtree s..e, which sits at `depth`,
+    top down to the level whose nodes are all leaves."""
+    bounds = run.row_bounds
+    starts, ends = np.array([s]), np.array([e])
+    levels = []
+    while (inner := np.flatnonzero(starts < ends)).size:
+        # each inner node's children, left then right; a child is fed its
+        # sibling's range
+        parent_starts, parent_ends = starts[inner], ends[inner]
+        mids = (parent_starts + parent_ends) // 2
+        starts = np.column_stack((parent_starts, mids + 1)).ravel()
+        ends = np.column_stack((mids, parent_ends)).ravel()
+        sibling = np.arange(starts.size) ^ 1
+        firsts, lasts = starts[sibling], ends[sibling]
+        sizes = bounds[lasts + 1] - bounds[firsts]
+        # longest fed range first, so the models a lockstep step feeds are
+        # a prefix
+        order = np.argsort(-sizes, kind="stable")
+        starts, ends = starts[order], ends[order]
+        depth += 1
+        levels.append(_Level(depth, starts, ends, inner[order // 2], firsts[order], lasts[order],
+                             sizes[order], starts.size >= LEVEL_MIN_RANGES))
+    return levels
+
+
+def _level_table(run: _Run, s: int, e: int, levels: list[_Level]) -> dict:
     """The fed rows of the wide levels of subtree s..e, by depth.
 
     The ranges fed at a depth are the nodes at that depth (each node is
     fed its sibling), so they are disjoint, and one int64 row over the
     subtree's rows holds them all: the rows of range first..last, in the
     order `_fed_rows` gives, sit at their own positions minus the
-    subtree's first row.  A level gets a row only if at least
-    LEVEL_MIN_RANGES of its ranges hold two or more rows.  One
-    `shuffle_ranges` call shuffles every range of every such level.
+    subtree's first row.  One `shuffle_ranges` call shuffles every range
+    of two or more rows of every wide level; a wide level with no such
+    range gets no row.
     """
     bounds = run.row_bounds
     base, size = int(bounds[s]), int(bounds[e + 1] - bounds[s])
-    starts, ends = np.array([s]), np.array([e])
     depths, firsts, lasts = [], [], []
-    while starts.size:
-        mids = (starts + ends) // 2
-        starts, ends = np.concatenate((starts, mids + 1)), np.concatenate((mids, ends))
-        depth += 1
-        fed = bounds[ends + 1] - bounds[starts] > 1
-        if np.count_nonzero(fed) >= LEVEL_MIN_RANGES:
-            depths.append(depth)
-            firsts.append(starts[fed])
-            lasts.append(ends[fed])
-        inner = starts < ends
-        starts, ends = starts[inner], ends[inner]
+    for level in levels:
+        multi = level.sizes > 1
+        if level.wide and multi.any():
+            depths.append(level.depth)
+            firsts.append(level.firsts[multi])
+            lasts.append(level.lasts[multi])
     if not depths:
         return {}
     table = np.tile(np.arange(base, base + size), (len(depths), 1))
@@ -276,13 +325,14 @@ def _visit(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> 
 def _subtree(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> None:
     """Run subtree s..e, of at most SUBTREE_ROWS rows, as one unit.
 
-    A randomized run first shuffles the subtree's wide levels into
-    `run.levels`.  A model whose exact type has a lockstep kernel, with
-    a loss that scores a batch, runs the subtree level by level
-    (`_levels`); any other runs the recursion.  The table is freed on
-    leaving.
+    The subtree's levels are listed once, and a randomized run shuffles
+    the wide ones into `run.levels`.  A model whose exact type has a
+    lockstep kernel, with a loss that scores a batch, runs the subtree
+    level by level (`_levels`); any other runs the recursion.  The table
+    is freed on leaving.
     """
-    run.levels = _level_table(run, s, e, depth) if run.ordering == "randomized" else {}
+    levels = _level_list(run, s, e, depth)
+    run.levels = _level_table(run, s, e, levels) if run.ordering == "randomized" else {}
     run.levels_base = run.partition.bounds[s]
     try:
         kernel = LOCKSTEP.get(type(model))
@@ -292,7 +342,7 @@ def _subtree(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -
             _visit(run, s, e, model, depth)
             return
         try:
-            _levels(run, s, e, kernel.of(model), depth)
+            _levels(run, s, e, kernel.of(model), depth, levels)
         except Exception:
             # An update or the loss failed, perhaps at an overflow that
             # np.errstate turns into an error.  `model` is untouched, and
@@ -305,15 +355,14 @@ def _subtree(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -
         run.levels = None
 
 
-def _levels(run: _Run, s: int, e: int, stack, depth: int) -> None:
-    """Run subtree s..e one level at a time, starting from a stack of one
-    model, its root's.
+def _levels(run: _Run, s: int, e: int, stack, depth: int, levels: list[_Level]) -> None:
+    """Run subtree s..e, whose root sits at `depth`, one level of
+    `levels` at a time, starting from a stack of one model, its root's.
 
     Every internal node of a level preserves its model for both children
-    by a row repeat of the stack.  The children are sorted by the length
-    of the range they are fed, longest first, and a level of at least
-    LEVEL_MIN_RANGES models is fed in lockstep: step j feeds the j-th row
-    of each range to the models whose range is longer than j, a prefix.
+    by a row repeat of the stack.  A wide level is fed in lockstep: step
+    j feeds the j-th row of each range to the models whose range is
+    longer than j, a prefix, as the level lists the longest range first.
     A narrower level feeds each model its range with the scalar `update`.
     The leaves of a level are scored in one batched prediction.  Every
     model is fed the rows `_branch` would feed it, in the same order, and
@@ -324,46 +373,30 @@ def _levels(run: _Run, s: int, e: int, stack, depth: int) -> None:
     x_all, y_all = run.dataset.x, run.dataset.y
     counters = WorkCounters(nodes_visited=2 * (e - s) + 1, snapshots=e - s,
                             evaluations=int(bounds[e + 1] - bounds[s]))
-    starts, ends, level = np.array([s]), np.array([e]), depth
-    while True:
-        leaf = starts == ends
-        if leaf.any():
-            _score_leaves(run, stack, np.flatnonzero(leaf), starts[leaf])
-        inner = np.flatnonzero(~leaf)
-        if not inner.size:
-            break
-        # each inner node's children, left then right; a child is fed
-        # its sibling's range
-        parent_starts, parent_ends = starts[inner], ends[inner]
-        mids = (parent_starts + parent_ends) // 2
-        starts = np.column_stack((parent_starts, mids + 1)).ravel()
-        ends = np.column_stack((mids, parent_ends)).ravel()
-        sibling = np.arange(starts.size) ^ 1
-        firsts, lasts = starts[sibling], ends[sibling]
-        sizes = bounds[lasts + 1] - bounds[firsts]
-        # longest fed range first, so the models a step feeds are a prefix
-        order = np.argsort(-sizes, kind="stable")
-        starts, ends, firsts, lasts = starts[order], ends[order], firsts[order], lasts[order]
-        sizes = sizes[order]
-        # child c of the level takes the model of node inner[c // 2]
-        stack = stack.take(inner[order // 2])
-        level += 1
-        rows, offsets = _ranges(bounds[firsts], sizes)
-        rows = _level_rows(run, firsts, lasts, rows, level)
-        counters.point_updates += rows.size
-        counters.model_transfers += int((lasts - firsts).sum()) + lasts.size
-        if starts.size < LEVEL_MIN_RANGES:
-            for i, (start, size) in enumerate(zip(offsets.tolist(), sizes.tolist())):
-                fed = rows[start:start + size]
+    starts, ends = np.array([s]), np.array([e])
+    for level in levels:
+        _score_leaves(run, stack, starts, ends)
+        starts, ends, firsts, sizes = level.starts, level.ends, level.firsts, level.sizes
+        stack = stack.take(level.parents)
+        counters.point_updates += int(sizes.sum())
+        counters.model_transfers += int((level.lasts - firsts).sum()) + sizes.size
+        if not level.wide:
+            for i, (first, last) in enumerate(zip(firsts.tolist(), level.lasts.tolist())):
+                fed = _rows(run, first, last, level.depth)
                 model = stack.model(i)
                 model.update(x_all[fed], y_all[fed])
                 stack.put(i, model)
             continue
+        rows, offsets = _ranges(bounds[firsts], sizes)
+        table = run.levels.get(level.depth)
+        if table is not None:
+            rows = table[rows - run.levels_base]
         # each fed row's position within its range; a stable sort by it
         # puts step j's rows in model order
         position = np.arange(rows.size) - np.repeat(offsets, sizes)
         rows = rows[np.argsort(position, kind="stable")]
         stack.feed(x_all[rows], y_all[rows], np.bincount(position).tolist())
+    _score_leaves(run, stack, starts, ends)
     run.counters.merge(counters)
     if run.traces is not None:
         _trace_subtree(run.traces, run.partition.bounds, s, e, depth)
@@ -376,31 +409,14 @@ def _ranges(lo: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(lo - offsets, sizes) + np.arange(int(offsets[-1] + sizes[-1])), offsets
 
 
-def _level_rows(run: _Run, firsts: np.ndarray, lasts: np.ndarray, rows: np.ndarray,
-                depth: int) -> np.ndarray:
-    """The rows fed at one level, chunk range after chunk range, each in
-    the order `_fed_rows` gives: `rows` in dataset order, the level
-    table's order, or, for a level the table leaves out, each range of
-    two or more rows shuffled by `_fed_rows` itself."""
-    if run.ordering != "randomized":
-        return rows
-    table = run.levels.get(depth)
-    if table is not None:
-        return table[rows - run.levels_base]
-    b = run.partition.bounds
-    start = 0
-    for first, last in zip(firsts.tolist(), lasts.tolist()):
-        size = b[last + 1] - b[first]
-        if size > 1:
-            rows[start:start + size] = _fed_rows(run.partition, run.ordering, run.shuffle_seed,
-                                                 first, last)
-        start += size
-    return rows
-
-
-def _score_leaves(run: _Run, stack, leaves: np.ndarray, chunks: np.ndarray) -> None:
-    """Score model leaves[i] of the stack on its chunk, chunks[i], for
-    every i, in one batched prediction; each score is `evaluate_chunk`'s."""
+def _score_leaves(run: _Run, stack, starts: np.ndarray, ends: np.ndarray) -> None:
+    """Score model i of the stack on its chunk, starts[i], for every leaf
+    i (starts[i] == ends[i]), in one batched prediction; each score is
+    `evaluate_chunk`'s."""
+    leaves = np.flatnonzero(starts == ends)
+    if not leaves.size:
+        return
+    chunks = starts[leaves]
     b = run.row_bounds
     sizes = b[chunks + 1] - b[chunks]
     rows, offsets = _ranges(b[chunks], sizes)
@@ -421,17 +437,8 @@ def _trace_subtree(traces: list, b, s: int, e: int, depth: int) -> None:
 
 def _branch(run: _Run, s: int, e: int, model: IncrementalLearner, first: int, last: int,
             depth: int) -> None:
-    """Train the model on chunks first..last, then visit subtree s..e.
-
-    The rows come from the level table when it holds them, else from
-    `_fed_rows`; both give the same order.
-    """
-    lo, hi = run.partition.bounds[first], run.partition.bounds[last + 1]
-    level = run.levels.get(depth) if run.levels else None
-    if level is not None and hi - lo > 1:
-        rows = level[lo - run.levels_base:hi - run.levels_base]
-    else:
-        rows = _fed_rows(run.partition, run.ordering, run.shuffle_seed, first, last)
+    """Train the model on chunks first..last, then visit subtree s..e."""
+    rows = _rows(run, first, last, depth)
     x = run.dataset.x[rows]
     y = run.dataset.y[rows] if run.dataset.y is not None else None
     try:
@@ -503,7 +510,7 @@ def tree_feed_orders(part: Partition, ordering: str = "fixed", seed: int = 0) ->
     check_partition(part)
     orders: list[list[int]] = [[] for _ in range(part.k)]
     index = np.arange(part.n)
-    shuffle_seed = derive_seed(seed, TAG_NODE_SHUFFLE)
+    shuffle_seed = derive_seed(check_integer(seed, "seed"), TAG_NODE_SHUFFLE)
 
     def fed_rows(first: int, last: int) -> list[int]:
         return index[_fed_rows(part, ordering, shuffle_seed, first, last)].tolist()

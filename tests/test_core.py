@@ -74,6 +74,10 @@ def test_partition_invalid_fold_counts():
         partition(10, 1)
     with pytest.raises(InvalidFoldCountError):
         partition(10, 11)
+    with pytest.raises(InvalidFoldCountError, match="fold count k must be an integer"):
+        partition(10, 2.5)
+    with pytest.raises(InvalidFoldCountError, match="point count n must be an integer"):
+        partition(10.0, 2)
 
 
 def test_partition_property_disjoint_cover_balanced():

@@ -524,7 +524,7 @@ def _state_bytes(model):
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.sampled_from(["pegasos", "lsqsgd"]), st.integers(1, 24), st.integers(1, 40),
+@given(st.sampled_from(["pegasos", "lsqsgd"]), st.integers(1, 24), st.integers(0, 40),
        st.integers(0, 2**64 - 1), st.integers(-3, 3), st.booleans())
 def test_lockstep_feed_is_the_scalar_update_byte_for_byte(name, m, d, seed, scale, sparse):
     """m models fed one row per step, each model dropping out after its

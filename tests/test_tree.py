@@ -458,6 +458,35 @@ def test_level_table_on_a_ragged_partition_matches_the_oracle(monkeypatch):
     assert report.fold_scores == replay.fold_scores
 
 
+def test_one_rule_makes_a_level_wide_for_the_table_and_the_level_loop(monkeypatch):
+    """A level is wide when it has at least LEVEL_MIN_RANGES nodes, however
+    few ranges of two or more rows it feeds: the table draws every such
+    range of the wide levels, and `_fed_rows` only those of the narrow
+    levels, in the level loop and in the recursion alike."""
+    # 32 chunks of one row but three of two: depth 5 has 32 nodes and
+    # feeds three ranges of two rows
+    sizes = [2 if chunk in (3, 10, 20) else 1 for chunk in range(32)]
+    part = Partition(tuple(int(b) for b in np.cumsum([0] + sizes)))
+    data = synth_classification(part.n, 4, margin=0.2, noise=0.1, seed=8)
+    config = TreeCvConfig(ordering="randomized", seed=8)
+    orders = tree_feed_orders(part, "randomized", 8)
+    for factory in (lambda: Pegasos(4, 1e-3), lambda: PlainPegasos(4, 1e-3)):
+        counts = ShuffleCounts(monkeypatch)
+        traces = []
+        report = tree_cv(factory, data, part, ZERO_ONE, config, trace_sink=traces)
+        inner = [t for t in traces if t.start < t.end]
+        # a node at depth d feeds a child on a level of 2 * (inner nodes at d) nodes
+        width = {d: 2 * sum(t.depth == d for t in inner) for d in {t.depth for t in inner}}
+        narrow = [t for t in inner if width[t.depth] < tree.LEVEL_MIN_RANGES]
+        wide = [t for t in inner if width[t.depth] >= tree.LEVEL_MIN_RANGES]
+        assert any(0 < multi_row_feeds([t for t in wide if t.depth == d]) < tree.LEVEL_MIN_RANGES
+                   for d in width)
+        assert counts.per_node == multi_row_feeds(narrow)
+        assert counts.bulk == multi_row_feeds(wide)
+        assert report.fold_scores == brute_force_oracle(factory, data, part, ZERO_ONE,
+                                                        orders).fold_scores
+
+
 # ---------------------------------------------------------------------------
 # Level loop: small subtrees of Pegasos and LsqSgd run level by level
 
@@ -612,6 +641,19 @@ def test_unlabeled_data_raises_the_recursions_update_error(learner):
     assert info.value.chunk_range == (60, 119)
 
 
+@pytest.mark.parametrize("learner, loss", [(Pegasos, ZERO_ONE), (LsqSgd, SQUARED)])
+def test_zero_feature_data_runs_the_level_loop_once(learner, loss, monkeypatch):
+    counts = LevelCounts(monkeypatch)
+    data = Dataset(np.zeros((64, 0)), np.where(np.arange(64) % 3, -1.0, 1.0))
+    part = partition(data, 64)
+    report = tree_cv(lambda: learner(0, 0.1), data, part, loss,
+                     TreeCvConfig(ordering="randomized", seed=2))
+    assert (counts.subtrees, counts.failures) == (1, [])
+    orders = tree_feed_orders(part, "randomized", 2)
+    replay = brute_force_oracle(lambda: learner(0, 0.1), data, part, loss, orders)
+    assert report.fold_scores == replay.fold_scores
+
+
 def test_a_failure_inside_the_level_loop_is_raised_as_the_recursion_raises_it(monkeypatch):
     # The squared norm of an iterate fed a row of 1e160 overflows, which
     # np.errstate turns into an error.  The level loop meets it in its own
@@ -640,6 +682,14 @@ def test_a_failure_inside_the_level_loop_is_raised_as_the_recursion_raises_it(mo
 def test_config_validation():
     with pytest.raises(ValueError):
         TreeCvConfig(ordering="sorted").validate()
+    ds = regression_data(8)
+    part = partition(ds, 4)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        TreeCvConfig(seed=1.5).validate()
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        standard_cv(mean_factory(), ds, part, SQUARED, seed=1.5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        tree_feed_orders(part, "randomized", seed=1.5)
 
 
 def test_forked_execution_rejects_what_it_cannot_honour():
@@ -649,6 +699,10 @@ def test_forked_execution_rejects_what_it_cannot_honour():
         TreeCvConfig(max_workers=65).validate()
     with pytest.raises(ValueError, match="at most 64"):
         standard_cv(mean_factory(), ds, part, SQUARED, max_workers=1000)
+    with pytest.raises(ValueError, match="max_workers must be an integer"):
+        TreeCvConfig(max_workers=2.0).validate()
+    with pytest.raises(ValueError, match="max_workers must be an integer"):
+        standard_cv(mean_factory(), ds, part, SQUARED, max_workers=2.0)
     assert multiprocessing.active_children() == []
 
 
@@ -670,13 +724,34 @@ def test_partition_dataset_mismatch():
         tree_cv(mean_factory(), ds, partition(12, 3), SQUARED)
 
 
+def test_numpy_integer_counts_bounds_and_seeds_run_as_python_ints():
+    data = synth_classification(64, 3, margin=0.2, noise=0.1, seed=1)
+    factory = lambda: Pegasos(3, 1e-3)
+    part = partition(data, 16)
+    numpy_part = Partition(tuple(np.int64(b) for b in part.bounds))
+    assert partition(data, np.int64(16)) == part
+    for seed in (7, -3):
+        config = TreeCvConfig("randomized", max_workers=2, seed=seed)
+        numpy_config = TreeCvConfig("randomized", max_workers=np.uint8(2), seed=np.int64(seed))
+        assert (tree_cv(factory, data, numpy_part, ZERO_ONE, numpy_config).comparable()
+                == tree_cv(factory, data, part, ZERO_ONE, config).comparable())
+        assert (standard_cv(factory, data, numpy_part, ZERO_ONE, "randomized", np.int64(seed),
+                            np.int32(2)).comparable()
+                == standard_cv(factory, data, part, ZERO_ONE, "randomized", seed, 2).comparable())
+        assert (tree_feed_orders(numpy_part, "randomized", np.int64(seed))
+                == tree_feed_orders(part, "randomized", seed))
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("bounds,error", [
     ((2, 5, 10), InvalidChunkError),
     ((0, 10), InvalidFoldCountError),
     ((10,), InvalidFoldCountError),
     ((0, 6, 4, 10), InvalidChunkError),
     ((0, 5, 5, 10), InvalidChunkError),
-], ids=["skips-rows-0-1", "one-chunk", "no-chunks", "not-monotone", "empty-chunk"])
+    ((0, 5.0, 10), InvalidChunkError),
+], ids=["skips-rows-0-1", "one-chunk", "no-chunks", "not-monotone", "empty-chunk",
+        "fractional-bound"])
 def test_hand_built_partitions_are_checked_before_any_training(bounds, error):
     ds = regression_data(10)
     part = Partition(bounds)

@@ -32,6 +32,7 @@ from .core import (
     partition as make_partition,
 )
 from .forkjoin import check_workers, fork, join_all
+from .learners import load_kernels
 from .rng import SplitMix64Stream, derive_seed
 
 TAG_FOLD_SHUFFLE = 4
@@ -60,10 +61,10 @@ def _checked_order(partition: Partition, fold_orders, fold: int) -> list[int]:
     return order
 
 
-def _run_folds(learner_factory, dataset, partition, loss, folds, order_of):
-    """(score, counters) of each fold: a fresh model trained on the rows
-    `order_of(fold)` lists (None: the other chunks in dataset order) and
-    scored on the fold's chunk."""
+def _run_folds(model_of, dataset, partition, loss, folds, order_of):
+    """(score, counters) of each fold: the fresh model `model_of(fold)`
+    trained on the rows `order_of(fold)` lists (None: the other chunks in
+    dataset order) and scored on the fold's chunk."""
     x, y = dataset.x, dataset.y
     results = []
     for fold in folds:
@@ -75,7 +76,7 @@ def _run_folds(learner_factory, dataset, partition, loss, folds, order_of):
             fy = np.concatenate((y[:sl.start], y[sl.stop:])) if y is not None else None
         else:
             fx, fy = x[order], y[order] if y is not None else None
-        model = learner_factory().fresh()
+        model = model_of(fold)
         model.update(fx, fy)
         counters = WorkCounters(point_updates=fx.shape[0], model_transfers=partition.k - 1)
         results.append((evaluate_chunk(model, dataset, sl, loss, counters), counters))
@@ -113,15 +114,20 @@ def standard_cv(
     k = partition.k
     order_of = (partial(_shuffled_order, partition, seed) if ordering == "randomized"
                 else lambda fold: None)
+    # fold 0's model, built here to resolve the kernels its type runs on
+    # outside the wall time, and before forked workers would each do it
+    first = learner_factory().fresh()
+    load_kernels(first)
+    model_of = lambda fold: first if fold == 0 else learner_factory().fresh()
     start = time.perf_counter()
     if max_workers > 1:
         groups = make_partition(k, min(max_workers, k))
-        joins = [fork(_run_folds, learner_factory, dataset, partition, loss,
+        joins = [fork(_run_folds, model_of, dataset, partition, loss,
                       range(g.start, g.stop), order_of)
                  for g in map(groups.chunk_slice, range(groups.k))]
         results = [r for group in join_all(joins) for r in group]
     else:
-        results = _run_folds(learner_factory, dataset, partition, loss, range(k), order_of)
+        results = _run_folds(model_of, dataset, partition, loss, range(k), order_of)
     return _report(results, time.perf_counter() - start, ordering, seed)
 
 
@@ -141,10 +147,11 @@ def brute_force_oracle(
     report's ordering field is set to "explicit"; `seed` draws nothing
     and is only recorded in the report.
     """
+    seed = check_integer(seed, "seed")
     check_partition(partition, dataset)
     if len(fold_orders) != partition.k:
         raise InvalidOrderError(f"expected {partition.k} fold orders, got {len(fold_orders)}")
     start = time.perf_counter()
-    results = _run_folds(learner_factory, dataset, partition, loss, range(partition.k),
-                         partial(_checked_order, partition, fold_orders))
+    results = _run_folds(lambda fold: learner_factory().fresh(), dataset, partition, loss,
+                         range(partition.k), partial(_checked_order, partition, fold_orders))
     return _report(results, time.perf_counter() - start, "explicit", seed)

@@ -21,14 +21,17 @@ at least LEVEL_MIN_RANGES chunks runs its subtree as one unit
 (`_subtree`).  `_level_list` lists the subtree's levels once, and one
 rule reads that list: a level is wide when it has at least
 LEVEL_MIN_RANGES nodes.  If the model's exact type is `Pegasos` or
-`LsqSgd`, which have a lockstep kernel (`learners.LOCKSTEP`), the
+`LsqSgd`, which have compiled and lockstep kernels (`learners`), the
 subtree runs level by level (`_levels`): the models of a level are rows
-of stacked arrays, preserving a model is a row repeat, a wide level is
-fed one vectorized step per position, and a level's leaves are scored in
-one batched prediction.  Every model gets the rows, the order and the
-bits the recursion gives it.  Any other learner, including a subclass of
-those two (it may override `_update_point`), runs the recursion, which
-holds only the log2(k) models of one root-to-leaf path.
+of stacked arrays, preserving a model is a row repeat, and a level's
+leaves are scored in one batched prediction.  With the compiled kernels
+loaded, one C call feeds every model of a level its rows; without them,
+a wide level is fed one vectorized step per position and a narrow one
+model by model.  Every model gets the rows, the order and the bits the
+recursion gives it.  Any other learner, including a subclass of those
+two (it may override `_update_point`), runs the recursion, which holds
+only the log2(k) models of one root-to-leaf path; there the built-in
+types' `update` runs compiled too.
 
 Randomized runs feed each node's rows in the order of a Fisher-Yates
 shuffle drawn from a stream keyed by the run seed and the fed chunk
@@ -62,6 +65,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _native
 from .core import (
     CvReport,
     Dataset,
@@ -78,7 +82,7 @@ from .core import (
     partition as make_partition,
 )
 from .forkjoin import check_workers, fork, join_all
-from .learners import LOCKSTEP
+from .learners import LOCKSTEP, load_kernels
 from .rng import SplitMix64Stream, derive_seed, derive_seeds, shuffle_ranges
 
 # Stream purpose tag; every derive_seed call site in the package uses a
@@ -89,16 +93,19 @@ TAG_NODE_SHUFFLE = 2
 # chunks run as one unit.  Inside one, a level is wide when it has at
 # least LEVEL_MIN_RANGES nodes.  A randomized run shuffles at once every
 # range of two or more rows of the wide levels: a table of about
-# SUBTREE_ROWS * log2(SUBTREE_ROWS) int64 entries.  The level loop feeds
-# a wide level's models in lockstep.  On a 2-vCPU Xeon VM a Pegasos
-# lockstep step costs ~28 us whatever the width up to ~32 models, against
-# ~2.4 us per point of the scalar `update`, so it breaks even at ~12
-# models (an LsqSgd step, against ~6 us per point, at ~4).  A subtree's level holds up to
-# SUBTREE_ROWS gathered rows and about as many models.  Pegasos LOOCV at
-# n=20000 and d=20 took 0.36 / 0.42 s (fixed / randomized, median of 7)
-# with a 4096-row bound, 0.32 / 0.36 s with 8192 and 0.28 / 0.32 s with
-# 16384, at tracemalloc peaks of 2.3, 3.6 and 6.4 MB: 8192 gives up a
-# tenth of the time to keep the memory near half of 16384's.
+# SUBTREE_ROWS * log2(SUBTREE_ROWS) int64 entries.  A subtree's level
+# holds up to SUBTREE_ROWS gathered rows and about as many models.  On a
+# 2-vCPU Xeon VM, Pegasos LOOCV at n=20000 and d=20 with the compiled
+# kernels took 0.039 / 0.069 s (fixed / randomized, median of 7) with a
+# 4096-row bound, 0.037 / 0.072 s with 8192 and 0.039 / 0.079 s with
+# 16384.  Without them, the level loop feeds a wide level's models in
+# lockstep: a Pegasos step costs ~28 us whatever the width up to ~32
+# models, against ~2.4 us per point of the Python `update`, so it breaks
+# even at ~12 models (an LsqSgd step, against ~6 us per point, at ~4);
+# the same run took 0.36 / 0.42 s with 4096, 0.32 / 0.36 s with 8192 and
+# 0.28 / 0.32 s with 16384, at tracemalloc peaks of 2.3, 3.6 and 6.4 MB.
+# 8192 is as fast as any bound with the kernels and keeps the memory
+# near half of 16384's without them.
 SUBTREE_ROWS = 8192
 LEVEL_MIN_RANGES = 16
 
@@ -328,17 +335,20 @@ def _subtree(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -
     The subtree's levels are listed once, and a randomized run shuffles
     the wide ones into `run.levels`.  A model whose exact type has a
     lockstep kernel, with a loss that scores a batch, runs the subtree
-    level by level (`_levels`); any other runs the recursion.  The table
-    is freed on leaving.
+    level by level (`_levels`) if it holds state of the types its
+    constructor gives, for rows of the data's width (`_Stack.holds`); any
+    other runs the recursion.  The table is freed on leaving.
     """
     levels = _level_list(run, s, e, depth)
     run.levels = _level_table(run, s, e, levels) if run.ordering == "randomized" else {}
     run.levels_base = run.partition.bounds[s]
     try:
         kernel = LOCKSTEP.get(type(model))
-        # both kernels' learners read labels: on unlabeled data the recursion
-        # raises the error their first update meets
-        if kernel is None or run.loss.batch is None or run.dataset.y is None:
+        # both kernels' learners read labels: on unlabeled data, as on a
+        # model of another width or with float32 parameters, the recursion
+        # raises the error or gives the bits the Python update does
+        if (kernel is None or run.loss.batch is None or run.dataset.y is None
+                or not kernel.holds(model, run.dataset.x, run.dataset.y)):
             _visit(run, s, e, model, depth)
             return
         try:
@@ -360,19 +370,22 @@ def _levels(run: _Run, s: int, e: int, stack, depth: int, levels: list[_Level]) 
     `levels` at a time, starting from a stack of one model, its root's.
 
     Every internal node of a level preserves its model for both children
-    by a row repeat of the stack.  A wide level is fed in lockstep: step
-    j feeds the j-th row of each range to the models whose range is
-    longer than j, a prefix, as the level lists the longest range first.
-    A narrower level feeds each model its range with the scalar `update`.
-    The leaves of a level are scored in one batched prediction.  Every
-    model is fed the rows `_branch` would feed it, in the same order, and
-    gets the same bits.  Counters and node traces, which depend only on
-    the partition, are added once the subtree has run.
+    by a row repeat of the stack.  With the compiled kernels loaded, one
+    kernel call feeds every model of a level its range, range after
+    range; it raises FloatingPointError if a floating-point flag went up.
+    Without them, a wide level is fed in lockstep: step j feeds the j-th
+    row of each range to the models whose range is longer than j, a
+    prefix, as the level lists the longest range first; a narrower level
+    feeds each model its range with the Python `update`.  The leaves of
+    a level are scored in one batched prediction.  Every model is fed the
+    rows `_branch` would feed it, in the same order, and gets the same
+    bits.  Counters and node traces, which depend only on the partition,
+    are added once the subtree has run.
     """
-    bounds = run.row_bounds
     x_all, y_all = run.dataset.x, run.dataset.y
+    kernels = _native.kernels()
     counters = WorkCounters(nodes_visited=2 * (e - s) + 1, snapshots=e - s,
-                            evaluations=int(bounds[e + 1] - bounds[s]))
+                            evaluations=int(run.row_bounds[e + 1] - run.row_bounds[s]))
     starts, ends = np.array([s]), np.array([e])
     for level in levels:
         _score_leaves(run, stack, starts, ends)
@@ -380,26 +393,43 @@ def _levels(run: _Run, s: int, e: int, stack, depth: int, levels: list[_Level]) 
         stack = stack.take(level.parents)
         counters.point_updates += int(sizes.sum())
         counters.model_transfers += int((level.lasts - firsts).sum()) + sizes.size
-        if not level.wide:
+        if kernels is not None:
+            rows, _ = _level_rows(run, level)
+            if not stack.feed_rows(kernels, x_all[rows], y_all[rows], sizes):
+                raise FloatingPointError("a compiled level feed raised a floating-point flag")
+        elif level.wide:
+            rows, offsets = _level_rows(run, level)
+            # each fed row's position within its range; a stable sort by it
+            # puts step j's rows in model order
+            position = np.arange(rows.size) - np.repeat(offsets, sizes)
+            rows = rows[np.argsort(position, kind="stable")]
+            stack.feed(x_all[rows], y_all[rows], np.bincount(position).tolist())
+        else:
             for i, (first, last) in enumerate(zip(firsts.tolist(), level.lasts.tolist())):
                 fed = _rows(run, first, last, level.depth)
                 model = stack.model(i)
                 model.update(x_all[fed], y_all[fed])
                 stack.put(i, model)
-            continue
-        rows, offsets = _ranges(bounds[firsts], sizes)
-        table = run.levels.get(level.depth)
-        if table is not None:
-            rows = table[rows - run.levels_base]
-        # each fed row's position within its range; a stable sort by it
-        # puts step j's rows in model order
-        position = np.arange(rows.size) - np.repeat(offsets, sizes)
-        rows = rows[np.argsort(position, kind="stable")]
-        stack.feed(x_all[rows], y_all[rows], np.bincount(position).tolist())
     _score_leaves(run, stack, starts, ends)
     run.counters.merge(counters)
     if run.traces is not None:
         _trace_subtree(run.traces, run.partition.bounds, s, e, depth)
+
+
+def _level_rows(run: _Run, level: _Level) -> tuple[np.ndarray, np.ndarray]:
+    """The rows fed to the nodes of `level`, range after range, each
+    range in the order `_rows` gives, and the offset where each range
+    starts among them."""
+    rows, offsets = _ranges(run.row_bounds[level.firsts], level.sizes)
+    table = run.levels.get(level.depth)
+    if table is not None:
+        rows = table[rows - run.levels_base]
+    elif run.ordering == "randomized":
+        for first, last, start, size in zip(level.firsts.tolist(), level.lasts.tolist(),
+                                            offsets.tolist(), level.sizes.tolist()):
+            if size > 1:
+                rows[start:start + size] = _rows(run, first, last, level.depth)
+    return rows, offsets
 
 
 def _ranges(lo: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -481,6 +511,7 @@ def tree_cv(
     check_partition(partition, dataset)
     run = _Run(dataset, partition, loss, config, trace_sink)
     model = learner_factory().fresh()
+    load_kernels(model)  # outside the wall time, and inherited by forked workers
     start = time.perf_counter()
     _node(run, 0, partition.k - 1, model, 0)
     wall = time.perf_counter() - start

@@ -1,0 +1,20 @@
+import pytest
+
+from treecv import _native
+
+
+@pytest.fixture
+def python_path(monkeypatch):
+    """Force the compiled kernels off: every learner runs its Python
+    update, and the tree's level loop its lockstep feed."""
+    monkeypatch.setattr(_native, "kernels", lambda: None)
+
+
+@pytest.fixture
+def kernels():
+    """The compiled kernels; the test is skipped where they cannot load
+    (`test_native` fails instead when a C compiler is on PATH)."""
+    loaded = _native.kernels()
+    if loaded is None:
+        pytest.skip(f"no compiled kernels: {_native.reason()}")
+    return loaded

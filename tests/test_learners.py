@@ -1,12 +1,13 @@
 """Learner unit tests: hand-applied update rules, state preservation,
 order-insensitivity, and the incremental-vs-batch gap trend."""
 
+import contextlib
 import math
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treecv import (
     Dataset,
@@ -569,6 +570,110 @@ def test_lockstep_predict_is_each_models_predict_many(name, m, n, d, seed, scale
     batch = _stacked(models).predict(x, owner)
     for i in range(n):
         assert batch[i].tobytes() == models[owner[i]].predict_many(x)[i].tobytes()
+
+
+# `kernels` is the same object in every example
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["pegasos", "lsqsgd"]), st.integers(1, 24), st.integers(0, 40),
+       st.integers(0, 2**64 - 1), st.integers(-3, 3), st.booleans())
+def test_compiled_feed_is_the_scalar_update_byte_for_byte(kernels, name, m, d, seed, scale,
+                                                          sparse):
+    """m models, each fed its own run of 0-8 rows in one compiled kernel
+    call, end with the bytes of m learners fed the same rows one at a
+    time by `_update_point`.  Some start at t = 0 from a nonzero iterate,
+    which restarts a Pegasos model, and sparse data has -0.0 iterates."""
+    stream = SplitMix64Stream(seed)
+    models, rows = _distinct_models(name, m, d, stream, scale, sparse)
+    for model in models:
+        if stream.randbelow(4) == 0:
+            model.t = 0
+        if sparse and name == "pegasos":
+            model.v[model.v == 0.0] = -0.0
+    stack = _stacked(models)
+    fed = [rows(stream.randbelow(9)) for _ in range(m)]
+    for model, (x, y) in zip(models, fed):
+        for j in range(len(x)):
+            if name == "pegasos" and stream.randbelow(2):
+                # put the row's margin within rounding of 1 (see above)
+                dot = float(model.v.dot(x[j]))
+                if dot and model.t:
+                    x[j] *= 1.0 / (y[j] * model.a * dot)
+            IncrementalLearner.update(model, x[j:j + 1], y[j:j + 1])
+    x = np.concatenate([x for x, _ in fed])
+    y = np.concatenate([y for _, y in fed])
+    assert stack.feed_rows(kernels, x, y, np.array([len(y) for _, y in fed], dtype=np.int64))
+    for i, model in enumerate(models):
+        assert _state_bytes(stack.model(i)) == _state_bytes(model)
+
+
+@pytest.mark.parametrize("learner", [Pegasos, LsqSgd])
+def test_update_runs_compiled_only_for_what_the_python_update_would_give(learner, kernels,
+                                                                         monkeypatch):
+    """`update` takes the kernel for a plain labeled batch of enough rows,
+    and leaves every other batch, model or subclass to Python."""
+    def state(model):
+        return [np.asarray(getattr(model, name)).tobytes() for name in LOCKSTEP[learner].fields]
+
+    calls = []
+    feed_rows = LOCKSTEP[learner].feed_rows
+    monkeypatch.setattr(LOCKSTEP[learner], "feed_rows",
+                        lambda *args: calls.append(1) or feed_rows(*args))
+    stream = SplitMix64Stream(3)
+    n = LOCKSTEP[learner].min_rows
+    x = stream.normal_array(n * 4).reshape(n, 4)
+    y = np.where(stream.uniform_array(n) < 0.5, 1.0, -1.0)
+
+    class Sub(learner):
+        pass
+
+    odd_state = learner(4, 0.5)
+    odd_state.t = np.int64(0)
+    for model, xs, ys in [
+        (learner(4, 0.5), x[:-1], y[:-1]),  # too few rows
+        (learner(4, 0.5), np.asfortranarray(x), y),
+        (learner(4, 0.5), x.astype(np.float32), y),
+        (learner(4, 0.5), x, None),
+        (Sub(4, 0.5), x, y),
+        (odd_state, x, y),
+    ]:
+        twin = model.clone()
+        unlabeled = pytest.raises(LabelRequiredError) if ys is None else contextlib.nullcontext()
+        with unlabeled:
+            model.update(xs, ys)
+        with unlabeled:
+            IncrementalLearner.update(twin, xs, ys)
+        assert state(model) == state(twin)
+    assert calls == []
+    model, twin = learner(4, 0.5), learner(4, 0.5)
+    model.update(x, y)
+    IncrementalLearner.update(twin, x, y)
+    assert calls == [1] and state(model) == state(twin)
+    assert type(model.t) is int and type(model.t) is type(twin.t)
+
+
+@pytest.mark.parametrize("name", ["pegasos", "lsqsgd"])
+def test_compiled_feed_refuses_arrays_of_the_wrong_shape_or_type(kernels, name):
+    """The kernel takes its widths from x and its run lengths from counts;
+    any array that does not match them is a ValueError, not a read past
+    its end."""
+    stream = SplitMix64Stream(5)
+    models, rows = _distinct_models(name, 2, 3, stream, 0, False)
+    x, y = rows(6)
+    counts = np.array([4, 2], dtype=np.int64)
+    wide = np.ascontiguousarray(np.hstack([x, x]))
+    for args in [(wide, y, counts), (x, y[:-1], counts), (x, y, counts + 1),
+                 (x, y, np.array([7, -1], dtype=np.int64)), (x, y, counts.astype(np.int32)),
+                 (x.astype(np.float32), y, counts), (np.asfortranarray(x), y, counts)]:
+        stack = _stacked(models)
+        before = _state_bytes(stack.model(0)), _state_bytes(stack.model(1))
+        with pytest.raises(ValueError, match="agree in shape and dtype"):
+            stack.feed_rows(kernels, *args)
+        assert (_state_bytes(stack.model(0)), _state_bytes(stack.model(1))) == before
+    stack = _stacked(models)
+    stack.t = stack.t.astype(np.float64)
+    with pytest.raises(ValueError):
+        stack.feed_rows(kernels, x, y, counts)
 
 
 def test_lockstep_kernels_serve_only_the_exact_built_in_types():

@@ -1,0 +1,38 @@
+"""The digest, oracle and fork-join tests once more with the compiled
+kernels forced off, so the Python update and the lockstep level loop
+stay checked on hosts that compile the kernels.  Each test is imported
+from its own module and runs here under the `python_path` fixture."""
+
+import pytest
+
+from test_acceptance import (
+    test_criterion_02_trace_equivalence_deterministic_learners,
+    test_criterion_09_determinism,
+)
+from test_harness import (
+    test_cli_verify_keeps_to_the_update_budget,
+    test_verify_flag_replays_tree_runs,
+)
+from test_reference_digests import test_report_digest_is_pinned
+from test_standard import (
+    test_oracle_replays_tree_feeding_order_bit_exactly,
+    test_oracle_with_dataset_order_equals_standard_fixed,
+    test_parallel_folds_are_bit_identical_to_sequential,
+)
+from test_tree import (
+    test_a_failure_inside_the_level_loop_is_raised_as_the_recursion_raises_it,
+    test_a_learner_narrower_than_the_data_raises_the_recursions_update_error,
+    test_float32_parameters_give_the_oracles_fold_scores,
+    test_fork_join_matches_sequential_bit_exactly,
+    test_level_loop_reports_and_traces_are_the_recursions,
+    test_level_table_feeds_most_ranges_of_the_n120_loocv_gates,
+    test_level_table_on_a_ragged_partition_matches_the_oracle,
+    test_level_table_under_fork_join_matches_sequential,
+    test_one_rule_makes_a_level_wide_for_the_table_and_the_level_loop,
+    test_small_subtree_bound_runs_the_recursion_above_and_level_loops_below,
+    test_the_n120_loocv_and_n320_k16_digest_shapes_run_the_level_loop,
+    test_unlabeled_data_raises_the_recursions_update_error,
+    test_zero_feature_data_runs_the_level_loop_once,
+)
+
+pytestmark = pytest.mark.usefixtures("python_path")

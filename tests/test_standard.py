@@ -145,6 +145,25 @@ def test_oracle_takes_integer_indices_only():
                                              SQUARED).fold_scores
 
 
+@pytest.mark.parametrize("learner", [MeanPredictor, Pegasos])
+def test_the_factory_builds_one_model_per_fold(learner):
+    ds = Dataset(regression_data(10).x, np.where(np.arange(10) % 2, 1.0, -1.0))
+    part = partition(ds, 5)
+    built = []
+
+    def factory():
+        built.append(learner(1))
+        return built[-1]
+
+    for ordering in ("fixed", "randomized"):
+        built.clear()
+        standard_cv(factory, ds, part, ZERO_ONE, ordering, seed=3)
+        assert len(built) == part.k
+    built.clear()
+    brute_force_oracle(factory, ds, part, ZERO_ONE, tree_feed_orders(part))
+    assert len(built) == part.k
+
+
 def test_partition_dataset_mismatch():
     ds = regression_data(10)
     part = partition(12, 3)

@@ -29,7 +29,6 @@ from treecv import (
     tree_feed_orders,
 )
 from treecv import tree
-from treecv.learners import LsqSgdStack, PegasosStack
 from treecv.rng import SplitMix64Stream
 
 
@@ -493,10 +492,12 @@ def test_one_rule_makes_a_level_wide_for_the_table_and_the_level_loop(monkeypatc
 
 class LevelCounts:
     """Counts, in this process, the subtrees `tree._levels` runs, the
-    levels it feeds in lockstep, and the exceptions it raises."""
+    levels it feeds as a batch (every level in one compiled kernel call,
+    or, without the compiled kernels, each wide level in lockstep), and
+    the exceptions it raises."""
 
     def __init__(self, monkeypatch):
-        self.subtrees = self.lockstep = 0
+        self.subtrees = self.batched = 0
         self.failures = []
         levels = tree._levels
 
@@ -509,14 +510,13 @@ class LevelCounts:
                 raise
 
         monkeypatch.setattr(tree, "_levels", counted_levels)
-        for stack in (PegasosStack, LsqSgdStack):
-            feed = stack.feed
+        level_rows = tree._level_rows
 
-            def counted_feed(stack_self, *args, feed=feed):
-                self.lockstep += 1
-                feed(stack_self, *args)
+        def counted_level_rows(*args):
+            self.batched += 1
+            return level_rows(*args)
 
-            monkeypatch.setattr(stack, "feed", counted_feed)
+        monkeypatch.setattr(tree, "_level_rows", counted_level_rows)
 
 
 class PlainPegasos(Pegasos):
@@ -546,12 +546,12 @@ def test_the_n120_loocv_and_n320_k16_digest_shapes_run_the_level_loop(shape, ord
     """The tree digests of tests/test_reference_digests.py, and the tiny
     oracle gate of the loocv benchmark workload (perfbench/workloads.py,
     sequential at n=120), run the whole tree as one level loop with
-    lockstep levels, so those digests and that oracle replay check it."""
+    batched levels, so those digests and that oracle replay check it."""
     counts = LevelCounts(monkeypatch)
     data, part, factory, loss = shape(7)
     report = tree_cv(factory, data, part, loss, TreeCvConfig(ordering=ordering, seed=7))
     assert (counts.subtrees, counts.failures) == (1, [])
-    assert counts.lockstep >= 1
+    assert counts.batched >= 1
     orders = tree_feed_orders(part, ordering, 7)
     assert report.fold_scores == brute_force_oracle(factory, data, part, loss, orders).fold_scores
 
@@ -582,7 +582,7 @@ def test_level_loop_reports_and_traces_are_the_recursions(ordering, monkeypatch)
         data = synth_regression(n, 5, seed=n)
         runs_alike(lambda: LsqSgd(5, 0.3), lambda: PlainLsqSgd(5, 0.3), data, part, SQUARED,
                    config)
-    assert counts.subtrees == 8 and counts.lockstep >= 8 and counts.failures == []
+    assert counts.subtrees == 8 and counts.batched >= 8 and counts.failures == []
 
 
 def test_small_subtree_bound_runs_the_recursion_above_and_level_loops_below(monkeypatch):
@@ -595,7 +595,7 @@ def test_small_subtree_bound_runs_the_recursion_above_and_level_loops_below(monk
     traces = []
     report = tree_cv(factory, data, part, loss, config, trace_sink=traces)
     assert (counts.subtrees, counts.failures) == (4, [])
-    assert counts.lockstep >= 4
+    assert counts.batched >= 4
     assert len(traces) == 2 * 120 - 1
     assert report.counters.point_updates == sum(t.points_fed_left + t.points_fed_right
                                                 for t in traces)
@@ -639,6 +639,31 @@ def test_unlabeled_data_raises_the_recursions_update_error(learner):
     with pytest.raises(UpdateFailedError, match="requires") as info:
         loocv(lambda: learner(4, 0.1), data, SQUARED)
     assert info.value.chunk_range == (60, 119)
+
+
+@pytest.mark.parametrize("learner, loss", [(Pegasos, ZERO_ONE), (LsqSgd, SQUARED)])
+def test_a_learner_narrower_than_the_data_raises_the_recursions_update_error(learner, loss):
+    # a model of 3 features on rows of 5 runs the recursion, not the level
+    # loop, whose compiled kernels take their widths from the rows
+    data = synth_classification(120, 5, margin=0.2, noise=0.1, seed=3)
+    with pytest.raises(UpdateFailedError, match="not aligned") as info:
+        loocv(lambda: learner(3, 0.1), data, loss)
+    assert info.value.chunk_range == (60, 119)
+
+
+@pytest.mark.parametrize("learner, loss", [(Pegasos, ZERO_ONE), (LsqSgd, SQUARED)])
+def test_float32_parameters_give_the_oracles_fold_scores(learner, loss):
+    # the Python update computes a float32 step parameter in float32, and
+    # neither the compiled kernels nor the lockstep feed do, so such a
+    # model runs the recursion
+    data = synth_classification(120, 4, margin=0.2, noise=0.1, seed=3)
+    part = partition(data, 120)
+    factory = lambda: learner(4, np.float32(0.1))  # noqa: E731
+    for ordering in ("fixed", "randomized"):
+        report = tree_cv(factory, data, part, loss, TreeCvConfig(ordering=ordering, seed=4))
+        orders = tree_feed_orders(part, ordering, 4)
+        assert report.fold_scores == brute_force_oracle(factory, data, part, loss,
+                                                        orders).fold_scores
 
 
 @pytest.mark.parametrize("learner, loss", [(Pegasos, ZERO_ONE), (LsqSgd, SQUARED)])
@@ -690,6 +715,8 @@ def test_config_validation():
         standard_cv(mean_factory(), ds, part, SQUARED, seed=1.5)
     with pytest.raises(ValueError, match="seed must be an integer"):
         tree_feed_orders(part, "randomized", seed=1.5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        brute_force_oracle(mean_factory(), ds, part, SQUARED, tree_feed_orders(part), seed=1.5)
 
 
 def test_forked_execution_rejects_what_it_cannot_honour():

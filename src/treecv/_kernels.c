@@ -1,15 +1,29 @@
-/* Per-point update kernels for the exact `Pegasos` and `LsqSgd` types.
+/* Per-point update kernels for the exact `Pegasos`, `LsqSgd` and
+   `OnlineKMeans` types.
 
-   Each kernel feeds m models, stored as rows of stacked state arrays.
-   Model i is fed its own run of counts[i] consecutive rows of x and y,
-   the runs laid out one after another.  Every step is the learner's
-   `_update_point`, with the same operations in the same order, so every
-   model gets the bits the Python update gives it:
+   The linear kernels feed m models, stored as rows of stacked state
+   arrays.  Model i is fed its own run of counts[i] consecutive rows of x
+   and y, the runs laid out one after another.  `kmeans_feed` feeds one
+   model every row of x.  Every step is the learner's `_update_point`,
+   with the same operations in the same order, so every model gets the
+   bits the Python update gives it:
 
    - every dot product is `ndarray.dot` of two contiguous vectors: the
      BLAS ddot that numpy calls, through the pointer `set_ddot` stores,
      added to +0.0, except that one element is a plain multiply and no
      elements give +0.0;
+   - a k-means distance is a row of `np.einsum("ij,ij->i", D, D)` for
+     D = centers - x.  numpy's einsum sums a row of d products in two
+     lanes, lane 0 taking the even and lane 1 the odd elements: blocks of
+     8 elements, each adding its last pair to the lanes first, then its
+     earlier pairs from last to first; then the remaining pairs in order,
+     an odd last element paired with +0.0; then lane 0 plus lane 1, and
+     that sum added to +0.0.  That is how an x86-64 numpy built for its
+     SSE baseline, with no einsum dispatched at run time, reduces; the
+     loader keeps `kmeans_feed` only if its distances match np.einsum's
+     bit for bit on this numpy;
+   - a nearest center is numpy's `argmin`: the lowest index of the least
+     distance, or of the first NaN;
    - vector steps are elementwise, as numpy's ufuncs compute them;
    - the file is compiled with -ffp-contract=off and without fast-math,
      because a fused multiply-add or a reassociated sum changes bits.
@@ -20,11 +34,14 @@
    zero.  So a kernel clears the floating-point flags, tests them at the
    end, and returns nonzero if any of the four was raised, leaving the
    caller to discard the models' state and feed them through Python
-   instead.  The caller's own flags are restored either way.  */
+   instead.  (np.einsum raises no flag, so a k-means distance that
+   overflows sends the rows to Python, which gives the same bits.)  The
+   caller's own flags are restored either way.  */
 
 #include <fenv.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double *y,
                           int64_t incy);
@@ -101,4 +118,99 @@ int lsqsgd_feed(int64_t m, int64_t d, double alpha, double *w, double *w_avg, in
     int raised = fetestexcept(RAISED);
     fesetexceptflag(&caller, FE_ALL_EXCEPT);
     return raised != 0;
+}
+
+/* The squared distance from x to the center c, summed as np.einsum sums
+   a row (see above). */
+static double distance(int64_t d, const double *c, const double *x)
+{
+    double lane0 = 0.0, lane1 = 0.0, sq[8];
+    int64_t k = 0;
+    for (; k + 8 <= d; k += 8) {
+        for (int i = 0; i < 8; i++) {
+            double diff = c[k + i] - x[k + i];
+            sq[i] = diff * diff;
+        }
+        for (int i = 6; i >= 0; i -= 2) {
+            lane0 = sq[i] + lane0;
+            lane1 = sq[i + 1] + lane1;
+        }
+    }
+    for (; k < d; k += 2) {
+        double diff0 = c[k] - x[k];
+        double diff1 = k + 1 < d ? c[k + 1] - x[k + 1] : 0.0;
+        lane0 = diff0 * diff0 + lane0;
+        lane1 = diff1 * diff1 + lane1;
+    }
+    return 0.0 + (lane0 + lane1);
+}
+
+void kmeans_distances(int64_t k, int64_t d, const double *centers, const double *x,
+                      double *out)
+{
+    for (int64_t j = 0; j < k; j++)
+        out[j] = distance(d, centers + j * d, x);
+}
+
+/* Feed one `OnlineKMeans` model of k centers, *seeded of them in use,
+   the n rows of x.  It also returns nonzero, with the state spoiled, if
+   a count would pass INT64_MAX, where numpy warns of an overflow, or if
+   a NaN coordinate of a center meets a NaN step of other bits. */
+int kmeans_feed(int64_t n, int64_t d, int64_t k, double *centers, int64_t *counts,
+                int64_t *seeded, const double *x)
+{
+    fexcept_t caller;
+    fegetexceptflag(&caller, FE_ALL_EXCEPT);
+    feclearexcept(FE_ALL_EXCEPT);
+    int failed = 0;
+    int64_t active = *seeded;
+    for (int64_t i = 0; i < n; i++, x += d) {
+        if (active < k) {
+            int existing = 0;
+            for (int64_t j = 0; j < active && !existing; j++) {
+                const double *c = centers + j * d;
+                existing = 1;
+                for (int64_t m = 0; m < d && existing; m++)
+                    existing = c[m] == x[m];
+            }
+            if (!existing) {
+                memcpy(centers + active * d, x, (size_t)d * sizeof(double));
+                counts[active++] = 1;
+                continue;
+            }
+        }
+        int64_t best = 0;
+        double least = 0.0;
+        for (int64_t j = 0; j < active; j++) {
+            double dist = distance(d, centers + j * d, x);
+            if (j == 0 || (!isnan(least) && (isnan(dist) || dist < least))) {
+                best = j;
+                least = dist;
+            }
+        }
+        if (counts[best] == INT64_MAX) {
+            failed = 1;
+            break;
+        }
+        double count = (double)++counts[best];
+        double *c = centers + best * d;
+        for (int64_t m = 0; m < d; m++) {
+            double step = (x[m] - c[m]) / count;
+            if (isnan(c[m])) {
+                /* The sum is the NaN of either operand when one is NaN.
+                   When both are, which one numpy's `c += step` gives
+                   depends on how its loop ordered them. */
+                if (!isnan(step) || memcmp(&step, c + m, sizeof step) == 0)
+                    continue;
+                failed = 1;
+                goto done;
+            }
+            c[m] += step;
+        }
+    }
+done:
+    *seeded = active;
+    int raised = fetestexcept(RAISED);
+    fesetexceptflag(&caller, FE_ALL_EXCEPT);
+    return failed || raised != 0;
 }

@@ -1,7 +1,8 @@
-"""The compiled per-point kernels of the exact `Pegasos` and `LsqSgd` types.
+"""The compiled per-point kernels of the exact `Pegasos`, `LsqSgd` and
+`OnlineKMeans` types.
 
-`_kernels.c` feeds stacked models of either type point by point, bit for
-bit as their `_update_point` does; its header says how.  This module
+`_kernels.c` feeds models of these types point by point, bit for bit as
+their `_update_point` does; its header says how.  This module
 builds and loads it with the standard library alone:
 
 * it compiles the source once with the system C compiler, `cc`, into a
@@ -13,12 +14,18 @@ builds and loads it with the standard library alone:
 * it hands the kernels `scipy_cblas_ddot64_`, the BLAS ddot that
   `ndarray.dot` calls, resolved from numpy's own extension module;
 * it feeds a pinned probe through both the kernels and `_update_point`
-  and keeps the kernels only if every bit agrees.
+  and keeps the kernels only if every bit agrees;
+* when k-means first asks for its kernel (`Kernels.kmeans`), it checks
+  that the kernel's distances sum as this numpy's `np.einsum("ij,ij->i")`
+  does, a property of the numpy build, and feeds a second probe through
+  `kmeans_feed`.  A mismatch there leaves `kmeans_feed` out and keeps
+  the other kernels.  A process that never trains k-means never runs
+  this check.
 
-`kernels()` does this at most once per process, on first use, and gives
-None when any step fails: no compiler, no ddot symbol, an unwritable
-cache, a failed compile or a mismatch.  The learners then keep their
-Python path, and `reason()` says why.
+`kernels()` does the rest at most once per process, on first use, and
+gives None when any step fails: no compiler, no ddot symbol, an
+unwritable cache, a failed compile or a mismatch.  The learners then
+keep their Python path, and `reason()` says why.
 """
 
 from __future__ import annotations
@@ -39,20 +46,46 @@ class _Unavailable(Exception):
 
 
 class Kernels:
-    """The loaded kernels `pegasos_feed` and `lsqsgd_feed`, each called as
-    (m, d, parameter, three state arrays, x, y, counts), every array as a
-    pointer to its C-contiguous data (see `_kernels.c`)."""
+    """The loaded kernels, every array passed as a pointer to its
+    C-contiguous data (see `_kernels.c`):
+
+    * `pegasos_feed` and `lsqsgd_feed`, each called as (m, d, parameter,
+      three state arrays, x, y, counts);
+    * `kmeans_feed`, called as (n, d, k, centers, counts, n_centers, x),
+      n_centers a one-element int64 array, once `kmeans()` has checked it;
+    * `kmeans_distances`, called as (k, d, centers, x, out): the squared
+      distances `kmeans_feed` computes, for that check.
+    """
 
     def __init__(self, lib: ctypes.CDLL, ddot: int):
         lib.set_ddot.argtypes = [ctypes.c_void_p]
         lib.set_ddot.restype = None
         lib.set_ddot(ddot)
-        for name in ("pegasos_feed", "lsqsgd_feed"):
+        linear = [ctypes.c_int64, ctypes.c_int64, ctypes.c_double] + [ctypes.c_void_p] * 6
+        for name, argtypes, restype in [
+            ("pegasos_feed", linear, ctypes.c_int),
+            ("lsqsgd_feed", linear, ctypes.c_int),
+            ("kmeans_feed", [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 4, ctypes.c_int),
+            ("kmeans_distances", [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3, None),
+        ]:
             fn = getattr(lib, name)
-            fn.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_double] + [ctypes.c_void_p] * 6
-            fn.restype = ctypes.c_int
+            fn.argtypes, fn.restype = argtypes, restype
             setattr(self, name, fn)
         self.lib = lib  # the functions are valid while the library is loaded
+        self.kmeans_checked = False
+        self.kmeans_reason: str | None = None  # why `kmeans()` gives None
+
+    def kmeans(self):
+        """`kmeans_feed` if it passes its self-check (`_probe_kmeans`),
+        else None.  The first call runs the check."""
+        if not self.kmeans_checked:
+            # marked first: the probe feeds its models through this method
+            self.kmeans_checked = True
+            mismatch = _probe_kmeans(self)
+            if mismatch is not None:
+                self.kmeans_reason = ("kmeans_feed failed its self-check, so OnlineKMeans runs "
+                                      "in Python: " + mismatch)
+        return None if self.kmeans_reason else self.kmeans_feed
 
 
 def _numpy_ddot() -> tuple[int, str]:
@@ -157,6 +190,56 @@ def _probe(kernels: Kernels) -> str | None:
     return None
 
 
+def _einsum_rows(diffs: np.ndarray) -> np.ndarray:
+    """What `OnlineKMeans._nearest` sums: each row of `diffs` dotted with
+    itself by np.einsum, the reference of the k-means probe."""
+    return np.einsum("ij,ij->i", diffs, diffs)
+
+
+def _probe_kmeans(kernels: Kernels) -> str | None:
+    """Where `kmeans_distances` and np.einsum, or `kmeans_feed` and
+    `_update_point`, disagree on a pinned probe, or None.
+
+    The distances are taken from rows whose elements span 16 orders of
+    magnitude, so that summing them in any other order changes the last
+    bits, at widths on both sides of einsum's 8-element blocks and
+    2-element pairs.  The models are fed runs from a grid of halves,
+    which repeats points and ties distances, at widths 0 to 20, from a
+    fresh model, a partly seeded one and a trained one; one run seeds a
+    duplicate, a -0.0, a tie that the lower index wins and a NaN.
+    """
+    from .learners import KMeansFeed, OnlineKMeans
+
+    for d in (0, 1, 2, 3, 7, 8, 9, 10, 17, 20):
+        i = np.arange(6 * d)
+        centers = (np.sin(i * 1.3 + 0.2) * 10.0 ** (i * 7 % 17 - 8)).reshape(6, d)
+        x = np.cos(np.arange(d) * 0.9) * 10.0 ** (np.arange(d) % 5 - 2)
+        distances = np.empty(6)
+        kernels.kmeans_distances(6, d, centers.ctypes.data, x.ctypes.data, distances.ctypes.data)
+        if distances.tobytes() != _einsum_rows(centers - x).tobytes():
+            return f"its squared distances at d={d} are not np.einsum's"
+
+    mixed = np.array([[2.0, 0.0], [2.0, 0.0], [0.0, 0.0], [1.0, 0.0], [-0.0, 0.0],
+                      [3.0, 1.0], [np.nan, 0.0], [0.0, 1.0]])
+    runs = [(OnlineKMeans(2, 2), 0, mixed), (OnlineKMeans(2, 3), 1, mixed)]
+    for d, k in ((0, 2), (1, 3), (2, 1), (3, 4), (9, 5), (20, 3)):
+        grid = np.round(np.sin(np.arange(40 * d) * 2.1) * 4.0).reshape(40, d) * 0.5
+        runs += [(OnlineKMeans(d, k), first, grid) for first in (0, 1, 25)]
+    for model, first, x in runs:
+        for row in x[:first]:
+            model._update_point(row, None)
+        fed = model.clone()
+        for row in x[first:]:
+            model._update_point(row, None)
+        if not KMeansFeed.feed_model(kernels, fed, np.ascontiguousarray(x[first:]), None):
+            return f"it raised a floating-point flag at d={model.dim}"
+        for name in ("centers", "counts", "n_centers"):
+            if (np.asarray(getattr(fed, name)).tobytes()
+                    != np.asarray(getattr(model, name)).tobytes()):
+                return f"OnlineKMeans.{name} differs at d={model.dim}, K={model.n_clusters}"
+    return None
+
+
 def _load() -> Kernels:
     try:
         source = (resources.files(__package__) / SOURCE).read_bytes()
@@ -196,6 +279,7 @@ def kernels() -> Kernels | None:
 
 
 def reason() -> str | None:
-    """Why `kernels()` gives None, or None when the kernels are loaded."""
-    kernels()
-    return _resolved[1]
+    """Why `kernels()` gives None, or why its `kmeans()` gave None, or
+    None when every kernel asked for is loaded."""
+    loaded = kernels()
+    return _resolved[1] if loaded is None else loaded.kmeans_reason

@@ -29,16 +29,21 @@ Every learner predicts a batch with `predict_many`, reducing rows with
 the batch holds (a BLAS `X @ w` does, in the last bits), and inherits
 `predict(x)`: row 0 of a one-row batch, so a prediction has one form.
 
-The exact types `Pegasos` and `LsqSgd` (not their subclasses, which may
-change `_update_point`) also run compiled.  `_kernels.c`, built and
-loaded by `_native`, feeds stacked models point by point in C, calling
-the BLAS ddot that `ndarray.dot` calls, so every model gets the bits of
-`_update_point`.  Their `update` hands it any labeled, C-contiguous
-float64 batch of at least `min_rows` rows (`_Stack`): at d=20 a point
-then costs ~0.06 us (Pegasos) or ~0.1 us (LsqSgd) against ~1.6 or
-~4-7 us in Python.
+The exact types `Pegasos`, `LsqSgd` and `OnlineKMeans` (not their
+subclasses, which may change `_update_point`) also run compiled
+(`COMPILED`).  `_kernels.c`, built and loaded by `_native`, feeds their
+models point by point in C, so every model gets the bits of
+`_update_point`: the linear kernels call the BLAS ddot that
+`ndarray.dot` calls, and the k-means kernel sums each squared distance
+in the order numpy's `np.einsum` sums a row, which the loader checks
+against this numpy's einsum.  Their `update` hands the kernel any
+C-contiguous float64 batch of at least `min_rows` rows, labeled for the
+linear two (`_Stack`, `KMeansFeed`).  A point then costs ~0.06 us
+(Pegasos) or ~0.1 us (LsqSgd) at d=20, and ~0.07 us (k-means) at d=10
+and K=5, against ~1.6, ~4-7 and ~8-10 us in Python.
 Without a C compiler, or when the kernel raises a floating-point flag,
-the Python update runs, with its own warnings and errors.
+the Python update runs, with its own warnings and errors; k-means also
+runs in Python where numpy's einsum sums in another order.
 
 They also have a lockstep kernel (`LOCKSTEP`), which the tree schedule
 uses to run many models of one type at once when the compiled kernels
@@ -193,6 +198,10 @@ class OnlineKMeans(IncrementalLearner):
         self.counts = np.zeros(n_clusters, dtype=np.int64)
         self.n_centers = 0
 
+    def update(self, x, y=None):
+        if not _update_compiled(self, x, y):
+            super().update(x, y)
+
     def _nearest(self, x) -> int:
         active = self.centers[: self.n_centers]
         diffs = active - x
@@ -275,36 +284,28 @@ def _update_compiled(model, x, y) -> bool:
     """Feed the batch to `model` through its compiled kernel, and say
     whether that happened.
 
-    The kernel takes an exact `Pegasos` or `LsqSgd` whose state has the
-    types its constructor gives (`_Stack.holds`) and a labeled,
-    C-contiguous float64 batch of the model's width and of at least
-    `min_rows` rows of its stack type.  It feeds a copy of the state,
-    which replaces the model's only if no floating-point flag was
-    raised.  In every other case the model is untouched and the Python
-    update runs, with its own warnings, errors and bits.
+    The kernel takes an exact `Pegasos`, `LsqSgd` or `OnlineKMeans` (the
+    keys of `COMPILED`) whose state has the types its constructor gives
+    (`holds`) and a C-contiguous float64 batch of the model's width and
+    of at least `min_rows` rows, labeled for the two linear learners.  It
+    feeds a copy of the state, which replaces the model's only if no
+    floating-point flag was raised.  In every other case the model is
+    untouched and the Python update runs, with its own warnings, errors
+    and bits.
     """
-    stack_type = LOCKSTEP.get(type(model))
-    if (stack_type is None or y is None or type(x) is not np.ndarray or x.ndim != 2
-            or x.shape[0] < stack_type.min_rows or x.dtype != np.float64
+    compiled = COMPILED.get(type(model))
+    if (compiled is None or type(x) is not np.ndarray or x.ndim != 2
+            or x.shape[0] < compiled.min_rows or x.dtype != np.float64
             or not x.flags.c_contiguous or (kernels := _native.kernels()) is None):
         return False
-    try:
-        y = np.asarray(y, dtype=np.float64)  # the outcomes the Python update iterates
-    except (TypeError, ValueError):
-        return False
-    if y.shape != x.shape[:1] or not stack_type.holds(model, x, y):
-        return False
-    stack = stack_type.of(model)
-    if not stack.feed_rows(kernels, x, np.ascontiguousarray(y),
-                           np.array([x.shape[0]], dtype=np.int64)):
-        return False
-    for name in stack.fields:
-        value = getattr(stack, name)[0]
-        if value.ndim:
-            getattr(model, name)[...] = value
-        else:
-            setattr(model, name, value.item())
-    return True
+    if y is not None:
+        try:
+            y = np.asarray(y, dtype=np.float64)  # the outcomes the Python update iterates
+        except (TypeError, ValueError):
+            return False
+        if y.shape != x.shape[:1]:
+            return False
+    return compiled.feed_model(kernels, model, x, y)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -388,6 +389,25 @@ class _Stack:
         arrays = vectors + [x, y]
         return not any(np.may_share_memory(a, b)
                        for i, a in enumerate(vectors) for b in arrays[i + 1:])
+
+    @classmethod
+    def feed_model(cls, kernels: "_native.Kernels", model: IncrementalLearner, x: np.ndarray,
+                   y: np.ndarray | None) -> bool:
+        """Feed one model a labeled batch through the compiled kernel, as
+        `_update_compiled` describes, and say whether that happened."""
+        if y is None or not cls.holds(model, x, y):
+            return False
+        stack = cls.of(model)
+        if not stack.feed_rows(kernels, x, np.ascontiguousarray(y),
+                               np.array([x.shape[0]], dtype=np.int64)):
+            return False
+        for name in cls.fields:
+            value = getattr(stack, name)[0]
+            if value.ndim:
+                getattr(model, name)[...] = value
+            else:
+                setattr(model, name, value.item())
+        return True
 
     def feed_rows(self, kernels: "_native.Kernels", x: np.ndarray, y: np.ndarray,
                   counts: np.ndarray) -> bool:
@@ -481,17 +501,72 @@ class LsqSgdStack(_Stack):
         return np.einsum("ij,ij->i", x, self.w_avg[owner])
 
 
+class KMeansFeed:
+    """The compiled update of one `OnlineKMeans` model (`kmeans_feed`)."""
+
+    # `update` runs a batch of fewer rows in Python.  On a 2-vCPU Xeon VM,
+    # at d in {2, 10, 50, 200} and K in {3, 5, 8}, a call costs ~12-18 us,
+    # most of it checks, copies of the state and ctypes' pointers, against
+    # ~7-11 us per row in Python: they break even at ~2 rows.  Tree CV of
+    # 4000 points at d=10, K=5 (randomized, median of 5) took 0.33 / 0.30
+    # / 0.32 / 0.38 s at LOOCV and 0.088 / 0.083 / 0.088 / 0.128 s at
+    # k=1000 with a cut at 1 / 2 / 3 / 8 rows, and 0.61 / 0.44 s in Python.
+    min_rows = 2
+
+    @staticmethod
+    def holds(model: OnlineKMeans, x: np.ndarray) -> bool:
+        """Whether `model` holds the state the kernel reads, of the types
+        its constructor gives, for the rows of x: writable float64 centers
+        of x's width and int64 counts, one of each per cluster and at
+        least one, sharing no memory with each other or with x, and an int
+        count of centers in use."""
+        centers, counts = model.centers, model.counts
+        return (type(centers) is np.ndarray and centers.dtype == np.float64
+                and centers.shape == (model.n_clusters, x.shape[1]) and len(centers) >= 1
+                and centers.flags.writeable
+                and type(counts) is np.ndarray and counts.dtype == np.int64
+                and counts.shape == centers.shape[:1] and counts.flags.writeable
+                and type(model.n_centers) is int and 0 <= model.n_centers <= len(centers)
+                and not np.may_share_memory(centers, counts)
+                and not np.may_share_memory(centers, x) and not np.may_share_memory(counts, x))
+
+    @classmethod
+    def feed_model(cls, kernels: "_native.Kernels", model: OnlineKMeans, x: np.ndarray,
+                   y: np.ndarray | None) -> bool:
+        """Feed `model` the rows of x through `kmeans_feed`, as
+        `_update_compiled` describes, and say whether that happened; the
+        outcomes y are not read.  x must be a C-contiguous float64 matrix;
+        ValueError says it is not, before the kernel reads it."""
+        if (type(x) is not np.ndarray or x.ndim != 2 or x.dtype != np.float64
+                or not x.flags.c_contiguous):
+            raise ValueError("a kmeans_feed call needs a C-contiguous float64 matrix of rows")
+        if kernels.kmeans() is None or not cls.holds(model, x):
+            return False
+        centers, counts = model.centers.copy(), model.counts.copy()
+        seeded = np.array([model.n_centers], dtype=np.int64)
+        if kernels.kmeans_feed(*x.shape, len(centers), centers.ctypes.data, counts.ctypes.data,
+                               seeded.ctypes.data, x.ctypes.data):
+            return False
+        model.centers[...], model.counts[...] = centers, counts
+        model.n_centers = int(seeded[0])
+        return True
+
+
 # The lockstep kernel of each built-in type that has one, by exact type: a
-# subclass may change the update rule, so it runs its own.  The same types,
-# by the same rule, have compiled kernels.
+# subclass may change the update rule, so it runs its own.
 LOCKSTEP = {Pegasos: PegasosStack, LsqSgd: LsqSgdStack}
+# The compiled update of each built-in type that has one, by the same rule.
+# `OnlineKMeans` has no lockstep kernel, so the tree runs it by recursion,
+# whose `update` runs compiled.
+COMPILED = {**LOCKSTEP, OnlineKMeans: KMeansFeed}
 
 
 def load_kernels(model: IncrementalLearner) -> None:
     """Resolve the compiled kernels now if `model`'s exact type runs on
-    them, so that worker processes forked later inherit them.  A learner
-    of another type, even one that delegates to a `Pegasos` or `LsqSgd`,
-    leaves them to be resolved at the first compiled update, by each
-    process for itself."""
-    if type(model) in LOCKSTEP:
-        _native.kernels()
+    them (`COMPILED`), so that worker processes forked later inherit them
+    and the self-checks run outside any wall time.  A learner of another
+    type, even one that delegates to a built-in, leaves them to be
+    resolved at the first compiled update, by each process for itself."""
+    if type(model) in COMPILED and (loaded := _native.kernels()) is not None:
+        if type(model) is OnlineKMeans:
+            loaded.kmeans()  # and its own self-check

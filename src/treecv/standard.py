@@ -50,14 +50,30 @@ def _shuffled_order(partition: Partition, seed: int, fold: int) -> list[int]:
     return rows
 
 
-def _checked_order(partition: Partition, fold_orders, fold: int) -> list[int]:
-    """Fold `fold`'s order as Python ints, if it permutes the fold's training rows."""
+def _checked_order(partition: Partition, fold_orders, fold: int) -> np.ndarray:
+    """Fold `fold`'s order as an int64 array, if its entries are integers
+    (`operator.index`) that permute the fold's training rows."""
+    entries = fold_orders[fold]
+    # a list of Python ints needs no `operator.index` per entry
+    if not (type(entries) is list and set(map(type, entries)) <= {int}):
+        try:
+            entries = list(map(operator.index, entries))
+        except TypeError:
+            raise InvalidOrderError(f"fold {fold}: order entries must be integers") from None
+    not_a_permutation = InvalidOrderError(
+        f"fold {fold}: order is not a permutation of the training rows")
     try:
-        order = list(map(operator.index, fold_orders[fold]))
-    except TypeError:
-        raise InvalidOrderError(f"fold {fold}: order entries must be integers") from None
-    if sorted(order) != _train_rows(partition, fold):
-        raise InvalidOrderError(f"fold {fold}: order is not a permutation of the training rows")
+        order = np.array(entries, dtype=np.int64)
+    except OverflowError:  # an integer beyond int64 is no row
+        raise not_a_permutation from None
+    # rows in range before counting them: bincount allocates up to the largest
+    if order.size and (order.min() < 0 or order.max() >= partition.n):
+        raise not_a_permutation
+    # each training row once, and no row of the fold's chunk
+    expected = np.ones(partition.n, dtype=np.int64)
+    expected[partition.chunk_slice(fold)] = 0
+    if not np.array_equal(np.bincount(order, minlength=partition.n), expected):
+        raise not_a_permutation
     return order
 
 

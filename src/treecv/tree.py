@@ -30,8 +30,8 @@ a wide level is fed one vectorized step per position and a narrow one
 model by model.  Every model gets the rows, the order and the bits the
 recursion gives it.  Any other learner, including a subclass of those
 two (it may override `_update_point`), runs the recursion, which holds
-only the log2(k) models of one root-to-leaf path; there the built-in
-types' `update` runs compiled too.
+only the log2(k) models of one root-to-leaf path; there the `update` of
+an exact `Pegasos`, `LsqSgd` or `OnlineKMeans` runs compiled too.
 
 Randomized runs feed each node's rows in the order of a Fisher-Yates
 shuffle drawn from a stream keyed by the run seed and the fed chunk

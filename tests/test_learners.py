@@ -25,7 +25,7 @@ from treecv import (
     tree_cv,
 )
 from treecv.harness import ExperimentPlan, stability_rows
-from treecv.learners import LOCKSTEP
+from treecv.learners import COMPILED, LOCKSTEP, KMeansFeed, _update_compiled
 from treecv.rng import SplitMix64Stream
 
 
@@ -674,6 +674,120 @@ def test_compiled_feed_refuses_arrays_of_the_wrong_shape_or_type(kernels, name):
     stack.t = stack.t.astype(np.float64)
     with pytest.raises(ValueError):
         stack.feed_rows(kernels, x, y, counts)
+
+
+def _kmeans_state(model):
+    return [np.asarray(getattr(model, name)).tobytes()
+            for name in ("centers", "counts", "n_centers")]
+
+
+# `kernels` is the same object in every example
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 8), st.integers(0, 40), st.integers(0, 2**64 - 1),
+       st.sampled_from(["grid", "normal", "mixed"]), st.integers(0, 12), st.sampled_from([0, 1, 2]))
+def test_compiled_kmeans_is_the_scalar_update_byte_for_byte(kernels, k, d, seed, values, trained,
+                                                            nans):
+    """A k-means model fed ragged batches, each of at least `min_rows`
+    rows through `kmeans_feed` and each shorter one through Python, ends
+    every batch with the bytes of a model fed the same rows one at a time
+    by `_update_point`.  The model starts fresh, partly seeded or trained;
+    batches may be shorter than K; points on a grid of halves repeat,
+    while seeding too, and tie distances exactly; mixed points span 16
+    orders of magnitude, where any other summation order changes bits;
+    and NaN coordinates make NaN distances, of which the first wins.  Of
+    two NaNs of other bits meeting in an update, numpy keeps the one its
+    loop puts first, so the kernel leaves such a batch to Python."""
+    stream = SplitMix64Stream(seed)
+    n = 40
+    if values == "grid":
+        x = np.array([stream.randbelow(5) for _ in range(n * d)], dtype=np.float64) * 0.5 - 1.0
+    else:
+        x = stream.normal_array(n * d)
+        if values == "mixed":
+            x *= 10.0 ** np.array([stream.randbelow(17) for _ in range(n * d)], dtype=np.float64)
+            x *= 1e-8
+    x = x.reshape(n, d)
+    for sign in (1.0, -1.0)[:nans] if d else ():
+        x[stream.randbelow(n), stream.randbelow(d)] = np.copysign(np.nan, sign)
+    model = OnlineKMeans(dim=d, n_clusters=k)
+    for row in x[:trained]:
+        model._update_point(row, None)
+    twin = model.clone()
+    first = trained
+    while first < n:
+        batch = x[first:first + stream.randbelow(k + 4)]
+        first += len(batch)
+        took = _update_compiled(model, batch, None)
+        assert took == (len(batch) >= KMeansFeed.min_rows) or (nans == 2 and not took)
+        if not took:
+            IncrementalLearner.update(model, batch)
+        for row in batch:
+            twin._update_point(row, None)
+        assert _kmeans_state(model) == _kmeans_state(twin)
+    assert type(model.n_centers) is int
+
+
+def test_kmeans_update_runs_compiled_only_for_what_the_python_update_would_give(kernels,
+                                                                                monkeypatch):
+    """`update` takes the kernel for a plain batch of enough rows, labeled
+    or not, and leaves every other batch, model or subclass to Python."""
+    calls = []
+    feed = kernels.kmeans_feed
+    monkeypatch.setattr(kernels, "kmeans_feed", lambda *args: calls.append(1) or feed(*args))
+    stream = SplitMix64Stream(4)
+    n = KMeansFeed.min_rows + 3
+    x = stream.normal_array(n * 3).reshape(n, 3)
+
+    class Sub(OnlineKMeans):
+        pass
+
+    def model_with(**state):
+        model = OnlineKMeans(3, 2)
+        for name, value in state.items():
+            setattr(model, name, value)
+        return model
+
+    def overlapping():  # the centers are the batch's last two rows
+        shared = x.copy()
+        return model_with(centers=shared[n - 2:]), shared, None
+
+    for case in [
+        lambda: (OnlineKMeans(3, 2), x[:KMeansFeed.min_rows - 1], None),  # too few rows
+        lambda: (OnlineKMeans(3, 2), np.asfortranarray(x), None),
+        lambda: (OnlineKMeans(3, 2), x.astype(np.float32), None),
+        lambda: (OnlineKMeans(3, 2), x, np.zeros(n + 1)),  # the Python update raises
+        lambda: (Sub(3, 2), x, None),
+        lambda: (model_with(n_centers=np.int64(0)), x, None),
+        lambda: (model_with(counts=np.zeros(2, dtype=np.int32)), x, None),
+        overlapping,
+        lambda: (OnlineKMeans(4, 2), x, None),  # a model wider than the data
+    ]:
+        outcomes = []
+        for update in (OnlineKMeans.update, IncrementalLearner.update):
+            model, xs, ys = case()
+            try:
+                update(model, xs, ys)
+                outcomes.append((_kmeans_state(model), type(model.n_centers)))
+            except Exception as err:
+                outcomes.append((type(err), str(err)))
+        assert outcomes[0] == outcomes[1]
+    assert calls == []
+    for rows in (np.asfortranarray(x), x.astype(np.float32), x[0]):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            KMeansFeed.feed_model(kernels, OnlineKMeans(3, 2), rows, None)
+    for ys in (None, np.zeros(n)):
+        model, twin = OnlineKMeans(3, 2), OnlineKMeans(3, 2)
+        model.update(x, ys)
+        IncrementalLearner.update(twin, x, ys)
+        assert _kmeans_state(model) == _kmeans_state(twin)
+        assert type(model.n_centers) is int
+    assert calls == [1, 1]
+
+
+def test_compiled_updates_serve_only_the_exact_built_in_types():
+    assert COMPILED == {Pegasos: LOCKSTEP[Pegasos], LsqSgd: LOCKSTEP[LsqSgd],
+                        OnlineKMeans: KMeansFeed}
 
 
 def test_lockstep_kernels_serve_only_the_exact_built_in_types():

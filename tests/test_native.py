@@ -1,7 +1,10 @@
 """The compiled per-point kernels: the loader and its reasons, and the
 floating-point exceptions the kernels hand back to the Python update."""
 
+import platform
 import shutil
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -26,15 +29,25 @@ from treecv import (
     tree_cv,
 )
 from treecv import _native
-from treecv.learners import LOCKSTEP
+from treecv.learners import LOCKSTEP, KMeansFeed, _update_compiled
 
 
 def test_the_kernels_load_wherever_a_c_compiler_is_on_path():
-    """CI installs gcc: a silent fall back to the Python path fails here."""
+    """CI runs on x86-64 Linux, where numpy's einsum sums as `kmeans_feed`
+    does: a silent fall back to the Python path of any learner fails there.
+    A numpy that sums in another order elsewhere leaves k-means in Python,
+    with a reason that names its kernel."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    assert _native.kernels() is not None, _native.reason()
-    assert _native.reason() is None
+    loaded = _native.kernels()
+    assert loaded is not None, _native.reason()
+    if sys.platform == "linux" and platform.machine() == "x86_64":
+        assert loaded.kmeans() is not None, _native.reason()
+        assert _native.reason() is None
+    elif loaded.kmeans() is None:
+        assert "kmeans_feed" in _native.reason()
+    else:
+        assert _native.reason() is None
 
 
 def test_an_unusable_kernel_leaves_the_python_path_with_a_reason(monkeypatch, tmp_path):
@@ -78,21 +91,97 @@ def test_a_kernel_that_disagrees_with_update_point_is_not_used(monkeypatch):
     assert kernels is None and reason.startswith("self-check against _update_point failed")
 
 
-def test_runs_of_learners_without_kernels_never_resolve_them(monkeypatch):
-    resolved = []
-    monkeypatch.setattr(_native, "_resolved", None)
-    monkeypatch.setattr(_native, "_resolve", lambda: resolved.append(1) or (None, "unused"))
+def test_kernels_are_resolved_before_the_clock_only_for_learners_that_run_them(monkeypatch):
+    """`MeanPredictor` runs never resolve the kernels.  An `OnlineKMeans`
+    run resolves them and checks `kmeans_feed` once per process, before
+    its clock starts and before it forks, in either scheduler."""
+    events = []
+    perf_counter = time.perf_counter
+
+    class Unchecked:  # stands in for the kernels: records its k-means check, gives no kernel
+        kmeans_checked = False
+
+        def kmeans(self):
+            if not self.kmeans_checked:
+                self.kmeans_checked = True
+                events.append("check")
+
+    monkeypatch.setattr(_native, "_resolve",
+                        lambda: events.append("resolve") or (Unchecked(), None))
+    monkeypatch.setattr(time, "perf_counter", lambda: events.append("clock") or perf_counter())
+    data = synth_regression(60, 3, seed=1)
     blobs = synth_blobs(60, 3, 2, seed=1)
     part = partition(blobs, 6)
-    for workers in (0, 2):
-        tree_cv(lambda: OnlineKMeans(3, 2), blobs, part, QUANTIZATION,
-                TreeCvConfig(max_workers=workers))
-        standard_cv(lambda: OnlineKMeans(3, 2), blobs, part, QUANTIZATION, max_workers=workers)
-    data = synth_regression(60, 3, seed=1)
-    loocv(lambda: MeanPredictor(3), data, SQUARED)
-    assert resolved == []
-    loocv(lambda: LsqSgd(3, 0.1), data, SQUARED)
-    assert resolved == [1]
+    runs = [
+        lambda workers: tree_cv(lambda: OnlineKMeans(3, 2), blobs, part, QUANTIZATION,
+                                TreeCvConfig(max_workers=workers)),
+        lambda workers: standard_cv(lambda: OnlineKMeans(3, 2), blobs, part, QUANTIZATION,
+                                    max_workers=workers),
+    ]
+    for run in runs:
+        monkeypatch.setattr(_native, "_resolved", None)
+        loocv(lambda: MeanPredictor(3), data, SQUARED)
+        standard_cv(lambda: MeanPredictor(3), data, partition(data, 6), SQUARED, max_workers=2)
+        assert "clock" in events and "resolve" not in events
+        events.clear()
+        for workers in (0, 2):
+            run(workers)
+        assert events.count("resolve") == events.count("check") == 1
+        assert events.index("resolve") < events.index("check") < events.index("clock")
+        events.clear()
+
+
+def _other_order_rows(lanes):
+    """Squared row sums in an order other than this numpy's einsum: left
+    to right for one lane, else as an einsum built for `lanes`-wide
+    vectors would sum, in blocks of 4 * lanes elements."""
+    def rows(diffs):
+        products = diffs * diffs
+        if lanes == 1:
+            total = np.zeros(len(diffs))
+            for column in products.T:
+                total = total + column
+            return total
+        sums = []
+        for row in products:
+            padded = np.concatenate([row, np.zeros(-len(row) % lanes)]).reshape(-1, lanes)
+            acc = np.zeros(lanes)
+            blocks = len(row) // (4 * lanes)
+            for block in range(blocks):
+                for step in (3, 2, 1, 0):
+                    acc = padded[4 * block + step] + acc
+            for vector in padded[4 * blocks:]:
+                acc = vector + acc
+            while len(acc) > 1:
+                acc = acc[: len(acc) // 2] + acc[len(acc) // 2:]
+            sums.append(0.0 + acc[0])
+        return np.array(sums)
+    return rows
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("lanes", [1, 4])
+def test_a_kmeans_kernel_that_sums_in_another_order_is_left_out_alone(lanes, monkeypatch):
+    """A numpy whose einsum sums rows in another order than the kernel
+    fails the k-means self-check: `kmeans_feed` is left out, with a reason
+    that names it, and `Pegasos` and `LsqSgd` stay compiled."""
+    monkeypatch.setattr(_native, "_einsum_rows", _other_order_rows(lanes))
+    loaded, reason = _native._resolve()
+    assert loaded is not None and reason is None
+    monkeypatch.setattr(_native, "_resolved", (loaded, reason))
+    assert _native.reason() is None  # k-means has not asked for its kernel yet
+    assert loaded.kmeans() is None
+    reason = _native.reason()
+    assert "kmeans_feed" in reason and "OnlineKMeans" in reason and "np.einsum" in reason
+
+    x = np.sin(np.arange(60.0)).reshape(20, 3)
+    y = np.where(np.arange(20) % 2, 1.0, -1.0)
+    assert _update_compiled(Pegasos(3, 0.1), x, y) and _update_compiled(LsqSgd(3, 0.1), x, y)
+    model, twin = OnlineKMeans(3, 2), OnlineKMeans(3, 2)
+    assert not _update_compiled(model, x, None)
+    model.update(x)
+    IncrementalLearner.update(twin, x)
+    assert model.centers.tobytes() == twin.centers.tobytes()
 
 
 def _overflowing_batch():
@@ -157,5 +246,56 @@ def test_a_raised_flag_in_the_tree_is_the_python_paths_update_failure(scale, err
             monkeypatch.setattr(_native, "kernels", lambda: None)
         with np.errstate(**errstate), pytest.raises(UpdateFailedError, match=match) as info:
             loocv(lambda: LsqSgd(4, 0.1), data, SQUARED, config)
+        ranges.append(info.value.chunk_range)
+    assert ranges[0] == ranges[1]
+
+
+def _kmeans_outcome(update, x, **errstate):
+    """What `update` does to a fresh 2-means model: the error it raises,
+    the warnings it gives, and the bytes of the state it leaves."""
+    model = OnlineKMeans(3, 2)
+    error = None
+    with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
+        warnings.simplefilter("always")
+        try:
+            update(model, x)
+        except FloatingPointError as err:
+            error = str(err)
+    state = [np.asarray(getattr(model, name)).tobytes()
+             for name in ("centers", "counts", "n_centers")]
+    return error, [str(w.message) for w in caught], state
+
+
+@pytest.mark.parametrize("scale", [1e200, 1.5e308])
+@pytest.mark.parametrize("errstate", [{}, {"over": "raise"}])
+def test_a_kmeans_overflow_gives_the_python_paths_error_warnings_and_bits(scale, errstate,
+                                                                        kernels):
+    """Near 1e200 a squared distance overflows, which np.einsum does not
+    report; near 1.5e308 a difference overflows, which numpy warns of or
+    raises.  Either way the kernel raises a flag and Python reruns the
+    batch."""
+    x = np.full((10, 3), 0.5)
+    x[3], x[6] = scale, -scale
+    assert not KMeansFeed.feed_model(kernels, OnlineKMeans(3, 2), x, None)
+    compiled = _kmeans_outcome(OnlineKMeans.update, x, **errstate)
+    python = _kmeans_outcome(IncrementalLearner.update, x, **errstate)
+    assert compiled == python
+    subtract_overflows = scale > 1e300
+    assert compiled[0] == ("overflow encountered in subtract"
+                           if subtract_overflows and errstate else None)
+    assert bool(compiled[1]) == (subtract_overflows and not errstate)
+
+
+def test_a_kmeans_overflow_in_the_tree_is_the_python_paths_update_failure(monkeypatch):
+    x = synth_blobs(120, 4, 3, seed=4).x.copy()
+    x[20], x[100] = 1.5e308, -1.5e308
+    data = Dataset(x)
+    config = TreeCvConfig(ordering="randomized", seed=5)
+    ranges = []
+    for forced_off in (False, True):
+        if forced_off:
+            monkeypatch.setattr(_native, "kernels", lambda: None)
+        with np.errstate(over="raise"), pytest.raises(UpdateFailedError, match="overflow") as info:
+            loocv(lambda: OnlineKMeans(4, 3), data, QUANTIZATION, config)
         ranges.append(info.value.chunk_range)
     assert ranges[0] == ranges[1]

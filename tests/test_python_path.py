@@ -1,6 +1,7 @@
 """The digest, oracle and fork-join tests once more with the compiled
 kernels forced off, so the Python update and the lockstep level loop
-stay checked on hosts that compile the kernels.  Each test is imported
+stay checked on hosts that compile the kernels.  The digests include
+both k-means shapes, standard CV on parsed text and tree LOOCV.  Each test is imported
 from its own module and runs here under the `python_path` fixture."""
 
 import pytest
@@ -24,6 +25,7 @@ from test_tree import (
     test_a_learner_narrower_than_the_data_raises_the_recursions_update_error,
     test_float32_parameters_give_the_oracles_fold_scores,
     test_fork_join_matches_sequential_bit_exactly,
+    test_kmeans_fork_join_and_oracle_replay_equal_sequential,
     test_level_loop_reports_and_traces_are_the_recursions,
     test_level_table_feeds_most_ranges_of_the_n120_loocv_gates,
     test_level_table_on_a_ragged_partition_matches_the_oracle,

@@ -1,8 +1,10 @@
 """Bit-identity of whole reports, pinned as digests.
 
-Each case builds one benchmark workload shape, or a standard-CV shape no
-workload runs (fixed order; labeled data in randomized order), at a small
-size through the public API and hashes `comparable()` of its estimate.  A change that
+Each case builds one benchmark workload shape, or a shape no workload
+runs (standard CV in fixed order or on labeled data in randomized order;
+tree LOOCV with k-means, whose recursion feeds it batches both above and
+below its compiled update's `min_rows`), at a small size through the
+public API and hashes `comparable()` of its estimate.  A change that
 alters any fold score, count or label in the last bit changes the digest;
 a change meant to keep reports bit-identical must leave these alone.
 """
@@ -57,6 +59,13 @@ def standard10_pegasos_randomized(seed):
                        "randomized", seed)
 
 
+def loocv_kmeans_randomized(seed):
+    data = synth_blobs(120, 10, 5, seed=seed)
+    config = TreeCvConfig(ordering="randomized", seed=seed)
+    return tree_cv(lambda: OnlineKMeans(10, 5), data, partition(data, data.n), QUANTIZATION,
+                   config)
+
+
 def standard10_kmeans_parsed(seed):
     blobs = synth_blobs(200, 10, 5, seed=seed)
     text = serialize_sparse_text(Dataset(blobs.x, np.arange(200) % 5))
@@ -71,6 +80,8 @@ def standard10_kmeans_parsed(seed):
     (loocv_pegasos_randomized, 801, "789bfc97de51c16d"),
     (kfold16_lsqsgd_fixed, 7, "2af3ccaec16276ca"),
     (kfold16_lsqsgd_fixed, 801, "d7b0203cc3b1f48c"),
+    (loocv_kmeans_randomized, 7, "0fcb2858d943696a"),
+    (loocv_kmeans_randomized, 801, "485f731fd99db60b"),
     (standard10_kmeans_parsed, 7, "da97592a42754ff0"),
     (standard10_kmeans_parsed, 801, "f821e2d677eb732a"),
     (standard16_lsqsgd_fixed, 7, "245d7ad73807920f"),

@@ -131,6 +131,13 @@ def test_oracle_rejects_bad_orders():
     held_out[1][0] = part.chunk_slice(1).start  # includes a held-out row
     with pytest.raises(InvalidOrderError):
         brute_force_oracle(lambda: MeanPredictor(1), ds, part, SQUARED, held_out)
+    # rows far out of range, in and past int64: rejected before any counting
+    for far in ([2**40], np.array([2**40], dtype=np.int64), [2**70],
+                np.array([2**63], dtype=np.uint64), [-1]):
+        out_of_range = [list(order) for order in good]
+        out_of_range[0][:1] = far
+        with pytest.raises(InvalidOrderError, match="not a permutation"):
+            brute_force_oracle(lambda: MeanPredictor(1), ds, part, SQUARED, out_of_range)
 
 
 def test_oracle_takes_integer_indices_only():

@@ -13,8 +13,10 @@ from treecv import (
     InvalidFoldCountError,
     LsqSgd,
     MeanPredictor,
+    OnlineKMeans,
     Partition,
     Pegasos,
+    QUANTIZATION,
     SQUARED,
     TreeCvConfig,
     UpdateFailedError,
@@ -23,6 +25,7 @@ from treecv import (
     loocv,
     partition,
     standard_cv,
+    synth_blobs,
     synth_classification,
     synth_regression,
     tree_cv,
@@ -280,6 +283,29 @@ def test_equal_seeds_give_bit_identical_reports():
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+def test_kmeans_fork_join_and_oracle_replay_equal_sequential():
+    """k-means runs the recursion, whose `update` runs compiled: forked
+    runs of either scheduler equal sequential ones, and the oracle replay
+    of the tree's feeding orders gives its fold scores."""
+    data = synth_blobs(150, 5, 4, seed=6)
+    factory = lambda: OnlineKMeans(5, 4)
+    for k in (150, 13):
+        part = partition(data, k)
+        for ordering in ("fixed", "randomized"):
+            config = TreeCvConfig(ordering=ordering, seed=k)
+            sequential = tree_cv(factory, data, part, QUANTIZATION, config)
+            forked = tree_cv(factory, data, part, QUANTIZATION,
+                             TreeCvConfig(ordering=ordering, seed=k, max_workers=3))
+            assert forked.comparable() == sequential.comparable()
+            replay = brute_force_oracle(factory, data, part, QUANTIZATION,
+                                        tree_feed_orders(part, ordering, seed=k))
+            assert replay.fold_scores == sequential.fold_scores
+            standard = standard_cv(factory, data, part, QUANTIZATION, ordering, seed=k)
+            assert standard.comparable() == standard_cv(factory, data, part, QUANTIZATION,
+                                                        ordering, seed=k,
+                                                        max_workers=2).comparable()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4, 8])

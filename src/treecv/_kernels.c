@@ -1,5 +1,5 @@
 /* Per-point update kernels for the exact `Pegasos`, `LsqSgd` and
-   `OnlineKMeans` types.
+   `OnlineKMeans` types, and the tree's level shuffle.
 
    The linear kernels feed m models, stored as rows of stacked state
    arrays.  Model i is fed its own run of counts[i] consecutive rows of x
@@ -36,7 +36,11 @@
    caller to discard the models' state and feed them through Python
    instead.  (np.einsum raises no flag, so a k-means distance that
    overflows sends the rows to Python, which gives the same bits.)  The
-   caller's own flags are restored either way.  */
+   caller's own flags are restored either way.
+
+   `shuffle_ranges` is integer code only: it is `SplitMix64Stream.shuffle`
+   run on each range with its own seed, so it gives the permutation that
+   the Python loop gives.  */
 
 #include <fenv.h>
 #include <math.h>
@@ -213,4 +217,37 @@ done:
     int raised = fetestexcept(RAISED);
     fesetexceptflag(&caller, FE_ALL_EXCEPT);
     return failed || raised != 0;
+}
+
+/* The SplitMix64 finalizer, as `rng._mix`. */
+static uint64_t mix(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+    return z ^ (z >> 31);
+}
+
+/* Shuffle values[starts[r]:stops[r]] in place for every r of m, each by
+   the Fisher-Yates loop of `SplitMix64Stream(seeds[r]).shuffle`: from the
+   last position i down to 1, swap i with j = randbelow(i + 1), where a
+   draw u with u - u % bound > 2**64 - bound is rejected and drawn again.
+   The ranges must not overlap. */
+void shuffle_ranges(int64_t *values, int64_t m, const uint64_t *seeds, const int64_t *starts,
+                    const int64_t *stops)
+{
+    for (int64_t r = 0; r < m; r++) {
+        int64_t *part = values + starts[r];
+        uint64_t state = seeds[r];
+        for (int64_t i = stops[r] - starts[r] - 1; i > 0; i--) {
+            uint64_t bound = (uint64_t)i + 1, u, j;
+            do {
+                state += 0x9E3779B97F4A7C15u;
+                u = mix(state);
+                j = u % bound;
+            } while (u - j > 0 - bound);
+            int64_t held = part[i];
+            part[i] = part[j];
+            part[j] = held;
+        }
+    }
 }

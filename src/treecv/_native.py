@@ -1,8 +1,9 @@
 """The compiled per-point kernels of the exact `Pegasos`, `LsqSgd` and
-`OnlineKMeans` types.
+`OnlineKMeans` types, and the tree's level shuffle.
 
 `_kernels.c` feeds models of these types point by point, bit for bit as
-their `_update_point` does; its header says how.  This module
+their `_update_point` does, and shuffles ranges as
+`SplitMix64Stream.shuffle` does; its header says how.  This module
 builds and loads it with the standard library alone:
 
 * it compiles the source once with the system C compiler, `cc`, into a
@@ -13,8 +14,10 @@ builds and loads it with the standard library alone:
   load a partial one;
 * it hands the kernels `scipy_cblas_ddot64_`, the BLAS ddot that
   `ndarray.dot` calls, resolved from numpy's own extension module;
-* it feeds a pinned probe through both the kernels and `_update_point`
-  and keeps the kernels only if every bit agrees;
+* it feeds a pinned probe through both the kernels and `_update_point`,
+  and shuffles pinned ranges through both `shuffle_ranges` and
+  `SplitMix64Stream.shuffle`, and keeps the kernels only if every bit
+  agrees;
 * when k-means first asks for its kernel (`Kernels.kmeans`), it checks
   that the kernel's distances sum as this numpy's `np.einsum("ij,ij->i")`
   does, a property of the numpy build, and feeds a second probe through
@@ -25,7 +28,8 @@ builds and loads it with the standard library alone:
 `kernels()` does the rest at most once per process, on first use, and
 gives None when any step fails: no compiler, no ddot symbol, an
 unwritable cache, a failed compile or a mismatch.  The learners then
-keep their Python path, and `reason()` says why.
+keep their Python path, the tree runs the recursion, and `reason()` says
+why.
 """
 
 from __future__ import annotations
@@ -54,7 +58,9 @@ class Kernels:
     * `kmeans_feed`, called as (n, d, k, centers, counts, n_centers, x),
       n_centers a one-element int64 array, once `kmeans()` has checked it;
     * `kmeans_distances`, called as (k, d, centers, x, out): the squared
-      distances `kmeans_feed` computes, for that check.
+      distances `kmeans_feed` computes, for that check;
+    * `shuffle_ranges`, called as (values, m, seeds, starts, stops)
+      through `rng.shuffle_ranges`, which checks the arrays.
     """
 
     def __init__(self, lib: ctypes.CDLL, ddot: int):
@@ -67,6 +73,7 @@ class Kernels:
             ("lsqsgd_feed", linear, ctypes.c_int),
             ("kmeans_feed", [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 4, ctypes.c_int),
             ("kmeans_distances", [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3, None),
+            ("shuffle_ranges", [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3, None),
         ]:
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes, restype
@@ -151,13 +158,23 @@ def _build(source: bytes, blas: str) -> str:
     return path
 
 
+# A seed whose first SplitMix64 draw is 2**64 - 1 (the finalizer inverted
+# step by step): randbelow(40) rejects that draw and draws again.
+_REJECTED_SEED = 0x31628AF67B2131AB
+
+
 def _probe(kernels: Kernels) -> str | None:
-    """Where the kernels and `_update_point` disagree on a pinned probe,
-    or None.  It covers widths 0, 1, 2 and 20, ragged runs, an empty
+    """Why the kernels fail their self-check on a pinned probe, or None.
+
+    The linear kernels are fed through both the kernels and
+    `_update_point` at widths 0, 1, 2 and 20, with ragged runs, an empty
     run, a t = 0 restart from a nonzero iterate, a -0.0 iterate at width
-    1 and `LsqSgd` projections."""
+    1 and `LsqSgd` projections.  `shuffle_ranges` shuffles ranges of
+    length 0, 1, 2, 3 and 40, one of them seeded so that its first draw is
+    rejected, which `SplitMix64Stream.shuffle` must shuffle alike."""
     from .core import IncrementalLearner
-    from .learners import LOCKSTEP, LsqSgd, Pegasos
+    from .learners import LEVEL_LOOP, LsqSgd, Pegasos
+    from .rng import SplitMix64Stream, shuffle_ranges
 
     counts = np.array([3, 0, 7, 5], dtype=np.int64)
     rows = int(counts.sum())
@@ -172,11 +189,12 @@ def _probe(kernels: Kernels) -> str | None:
             if d:
                 (signed.v if type(proto) is Pegasos else signed.w)[0] = -0.0
             models = [proto.fresh(), trained, restart, signed]
-            stack_type = LOCKSTEP[type(proto)]
+            stack_type = LEVEL_LOOP[type(proto)]
             stack = stack_type(proto, [np.array([getattr(model, name) for model in models])
                                        for name in stack_type.fields])
             if not stack.feed_rows(kernels, x, y, counts):
-                return f"{type(proto).__name__} at d={d} raised a floating-point flag"
+                return (f"self-check against _update_point failed: {type(proto).__name__} at "
+                        f"d={d} raised a floating-point flag")
             first = 0
             for i, model in enumerate(models):
                 IncrementalLearner.update(model, x[first:first + counts[i]],
@@ -186,7 +204,21 @@ def _probe(kernels: Kernels) -> str | None:
                 for name in stack_type.fields:
                     if (np.asarray(getattr(fed, name)).tobytes()
                             != np.asarray(getattr(model, name)).tobytes()):
-                        return f"{type(proto).__name__}.{name} of model {i} differs at d={d}"
+                        return (f"self-check against _update_point failed: "
+                                f"{type(proto).__name__}.{name} of model {i} differs at d={d}")
+
+    lengths = [0, 1, 2, 3, 40]
+    seeds = np.array([5, 6, 7, 8, _REJECTED_SEED], dtype=np.uint64)
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    values = np.arange(stops[-1], dtype=np.int64)
+    shuffle_ranges(kernels, values, seeds, starts, stops)
+    for seed, start, stop in zip(seeds.tolist(), starts.tolist(), stops.tolist()):
+        expected = list(range(start, stop))
+        SplitMix64Stream(seed).shuffle(expected)
+        if values[start:stop].tolist() != expected:
+            return (f"self-check against SplitMix64Stream.shuffle failed: shuffle_ranges "
+                    f"gives another order of a range of {stop - start} with seed {seed:#x}")
     return None
 
 
@@ -261,7 +293,7 @@ def _resolve() -> tuple[Kernels | None, str | None]:
         return None, str(err)
     mismatch = _probe(loaded)
     if mismatch is not None:
-        return None, f"self-check against _update_point failed: {mismatch}"
+        return None, mismatch
     return loaded, None
 
 

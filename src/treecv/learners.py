@@ -45,15 +45,12 @@ Without a C compiler, or when the kernel raises a floating-point flag,
 the Python update runs, with its own warnings and errors; k-means also
 runs in Python where numpy's einsum sums in another order.
 
-They also have a lockstep kernel (`LOCKSTEP`), which the tree schedule
-uses to run many models of one type at once when the compiled kernels
-are not loaded: their state stacked into arrays of one row per model,
-one vectorized step that feeds each model one point, and one batched
-prediction.  Every model gets the bits the scalar path gives it:
-`np.vecdot` reduces each row with the BLAS dot product that
-`ndarray.dot` uses, and each row of `np.einsum("ij,ij->i", X, V)` is
-what `predict_many` gives that row.  The same stacks carry the compiled
-kernels' state (`_Stack.feed_rows`).
+The tree schedule runs many `Pegasos` or `LsqSgd` models of one level at
+once (`LEVEL_LOOP`), on the compiled kernels only: their state stacked
+into arrays of one row per model (`_Stack`), one kernel call that feeds
+each model its own run of rows (`_Stack.feed_rows`), and one batched
+prediction, each row of which, `np.einsum("ij,ij->i", X, V)`, is what
+`predict_many` gives that row.
 """
 
 from __future__ import annotations
@@ -308,25 +305,13 @@ def _update_compiled(model, x, y) -> bool:
     return compiled.feed_model(kernels, model, x, y)
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row i of `a` dotted with row i of `b`, bit for bit as `a[i].dot(b[i])`.
-
-    That reduces rows of two or more with BLAS ddot, as `np.vecdot` does,
-    but multiplies 1-element vectors, which keeps the sign of a -0.0 that
-    ddot's +0.0 start would drop.  Rows of no elements dot to +0.0, as
-    `ndarray.dot` gives.
-    """
-    return np.vecdot(a, b) if a.shape[1] != 1 else a[:, 0] * b[:, 0]
-
-
 class _Stack:
     """m models of one built-in type, each field of their state stacked
-    into an array with one row per model: the lockstep kernel's state.
+    into an array with one row per model: the compiled kernel's state.
 
     `proto`, a model of that type, holds the parameters all m share.
     Subclasses name the state fields in the order the compiled kernel
-    takes them, the kernel and its parameter, and define `feed` and
-    `predict`.
+    takes them, the kernel and its parameter, and define `predict`.
     """
 
     fields: tuple[str, ...] = ()
@@ -367,11 +352,6 @@ class _Stack:
             value = getattr(self, name)[i]
             setattr(twin, name, value.copy() if value.ndim else value.item())
         return twin
-
-    def put(self, i: int, model: IncrementalLearner) -> None:
-        """Write the state of `model` back as model i."""
-        for name in self.fields:
-            getattr(self, name)[i] = getattr(model, name)
 
     @classmethod
     def holds(cls, model: IncrementalLearner, x: np.ndarray, y: np.ndarray) -> bool:
@@ -443,30 +423,6 @@ class PegasosStack(_Stack):
     kernel, param, floats, vectors = "pegasos_feed", "lam", ("lam", "a"), ("v",)
     min_rows = 20
 
-    def feed(self, x: np.ndarray, y: np.ndarray, widths) -> None:
-        """Feed the models in lockstep, each by `Pegasos._update_point`.
-
-        Step j feeds the next widths[j] rows of x and y, one to each of
-        the first widths[j] models.  Widths never grow, and the first is
-        the number of models.
-        """
-        lam = self.proto.lam
-        restart = np.flatnonzero(self.t == 0)  # their first step restarts from v = 0, a = 1
-        first = 0
-        for p in widths:
-            xs, ys = x[first:first + p], y[first:first + p]
-            first += p
-            a, v, t = self.a[:p], self.v[:p], self.t[:p]
-            margin = ys * (a * _rowdot(v, xs))
-            t += 1
-            a *= 1.0 - 1.0 / t
-            if restart.size:
-                a[restart] = 1.0
-                v[restart] = 0.0
-                restart = restart[:0]
-            hit = np.flatnonzero(margin < 1.0)
-            v[hit] += (ys / (lam * t * a))[hit, None] * xs[hit]
-
     def predict(self, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Model owner[i]'s `predict_many` of row i of x, for every row."""
         return np.copysign(1.0, np.einsum("ij,ij->i", x, self.v[owner]))
@@ -479,22 +435,6 @@ class LsqSgdStack(_Stack):
     fields = ("w", "w_avg", "t")
     kernel, param, floats, vectors = "lsqsgd_feed", "alpha", ("alpha",), ("w", "w_avg")
     min_rows = 8
-
-    def feed(self, x: np.ndarray, y: np.ndarray, widths) -> None:
-        """Feed the models in lockstep, each by `LsqSgd._update_point`;
-        `widths` as for `PegasosStack.feed`."""
-        rate = 2.0 * self.proto.alpha
-        first = 0
-        for p in widths:
-            xs, ys = x[first:first + p], y[first:first + p]
-            first += p
-            w, w_avg, t = self.w[:p], self.w_avg[:p], self.t[:p]
-            w -= (rate * (_rowdot(w, xs) - ys))[:, None] * xs
-            norm = np.sqrt(_rowdot(w, w))
-            out = np.flatnonzero(norm > 1.0)
-            w[out] /= norm[out, None]
-            t += 1
-            w_avg += (w - w_avg) / t[:, None]
 
     def predict(self, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Model owner[i]'s `predict_many` of row i of x, for every row."""
@@ -552,13 +492,14 @@ class KMeansFeed:
         return True
 
 
-# The lockstep kernel of each built-in type that has one, by exact type: a
-# subclass may change the update rule, so it runs its own.
-LOCKSTEP = {Pegasos: PegasosStack, LsqSgd: LsqSgdStack}
+# The stack type of each built-in type whose tree runs a compiled level
+# loop, by exact type: a subclass may change the update rule, so it runs
+# its own.
+LEVEL_LOOP = {Pegasos: PegasosStack, LsqSgd: LsqSgdStack}
 # The compiled update of each built-in type that has one, by the same rule.
-# `OnlineKMeans` has no lockstep kernel, so the tree runs it by recursion,
-# whose `update` runs compiled.
-COMPILED = {**LOCKSTEP, OnlineKMeans: KMeansFeed}
+# `OnlineKMeans` has no level loop, so the tree runs it by recursion, whose
+# `update` runs compiled.
+COMPILED = {**LEVEL_LOOP, OnlineKMeans: KMeansFeed}
 
 
 def load_kernels(model: IncrementalLearner) -> None:

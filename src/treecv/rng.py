@@ -14,15 +14,13 @@ draws them in one `next_u64_array` call and reduces them with numpy; the
 scalar loop is the reference, used for short inputs and whenever a draw
 would be rejected.
 
-`shuffle_ranges` shuffles many disjoint ranges at once, each with its own
-stream, and gives every range the permutation `shuffle` gives it.  It is
-the same computation rearranged, not a second generator: draw t of the
-stream seeded s is mix(s + (t+1)*gamma) whoever computes it, so the draws
-of all ranges come from one numpy pass over (seed, t) pairs; the picks
-and the rejection test are `shuffle`'s; and position i of each range is
-swapped with its pick in the same order as the scalar loop, only for all
-ranges in one fancy-index step.  A range with a rejected draw is redone
-by `shuffle` itself.  `derive_seeds` is `derive_seed` over arrays of tags.
+`shuffle_ranges` shuffles many disjoint ranges of an int64 array at
+once, each with its own stream, in one call of the compiled kernel of
+the same name (`_kernels.c`).  That kernel is `shuffle`'s scalar loop in
+C, randbelow's rejection included, so every range gets the permutation
+`shuffle` gives it; the loader checks that against `shuffle` before it
+keeps the kernels (`_native`).  `derive_seeds` is `derive_seed` over
+arrays of tags.
 
 The stream is pinned by test vectors (see tests/test_rng.py); any change
 to the constants below is a breaking change to reproducibility.
@@ -53,8 +51,9 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# the constants as numpy scalars, made once: the level shuffle calls the
-# finalizer on short arrays, where making them costs as much as the work
+# the constants as numpy scalars, made once: the tree's level loop calls
+# the finalizer (`derive_seeds`) on short arrays, where making them costs
+# as much as the work
 _U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
 _U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
@@ -208,65 +207,27 @@ class SplitMix64Stream:
         return np.array(order, dtype=np.int64)
 
 
-def shuffle_ranges(values: np.ndarray, seeds, starts, stops) -> None:
-    """Shuffle disjoint slices of an int64 array in place, each with its own stream.
+def shuffle_ranges(kernels, values: np.ndarray, seeds: np.ndarray, starts: np.ndarray,
+                   stops: np.ndarray) -> None:
+    """Shuffle disjoint slices of an int64 array in place, each with its
+    own stream, in one call of `kernels.shuffle_ranges`.
 
     Afterwards values[starts[r]:stops[r]] is in the order that
     `SplitMix64Stream(seeds[r]).shuffle` leaves that slice in, for every r.
-    The slices must not overlap.
-
-    A slice of length L takes draws t = 0..L-2, draw t being
-    mix(seed + (t+1)*gamma) with bound L - t, for position L-1-t.  All
-    draws of all slices are made, reduced to picks and checked against
-    randbelow's rejection test in one numpy pass, laid out by position
-    from the longest slice's last one down, so that each position's
-    swaps are one contiguous stretch.  Then one fancy-index swap per
-    position runs over every slice still that long, in the scalar loop's
-    order.  A slice with a rejected draw is left out of the swaps and
-    shuffled by `shuffle` instead.
+    values must be a writable int64 vector, seeds a uint64 vector and
+    starts and stops int64 vectors of the same length, all C-contiguous,
+    with 0 <= starts[r] <= stops[r] <= len(values); ValueError says they
+    are not, before the kernel reads or writes past an array.  The slices
+    must not overlap.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
-    # slices longest first: those longer than position i are a prefix,
-    # active[i] of them
-    order = np.argsort(starts - stops, kind="stable")
-    lengths = (stops - starts)[order]
-    positions = np.arange(lengths.max(initial=0) - 1, 0, -1)
-    active = np.searchsorted(-lengths, -positions)
-    # one entry per draw, position-major: the slice is order[rank], and
-    # t + 1 = length - position.  Each array has an entry per draw, so the
-    # ones done with are dropped as it goes.
-    ends = np.cumsum(active)
-    rank = np.arange(int(active.sum())) - np.repeat(ends - active, active)
-    position = np.repeat(positions, active)
-    draws = (lengths[rank] - position).astype(np.uint64)
-    rank = order[rank]  # now the slice itself
-    draws *= _U_GAMMA
-    draws += seeds[rank]
-    _mix_array(draws)
-    bounds = position.astype(np.uint64)
-    bounds += np.uint64(1)
-    picks, rejected = _picks(draws, bounds)
-    del draws, bounds
-    swap_i = starts[rank]
-    swap_j = picks.view(np.int64)  # picks are below 2**63
-    swap_j += swap_i
-    swap_i += position
-    del picks, position
-    if rejected.any():
-        rejected = np.unique(rank[rejected])
-        skip = np.isin(rank, rejected)
-        swap_j[skip] = swap_i[skip]  # no-op swaps
-    else:
-        rejected = ()
-    for end, count in zip(ends.tolist(), active.tolist()):
-        i = swap_i[end - count:end]
-        j = swap_j[end - count:end]
-        held = values[i]
-        values[i] = values[j]
-        values[j] = held
-    for r in rejected:
-        part = values[starts[r]:stops[r]].tolist()
-        SplitMix64Stream(int(seeds[r])).shuffle(part)
-        values[starts[r]:stops[r]] = part
+    arrays = [(values, np.int64), (seeds, np.uint64), (starts, np.int64), (stops, np.int64)]
+    if (any(type(a) is not np.ndarray or a.dtype != dtype or a.ndim != 1
+            or not a.flags.c_contiguous for a, dtype in arrays)
+            or not values.flags.writeable or not seeds.shape == starts.shape == stops.shape
+            or (starts.size and (starts.min() < 0 or (stops < starts).any()
+                                 or stops.max() > values.size))):
+        raise ValueError("a shuffle_ranges call needs an int64 vector of values, uint64 seeds "
+                         "and int64 starts and stops of one length, C-contiguous, each slice "
+                         "within the values")
+    kernels.shuffle_ranges(values.ctypes.data, seeds.size, seeds.ctypes.data,
+                           starts.ctypes.data, stops.ctypes.data)

@@ -18,35 +18,29 @@ left.
 
 Below the fork levels, the first node of at most SUBTREE_ROWS rows and
 at least LEVEL_MIN_RANGES chunks runs its subtree as one unit
-(`_subtree`).  `_level_list` lists the subtree's levels once, and one
-rule reads that list: a level is wide when it has at least
-LEVEL_MIN_RANGES nodes.  If the model's exact type is `Pegasos` or
-`LsqSgd`, which have compiled and lockstep kernels (`learners`), the
-subtree runs level by level (`_levels`): the models of a level are rows
-of stacked arrays, preserving a model is a row repeat, and a level's
-leaves are scored in one batched prediction.  With the compiled kernels
-loaded, one C call feeds every model of a level its rows; without them,
-a wide level is fed one vectorized step per position and a narrow one
-model by model.  Every model gets the rows, the order and the bits the
-recursion gives it.  Any other learner, including a subclass of those
-two (it may override `_update_point`), runs the recursion, which holds
-only the log2(k) models of one root-to-leaf path; there the `update` of
-an exact `Pegasos`, `LsqSgd` or `OnlineKMeans` runs compiled too.
+(`_subtree`).  If the compiled kernels are loaded (`_native`) and the
+model's exact type is `Pegasos` or `LsqSgd` (`learners.LEVEL_LOOP`),
+the subtree runs level by level (`_levels`): `_level_list` lists its
+levels once, the models of a level are rows of stacked arrays,
+preserving a model is a row repeat, one C call shuffles the ranges a
+level feeds, one C call feeds every model of the level its rows, and a
+level's leaves are scored in one batched prediction.  Every model gets
+the rows, the order and the bits the recursion gives it.  Any other
+learner, including a subclass of those two (it may override
+`_update_point`), and every learner without the kernels, runs the
+recursion, which holds only the log2(k) models of one root-to-leaf
+path; there the `update` of an exact `Pegasos`, `LsqSgd` or
+`OnlineKMeans` runs compiled when the kernels are loaded.
 
 Randomized runs feed each node's rows in the order of a Fisher-Yates
 shuffle drawn from a stream keyed by the run seed and the fed chunk
-range.  `_fed_rows` draws one range at a time.  Deep in the tree that is
-tens of thousands of short shuffles, so on entering such a subtree the
-run draws every range of two or more rows of the subtree's wide levels
-at once (`_level_table`, with `rng.shuffle_ranges`) and frees them on
-leaving it; a narrow level's ranges are drawn by `_fed_rows` as they are
-fed.  Both the level loop and the recursion fetch a range through
-`_rows`.  The ranges fed at one depth are disjoint, so a level is one
-array indexed by row.  The permutations are the same either way: each
-range still gets the draws of its own stream, the same picks and the
-same swaps in the same order (see `rng`).  `tree_feed_orders`, which the
-oracle replays, keeps to `_fed_rows`, so the tests check one path
-against the other.
+range.  The recursion draws one range at a time (`_fed_rows`).  The
+ranges fed at one level of a subtree are disjoint, so the level loop
+lays them out one after another in one int64 array and shuffles each in
+place with its own stream, all in one `rng.shuffle_ranges` call; each
+range gets the permutation `_fed_rows` gives it.  `tree_feed_orders`,
+which the oracle replays, keeps to `_fed_rows`, so the tests check one
+path against the other.
 
 Determinism: every node's shuffle is derived from the run seed and the
 node's position in the recursion, never from execution order, so
@@ -82,7 +76,7 @@ from .core import (
     partition as make_partition,
 )
 from .forkjoin import check_workers, fork, join_all
-from .learners import LOCKSTEP, load_kernels
+from .learners import LEVEL_LOOP, load_kernels
 from .rng import SplitMix64Stream, derive_seed, derive_seeds, shuffle_ranges
 
 # Stream purpose tag; every derive_seed call site in the package uses a
@@ -90,22 +84,13 @@ from .rng import SplitMix64Stream, derive_seed, derive_seeds, shuffle_ranges
 TAG_NODE_SHUFFLE = 2
 
 # Subtrees of at most SUBTREE_ROWS rows and at least LEVEL_MIN_RANGES
-# chunks run as one unit.  Inside one, a level is wide when it has at
-# least LEVEL_MIN_RANGES nodes.  A randomized run shuffles at once every
-# range of two or more rows of the wide levels: a table of about
-# SUBTREE_ROWS * log2(SUBTREE_ROWS) int64 entries.  A subtree's level
-# holds up to SUBTREE_ROWS gathered rows and about as many models.  On a
-# 2-vCPU Xeon VM, Pegasos LOOCV at n=20000 and d=20 with the compiled
-# kernels took 0.039 / 0.069 s (fixed / randomized, median of 7) with a
-# 4096-row bound, 0.037 / 0.072 s with 8192 and 0.039 / 0.079 s with
-# 16384.  Without them, the level loop feeds a wide level's models in
-# lockstep: a Pegasos step costs ~28 us whatever the width up to ~32
-# models, against ~2.4 us per point of the Python `update`, so it breaks
-# even at ~12 models (an LsqSgd step, against ~6 us per point, at ~4);
-# the same run took 0.36 / 0.42 s with 4096, 0.32 / 0.36 s with 8192 and
-# 0.28 / 0.32 s with 16384, at tracemalloc peaks of 2.3, 3.6 and 6.4 MB.
-# 8192 is as fast as any bound with the kernels and keeps the memory
-# near half of 16384's without them.
+# chunks run as one unit.  A subtree's level holds up to SUBTREE_ROWS
+# gathered rows and about as many models.  On a 2-vCPU Xeon VM, Pegasos
+# LOOCV at n=20000 and d=20 took 0.026-0.043 / 0.040-0.057 s (fixed /
+# randomized, medians of 7 in four rounds) with a 4096-row bound,
+# 0.023-0.038 / 0.034-0.056 s with 8192 and 0.023-0.027 / 0.029-0.033 s
+# with 16384, which leaves one level fewer to the recursion's Python
+# shuffles above the subtrees and holds twice the rows per level.
 SUBTREE_ROWS = 8192
 LEVEL_MIN_RANGES = 16
 
@@ -156,7 +141,7 @@ class _Run:
     """
 
     __slots__ = ("dataset", "partition", "loss", "ordering", "shuffle_seed", "fork_depth",
-                 "fold_scores", "counters", "traces", "row_bounds", "levels", "levels_base")
+                 "fold_scores", "counters", "traces", "row_bounds", "in_subtree")
 
     def __init__(self, dataset, partition, loss, config, traces):
         self.dataset = dataset
@@ -170,11 +155,11 @@ class _Run:
         self.fold_scores = [0.0] * partition.k
         self.counters = WorkCounters()
         self.traces = traces
-        # the chunk bounds as an array, for the level shuffles and the level loop
+        # the chunk bounds as an array, for the level loop
         self.row_bounds = np.asarray(partition.bounds, dtype=np.int64)
-        # the current subtree's level table (see _level_table), or None
-        self.levels = None
-        self.levels_base = 0
+        # whether a subtree is running by the recursion, so that no node
+        # below it starts another
+        self.in_subtree = False
 
 
 def _fed_rows(part: Partition, ordering: str, shuffle_seed: int, first: int, last: int):
@@ -196,28 +181,15 @@ def _fed_rows(part: Partition, ordering: str, shuffle_seed: int, first: int, las
 
 # One level below a subtree's root, as `_level_list` gives it.  The nodes
 # are the children of the level above's inner nodes in left-then-right
-# pairs, stably sorted by the length of the range they are fed, longest
-# first.  Node i holds out chunks starts[i]..ends[i], takes the model of
+# pairs.  Node i holds out chunks starts[i]..ends[i], takes the model of
 # node parents[i] of the level above and is fed chunks firsts[i]..lasts[i]
-# (its sibling's), sizes[i] rows.  The one wide-level rule: a level is
-# wide when it has at least LEVEL_MIN_RANGES nodes.
-_Level = namedtuple("_Level", "depth starts ends parents firsts lasts sizes wide")
+# (its sibling's), sizes[i] rows.
+_Level = namedtuple("_Level", "starts ends parents firsts lasts sizes")
 
 
-def _rows(run: _Run, first: int, last: int, depth: int):
-    """The rows of chunks first..last fed at `depth`, in the order
-    `_fed_rows` gives: a slice of the level table when it holds that
-    depth and the range has two or more rows, else `_fed_rows`'s own."""
-    lo, hi = run.partition.bounds[first], run.partition.bounds[last + 1]
-    table = run.levels.get(depth) if run.levels else None
-    if table is not None and hi - lo > 1:
-        return table[lo - run.levels_base:hi - run.levels_base]
-    return _fed_rows(run.partition, run.ordering, run.shuffle_seed, first, last)
-
-
-def _level_list(run: _Run, s: int, e: int, depth: int) -> list[_Level]:
-    """The levels below the root of subtree s..e, which sits at `depth`,
-    top down to the level whose nodes are all leaves."""
+def _level_list(run: _Run, s: int, e: int) -> list[_Level]:
+    """The levels below the root of subtree s..e, top down to the level
+    whose nodes are all leaves."""
     bounds = run.row_bounds
     starts, ends = np.array([s]), np.array([e])
     levels = []
@@ -230,46 +202,9 @@ def _level_list(run: _Run, s: int, e: int, depth: int) -> list[_Level]:
         ends = np.column_stack((mids, parent_ends)).ravel()
         sibling = np.arange(starts.size) ^ 1
         firsts, lasts = starts[sibling], ends[sibling]
-        sizes = bounds[lasts + 1] - bounds[firsts]
-        # longest fed range first, so the models a lockstep step feeds are
-        # a prefix
-        order = np.argsort(-sizes, kind="stable")
-        starts, ends = starts[order], ends[order]
-        depth += 1
-        levels.append(_Level(depth, starts, ends, inner[order // 2], firsts[order], lasts[order],
-                             sizes[order], starts.size >= LEVEL_MIN_RANGES))
+        levels.append(_Level(starts, ends, inner.repeat(2), firsts, lasts,
+                             bounds[lasts + 1] - bounds[firsts]))
     return levels
-
-
-def _level_table(run: _Run, s: int, e: int, levels: list[_Level]) -> dict:
-    """The fed rows of the wide levels of subtree s..e, by depth.
-
-    The ranges fed at a depth are the nodes at that depth (each node is
-    fed its sibling), so they are disjoint, and one int64 row over the
-    subtree's rows holds them all: the rows of range first..last, in the
-    order `_fed_rows` gives, sit at their own positions minus the
-    subtree's first row.  One `shuffle_ranges` call shuffles every range
-    of two or more rows of every wide level; a wide level with no such
-    range gets no row.
-    """
-    bounds = run.row_bounds
-    base, size = int(bounds[s]), int(bounds[e + 1] - bounds[s])
-    depths, firsts, lasts = [], [], []
-    for level in levels:
-        multi = level.sizes > 1
-        if level.wide and multi.any():
-            depths.append(level.depth)
-            firsts.append(level.firsts[multi])
-            lasts.append(level.lasts[multi])
-    if not depths:
-        return {}
-    table = np.tile(np.arange(base, base + size), (len(depths), 1))
-    # row `row` of table row l is flat position l * size + row - base
-    shift = np.repeat(np.arange(len(depths)) * size - base, [len(f) for f in firsts])
-    firsts, lasts = np.concatenate(firsts), np.concatenate(lasts)
-    shuffle_ranges(table.reshape(-1), derive_seeds(run.shuffle_seed, firsts, lasts),
-                   bounds[firsts] + shift, bounds[lasts + 1] + shift)
-    return dict(zip(depths, table))
 
 
 def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> None:
@@ -280,7 +215,7 @@ def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> N
     `_subtree`; every other node is a `_visit`.
     """
     b = run.partition.bounds
-    if (run.levels is None and depth >= run.fork_depth and e - s >= LEVEL_MIN_RANGES - 1
+    if (not run.in_subtree and depth >= run.fork_depth and e - s >= LEVEL_MIN_RANGES - 1
             and b[e + 1] - b[s] <= SUBTREE_ROWS):
         _subtree(run, s, e, model, depth)
     else:
@@ -332,27 +267,23 @@ def _visit(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> 
 def _subtree(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> None:
     """Run subtree s..e, of at most SUBTREE_ROWS rows, as one unit.
 
-    The subtree's levels are listed once, and a randomized run shuffles
-    the wide ones into `run.levels`.  A model whose exact type has a
-    lockstep kernel, with a loss that scores a batch, runs the subtree
-    level by level (`_levels`) if it holds state of the types its
-    constructor gives, for rows of the data's width (`_Stack.holds`); any
-    other runs the recursion.  The table is freed on leaving.
+    With the compiled kernels loaded, a model whose exact type has a
+    level loop (`LEVEL_LOOP`), with a loss that scores a batch, runs the
+    subtree level by level (`_levels`) if it holds state of the types its
+    constructor gives, for rows of the data's width (`_Stack.holds`).
+    Any other, and every model without the kernels, runs the recursion.
     """
-    levels = _level_list(run, s, e, depth)
-    run.levels = _level_table(run, s, e, levels) if run.ordering == "randomized" else {}
-    run.levels_base = run.partition.bounds[s]
-    try:
-        kernel = LOCKSTEP.get(type(model))
-        # both kernels' learners read labels: on unlabeled data, as on a
-        # model of another width or with float32 parameters, the recursion
-        # raises the error or gives the bits the Python update does
-        if (kernel is None or run.loss.batch is None or run.dataset.y is None
-                or not kernel.holds(model, run.dataset.x, run.dataset.y)):
-            _visit(run, s, e, model, depth)
-            return
+    stack_type = LEVEL_LOOP.get(type(model))
+    # both kernels' learners read labels: on unlabeled data, as on a model
+    # of another width or with float32 parameters, the recursion raises
+    # the error or gives the bits the Python update does.  Other learners
+    # never resolve the kernels here.
+    if (stack_type is not None and run.loss.batch is not None and run.dataset.y is not None
+            and (kernels := _native.kernels()) is not None
+            and stack_type.holds(model, run.dataset.x, run.dataset.y)):
         try:
-            _levels(run, s, e, kernel.of(model), depth, levels)
+            _levels(run, s, e, stack_type.of(model), depth, kernels)
+            return
         except Exception:
             # An update or the loss failed, perhaps at an overflow that
             # np.errstate turns into an error.  `model` is untouched, and
@@ -360,76 +291,56 @@ def _subtree(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -
             # recursion reruns the subtree: it meets the failure sequential
             # order meets first and raises it with its chunk range, or, if
             # it meets none, gives the sequential results.
-            _visit(run, s, e, model, depth)
+            pass
+    run.in_subtree = True
+    try:
+        _visit(run, s, e, model, depth)
     finally:
-        run.levels = None
+        run.in_subtree = False
 
 
-def _levels(run: _Run, s: int, e: int, stack, depth: int, levels: list[_Level]) -> None:
-    """Run subtree s..e, whose root sits at `depth`, one level of
-    `levels` at a time, starting from a stack of one model, its root's.
+def _levels(run: _Run, s: int, e: int, stack, depth: int, kernels: _native.Kernels) -> None:
+    """Run subtree s..e, whose root sits at `depth`, one level at a time,
+    starting from a stack of one model, its root's.
 
     Every internal node of a level preserves its model for both children
-    by a row repeat of the stack.  With the compiled kernels loaded, one
-    kernel call feeds every model of a level its range, range after
-    range; it raises FloatingPointError if a floating-point flag went up.
-    Without them, a wide level is fed in lockstep: step j feeds the j-th
-    row of each range to the models whose range is longer than j, a
-    prefix, as the level lists the longest range first; a narrower level
-    feeds each model its range with the Python `update`.  The leaves of
-    a level are scored in one batched prediction.  Every model is fed the
-    rows `_branch` would feed it, in the same order, and gets the same
-    bits.  Counters and node traces, which depend only on the partition,
-    are added once the subtree has run.
+    by a row repeat of the stack.  One kernel call shuffles every range a
+    randomized level feeds (`_level_rows`), and one feeds every model of
+    the level its range, range after range; it raises FloatingPointError
+    if a floating-point flag went up.  The leaves of a level are scored in
+    one batched prediction.  Every model is fed the rows `_branch` would
+    feed it, in the same order, and gets the same bits.  Counters and
+    node traces, which depend only on the partition, are added once the
+    subtree has run.
     """
     x_all, y_all = run.dataset.x, run.dataset.y
-    kernels = _native.kernels()
     counters = WorkCounters(nodes_visited=2 * (e - s) + 1, snapshots=e - s,
                             evaluations=int(run.row_bounds[e + 1] - run.row_bounds[s]))
     starts, ends = np.array([s]), np.array([e])
-    for level in levels:
+    for level in _level_list(run, s, e):
         _score_leaves(run, stack, starts, ends)
-        starts, ends, firsts, sizes = level.starts, level.ends, level.firsts, level.sizes
+        starts, ends, sizes = level.starts, level.ends, level.sizes
         stack = stack.take(level.parents)
         counters.point_updates += int(sizes.sum())
-        counters.model_transfers += int((level.lasts - firsts).sum()) + sizes.size
-        if kernels is not None:
-            rows, _ = _level_rows(run, level)
-            if not stack.feed_rows(kernels, x_all[rows], y_all[rows], sizes):
-                raise FloatingPointError("a compiled level feed raised a floating-point flag")
-        elif level.wide:
-            rows, offsets = _level_rows(run, level)
-            # each fed row's position within its range; a stable sort by it
-            # puts step j's rows in model order
-            position = np.arange(rows.size) - np.repeat(offsets, sizes)
-            rows = rows[np.argsort(position, kind="stable")]
-            stack.feed(x_all[rows], y_all[rows], np.bincount(position).tolist())
-        else:
-            for i, (first, last) in enumerate(zip(firsts.tolist(), level.lasts.tolist())):
-                fed = _rows(run, first, last, level.depth)
-                model = stack.model(i)
-                model.update(x_all[fed], y_all[fed])
-                stack.put(i, model)
+        counters.model_transfers += int((level.lasts - level.firsts).sum()) + sizes.size
+        rows = _level_rows(run, kernels, level)
+        if not stack.feed_rows(kernels, x_all[rows], y_all[rows], sizes):
+            raise FloatingPointError("a compiled level feed raised a floating-point flag")
     _score_leaves(run, stack, starts, ends)
     run.counters.merge(counters)
     if run.traces is not None:
         _trace_subtree(run.traces, run.partition.bounds, s, e, depth)
 
 
-def _level_rows(run: _Run, level: _Level) -> tuple[np.ndarray, np.ndarray]:
-    """The rows fed to the nodes of `level`, range after range, each
-    range in the order `_rows` gives, and the offset where each range
-    starts among them."""
+def _level_rows(run: _Run, kernels: _native.Kernels, level: _Level) -> np.ndarray:
+    """The rows fed to the nodes of `level`, range after range, each range
+    in the order `_fed_rows` gives it: a randomized run shuffles range
+    first..last with the stream derive_seed(shuffle_seed, first, last)."""
     rows, offsets = _ranges(run.row_bounds[level.firsts], level.sizes)
-    table = run.levels.get(level.depth)
-    if table is not None:
-        rows = table[rows - run.levels_base]
-    elif run.ordering == "randomized":
-        for first, last, start, size in zip(level.firsts.tolist(), level.lasts.tolist(),
-                                            offsets.tolist(), level.sizes.tolist()):
-            if size > 1:
-                rows[start:start + size] = _rows(run, first, last, level.depth)
-    return rows, offsets
+    if run.ordering == "randomized":
+        shuffle_ranges(kernels, rows, derive_seeds(run.shuffle_seed, level.firsts, level.lasts),
+                       offsets, offsets + level.sizes)
+    return rows
 
 
 def _ranges(lo: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,7 +379,7 @@ def _trace_subtree(traces: list, b, s: int, e: int, depth: int) -> None:
 def _branch(run: _Run, s: int, e: int, model: IncrementalLearner, first: int, last: int,
             depth: int) -> None:
     """Train the model on chunks first..last, then visit subtree s..e."""
-    rows = _rows(run, first, last, depth)
+    rows = _fed_rows(run.partition, run.ordering, run.shuffle_seed, first, last)
     x = run.dataset.x[rows]
     y = run.dataset.y[rows] if run.dataset.y is not None else None
     try:

@@ -5,8 +5,9 @@ from treecv import _native
 
 @pytest.fixture
 def python_path(monkeypatch):
-    """Force the compiled kernels off: every learner runs its Python
-    update, and the tree's level loop its lockstep feed."""
+    """Force the compiled kernels off, as on a host without a C compiler:
+    every learner runs its Python update, and the tree runs the recursion
+    wherever it would run the level loop."""
     monkeypatch.setattr(_native, "kernels", lambda: None)
 
 

@@ -25,7 +25,7 @@ from treecv import (
     tree_cv,
 )
 from treecv.harness import ExperimentPlan, stability_rows
-from treecv.learners import COMPILED, LOCKSTEP, KMeansFeed, _update_compiled
+from treecv.learners import COMPILED, LEVEL_LOOP, KMeansFeed, _update_compiled
 from treecv.rng import SplitMix64Stream
 
 
@@ -477,7 +477,7 @@ def test_subclass_defining_no_prediction_cannot_be_built():
 
 
 # ---------------------------------------------------------------------------
-# Lockstep kernels
+# Stacked models: the level loop's batched prediction and compiled feed
 
 
 def _distinct_models(name, m, d, stream, scale, sparse):
@@ -513,44 +513,14 @@ def _distinct_models(name, m, d, stream, scale, sparse):
 
 
 def _stacked(models):
-    stack = LOCKSTEP[type(models[0])].of(models[0]).take(np.zeros(len(models), dtype=np.int64))
-    for i, model in enumerate(models):
-        stack.put(i, model)
-    return stack
+    stack_type = LEVEL_LOOP[type(models[0])]
+    return stack_type(models[0], [np.array([getattr(model, name) for model in models])
+                                  for name in stack_type.fields])
 
 
 def _state_bytes(model):
     return [np.asarray(getattr(model, name), dtype=np.float64).tobytes()
-            for name in LOCKSTEP[type(model)].fields]
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.sampled_from(["pegasos", "lsqsgd"]), st.integers(1, 24), st.integers(0, 40),
-       st.integers(0, 2**64 - 1), st.integers(-3, 3), st.booleans())
-def test_lockstep_feed_is_the_scalar_update_byte_for_byte(name, m, d, seed, scale, sparse):
-    """m models fed one row per step, each model dropping out after its
-    own number of rows, end with the bytes of m scalar learners fed the
-    same rows by `update`; the models start at t = 0 or later."""
-    stream = SplitMix64Stream(seed)
-    models, rows = _distinct_models(name, m, d, stream, scale, sparse)
-    stack = _stacked(models)
-    lengths = sorted((1 + stream.randbelow(8) for _ in range(m)), reverse=True)
-    fed = [rows(length) for length in lengths]
-    for model, (x, y) in zip(models, fed):
-        for j in range(len(x)):
-            if name == "pegasos" and stream.randbelow(2):
-                # scale the row to put its margin within rounding of 1, where
-                # the last bit of the dot product decides whether it violates
-                dot = float(model.v.dot(x[j]))
-                if dot and model.t:
-                    x[j] *= 1.0 / (y[j] * model.a * dot)
-            model.update(x[j:j + 1], y[j:j + 1])
-    widths = [sum(length > j for length in lengths) for j in range(lengths[0])]
-    x = np.concatenate([fed[i][0][j:j + 1] for j in range(lengths[0]) for i in range(widths[j])])
-    y = np.concatenate([fed[i][1][j:j + 1] for j in range(lengths[0]) for i in range(widths[j])])
-    stack.feed(x, y, widths)
-    for i, model in enumerate(models):
-        assert _state_bytes(stack.model(i)) == _state_bytes(model)
+            for name in LEVEL_LOOP[type(model)].fields]
 
 
 @settings(deadline=None, max_examples=150)
@@ -595,7 +565,8 @@ def test_compiled_feed_is_the_scalar_update_byte_for_byte(kernels, name, m, d, s
     for model, (x, y) in zip(models, fed):
         for j in range(len(x)):
             if name == "pegasos" and stream.randbelow(2):
-                # put the row's margin within rounding of 1 (see above)
+                # scale the row to put its margin within rounding of 1, where
+                # the last bit of the dot product decides whether it violates
                 dot = float(model.v.dot(x[j]))
                 if dot and model.t:
                     x[j] *= 1.0 / (y[j] * model.a * dot)
@@ -613,14 +584,14 @@ def test_update_runs_compiled_only_for_what_the_python_update_would_give(learner
     """`update` takes the kernel for a plain labeled batch of enough rows,
     and leaves every other batch, model or subclass to Python."""
     def state(model):
-        return [np.asarray(getattr(model, name)).tobytes() for name in LOCKSTEP[learner].fields]
+        return [np.asarray(getattr(model, name)).tobytes() for name in LEVEL_LOOP[learner].fields]
 
     calls = []
-    feed_rows = LOCKSTEP[learner].feed_rows
-    monkeypatch.setattr(LOCKSTEP[learner], "feed_rows",
+    feed_rows = LEVEL_LOOP[learner].feed_rows
+    monkeypatch.setattr(LEVEL_LOOP[learner], "feed_rows",
                         lambda *args: calls.append(1) or feed_rows(*args))
     stream = SplitMix64Stream(3)
-    n = LOCKSTEP[learner].min_rows
+    n = LEVEL_LOOP[learner].min_rows
     x = stream.normal_array(n * 4).reshape(n, 4)
     y = np.where(stream.uniform_array(n) < 0.5, 1.0, -1.0)
 
@@ -786,15 +757,15 @@ def test_kmeans_update_runs_compiled_only_for_what_the_python_update_would_give(
 
 
 def test_compiled_updates_serve_only_the_exact_built_in_types():
-    assert COMPILED == {Pegasos: LOCKSTEP[Pegasos], LsqSgd: LOCKSTEP[LsqSgd],
+    assert COMPILED == {Pegasos: LEVEL_LOOP[Pegasos], LsqSgd: LEVEL_LOOP[LsqSgd],
                         OnlineKMeans: KMeansFeed}
 
 
 def test_lockstep_kernels_serve_only_the_exact_built_in_types():
-    assert set(LOCKSTEP) == {Pegasos, LsqSgd}
+    assert set(LEVEL_LOOP) == {Pegasos, LsqSgd}
     model = Pegasos(dim=3)
     model.update(np.ones((2, 3)), np.array([1.0, -1.0]))
-    stack = LOCKSTEP[Pegasos].of(model).take(np.array([0, 0]))
+    stack = LEVEL_LOOP[Pegasos].of(model).take(np.array([0, 0]))
     twin = stack.model(1)
     assert type(twin) is Pegasos and (twin.a, twin.t) == (model.a, model.t)
     assert type(twin.t) is int and twin.v is not stack.v[1]

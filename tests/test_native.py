@@ -29,7 +29,8 @@ from treecv import (
     tree_cv,
 )
 from treecv import _native
-from treecv.learners import LOCKSTEP, KMeansFeed, _update_compiled
+from treecv.rng import SplitMix64Stream
+from treecv.learners import LEVEL_LOOP, KMeansFeed, _update_compiled
 
 
 def test_the_kernels_load_wherever_a_c_compiler_is_on_path():
@@ -89,6 +90,26 @@ def test_a_kernel_that_disagrees_with_update_point_is_not_used(monkeypatch):
     monkeypatch.setattr(Pegasos, "_update_point", halved)
     kernels, reason = _native._resolve()
     assert kernels is None and reason.startswith("self-check against _update_point failed")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_a_shuffle_kernel_that_disagrees_with_shuffle_is_not_used(monkeypatch):
+    """The self-check shuffles ranges of 0, 1, 2, 3 and 40 values, the last
+    with a rejected first draw, through both `shuffle_ranges` and
+    `SplitMix64Stream.shuffle`; a reference that shuffles otherwise (here,
+    one that never rejects a draw) makes the loader refuse the kernels,
+    naming `shuffle_ranges`."""
+    def never_rejects(stream, values):
+        for i in range(len(values) - 1, 0, -1):
+            j = stream.next_u64() % (i + 1)
+            values[i], values[j] = values[j], values[i]
+
+    kernels, reason = _native._resolve()
+    assert kernels is not None and reason is None
+    monkeypatch.setattr(SplitMix64Stream, "shuffle", never_rejects)
+    kernels, reason = _native._resolve()
+    assert kernels is None and "shuffle_ranges" in reason
+    assert "range of 40" in reason
 
 
 def test_kernels_are_resolved_before_the_clock_only_for_learners_that_run_them(monkeypatch):
@@ -209,7 +230,7 @@ def _outcome(update, batch, **errstate):
             update(model, *batch)
         except FloatingPointError as err:
             error = str(err)
-    state = [np.asarray(getattr(model, name)).tobytes() for name in LOCKSTEP[LsqSgd].fields]
+    state = [np.asarray(getattr(model, name)).tobytes() for name in LEVEL_LOOP[LsqSgd].fields]
     return error, [str(w.message) for w in caught], state
 
 
@@ -221,7 +242,7 @@ def _outcome(update, batch, **errstate):
 ])
 def test_a_raised_flag_gives_the_python_paths_error_warnings_and_bits(batch, errstate, error,
                                                                       kernels):
-    assert len(batch()[0]) >= LOCKSTEP[LsqSgd].min_rows
+    assert len(batch()[0]) >= LEVEL_LOOP[LsqSgd].min_rows
     compiled = _outcome(LsqSgd.update, batch(), **errstate)
     python = _outcome(IncrementalLearner.update, batch(), **errstate)
     assert compiled == python

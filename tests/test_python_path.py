@@ -1,10 +1,13 @@
 """The digest, oracle and fork-join tests once more with the compiled
-kernels forced off, so the Python update and the lockstep level loop
-stay checked on hosts that compile the kernels.  The digests include
-both k-means shapes, standard CV on parsed text and tree LOOCV.  Each test is imported
-from its own module and runs here under the `python_path` fixture."""
+kernels forced off, so the Python update and the recursion that stands
+in for the level loop stay checked on hosts that compile the kernels.
+The digests include both k-means shapes, standard CV on parsed text and
+tree LOOCV.  Each imported test runs here under the `python_path`
+fixture; the tests of the level loop assert there that it never runs."""
 
 import pytest
+
+from treecv import tree
 
 from test_acceptance import (
     test_criterion_02_trace_equivalence_deterministic_learners,
@@ -14,7 +17,13 @@ from test_harness import (
     test_cli_verify_keeps_to_the_update_budget,
     test_verify_flag_replays_tree_runs,
 )
-from test_reference_digests import test_report_digest_is_pinned
+from test_reference_digests import (
+    DIGESTS,
+    digest_of,
+    kfold16_lsqsgd_fixed,
+    loocv_pegasos_randomized,
+    test_report_digest_is_pinned,
+)
 from test_standard import (
     test_oracle_replays_tree_feeding_order_bit_exactly,
     test_oracle_with_dataset_order_equals_standard_fixed,
@@ -30,11 +39,23 @@ from test_tree import (
     test_level_table_feeds_most_ranges_of_the_n120_loocv_gates,
     test_level_table_on_a_ragged_partition_matches_the_oracle,
     test_level_table_under_fork_join_matches_sequential,
-    test_one_rule_makes_a_level_wide_for_the_table_and_the_level_loop,
     test_small_subtree_bound_runs_the_recursion_above_and_level_loops_below,
+    test_the_level_loop_shuffles_every_range_the_recursion_shuffles,
     test_the_n120_loocv_and_n320_k16_digest_shapes_run_the_level_loop,
     test_unlabeled_data_raises_the_recursions_update_error,
     test_zero_feature_data_runs_the_level_loop_once,
 )
 
 pytestmark = pytest.mark.usefixtures("python_path")
+
+
+@pytest.mark.parametrize("estimate, seed, digest", [
+    case for case in DIGESTS if case[0] in (loocv_pegasos_randomized, kfold16_lsqsgd_fixed)])
+def test_without_the_kernels_the_tree_digests_never_enter_the_level_loop(estimate, seed, digest,
+                                                                        monkeypatch):
+    """The n=120 LOOCV and n=320 k=16 digest shapes, one subtree each,
+    run by the recursion without the kernels, to their pinned digests."""
+    entered = []
+    monkeypatch.setattr(tree, "_levels", lambda *args: entered.append(args))
+    assert digest_of(estimate(seed)) == digest
+    assert entered == []

@@ -75,7 +75,7 @@ def standard10_kmeans_parsed(seed):
                        "randomized", seed)
 
 
-@pytest.mark.parametrize("estimate, seed, digest", [
+DIGESTS = [
     (loocv_pegasos_randomized, 7, "7fd7fe4d504d138d"),
     (loocv_pegasos_randomized, 801, "789bfc97de51c16d"),
     (kfold16_lsqsgd_fixed, 7, "2af3ccaec16276ca"),
@@ -88,7 +88,13 @@ def standard10_kmeans_parsed(seed):
     (standard16_lsqsgd_fixed, 801, "9af9f70664054199"),
     (standard10_pegasos_randomized, 7, "604424c6affaa50c"),
     (standard10_pegasos_randomized, 801, "e4cc9676c2511bdb"),
-])
+]
+
+
+def digest_of(report) -> str:
+    return hashlib.sha256(repr(report.comparable()).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("estimate, seed, digest", DIGESTS)
 def test_report_digest_is_pinned(estimate, seed, digest):
-    report = estimate(seed)
-    assert hashlib.sha256(repr(report.comparable()).encode()).hexdigest()[:16] == digest
+    assert digest_of(estimate(seed)) == digest

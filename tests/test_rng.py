@@ -6,7 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treecv import dataio, harness, standard, tree
 from treecv.core import partition
@@ -278,7 +278,8 @@ def test_shuffle_rejects_a_real_draw_like_randbelow(n):
 
 
 # ---------------------------------------------------------------------------
-# Level shuffle: many ranges at once, each as `shuffle` would shuffle it
+# Level shuffle: many ranges at once in one kernel call, each as `shuffle`
+# would shuffle it
 
 
 def per_range(values, seeds, starts, stops) -> list[int]:
@@ -307,52 +308,74 @@ def range_sets(draw):
     return ranges, firsts, at + draw(st.integers(0, 3))
 
 
-@settings(max_examples=60, deadline=None)
+# `kernels` is the same object in every example
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(range_sets(), st.integers(0, 2**64 - 1))
-def test_shuffle_ranges_equals_shuffle_per_range(ranges_firsts_size, seed):
+def test_shuffle_ranges_equals_shuffle_per_range(kernels, ranges_firsts_size, seed):
     ranges, firsts, size = ranges_firsts_size
-    starts = [a for a, _ in ranges]
-    stops = [a + length for a, length in ranges]
+    starts = np.array([a for a, _ in ranges], dtype=np.int64)
+    stops = np.array([a + length for a, length in ranges], dtype=np.int64)
     lasts = [first ^ 0x5A5A for first in firsts]
     seeds = derive_seeds(seed, np.array(firsts, dtype=np.int64), np.array(lasts, dtype=np.int64))
     assert seeds.tolist() == [derive_seed(seed, f, l) for f, l in zip(firsts, lasts)]
     values = np.arange(size, dtype=np.int64) * 7
     expected = per_range(values.tolist(), seeds, starts, stops)
-    shuffle_ranges(values, seeds, starts, stops)
+    shuffle_ranges(kernels, values, seeds, starts, stops)
     assert values.tolist() == expected
 
 
 @pytest.mark.parametrize("draw", [0, 17])
-def test_shuffle_ranges_redoes_only_a_range_with_a_rejected_draw(draw, monkeypatch):
+def test_shuffle_ranges_redoes_only_a_range_with_a_rejected_draw(draw, kernels):
     # Like PlantedStream, but with a real seed: range 1 is seeded so that
     # its draw `draw` is 2**64 - 1.  Its bound there, 40 - draw, is not a
-    # power of two, so randbelow rejects it.  That range alone is shuffled
-    # by `shuffle`; the others stay in lockstep.
+    # power of two, so randbelow rejects it and draws again, in that range
+    # alone; the others keep their own draws.
     planted = (state_before(2**64 - 1) - draw * 0x9E3779B97F4A7C15) & (2**64 - 1)
     assert SplitMix64Stream(planted).next_u64_array(draw + 1)[draw] == 2**64 - 1
     seeds = [derive_seed(9, 0), planted, derive_seed(9, 2)]
-    starts, stops = [0, 40, 80], [40, 80, 119]
+    starts, stops = np.array([0, 40, 80]), np.array([40, 80, 119])
     expected = per_range(range(120), seeds, starts, stops)
-    shuffled_states = []
-    original = SplitMix64Stream.shuffle
-
-    def counting(stream, values):
-        shuffled_states.append(stream.state)
-        original(stream, values)
-
-    monkeypatch.setattr(SplitMix64Stream, "shuffle", counting)
     values = np.arange(120, dtype=np.int64)
-    shuffle_ranges(values, np.array(seeds, dtype=np.uint64), starts, stops)
+    shuffle_ranges(kernels, values, np.array(seeds, dtype=np.uint64), starts, stops)
     assert values.tolist() == expected
-    assert shuffled_states == [planted]
     # the reference loop really did reject a draw there
     reference = SplitMix64Stream(planted)
     scalar_shuffle(reference, list(range(40)))
     assert reference.state == (planted + 40 * 0x9E3779B97F4A7C15) & (2**64 - 1)
 
 
-def test_shuffle_ranges_of_nothing_changes_nothing():
+def test_shuffle_ranges_of_nothing_changes_nothing(kernels):
     values = np.arange(5, dtype=np.int64)
-    shuffle_ranges(values, np.array([], dtype=np.uint64), [], [])
-    shuffle_ranges(values, np.array([3, 4], dtype=np.uint64), [0, 2], [1, 2])
+    none = np.array([], dtype=np.int64)
+    shuffle_ranges(kernels, values, np.array([], dtype=np.uint64), none, none)
+    shuffle_ranges(kernels, values, np.array([3, 4], dtype=np.uint64), np.array([0, 2]),
+                   np.array([1, 2]))
     assert values.tolist() == [0, 1, 2, 3, 4]
+
+
+def test_shuffle_ranges_refuses_what_the_kernel_would_read_or_write_past(kernels):
+    """Every array the kernel reads is checked before it is called: a
+    slice that ends past the values, or starts before them, or any array
+    of another dtype, shape or layout is a ValueError, and the values
+    stay as they were."""
+    values = np.arange(10, dtype=np.int64)
+    seeds, starts, stops = np.array([3, 4], dtype=np.uint64), np.array([0, 5]), np.array([5, 10])
+    for args in [
+        (values, seeds, starts, np.array([5, 11])),  # a stop past the end
+        (values, seeds, np.array([-1, 5]), stops),
+        (values, seeds, np.array([6, 5]), stops),  # a start past its stop
+        (values, seeds[:1], starts, stops),
+        (values, seeds.astype(np.int64), starts, stops),
+        (values, seeds, starts.astype(np.int32), stops),
+        (values.astype(np.float64), seeds, starts, stops),
+        (np.arange(20, dtype=np.int64)[::2], seeds, starts, stops),
+        (values.reshape(2, 5), seeds, starts, stops),
+        (values.tolist(), seeds, starts, stops),
+    ]:
+        with pytest.raises(ValueError, match="shuffle_ranges call"):
+            shuffle_ranges(kernels, *args)
+    assert values.tolist() == list(range(10))
+    values.flags.writeable = False
+    with pytest.raises(ValueError, match="shuffle_ranges call"):
+        shuffle_ranges(kernels, values, seeds, starts, stops)

@@ -31,7 +31,8 @@ from treecv import (
     tree_cv,
     tree_feed_orders,
 )
-from treecv import tree
+from treecv import _native, tree
+from treecv.learners import _Stack
 from treecv.rng import SplitMix64Stream
 
 
@@ -402,12 +403,21 @@ def test_fork_join_preserves_trace_order():
 
 
 # ---------------------------------------------------------------------------
-# Level shuffle: randomized runs draw the wide levels of small subtrees at once
+# Level shuffle: the level loop shuffles every range of a level in one
+# kernel call
+
+
+def level_loop_runs() -> bool:
+    """Whether exact Pegasos and LsqSgd subtrees run level by level here:
+    only with the compiled kernels loaded, so not under `python_path` nor
+    without a C compiler, where they run the recursion."""
+    return _native.kernels() is not None
 
 
 class ShuffleCounts:
     """Counts, in this process, the ranges `tree._fed_rows` shuffles one at
-    a time and the ranges the level table shuffles in bulk."""
+    a time and the ranges of two or more rows the level loop's kernel
+    calls shuffle."""
 
     def __init__(self, monkeypatch):
         self.per_node = 0
@@ -419,9 +429,9 @@ class ShuffleCounts:
             self.per_node += isinstance(rows, np.ndarray)
             return rows
 
-        def counted_shuffle_ranges(values, seeds, starts, stops):
-            self.bulk += len(seeds)
-            shuffle_ranges(values, seeds, starts, stops)
+        def counted_shuffle_ranges(kernels, values, seeds, starts, stops):
+            self.bulk += int((stops - starts > 1).sum())
+            shuffle_ranges(kernels, values, seeds, starts, stops)
 
         monkeypatch.setattr(tree, "_fed_rows", counted_fed_rows)
         monkeypatch.setattr(tree, "shuffle_ranges", counted_shuffle_ranges)
@@ -436,31 +446,33 @@ def test_level_table_feeds_most_ranges_of_the_n120_loocv_gates(seed, monkeypatch
     """The randomized n=120 LOOCV of tests/test_reference_digests.py
     (loocv_pegasos_randomized) and of the benchmark's tiny oracle gate
     (perfbench/workloads.py oracle_problems, run by the loocv-pegasos-rand
-    smoke tests in perfbench/test_perfbench.py) is fed mostly from the level
-    table, so those digests and that oracle replay check the bulk path."""
+    smoke tests in perfbench/test_perfbench.py) has every range shuffled
+    by the level loop's kernel calls where the kernels load, so those
+    digests and that oracle replay check the kernel shuffle; without
+    them, by `_fed_rows`."""
     counts = ShuffleCounts(monkeypatch)
     data = synth_classification(120, 20, margin=0.3, noise=0.1, seed=seed)
     part = partition(data, data.n)
     traces = []
     report = tree_cv(lambda: Pegasos(20, 1e-4), data, part, ZERO_ONE,
                      TreeCvConfig(ordering="randomized", seed=seed), trace_sink=traces)
-    assert counts.bulk + counts.per_node == multi_row_feeds(traces)
-    assert counts.bulk > 4 * counts.per_node
+    fed = multi_row_feeds(traces)
+    assert (counts.bulk, counts.per_node) == ((fed, 0) if level_loop_runs() else (0, fed))
     orders = tree_feed_orders(part, "randomized", seed)
     replay = brute_force_oracle(lambda: Pegasos(20, 1e-4), data, part, ZERO_ONE, orders, seed)
     assert report.fold_scores == replay.fold_scores
 
 
 def test_level_table_under_fork_join_matches_sequential(monkeypatch):
-    # with 4 workers the tables start two levels down, in each process; the
-    # parent's own subtree (rows 0-74) counts here
+    # with 4 workers the level loops start two levels down, in each
+    # process; the parent's own subtree (rows 0-74) counts here
     counts = ShuffleCounts(monkeypatch)
     data = synth_classification(300, 5, margin=0.2, noise=0.1, seed=6)
     part = partition(data, data.n)
     factory = lambda: Pegasos(5, 1e-3)
     forked = tree_cv(factory, data, part, ZERO_ONE,
                      TreeCvConfig(ordering="randomized", seed=12, max_workers=4))
-    assert counts.bulk > 0
+    assert (counts.bulk > 0) == level_loop_runs()
     sequential = tree_cv(factory, data, part, ZERO_ONE,
                          TreeCvConfig(ordering="randomized", seed=12))
     assert forked.comparable() == sequential.comparable()
@@ -476,18 +488,18 @@ def test_level_table_on_a_ragged_partition_matches_the_oracle(monkeypatch):
     part = Partition(bounds)
     factory = lambda: Pegasos(4, 1e-3)
     report = tree_cv(factory, data, part, ZERO_ONE, TreeCvConfig(ordering="randomized", seed=3))
-    assert counts.bulk > 0
+    assert (counts.bulk > 0) == level_loop_runs()
     assert len(set(sizes)) > 3
     orders = tree_feed_orders(part, "randomized", seed=3)
     replay = brute_force_oracle(factory, data, part, ZERO_ONE, orders, seed=3)
     assert report.fold_scores == replay.fold_scores
 
 
-def test_one_rule_makes_a_level_wide_for_the_table_and_the_level_loop(monkeypatch):
-    """A level is wide when it has at least LEVEL_MIN_RANGES nodes, however
-    few ranges of two or more rows it feeds: the table draws every such
-    range of the wide levels, and `_fed_rows` only those of the narrow
-    levels, in the level loop and in the recursion alike."""
+def test_the_level_loop_shuffles_every_range_the_recursion_shuffles(monkeypatch):
+    """The level loop's kernel calls shuffle every range of two or more
+    rows of its levels, however few a level has, and the recursion
+    shuffles the same ranges one at a time with `_fed_rows`; on a ragged
+    partition both give the oracle's fold scores."""
     # 32 chunks of one row but three of two: depth 5 has 32 nodes and
     # feeds three ranges of two rows
     sizes = [2 if chunk in (3, 10, 20) else 1 for chunk in range(32)]
@@ -495,54 +507,66 @@ def test_one_rule_makes_a_level_wide_for_the_table_and_the_level_loop(monkeypatc
     data = synth_classification(part.n, 4, margin=0.2, noise=0.1, seed=8)
     config = TreeCvConfig(ordering="randomized", seed=8)
     orders = tree_feed_orders(part, "randomized", 8)
-    for factory in (lambda: Pegasos(4, 1e-3), lambda: PlainPegasos(4, 1e-3)):
+    for factory, level_loop in ((lambda: Pegasos(4, 1e-3), level_loop_runs()),
+                                (lambda: PlainPegasos(4, 1e-3), False)):
         counts = ShuffleCounts(monkeypatch)
         traces = []
         report = tree_cv(factory, data, part, ZERO_ONE, config, trace_sink=traces)
-        inner = [t for t in traces if t.start < t.end]
-        # a node at depth d feeds a child on a level of 2 * (inner nodes at d) nodes
-        width = {d: 2 * sum(t.depth == d for t in inner) for d in {t.depth for t in inner}}
-        narrow = [t for t in inner if width[t.depth] < tree.LEVEL_MIN_RANGES]
-        wide = [t for t in inner if width[t.depth] >= tree.LEVEL_MIN_RANGES]
-        assert any(0 < multi_row_feeds([t for t in wide if t.depth == d]) < tree.LEVEL_MIN_RANGES
-                   for d in width)
-        assert counts.per_node == multi_row_feeds(narrow)
-        assert counts.bulk == multi_row_feeds(wide)
+        deepest = [t for t in traces if t.depth == 4 and t.start < t.end]
+        assert 0 < multi_row_feeds(deepest) < len(deepest)
+        fed = multi_row_feeds(traces)
+        assert (counts.bulk, counts.per_node) == ((fed, 0) if level_loop else (0, fed))
         assert report.fold_scores == brute_force_oracle(factory, data, part, ZERO_ONE,
                                                         orders).fold_scores
 
 
 # ---------------------------------------------------------------------------
-# Level loop: small subtrees of Pegasos and LsqSgd run level by level
+# Level loop: small subtrees of Pegasos and LsqSgd run level by level on the
+# compiled kernels
 
 
 class LevelCounts:
     """Counts, in this process, the subtrees `tree._levels` runs, the
-    levels it feeds as a batch (every level in one compiled kernel call,
-    or, without the compiled kernels, each wide level in lockstep), and
-    the exceptions it raises."""
+    kernel calls it makes to feed a level (`_Stack.feed_rows`) and to
+    shuffle one (`shuffle_ranges`), and the exceptions it raises."""
 
     def __init__(self, monkeypatch):
-        self.subtrees = self.batched = 0
+        self.subtrees = self.feeds = self.shuffles = 0
         self.failures = []
-        levels = tree._levels
+        levels, feed_rows, shuffle_ranges = tree._levels, _Stack.feed_rows, tree.shuffle_ranges
+        inside = []
 
         def counted_levels(*args):
             self.subtrees += 1
+            inside.append(True)
             try:
                 levels(*args)
             except Exception as err:
                 self.failures.append(err)
                 raise
+            finally:
+                inside.pop()
+
+        def counted_feed_rows(*args):
+            self.feeds += bool(inside)
+            return feed_rows(*args)
+
+        def counted_shuffle_ranges(*args):
+            self.shuffles += 1
+            shuffle_ranges(*args)
 
         monkeypatch.setattr(tree, "_levels", counted_levels)
-        level_rows = tree._level_rows
+        monkeypatch.setattr(_Stack, "feed_rows", counted_feed_rows)
+        monkeypatch.setattr(tree, "shuffle_ranges", counted_shuffle_ranges)
 
-        def counted_level_rows(*args):
-            self.batched += 1
-            return level_rows(*args)
-
-        monkeypatch.setattr(tree, "_level_rows", counted_level_rows)
+    def ran(self, subtrees: int, levels: int, ordering: str) -> bool:
+        """Whether the level loop ran `subtrees` subtrees of `levels`
+        levels in all, one feed and, randomized, one shuffle per level,
+        without a failure, where it runs, and never where it does not."""
+        if not level_loop_runs():
+            subtrees = levels = 0
+        return (self.subtrees, self.feeds, self.shuffles, self.failures) == (
+            subtrees, levels, levels if ordering == "randomized" else 0, [])
 
 
 class PlainPegasos(Pegasos):
@@ -571,13 +595,12 @@ def test_the_n120_loocv_and_n320_k16_digest_shapes_run_the_level_loop(shape, ord
                                                                       monkeypatch):
     """The tree digests of tests/test_reference_digests.py, and the tiny
     oracle gate of the loocv benchmark workload (perfbench/workloads.py,
-    sequential at n=120), run the whole tree as one level loop with
-    batched levels, so those digests and that oracle replay check it."""
+    sequential at n=120), run the whole tree as one level loop where the
+    kernels load, so those digests and that oracle replay check it."""
     counts = LevelCounts(monkeypatch)
     data, part, factory, loss = shape(7)
     report = tree_cv(factory, data, part, loss, TreeCvConfig(ordering=ordering, seed=7))
-    assert (counts.subtrees, counts.failures) == (1, [])
-    assert counts.batched >= 1
+    assert counts.ran(1, math.ceil(math.log2(part.k)), ordering)
     orders = tree_feed_orders(part, ordering, 7)
     assert report.fold_scores == brute_force_oracle(factory, data, part, loss, orders).fold_scores
 
@@ -596,6 +619,7 @@ def runs_alike(factory, plain, data, part, loss, config):
 @pytest.mark.parametrize("ordering", ["fixed", "randomized"])
 def test_level_loop_reports_and_traces_are_the_recursions(ordering, monkeypatch):
     counts = LevelCounts(monkeypatch)
+    levels = 0
     stream = SplitMix64Stream(29)
     sizes = [1 + stream.randbelow(5) if stream.randbelow(3) else 1 for _ in range(70)]
     ragged = Partition(tuple(int(b) for b in np.cumsum([0] + sizes)))
@@ -603,12 +627,13 @@ def test_level_loop_reports_and_traces_are_the_recursions(ordering, monkeypatch)
         config = TreeCvConfig(ordering=ordering, seed=n)
         data = synth_classification(n, 5, margin=0.2, noise=0.1, seed=n)
         part = (partition(data, 37) if part == "k37" else part) or partition(data, n)
+        levels += 2 * math.ceil(math.log2(part.k))
         runs_alike(lambda: Pegasos(5, 1e-3), lambda: PlainPegasos(5, 1e-3), data, part,
                    ZERO_ONE, config)
         data = synth_regression(n, 5, seed=n)
         runs_alike(lambda: LsqSgd(5, 0.3), lambda: PlainLsqSgd(5, 0.3), data, part, SQUARED,
                    config)
-    assert counts.subtrees == 8 and counts.batched >= 8 and counts.failures == []
+    assert counts.ran(8, levels, ordering)
 
 
 def test_small_subtree_bound_runs_the_recursion_above_and_level_loops_below(monkeypatch):
@@ -620,8 +645,7 @@ def test_small_subtree_bound_runs_the_recursion_above_and_level_loops_below(monk
     config = TreeCvConfig(ordering="randomized", seed=801)
     traces = []
     report = tree_cv(factory, data, part, loss, config, trace_sink=traces)
-    assert (counts.subtrees, counts.failures) == (4, [])
-    assert counts.batched >= 4
+    assert counts.ran(4, 4 * 5, "randomized")
     assert len(traces) == 2 * 120 - 1
     assert report.counters.point_updates == sum(t.points_fed_left + t.points_fed_right
                                                 for t in traces)
@@ -655,7 +679,7 @@ def test_a_pegasos_subclass_runs_its_own_update_rule_in_a_wide_tree(monkeypatch)
         tree_cv(lambda: FailsOnMarkedPegasos(3), data, partition(data, 40), ZERO_ONE)
     assert counts.subtrees == 0
     tree_cv(lambda: Pegasos(3), data, partition(data, 40), ZERO_ONE)
-    assert counts.subtrees == 1
+    assert counts.ran(1, 6, "fixed")
 
 
 @pytest.mark.parametrize("learner", [Pegasos, LsqSgd])
@@ -680,8 +704,7 @@ def test_a_learner_narrower_than_the_data_raises_the_recursions_update_error(lea
 @pytest.mark.parametrize("learner, loss", [(Pegasos, ZERO_ONE), (LsqSgd, SQUARED)])
 def test_float32_parameters_give_the_oracles_fold_scores(learner, loss):
     # the Python update computes a float32 step parameter in float32, and
-    # neither the compiled kernels nor the lockstep feed do, so such a
-    # model runs the recursion
+    # the compiled kernels do not, so such a model runs the recursion
     data = synth_classification(120, 4, margin=0.2, noise=0.1, seed=3)
     part = partition(data, 120)
     factory = lambda: learner(4, np.float32(0.1))  # noqa: E731
@@ -699,7 +722,7 @@ def test_zero_feature_data_runs_the_level_loop_once(learner, loss, monkeypatch):
     part = partition(data, 64)
     report = tree_cv(lambda: learner(0, 0.1), data, part, loss,
                      TreeCvConfig(ordering="randomized", seed=2))
-    assert (counts.subtrees, counts.failures) == (1, [])
+    assert counts.ran(1, 6, "randomized")
     orders = tree_feed_orders(part, "randomized", 2)
     replay = brute_force_oracle(lambda: learner(0, 0.1), data, part, loss, orders)
     assert report.fold_scores == replay.fold_scores
@@ -722,8 +745,8 @@ def test_a_failure_inside_the_level_loop_is_raised_as_the_recursion_raises_it(mo
                 loocv(factory, data, SQUARED, TreeCvConfig(ordering="randomized", seed=5))
             errors.append(info.value.chunk_range)
     assert errors[0] == errors[1]
-    assert counts.subtrees == 1
-    assert [type(err) for err in counts.failures] == [FloatingPointError]
+    assert counts.subtrees == level_loop_runs()
+    assert [type(err) for err in counts.failures] == [FloatingPointError] * level_loop_runs()
 
 
 # ---------------------------------------------------------------------------

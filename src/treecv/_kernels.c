@@ -1,5 +1,5 @@
 /* Per-point update kernels for the exact `Pegasos`, `LsqSgd` and
-   `OnlineKMeans` types, and the tree's level shuffle.
+   `OnlineKMeans` types, and the shuffle of every randomized estimate.
 
    The linear kernels feed m models, stored as rows of stacked state
    arrays.  Model i is fed its own run of counts[i] consecutive rows of x
@@ -40,7 +40,9 @@
 
    `shuffle_ranges` is integer code only: it is `SplitMix64Stream.shuffle`
    run on each range with its own seed, so it gives the permutation that
-   the Python loop gives.  */
+   the Python loop gives.  It shuffles the ranges of a level of the
+   tree's level loop, and, one range per call, the rows the tree's
+   recursion feeds a node and a standard-CV fold's training rows.  */
 
 #include <fenv.h>
 #include <math.h>

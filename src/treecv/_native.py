@@ -1,5 +1,6 @@
 """The compiled per-point kernels of the exact `Pegasos`, `LsqSgd` and
-`OnlineKMeans` types, and the tree's level shuffle.
+`OnlineKMeans` types, and the Fisher-Yates shuffle that both schedulers
+draw their randomized orders with (`rng.shuffled`, `rng.shuffle_ranges`).
 
 `_kernels.c` feeds models of these types point by point, bit for bit as
 their `_update_point` does, and shuffles ranges as
@@ -28,8 +29,8 @@ builds and loads it with the standard library alone:
 `kernels()` does the rest at most once per process, on first use, and
 gives None when any step fails: no compiler, no ddot symbol, an
 unwritable cache, a failed compile or a mismatch.  The learners then
-keep their Python path, the tree runs the recursion, and `reason()` says
-why.
+keep their Python path, the tree runs the recursion, every shuffle runs
+the Python loop of `SplitMix64Stream.shuffle`, and `reason()` says why.
 """
 
 from __future__ import annotations

@@ -19,8 +19,13 @@ once, each with its own stream, in one call of the compiled kernel of
 the same name (`_kernels.c`).  That kernel is `shuffle`'s scalar loop in
 C, randbelow's rejection included, so every range gets the permutation
 `shuffle` gives it; the loader checks that against `shuffle` before it
-keeps the kernels (`_native`).  `derive_seeds` is `derive_seed` over
-arrays of tags.
+keeps the kernels (`_native`).  `shuffled` draws the order of one int64
+row vector, a standard-CV fold's or a tree node's: by that kernel, as a
+single range, or by `shuffle` on a list when the kernels are not loaded
+or the vector is shorter than a kernel call is worth.  The oracle's feed
+orders (`tree.tree_feed_orders`) keep to the list, so the tests check
+the one against the other.  `derive_seeds` is `derive_seed` over arrays
+of tags.
 
 The stream is pinned by test vectors (see tests/test_rng.py); any change
 to the constants below is a breaking change to reproducibility.
@@ -38,9 +43,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Shuffles of at least this many elements draw in bulk: below it numpy's
-# fixed cost per call (~15 us on a 2-vCPU Xeon VM) is more than the
-# scalar loop's ~0.8 us per element.
+# Shuffles of at least this many elements draw in bulk, and `shuffled`
+# hands them to the kernel: below it numpy's fixed cost per call (~15 us
+# on a 2-vCPU Xeon VM), or a checked kernel call's (~22 us), is more than
+# the scalar loop's ~0.5-0.8 us per element.
 _BULK_MIN = 24
 
 
@@ -231,3 +237,20 @@ def shuffle_ranges(kernels, values: np.ndarray, seeds: np.ndarray, starts: np.nd
                          "within the values")
     kernels.shuffle_ranges(values.ctypes.data, seeds.size, seeds.ctypes.data,
                            starts.ctypes.data, stops.ctypes.data)
+
+
+def shuffled(kernels, rows: np.ndarray, seed: int) -> np.ndarray:
+    """The int64 vector `rows` in the order `SplitMix64Stream(seed).shuffle`
+    leaves it in; `rows` may be shuffled in place.
+
+    With the kernels loaded (`_native.kernels()`), a vector of at least
+    `_BULK_MIN` rows is shuffled by one `shuffle_ranges` call; otherwise,
+    and with `kernels` None, as a list by `shuffle`.
+    """
+    if kernels is None or rows.size < _BULK_MIN:
+        order = rows.tolist()
+        SplitMix64Stream(seed).shuffle(order)
+        return np.array(order, dtype=np.int64)
+    shuffle_ranges(kernels, rows, np.array([seed], dtype=np.uint64), np.zeros(1, dtype=np.int64),
+                   np.array([rows.size], dtype=np.int64))
+    return rows

@@ -5,6 +5,10 @@ is the correctness reference and the speedup baseline for the tree
 scheduler.  `brute_force_oracle` runs the same fold loop with a caller
 supplied feeding order per fold, which lets tests replay the exact point
 order the tree schedule induces and confirm fold-score equality.
+
+A randomized run shuffles each fold's training rows as an int64 vector
+with `rng.shuffled`, in the compiled `shuffle_ranges` kernel when the
+kernels are loaded (`_native`), and gathers them through it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _native
 from .core import (
     CvReport,
     Dataset,
@@ -33,21 +38,23 @@ from .core import (
 )
 from .forkjoin import check_workers, fork, join_all
 from .learners import load_kernels
-from .rng import SplitMix64Stream, derive_seed
+from .rng import derive_seed, shuffled
 
 TAG_FOLD_SHUFFLE = 4
 
 
-def _train_rows(partition: Partition, fold: int) -> list[int]:
-    """Row indices outside the fold's chunk, in dataset order."""
+def _train_rows(partition: Partition, fold: int) -> np.ndarray:
+    """Row indices outside the fold's chunk, in dataset order, as int64."""
     sl = partition.chunk_slice(fold)
-    return list(range(0, sl.start)) + list(range(sl.stop, partition.n))
+    return np.concatenate((np.arange(sl.start, dtype=np.int64),
+                           np.arange(sl.stop, partition.n, dtype=np.int64)))
 
 
-def _shuffled_order(partition: Partition, seed: int, fold: int) -> list[int]:
-    rows = _train_rows(partition, fold)
-    SplitMix64Stream(derive_seed(seed, TAG_FOLD_SHUFFLE, fold)).shuffle(rows)
-    return rows
+def _shuffled_order(kernels, partition: Partition, seed: int, fold: int) -> np.ndarray:
+    """The fold's training rows in randomized order: shuffled with the
+    stream derive_seed(seed, TAG_FOLD_SHUFFLE, fold)."""
+    return shuffled(kernels, _train_rows(partition, fold),
+                    derive_seed(seed, TAG_FOLD_SHUFFLE, fold))
 
 
 def _checked_order(partition: Partition, fold_orders, fold: int) -> np.ndarray:
@@ -87,10 +94,10 @@ def _run_folds(model_of, dataset, partition, loss, folds, order_of):
         sl = partition.chunk_slice(fold)
         order = order_of(fold)
         if order is None:
-            # two slices: fancy indexing through a list of n ints costs ~5x more
+            # two slices: gathering the rows through an int64 index costs ~5x more
             fx = np.concatenate((x[:sl.start], x[sl.stop:]))
             fy = np.concatenate((y[:sl.start], y[sl.stop:])) if y is not None else None
-        else:
+        else:  # an int64 index: gathering through a list of ints costs ~3.5x more
             fx, fy = x[order], y[order] if y is not None else None
         model = model_of(fold)
         model.update(fx, fy)
@@ -128,10 +135,11 @@ def standard_cv(
     seed = check_integer(seed, "seed")
     check_partition(partition, dataset)
     k = partition.k
-    order_of = (partial(_shuffled_order, partition, seed) if ordering == "randomized"
-                else lambda fold: None)
-    # fold 0's model, built here to resolve the kernels its type runs on
-    # outside the wall time, and before forked workers would each do it
+    # the kernels a randomized run shuffles with, and fold 0's model, built
+    # here to resolve the kernels its type runs on: both outside the wall
+    # time, and before forked workers would each do it
+    order_of = (partial(_shuffled_order, _native.kernels(), partition, seed)
+                if ordering == "randomized" else lambda fold: None)
     first = learner_factory().fresh()
     load_kernels(first)
     model_of = lambda fold: first if fold == 0 else learner_factory().fresh()

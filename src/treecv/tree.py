@@ -34,13 +34,16 @@ path; there the `update` of an exact `Pegasos`, `LsqSgd` or
 
 Randomized runs feed each node's rows in the order of a Fisher-Yates
 shuffle drawn from a stream keyed by the run seed and the fed chunk
-range.  The recursion draws one range at a time (`_fed_rows`).  The
-ranges fed at one level of a subtree are disjoint, so the level loop
-lays them out one after another in one int64 array and shuffles each in
-place with its own stream, all in one `rng.shuffle_ranges` call; each
-range gets the permutation `_fed_rows` gives it.  `tree_feed_orders`,
-which the oracle replays, keeps to `_fed_rows`, so the tests check one
-path against the other.
+range, and every such shuffle runs in the compiled `shuffle_ranges`
+kernel when the kernels are loaded.  The recursion draws one range at a
+time (`_fed_rows`, through `rng.shuffled`).  The ranges fed at one level
+of a subtree are disjoint, so the level loop lays them out one after
+another in one int64 array and shuffles each in place with its own
+stream, all in one `rng.shuffle_ranges` call; each range gets the
+permutation `_fed_rows` gives it.  `tree_feed_orders`, which the oracle
+replays, calls `_fed_rows` without the kernels, so its orders come from
+the Python loop of `SplitMix64Stream.shuffle` and the tests check the
+kernel against it.
 
 Determinism: every node's shuffle is derived from the run seed and the
 node's position in the recursion, never from execution order, so
@@ -77,7 +80,7 @@ from .core import (
 )
 from .forkjoin import check_workers, fork, join_all
 from .learners import LEVEL_LOOP, load_kernels
-from .rng import SplitMix64Stream, derive_seed, derive_seeds, shuffle_ranges
+from .rng import derive_seed, derive_seeds, shuffle_ranges, shuffled
 
 # Stream purpose tag; every derive_seed call site in the package uses a
 # distinct leading tag so no two components share a stream.
@@ -86,11 +89,14 @@ TAG_NODE_SHUFFLE = 2
 # Subtrees of at most SUBTREE_ROWS rows and at least LEVEL_MIN_RANGES
 # chunks run as one unit.  A subtree's level holds up to SUBTREE_ROWS
 # gathered rows and about as many models.  On a 2-vCPU Xeon VM, Pegasos
-# LOOCV at n=20000 and d=20 took 0.026-0.043 / 0.040-0.057 s (fixed /
+# LOOCV at n=20000 and d=20 took 0.038-0.039 / 0.055-0.056 s (fixed /
 # randomized, medians of 7 in four rounds) with a 4096-row bound,
-# 0.023-0.038 / 0.034-0.056 s with 8192 and 0.023-0.027 / 0.029-0.033 s
-# with 16384, which leaves one level fewer to the recursion's Python
-# shuffles above the subtrees and holds twice the rows per level.
+# 0.032 / 0.044-0.045 s with 8192 and 0.028-0.033 / 0.038-0.040 s with
+# 16384, every shuffle running in the kernel.  16384 leaves one
+# recursion level above the subtrees instead of two, and two subtrees of
+# 14 levels instead of four of 13 (28 level feeds against 52); its
+# levels hold twice the rows and models, and its effect on peak memory
+# and on fork-join runs is unmeasured, so the bound stays 8192.
 SUBTREE_ROWS = 8192
 LEVEL_MIN_RANGES = 16
 
@@ -140,8 +146,8 @@ class _Run:
     back the fold scores, counters and traces of its subtree.
     """
 
-    __slots__ = ("dataset", "partition", "loss", "ordering", "shuffle_seed", "fork_depth",
-                 "fold_scores", "counters", "traces", "row_bounds", "in_subtree")
+    __slots__ = ("dataset", "partition", "loss", "ordering", "shuffle_seed", "kernels",
+                 "fork_depth", "fold_scores", "counters", "traces", "row_bounds", "in_subtree")
 
     def __init__(self, dataset, partition, loss, config, traces):
         self.dataset = dataset
@@ -150,6 +156,9 @@ class _Run:
         self.ordering = config.ordering
         # a per-run prefix: derive_seed folds its tags left to right
         self.shuffle_seed = derive_seed(operator.index(config.seed), TAG_NODE_SHUFFLE)
+        # what the recursion shuffles with: resolved once, before the clock
+        # and any fork, and only by a run that shuffles
+        self.kernels = _native.kernels() if config.ordering == "randomized" else None
         # <= 0 for sequential runs: no level forks
         self.fork_depth = operator.index(config.max_workers).bit_length() - 1
         self.fold_scores = [0.0] * partition.k
@@ -162,20 +171,21 @@ class _Run:
         self.in_subtree = False
 
 
-def _fed_rows(part: Partition, ordering: str, shuffle_seed: int, first: int, last: int):
+def _fed_rows(kernels, part: Partition, ordering: str, shuffle_seed: int, first: int,
+              last: int):
     """Rows of chunks first..last in the order they are fed.
 
     Fixed ordering feeds them in dataset order, as a slice.  Randomized
     ordering feeds a uniform permutation of them, as an int64 index
-    array, drawn from the stream derive_seed(shuffle_seed, first, last);
-    `shuffle_seed` is derive_seed(run seed, TAG_NODE_SHUFFLE).  A single
-    row stays a slice: its Fisher-Yates shuffle draws nothing, and a
-    slice gathers as a view.
+    array, drawn from the stream derive_seed(shuffle_seed, first, last)
+    by `rng.shuffled` with `kernels`; `shuffle_seed` is derive_seed(run
+    seed, TAG_NODE_SHUFFLE).  A single row stays a slice: its
+    Fisher-Yates shuffle draws nothing, and a slice gathers as a view.
     """
     rows = part.range_slice(first, last)
     if ordering == "randomized" and rows.stop - rows.start > 1:
-        stream = SplitMix64Stream(derive_seed(shuffle_seed, first, last))
-        rows = rows.start + stream.permutation(rows.stop - rows.start)
+        rows = shuffled(kernels, np.arange(rows.start, rows.stop, dtype=np.int64),
+                        derive_seed(shuffle_seed, first, last))
     return rows
 
 
@@ -353,7 +363,8 @@ def _ranges(lo: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _score_leaves(run: _Run, stack, starts: np.ndarray, ends: np.ndarray) -> None:
     """Score model i of the stack on its chunk, starts[i], for every leaf
     i (starts[i] == ends[i]), in one batched prediction; each score is
-    `evaluate_chunk`'s."""
+    `evaluate_chunk`'s, the `math.fsum` of the chunk's losses over its
+    size."""
     leaves = np.flatnonzero(starts == ends)
     if not leaves.size:
         return
@@ -362,9 +373,17 @@ def _score_leaves(run: _Run, stack, starts: np.ndarray, ends: np.ndarray) -> Non
     sizes = b[chunks + 1] - b[chunks]
     rows, offsets = _ranges(b[chunks], sizes)
     x, y = run.dataset.x[rows], run.dataset.y[rows]
-    values = run.loss.batch(stack.predict(x, np.repeat(leaves, sizes)), x, y).tolist()
-    for chunk, start, size in zip(chunks.tolist(), offsets.tolist(), sizes.tolist()):
-        run.fold_scores[chunk] = math.fsum(values[start:start + size]) / size
+    values = run.loss.batch(stack.predict(x, np.repeat(leaves, sizes)), x, y)
+    if values.size == leaves.size:
+        # a row per leaf: fsum([v]) / 1 is v + 0.0 bit for bit, -0.0 going
+        # to 0.0 and inf and nan passing through
+        scores = (values + 0.0).tolist()
+    else:
+        values = values.tolist()
+        scores = [math.fsum(values[start:start + size]) / size
+                  for start, size in zip(offsets.tolist(), sizes.tolist())]
+    for chunk, score in zip(chunks.tolist(), scores):
+        run.fold_scores[chunk] = score
 
 
 def _trace_subtree(traces: list, b, s: int, e: int, depth: int) -> None:
@@ -379,7 +398,7 @@ def _trace_subtree(traces: list, b, s: int, e: int, depth: int) -> None:
 def _branch(run: _Run, s: int, e: int, model: IncrementalLearner, first: int, last: int,
             depth: int) -> None:
     """Train the model on chunks first..last, then visit subtree s..e."""
-    rows = _fed_rows(run.partition, run.ordering, run.shuffle_seed, first, last)
+    rows = _fed_rows(run.kernels, run.partition, run.ordering, run.shuffle_seed, first, last)
     x = run.dataset.x[rows]
     y = run.dataset.y[rows] if run.dataset.y is not None else None
     try:
@@ -455,7 +474,8 @@ def tree_feed_orders(part: Partition, ordering: str = "fixed", seed: int = 0) ->
     shuffle_seed = derive_seed(check_integer(seed, "seed"), TAG_NODE_SHUFFLE)
 
     def fed_rows(first: int, last: int) -> list[int]:
-        return index[_fed_rows(part, ordering, shuffle_seed, first, last)].tolist()
+        # no kernels: the replayed orders come from the Python shuffle
+        return index[_fed_rows(None, part, ordering, shuffle_seed, first, last)].tolist()
 
     def walk(s: int, e: int, fed: list[int]) -> None:
         if s == e:

@@ -113,11 +113,14 @@ def test_a_shuffle_kernel_that_disagrees_with_shuffle_is_not_used(monkeypatch):
 
 
 def test_kernels_are_resolved_before_the_clock_only_for_learners_that_run_them(monkeypatch):
-    """`MeanPredictor` runs never resolve the kernels.  An `OnlineKMeans`
-    run resolves them and checks `kmeans_feed` once per process, before
-    its clock starts and before it forks, in either scheduler."""
+    """Fixed-order `MeanPredictor` runs never resolve the kernels.  An
+    `OnlineKMeans` run resolves them and checks `kmeans_feed` once per
+    process, before its clock starts and before it forks, in either
+    scheduler.  So does a randomized `MeanPredictor` run, which shuffles
+    with them."""
     events = []
     perf_counter = time.perf_counter
+    resolve = _native._resolve
 
     class Unchecked:  # stands in for the kernels: records its k-means check, gives no kernel
         kmeans_checked = False
@@ -150,6 +153,21 @@ def test_kernels_are_resolved_before_the_clock_only_for_learners_that_run_them(m
         assert events.count("resolve") == events.count("check") == 1
         assert events.index("resolve") < events.index("check") < events.index("clock")
         events.clear()
+
+    # the real kernels, or None without a compiler: either way, resolved once
+    monkeypatch.setattr(_native, "_resolve", lambda: events.append("resolve") or resolve())
+    randomized = [
+        lambda workers: loocv(lambda: MeanPredictor(3), data, SQUARED,
+                              TreeCvConfig(ordering="randomized", max_workers=workers)),
+        lambda workers: standard_cv(lambda: MeanPredictor(3), data, partition(data, 6),
+                                    SQUARED, "randomized", max_workers=workers),
+    ]
+    for run in randomized:
+        monkeypatch.setattr(_native, "_resolved", None)
+        events.clear()
+        for workers in (0, 2):
+            run(workers)
+        assert events.count("resolve") == 1 and events.index("resolve") < events.index("clock")
 
 
 def _other_order_rows(lanes):

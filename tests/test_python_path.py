@@ -3,7 +3,8 @@ kernels forced off, so the Python update and the recursion that stands
 in for the level loop stay checked on hosts that compile the kernels.
 The digests include both k-means shapes, standard CV on parsed text and
 tree LOOCV.  Each imported test runs here under the `python_path`
-fixture; the tests of the level loop assert there that it never runs."""
+fixture; the tests of the level loop assert there that it never runs,
+and the shuffle tests that no shuffle calls the kernel."""
 
 import pytest
 
@@ -28,6 +29,7 @@ from test_standard import (
     test_oracle_replays_tree_feeding_order_bit_exactly,
     test_oracle_with_dataset_order_equals_standard_fixed,
     test_parallel_folds_are_bit_identical_to_sequential,
+    test_randomized_folds_are_the_oracles_replay_of_their_orders,
 )
 from test_tree import (
     test_a_failure_inside_the_level_loop_is_raised_as_the_recursion_raises_it,
@@ -42,6 +44,7 @@ from test_tree import (
     test_small_subtree_bound_runs_the_recursion_above_and_level_loops_below,
     test_the_level_loop_shuffles_every_range_the_recursion_shuffles,
     test_the_n120_loocv_and_n320_k16_digest_shapes_run_the_level_loop,
+    test_the_recursion_shuffles_in_the_kernel_and_the_oracle_orders_do_not,
     test_unlabeled_data_raises_the_recursions_update_error,
     test_zero_feature_data_runs_the_level_loop_once,
 )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from treecv import dataio, harness, standard, tree
+from treecv import _native, dataio, harness, rng, standard, tree
 from treecv.core import partition
 from treecv.rng import SplitMix64Stream, derive_seed, derive_seeds, shuffle_ranges
 from treecv.tree import tree_feed_orders
@@ -379,3 +379,52 @@ def test_shuffle_ranges_refuses_what_the_kernel_would_read_or_write_past(kernels
     values.flags.writeable = False
     with pytest.raises(ValueError, match="shuffle_ranges call"):
         shuffle_ranges(kernels, values, seeds, starts, stops)
+
+
+# ---------------------------------------------------------------------------
+# The schedulers' shuffle: an int64 row vector, in the kernel when it is
+# loaded
+
+
+def list_shuffled(values, seed: int) -> list[int]:
+    values = list(values)
+    SplitMix64Stream(seed).shuffle(values)
+    return values
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 200), st.integers(-2**40, 2**40), st.integers(0, 2**64 - 1))
+def test_shuffled_equals_the_list_shuffle(kernels, n, offset, seed):
+    expected = list_shuffled(range(offset, offset + n), seed)
+    for loaded in (kernels, None):
+        got = rng.shuffled(loaded, np.arange(offset, offset + n, dtype=np.int64), seed)
+        assert got.dtype == np.int64 and got.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 40, 200])
+def test_shuffled_redraws_a_rejected_first_draw(kernels, n):
+    # the first draw of _REJECTED_SEED is 2**64 - 1, which randbelow(n)
+    # rejects: n draws for n - 1 positions
+    reference = SplitMix64Stream(_native._REJECTED_SEED)
+    expected = list(range(n))
+    scalar_shuffle(reference, expected)
+    assert reference.state == (_native._REJECTED_SEED + n * 0x9E3779B97F4A7C15) & (2**64 - 1)
+    for loaded in (kernels, None):
+        got = rng.shuffled(loaded, np.arange(n, dtype=np.int64), _native._REJECTED_SEED)
+        assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, rng._BULK_MIN - 1, rng._BULK_MIN, 9000])
+def test_shuffled_calls_the_kernel_from_the_bulk_size_on(kernels, n, monkeypatch):
+    """A kernel call costs what ~20 elements of the Python loop do, so
+    shorter vectors are shuffled as lists."""
+    calls = []
+    shuffle_ranges = rng.shuffle_ranges
+    monkeypatch.setattr(rng, "shuffle_ranges", lambda *args: calls.append(args[1].size)
+                        or shuffle_ranges(*args))
+    rows = np.arange(n, dtype=np.int64)
+    got = rng.shuffled(kernels, rows, 11)
+    assert got.tolist() == list_shuffled(range(n), 11)
+    assert calls == ([n] if n >= rng._BULK_MIN else [])
+    assert (got is rows) == bool(calls)

@@ -4,6 +4,7 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treecv import (
     Dataset,
@@ -21,6 +22,7 @@ from treecv import (
     tree_cv,
     tree_feed_orders,
 )
+from treecv import _native, standard
 from treecv.rng import SplitMix64Stream, derive_seed
 
 
@@ -65,6 +67,40 @@ def test_randomized_ordering_is_seeded_and_deterministic():
     c = standard_cv(factory, ds, part, ZERO_ONE, "randomized", seed=4)
     assert a.comparable() == b.comparable()
     assert a.fold_scores != c.fold_scores
+
+
+@st.composite
+def folds_of(draw):
+    n = draw(st.integers(2, 400))
+    k = draw(st.integers(2, n))
+    return n, k, draw(st.integers(0, k - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(folds_of(), st.integers(0, 2**64 - 1))
+def test_fold_orders_are_the_training_rows_shuffled_as_a_list(n_k_fold, seed):
+    """A randomized fold's order, drawn in the kernel where it loads, is
+    its training rows in dataset order shuffled as a list by
+    `SplitMix64Stream.shuffle`."""
+    n, k, fold = n_k_fold
+    part = partition(n, k)
+    sl = part.chunk_slice(fold)
+    rows = [r for r in range(n) if not sl.start <= r < sl.stop]
+    assert standard._train_rows(part, fold).tolist() == rows
+    SplitMix64Stream(derive_seed(seed, standard.TAG_FOLD_SHUFFLE, fold)).shuffle(rows)
+    for kernels in {_native.kernels(), None}:
+        order = standard._shuffled_order(kernels, part, seed, fold)
+        assert order.dtype == np.int64 and order.tolist() == rows
+
+
+def test_randomized_folds_are_the_oracles_replay_of_their_orders():
+    ds = synth_classification(90, 4, margin=0.2, noise=0.1, seed=14)
+    part = partition(ds, 7)
+    factory = lambda: Pegasos(4, 1e-2)
+    report = standard_cv(factory, ds, part, ZERO_ONE, "randomized", seed=6)
+    orders = [standard._shuffled_order(None, part, 6, fold).tolist() for fold in range(7)]
+    replay = brute_force_oracle(factory, ds, part, ZERO_ONE, orders, seed=6)
+    assert replay.fold_scores == report.fold_scores
 
 
 def test_parallel_folds_are_bit_identical_to_sequential():

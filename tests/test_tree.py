@@ -3,9 +3,12 @@ hold-out correctness, determinism, and fork-join execution."""
 
 import math
 import multiprocessing
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from treecv import (
     Dataset,
@@ -31,7 +34,7 @@ from treecv import (
     tree_cv,
     tree_feed_orders,
 )
-from treecv import _native, tree
+from treecv import _native, rng, tree
 from treecv.learners import _Stack
 from treecv.rng import SplitMix64Stream
 
@@ -417,7 +420,9 @@ def level_loop_runs() -> bool:
 class ShuffleCounts:
     """Counts, in this process, the ranges `tree._fed_rows` shuffles one at
     a time and the ranges of two or more rows the level loop's kernel
-    calls shuffle."""
+    calls shuffle.  `_fed_rows` shuffles through `rng.shuffled`, which
+    calls the kernel through `rng.shuffle_ranges`, not `tree`'s name for
+    it, so `bulk` counts only the level loop's calls."""
 
     def __init__(self, monkeypatch):
         self.per_node = 0
@@ -520,6 +525,31 @@ def test_the_level_loop_shuffles_every_range_the_recursion_shuffles(monkeypatch)
                                                         orders).fold_scores
 
 
+def test_the_recursion_shuffles_in_the_kernel_and_the_oracle_orders_do_not(monkeypatch):
+    """Where the kernels load, every range of at least `rng._BULK_MIN`
+    rows the recursion feeds is shuffled by one kernel call; the feed
+    orders the oracle replays are drawn by the Python loop alone, and
+    give the same fold scores."""
+    calls = []
+    shuffle_ranges = rng.shuffle_ranges
+    monkeypatch.setattr(rng, "shuffle_ranges",
+                        lambda *args: calls.append(args[1].size) or shuffle_ranges(*args))
+    data = synth_classification(300, 4, margin=0.2, noise=0.1, seed=9)
+    part = partition(data, data.n)
+    factory = lambda: PlainPegasos(4, 1e-3)  # noqa: E731, runs the recursion
+    traces = []
+    report = tree_cv(factory, data, part, ZERO_ONE, TreeCvConfig(ordering="randomized", seed=9),
+                     trace_sink=traces)
+    fed = [size for t in traces for size in (t.points_fed_left, t.points_fed_right)]
+    assert sorted(calls) == (sorted(size for size in fed if size >= rng._BULK_MIN)
+                             if _native.kernels() is not None else [])
+    calls.clear()
+    orders = tree_feed_orders(part, "randomized", 9)
+    assert calls == []
+    assert report.fold_scores == brute_force_oracle(factory, data, part, ZERO_ONE,
+                                                    orders).fold_scores
+
+
 # ---------------------------------------------------------------------------
 # Level loop: small subtrees of Pegasos and LsqSgd run level by level on the
 # compiled kernels
@@ -528,7 +558,8 @@ def test_the_level_loop_shuffles_every_range_the_recursion_shuffles(monkeypatch)
 class LevelCounts:
     """Counts, in this process, the subtrees `tree._levels` runs, the
     kernel calls it makes to feed a level (`_Stack.feed_rows`) and to
-    shuffle one (`shuffle_ranges`), and the exceptions it raises."""
+    shuffle one (`shuffle_ranges`), and the exceptions it raises.  The
+    recursion's shuffles, which call the same kernel, are not counted."""
 
     def __init__(self, monkeypatch):
         self.subtrees = self.feeds = self.shuffles = 0
@@ -552,7 +583,7 @@ class LevelCounts:
             return feed_rows(*args)
 
         def counted_shuffle_ranges(*args):
-            self.shuffles += 1
+            self.shuffles += bool(inside)
             shuffle_ranges(*args)
 
         monkeypatch.setattr(tree, "_levels", counted_levels)
@@ -567,6 +598,30 @@ class LevelCounts:
             subtrees = levels = 0
         return (self.subtrees, self.feeds, self.shuffles, self.failures) == (
             subtrees, levels, levels if ordering == "randomized" else 0, [])
+
+
+class LossesAsPredictions:
+    """A stand-in stack whose prediction for a row is its first feature."""
+
+    def predict(self, x, models):
+        return x[:, 0]
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -2.2e-308, math.inf,
+                                                          -math.inf, math.nan])),
+                min_size=1, max_size=40))
+def test_one_row_leaves_score_their_loss_as_fsum_does(losses):
+    """`_score_leaves` sets a level of one-row leaves from the losses
+    plus 0.0, which is math.fsum([loss]) / 1 byte for byte: -0.0 becomes
+    0.0, subnormals, infinities and NaNs keep their bits."""
+    n = len(losses)
+    values = np.array(losses)
+    run = SimpleNamespace(row_bounds=np.arange(n + 1), fold_scores=[None] * n,
+                          dataset=SimpleNamespace(x=values[:, None], y=np.zeros(n)),
+                          loss=SimpleNamespace(batch=lambda p, x, y: p))
+    tree._score_leaves(run, LossesAsPredictions(), np.arange(n), np.arange(n))
+    pack = lambda scores: struct.pack(f"<{n}d", *scores)  # noqa: E731
+    assert pack(run.fold_scores) == pack([math.fsum([v]) / 1 for v in values.tolist()])
 
 
 class PlainPegasos(Pegasos):

@@ -1,5 +1,6 @@
 /* Per-point update kernels for the exact `Pegasos`, `LsqSgd` and
-   `OnlineKMeans` types, and the shuffle of every randomized estimate.
+   `OnlineKMeans` types, the shuffle of every randomized estimate, and
+   the sparse-text scanner of `dataio.parse_sparse_text`.
 
    The linear kernels feed m models, stored as rows of stacked state
    arrays.  Model i is fed its own run of counts[i] consecutive rows of x
@@ -42,10 +43,19 @@
    run on each range with its own seed, so it gives the permutation that
    the Python loop gives.  It shuffles the ranges of a level of the
    tree's level loop, and, one range per call, the rows the tree's
-   recursion feeds a node and a standard-CV fold's training rows.  */
+   recursion feeds a node and a standard-CV fold's training rows.
+
+   `parse_sparse` scans sparse text once and converts each number with
+   strtod.  strtod and Python's float() are both correctly rounded (as
+   in Gay's and Clinger's conversions), so every decimal string the
+   grammar admits becomes the double float() gives; the loader checks
+   that on pinned hard cases before first use.  Any line outside its
+   strict grammar, or in error, is handed back, and the caller parses
+   the whole text in Python.  */
 
 #include <fenv.h>
 #include <math.h>
+#include <stdlib.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -252,4 +262,134 @@ void shuffle_ranges(int64_t *values, int64_t m, const uint64_t *seeds, const int
             part[j] = held;
         }
     }
+}
+
+/* The longest number token `parse_sparse` converts; a longer one sends
+   its line to Python.  `repr` of a double is at most 24 characters. */
+#define NUMBER_MAX 64
+
+static int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+static int is_blank(char c)
+{
+    return c == ' ' || c == '\t' || c == '\r';
+}
+
+/* Convert the number token at *s, which must match
+   [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? up to a blank or `stop`, with strtod, which must consume all of it and give a finite
+   double.  On success advance *s past it and return 1; else return 0. */
+static int number(const char **s, const char *stop, double *out)
+{
+    const char *start = *s, *p = start;
+    if (p < stop && (*p == '+' || *p == '-'))
+        p++;
+    const char *digits = p;
+    while (p < stop && is_digit(*p))
+        p++;
+    int whole = p > digits, fraction = 0;
+    if (p < stop && *p == '.') {
+        const char *first = ++p;
+        while (p < stop && is_digit(*p))
+            p++;
+        fraction = p > first;
+    }
+    if (!whole && !fraction)
+        return 0;
+    if (p < stop && (*p == 'e' || *p == 'E')) {
+        p++;
+        if (p < stop && (*p == '+' || *p == '-'))
+            p++;
+        const char *exponent = p;
+        while (p < stop && is_digit(*p))
+            p++;
+        if (p == exponent)
+            return 0;
+    }
+    if ((p < stop && !is_blank(*p)) || p - start > NUMBER_MAX)
+        return 0;
+    char *used;
+    double value = strtod(start, &used);
+    if (used != p || !isfinite(value))
+        return 0;
+    *out = value;
+    *s = p;
+    return 1;
+}
+
+/* Parse the sparse text of `dataio.parse_sparse_text` from the `size`
+   bytes of `text`, which must be followed by a NUL byte (as the buffer
+   of a Python bytes object is).  Each line with a token gives a row:
+   its label goes to labels, its entry count to counts, and its entries'
+   0-based columns and values to cols and vals.  out receives the row
+   count, the entry count and the largest index.  Rows are at most the
+   lines and entries at most the ':' bytes, which the caller sizes the
+   arrays from (row_cap, entry_cap).
+
+   The grammar is strict: lines split on '\n', '#' starts a comment,
+   tokens split on ' ', '\t' and '\r', a number is as `number` takes it
+   and an index is +?d+, at least 1, below 2**63, increasing along the
+   line and at most expected_dim.  Every value is strtod's, which is
+   correctly rounded, as Python's float() is, so each matches float()
+   bit for bit.  strtod follows LC_NUMERIC, but a locale whose radix is
+   not '.' stops it short of the token's end, which hands the line back.
+   Returns 0 when every line parsed, else the 1-based number of the
+   first line it does not take, leaving the caller to parse the text in
+   Python, which raises the error or takes what this grammar does not
+   (other whitespace, '_' in digits, "inf", "0x1p3", ...). */
+int64_t parse_sparse(const char *text, int64_t size, int64_t expected_dim, int64_t row_cap,
+                     int64_t entry_cap, int64_t *counts, double *labels, int64_t *cols,
+                     double *vals, int64_t *out)
+{
+    const char *p = text, *end = text + size;
+    int64_t line = 0, rows = 0, entries = 0, largest = 0;
+    while (p < end) {
+        line++;
+        const char *eol = memchr(p, '\n', (size_t)(end - p));
+        if (eol == NULL)
+            eol = end;
+        const char *comment = memchr(p, '#', (size_t)(eol - p));
+        const char *stop = comment ? comment : eol;
+        while (p < stop && is_blank(*p))
+            p++;
+        if (p < stop) {
+            if (rows == row_cap || !number(&p, stop, &labels[rows]))
+                return line;
+            int64_t first = entries, previous = 0;
+            for (;;) {
+                while (p < stop && is_blank(*p))
+                    p++;
+                if (p == stop)
+                    break;
+                if (*p == '+')
+                    p++;
+                const char *digits = p;
+                int64_t index = 0;
+                for (; p < stop && is_digit(*p); p++) {
+                    int64_t digit = *p - '0';
+                    if (index > (INT64_MAX - digit) / 10)
+                        return line;
+                    index = index * 10 + digit;
+                }
+                if (p == digits || p == stop || *p != ':' || index <= previous
+                    || index > expected_dim || entries == entry_cap)
+                    return line;
+                p++;
+                if (!number(&p, stop, &vals[entries]))
+                    return line;
+                cols[entries++] = index - 1;
+                previous = index;
+            }
+            counts[rows++] = entries - first;
+            if (previous > largest)
+                largest = previous;
+        }
+        p = eol + 1;
+    }
+    out[0] = rows;
+    out[1] = entries;
+    out[2] = largest;
+    return 0;
 }

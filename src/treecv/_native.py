@@ -1,10 +1,13 @@
 """The compiled per-point kernels of the exact `Pegasos`, `LsqSgd` and
-`OnlineKMeans` types, and the Fisher-Yates shuffle that both schedulers
-draw their randomized orders with (`rng.shuffled`, `rng.shuffle_ranges`).
+`OnlineKMeans` types, the Fisher-Yates shuffle that both schedulers
+draw their randomized orders with (`rng.shuffled`, `rng.shuffle_ranges`),
+and the sparse-text scanner of `dataio.parse_sparse_text`.
 
 `_kernels.c` feeds models of these types point by point, bit for bit as
-their `_update_point` does, and shuffles ranges as
-`SplitMix64Stream.shuffle` does; its header says how.  This module
+their `_update_point` does, shuffles ranges as
+`SplitMix64Stream.shuffle` does, and parses the strict part of the
+sparse-text grammar with strtod, which rounds as float() does; its
+header says how.  This module
 builds and loads it with the standard library alone:
 
 * it compiles the source once with the system C compiler, `cc`, into a
@@ -24,19 +27,25 @@ builds and loads it with the standard library alone:
   does, a property of the numpy build, and feeds a second probe through
   `kmeans_feed`.  A mismatch there leaves `kmeans_feed` out and keeps
   the other kernels.  A process that never trains k-means never runs
-  this check.
+  this check;
+* when the parser first asks for its kernel (`Kernels.parser`), it
+  parses `_PARSER_PROBES`, strings that a conversion which is not
+  correctly rounded gets wrong, and compares each double with float()'s.
+  A mismatch there leaves `parse_sparse` out, and text parses in Python.
 
 `kernels()` does the rest at most once per process, on first use, and
 gives None when any step fails: no compiler, no ddot symbol, an
 unwritable cache, a failed compile or a mismatch.  The learners then
 keep their Python path, the tree runs the recursion, every shuffle runs
-the Python loop of `SplitMix64Stream.shuffle`, and `reason()` says why.
+the Python loop of `SplitMix64Stream.shuffle`, text parses in Python,
+and `reason()` says why.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import struct
 from importlib import resources
 
 import numpy as np
@@ -61,7 +70,11 @@ class Kernels:
     * `kmeans_distances`, called as (k, d, centers, x, out): the squared
       distances `kmeans_feed` computes, for that check;
     * `shuffle_ranges`, called as (values, m, seeds, starts, stops)
-      through `rng.shuffle_ranges`, which checks the arrays.
+      through `rng.shuffle_ranges`, which checks the arrays;
+    * `parse_sparse`, called as (text, size, expected_dim, row_cap,
+      entry_cap, counts, labels, cols, vals, out) through
+      `dataio.parse_compiled`, which sizes the arrays, once `parser()`
+      has checked it.
     """
 
     def __init__(self, lib: ctypes.CDLL, ddot: int):
@@ -75,6 +88,8 @@ class Kernels:
             ("kmeans_feed", [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 4, ctypes.c_int),
             ("kmeans_distances", [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3, None),
             ("shuffle_ranges", [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3, None),
+            ("parse_sparse", [ctypes.c_char_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 5,
+             ctypes.c_int64),
         ]:
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes, restype
@@ -82,6 +97,8 @@ class Kernels:
         self.lib = lib  # the functions are valid while the library is loaded
         self.kmeans_checked = False
         self.kmeans_reason: str | None = None  # why `kmeans()` gives None
+        self.parser_checked = False
+        self.parser_reason: str | None = None  # why `parser()` gives None
 
     def kmeans(self):
         """`kmeans_feed` if it passes its self-check (`_probe_kmeans`),
@@ -94,6 +111,17 @@ class Kernels:
                 self.kmeans_reason = ("kmeans_feed failed its self-check, so OnlineKMeans runs "
                                       "in Python: " + mismatch)
         return None if self.kmeans_reason else self.kmeans_feed
+
+    def parser(self):
+        """`parse_sparse` if it passes its self-check (`_probe_parser`),
+        else None.  The first call runs the check."""
+        if not self.parser_checked:
+            self.parser_checked = True
+            mismatch = _probe_parser(self)
+            if mismatch is not None:
+                self.parser_reason = ("parse_sparse failed its self-check, so sparse text parses "
+                                      "in Python: " + mismatch)
+        return None if self.parser_reason else self.parse_sparse
 
 
 def _numpy_ddot() -> tuple[int, str]:
@@ -273,6 +301,48 @@ def _probe_kmeans(kernels: Kernels) -> str | None:
     return None
 
 
+# Decimal strings that a conversion which is not correctly rounded gets
+# wrong: 2**53 + 1, a tie that rounds to even, and strings just above and
+# below it; 1e23 and its neighbours, near a halfway point; the smallest
+# subnormal and the strings either side of half of it; the step from
+# subnormal to normal (2.2250738585072011e-308); DBL_MAX and a string
+# that rounds down to it; signed zeros, the grammar's short forms and
+# underflow to zero; and values of 17 to 38 significant digits.
+_PARSER_PROBES = (
+    "9007199254740993", "9007199254740993.0000000001", "9007199254740992.9999999999",
+    "1e23", "9.999999999999999e22", "1.0000000000000001e23", "8.5", "2.5e-1", "0.1",
+    "4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "5e-324", "2.2250738585072011e-308", "2.2250738585072012e-308",
+    "2.2250738585072014e-308", "1.7976931348623157e308", "1.7976931348623158e+308",
+    "-0", "-0.0", "+0e-5", ".5", "1.", "-1.e2", "1E+05", "1e-400", "-1e-400",
+    "0.30000000000000004", "1.0000000000000002", "-4.3749999999999996e-5",
+    "1234567890123456789012345", "0.1000000000000000055511151231257827",
+    "7.2057594037927933e16", "3.4028234663852885981170418348451692544e38",
+)
+
+
+def _float(text: str) -> float:
+    """The reference conversion of the parser probe: Python's float()."""
+    return float(text)
+
+
+def _probe_parser(kernels: Kernels) -> str | None:
+    """Where `parse_sparse` and float() disagree on `_PARSER_PROBES`, each
+    parsed as a label and as a feature value, or None."""
+    from .dataio import parse_compiled
+
+    text = "".join(f"{value} 1:{value}\n" for value in _PARSER_PROBES)
+    parsed = parse_compiled(kernels.parse_sparse, text, None)
+    if parsed is None:
+        return "it handed back a line of its probe"
+    labels, _, _, values, _ = parsed
+    for value, label, entry in zip(_PARSER_PROBES, labels.tolist(), values.tolist()):
+        expected = struct.pack("<d", _float(value))
+        if struct.pack("<d", label) != expected or struct.pack("<d", entry) != expected:
+            return f"strtod and float() convert {value!r} to different doubles"
+    return None
+
+
 def _load() -> Kernels:
     try:
         source = (resources.files(__package__) / SOURCE).read_bytes()
@@ -312,7 +382,9 @@ def kernels() -> Kernels | None:
 
 
 def reason() -> str | None:
-    """Why `kernels()` gives None, or why its `kmeans()` gave None, or
-    None when every kernel asked for is loaded."""
+    """Why `kernels()` gives None, or why its `kmeans()` or `parser()`
+    gave None, or None when every kernel asked for is loaded."""
     loaded = kernels()
-    return _resolved[1] if loaded is None else loaded.kmeans_reason
+    if loaded is None:
+        return _resolved[1]
+    return "; ".join(filter(None, [loaded.kmeans_reason, loaded.parser_reason])) or None

@@ -128,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_dataset(args):
     if args.data:
+        # universal newlines: the text's lines are the ones iterating the handle gives
         with open(args.data, "r", encoding="utf-8") as handle:
-            dataset = parse_sparse_text(handle)
+            dataset = parse_sparse_text(handle.read())
     else:
         dataset = make_synth_dataset(args.synth)
     if args.binarize_label is not None:

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import copyreg
+import itertools
 import math
 import operator
 from abc import ABC, abstractmethod
@@ -201,10 +202,8 @@ def partition(dataset: Dataset | int, k: int) -> Partition:
     if not (2 <= k <= n):
         raise InvalidFoldCountError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
     base, extra = divmod(n, k)
-    bounds = [0]
-    for i in range(k):
-        bounds.append(bounds[-1] + base + (1 if i < extra else 0))
-    return Partition(tuple(bounds))
+    sizes = itertools.chain(itertools.repeat(base + 1, extra), itertools.repeat(base, k - extra))
+    return Partition(tuple(itertools.accumulate(sizes, initial=0)))
 
 
 def check_partition(part: Partition, dataset: Dataset | None = None) -> None:
@@ -221,7 +220,7 @@ def check_partition(part: Partition, dataset: Dataset | None = None) -> None:
         raise InvalidFoldCountError(f"a partition needs at least 2 chunks, got {part.k}")
     if bounds[0] != 0:
         raise InvalidChunkError(f"partition bounds must start at row 0, got {bounds[0]}")
-    if not all(a < b for a, b in zip(bounds, bounds[1:])):
+    if not all(map(operator.lt, bounds, bounds[1:])):
         raise InvalidChunkError("partition bounds must strictly increase: every chunk is nonempty")
     if dataset is not None and part.n != dataset.n:
         raise InvalidChunkError(f"partition covers {part.n} points but dataset has {dataset.n}")
@@ -433,7 +432,7 @@ def make_report(
     ordering: str,
     seed: int,
 ) -> CvReport:
-    scores = tuple(float(s) for s in fold_scores)
+    scores = tuple(map(float, fold_scores))
     estimate = math.fsum(scores) / len(scores)
     return CvReport(scores, estimate, counters, wall_time, scheduler, ordering, seed)
 

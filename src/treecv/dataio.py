@@ -3,7 +3,8 @@
 The on-disk interchange format is sparse `label index:value` text, one
 point per line, 1-based strictly increasing indices, `#` comments, UTF-8
 with LF or CRLF endings.  Missing indices are zero; parsed datasets are
-dense.
+dense.  An ASCII string is scanned in C where the kernels load, bit for
+bit as the Python loop parses it (see `parse_sparse_text`).
 
 Transforms are fitted on a full dataset (before any partitioning) and
 can be re-applied to other data via the returned spec.  Generators and
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .core import DegenerateRangeError, Dataset, ParseError
 from .rng import SplitMix64Stream, derive_seed
 
@@ -36,15 +38,72 @@ def parse_sparse_text(source, expected_dim: int | None = None) -> Dataset:
     largest index seen, or `expected_dim` when given (indices beyond it
     are an error).  Parse problems raise ParseError with the 1-based line
     number.
+
+    An ASCII string is parsed by the compiled `parse_sparse` when the
+    kernels load and its self-check passes (`_native.Kernels.parser`).
+    It takes the strict grammar its comment in `_kernels.c` gives and
+    converts numbers with strtod, which is correctly rounded as float()
+    is, so it gives the bits the Python loop below gives.  At the first
+    line it does not take (any error, or anything outside that grammar,
+    such as other whitespace, `1_0` or `inf`) the whole text goes to the
+    Python loop, which raises every ParseError.  A non-ASCII string and
+    a text stream go to the Python loop directly.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
+    parsed = None
+    if isinstance(source, str) and source.isascii() and (
+            expected_dim is None or type(expected_dim) is int):
+        loaded = _native.kernels()
+        parser = loaded.parser() if loaded is not None else None
+        if parser is not None:
+            parsed = parse_compiled(parser, source, expected_dim)
+    if parsed is None:
+        parsed = _parse_lines(io.StringIO(source) if isinstance(source, str) else source,
+                              expected_dim)
+    labels, counts, columns, values, max_index = parsed
+    if not len(labels):
+        raise ParseError(0, "no data lines in input")
+    dim = expected_dim if expected_dim is not None else max_index
+    if dim < 1:
+        raise ParseError(0, "cannot infer a feature dimension from all-empty rows")
+    n = len(labels)
+    x = np.zeros((n, dim))
+    x[np.repeat(np.arange(n), counts), columns] = values
+    return Dataset(x, np.asarray(labels))
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def parse_compiled(parser, text: str, expected_dim: int | None):
+    """(labels, counts, columns, values, max_index) of an ASCII `text` by
+    the compiled `parser`, or None where it hands a line back.  The arrays
+    are sized from the text's line and ':' counts, which bound its rows
+    and entries."""
+    data = text.encode("ascii")  # its buffer ends in the NUL the scanner relies on
+    rows = data.count(b"\n") + 1
+    pairs = data.count(b":")
+    counts = np.empty(rows, dtype=np.int64)
+    labels = np.empty(rows)
+    columns = np.empty(pairs, dtype=np.int64)
+    values = np.empty(pairs)
+    out = np.empty(3, dtype=np.int64)
+    limit = _INT64_MAX if expected_dim is None else max(min(expected_dim, _INT64_MAX), -1)
+    if parser(data, len(data), limit, rows, pairs, counts.ctypes.data, labels.ctypes.data,
+              columns.ctypes.data, values.ctypes.data, out.ctypes.data):
+        return None
+    rows, entries, max_index = out.tolist()
+    return labels[:rows], counts[:rows], columns[:entries], values[:entries], max_index
+
+
+def _parse_lines(lines, expected_dim: int | None):
+    """(labels, counts, columns, values, max_index) of the text lines
+    `lines`, as lists, or a ParseError."""
     labels: list[float] = []
     columns: list[int] = []
     values: list[float] = []
     counts: list[int] = []
     max_index = 0
-    for line_number, raw in enumerate(source, start=1):
+    for line_number, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -87,15 +146,7 @@ def parse_sparse_text(source, expected_dim: int | None = None) -> Dataset:
         counts.append(len(tokens) - 1)
         if previous > max_index:
             max_index = previous
-    if not labels:
-        raise ParseError(0, "no data lines in input")
-    dim = expected_dim if expected_dim is not None else max_index
-    if dim < 1:
-        raise ParseError(0, "cannot infer a feature dimension from all-empty rows")
-    n = len(labels)
-    x = np.zeros((n, dim))
-    x[np.repeat(np.arange(n), counts), columns] = values
-    return Dataset(x, np.asarray(labels))
+    return labels, counts, columns, values, max_index
 
 
 def serialize_sparse_text(dataset: Dataset) -> str:

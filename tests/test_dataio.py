@@ -1,7 +1,10 @@
 """Sparse text parsing, transforms, synthetic generators, shuffling."""
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treecv import (
     Dataset,
@@ -22,6 +25,8 @@ from treecv import (
     synth_classification,
     synth_regression,
 )
+from treecv import _native
+from treecv.dataio import parse_compiled
 from treecv.rng import SplitMix64Stream
 
 
@@ -118,6 +123,161 @@ def test_all_zero_row_serializes_as_a_bare_label_and_round_trips():
 def test_serialize_requires_labels():
     with pytest.raises(ValueError):
         serialize_sparse_text(Dataset(np.ones((2, 2))))
+
+
+def _outcome(source, expected_dim=None):
+    """The bytes and shape of a parse, or the error it raises, with a
+    ParseError's line."""
+    try:
+        parsed = parse_sparse_text(source, expected_dim)
+    except (ValueError, MemoryError) as err:  # ParseError, or a dimension numpy refuses
+        return type(err).__name__, getattr(err, "line_number", None), str(err)
+    return parsed.x.shape, parsed.x.tobytes(), parsed.y.tobytes()
+
+
+def _compiled_takes(text, expected_dim=None):
+    """Whether the compiled parser takes every line of `text` (None
+    without the kernels)."""
+    loaded = _native.kernels()
+    parser = loaded.parser() if loaded is not None else None
+    if parser is None:
+        return None
+    return text.isascii() and parse_compiled(parser, text, expected_dim) is not None
+
+
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
+_FORMATS = (repr, "{:.17g}".format, "{:.24e}".format)
+# fragments outside the compiled grammar, or in error
+_ODD_NUMBERS = ("1_0", "inf", "-Infinity", "nan", "0x1p3", "1e400", "-1e400", "1e-400", "+-1",
+                ".", "1e", "1e+", "1.5.5", "", "2:3", "0." + "7" * 70, "1\x0b", "1\x00")
+_ODD_INDICES = ("+3", "03", "0", "-1", "1_0", "", "9223372036854775808", " 2", "99")
+_ODD_BLANKS = ("\x0b", "\x0c", "\x1c", "\x7f", "\u00a0", "\u2003")
+
+
+@st.composite
+def _sparse_texts(draw):
+    """(text, expected_dim, well_formed): lines of `repr`-style doubles
+    (subnormals and -0.0 included) with random comments, blank lines,
+    separators and endings, some with a label, index, value or blank
+    outside the grammar or in error."""
+    lines, largest, well_formed = [], 0, True
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  \r"])))
+            continue
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["#", "# note: 1 2:3", " #x\x01"])))
+            continue
+        fmt = draw(st.sampled_from(_FORMATS))
+        label = fmt(draw(_DOUBLES))
+        entries = [[str(j), fmt(draw(_DOUBLES))]
+                   for j in sorted(draw(st.sets(st.integers(1, 12), max_size=5)))]
+        blank = draw(st.sampled_from([" ", "\t", " \t "]))
+        odd = draw(st.sampled_from([None, None, None, "label", "index", "value", "blank"]))
+        if odd == "label":
+            label = draw(st.sampled_from(_ODD_NUMBERS))
+        elif odd == "blank":
+            blank = draw(st.sampled_from(_ODD_BLANKS))
+        elif odd and entries:
+            entry = draw(st.sampled_from(entries))
+            entry[odd == "value"] = draw(st.sampled_from(_ODD_INDICES if odd == "index"
+                                                         else _ODD_NUMBERS))
+        if odd:
+            well_formed = False
+        elif entries:
+            largest = max(largest, int(entries[-1][0]))
+        line = blank.join([label] + [":".join(entry) for entry in entries])
+        lines.append(line + draw(st.sampled_from(["", " ", "# tail", " # 4:5"])))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    if lines and draw(st.booleans()):
+        text += "\n"
+    expected_dim = draw(st.none() | st.integers(0, 14))
+    if expected_dim is not None and expected_dim < largest:
+        well_formed = False
+    return text, expected_dim, well_formed
+
+
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(_sparse_texts())
+def test_the_compiled_parser_gives_the_python_parsers_bits_or_error(case):
+    """A string (compiled wherever the kernels load) and the same text as
+    a stream (the Python loop) give byte-equal x and y, or the same
+    ParseError; a well-formed text never leaves the compiled parser."""
+    text, expected_dim, well_formed = case
+    assert _outcome(text, expected_dim) == _outcome(io.StringIO(text), expected_dim)
+    if well_formed:
+        assert _compiled_takes(text, expected_dim) in (True, None)
+
+
+_LONG = "0." + "1234567890" * 80  # 800 digits
+
+
+@pytest.mark.parametrize("text, expected_dim, compiled", [
+    ("1\u00a01:2\n", None, False),  # non-ASCII whitespace
+    ("1\u20031:2\n-1 2:1\n", None, False),
+    ("1\x0b1:2\n", None, False),
+    ("1 1:2\x0c\n", None, False),
+    ("1 1:2\x1f\n", None, False),
+    ("1 1:2\x7f\n", None, False),
+    ("1 1:2\x00\n", None, False),
+    ("1_0 1:2\n", None, False),
+    ("1 1:1_0\n", None, False),
+    ("1 1_0:2\n", None, False),
+    ("1 +3:2\n", None, True),
+    ("1 03:2\n", None, True),
+    ("1 -3:2\n", None, False),
+    ("1 0:2\n", None, False),
+    ("1 0x1p3\n", None, False),
+    ("1 1:0x1p3\n", None, False),
+    ("inf 1:2\n", None, False),
+    ("1 1:-Infinity\n", None, False),
+    ("nan 1:2\n", None, False),
+    ("1 1:1e400\n", None, False),
+    ("1e400\n", 2, False),
+    ("1 1:1e-400\n", None, True),
+    ("-1e-400 1:-1e-400\n", None, True),
+    (f"1 1:{_LONG}\n", None, False),
+    (f"{_LONG} 1:1\n", None, False),
+    ("1 1:2:3\n", None, False),
+    ("1 1:\n", None, False),
+    ("1 :2\n", None, False),
+    ("1 1:2 3\n", None, False),
+    ("1 2:1 2:1\n", None, False),
+    ("1 3:1 2:1\n", None, False),
+    ("1 5:1\n", 4, False),
+    ("1 1:1\n", -3, False),
+    ("1 9223372036854775808:1\n", None, False),
+    ("1 1:1.5.5\n", None, False),
+    ("1 1:1e5e5\n", None, False),
+    ("1 1:.\n", None, False),
+    ("1 1:1e\n", None, False),
+    ("1 1:1e+\n", None, False),
+    ("1 1:--1\n", None, False),
+    ("1 1:2\r2:4\n", None, True),  # a lone CR separates tokens, as str.split() does
+    ("", None, True),
+    ("\n\n# only comments\n", None, True),
+    ("1\n-1\n", None, True),
+    ("1\n-1\n", 3, True),
+    ("1 1:2\n", 0, False),
+    (" 1.  2:.5  3:-0 \t# x:y\r\n+.5e-3 1:1E+05\n-0", None, True),
+])
+def test_inputs_outside_the_compiled_grammar_go_to_python(text, expected_dim, compiled):
+    """Pinned inputs: those the compiled parser does not take are parsed
+    (or refused) by the Python loop, and every one gives what the stream
+    path gives."""
+    assert _compiled_takes(text, expected_dim) in (compiled, None)
+    assert _outcome(text, expected_dim) == _outcome(io.StringIO(text), expected_dim)
+
+
+def test_the_standard10_text_parses_alike_on_both_paths():
+    """The sparse text of the benchmark's standard10 workload (10,000
+    blob points at d=10, labelled by cluster) at five seeds."""
+    for seed in (7, 8, 9, 801, 802):
+        blobs = synth_blobs(10000, 10, 5, seed=seed)
+        text = serialize_sparse_text(Dataset(blobs.x, np.arange(10000) % 5))
+        assert _compiled_takes(text) in (True, None)
+        assert _outcome(text) == _outcome(io.StringIO(text))
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,36 @@ def test_cli_data_file_and_transforms(tmp_path):
     assert read_csv(out)[0]["n"] == "4"
 
 
+def test_cli_data_file_parses_as_its_handle_did_at_any_line_ending(tmp_path, monkeypatch):
+    """`--data` reads the whole file with universal newlines and parses
+    the text, so an LF, a CRLF and a lone-CR file write the CSV rows,
+    wall time aside, that parsing through the file handle wrote."""
+    from treecv import cli, parse_sparse_text
+
+    lines = [b"# points", b"1 1:2.0 2:1.0", b"", b"-1 1:4.0  # a comment", b"1 2:3.0",
+             b"-1 1:1.0 2:1.0", b"1 1:0.5", b"-1 2:-1e-3 3:7"]
+    args = ["run", "--learner", "pegasos", "--k", "2,3", "--ordering", "both", "--reps", "1"]
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_time"} for r in rows]
+    written = []
+    for newline in (b"\n", b"\r\n", b"\r"):
+        data = tmp_path / "points.txt"
+        data.write_bytes(newline.join(lines) + newline)
+
+        def through_the_handle(text, path=data):
+            with open(path, "r", encoding="utf-8") as handle:
+                assert text == handle.read()
+                handle.seek(0)
+                return parse_sparse_text(handle)
+
+        for parse in (parse_sparse_text, through_the_handle):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "parse_sparse_text", parse)
+                out = tmp_path / f"records-{len(written)}.csv"
+                assert main(args + ["--data", str(data), "--out", str(out)]) == 0
+            written.append(strip(read_csv(out)))
+    assert len(written[0]) == 4 and all(rows == written[0] for rows in written)
+
+
 def test_cli_rejects_zero_one_labels_for_pegasos(tmp_path, capsys):
     data = tmp_path / "points.txt"
     data.write_text("1 1:2.0 2:1.0\n0 1:4.0\n1 2:3.0\n0 1:1.0 2:1.0\n", encoding="utf-8")

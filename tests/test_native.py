@@ -22,6 +22,7 @@ from treecv import (
     TreeCvConfig,
     UpdateFailedError,
     loocv,
+    parse_sparse_text,
     partition,
     standard_cv,
     synth_blobs,
@@ -33,18 +34,27 @@ from treecv.rng import SplitMix64Stream
 from treecv.learners import LEVEL_LOOP, KMeansFeed, _update_compiled
 
 
-def test_the_kernels_load_wherever_a_c_compiler_is_on_path():
+def test_the_kernels_load_wherever_a_c_compiler_is_on_path(monkeypatch):
     """CI runs on x86-64 Linux, where numpy's einsum sums as `kmeans_feed`
-    does: a silent fall back to the Python path of any learner fails there.
-    A numpy that sums in another order elsewhere leaves k-means in Python,
-    with a reason that names its kernel."""
+    does and glibc's strtod rounds correctly: a silent fall back to the
+    Python path of any learner, or of the parser, fails there, and a
+    1,000-line text parses in one `parse_sparse` call.  A numpy that sums
+    in another order elsewhere leaves k-means in Python, with a reason
+    that names its kernel."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     loaded = _native.kernels()
     assert loaded is not None, _native.reason()
     if sys.platform == "linux" and platform.machine() == "x86_64":
         assert loaded.kmeans() is not None, _native.reason()
+        assert loaded.parser() is not None, _native.reason()
         assert _native.reason() is None
+        calls = []
+        parse = loaded.parse_sparse
+        monkeypatch.setattr(loaded, "parse_sparse", lambda *args: calls.append(1) or parse(*args))
+        text = "".join(f"{i % 2 * 2 - 1} 1:{i * 0.25} 3:{-i}e-3\n" for i in range(1000))
+        assert parse_sparse_text(text).n == 1000
+        assert len(calls) == 1
     elif loaded.kmeans() is None:
         assert "kmeans_feed" in _native.reason()
     else:
@@ -221,6 +231,35 @@ def test_a_kmeans_kernel_that_sums_in_another_order_is_left_out_alone(lanes, mon
     model.update(x)
     IncrementalLearner.update(twin, x)
     assert model.centers.tobytes() == twin.centers.tobytes()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_a_parser_whose_strtod_disagrees_with_float_is_left_out_alone(monkeypatch):
+    """A reference conversion that differs from strtod in the last bit of
+    one probe (as a strtod that is not correctly rounded would) fails the
+    parser's self-check: `parse_sparse` is left out, with a reason that
+    names it and the string, text parses in Python, and the learners'
+    kernels stay compiled."""
+    exact = _native._float
+    monkeypatch.setattr(_native, "_float",
+                        lambda text: np.nextafter(1e23, 2e23) if text == "1e23" else exact(text))
+    loaded, reason = _native._resolve()
+    assert loaded is not None and reason is None
+    monkeypatch.setattr(_native, "_resolved", (loaded, reason))
+    assert _native.reason() is None  # nothing has parsed text yet
+    assert loaded.parser() is None
+    reason = _native.reason()
+    assert "parse_sparse" in reason and "'1e23'" in reason and "strtod" in reason
+
+    calls = []
+    monkeypatch.setattr(loaded, "parse_sparse", lambda *args: calls.append(args))
+    parsed = parse_sparse_text("1 1:1e23\n-1 2:0.5\n")
+    assert calls == [] and parsed.x[0, 0] == 1e23 and parsed.y.tolist() == [1.0, -1.0]
+    x = np.sin(np.arange(60.0)).reshape(20, 3)
+    y = np.where(np.arange(20) % 2, 1.0, -1.0)
+    assert _update_compiled(Pegasos(3, 0.1), x, y) and _update_compiled(LsqSgd(3, 0.1), x, y)
+    if loaded.kmeans() is not None:
+        assert _update_compiled(OnlineKMeans(3, 2), x, None)
 
 
 def _overflowing_batch():

@@ -2,7 +2,8 @@
 kernels forced off, so the Python update and the recursion that stands
 in for the level loop stay checked on hosts that compile the kernels.
 The digests include both k-means shapes, standard CV on parsed text and
-tree LOOCV.  Each imported test runs here under the `python_path`
+tree LOOCV; the parser tests compare the Python loop with itself here,
+which checks that a string and a stream still parse alike.  Each imported test runs here under the `python_path`
 fixture; the tests of the level loop assert there that it never runs,
 and the shuffle tests that no shuffle calls the kernel."""
 
@@ -14,7 +15,13 @@ from test_acceptance import (
     test_criterion_02_trace_equivalence_deterministic_learners,
     test_criterion_09_determinism,
 )
+from test_dataio import (
+    test_inputs_outside_the_compiled_grammar_go_to_python,
+    test_the_compiled_parser_gives_the_python_parsers_bits_or_error,
+    test_the_standard10_text_parses_alike_on_both_paths,
+)
 from test_harness import (
+    test_cli_data_file_parses_as_its_handle_did_at_any_line_ending,
     test_cli_verify_keeps_to_the_update_budget,
     test_verify_flag_replays_tree_runs,
 )

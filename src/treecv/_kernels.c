@@ -1,33 +1,45 @@
-/* Per-point update kernels for the exact `Pegasos`, `LsqSgd` and
-   `OnlineKMeans` types, the shuffle of every randomized estimate, and
-   the sparse-text scanner of `dataio.parse_sparse_text`.
+/* The compiled tree recursion (`tree_feed`) and per-point update kernels
+   for the exact `Pegasos`, `LsqSgd` and `OnlineKMeans` types, the
+   shuffle of every randomized estimate, and the sparse-text scanner of
+   `dataio.parse_sparse_text`.
 
-   The linear kernels feed m models, stored as rows of stacked state
-   arrays.  Model i is fed its own run of counts[i] consecutive rows of x
-   and y, the runs laid out one after another.  `kmeans_feed` feeds one
-   model every row of x.  Every step is the learner's `_update_point`,
-   with the same operations in the same order, so every model gets the
-   bits the Python update gives it:
+   `pegasos_feed`, `lsqsgd_feed` and `kmeans_feed` feed one model every
+   row of x.  Every step is the learner's `_update_point`, with the same
+   operations in the same order, so the model gets the bits the Python
+   update gives it:
 
    - every dot product is `ndarray.dot` of two contiguous vectors: the
      BLAS ddot that numpy calls, through the pointer `set_ddot` stores,
      added to +0.0, except that one element is a plain multiply and no
      elements give +0.0;
    - a k-means distance is a row of `np.einsum("ij,ij->i", D, D)` for
-     D = centers - x.  numpy's einsum sums a row of d products in two
-     lanes, lane 0 taking the even and lane 1 the odd elements: blocks of
-     8 elements, each adding its last pair to the lanes first, then its
-     earlier pairs from last to first; then the remaining pairs in order,
-     an odd last element paired with +0.0; then lane 0 plus lane 1, and
-     that sum added to +0.0.  That is how an x86-64 numpy built for its
-     SSE baseline, with no einsum dispatched at run time, reduces; the
-     loader keeps `kmeans_feed` only if its distances match np.einsum's
-     bit for bit on this numpy;
+     D = centers - x, and a linear prediction a row of
+     `np.einsum("ij,j->i", X, w)`.  numpy's einsum sums a row of d
+     products in two lanes, lane 0 taking the even and lane 1 the odd
+     elements: blocks of 8 elements, each adding its last pair to the
+     lanes first, then its earlier pairs from last to first; then the
+     remaining pairs in order, an odd last element paired with +0.0;
+     then lane 0 plus lane 1, and that sum added to +0.0.  That is how an
+     x86-64 numpy built for its SSE baseline, with no einsum dispatched
+     at run time, reduces; the loader keeps `kmeans_feed` only if its
+     distances match np.einsum's bit for bit on this numpy, and
+     `tree_feed` only if its predictions match `predict_many`'s;
    - a nearest center is numpy's `argmin`: the lowest index of the least
      distance, or of the first NaN;
    - vector steps are elementwise, as numpy's ufuncs compute them;
    - the file is compiled with -ffp-contract=off and without fast-math,
      because a fused multiply-add or a reassociated sum changes bits.
+
+   `tree_feed` runs subtree s..e of `tree._visit`'s recursion for one
+   model of those types: depth first, in `_visit`'s order, each node
+   keeping its incoming model for the right branch in a slot of its
+   depth (a memcpy is the clone), feeding the left branch's model the
+   right half and the right branch's the left half, and writing each
+   leaf's `predict_many` of its chunk into one output array.  A
+   randomized node shuffles its fed rows as `tree._fed_rows` does, with
+   the stream derive_seed(shuffle_seed, first, last), into a buffer at
+   the range's own offset, and reads the rows of x by index; a fixed
+   node reads them in place.
 
    numpy warns on, or under np.errstate raises for, an overflow, an
    invalid operation, a division by zero or an underflow in those dot
@@ -41,9 +53,9 @@
 
    `shuffle_ranges` is integer code only: it is `SplitMix64Stream.shuffle`
    run on each range with its own seed, so it gives the permutation that
-   the Python loop gives.  It shuffles the ranges of a level of the
-   tree's level loop, and, one range per call, the rows the tree's
-   recursion feeds a node and a standard-CV fold's training rows.
+   the Python loop gives.  It shuffles, one range per call, the rows the
+   tree's Python recursion feeds a node and a standard-CV fold's training
+   rows; `tree_feed` runs the same loop on each range it feeds.
 
    `parse_sparse` scans sparse text once and converts each number with
    strtod.  strtod and Python's float() are both correctly rounded (as
@@ -65,10 +77,26 @@ typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double
 static ddot_fn ddot;
 
 #define RAISED (FE_OVERFLOW | FE_UNDERFLOW | FE_INVALID | FE_DIVBYZERO)
+#define GAMMA 0x9E3779B97F4A7C15u
 
 void set_ddot(ddot_fn fn)
 {
     ddot = fn;
+}
+
+/* Keep the caller's floating-point flags and clear them. */
+static void begin(fexcept_t *caller)
+{
+    fegetexceptflag(caller, FE_ALL_EXCEPT);
+    feclearexcept(FE_ALL_EXCEPT);
+}
+
+/* Whether the kernel failed or raised a flag; restores the caller's. */
+static int end(const fexcept_t *caller, int failed)
+{
+    int raised = fetestexcept(RAISED);
+    fesetexceptflag(caller, FE_ALL_EXCEPT);
+    return failed || raised != 0;
 }
 
 static double dot(int64_t n, const double *a, const double *b)
@@ -81,63 +109,8 @@ static double dot(int64_t n, const double *a, const double *b)
     return sum;
 }
 
-int pegasos_feed(int64_t m, int64_t d, double lam, double *a, double *v, int64_t *t,
-                 const double *x, const double *y, const int64_t *counts)
-{
-    fexcept_t caller;
-    fegetexceptflag(&caller, FE_ALL_EXCEPT);
-    feclearexcept(FE_ALL_EXCEPT);
-    for (int64_t i = 0; i < m; i++, v += d) {
-        for (int64_t j = 0; j < counts[i]; j++, x += d, y++) {
-            double margin = *y * (a[i] * dot(d, v, x));
-            int64_t step = ++t[i];
-            if (step == 1) {
-                for (int64_t k = 0; k < d; k++)
-                    v[k] = 0.0;
-                a[i] = 1.0;
-            } else {
-                a[i] = a[i] * (1.0 - 1.0 / (double)step);
-            }
-            if (margin < 1.0) {
-                double scale = *y / (lam * (double)step * a[i]);
-                for (int64_t k = 0; k < d; k++)
-                    v[k] += scale * x[k];
-            }
-        }
-    }
-    int raised = fetestexcept(RAISED);
-    fesetexceptflag(&caller, FE_ALL_EXCEPT);
-    return raised != 0;
-}
-
-int lsqsgd_feed(int64_t m, int64_t d, double alpha, double *w, double *w_avg, int64_t *t,
-                const double *x, const double *y, const int64_t *counts)
-{
-    fexcept_t caller;
-    fegetexceptflag(&caller, FE_ALL_EXCEPT);
-    feclearexcept(FE_ALL_EXCEPT);
-    double rate = 2.0 * alpha;
-    for (int64_t i = 0; i < m; i++, w += d, w_avg += d) {
-        for (int64_t j = 0; j < counts[i]; j++, x += d, y++) {
-            double scale = rate * (dot(d, w, x) - *y);
-            for (int64_t k = 0; k < d; k++)
-                w[k] -= scale * x[k];
-            double norm = sqrt(dot(d, w, w));
-            if (norm > 1.0)
-                for (int64_t k = 0; k < d; k++)
-                    w[k] /= norm;
-            double step = (double)++t[i];
-            for (int64_t k = 0; k < d; k++)
-                w_avg[k] += (w[k] - w_avg[k]) / step;
-        }
-    }
-    int raised = fetestexcept(RAISED);
-    fesetexceptflag(&caller, FE_ALL_EXCEPT);
-    return raised != 0;
-}
-
-/* The squared distance from x to the center c, summed as np.einsum sums
-   a row (see above). */
+/* The squared distance from x to the center c: a row of np.einsum, summed
+   as the header says. */
 static double distance(int64_t d, const double *c, const double *x)
 {
     double lane0 = 0.0, lane1 = 0.0, sq[8];
@@ -161,6 +134,138 @@ static double distance(int64_t d, const double *c, const double *x)
     return 0.0 + (lane0 + lane1);
 }
 
+/* The dot product of x and w as a row of np.einsum("ij,j->i") sums it:
+   `distance`'s order, with products in place of squares. */
+static double einsum_dot(int64_t d, const double *x, const double *w)
+{
+    double lane0 = 0.0, lane1 = 0.0, p[8];
+    int64_t k = 0;
+    for (; k + 8 <= d; k += 8) {
+        for (int i = 0; i < 8; i++)
+            p[i] = x[k + i] * w[k + i];
+        for (int i = 6; i >= 0; i -= 2) {
+            lane0 = p[i] + lane0;
+            lane1 = p[i + 1] + lane1;
+        }
+    }
+    for (; k < d; k += 2) {
+        lane0 = x[k] * w[k] + lane0;
+        lane1 = (k + 1 < d ? x[k + 1] * w[k + 1] : 0.0) + lane1;
+    }
+    return 0.0 + (lane0 + lane1);
+}
+
+static void pegasos_step(int64_t d, double lam, double *a, double *v, int64_t *t,
+                         const double *x, double y)
+{
+    double margin = y * (*a * dot(d, v, x));
+    int64_t step = ++*t;
+    if (step == 1) {
+        for (int64_t k = 0; k < d; k++)
+            v[k] = 0.0;
+        *a = 1.0;
+    } else {
+        *a = *a * (1.0 - 1.0 / (double)step);
+    }
+    if (margin < 1.0) {
+        double scale = y / (lam * (double)step * *a);
+        for (int64_t k = 0; k < d; k++)
+            v[k] += scale * x[k];
+    }
+}
+
+/* rate is 2 * alpha. */
+static void lsqsgd_step(int64_t d, double rate, double *w, double *w_avg, int64_t *t,
+                        const double *x, double y)
+{
+    double scale = rate * (dot(d, w, x) - y);
+    for (int64_t k = 0; k < d; k++)
+        w[k] -= scale * x[k];
+    double norm = sqrt(dot(d, w, w));
+    if (norm > 1.0)
+        for (int64_t k = 0; k < d; k++)
+            w[k] /= norm;
+    double step = (double)++*t;
+    for (int64_t k = 0; k < d; k++)
+        w_avg[k] += (w[k] - w_avg[k]) / step;
+}
+
+/* The nearest of the first `active` centers to x. */
+static int64_t nearest(int64_t d, int64_t active, const double *centers, const double *x)
+{
+    int64_t best = 0;
+    double least = 0.0;
+    for (int64_t j = 0; j < active; j++) {
+        double dist = distance(d, centers + j * d, x);
+        if (j == 0 || (!isnan(least) && (isnan(dist) || dist < least))) {
+            best = j;
+            least = dist;
+        }
+    }
+    return best;
+}
+
+/* One `OnlineKMeans` step on k centers, *active of them in use.  Returns
+   nonzero, with the state spoiled, if a count would pass INT64_MAX,
+   where numpy warns of an overflow, or if a NaN coordinate of a center
+   meets a NaN step of other bits. */
+static int kmeans_step(int64_t d, int64_t k, double *centers, int64_t *counts, int64_t *active,
+                       const double *x)
+{
+    if (*active < k) {
+        int existing = 0;
+        for (int64_t j = 0; j < *active && !existing; j++) {
+            const double *c = centers + j * d;
+            existing = 1;
+            for (int64_t m = 0; m < d && existing; m++)
+                existing = c[m] == x[m];
+        }
+        if (!existing) {
+            memcpy(centers + *active * d, x, (size_t)d * sizeof(double));
+            counts[(*active)++] = 1;
+            return 0;
+        }
+    }
+    int64_t best = nearest(d, *active, centers, x);
+    if (counts[best] == INT64_MAX)
+        return 1;
+    double count = (double)++counts[best];
+    double *c = centers + best * d;
+    for (int64_t m = 0; m < d; m++) {
+        double step = (x[m] - c[m]) / count;
+        if (isnan(c[m])) {
+            /* The sum is the NaN of either operand when one is NaN.  When
+               both are, which one numpy's `c += step` gives depends on how
+               its loop ordered them. */
+            if (!isnan(step) || memcmp(&step, c + m, sizeof step) == 0)
+                continue;
+            return 1;
+        }
+        c[m] += step;
+    }
+    return 0;
+}
+
+int pegasos_feed(int64_t n, int64_t d, double lam, double *a, double *v, int64_t *t,
+                 const double *x, const double *y)
+{
+    fexcept_t caller;
+    begin(&caller);
+    for (int64_t i = 0; i < n; i++)
+        pegasos_step(d, lam, a, v, t, x + i * d, y[i]);
+    return end(&caller, 0);
+}
+
+int lsqsgd_feed(int64_t n, int64_t d, double alpha, double *w, double *w_avg, int64_t *t,
+                const double *x, const double *y)
+{
+    fexcept_t caller;
+    begin(&caller);
+    for (int64_t i = 0; i < n; i++)
+        lsqsgd_step(d, 2.0 * alpha, w, w_avg, t, x + i * d, y[i]);
+    return end(&caller, 0);
+}
+
 void kmeans_distances(int64_t k, int64_t d, const double *centers, const double *x,
                       double *out)
 {
@@ -169,66 +274,16 @@ void kmeans_distances(int64_t k, int64_t d, const double *centers, const double 
 }
 
 /* Feed one `OnlineKMeans` model of k centers, *seeded of them in use,
-   the n rows of x.  It also returns nonzero, with the state spoiled, if
-   a count would pass INT64_MAX, where numpy warns of an overflow, or if
-   a NaN coordinate of a center meets a NaN step of other bits. */
+   the n rows of x; nonzero as `kmeans_step` says, or on a raised flag. */
 int kmeans_feed(int64_t n, int64_t d, int64_t k, double *centers, int64_t *counts,
                 int64_t *seeded, const double *x)
 {
     fexcept_t caller;
-    fegetexceptflag(&caller, FE_ALL_EXCEPT);
-    feclearexcept(FE_ALL_EXCEPT);
+    begin(&caller);
     int failed = 0;
-    int64_t active = *seeded;
-    for (int64_t i = 0; i < n; i++, x += d) {
-        if (active < k) {
-            int existing = 0;
-            for (int64_t j = 0; j < active && !existing; j++) {
-                const double *c = centers + j * d;
-                existing = 1;
-                for (int64_t m = 0; m < d && existing; m++)
-                    existing = c[m] == x[m];
-            }
-            if (!existing) {
-                memcpy(centers + active * d, x, (size_t)d * sizeof(double));
-                counts[active++] = 1;
-                continue;
-            }
-        }
-        int64_t best = 0;
-        double least = 0.0;
-        for (int64_t j = 0; j < active; j++) {
-            double dist = distance(d, centers + j * d, x);
-            if (j == 0 || (!isnan(least) && (isnan(dist) || dist < least))) {
-                best = j;
-                least = dist;
-            }
-        }
-        if (counts[best] == INT64_MAX) {
-            failed = 1;
-            break;
-        }
-        double count = (double)++counts[best];
-        double *c = centers + best * d;
-        for (int64_t m = 0; m < d; m++) {
-            double step = (x[m] - c[m]) / count;
-            if (isnan(c[m])) {
-                /* The sum is the NaN of either operand when one is NaN.
-                   When both are, which one numpy's `c += step` gives
-                   depends on how its loop ordered them. */
-                if (!isnan(step) || memcmp(&step, c + m, sizeof step) == 0)
-                    continue;
-                failed = 1;
-                goto done;
-            }
-            c[m] += step;
-        }
-    }
-done:
-    *seeded = active;
-    int raised = fetestexcept(RAISED);
-    fesetexceptflag(&caller, FE_ALL_EXCEPT);
-    return failed || raised != 0;
+    for (int64_t i = 0; i < n && !failed; i++)
+        failed = kmeans_step(d, k, centers, counts, seeded, x + i * d);
+    return end(&caller, failed);
 }
 
 /* The SplitMix64 finalizer, as `rng._mix`. */
@@ -239,29 +294,180 @@ static uint64_t mix(uint64_t z)
     return z ^ (z >> 31);
 }
 
-/* Shuffle values[starts[r]:stops[r]] in place for every r of m, each by
-   the Fisher-Yates loop of `SplitMix64Stream(seeds[r]).shuffle`: from the
-   last position i down to 1, swap i with j = randbelow(i + 1), where a
-   draw u with u - u % bound > 2**64 - bound is rejected and drawn again.
-   The ranges must not overlap. */
+/* Shuffle the n values of part by the Fisher-Yates loop of
+   `SplitMix64Stream(state).shuffle`: from the last position i down to 1,
+   swap i with j = randbelow(i + 1), where a draw u with u - u % bound >
+   2**64 - bound is rejected and drawn again. */
+static void shuffle(int64_t *part, int64_t n, uint64_t state)
+{
+    for (int64_t i = n - 1; i > 0; i--) {
+        uint64_t bound = (uint64_t)i + 1, u, j;
+        do {
+            state += GAMMA;
+            u = mix(state);
+            j = u % bound;
+        } while (u - j > 0 - bound);
+        int64_t held = part[i];
+        part[i] = part[j];
+        part[j] = held;
+    }
+}
+
+/* Shuffle values[starts[r]:stops[r]] in place for every r of m, each as
+   `shuffle` does with seeds[r].  The ranges must not overlap. */
 void shuffle_ranges(int64_t *values, int64_t m, const uint64_t *seeds, const int64_t *starts,
                     const int64_t *stops)
 {
-    for (int64_t r = 0; r < m; r++) {
-        int64_t *part = values + starts[r];
-        uint64_t state = seeds[r];
-        for (int64_t i = stops[r] - starts[r] - 1; i > 0; i--) {
-            uint64_t bound = (uint64_t)i + 1, u, j;
-            do {
-                state += 0x9E3779B97F4A7C15u;
-                u = mix(state);
-                j = u % bound;
-            } while (u - j > 0 - bound);
-            int64_t held = part[i];
-            part[i] = part[j];
-            part[j] = held;
+    for (int64_t r = 0; r < m; r++)
+        shuffle(values + starts[r], stops[r] - starts[r], seeds[r]);
+}
+
+/* The learners `tree_feed` runs, and the three state arrays of each, in
+   the order the caller passes them and a slot holds them:
+   PEGASOS a (1), v (d), t (1, int64); LSQSGD w (d), w_avg (d), t (1,
+   int64); KMEANS centers (k * d), counts (k, int64), centers in use (1,
+   int64). */
+enum { PEGASOS, LSQSGD, KMEANS };
+
+/* What every node of one `tree_feed` call reads, and what it adds up. */
+struct tree {
+    int64_t kind, d, k;
+    double param;  /* lam, alpha, or unused */
+    const int64_t *bounds;
+    const double *x, *y;
+    int64_t randomized;
+    uint64_t shuffle_seed;
+    size_t sizes[3];  /* the bytes of each state array */
+    size_t slot;  /* the bytes of a model: their sum */
+    char *slots;  /* one model per depth below the call's root */
+    int64_t base;  /* bounds[s]: the first row of the subtree */
+    int64_t *rows;  /* the randomized order of a fed range, at its offset from base */
+    double *out;  /* the leaves' predictions, from row base on */
+    int64_t updates, transfers;
+};
+
+static void *field(const struct tree *t, char *slot, int i)
+{
+    for (int j = 0; j < i; j++)
+        slot += t->sizes[j];
+    return slot;
+}
+
+/* Feed the model in `slot` the rows of chunks first..last, in the order
+   of `tree._fed_rows`. */
+static int feed(struct tree *t, char *slot, int64_t first, int64_t last)
+{
+    int64_t lo = t->bounds[first], n = t->bounds[last + 1] - lo;
+    int64_t *order = NULL;
+    if (t->randomized && n > 1) {
+        /* derive_seed(shuffle_seed, first, last), inlined */
+        uint64_t seed = mix((t->shuffle_seed + GAMMA) ^ (uint64_t)first);
+        order = t->rows + (lo - t->base);
+        for (int64_t i = 0; i < n; i++)
+            order[i] = lo + i;
+        shuffle(order, n, mix((seed + GAMMA) ^ (uint64_t)last));
+    }
+    t->updates += n;
+    t->transfers += last - first + 1;
+    double *f0 = field(t, slot, 0), *f1 = field(t, slot, 1);
+    int64_t *f2 = field(t, slot, 2);
+    for (int64_t i = 0; i < n; i++) {
+        int64_t row = order ? order[i] : lo + i;
+        const double *x = t->x + row * t->d;
+        if (t->kind == PEGASOS)
+            pegasos_step(t->d, t->param, f0, f1, f2, x, t->y[row]);
+        else if (t->kind == LSQSGD)
+            lsqsgd_step(t->d, 2.0 * t->param, f0, f1, f2, x, t->y[row]);
+        else if (kmeans_step(t->d, t->k, f0, field(t, slot, 1), f2, x))
+            return 1;
+    }
+    return 0;
+}
+
+/* Write the `predict_many` of the model in `slot` for every row of
+   chunk c; nonzero for a k-means model with no center, which
+   `predict_many` refuses. */
+static int predict(struct tree *t, char *slot, int64_t c)
+{
+    int64_t d = t->d;
+    double *f0 = field(t, slot, 0), *f1 = field(t, slot, 1);
+    int64_t *f2 = field(t, slot, 2);
+    if (t->kind == KMEANS && *f2 == 0)
+        return 1;
+    for (int64_t row = t->bounds[c]; row < t->bounds[c + 1]; row++) {
+        const double *x = t->x + row * d;
+        if (t->kind == KMEANS) {
+            memcpy(t->out + (row - t->base) * d, f0 + nearest(d, *f2, f0, x) * d,
+                   (size_t)d * sizeof(double));
+        } else {
+            /* v or w_avg, from +0.0, so copysign maps a zero to +1 */
+            double p = einsum_dot(d, x, f1);
+            t->out[row - t->base] = t->kind == PEGASOS ? copysign(1.0, p) : p;
         }
     }
+    return 0;
+}
+
+/* Node s..e of `tree._visit`, its model in `slot` at `depth` below the
+   call's root: the right branch's model is kept in the slot of depth + 1,
+   which no node of the left branch writes. */
+static int node(struct tree *t, int64_t s, int64_t e, char *slot, int64_t depth)
+{
+    if (s == e)
+        return predict(t, slot, s);
+    int64_t m = s + (e - s) / 2;
+    char *right = t->slots + (size_t)(depth + 1) * t->slot;
+    memcpy(right, slot, t->slot);
+    return feed(t, slot, m + 1, e) || node(t, s, m, slot, depth + 1)
+           || feed(t, right, s, m) || node(t, m + 1, e, right, depth + 1);
+}
+
+/* Run subtree s..e of the chunks that bounds delimits for a model whose
+   state is f0, f1 and f2 (see the enum above), which is only read; a
+   Pegasos or LsqSgd model's parameter is param, a k-means model has k
+   centers.  Rows of x are d wide, and y holds the linear learners'
+   labels.  A randomized run shuffles with shuffle_seed =
+   derive_seed(run seed, TAG_NODE_SHUFFLE).  out receives the leaves'
+   predictions for rows bounds[s] to bounds[e + 1] - 1, one double per row
+   (times d for k-means), and counts the point updates and model
+   transfers.  Returns nonzero, with out spoiled, on a raised flag, a
+   failed k-means step, a k-means leaf with no center or a failed
+   allocation. */
+int tree_feed(int64_t kind, int64_t s, int64_t e, const int64_t *bounds, int64_t d,
+              const double *x, const double *y, int64_t randomized, uint64_t shuffle_seed,
+              double param, int64_t k, const void *f0, const void *f1, const void *f2,
+              double *out, int64_t *counts)
+{
+    size_t width = (size_t)d * sizeof(double), one = sizeof(int64_t);
+    struct tree t = {kind, d, k, param, bounds, x, y, randomized, shuffle_seed,
+                     {width, width, one}, 0, NULL, bounds[s], NULL, out, 0, 0};
+    if (kind == PEGASOS)
+        t.sizes[0] = sizeof(double);
+    else if (kind == KMEANS) {
+        t.sizes[0] = (size_t)k * width;
+        t.sizes[1] = (size_t)k * one;
+    }
+    t.slot = t.sizes[0] + t.sizes[1] + t.sizes[2];
+    int64_t height = 0;
+    while (((int64_t)1 << height) < e - s + 1)
+        height++;
+    t.slots = malloc((size_t)(height + 1) * t.slot);
+    if (randomized)
+        t.rows = malloc((size_t)(bounds[e + 1] - bounds[s]) * sizeof(int64_t));
+    int failed = t.slots == NULL || (randomized && t.rows == NULL);
+    if (!failed) {
+        memcpy(t.slots, f0, t.sizes[0]);
+        memcpy(field(&t, t.slots, 1), f1, t.sizes[1]);
+        memcpy(field(&t, t.slots, 2), f2, t.sizes[2]);
+        fexcept_t caller;
+        begin(&caller);
+        failed = end(&caller, node(&t, s, e, t.slots, 0));
+        counts[0] = t.updates;
+        counts[1] = t.transfers;
+    }
+    free(t.slots);
+    free(t.rows);
+    return failed;
 }
 
 /* The longest number token `parse_sparse` converts; a longer one sends

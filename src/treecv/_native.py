@@ -1,14 +1,15 @@
-"""The compiled per-point kernels of the exact `Pegasos`, `LsqSgd` and
-`OnlineKMeans` types, the Fisher-Yates shuffle that both schedulers
-draw their randomized orders with (`rng.shuffled`, `rng.shuffle_ranges`),
-and the sparse-text scanner of `dataio.parse_sparse_text`.
+"""The compiled tree recursion (`tree_feed`) and per-point kernels of the
+exact `Pegasos`, `LsqSgd` and `OnlineKMeans` types, the Fisher-Yates
+shuffle that both schedulers draw their randomized orders with
+(`rng.shuffled`), and the sparse-text scanner of
+`dataio.parse_sparse_text`.
 
 `_kernels.c` feeds models of these types point by point, bit for bit as
-their `_update_point` does, shuffles ranges as
-`SplitMix64Stream.shuffle` does, and parses the strict part of the
-sparse-text grammar with strtod, which rounds as float() does; its
-header says how.  This module
-builds and loads it with the standard library alone:
+their `_update_point` does, runs whole subtrees of the tree's recursion
+for them, shuffles ranges as `SplitMix64Stream.shuffle` does, and parses
+the strict part of the sparse-text grammar with strtod, which rounds as
+float() does; its header says how.  This module builds and loads it
+with the standard library alone:
 
 * it compiles the source once with the system C compiler, `cc`, into a
   per-user cache (`$XDG_CACHE_HOME/treecv`, else `~/.cache/treecv`),
@@ -28,6 +29,13 @@ builds and loads it with the standard library alone:
   `kmeans_feed`.  A mismatch there leaves `kmeans_feed` out and keeps
   the other kernels.  A process that never trains k-means never runs
   this check;
+* when the tree first asks for `tree_feed` (`Kernels.tree`), it runs a
+  pinned tree of each learner through it, and compares each leaf's
+  predictions with `predict_many` of a model fed that fold's
+  `tree_feed_orders` order in Python, bit for bit, which checks that the
+  kernel's linear predictions sum as this numpy's `np.einsum("ij,j->i")`
+  does.  A mismatch there leaves `tree_feed` out, and the tree runs the
+  recursion;
 * when the parser first asks for its kernel (`Kernels.parser`), it
   parses `_PARSER_PROBES`, strings that a conversion which is not
   correctly rounded gets wrong, and compares each double with float()'s.
@@ -44,6 +52,7 @@ and `reason()` says why.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import os
 import struct
 from importlib import resources
@@ -63,12 +72,15 @@ class Kernels:
     """The loaded kernels, every array passed as a pointer to its
     C-contiguous data (see `_kernels.c`):
 
-    * `pegasos_feed` and `lsqsgd_feed`, each called as (m, d, parameter,
-      three state arrays, x, y, counts);
+    * `pegasos_feed` and `lsqsgd_feed`, each called as (n, d, parameter,
+      three state arrays, x, y) through `learners._LinearFeed`;
     * `kmeans_feed`, called as (n, d, k, centers, counts, n_centers, x),
       n_centers a one-element int64 array, once `kmeans()` has checked it;
     * `kmeans_distances`, called as (k, d, centers, x, out): the squared
       distances `kmeans_feed` computes, for that check;
+    * `tree_feed`, called as (kind, s, e, bounds, d, x, y, randomized,
+      shuffle_seed, parameter, k, three state arrays, out, counts)
+      through `learners._Feed.run_subtree`, once `tree()` has checked it;
     * `shuffle_ranges`, called as (values, m, seeds, starts, stops)
       through `rng.shuffle_ranges`, which checks the arrays;
     * `parse_sparse`, called as (text, size, expected_dim, row_cap,
@@ -81,12 +93,16 @@ class Kernels:
         lib.set_ddot.argtypes = [ctypes.c_void_p]
         lib.set_ddot.restype = None
         lib.set_ddot(ddot)
-        linear = [ctypes.c_int64, ctypes.c_int64, ctypes.c_double] + [ctypes.c_void_p] * 6
+        linear = [ctypes.c_int64, ctypes.c_int64, ctypes.c_double] + [ctypes.c_void_p] * 5
+        tree = ([ctypes.c_int64] * 3 + [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 2
+                + [ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_int64]
+                + [ctypes.c_void_p] * 5)
         for name, argtypes, restype in [
             ("pegasos_feed", linear, ctypes.c_int),
             ("lsqsgd_feed", linear, ctypes.c_int),
             ("kmeans_feed", [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 4, ctypes.c_int),
             ("kmeans_distances", [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3, None),
+            ("tree_feed", tree, ctypes.c_int),
             ("shuffle_ranges", [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3, None),
             ("parse_sparse", [ctypes.c_char_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 5,
              ctypes.c_int64),
@@ -99,6 +115,8 @@ class Kernels:
         self.kmeans_reason: str | None = None  # why `kmeans()` gives None
         self.parser_checked = False
         self.parser_reason: str | None = None  # why `parser()` gives None
+        self.tree_checked = False
+        self.tree_reason: str | None = None  # why `tree()` gives None
 
     def kmeans(self):
         """`kmeans_feed` if it passes its self-check (`_probe_kmeans`),
@@ -111,6 +129,17 @@ class Kernels:
                 self.kmeans_reason = ("kmeans_feed failed its self-check, so OnlineKMeans runs "
                                       "in Python: " + mismatch)
         return None if self.kmeans_reason else self.kmeans_feed
+
+    def tree(self):
+        """`tree_feed` if it passes its self-check (`_probe_tree`), else
+        None.  The first call runs the check."""
+        if not self.tree_checked:
+            self.tree_checked = True
+            mismatch = _probe_tree(self)
+            if mismatch is not None:
+                self.tree_reason = ("tree_feed failed its self-check, so the tree runs the "
+                                    "recursion: " + mismatch)
+        return None if self.tree_reason else self.tree_feed
 
     def parser(self):
         """`parse_sparse` if it passes its self-check (`_probe_parser`),
@@ -195,18 +224,19 @@ _REJECTED_SEED = 0x31628AF67B2131AB
 def _probe(kernels: Kernels) -> str | None:
     """Why the kernels fail their self-check on a pinned probe, or None.
 
-    The linear kernels are fed through both the kernels and
-    `_update_point` at widths 0, 1, 2 and 20, with ragged runs, an empty
-    run, a t = 0 restart from a nonzero iterate, a -0.0 iterate at width
-    1 and `LsqSgd` projections.  `shuffle_ranges` shuffles ranges of
-    length 0, 1, 2, 3 and 40, one of them seeded so that its first draw is
-    rejected, which `SplitMix64Stream.shuffle` must shuffle alike."""
+    The linear kernels feed one model per call, through both the kernels
+    and `_update_point`, at widths 0, 1, 2 and 20: runs of 3, 0, 7 and 5
+    rows into a fresh model, a trained one, a t = 0 restart from a
+    nonzero iterate and one with a -0.0 iterate, with `LsqSgd`
+    projections.  `shuffle_ranges` shuffles ranges of length 0, 1, 2, 3
+    and 40, one of them seeded so that its first draw is rejected, which
+    `SplitMix64Stream.shuffle` must shuffle alike."""
     from .core import IncrementalLearner
-    from .learners import LEVEL_LOOP, LsqSgd, Pegasos
+    from .learners import COMPILED, LsqSgd, Pegasos
     from .rng import SplitMix64Stream, shuffle_ranges
 
-    counts = np.array([3, 0, 7, 5], dtype=np.int64)
-    rows = int(counts.sum())
+    counts = (3, 0, 7, 5)
+    rows = sum(counts)
     for d in (0, 1, 2, 20):
         x = np.sin(np.arange(rows * d) * 0.7 + 0.3).reshape(rows, d) * 4.0
         y = np.where(np.arange(rows) % 3, 1.0, -1.0)
@@ -217,20 +247,18 @@ def _probe(kernels: Kernels) -> str | None:
             restart.t = 0
             if d:
                 (signed.v if type(proto) is Pegasos else signed.w)[0] = -0.0
-            models = [proto.fresh(), trained, restart, signed]
-            stack_type = LEVEL_LOOP[type(proto)]
-            stack = stack_type(proto, [np.array([getattr(model, name) for model in models])
-                                       for name in stack_type.fields])
-            if not stack.feed_rows(kernels, x, y, counts):
-                return (f"self-check against _update_point failed: {type(proto).__name__} at "
-                        f"d={d} raised a floating-point flag")
+            feed = COMPILED[type(proto)]
             first = 0
-            for i, model in enumerate(models):
-                IncrementalLearner.update(model, x[first:first + counts[i]],
-                                          y[first:first + counts[i]])
-                first += counts[i]
-                fed = stack.model(i)
-                for name in stack_type.fields:
+            for i, model in enumerate([proto.fresh(), trained, restart, signed]):
+                run = slice(first, first + counts[i])
+                first = run.stop
+                state, fed = feed(model), proto.fresh()
+                if not state.feed_rows(kernels, x[run], y[run]):
+                    return (f"self-check against _update_point failed: {type(proto).__name__} "
+                            f"at d={d} raised a floating-point flag")
+                IncrementalLearner.update(model, x[run], y[run])
+                state.store(fed)
+                for name in feed.fields:
                     if (np.asarray(getattr(fed, name)).tobytes()
                             != np.asarray(getattr(model, name)).tobytes()):
                         return (f"self-check against _update_point failed: "
@@ -298,6 +326,49 @@ def _probe_kmeans(kernels: Kernels) -> str | None:
             if (np.asarray(getattr(fed, name)).tobytes()
                     != np.asarray(getattr(model, name)).tobytes()):
                 return f"OnlineKMeans.{name} differs at d={model.dim}, K={model.n_clusters}"
+    return None
+
+
+def _probe_tree(kernels: Kernels) -> str | None:
+    """Where `tree_feed` and the oracle replay of the tree's feeding
+    orders disagree on a pinned probe, or None.
+
+    Each learner (k-means only if `kmeans()` passed) runs a tree of six
+    ragged chunks in both orderings, at widths on both sides of einsum's
+    8-element blocks and 2-element pairs, on rows whose elements span 16
+    orders of magnitude, so that a prediction summed in any other order
+    than `predict_many`'s changes its last bits.  Each fold's reference
+    is `predict_many` of a model fed its `tree_feed_orders` order by the
+    Python update.
+    """
+    from .core import IncrementalLearner, Partition
+    from .learners import COMPILED, LsqSgd, OnlineKMeans, Pegasos
+    from .tree import TAG_NODE_SHUFFLE, tree_feed_orders
+    from .rng import derive_seed
+
+    part = Partition((0, 2, 3, 7, 8, 12, 13))
+    bounds = np.array(part.bounds, dtype=np.int64)
+    for d in (0, 1, 2, 3, 7, 8, 9, 17, 33):
+        i = np.arange(part.n * d)
+        x = (np.sin(i * 1.3 + 0.2) * 10.0 ** (i * 7 % 17 - 8)).reshape(part.n, d)
+        y = np.where(np.arange(part.n) % 3, 1.0, -1.0)
+        protos = [Pegasos(d, 0.05), LsqSgd(d, 0.3)]
+        if kernels.kmeans() is not None:
+            protos.append(OnlineKMeans(d, 3))
+        for proto, ordering in itertools.product(protos, ("fixed", "randomized")):
+            name = type(proto).__name__
+            ran = COMPILED[type(proto)](proto).run_subtree(
+                kernels, bounds, 0, part.k - 1, x, y,
+                derive_seed(11, TAG_NODE_SHUFFLE) if ordering == "randomized" else None)
+            if ran is None:
+                return f"it failed on {name} at d={d}"
+            expected = []
+            for fold, order in enumerate(tree_feed_orders(part, ordering, 11)):
+                model = proto.fresh()
+                IncrementalLearner.update(model, x[order], y[order])
+                expected.append(model.predict_many(x[part.chunk_slice(fold)]))
+            if ran[0].tobytes() != np.concatenate(expected).tobytes():
+                return f"{name}'s leaf predictions at d={d} are not predict_many's"
     return None
 
 
@@ -382,9 +453,10 @@ def kernels() -> Kernels | None:
 
 
 def reason() -> str | None:
-    """Why `kernels()` gives None, or why its `kmeans()` or `parser()`
-    gave None, or None when every kernel asked for is loaded."""
+    """Why `kernels()` gives None, or why its `kmeans()`, `tree()` or
+    `parser()` gave None, or None when every kernel asked for is loaded."""
     loaded = kernels()
     if loaded is None:
         return _resolved[1]
-    return "; ".join(filter(None, [loaded.kmeans_reason, loaded.parser_reason])) or None
+    return "; ".join(filter(None, [loaded.kmeans_reason, loaded.tree_reason,
+                                   loaded.parser_reason])) or None

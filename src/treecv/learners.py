@@ -36,21 +36,16 @@ models point by point in C, so every model gets the bits of
 `_update_point`: the linear kernels call the BLAS ddot that
 `ndarray.dot` calls, and the k-means kernel sums each squared distance
 in the order numpy's `np.einsum` sums a row, which the loader checks
-against this numpy's einsum.  Their `update` hands the kernel any
+against this numpy's einsum.  Their `update` hands the kernel a copy of
+the model's state (`PegasosFeed`, `LsqSgdFeed`, `KMeansFeed`) and any
 C-contiguous float64 batch of at least `min_rows` rows, labeled for the
-linear two (`_Stack`, `KMeansFeed`).  A point then costs ~0.06 us
-(Pegasos) or ~0.1 us (LsqSgd) at d=20, and ~0.07 us (k-means) at d=10
-and K=5, against ~1.6, ~4-7 and ~8-10 us in Python.
-Without a C compiler, or when the kernel raises a floating-point flag,
-the Python update runs, with its own warnings and errors; k-means also
-runs in Python where numpy's einsum sums in another order.
-
-The tree schedule runs many `Pegasos` or `LsqSgd` models of one level at
-once (`LEVEL_LOOP`), on the compiled kernels only: their state stacked
-into arrays of one row per model (`_Stack`), one kernel call that feeds
-each model its own run of rows (`_Stack.feed_rows`), and one batched
-prediction, each row of which, `np.einsum("ij,ij->i", X, V)`, is what
-`predict_many` gives that row.
+linear two.  A point then costs ~0.06 us (Pegasos) or ~0.1 us (LsqSgd)
+at d=20, and ~0.07 us (k-means) at d=10 and K=5, against ~1.6, ~4-7
+and ~8-10 us in Python.  Without a C compiler, or when the kernel
+raises a floating-point flag, the Python update runs, with its own
+warnings and errors; k-means also runs in Python where numpy's einsum
+sums in another order.  The tree runs a whole subtree of such a model
+from the same copy in one `tree_feed` call (`tree._subtree`).
 """
 
 from __future__ import annotations
@@ -282,8 +277,8 @@ def _update_compiled(model, x, y) -> bool:
     whether that happened.
 
     The kernel takes an exact `Pegasos`, `LsqSgd` or `OnlineKMeans` (the
-    keys of `COMPILED`) whose state has the types its constructor gives
-    (`holds`) and a C-contiguous float64 batch of the model's width and
+    keys of `COMPILED`) whose state it reads as the Python update does
+    (`takes`) and a C-contiguous float64 batch of the model's width and
     of at least `min_rows` rows, labeled for the two linear learners.  It
     feeds a copy of the state, which replaces the model's only if no
     floating-point flag was raised.  In every other case the model is
@@ -305,20 +300,93 @@ def _update_compiled(model, x, y) -> bool:
     return compiled.feed_model(kernels, model, x, y)
 
 
-class _Stack:
-    """m models of one built-in type, each field of their state stacked
-    into an array with one row per model: the compiled kernel's state.
+class _Feed:
+    """A copy of one model's state as the compiled kernels read it, for
+    an exact built-in type (a value of `COMPILED`): each of `fields` as a
+    C-contiguous array of its dtype, a scalar as an array of one element.
 
-    `proto`, a model of that type, holds the parameters all m share.
-    Subclasses name the state fields in the order the compiled kernel
-    takes them, the kernel and its parameter, and define `predict`.
+    Subclasses name the fields in the order the kernels take them, say
+    whether a model holds state that the kernels read as the Python
+    update does (`takes`), and feed the copy rows (`feed_rows`).
+    `run_subtree` runs a subtree of the tree from the copy by `tree_feed`,
+    which takes the learner's number `kind`, its float parameter `param`
+    and its cluster count `k`.
     """
 
     fields: tuple[str, ...] = ()
+    dtypes: tuple[type, ...] = ()
+    kind = -1
+    vector_predictions = False  # whether `predict_many` gives d values per row
+    min_rows = 1
+
+    def __init__(self, model: IncrementalLearner):
+        self.arrays = [np.array(getattr(model, name), dtype=dtype, ndmin=1)
+                       for name, dtype in zip(self.fields, self.dtypes)]
+        self.param, self.k = 0.0, 0
+
+    def pointers(self) -> list[int]:
+        return [array.ctypes.data for array in self.arrays]
+
+    def store(self, model: IncrementalLearner) -> None:
+        """Write the copy into `model`: into its arrays, and its scalars as
+        Python numbers."""
+        for name, array in zip(self.fields, self.arrays):
+            value = getattr(model, name)
+            if type(value) is np.ndarray:
+                value[...] = array
+            else:
+                setattr(model, name, array.item())
+
+    def run_subtree(self, kernels: "_native.Kernels", bounds: np.ndarray, s: int, e: int,
+                    x: np.ndarray, y: np.ndarray | None, shuffle_seed: int | None):
+        """Run subtree s..e of the tree's recursion over the chunks that
+        `bounds` (int64) delimits by one `tree_feed` call, from this copy,
+        which it only reads: fixed order, or randomized with `shuffle_seed`
+        (derive_seed(run seed, TAG_NODE_SHUFFLE)).  x (and y, for the
+        linear learners) must be C-contiguous float64 rows and labels the
+        model takes.  Gives each leaf's `predict_many` of its chunk, rows
+        bounds[s] to bounds[e + 1] - 1 in order, and the point updates and
+        model transfers as an int64 pair, or None when the kernel failed:
+        a raised flag, a failed k-means step or a k-means leaf with no
+        center, which the recursion then meets."""
+        rows = int(bounds[e + 1] - bounds[s])
+        out = np.empty((rows, x.shape[1]) if self.vector_predictions else rows)
+        counts = np.zeros(2, dtype=np.int64)
+        if kernels.tree_feed(self.kind, s, e, bounds.ctypes.data, x.shape[1], x.ctypes.data,
+                             None if y is None else y.ctypes.data, shuffle_seed is not None,
+                             shuffle_seed or 0, self.param, self.k, *self.pointers(),
+                             out.ctypes.data, counts.ctypes.data):
+            return None
+        return out, counts
+
+    @classmethod
+    def feed_model(cls, kernels: "_native.Kernels", model: IncrementalLearner, x: np.ndarray,
+                   y: np.ndarray | None) -> bool:
+        """Feed one model a batch through its compiled kernel, as
+        `_update_compiled` describes, and say whether that happened.  x
+        must be a C-contiguous float64 matrix; ValueError says it is not,
+        before the kernel reads it."""
+        if (type(x) is not np.ndarray or x.ndim != 2 or x.dtype != np.float64
+                or not x.flags.c_contiguous):
+            raise ValueError("a compiled feed needs a C-contiguous float64 matrix of rows")
+        if not cls.takes(kernels, model, x, y):
+            return False
+        state = cls(model)
+        if not state.feed_rows(kernels, x, None if y is None else np.ascontiguousarray(y)):
+            return False
+        state.store(model)
+        return True
+
+
+class _LinearFeed(_Feed):
+    """A `Pegasos` or `LsqSgd` model: float scalars (`floats`, the
+    parameter `parameter` among them), float64 vectors of one element per
+    feature (`vectors`) and an int step count `t`."""
+
     kernel = ""  # the `_native.Kernels` function that feeds this type
-    param = ""  # the learner's parameter the kernel takes
-    floats: tuple[str, ...] = ()  # the learner's float scalars, `param` among them
-    vectors: tuple[str, ...] = ()  # and its vectors, one element per feature
+    parameter = ""
+    floats: tuple[str, ...] = ()
+    vectors: tuple[str, ...] = ()
     # `update` runs a batch of fewer rows in Python.  On a 2-vCPU Xeon VM,
     # at d in {2, 20, 200}, a one-model kernel call costs ~30 us, most of
     # it checks, copies of the state and ctypes' pointers, against ~1.3 us per
@@ -330,36 +398,20 @@ class _Stack:
     # (LOOCV n=5000, k=2000 of n=6000 and k=1000 of n=8000).
     min_rows = 1
 
-    def __init__(self, proto: IncrementalLearner, arrays):
-        self.proto = proto
-        for name, array in zip(self.fields, arrays):
-            setattr(self, name, array)
+    def __init__(self, model: IncrementalLearner):
+        super().__init__(model)
+        self.param = getattr(model, self.parameter)
 
     @classmethod
-    def of(cls, model: IncrementalLearner) -> "_Stack":
-        """A stack of one model: a copy of the state of `model`."""
-        return cls(model, [np.array([getattr(model, name)]) for name in cls.fields])
-
-    def take(self, index: np.ndarray) -> "_Stack":
-        """The models at `index`, in that order.  An index taken twice
-        preserves a model: its row is repeated."""
-        return type(self)(self.proto, [getattr(self, name)[index] for name in self.fields])
-
-    def model(self, i: int) -> IncrementalLearner:
-        """Model i as a learner of its own, holding a copy of its state."""
-        twin = self.proto.fresh()
-        for name in self.fields:
-            value = getattr(self, name)[i]
-            setattr(twin, name, value.copy() if value.ndim else value.item())
-        return twin
-
-    @classmethod
-    def holds(cls, model: IncrementalLearner, x: np.ndarray, y: np.ndarray) -> bool:
-        """Whether `model` holds the state the compiled kernel reads, of
-        the types its constructor gives, for the rows of x: float
-        scalars, an int step count and float64 vectors of x's width,
-        none of them sharing memory with another or with x or y, which
-        the Python update would then read as they change."""
+    def takes(cls, kernels: "_native.Kernels", model: IncrementalLearner, x: np.ndarray,
+              y: np.ndarray | None) -> bool:
+        """Whether the rows of x are labeled and `model` holds the state
+        the compiled kernel reads, of the types its constructor gives, for
+        them: float scalars, an int step count and float64 vectors of x's
+        width, none of them sharing memory with another or with x or y,
+        which the Python update would then read as they change."""
+        if y is None:
+            return False
         vectors = [getattr(model, name) for name in cls.vectors]
         if not (type(model.t) is int and 0 <= model.t < 2 ** 62
                 and all(type(getattr(model, name)) is float for name in cls.floats)
@@ -370,80 +422,53 @@ class _Stack:
         return not any(np.may_share_memory(a, b)
                        for i, a in enumerate(vectors) for b in arrays[i + 1:])
 
-    @classmethod
-    def feed_model(cls, kernels: "_native.Kernels", model: IncrementalLearner, x: np.ndarray,
-                   y: np.ndarray | None) -> bool:
-        """Feed one model a labeled batch through the compiled kernel, as
-        `_update_compiled` describes, and say whether that happened."""
-        if y is None or not cls.holds(model, x, y):
-            return False
-        stack = cls.of(model)
-        if not stack.feed_rows(kernels, x, np.ascontiguousarray(y),
-                               np.array([x.shape[0]], dtype=np.int64)):
-            return False
-        for name in cls.fields:
-            value = getattr(stack, name)[0]
-            if value.ndim:
-                getattr(model, name)[...] = value
-            else:
-                setattr(model, name, value.item())
-        return True
+    def feed_rows(self, kernels: "_native.Kernels", x: np.ndarray, y: np.ndarray) -> bool:
+        """Feed the copy the rows of x, labeled by y, through the compiled
+        kernel.
 
-    def feed_rows(self, kernels: "_native.Kernels", x: np.ndarray, y: np.ndarray,
-                  counts: np.ndarray) -> bool:
-        """Feed model i the next counts[i] rows of x and y through the
-        compiled kernel, each model's rows after the previous model's.
-
-        x (float64, a row of the models' width per point), y (float64)
-        and counts (int64) must be C-contiguous, and the runs must fit in
-        x; ValueError says they do not, before the kernel reads past an
-        array.  False when the kernel raised a floating-point flag: the
-        state is then spoiled, and the rows must be fed by Python from a
-        copy kept beforehand.
+        x (float64, a row of the model's width per point) and y (float64,
+        one per row) must be C-contiguous; ValueError says they are not,
+        before the kernel reads past an array.  False when the kernel
+        raised a floating-point flag: the copy is then spoiled, and the
+        rows must be fed by Python to the model.
         """
-        (m,), (n, d) = counts.shape, x.shape
-        arrays = [getattr(self, name) for name in self.fields] + [x, y, counts]
-        layout = [((m, d) if name in self.vectors else (m,),
-                   np.int64 if name == "t" else np.float64) for name in self.fields]
-        layout += [((n, d), np.float64), ((n,), np.float64), ((m,), np.int64)]
-        if (any(a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous
-                for a, (shape, dtype) in zip(arrays, layout))
-                or (m and (counts.min() < 0 or counts.sum() > n))):
-            raise ValueError(f"a {self.kernel} call needs the stacked state, rows and run "
-                             "lengths to agree in shape and dtype")
-        return not getattr(kernels, self.kernel)(
-            m, d, getattr(self.proto, self.param), *[array.ctypes.data for array in arrays])
+        d = self.arrays[self.fields.index(self.vectors[0])].size
+        n = x.shape[0] if type(x) is np.ndarray and x.ndim == 2 else -1
+        layout = [((d,) if name in self.vectors else (1,), dtype)
+                  for name, dtype in zip(self.fields, self.dtypes)]
+        layout += [((n, d), np.float64), ((n,), np.float64)]
+        if any(type(a) is not np.ndarray or a.shape != shape or a.dtype != dtype
+               or not a.flags.c_contiguous
+               for a, (shape, dtype) in zip(self.arrays + [x, y], layout)):
+            raise ValueError(f"a {self.kernel} call needs the state, rows and labels to agree "
+                             "in shape and dtype")
+        return not getattr(kernels, self.kernel)(n, d, self.param, *self.pointers(),
+                                                 x.ctypes.data, y.ctypes.data)
 
 
-class PegasosStack(_Stack):
-    """Stacked `Pegasos` models: scales `a` (m,), vectors `v` (m, d) and
-    step counters `t` (m,)."""
+class PegasosFeed(_LinearFeed):
+    """`Pegasos`: the scale `a`, the vector `v` and the step count `t`."""
 
-    fields = ("a", "v", "t")
-    kernel, param, floats, vectors = "pegasos_feed", "lam", ("lam", "a"), ("v",)
+    fields, dtypes, kind = ("a", "v", "t"), (np.float64, np.float64, np.int64), 0
+    kernel, parameter, floats, vectors = "pegasos_feed", "lam", ("lam", "a"), ("v",)
     min_rows = 20
 
-    def predict(self, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Model owner[i]'s `predict_many` of row i of x, for every row."""
-        return np.copysign(1.0, np.einsum("ij,ij->i", x, self.v[owner]))
 
+class LsqSgdFeed(_LinearFeed):
+    """`LsqSgd`: the iterate `w`, its average `w_avg` and the step count
+    `t`."""
 
-class LsqSgdStack(_Stack):
-    """Stacked `LsqSgd` models: iterates `w` and averages `w_avg` (m, d)
-    and step counters `t` (m,)."""
-
-    fields = ("w", "w_avg", "t")
-    kernel, param, floats, vectors = "lsqsgd_feed", "alpha", ("alpha",), ("w", "w_avg")
+    fields, dtypes, kind = ("w", "w_avg", "t"), (np.float64, np.float64, np.int64), 1
+    kernel, parameter, floats, vectors = "lsqsgd_feed", "alpha", ("alpha",), ("w", "w_avg")
     min_rows = 8
 
-    def predict(self, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Model owner[i]'s `predict_many` of row i of x, for every row."""
-        return np.einsum("ij,ij->i", x, self.w_avg[owner])
 
+class KMeansFeed(_Feed):
+    """`OnlineKMeans`: the centers, their counts and the number in use,
+    fed by `kmeans_feed` once `Kernels.kmeans` has checked it."""
 
-class KMeansFeed:
-    """The compiled update of one `OnlineKMeans` model (`kmeans_feed`)."""
-
+    fields, dtypes, kind = ("centers", "counts", "n_centers"), (np.float64, np.int64, np.int64), 2
+    vector_predictions = True
     # `update` runs a batch of fewer rows in Python.  On a 2-vCPU Xeon VM,
     # at d in {2, 10, 50, 200} and K in {3, 5, 8}, a call costs ~12-18 us,
     # most of it checks, copies of the state and ctypes' pointers, against
@@ -453,15 +478,22 @@ class KMeansFeed:
     # k=1000 with a cut at 1 / 2 / 3 / 8 rows, and 0.61 / 0.44 s in Python.
     min_rows = 2
 
-    @staticmethod
-    def holds(model: OnlineKMeans, x: np.ndarray) -> bool:
-        """Whether `model` holds the state the kernel reads, of the types
-        its constructor gives, for the rows of x: writable float64 centers
-        of x's width and int64 counts, one of each per cluster and at
-        least one, sharing no memory with each other or with x, and an int
-        count of centers in use."""
+    def __init__(self, model: OnlineKMeans):
+        super().__init__(model)
+        self.k = len(model.centers)
+
+    @classmethod
+    def takes(cls, kernels: "_native.Kernels", model: OnlineKMeans, x: np.ndarray,
+              y: np.ndarray | None = None) -> bool:
+        """Whether `kmeans_feed` passed its self-check and `model` holds
+        the state it reads, of the types its constructor gives, for the
+        rows of x: writable float64 centers of x's width and int64 counts,
+        one of each per cluster and at least one, sharing no memory with
+        each other or with x, and an int count of centers in use.  The
+        outcomes y are not read."""
         centers, counts = model.centers, model.counts
-        return (type(centers) is np.ndarray and centers.dtype == np.float64
+        return (kernels.kmeans() is not None
+                and type(centers) is np.ndarray and centers.dtype == np.float64
                 and centers.shape == (model.n_clusters, x.shape[1]) and len(centers) >= 1
                 and centers.flags.writeable
                 and type(counts) is np.ndarray and counts.dtype == np.int64
@@ -470,44 +502,28 @@ class KMeansFeed:
                 and not np.may_share_memory(centers, counts)
                 and not np.may_share_memory(centers, x) and not np.may_share_memory(counts, x))
 
-    @classmethod
-    def feed_model(cls, kernels: "_native.Kernels", model: OnlineKMeans, x: np.ndarray,
-                   y: np.ndarray | None) -> bool:
-        """Feed `model` the rows of x through `kmeans_feed`, as
-        `_update_compiled` describes, and say whether that happened; the
-        outcomes y are not read.  x must be a C-contiguous float64 matrix;
-        ValueError says it is not, before the kernel reads it."""
-        if (type(x) is not np.ndarray or x.ndim != 2 or x.dtype != np.float64
-                or not x.flags.c_contiguous):
-            raise ValueError("a kmeans_feed call needs a C-contiguous float64 matrix of rows")
-        if kernels.kmeans() is None or not cls.holds(model, x):
-            return False
-        centers, counts = model.centers.copy(), model.counts.copy()
-        seeded = np.array([model.n_centers], dtype=np.int64)
-        if kernels.kmeans_feed(*x.shape, len(centers), centers.ctypes.data, counts.ctypes.data,
-                               seeded.ctypes.data, x.ctypes.data):
-            return False
-        model.centers[...], model.counts[...] = centers, counts
-        model.n_centers = int(seeded[0])
-        return True
+    def feed_rows(self, kernels: "_native.Kernels", x: np.ndarray, y=None) -> bool:
+        """Feed the copy the rows of x, a C-contiguous float64 matrix of
+        the centers' width, through `kmeans_feed`; False, with the copy
+        spoiled, when it failed or raised a flag."""
+        return not kernels.kmeans_feed(*x.shape, self.k, *self.pointers(), x.ctypes.data)
 
 
-# The stack type of each built-in type whose tree runs a compiled level
-# loop, by exact type: a subclass may change the update rule, so it runs
-# its own.
-LEVEL_LOOP = {Pegasos: PegasosStack, LsqSgd: LsqSgdStack}
-# The compiled update of each built-in type that has one, by the same rule.
-# `OnlineKMeans` has no level loop, so the tree runs it by recursion, whose
-# `update` runs compiled.
-COMPILED = {**LEVEL_LOOP, OnlineKMeans: KMeansFeed}
+# The compiled kernels of each built-in type that has them, by exact type:
+# a subclass may change the update rule, so it runs its own.
+COMPILED = {Pegasos: PegasosFeed, LsqSgd: LsqSgdFeed, OnlineKMeans: KMeansFeed}
 
 
-def load_kernels(model: IncrementalLearner) -> None:
+def load_kernels(model: IncrementalLearner, tree: bool = False) -> None:
     """Resolve the compiled kernels now if `model`'s exact type runs on
-    them (`COMPILED`), so that worker processes forked later inherit them
-    and the self-checks run outside any wall time.  A learner of another
-    type, even one that delegates to a built-in, leaves them to be
-    resolved at the first compiled update, by each process for itself."""
+    them (`COMPILED`), with the self-checks of `kmeans_feed` for k-means
+    and of `tree_feed` for the tree, so that worker processes forked
+    later inherit them and the checks run outside any wall time.  A
+    learner of another type, even one that delegates to a built-in, leaves
+    them to be resolved at the first compiled update, by each process for
+    itself."""
     if type(model) in COMPILED and (loaded := _native.kernels()) is not None:
         if type(model) is OnlineKMeans:
-            loaded.kmeans()  # and its own self-check
+            loaded.kmeans()
+        if tree:
+            loaded.tree()

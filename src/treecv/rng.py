@@ -14,18 +14,19 @@ draws them in one `next_u64_array` call and reduces them with numpy; the
 scalar loop is the reference, used for short inputs and whenever a draw
 would be rejected.
 
-`shuffle_ranges` shuffles many disjoint ranges of an int64 array at
-once, each with its own stream, in one call of the compiled kernel of
-the same name (`_kernels.c`).  That kernel is `shuffle`'s scalar loop in
-C, randbelow's rejection included, so every range gets the permutation
+`shuffle_ranges` shuffles disjoint ranges of an int64 array in place,
+each with its own stream, in one call of the compiled kernel of the same
+name (`_kernels.c`).  That kernel is `shuffle`'s scalar loop in C,
+randbelow's rejection included, so every range gets the permutation
 `shuffle` gives it; the loader checks that against `shuffle` before it
 keeps the kernels (`_native`).  `shuffled` draws the order of one int64
-row vector, a standard-CV fold's or a tree node's: by that kernel, as a
-single range, or by `shuffle` on a list when the kernels are not loaded
-or the vector is shorter than a kernel call is worth.  The oracle's feed
-orders (`tree.tree_feed_orders`) keep to the list, so the tests check
-the one against the other.  `derive_seeds` is `derive_seed` over arrays
-of tags.
+row vector, a standard-CV fold's or a tree node's in the Python
+recursion: by that kernel, as a single range, or by `shuffle` on a list
+when the kernels are not loaded or the vector is shorter than a kernel
+call is worth.  (The compiled tree recursion, `tree_feed`, runs the same
+loop in C on each range it feeds.)  The oracle's feed orders
+(`tree.tree_feed_orders`) keep to the list, so the tests check the one
+against the other.
 
 The stream is pinned by test vectors (see tests/test_rng.py); any change
 to the constants below is a breaking change to reproducibility.
@@ -57,11 +58,9 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# the constants as numpy scalars, made once: the tree's level loop calls
-# the finalizer (`derive_seeds`) on short arrays, where making them costs
-# as much as the work
+# the constants as numpy scalars, made once
 _U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
-_U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
+_U11, _U27, _U30, _U31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
@@ -94,17 +93,6 @@ def derive_seed(seed: int, *tags: int) -> int:
     for tag in tags:
         state = (state + _GAMMA) & _MASK64
         state = _mix(state ^ (tag & _MASK64))
-    return state
-
-
-def derive_seeds(seed: int, *tags: np.ndarray) -> np.ndarray:
-    """`derive_seed` elementwise over equal-length arrays of integer tags:
-    element i is derive_seed(seed, tags[0][i], tags[1][i], ...)."""
-    state = np.full(len(tags[0]), seed & _MASK64, dtype=np.uint64)
-    for tag in tags:
-        state += _U_GAMMA
-        state ^= np.asarray(tag).astype(np.uint64)  # two's complement, as tag & _MASK64
-        _mix_array(state)
     return state
 
 
@@ -143,17 +131,34 @@ class SplitMix64Stream:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniform_array(self, count: int) -> np.ndarray:
-        return (self.next_u64_array(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return (self.next_u64_array(count) >> _U11).astype(np.float64) * 2.0**-53
 
     def normal_array(self, count: int) -> np.ndarray:
-        """Standard normals via Box-Muller; consumes 2*ceil(count/2) outputs."""
+        """Standard normals via Box-Muller; consumes 2*ceil(count/2) outputs.
+
+        With pairs = ceil(count/2), u1 is `uniform_array(pairs)` and u2 the
+        next `uniform_array(pairs)`, drawn in one call; a zero u1 becomes
+        2**-53.  The normals are radius * cos(theta) for every pair, then
+        radius * sin(theta), with radius = sqrt(-2 log u1) and theta =
+        2 pi u2, computed in place in those two buffers.
+        """
         pairs = (count + 1) // 2
-        u1 = self.uniform_array(pairs)
-        u2 = self.uniform_array(pairs)
-        u1[u1 == 0.0] = 2.0**-53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
-        out = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])
+        draws = self.next_u64_array(2 * pairs)
+        draws >>= _U11
+        uniforms = draws.astype(np.float64)
+        del draws
+        uniforms *= 2.0**-53
+        radius, theta = uniforms[:pairs], uniforms[pairs:]
+        radius[radius == 0.0] = 2.0**-53
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        theta *= 2.0 * math.pi
+        out = np.empty(2 * pairs)
+        np.cos(theta, out=out[:pairs])
+        np.sin(theta, out=out[pairs:])
+        out[:pairs] *= radius
+        out[pairs:] *= radius
         return out[:count]
 
     def randbelow(self, n: int) -> int:

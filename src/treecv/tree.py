@@ -16,34 +16,32 @@ trains and descends the right branch from a copy-on-write image of the
 node's model, which stands in for the copy, and the parent process the
 left.
 
-Below the fork levels, the first node of at most SUBTREE_ROWS rows and
-at least LEVEL_MIN_RANGES chunks runs its subtree as one unit
-(`_subtree`).  If the compiled kernels are loaded (`_native`) and the
-model's exact type is `Pegasos` or `LsqSgd` (`learners.LEVEL_LOOP`),
-the subtree runs level by level (`_levels`): `_level_list` lists its
-levels once, the models of a level are rows of stacked arrays,
-preserving a model is a row repeat, one C call shuffles the ranges a
-level feeds, one C call feeds every model of the level its rows, and a
-level's leaves are scored in one batched prediction.  Every model gets
-the rows, the order and the bits the recursion gives it.  Any other
-learner, including a subclass of those two (it may override
-`_update_point`), and every learner without the kernels, runs the
-recursion, which holds only the log2(k) models of one root-to-leaf
-path; there the `update` of an exact `Pegasos`, `LsqSgd` or
-`OnlineKMeans` runs compiled when the kernels are loaded.
+Every node at the fork depth (the root, in a sequential run) runs its
+subtree as one unit (`_subtree`).  If the compiled kernels are loaded
+(`_native`), the model's exact type is `Pegasos`, `LsqSgd` or
+`OnlineKMeans` (`learners.COMPILED`) and the loss scores a batch, one
+C call, `tree_feed`, runs the whole subtree: the same recursion, with a
+memcpy for each preserved model, and each leaf's predictions written to
+one array, which the loss scores at once (`_score_chunks`).  Every model
+gets the rows, the order and the bits the recursion gives it, and every
+fold the score `evaluate_chunk` gives it.  Any other learner, including
+a subclass of those three (it may override `_update_point`), and every
+learner without the kernels, runs the recursion in Python, which holds
+only the log2(k) models of one root-to-leaf path; there the `update` of
+an exact `Pegasos`, `LsqSgd` or `OnlineKMeans` runs compiled when the
+kernels are loaded.  The Python recursion is the reference: when
+`tree_feed` fails (a raised floating-point flag, which np.errstate may
+turn into an error), the recursion reruns the subtree and raises what
+sequential order meets first.
 
 Randomized runs feed each node's rows in the order of a Fisher-Yates
 shuffle drawn from a stream keyed by the run seed and the fed chunk
-range, and every such shuffle runs in the compiled `shuffle_ranges`
-kernel when the kernels are loaded.  The recursion draws one range at a
-time (`_fed_rows`, through `rng.shuffled`).  The ranges fed at one level
-of a subtree are disjoint, so the level loop lays them out one after
-another in one int64 array and shuffles each in place with its own
-stream, all in one `rng.shuffle_ranges` call; each range gets the
-permutation `_fed_rows` gives it.  `tree_feed_orders`, which the oracle
-replays, calls `_fed_rows` without the kernels, so its orders come from
-the Python loop of `SplitMix64Stream.shuffle` and the tests check the
-kernel against it.
+range.  The recursion draws one range at a time (`_fed_rows`, through
+`rng.shuffled`, in the compiled `shuffle_ranges` kernel when the kernels
+are loaded); `tree_feed` inlines the same seed derivation and loop.
+`tree_feed_orders`, which the oracle replays, calls `_fed_rows` without
+the kernels, so its orders come from the Python loop of
+`SplitMix64Stream.shuffle` and the tests check the kernels against it.
 
 Determinism: every node's shuffle is derived from the run seed and the
 node's position in the recursion, never from execution order, so
@@ -56,7 +54,6 @@ from __future__ import annotations
 import math
 import operator
 import time
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,26 +76,12 @@ from .core import (
     partition as make_partition,
 )
 from .forkjoin import check_workers, fork, join_all
-from .learners import LEVEL_LOOP, load_kernels
-from .rng import derive_seed, derive_seeds, shuffle_ranges, shuffled
+from .learners import COMPILED, load_kernels
+from .rng import derive_seed, shuffled
 
 # Stream purpose tag; every derive_seed call site in the package uses a
 # distinct leading tag so no two components share a stream.
 TAG_NODE_SHUFFLE = 2
-
-# Subtrees of at most SUBTREE_ROWS rows and at least LEVEL_MIN_RANGES
-# chunks run as one unit.  A subtree's level holds up to SUBTREE_ROWS
-# gathered rows and about as many models.  On a 2-vCPU Xeon VM, Pegasos
-# LOOCV at n=20000 and d=20 took 0.038-0.039 / 0.055-0.056 s (fixed /
-# randomized, medians of 7 in four rounds) with a 4096-row bound,
-# 0.032 / 0.044-0.045 s with 8192 and 0.028-0.033 / 0.038-0.040 s with
-# 16384, every shuffle running in the kernel.  16384 leaves one
-# recursion level above the subtrees instead of two, and two subtrees of
-# 14 levels instead of four of 13 (28 level feeds against 52); its
-# levels hold twice the rows and models, and its effect on peak memory
-# and on fork-join runs is unmeasured, so the bound stays 8192.
-SUBTREE_ROWS = 8192
-LEVEL_MIN_RANGES = 16
 
 
 @dataclass(frozen=True)
@@ -147,7 +130,7 @@ class _Run:
     """
 
     __slots__ = ("dataset", "partition", "loss", "ordering", "shuffle_seed", "kernels",
-                 "fork_depth", "fold_scores", "counters", "traces", "row_bounds", "in_subtree")
+                 "fork_depth", "fold_scores", "counters", "traces", "row_bounds")
 
     def __init__(self, dataset, partition, loss, config, traces):
         self.dataset = dataset
@@ -159,16 +142,13 @@ class _Run:
         # what the recursion shuffles with: resolved once, before the clock
         # and any fork, and only by a run that shuffles
         self.kernels = _native.kernels() if config.ordering == "randomized" else None
-        # <= 0 for sequential runs: no level forks
-        self.fork_depth = operator.index(config.max_workers).bit_length() - 1
+        # 0 for sequential runs: no level forks, and the root runs `_subtree`
+        self.fork_depth = max(operator.index(config.max_workers).bit_length() - 1, 0)
         self.fold_scores = [0.0] * partition.k
         self.counters = WorkCounters()
         self.traces = traces
-        # the chunk bounds as an array, for the level loop
+        # the chunk bounds as an array, for `tree_feed`
         self.row_bounds = np.asarray(partition.bounds, dtype=np.int64)
-        # whether a subtree is running by the recursion, so that no node
-        # below it starts another
-        self.in_subtree = False
 
 
 def _fed_rows(kernels, part: Partition, ordering: str, shuffle_seed: int, first: int,
@@ -189,46 +169,11 @@ def _fed_rows(kernels, part: Partition, ordering: str, shuffle_seed: int, first:
     return rows
 
 
-# One level below a subtree's root, as `_level_list` gives it.  The nodes
-# are the children of the level above's inner nodes in left-then-right
-# pairs.  Node i holds out chunks starts[i]..ends[i], takes the model of
-# node parents[i] of the level above and is fed chunks firsts[i]..lasts[i]
-# (its sibling's), sizes[i] rows.
-_Level = namedtuple("_Level", "starts ends parents firsts lasts sizes")
-
-
-def _level_list(run: _Run, s: int, e: int) -> list[_Level]:
-    """The levels below the root of subtree s..e, top down to the level
-    whose nodes are all leaves."""
-    bounds = run.row_bounds
-    starts, ends = np.array([s]), np.array([e])
-    levels = []
-    while (inner := np.flatnonzero(starts < ends)).size:
-        # each inner node's children, left then right; a child is fed its
-        # sibling's range
-        parent_starts, parent_ends = starts[inner], ends[inner]
-        mids = (parent_starts + parent_ends) // 2
-        starts = np.column_stack((parent_starts, mids + 1)).ravel()
-        ends = np.column_stack((mids, parent_ends)).ravel()
-        sibling = np.arange(starts.size) ^ 1
-        firsts, lasts = starts[sibling], ends[sibling]
-        levels.append(_Level(starts, ends, inner.repeat(2), firsts, lasts,
-                             bounds[lasts + 1] - bounds[firsts]))
-    return levels
-
-
 def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> None:
-    """Visit chunk range s..e with a model trained on every other chunk.
-
-    Below the fork levels, the first node of at most SUBTREE_ROWS rows
-    and at least LEVEL_MIN_RANGES chunks runs its subtree with
-    `_subtree`; every other node is a `_visit`.
-    """
-    b = run.partition.bounds
-    if (not run.in_subtree and depth >= run.fork_depth and e - s >= LEVEL_MIN_RANGES - 1
-            and b[e + 1] - b[s] <= SUBTREE_ROWS):
-        _subtree(run, s, e, model, depth)
-    else:
+    """Visit chunk range s..e with a model trained on every other chunk:
+    at the fork depth by one `tree_feed` call where `_subtree` can make
+    it, else by `_visit`."""
+    if depth != run.fork_depth or not _subtree(run, s, e, model, depth):
         _visit(run, s, e, model, depth)
 
 
@@ -274,116 +219,60 @@ def _visit(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> 
         _branch(run, m + 1, e, right, s, m, depth + 1)
 
 
-def _subtree(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> None:
-    """Run subtree s..e, of at most SUBTREE_ROWS rows, as one unit.
+def _subtree(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> bool:
+    """Run subtree s..e by one `tree_feed` call, and say whether that
+    happened.
 
-    With the compiled kernels loaded, a model whose exact type has a
-    level loop (`LEVEL_LOOP`), with a loss that scores a batch, runs the
-    subtree level by level (`_levels`) if it holds state of the types its
-    constructor gives, for rows of the data's width (`_Stack.holds`).
-    Any other, and every model without the kernels, runs the recursion.
+    It runs with the compiled kernels loaded and `tree_feed` checked, for
+    a model of an exact compiled type (`COMPILED`) that holds state the
+    kernels read as its Python update does, for the rows of the data and
+    with the labels it needs (`takes`), and a loss that scores a batch.
+    `model` is left untouched, and scores, counters and traces are added
+    only when it returns True.  On False the recursion runs the subtree:
+    where `tree_feed` or the loss failed, it meets the failure sequential
+    order meets first and raises it, an update's with its chunk range, or,
+    if it meets none, gives the sequential results.
     """
-    stack_type = LEVEL_LOOP.get(type(model))
-    # both kernels' learners read labels: on unlabeled data, as on a model
-    # of another width or with float32 parameters, the recursion raises
-    # the error or gives the bits the Python update does.  Other learners
-    # never resolve the kernels here.
-    if (stack_type is not None and run.loss.batch is not None and run.dataset.y is not None
-            and (kernels := _native.kernels()) is not None
-            and stack_type.holds(model, run.dataset.x, run.dataset.y)):
-        try:
-            _levels(run, s, e, stack_type.of(model), depth, kernels)
-            return
-        except Exception:
-            # An update or the loss failed, perhaps at an overflow that
-            # np.errstate turns into an error.  `model` is untouched, and
-            # the loop adds counters and traces only at its end, so the
-            # recursion reruns the subtree: it meets the failure sequential
-            # order meets first and raises it with its chunk range, or, if
-            # it meets none, gives the sequential results.
-            pass
-    run.in_subtree = True
+    x, y = run.dataset.x, run.dataset.y
+    feed = COMPILED.get(type(model))
+    if (feed is None or run.loss.batch is None or (kernels := _native.kernels()) is None
+            or kernels.tree() is None or not feed.takes(kernels, model, x, y)):
+        return False
+    ran = feed(model).run_subtree(kernels, run.row_bounds, s, e, x, y,
+                                  run.shuffle_seed if run.ordering == "randomized" else None)
+    if ran is None:
+        return False
+    predictions, (updates, transfers) = ran
+    b = run.partition.bounds
+    rows = slice(b[s], b[e + 1])
     try:
-        _visit(run, s, e, model, depth)
-    finally:
-        run.in_subtree = False
-
-
-def _levels(run: _Run, s: int, e: int, stack, depth: int, kernels: _native.Kernels) -> None:
-    """Run subtree s..e, whose root sits at `depth`, one level at a time,
-    starting from a stack of one model, its root's.
-
-    Every internal node of a level preserves its model for both children
-    by a row repeat of the stack.  One kernel call shuffles every range a
-    randomized level feeds (`_level_rows`), and one feeds every model of
-    the level its range, range after range; it raises FloatingPointError
-    if a floating-point flag went up.  The leaves of a level are scored in
-    one batched prediction.  Every model is fed the rows `_branch` would
-    feed it, in the same order, and gets the same bits.  Counters and
-    node traces, which depend only on the partition, are added once the
-    subtree has run.
-    """
-    x_all, y_all = run.dataset.x, run.dataset.y
-    counters = WorkCounters(nodes_visited=2 * (e - s) + 1, snapshots=e - s,
-                            evaluations=int(run.row_bounds[e + 1] - run.row_bounds[s]))
-    starts, ends = np.array([s]), np.array([e])
-    for level in _level_list(run, s, e):
-        _score_leaves(run, stack, starts, ends)
-        starts, ends, sizes = level.starts, level.ends, level.sizes
-        stack = stack.take(level.parents)
-        counters.point_updates += int(sizes.sum())
-        counters.model_transfers += int((level.lasts - level.firsts).sum()) + sizes.size
-        rows = _level_rows(run, kernels, level)
-        if not stack.feed_rows(kernels, x_all[rows], y_all[rows], sizes):
-            raise FloatingPointError("a compiled level feed raised a floating-point flag")
-    _score_leaves(run, stack, starts, ends)
-    run.counters.merge(counters)
+        _score_chunks(run, run.loss.batch(predictions, x[rows], None if y is None else y[rows]),
+                      s, e)
+    except Exception:  # the loss, or a chunk's sum, failed
+        return False
+    run.counters.merge(WorkCounters(
+        point_updates=int(updates), snapshots=e - s, nodes_visited=2 * (e - s) + 1,
+        model_transfers=int(transfers), evaluations=rows.stop - rows.start))
     if run.traces is not None:
-        _trace_subtree(run.traces, run.partition.bounds, s, e, depth)
+        _trace_subtree(run.traces, b, s, e, depth)
+    return True
 
 
-def _level_rows(run: _Run, kernels: _native.Kernels, level: _Level) -> np.ndarray:
-    """The rows fed to the nodes of `level`, range after range, each range
-    in the order `_fed_rows` gives it: a randomized run shuffles range
-    first..last with the stream derive_seed(shuffle_seed, first, last)."""
-    rows, offsets = _ranges(run.row_bounds[level.firsts], level.sizes)
-    if run.ordering == "randomized":
-        shuffle_ranges(kernels, rows, derive_seeds(run.shuffle_seed, level.firsts, level.lasts),
-                       offsets, offsets + level.sizes)
-    return rows
-
-
-def _ranges(lo: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows lo[i] .. lo[i] + sizes[i] - 1 of every range i, one range
-    after another, and the offset where each range starts among them."""
-    offsets = np.cumsum(sizes) - sizes
-    return np.repeat(lo - offsets, sizes) + np.arange(int(offsets[-1] + sizes[-1])), offsets
-
-
-def _score_leaves(run: _Run, stack, starts: np.ndarray, ends: np.ndarray) -> None:
-    """Score model i of the stack on its chunk, starts[i], for every leaf
-    i (starts[i] == ends[i]), in one batched prediction; each score is
-    `evaluate_chunk`'s, the `math.fsum` of the chunk's losses over its
-    size."""
-    leaves = np.flatnonzero(starts == ends)
-    if not leaves.size:
-        return
-    chunks = starts[leaves]
-    b = run.row_bounds
-    sizes = b[chunks + 1] - b[chunks]
-    rows, offsets = _ranges(b[chunks], sizes)
-    x, y = run.dataset.x[rows], run.dataset.y[rows]
-    values = run.loss.batch(stack.predict(x, np.repeat(leaves, sizes)), x, y)
-    if values.size == leaves.size:
-        # a row per leaf: fsum([v]) / 1 is v + 0.0 bit for bit, -0.0 going
+def _score_chunks(run: _Run, values: np.ndarray, s: int, e: int) -> None:
+    """Set the fold scores of chunks s..e from `values`, the losses of
+    their rows in order: each is `evaluate_chunk`'s, the `math.fsum` of
+    the chunk's losses over its size."""
+    if values.size == e - s + 1:
+        # a row per chunk: fsum([v]) / 1 is v + 0.0 bit for bit, -0.0 going
         # to 0.0 and inf and nan passing through
         scores = (values + 0.0).tolist()
     else:
+        b = run.partition.bounds
         values = values.tolist()
-        scores = [math.fsum(values[start:start + size]) / size
-                  for start, size in zip(offsets.tolist(), sizes.tolist())]
-    for chunk, score in zip(chunks.tolist(), scores):
-        run.fold_scores[chunk] = score
+        base = b[s]
+        scores = [math.fsum(values[b[c] - base:b[c + 1] - base]) / (b[c + 1] - b[c])
+                  for c in range(s, e + 1)]
+    run.fold_scores[s:e + 1] = scores
 
 
 def _trace_subtree(traces: list, b, s: int, e: int, depth: int) -> None:
@@ -441,7 +330,7 @@ def tree_cv(
     check_partition(partition, dataset)
     run = _Run(dataset, partition, loss, config, trace_sink)
     model = learner_factory().fresh()
-    load_kernels(model)  # outside the wall time, and inherited by forked workers
+    load_kernels(model, tree=True)  # outside the wall time, and inherited by forked workers
     start = time.perf_counter()
     _node(run, 0, partition.k - 1, model, 0)
     wall = time.perf_counter() - start

@@ -6,8 +6,8 @@ from treecv import _native
 @pytest.fixture
 def python_path(monkeypatch):
     """Force the compiled kernels off, as on a host without a C compiler:
-    every learner runs its Python update, and the tree runs the recursion
-    wherever it would run the level loop."""
+    every learner runs its Python update, and the tree runs the Python
+    recursion wherever it would call `tree_feed`."""
     monkeypatch.setattr(_native, "kernels", lambda: None)
 
 

@@ -24,8 +24,10 @@ from treecv import (
     standard_cv,
     tree_cv,
 )
+from treecv import _native
 from treecv.harness import ExperimentPlan, stability_rows
-from treecv.learners import COMPILED, LEVEL_LOOP, KMeansFeed, _update_compiled
+from treecv.learners import (COMPILED, KMeansFeed, LsqSgdFeed, PegasosFeed, _Feed,
+                              _update_compiled)
 from treecv.rng import SplitMix64Stream
 
 
@@ -477,7 +479,8 @@ def test_subclass_defining_no_prediction_cannot_be_built():
 
 
 # ---------------------------------------------------------------------------
-# Stacked models: the level loop's batched prediction and compiled feed
+# One model's compiled state: its feed kernel and `tree_feed`'s leaf
+# predictions
 
 
 def _distinct_models(name, m, d, stream, scale, sparse):
@@ -512,34 +515,47 @@ def _distinct_models(name, m, d, stream, scale, sparse):
     return models, rows
 
 
-def _stacked(models):
-    stack_type = LEVEL_LOOP[type(models[0])]
-    return stack_type(models[0], [np.array([getattr(model, name) for model in models])
-                                  for name in stack_type.fields])
-
-
 def _state_bytes(model):
     return [np.asarray(getattr(model, name), dtype=np.float64).tobytes()
-            for name in LEVEL_LOOP[type(model)].fields]
+            for name in COMPILED[type(model)].fields]
 
 
 @settings(deadline=None, max_examples=150)
 @given(st.sampled_from(["pegasos", "lsqsgd"]), st.integers(1, 16), st.integers(1, 60),
        st.integers(1, 40), st.integers(0, 2**64 - 1), st.integers(-6, 6), st.booleans())
 def test_lockstep_predict_is_each_models_predict_many(name, m, n, d, seed, scale, sparse):
+    """`tree_feed`'s prediction of each row of a leaf's chunk is the leaf
+    model's `predict_many` of it, byte for byte.  Each of m trained models
+    runs a two-chunk tree whose first chunk holds n rows and whose second
+    holds 1-3 training rows: leaf 0 predicts the n rows from the model fed
+    chunk 1, and leaf 1 predicts chunk 1 from the model fed the n rows.
+    For Pegasos, half of the n rows are nearly orthogonal to leaf 0's v,
+    so their sign is the rounding of the sum.  (The name is that of the
+    test of the level loop's stacked prediction, which `tree_feed`
+    replaced.)"""
+    kernels = _native.kernels()
+    if kernels is None or kernels.tree() is None:
+        pytest.skip(f"no tree_feed: {_native.reason()}")
     stream = SplitMix64Stream(seed)
     models, rows = _distinct_models(name, m, d, stream, scale, sparse)
-    x, _ = rows(n)
-    owner = np.array([stream.randbelow(m) for _ in range(n)], dtype=np.int64)
-    if name == "pegasos":
-        # rows nearly orthogonal to their model's v, whose sign is rounding
-        for i in range(0, n, 2):
-            v = models[owner[i]].v
-            if v.dot(v):
-                x[i] -= (x[i].dot(v) / v.dot(v)) * v
-    batch = _stacked(models).predict(x, owner)
-    for i in range(n):
-        assert batch[i].tobytes() == models[owner[i]].predict_many(x)[i].tobytes()
+    for model in models:
+        x, y = rows(n)
+        x1, y1 = rows(1 + stream.randbelow(3))
+        leaf0, leaf1 = model.clone(), model.clone()
+        IncrementalLearner.update(leaf0, x1, y1)
+        if name == "pegasos":
+            v = leaf0.v
+            for i in range(0, n, 2):
+                if v.dot(v):
+                    x[i] -= (x[i].dot(v) / v.dot(v)) * v
+        IncrementalLearner.update(leaf1, x, y)
+        x_all = np.concatenate([x, x1])
+        y_all = np.concatenate([y, y1])
+        bounds = np.array([0, n, len(y_all)], dtype=np.int64)
+        predictions, _ = COMPILED[type(model)](model).run_subtree(kernels, bounds, 0, 1, x_all,
+                                                                  y_all, None)
+        expected = np.concatenate([leaf0.predict_many(x), leaf1.predict_many(x1)])
+        assert predictions.tobytes() == expected.tobytes()
 
 
 # `kernels` is the same object in every example
@@ -549,7 +565,7 @@ def test_lockstep_predict_is_each_models_predict_many(name, m, n, d, seed, scale
        st.integers(0, 2**64 - 1), st.integers(-3, 3), st.booleans())
 def test_compiled_feed_is_the_scalar_update_byte_for_byte(kernels, name, m, d, seed, scale,
                                                           sparse):
-    """m models, each fed its own run of 0-8 rows in one compiled kernel
+    """m models, each fed its own run of 0-8 rows by one compiled kernel
     call, end with the bytes of m learners fed the same rows one at a
     time by `_update_point`.  Some start at t = 0 from a nonzero iterate,
     which restarts a Pegasos model, and sparse data has -0.0 iterates."""
@@ -560,9 +576,9 @@ def test_compiled_feed_is_the_scalar_update_byte_for_byte(kernels, name, m, d, s
             model.t = 0
         if sparse and name == "pegasos":
             model.v[model.v == 0.0] = -0.0
-    stack = _stacked(models)
+    states = [COMPILED[type(model)](model) for model in models]
     fed = [rows(stream.randbelow(9)) for _ in range(m)]
-    for model, (x, y) in zip(models, fed):
+    for model, state, (x, y) in zip(models, states, fed):
         for j in range(len(x)):
             if name == "pegasos" and stream.randbelow(2):
                 # scale the row to put its margin within rounding of 1, where
@@ -571,11 +587,10 @@ def test_compiled_feed_is_the_scalar_update_byte_for_byte(kernels, name, m, d, s
                 if dot and model.t:
                     x[j] *= 1.0 / (y[j] * model.a * dot)
             IncrementalLearner.update(model, x[j:j + 1], y[j:j + 1])
-    x = np.concatenate([x for x, _ in fed])
-    y = np.concatenate([y for _, y in fed])
-    assert stack.feed_rows(kernels, x, y, np.array([len(y) for _, y in fed], dtype=np.int64))
-    for i, model in enumerate(models):
-        assert _state_bytes(stack.model(i)) == _state_bytes(model)
+        assert state.feed_rows(kernels, x, y)
+        twin = model.fresh()
+        state.store(twin)
+        assert _state_bytes(twin) == _state_bytes(model)
 
 
 @pytest.mark.parametrize("learner", [Pegasos, LsqSgd])
@@ -584,14 +599,14 @@ def test_update_runs_compiled_only_for_what_the_python_update_would_give(learner
     """`update` takes the kernel for a plain labeled batch of enough rows,
     and leaves every other batch, model or subclass to Python."""
     def state(model):
-        return [np.asarray(getattr(model, name)).tobytes() for name in LEVEL_LOOP[learner].fields]
+        return [np.asarray(getattr(model, name)).tobytes() for name in COMPILED[learner].fields]
 
     calls = []
-    feed_rows = LEVEL_LOOP[learner].feed_rows
-    monkeypatch.setattr(LEVEL_LOOP[learner], "feed_rows",
+    feed_rows = COMPILED[learner].feed_rows
+    monkeypatch.setattr(COMPILED[learner], "feed_rows",
                         lambda *args: calls.append(1) or feed_rows(*args))
     stream = SplitMix64Stream(3)
-    n = LEVEL_LOOP[learner].min_rows
+    n = COMPILED[learner].min_rows
     x = stream.normal_array(n * 4).reshape(n, 4)
     y = np.where(stream.uniform_array(n) < 0.5, 1.0, -1.0)
 
@@ -625,26 +640,25 @@ def test_update_runs_compiled_only_for_what_the_python_update_would_give(learner
 
 @pytest.mark.parametrize("name", ["pegasos", "lsqsgd"])
 def test_compiled_feed_refuses_arrays_of_the_wrong_shape_or_type(kernels, name):
-    """The kernel takes its widths from x and its run lengths from counts;
-    any array that does not match them is a ValueError, not a read past
-    its end."""
+    """The kernel takes its width from the state and its row count from x;
+    rows, labels or state that do not match them are a ValueError, not a
+    read past an array's end."""
     stream = SplitMix64Stream(5)
-    models, rows = _distinct_models(name, 2, 3, stream, 0, False)
+    models, rows = _distinct_models(name, 1, 3, stream, 0, False)
     x, y = rows(6)
-    counts = np.array([4, 2], dtype=np.int64)
     wide = np.ascontiguousarray(np.hstack([x, x]))
-    for args in [(wide, y, counts), (x, y[:-1], counts), (x, y, counts + 1),
-                 (x, y, np.array([7, -1], dtype=np.int64)), (x, y, counts.astype(np.int32)),
-                 (x.astype(np.float32), y, counts), (np.asfortranarray(x), y, counts)]:
-        stack = _stacked(models)
-        before = _state_bytes(stack.model(0)), _state_bytes(stack.model(1))
+    for args in [(wide, y), (x, y[:-1]), (x, np.append(y, 1.0)), (x[0], y[:1]),
+                 (x.astype(np.float32), y), (np.asfortranarray(x), y), (x, y.astype(np.float32)),
+                 (x, y.tolist())]:
+        state = COMPILED[type(models[0])](models[0])
+        before = [array.tobytes() for array in state.arrays]
         with pytest.raises(ValueError, match="agree in shape and dtype"):
-            stack.feed_rows(kernels, *args)
-        assert (_state_bytes(stack.model(0)), _state_bytes(stack.model(1))) == before
-    stack = _stacked(models)
-    stack.t = stack.t.astype(np.float64)
+            state.feed_rows(kernels, *args)
+        assert [array.tobytes() for array in state.arrays] == before
+    state = COMPILED[type(models[0])](models[0])
+    state.arrays[-1] = state.arrays[-1].astype(np.float64)  # the step count
     with pytest.raises(ValueError):
-        stack.feed_rows(kernels, x, y, counts)
+        state.feed_rows(kernels, x, y)
 
 
 def _kmeans_state(model):
@@ -757,18 +771,26 @@ def test_kmeans_update_runs_compiled_only_for_what_the_python_update_would_give(
 
 
 def test_compiled_updates_serve_only_the_exact_built_in_types():
-    assert COMPILED == {Pegasos: LEVEL_LOOP[Pegasos], LsqSgd: LEVEL_LOOP[LsqSgd],
-                        OnlineKMeans: KMeansFeed}
+    assert COMPILED == {Pegasos: PegasosFeed, LsqSgd: LsqSgdFeed, OnlineKMeans: KMeansFeed}
 
 
 def test_lockstep_kernels_serve_only_the_exact_built_in_types():
-    assert set(LEVEL_LOOP) == {Pegasos, LsqSgd}
+    """Every compiled kernel, `tree_feed` among them, reads a copy of one
+    model's state, by exact type: the copy holds the model's bits in
+    arrays of its own, and stores back Python scalars of the model's
+    types.  (The name is that of the test of the level loop's stacks,
+    which `tree_feed` replaced.)"""
+    assert set(COMPILED) == {Pegasos, LsqSgd, OnlineKMeans}
+    assert all(issubclass(feed, _Feed) for feed in COMPILED.values())
     model = Pegasos(dim=3)
     model.update(np.ones((2, 3)), np.array([1.0, -1.0]))
-    stack = LEVEL_LOOP[Pegasos].of(model).take(np.array([0, 0]))
-    twin = stack.model(1)
+    state = COMPILED[Pegasos](model)
+    assert not any(np.may_share_memory(array, model.v) for array in state.arrays)
+    twin = model.fresh()
+    state.store(twin)
     assert type(twin) is Pegasos and (twin.a, twin.t) == (model.a, model.t)
-    assert type(twin.t) is int and twin.v is not stack.v[1]
+    assert type(twin.t) is int and type(twin.a) is float
+    assert twin.v.tobytes() == model.v.tobytes() and twin.v is not state.arrays[1]
 
 
 # ---------------------------------------------------------------------------

@@ -31,22 +31,24 @@ from treecv import (
 )
 from treecv import _native
 from treecv.rng import SplitMix64Stream
-from treecv.learners import LEVEL_LOOP, KMeansFeed, _update_compiled
+from treecv.learners import COMPILED, KMeansFeed, _update_compiled
 
 
 def test_the_kernels_load_wherever_a_c_compiler_is_on_path(monkeypatch):
     """CI runs on x86-64 Linux, where numpy's einsum sums as `kmeans_feed`
-    does and glibc's strtod rounds correctly: a silent fall back to the
-    Python path of any learner, or of the parser, fails there, and a
-    1,000-line text parses in one `parse_sparse` call.  A numpy that sums
-    in another order elsewhere leaves k-means in Python, with a reason
-    that names its kernel."""
+    and `tree_feed` do and glibc's strtod rounds correctly: a silent fall
+    back to the Python path of any learner, to the tree's Python
+    recursion, or to the Python parser fails there, and a 1,000-line text
+    parses in one `parse_sparse` call.  A numpy that sums in another order
+    elsewhere leaves k-means in Python, with a reason that names its
+    kernel."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     loaded = _native.kernels()
     assert loaded is not None, _native.reason()
     if sys.platform == "linux" and platform.machine() == "x86_64":
         assert loaded.kmeans() is not None, _native.reason()
+        assert loaded.tree() is not None, _native.reason()
         assert loaded.parser() is not None, _native.reason()
         assert _native.reason() is None
         calls = []
@@ -139,6 +141,9 @@ def test_kernels_are_resolved_before_the_clock_only_for_learners_that_run_them(m
             if not self.kmeans_checked:
                 self.kmeans_checked = True
                 events.append("check")
+
+        def tree(self):
+            return None
 
     monkeypatch.setattr(_native, "_resolve",
                         lambda: events.append("resolve") or (Unchecked(), None))
@@ -234,6 +239,40 @@ def test_a_kmeans_kernel_that_sums_in_another_order_is_left_out_alone(lanes, mon
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("learner", [Pegasos, LsqSgd])
+def test_a_tree_feed_whose_predictions_disagree_is_left_out_alone(learner, monkeypatch):
+    """A `predict_many` that differs from `tree_feed`'s in the last bit (as
+    a numpy whose einsum sums in another order would) fails the tree's
+    self-check: `tree_feed` is left out, with a reason that names it, the
+    tree runs the recursion to the same report, and the learners' update
+    kernels stay compiled."""
+    predict_many = learner.predict_many
+    monkeypatch.setattr(learner, "predict_many",
+                        lambda self, x: np.nextafter(predict_many(self, x), np.inf))
+    loaded, reason = _native._resolve()
+    assert loaded is not None and reason is None
+    monkeypatch.setattr(_native, "_resolved", (loaded, reason))
+    assert _native.reason() is None  # no tree has run yet
+    assert loaded.tree() is None
+    reason = _native.reason()
+    assert "tree_feed" in reason and learner.__name__ in reason and "predict_many" in reason
+    monkeypatch.setattr(learner, "predict_many", predict_many)
+
+    calls = []
+    tree_feed = loaded.tree_feed
+    monkeypatch.setattr(loaded, "tree_feed", lambda *args: calls.append(1) or tree_feed(*args))
+    data = synth_regression(60, 3, seed=2)
+    config = TreeCvConfig(ordering="randomized", seed=3)
+    report = loocv(lambda: LsqSgd(3, 0.3), data, SQUARED, config)
+    x = np.sin(np.arange(60.0)).reshape(20, 3)
+    y = np.where(np.arange(20) % 2, 1.0, -1.0)
+    assert _update_compiled(Pegasos(3, 0.1), x, y) and _update_compiled(LsqSgd(3, 0.1), x, y)
+    monkeypatch.setattr(_native, "_resolved", (None, "forced off"))
+    assert calls == [] and report.comparable() == loocv(lambda: LsqSgd(3, 0.3), data, SQUARED,
+                                                        config).comparable()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_a_parser_whose_strtod_disagrees_with_float_is_left_out_alone(monkeypatch):
     """A reference conversion that differs from strtod in the last bit of
     one probe (as a strtod that is not correctly rounded would) fails the
@@ -287,7 +326,7 @@ def _outcome(update, batch, **errstate):
             update(model, *batch)
         except FloatingPointError as err:
             error = str(err)
-    state = [np.asarray(getattr(model, name)).tobytes() for name in LEVEL_LOOP[LsqSgd].fields]
+    state = [np.asarray(getattr(model, name)).tobytes() for name in COMPILED[LsqSgd].fields]
     return error, [str(w.message) for w in caught], state
 
 
@@ -299,7 +338,7 @@ def _outcome(update, batch, **errstate):
 ])
 def test_a_raised_flag_gives_the_python_paths_error_warnings_and_bits(batch, errstate, error,
                                                                       kernels):
-    assert len(batch()[0]) >= LEVEL_LOOP[LsqSgd].min_rows
+    assert len(batch()[0]) >= COMPILED[LsqSgd].min_rows
     compiled = _outcome(LsqSgd.update, batch(), **errstate)
     python = _outcome(IncrementalLearner.update, batch(), **errstate)
     assert compiled == python

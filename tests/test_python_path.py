@@ -1,15 +1,15 @@
 """The digest, oracle and fork-join tests once more with the compiled
 kernels forced off, so the Python update and the recursion that stands
-in for the level loop stay checked on hosts that compile the kernels.
+in for `tree_feed` stay checked on hosts that compile the kernels.
 The digests include both k-means shapes, standard CV on parsed text and
 tree LOOCV; the parser tests compare the Python loop with itself here,
 which checks that a string and a stream still parse alike.  Each imported test runs here under the `python_path`
-fixture; the tests of the level loop assert there that it never runs,
+fixture; the tests of `tree_feed` assert there that it never runs,
 and the shuffle tests that no shuffle calls the kernel."""
 
 import pytest
 
-from treecv import tree
+from treecv.learners import _Feed
 
 from test_acceptance import (
     test_criterion_02_trace_equivalence_deterministic_learners,
@@ -63,9 +63,11 @@ pytestmark = pytest.mark.usefixtures("python_path")
     case for case in DIGESTS if case[0] in (loocv_pegasos_randomized, kfold16_lsqsgd_fixed)])
 def test_without_the_kernels_the_tree_digests_never_enter_the_level_loop(estimate, seed, digest,
                                                                         monkeypatch):
-    """The n=120 LOOCV and n=320 k=16 digest shapes, one subtree each,
-    run by the recursion without the kernels, to their pinned digests."""
+    """The n=120 LOOCV and n=320 k=16 digest shapes, one `tree_feed` call
+    each with the kernels, run by the recursion without them, to their
+    pinned digests.  (The name is kept from the level loop, which
+    `tree_feed` replaced.)"""
     entered = []
-    monkeypatch.setattr(tree, "_levels", lambda *args: entered.append(args))
+    monkeypatch.setattr(_Feed, "run_subtree", lambda *args: entered.append(args))
     assert digest_of(estimate(seed)) == digest
     assert entered == []

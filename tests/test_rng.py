@@ -3,14 +3,17 @@ derivation stability.  These vectors define the reproducibility contract;
 a failure here means every seeded result in the package has changed."""
 
 import hashlib
+import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treecv import _native, dataio, harness, rng, standard, tree
+from treecv import SQUARED, LsqSgd, TreeCvConfig, synth_regression, tree_cv
 from treecv.core import partition
-from treecv.rng import SplitMix64Stream, derive_seed, derive_seeds, shuffle_ranges
+from treecv.rng import SplitMix64Stream, derive_seed, shuffle_ranges
 from treecv.tree import tree_feed_orders
 
 # Reference SplitMix64 output sequence for seed 0.
@@ -142,6 +145,31 @@ def test_normal_moments():
     z = SplitMix64Stream(4).normal_array(100001)
     assert abs(z.mean()) < 0.02
     assert abs(z.std() - 1.0) < 0.02
+
+
+def box_muller(stream, count):
+    """The reference of `normal_array`: two `uniform_array` calls and
+    Box-Muller out of place."""
+    pairs = (count + 1) // 2
+    u1 = stream.uniform_array(pairs)
+    u2 = stream.uniform_array(pairs)
+    u1[u1 == 0.0] = 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u2
+    return np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])[:count]
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 400_000, 800_000])
+def test_normal_array_keeps_the_formulas_bits_and_stream_state(count):
+    """`normal_array` draws both uniforms in one call and computes in
+    place, to the bits and the stream state of the out-of-place formula;
+    the second seed's first draw is below 2**11, so its first u1 is 0."""
+    for seed in (4, state_before(0)):
+        stream, reference = SplitMix64Stream(seed), SplitMix64Stream(seed)
+        got = stream.normal_array(count)
+        assert got.shape == (count,)
+        assert got.tobytes() == box_muller(reference, count).tobytes()
+        assert stream.state == reference.state
 
 
 def test_randbelow_bounds_and_coverage():
@@ -278,8 +306,8 @@ def test_shuffle_rejects_a_real_draw_like_randbelow(n):
 
 
 # ---------------------------------------------------------------------------
-# Level shuffle: many ranges at once in one kernel call, each as `shuffle`
-# would shuffle it
+# The kernel shuffle: ranges in one kernel call, each as `shuffle` would
+# shuffle it
 
 
 def per_range(values, seeds, starts, stops) -> list[int]:
@@ -317,12 +345,35 @@ def test_shuffle_ranges_equals_shuffle_per_range(kernels, ranges_firsts_size, se
     starts = np.array([a for a, _ in ranges], dtype=np.int64)
     stops = np.array([a + length for a, length in ranges], dtype=np.int64)
     lasts = [first ^ 0x5A5A for first in firsts]
-    seeds = derive_seeds(seed, np.array(firsts, dtype=np.int64), np.array(lasts, dtype=np.int64))
-    assert seeds.tolist() == [derive_seed(seed, f, l) for f, l in zip(firsts, lasts)]
+    seeds = np.array([derive_seed(seed, f, l) for f, l in zip(firsts, lasts)], dtype=np.uint64)
     values = np.arange(size, dtype=np.int64) * 7
     expected = per_range(values.tolist(), seeds, starts, stops)
     shuffle_ranges(kernels, values, seeds, starts, stops)
     assert values.tolist() == expected
+
+
+class PlainLsqSgd(LsqSgd):
+    """A subclass with the base rule; the tree runs it by the Python
+    recursion."""
+
+
+# `kernels` is the same object in every example
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(-2**63, 2**64 - 1), st.integers(2, 40))
+def test_tree_feed_draws_each_range_from_derive_seed(kernels, seed, k):
+    """`tree_feed` inlines derive_seed(shuffle_seed, first, last) for the
+    chunks first..last a node feeds.  With run seeds across 64 bits, its
+    fold scores are those of the recursion, which derives each stream with
+    `derive_seed`, byte for byte: `LsqSgd` predicts real numbers, so a
+    range fed in another order changes them."""
+    if kernels.tree() is None:
+        pytest.skip(f"no tree_feed: {_native.reason()}")
+    data = synth_regression(60, 3, seed=1)
+    config = TreeCvConfig(ordering="randomized", seed=seed)
+    scores = [tree_cv(factory, data, partition(60, k), SQUARED, config).fold_scores
+              for factory in (lambda: LsqSgd(3, 0.3), lambda: PlainLsqSgd(3, 0.3))]
+    assert struct.pack(f"<{k}d", *scores[0]) == struct.pack(f"<{k}d", *scores[1])
 
 
 @pytest.mark.parametrize("draw", [0, 17])

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treecv import (
     Dataset,
@@ -22,6 +22,7 @@ from treecv import (
     QUANTIZATION,
     SQUARED,
     TreeCvConfig,
+    UntrainedModelError,
     UpdateFailedError,
     ZERO_ONE,
     brute_force_oracle,
@@ -35,8 +36,10 @@ from treecv import (
     tree_feed_orders,
 )
 from treecv import _native, rng, tree
-from treecv.learners import _Stack
-from treecv.rng import SplitMix64Stream
+from treecv.learners import COMPILED, _Feed
+from treecv.rng import SplitMix64Stream, derive_seed
+
+from test_rng import scalar_shuffle, state_before
 
 
 def mean_factory(dim=1):
@@ -406,40 +409,43 @@ def test_fork_join_preserves_trace_order():
 
 
 # ---------------------------------------------------------------------------
-# Level shuffle: the level loop shuffles every range of a level in one
-# kernel call
+# Shuffles: `tree_feed` shuffles every range of its subtree in C, and the
+# Python recursion one range per node.  Tests whose names speak of a level
+# table or loop keep the names they had when a compiled level loop ran
+# these subtrees; each checks `tree_feed` now.
 
 
-def level_loop_runs() -> bool:
-    """Whether exact Pegasos and LsqSgd subtrees run level by level here:
-    only with the compiled kernels loaded, so not under `python_path` nor
-    without a C compiler, where they run the recursion."""
-    return _native.kernels() is not None
+def tree_feed_runs() -> bool:
+    """Whether subtrees of exact Pegasos, LsqSgd and OnlineKMeans models run
+    by one `tree_feed` call here: only with the compiled kernels loaded
+    and `tree_feed` checked, so not under `python_path` nor without a C
+    compiler, where they run the recursion."""
+    loaded = _native.kernels()
+    return loaded is not None and loaded.tree() is not None
 
 
 class ShuffleCounts:
     """Counts, in this process, the ranges `tree._fed_rows` shuffles one at
-    a time and the ranges of two or more rows the level loop's kernel
-    calls shuffle.  `_fed_rows` shuffles through `rng.shuffled`, which
-    calls the kernel through `rng.shuffle_ranges`, not `tree`'s name for
-    it, so `bulk` counts only the level loop's calls."""
+    a time for the Python recursion (`per_node`) and the subtrees that
+    `tree_feed` runs, shuffling each range it feeds in C (`subtrees`)."""
 
     def __init__(self, monkeypatch):
+        tree_feed_runs()  # the self-check runs `tree_feed` too: run it before counting
         self.per_node = 0
-        self.bulk = 0
-        fed_rows, shuffle_ranges = tree._fed_rows, tree.shuffle_ranges
+        self.subtrees = 0
+        fed_rows, run_subtree = tree._fed_rows, _Feed.run_subtree
 
         def counted_fed_rows(*args):
             rows = fed_rows(*args)
             self.per_node += isinstance(rows, np.ndarray)
             return rows
 
-        def counted_shuffle_ranges(kernels, values, seeds, starts, stops):
-            self.bulk += int((stops - starts > 1).sum())
-            shuffle_ranges(kernels, values, seeds, starts, stops)
+        def counted_run_subtree(*args):
+            self.subtrees += 1
+            return run_subtree(*args)
 
         monkeypatch.setattr(tree, "_fed_rows", counted_fed_rows)
-        monkeypatch.setattr(tree, "shuffle_ranges", counted_shuffle_ranges)
+        monkeypatch.setattr(_Feed, "run_subtree", counted_run_subtree)
 
 
 def multi_row_feeds(traces) -> int:
@@ -452,9 +458,9 @@ def test_level_table_feeds_most_ranges_of_the_n120_loocv_gates(seed, monkeypatch
     (loocv_pegasos_randomized) and of the benchmark's tiny oracle gate
     (perfbench/workloads.py oracle_problems, run by the loocv-pegasos-rand
     smoke tests in perfbench/test_perfbench.py) has every range shuffled
-    by the level loop's kernel calls where the kernels load, so those
-    digests and that oracle replay check the kernel shuffle; without
-    them, by `_fed_rows`."""
+    by one `tree_feed` call where the kernels load, so those digests and
+    that oracle replay check its shuffle; without them, each range by
+    `_fed_rows`."""
     counts = ShuffleCounts(monkeypatch)
     data = synth_classification(120, 20, margin=0.3, noise=0.1, seed=seed)
     part = partition(data, data.n)
@@ -462,22 +468,24 @@ def test_level_table_feeds_most_ranges_of_the_n120_loocv_gates(seed, monkeypatch
     report = tree_cv(lambda: Pegasos(20, 1e-4), data, part, ZERO_ONE,
                      TreeCvConfig(ordering="randomized", seed=seed), trace_sink=traces)
     fed = multi_row_feeds(traces)
-    assert (counts.bulk, counts.per_node) == ((fed, 0) if level_loop_runs() else (0, fed))
+    assert (counts.subtrees, counts.per_node) == ((1, 0) if tree_feed_runs() else (0, fed))
     orders = tree_feed_orders(part, "randomized", seed)
     replay = brute_force_oracle(lambda: Pegasos(20, 1e-4), data, part, ZERO_ONE, orders, seed)
     assert report.fold_scores == replay.fold_scores
 
 
 def test_level_table_under_fork_join_matches_sequential(monkeypatch):
-    # with 4 workers the level loops start two levels down, in each
-    # process; the parent's own subtree (rows 0-74) counts here
+    # with 4 workers each of the four nodes at depth 2 runs one tree_feed
+    # call, in its own process; the parent's own (rows 0-74) counts here,
+    # after the parent's two Python feeds above it
     counts = ShuffleCounts(monkeypatch)
     data = synth_classification(300, 5, margin=0.2, noise=0.1, seed=6)
     part = partition(data, data.n)
     factory = lambda: Pegasos(5, 1e-3)
     forked = tree_cv(factory, data, part, ZERO_ONE,
                      TreeCvConfig(ordering="randomized", seed=12, max_workers=4))
-    assert (counts.bulk > 0) == level_loop_runs()
+    assert counts.subtrees == tree_feed_runs()
+    assert (counts.per_node == 2) == tree_feed_runs()
     sequential = tree_cv(factory, data, part, ZERO_ONE,
                          TreeCvConfig(ordering="randomized", seed=12))
     assert forked.comparable() == sequential.comparable()
@@ -493,7 +501,8 @@ def test_level_table_on_a_ragged_partition_matches_the_oracle(monkeypatch):
     part = Partition(bounds)
     factory = lambda: Pegasos(4, 1e-3)
     report = tree_cv(factory, data, part, ZERO_ONE, TreeCvConfig(ordering="randomized", seed=3))
-    assert (counts.bulk > 0) == level_loop_runs()
+    assert counts.subtrees == tree_feed_runs()
+    assert (counts.per_node == 0) == tree_feed_runs()
     assert len(set(sizes)) > 3
     orders = tree_feed_orders(part, "randomized", seed=3)
     replay = brute_force_oracle(factory, data, part, ZERO_ONE, orders, seed=3)
@@ -501,10 +510,10 @@ def test_level_table_on_a_ragged_partition_matches_the_oracle(monkeypatch):
 
 
 def test_the_level_loop_shuffles_every_range_the_recursion_shuffles(monkeypatch):
-    """The level loop's kernel calls shuffle every range of two or more
-    rows of its levels, however few a level has, and the recursion
-    shuffles the same ranges one at a time with `_fed_rows`; on a ragged
-    partition both give the oracle's fold scores."""
+    """`tree_feed` shuffles every range of two or more rows of its subtree,
+    however few a depth has, and the recursion shuffles the same ranges one
+    at a time with `_fed_rows`; on a ragged partition both give the
+    oracle's fold scores."""
     # 32 chunks of one row but three of two: depth 5 has 32 nodes and
     # feeds three ranges of two rows
     sizes = [2 if chunk in (3, 10, 20) else 1 for chunk in range(32)]
@@ -512,15 +521,15 @@ def test_the_level_loop_shuffles_every_range_the_recursion_shuffles(monkeypatch)
     data = synth_classification(part.n, 4, margin=0.2, noise=0.1, seed=8)
     config = TreeCvConfig(ordering="randomized", seed=8)
     orders = tree_feed_orders(part, "randomized", 8)
-    for factory, level_loop in ((lambda: Pegasos(4, 1e-3), level_loop_runs()),
-                                (lambda: PlainPegasos(4, 1e-3), False)):
+    for factory, compiled in ((lambda: Pegasos(4, 1e-3), tree_feed_runs()),
+                              (lambda: PlainPegasos(4, 1e-3), False)):
         counts = ShuffleCounts(monkeypatch)
         traces = []
         report = tree_cv(factory, data, part, ZERO_ONE, config, trace_sink=traces)
         deepest = [t for t in traces if t.depth == 4 and t.start < t.end]
         assert 0 < multi_row_feeds(deepest) < len(deepest)
         fed = multi_row_feeds(traces)
-        assert (counts.bulk, counts.per_node) == ((fed, 0) if level_loop else (0, fed))
+        assert (counts.subtrees, counts.per_node) == ((1, 0) if compiled else (0, fed))
         assert report.fold_scores == brute_force_oracle(factory, data, part, ZERO_ONE,
                                                         orders).fold_scores
 
@@ -551,77 +560,75 @@ def test_the_recursion_shuffles_in_the_kernel_and_the_oracle_orders_do_not(monke
 
 
 # ---------------------------------------------------------------------------
-# Level loop: small subtrees of Pegasos and LsqSgd run level by level on the
-# compiled kernels
+# tree_feed: a subtree of an exact Pegasos, LsqSgd or OnlineKMeans model in
+# one compiled call.  Tests whose names speak of a level loop keep the names
+# they had when a compiled level loop ran these subtrees; each checks
+# `tree_feed` now, with the same oracle, digest and count assertions.
 
 
 class LevelCounts:
-    """Counts, in this process, the subtrees `tree._levels` runs, the
-    kernel calls it makes to feed a level (`_Stack.feed_rows`) and to
-    shuffle one (`shuffle_ranges`), and the exceptions it raises.  The
-    recursion's shuffles, which call the same kernel, are not counted."""
+    """Counts, in this process, the subtrees `tree_feed` runs
+    (`_Feed.run_subtree` calls), those whose kernel failed, and the nodes
+    of models of an exact compiled type that the Python recursion visits
+    (`tree._visit`)."""
 
     def __init__(self, monkeypatch):
-        self.subtrees = self.feeds = self.shuffles = 0
-        self.failures = []
-        levels, feed_rows, shuffle_ranges = tree._levels, _Stack.feed_rows, tree.shuffle_ranges
-        inside = []
+        tree_feed_runs()  # the self-check runs `tree_feed` too: run it before counting
+        self.subtrees = self.failures = self.visits = 0
+        run_subtree, visit = _Feed.run_subtree, tree._visit
 
-        def counted_levels(*args):
+        def counted_run_subtree(*args):
             self.subtrees += 1
-            inside.append(True)
-            try:
-                levels(*args)
-            except Exception as err:
-                self.failures.append(err)
-                raise
-            finally:
-                inside.pop()
+            ran = run_subtree(*args)
+            self.failures += ran is None
+            return ran
 
-        def counted_feed_rows(*args):
-            self.feeds += bool(inside)
-            return feed_rows(*args)
+        def counted_visit(run, s, e, model, depth):
+            self.visits += type(model) in COMPILED
+            visit(run, s, e, model, depth)
 
-        def counted_shuffle_ranges(*args):
-            self.shuffles += bool(inside)
-            shuffle_ranges(*args)
+        monkeypatch.setattr(_Feed, "run_subtree", counted_run_subtree)
+        monkeypatch.setattr(tree, "_visit", counted_visit)
 
-        monkeypatch.setattr(tree, "_levels", counted_levels)
-        monkeypatch.setattr(_Stack, "feed_rows", counted_feed_rows)
-        monkeypatch.setattr(tree, "shuffle_ranges", counted_shuffle_ranges)
-
-    def ran(self, subtrees: int, levels: int, ordering: str) -> bool:
-        """Whether the level loop ran `subtrees` subtrees of `levels`
-        levels in all, one feed and, randomized, one shuffle per level,
-        without a failure, where it runs, and never where it does not."""
-        if not level_loop_runs():
-            subtrees = levels = 0
-        return (self.subtrees, self.feeds, self.shuffles, self.failures) == (
-            subtrees, levels, levels if ordering == "randomized" else 0, [])
-
-
-class LossesAsPredictions:
-    """A stand-in stack whose prediction for a row is its first feature."""
-
-    def predict(self, x, models):
-        return x[:, 0]
+    def ran(self, subtrees: int, visits: int = 0) -> bool:
+        """Whether `tree_feed` ran `subtrees` subtrees without a failure and
+        the recursion visited `visits` nodes of an exact compiled type,
+        where `tree_feed` runs, and whether it never ran where it does
+        not."""
+        if not tree_feed_runs():
+            return self.subtrees == 0
+        return (self.subtrees, self.failures, self.visits) == (subtrees, 0, visits)
 
 
 @given(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -2.2e-308, math.inf,
                                                           -math.inf, math.nan])),
                 min_size=1, max_size=40))
 def test_one_row_leaves_score_their_loss_as_fsum_does(losses):
-    """`_score_leaves` sets a level of one-row leaves from the losses
+    """`_score_chunks` sets the scores of one-row chunks from the losses
     plus 0.0, which is math.fsum([loss]) / 1 byte for byte: -0.0 becomes
     0.0, subnormals, infinities and NaNs keep their bits."""
     n = len(losses)
     values = np.array(losses)
-    run = SimpleNamespace(row_bounds=np.arange(n + 1), fold_scores=[None] * n,
-                          dataset=SimpleNamespace(x=values[:, None], y=np.zeros(n)),
-                          loss=SimpleNamespace(batch=lambda p, x, y: p))
-    tree._score_leaves(run, LossesAsPredictions(), np.arange(n), np.arange(n))
+    run = SimpleNamespace(partition=Partition(tuple(range(n + 1))), fold_scores=[None] * n)
+    tree._score_chunks(run, values, 0, n - 1)
     pack = lambda scores: struct.pack(f"<{n}d", *scores)  # noqa: E731
     assert pack(run.fold_scores) == pack([math.fsum([v]) / 1 for v in values.tolist()])
+
+
+@given(st.lists(st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from([-0.0, 5e-324])),
+                         min_size=1, max_size=5), min_size=1, max_size=12),
+       st.integers(0, 3))
+def test_ragged_chunks_score_their_loss_as_evaluate_chunk_does(chunks, s):
+    """`_score_chunks` scores each chunk of chunks s..e as `evaluate_chunk`
+    does, the `math.fsum` of its losses over its size, byte for byte."""
+    sizes = [1] * s + [len(chunk) for chunk in chunks]
+    bounds = tuple(int(b) for b in np.cumsum([0] + sizes))
+    run = SimpleNamespace(partition=Partition(bounds), fold_scores=[None] * len(sizes))
+    values = [v for chunk in chunks for v in chunk]
+    tree._score_chunks(run, np.array(values), s, len(sizes) - 1)
+    expected = [math.fsum(chunk) / len(chunk) for chunk in chunks]
+    pack = lambda scores: struct.pack(f"<{len(scores)}d", *scores)  # noqa: E731
+    assert pack(run.fold_scores[s:]) == pack(expected)
 
 
 class PlainPegasos(Pegasos):
@@ -644,18 +651,22 @@ def kfold16_lsqsgd_n320(seed):
     return data, partition(data, 16), lambda: LsqSgd(20, 320 ** -0.5), SQUARED
 
 
+class PlainOnlineKMeans(OnlineKMeans):
+    """A subclass with the base rule; it runs the recursion."""
+
+
 @pytest.mark.parametrize("shape, ordering", [(loocv_pegasos_n120, "randomized"),
                                              (kfold16_lsqsgd_n320, "fixed")])
 def test_the_n120_loocv_and_n320_k16_digest_shapes_run_the_level_loop(shape, ordering,
                                                                       monkeypatch):
     """The tree digests of tests/test_reference_digests.py, and the tiny
     oracle gate of the loocv benchmark workload (perfbench/workloads.py,
-    sequential at n=120), run the whole tree as one level loop where the
-    kernels load, so those digests and that oracle replay check it."""
+    sequential at n=120), run the whole tree as one `tree_feed` call where
+    the kernels load, so those digests and that oracle replay check it."""
     counts = LevelCounts(monkeypatch)
     data, part, factory, loss = shape(7)
     report = tree_cv(factory, data, part, loss, TreeCvConfig(ordering=ordering, seed=7))
-    assert counts.ran(1, math.ceil(math.log2(part.k)), ordering)
+    assert counts.ran(1)
     orders = tree_feed_orders(part, ordering, 7)
     assert report.fold_scores == brute_force_oracle(factory, data, part, loss, orders).fold_scores
 
@@ -674,7 +685,6 @@ def runs_alike(factory, plain, data, part, loss, config):
 @pytest.mark.parametrize("ordering", ["fixed", "randomized"])
 def test_level_loop_reports_and_traces_are_the_recursions(ordering, monkeypatch):
     counts = LevelCounts(monkeypatch)
-    levels = 0
     stream = SplitMix64Stream(29)
     sizes = [1 + stream.randbelow(5) if stream.randbelow(3) else 1 for _ in range(70)]
     ragged = Partition(tuple(int(b) for b in np.cumsum([0] + sizes)))
@@ -682,34 +692,38 @@ def test_level_loop_reports_and_traces_are_the_recursions(ordering, monkeypatch)
         config = TreeCvConfig(ordering=ordering, seed=n)
         data = synth_classification(n, 5, margin=0.2, noise=0.1, seed=n)
         part = (partition(data, 37) if part == "k37" else part) or partition(data, n)
-        levels += 2 * math.ceil(math.log2(part.k))
         runs_alike(lambda: Pegasos(5, 1e-3), lambda: PlainPegasos(5, 1e-3), data, part,
                    ZERO_ONE, config)
+        runs_alike(lambda: OnlineKMeans(5, 3), lambda: PlainOnlineKMeans(5, 3), Dataset(data.x),
+                   part, QUANTIZATION, config)
         data = synth_regression(n, 5, seed=n)
         runs_alike(lambda: LsqSgd(5, 0.3), lambda: PlainLsqSgd(5, 0.3), data, part, SQUARED,
                    config)
-    assert counts.ran(8, levels, ordering)
+    assert counts.ran(12)
 
 
 def test_small_subtree_bound_runs_the_recursion_above_and_level_loops_below(monkeypatch):
-    # with 32-row subtrees, n=120 LOOCV recurses through depths 0-1 and
-    # runs the four 30-row subtrees at depth 2 level by level
-    monkeypatch.setattr(tree, "SUBTREE_ROWS", 32)
-    counts = LevelCounts(monkeypatch)
+    """The recursion runs the nodes above the fork depth and `tree_feed`
+    each subtree at it: with 4 workers, n=120 LOOCV recurses through
+    depths 0-1 and runs the four 30-row subtrees at depth 2 by one call
+    each, one of them in this process, below its two recursion nodes."""
     data, part, factory, loss = loocv_pegasos_n120(801)
     config = TreeCvConfig(ordering="randomized", seed=801)
+    counts = LevelCounts(monkeypatch)
     traces = []
     report = tree_cv(factory, data, part, loss, config, trace_sink=traces)
-    assert counts.ran(4, 4 * 5, "randomized")
+    assert counts.ran(1)
     assert len(traces) == 2 * 120 - 1
     assert report.counters.point_updates == sum(t.points_fed_left + t.points_fed_right
                                                 for t in traces)
     orders = tree_feed_orders(part, "randomized", 801)
     assert report.fold_scores == brute_force_oracle(factory, data, part, loss, orders).fold_scores
+    counts = LevelCounts(monkeypatch)
     forked_traces = []
     forked = tree_cv(factory, data, part, loss,
                      TreeCvConfig(ordering="randomized", seed=801, max_workers=4),
                      trace_sink=forked_traces)
+    assert counts.ran(1, visits=2)
     assert forked.comparable() == report.comparable()
     assert forked_traces == traces
     assert multiprocessing.active_children() == []
@@ -734,7 +748,7 @@ def test_a_pegasos_subclass_runs_its_own_update_rule_in_a_wide_tree(monkeypatch)
         tree_cv(lambda: FailsOnMarkedPegasos(3), data, partition(data, 40), ZERO_ONE)
     assert counts.subtrees == 0
     tree_cv(lambda: Pegasos(3), data, partition(data, 40), ZERO_ONE)
-    assert counts.ran(1, 6, "fixed")
+    assert counts.ran(1)
 
 
 @pytest.mark.parametrize("learner", [Pegasos, LsqSgd])
@@ -777,7 +791,7 @@ def test_zero_feature_data_runs_the_level_loop_once(learner, loss, monkeypatch):
     part = partition(data, 64)
     report = tree_cv(lambda: learner(0, 0.1), data, part, loss,
                      TreeCvConfig(ordering="randomized", seed=2))
-    assert counts.ran(1, 6, "randomized")
+    assert counts.ran(1)
     orders = tree_feed_orders(part, "randomized", 2)
     replay = brute_force_oracle(lambda: learner(0, 0.1), data, part, loss, orders)
     assert report.fold_scores == replay.fold_scores
@@ -785,9 +799,10 @@ def test_zero_feature_data_runs_the_level_loop_once(learner, loss, monkeypatch):
 
 def test_a_failure_inside_the_level_loop_is_raised_as_the_recursion_raises_it(monkeypatch):
     # The squared norm of an iterate fed a row of 1e160 overflows, which
-    # np.errstate turns into an error.  The level loop meets it in its own
-    # order, so the subtree reruns by the recursion, which raises the
-    # failure sequential order meets first, annotated with its range.
+    # np.errstate turns into an error.  `tree_feed` meets it in C, raises
+    # the overflow flag and fails, so the subtree reruns by the recursion,
+    # which raises the failure sequential order meets first, annotated with
+    # its range.
     counts = LevelCounts(monkeypatch)
     data = synth_regression(120, 4, seed=4)
     x = data.x.copy()
@@ -800,8 +815,146 @@ def test_a_failure_inside_the_level_loop_is_raised_as_the_recursion_raises_it(mo
                 loocv(factory, data, SQUARED, TreeCvConfig(ordering="randomized", seed=5))
             errors.append(info.value.chunk_range)
     assert errors[0] == errors[1]
-    assert counts.subtrees == level_loop_runs()
-    assert [type(err) for err in counts.failures] == [FloatingPointError] * level_loop_runs()
+    assert counts.subtrees == counts.failures == tree_feed_runs()
+
+
+def planting_seed(first: int, last: int) -> int:
+    """A run seed whose stream for the range of chunks first..last is
+    `_native._REJECTED_SEED`, whose first draw randbelow rejects:
+    derive_seed inverted tag by tag, `state_before(z) + GAMMA` being the
+    state that the SplitMix64 finalizer maps to z."""
+    state = _native._REJECTED_SEED
+    for tag in (last, first, tree.TAG_NODE_SHUFFLE):
+        state = ((state_before(state) + 0x9E3779B97F4A7C15) ^ tag) - 0x9E3779B97F4A7C15
+        state &= 2**64 - 1
+    assert derive_seed(derive_seed(derive_seed(state, tree.TAG_NODE_SHUFFLE), first), last) \
+        == _native._REJECTED_SEED
+    return state
+
+
+@st.composite
+def tree_problems(draw):
+    """A learner, a dataset and a ragged partition of k = 2..n chunks, an
+    ordering, a worker count and a run seed, which may be planted so that
+    a range fed inside the subtree `tree_feed` runs draws from
+    `_REJECTED_SEED`."""
+    name = draw(st.sampled_from(["pegasos", "lsqsgd", "kmeans"]))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=40))
+    if draw(st.booleans()):
+        sizes = [1] * len(sizes)  # leave-one-out
+    part = Partition(tuple(int(b) for b in np.cumsum([0] + sizes)))
+    d = draw(st.integers(0, 40))
+    stream = SplitMix64Stream(draw(st.integers(0, 2**64 - 1)))
+    x = stream.normal_array(part.n * d).reshape(part.n, d) * 10.0 ** draw(st.integers(-3, 3))
+    if name == "kmeans" and draw(st.booleans()):
+        x = np.round(x * 2.0) / 2.0  # repeated points and tied distances
+    workers = draw(st.sampled_from([0, 2]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    if draw(st.booleans()):
+        # the first range that the subtree at the fork depth feeds
+        e = part.k - 1
+        for _ in range(workers // 2):
+            e //= 2
+        seed = planting_seed(e // 2 + 1, e) if e else planting_seed((part.k + 1) // 2, part.k - 1)
+    config = TreeCvConfig(ordering=draw(st.sampled_from(["fixed", "randomized"])),
+                          max_workers=workers, seed=seed)
+    if name == "pegasos":
+        y = np.where(stream.uniform_array(part.n) < 0.5, 1.0, -1.0)
+        return (lambda: Pegasos(d, 1e-2), lambda: PlainPegasos(d, 1e-2), Dataset(x, y), part,
+                ZERO_ONE, config)
+    if name == "lsqsgd":
+        y = stream.normal_array(part.n)
+        return (lambda: LsqSgd(d, 0.2), lambda: PlainLsqSgd(d, 0.2), Dataset(x, y), part,
+                SQUARED, config)
+    clusters = draw(st.integers(1, 4))
+    return (lambda: OnlineKMeans(d, clusters), lambda: PlainOnlineKMeans(d, clusters),
+            Dataset(x), part, QUANTIZATION, config)
+
+
+@settings(deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tree_problems())
+def test_tree_feed_gives_the_recursions_scores_counters_and_traces(monkeypatch, problem):
+    """`tree_feed` runs the subtree at the fork depth to the Python
+    recursion's fold scores, byte for byte, its `WorkCounters` and its node
+    traces, for every built-in learner it takes: ragged partitions, k from
+    2 to n, both orderings, widths 0-40, sequential and at 2 workers, and
+    run seeds planted so that a range it feeds redraws a rejected draw."""
+    exact, plain, data, part, loss, config = problem
+    traces, plain_traces = [], []
+    with monkeypatch.context() as patch:  # one example's counts
+        counts = LevelCounts(patch)
+        report = tree_cv(exact, data, part, loss, config, trace_sink=traces)
+        assert counts.ran(1, visits=1 if config.max_workers else 0)
+    recursion = tree_cv(plain, data, part, loss, config, trace_sink=plain_traces)
+    pack = lambda r: struct.pack(f"<{part.k + 1}d", *r.fold_scores, r.estimate)  # noqa: E731
+    assert pack(report) == pack(recursion)
+    assert report.counters == recursion.counters
+    assert traces == plain_traces
+
+
+@pytest.mark.parametrize("ordering", ["fixed", "randomized"])
+def test_a_planted_rejected_draw_gives_the_oracles_fold_scores(ordering, monkeypatch):
+    """n=120 LOOCV's root feeds chunks 60..119 to its left branch, 60 rows.
+    A run seed that gives that range the stream `_REJECTED_SEED` makes
+    the Python loop reject its first draw and draw 60 times for 59
+    positions; `tree_feed`, the recursion (which shuffles 60 rows in the
+    `shuffle_ranges` kernel) and the oracle (which replays the Python
+    loop's orders) give the same fold scores."""
+    counts = LevelCounts(monkeypatch)
+    reference = SplitMix64Stream(_native._REJECTED_SEED)
+    scalar_shuffle(reference, list(range(60)))
+    assert reference.state == (_native._REJECTED_SEED + 60 * 0x9E3779B97F4A7C15) % 2**64
+    data = synth_regression(120, 4, seed=6)
+    part = partition(data, 120)
+    config = TreeCvConfig(ordering=ordering, seed=planting_seed(60, 119))
+    report = runs_alike(lambda: LsqSgd(4, 0.2), lambda: PlainLsqSgd(4, 0.2), data, part, SQUARED,
+                        config)
+    assert counts.ran(1)
+    orders = tree_feed_orders(part, ordering, config.seed)
+    replay = brute_force_oracle(lambda: LsqSgd(4, 0.2), data, part, SQUARED, orders)
+    assert report.fold_scores == replay.fold_scores
+
+
+@pytest.mark.parametrize("learner, plain, make, loss", [
+    (Pegasos, PlainPegasos, lambda d: synth_classification(120, 4, margin=0.2, noise=0.1,
+                                                           seed=4), ZERO_ONE),
+    (LsqSgd, PlainLsqSgd, lambda d: synth_regression(120, 4, seed=4), SQUARED),
+    (OnlineKMeans, PlainOnlineKMeans, lambda d: Dataset(synth_blobs(120, 4, 3, seed=4).x),
+     QUANTIZATION),
+])
+def test_an_overflow_in_tree_feed_raises_the_recursions_update_failure(learner, plain, make,
+                                                                      loss, monkeypatch):
+    """Rows of 1e160 (Pegasos, LsqSgd) or 1.5e308 (k-means) overflow under
+    np.errstate(over="raise"): `tree_feed` raises the overflow flag and
+    fails, and the recursion reruns the subtree to the `UpdateFailedError`
+    of the Python path, with the same chunk range and message."""
+    counts = LevelCounts(monkeypatch)
+    data = make(4)
+    x = data.x.copy()
+    x[20], x[100] = (1.5e308, -1.5e308) if learner is OnlineKMeans else (1e160, -1e160)
+    data = Dataset(x, data.y)
+    errors = []
+    with np.errstate(over="raise"):
+        for cls in (learner, plain):
+            with pytest.raises(UpdateFailedError, match="overflow") as info:
+                loocv(lambda: cls(4, 3 if learner is OnlineKMeans else 0.1), data, loss,
+                      TreeCvConfig(ordering="randomized", seed=5))
+            errors.append((info.value.chunk_range, str(info.value)))
+    assert errors[0] == errors[1]
+    assert counts.subtrees == counts.failures == tree_feed_runs()
+
+
+def test_an_untrained_kmeans_leaf_raises_the_recursions_error(monkeypatch):
+    """A subtree of one chunk whose k-means model has no center: `tree_feed`
+    fails on the leaf, and the recursion raises the `UntrainedModelError`
+    of `predict_many`."""
+    counts = LevelCounts(monkeypatch)
+    data = Dataset(synth_blobs(12, 3, 2, seed=1).x)
+    run = tree._Run(data, partition(data, 4), QUANTIZATION, TreeCvConfig(), None)
+    with pytest.raises(UntrainedModelError, match="no centers"):
+        tree._node(run, 2, 2, OnlineKMeans(3, 2), 0)
+    assert counts.subtrees == counts.failures == tree_feed_runs()
 
 
 # ---------------------------------------------------------------------------

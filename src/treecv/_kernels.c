@@ -27,8 +27,10 @@
    - a nearest center is numpy's `argmin`: the lowest index of the least
      distance, or of the first NaN;
    - vector steps are elementwise, as numpy's ufuncs compute them;
-   - the file is compiled with -ffp-contract=off and without fast-math,
-     because a fused multiply-add or a reassociated sum changes bits.
+   - the file is compiled at -O3 with -ffp-contract=off and without
+     fast-math, because a fused multiply-add or a reassociated sum
+     changes bits.  -O3 vectorizes the elementwise loops, whose lanes
+     round each element as the scalar code does, and reorders no sum.
 
    `tree_feed` runs subtree s..e of `tree._visit`'s recursion for one
    model of those types: depth first, in `_visit`'s order, each node

@@ -11,12 +11,15 @@ the strict part of the sparse-text grammar with strtod, which rounds as
 float() does; its header says how.  This module builds and loads it
 with the standard library alone:
 
-* it compiles the source once with the system C compiler, `cc`, into a
-  per-user cache (`$XDG_CACHE_HOME/treecv`, else `~/.cache/treecv`),
-  under a name keyed by the source, the flags and the BLAS library that
-  holds numpy's ddot.  The file is written under a temporary name and
-  renamed into place, so concurrent processes and forked workers never
-  load a partial one;
+* it compiles the source once with the system C compiler, `cc`, at
+  `FLAGS`, into a per-user cache (`$XDG_CACHE_HOME/treecv`, else
+  `~/.cache/treecv`), under a name keyed by the source, the flags and
+  the BLAS library that holds numpy's ddot.  The file is written under
+  a temporary name and renamed into place, so concurrent processes and
+  forked workers never load a partial one.  `FLAGS` build at -O3, which
+  vectorizes the elementwise loops, with -ffp-contract=off and no
+  fast-math, so the compiler fuses no multiply-add and reorders no sum,
+  and the kernels keep every bit the checks below compare;
 * it hands the kernels `scipy_cblas_ddot64_`, the BLAS ddot that
   `ndarray.dot` calls, resolved from numpy's own extension module;
 * it feeds a pinned probe through both the kernels and `_update_point`,
@@ -60,7 +63,7 @@ from importlib import resources
 import numpy as np
 
 SOURCE = "_kernels.c"
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 DDOT = "scipy_cblas_ddot64_"
 
 
@@ -341,13 +344,13 @@ def _probe_tree(kernels: Kernels) -> str | None:
     is `predict_many` of a model fed its `tree_feed_orders` order by the
     Python update.
     """
-    from .core import IncrementalLearner, Partition
+    from .core import IncrementalLearner, Partition, check_partition
     from .learners import COMPILED, LsqSgd, OnlineKMeans, Pegasos
     from .tree import TAG_NODE_SHUFFLE, tree_feed_orders
     from .rng import derive_seed
 
     part = Partition((0, 2, 3, 7, 8, 12, 13))
-    bounds = np.array(part.bounds, dtype=np.int64)
+    bounds = check_partition(part)
     for d in (0, 1, 2, 3, 7, 8, 9, 17, 33):
         i = np.arange(part.n * d)
         x = (np.sin(i * 1.3 + 0.2) * 10.0 ** (i * 7 % 17 - 8)).reshape(part.n, d)

@@ -15,7 +15,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import copyreg
-import itertools
 import math
 import operator
 from abc import ABC, abstractmethod
@@ -154,10 +153,23 @@ class Partition:
 
     `bounds` holds k+1 strictly increasing row indices from 0; chunk i
     covers rows [bounds[i], bounds[i+1]).  The schedulers check a
-    partition with `check_partition`.
+    partition with `check_partition`.  A partition made by `partition`
+    also carries its bounds as a read-only int64 array, which that check
+    hands back at once; a hand-built one, or one made by
+    `dataclasses.replace`, carries none and is checked bound by bound on
+    every run.
     """
 
     bounds: tuple[int, ...]
+    # set by `partition` alone
+    _row_bounds: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __reduce__(self):
+        # unpickled and deep-copied arrays come back writeable, so a copy
+        # rebuilds its array the way the original was made
+        if self._row_bounds is None:
+            return Partition, (self.bounds,)
+        return partition, (self.n, self.k)
 
     @property
     def k(self) -> int:
@@ -194,23 +206,47 @@ def partition(dataset: Dataset | int, k: int) -> Partition:
     """Split a dataset (or a point count) into k nearly equal chunks.
 
     The first n mod k chunks get ceil(n/k) points, the rest floor(n/k),
-    so chunk sizes differ by at most one.
+    so chunk sizes differ by at most one: bound i is i*floor(n/k) +
+    min(i, n mod k).  The partition carries its bounds as a checked
+    int64 array (see `check_partition`), so n must be below 2**63.
     """
     k = check_integer(k, "fold count k", InvalidFoldCountError)
     n = (dataset.n if isinstance(dataset, Dataset)
          else check_integer(dataset, "point count n", InvalidFoldCountError))
     if not (2 <= k <= n):
         raise InvalidFoldCountError(f"fold count must satisfy 2 <= k <= n, got k={k}, n={n}")
+    if n >= 2**63:
+        raise InvalidFoldCountError(f"point count n must be below 2**63, got {n}")
     base, extra = divmod(n, k)
-    sizes = itertools.chain(itertools.repeat(base + 1, extra), itertools.repeat(base, k - extra))
-    return Partition(tuple(itertools.accumulate(sizes, initial=0)))
+    index = np.arange(k + 1, dtype=np.int64)
+    bounds = index * base + np.minimum(index, extra)
+    bounds.setflags(write=False)
+    part = Partition(tuple(bounds.tolist()))
+    object.__setattr__(part, "_row_bounds", bounds)
+    return part
 
 
-def check_partition(part: Partition, dataset: Dataset | None = None) -> None:
-    """Reject bounds that are not integers (as `operator.index` takes
-    them) or do not split rows 0..n into k >= 2 nonempty chunks, and,
-    given a dataset, a partition of another size.  A hand-built
-    Partition is only checked here."""
+def check_partition(part: Partition, dataset: Dataset | None = None) -> np.ndarray:
+    """The bounds of `part` as a read-only int64 array, once they are
+    checked.
+
+    A partition made by `partition` carries that array, so only its size
+    is checked, against the dataset's.  Any other partition is checked
+    bound by bound: it is rejected if a bound is not an integer (as
+    `operator.index` takes it) or not below 2**63, or if the bounds do
+    not split rows 0..n into k >= 2 nonempty chunks, and, given a
+    dataset, if it covers another number of rows.
+    """
+    bounds = part._row_bounds
+    if bounds is None:
+        bounds = _check_bounds(part)
+    if dataset is not None and part.n != dataset.n:
+        raise InvalidChunkError(f"partition covers {part.n} points but dataset has {dataset.n}")
+    return bounds
+
+
+def _check_bounds(part: Partition) -> np.ndarray:
+    """`check_partition` of a partition that carries no array."""
     try:
         # one pass in C, not check_integer per bound: LOOCV has n + 1 bounds
         bounds = list(map(operator.index, part.bounds))
@@ -222,8 +258,12 @@ def check_partition(part: Partition, dataset: Dataset | None = None) -> None:
         raise InvalidChunkError(f"partition bounds must start at row 0, got {bounds[0]}")
     if not all(map(operator.lt, bounds, bounds[1:])):
         raise InvalidChunkError("partition bounds must strictly increase: every chunk is nonempty")
-    if dataset is not None and part.n != dataset.n:
-        raise InvalidChunkError(f"partition covers {part.n} points but dataset has {dataset.n}")
+    try:
+        array = np.array(bounds, dtype=np.int64)
+    except OverflowError:
+        raise InvalidChunkError(f"partition bounds must be below 2**63, got {bounds[-1]}") from None
+    array.setflags(write=False)
+    return array
 
 
 # Feeding orders: the dataset's own, or a seeded shuffle per training set.
@@ -425,14 +465,18 @@ class CvReport:
 
 
 def make_report(
-    fold_scores: Sequence[float],
+    fold_scores: Sequence[float] | np.ndarray,
     counters: WorkCounters,
     wall_time: float,
     scheduler: str,
     ordering: str,
     seed: int,
 ) -> CvReport:
-    scores = tuple(map(float, fold_scores))
+    if isinstance(fold_scores, np.ndarray):
+        # the tree's scores: one conversion in C, not a float() call per fold
+        scores = tuple(fold_scores.astype(np.float64, copy=False).tolist())
+    else:
+        scores = tuple(map(float, fold_scores))
     estimate = math.fsum(scores) / len(scores)
     return CvReport(scores, estimate, counters, wall_time, scheduler, ordering, seed)
 

@@ -123,7 +123,9 @@ class NodeTrace:
 
 
 class _Run:
-    """What every node of one run reads, and the totals it writes.
+    """What every node of one run reads, and the totals it writes: the
+    fold scores, a float64 array that `make_report` reads with one
+    `tolist()`, the counters and the traces.
 
     A forked worker gets its own copy-on-write image of the run and sends
     back the fold scores, counters and traces of its subtree.
@@ -132,9 +134,11 @@ class _Run:
     __slots__ = ("dataset", "partition", "loss", "ordering", "shuffle_seed", "kernels",
                  "fork_depth", "fold_scores", "counters", "traces", "row_bounds")
 
-    def __init__(self, dataset, partition, loss, config, traces):
+    def __init__(self, dataset, partition, row_bounds, loss, config, traces):
         self.dataset = dataset
         self.partition = partition
+        # the partition's bounds as `check_partition` gives them, for `tree_feed`
+        self.row_bounds = row_bounds
         self.loss = loss
         self.ordering = config.ordering
         # a per-run prefix: derive_seed folds its tags left to right
@@ -144,11 +148,9 @@ class _Run:
         self.kernels = _native.kernels() if config.ordering == "randomized" else None
         # 0 for sequential runs: no level forks, and the root runs `_subtree`
         self.fork_depth = max(operator.index(config.max_workers).bit_length() - 1, 0)
-        self.fold_scores = [0.0] * partition.k
+        self.fold_scores = np.zeros(partition.k)
         self.counters = WorkCounters()
         self.traces = traces
-        # the chunk bounds as an array, for `tree_feed`
-        self.row_bounds = np.asarray(partition.bounds, dtype=np.int64)
 
 
 def _fed_rows(kernels, part: Partition, ordering: str, shuffle_seed: int, first: int,
@@ -261,11 +263,15 @@ def _subtree(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -
 def _score_chunks(run: _Run, values: np.ndarray, s: int, e: int) -> None:
     """Set the fold scores of chunks s..e from `values`, the losses of
     their rows in order: each is `evaluate_chunk`'s, the `math.fsum` of
-    the chunk's losses over its size."""
+    the chunk's losses over its size.  One-row chunks are scored in one
+    array operation, whatever the dtype of `values`: a real dtype's
+    element becomes the double its `tolist()` element does."""
     if values.size == e - s + 1:
         # a row per chunk: fsum([v]) / 1 is v + 0.0 bit for bit, -0.0 going
         # to 0.0 and inf and nan passing through
-        scores = (values + 0.0).tolist()
+        scores = values + 0.0
+        if scores.dtype.kind == "c":  # which fsum, and float(), refuse
+            raise TypeError(f"a loss must be real, got {scores.dtype} values")
     else:
         b = run.partition.bounds
         values = values.tolist()
@@ -327,8 +333,7 @@ def tree_cv(
     sequence of rows each fold's model was fed.
     """
     config.validate()
-    check_partition(partition, dataset)
-    run = _Run(dataset, partition, loss, config, trace_sink)
+    run = _Run(dataset, partition, check_partition(partition, dataset), loss, config, trace_sink)
     model = learner_factory().fresh()
     load_kernels(model, tree=True)  # outside the wall time, and inherited by forked workers
     start = time.perf_counter()

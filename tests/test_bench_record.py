@@ -2,8 +2,11 @@
 
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RECORDER = ROOT / "tools" / "bench_record.py"
@@ -47,3 +50,46 @@ def test_a_run_without_a_result_is_recorded_as_failed(tmp_path):
     [run] = bench["workloads"]["no-such-workload"]["runs"]
     assert run["correct"] is False and run["returncode"] != 0 and "no-such-workload" in run["error"]
     assert bench["workloads"]["no-such-workload"]["metrics"]["cv_s"]["n"] == 0
+
+
+def test_tiny_record_against_a_revision_alternates_the_sides(tmp_path):
+    if shutil.which("git") is None or shutil.which("tar") is None:
+        pytest.skip("--against exports a revision with git and tar, and one is not on PATH")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+    if head.returncode:
+        pytest.skip(f"not a git checkout: {head.stderr.strip()}")
+    worktrees = subprocess.run(["git", "worktree", "list"], cwd=ROOT, capture_output=True,
+                               text=True).stdout
+    done, bench = _record(tmp_path, "--workloads", "standard10-kmeans-file", "--seeds", "3,4,5",
+                          "--against", "HEAD")
+    assert done.returncode == 0, done.stderr
+    assert bench["against"] == {"rev": "HEAD", "commit": head.stdout.strip()}
+    assert bench["run_commands"] == [
+        f"python3 perfbench/run.py --workload standard10-kmeans-file --seed {seed} "
+        "--seconds 0.1 --trace 0 --tiny" for seed in (3, 4, 5)]
+    workload = bench["workloads"]["standard10-kmeans-file"]
+    assert workload["first"] == {"3": "this", "4": "against", "5": "this"}
+    for side in (workload, workload["against"]):
+        assert [(run["seed"], run["correct"], run["failed"]) for run in side["runs"]] == [
+            (3, True, 0), (4, True, 0), (5, True, 0)]
+        assert {metric["n"] for metric in side["metrics"].values()} == {3}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert set(workload["pairs"]) == {entry["name"] for entry in declared}
+    for entry in declared:
+        pair = workload["pairs"][entry["name"]]
+        assert pair["better"] == entry["better"] and pair["n"] == 3
+        assert pair["wins"] + pair["losses"] + pair["ties"] == 3
+        ours, theirs = (side["metrics"][entry["name"]] for side in (workload, workload["against"]))
+        assert pair["median_change"] == ours["median"] / theirs["median"] - 1
+        assert pair["against_spread"] == theirs["p75"] - theirs["p25"]
+    # the export leaves nothing behind in the repository's git metadata
+    assert subprocess.run(["git", "worktree", "list"], cwd=ROOT, capture_output=True,
+                          text=True).stdout == worktrees
+
+
+def test_an_unknown_revision_is_refused(tmp_path):
+    done = subprocess.run([sys.executable, str(RECORDER), "--label", "t", "--tiny",
+                           "--out", str(tmp_path), "--against", "no-such-revision"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0 and "no-such-revision" in done.stderr
+    assert not (tmp_path / "BENCH_t.json").exists()

@@ -1,6 +1,10 @@
 """Core types: partitions, losses, chunk evaluation, reports."""
 
+import copy
+import dataclasses
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,12 +23,16 @@ from treecv import (
     QUANTIZATION,
     SQUARED,
     WorkCounters,
+    Partition,
+    TreeCvConfig,
     ZERO_ONE,
     evaluate_chunk,
     get_loss,
     partition,
+    synth_classification,
+    tree_cv,
 )
-from treecv.core import make_report
+from treecv.core import check_partition, make_report
 from treecv.rng import SplitMix64Stream
 
 
@@ -94,6 +102,85 @@ def test_partition_property_disjoint_cover_balanced():
         assert list(part.bounds) == sorted(part.bounds)
         covered = [i for c in range(k) for i in range(*part.chunk_slice(c).indices(n))]
         assert covered == list(range(n))
+
+
+def accumulated_bounds(n, k):
+    """The bounds `partition` gave before it carried an array: chunk sizes
+    ceil(n/k) then floor(n/k), summed by itertools.accumulate."""
+    base, extra = divmod(n, k)
+    sizes = itertools.chain(itertools.repeat(base + 1, extra), itertools.repeat(base, k - extra))
+    return tuple(itertools.accumulate(sizes, initial=0))
+
+
+@st.composite
+def point_and_fold_counts(draw):
+    """(n, k) with 2 <= k <= n: any k, k = n, or k dividing n, and n up
+    to 2**63 - 1 where k is small."""
+    shape = draw(st.sampled_from(["any", "loo", "divides", "huge"]))
+    if shape == "divides":
+        k = draw(st.integers(2, 300))
+        return k * draw(st.integers(1, 300)), k
+    if shape == "huge":
+        n = draw(st.integers(2**40, 2**63 - 1))
+        return n, draw(st.integers(2, 300))
+    n = draw(st.integers(2, 3000))
+    return n, n if shape == "loo" else draw(st.integers(2, n))
+
+
+@given(point_and_fold_counts())
+def test_partition_gives_the_accumulated_bounds_and_carries_them(counts):
+    n, k = counts
+    part = partition(n, k)
+    assert part.bounds == accumulated_bounds(n, k)
+    assert all(type(b) is int for b in part.bounds)
+    carried = check_partition(part)
+    assert carried is part._row_bounds and carried.dtype == np.int64
+    assert not carried.flags.writeable and carried.tolist() == list(part.bounds)
+    with pytest.raises(ValueError, match="read-only"):
+        carried[0] = 1
+
+
+def test_partition_rejects_a_point_count_beyond_int64():
+    assert partition(2**63 - 1, 3).n == 2**63 - 1
+    with pytest.raises(InvalidFoldCountError, match="below 2\\*\\*63"):
+        partition(2**63, 3)
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda part: pickle.loads(pickle.dumps(part)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_a_pickled_or_copied_partition_still_checks_and_runs(duplicate):
+    data = synth_classification(40, 3, margin=0.2, noise=0.1, seed=2)
+    factory = lambda: Pegasos(3, 1e-2)  # noqa: E731
+    config = TreeCvConfig("randomized", seed=3)
+    for part in (partition(data, 40), partition(data, 7), Partition(partition(data, 7).bounds)):
+        copied = duplicate(part)
+        assert copied == part and copied.bounds == part.bounds
+        bounds = check_partition(copied, data)
+        assert not bounds.flags.writeable and bounds.tolist() == list(part.bounds)
+        assert (copied._row_bounds is None) == (part._row_bounds is None)
+        assert (tree_cv(factory, data, copied, ZERO_ONE, config).comparable()
+                == tree_cv(factory, data, part, ZERO_ONE, config).comparable())
+
+
+def test_a_replaced_partition_carries_no_array_and_is_checked_in_full():
+    part = partition(10, 5)
+    same = dataclasses.replace(part, bounds=part.bounds)
+    assert same == part and same._row_bounds is None
+    assert check_partition(same).tolist() == list(part.bounds)
+    with pytest.raises(InvalidChunkError, match="strictly increase"):
+        check_partition(dataclasses.replace(part, bounds=(0, 4, 4, 10)))
+    with pytest.raises(ValueError):
+        dataclasses.replace(part, _row_bounds=None)  # set by `partition` alone
+
+
+@pytest.mark.parametrize("bounds", [(0, 5, 2**63), (0, 2**63, 2**64), (0, 2**63 - 1, 2**70)],
+                         ids=["last", "middle", "far"])
+def test_a_hand_built_bound_beyond_int64_is_an_invalid_chunk(bounds):
+    with pytest.raises(InvalidChunkError, match="below 2\\*\\*63"):
+        check_partition(Partition(bounds))
+    with pytest.raises(InvalidChunkError):
+        check_partition(Partition(bounds), Dataset(np.zeros((5, 1))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scheduler semantics: recursion structure, feeding orders, counters,
 hold-out correctness, determinism, and fork-join execution."""
 
+import dataclasses
 import math
 import multiprocessing
 import struct
@@ -14,6 +15,7 @@ from treecv import (
     Dataset,
     InvalidChunkError,
     InvalidFoldCountError,
+    Loss,
     LsqSgd,
     MeanPredictor,
     OnlineKMeans,
@@ -24,6 +26,7 @@ from treecv import (
     TreeCvConfig,
     UntrainedModelError,
     UpdateFailedError,
+    WorkCounters,
     ZERO_ONE,
     brute_force_oracle,
     loocv,
@@ -36,6 +39,7 @@ from treecv import (
     tree_feed_orders,
 )
 from treecv import _native, rng, tree
+from treecv.core import make_report
 from treecv.learners import COMPILED, _Feed
 from treecv.rng import SplitMix64Stream, derive_seed
 
@@ -600,19 +604,41 @@ class LevelCounts:
         return (self.subtrees, self.failures, self.visits) == (subtrees, 0, visits)
 
 
-@given(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -2.2e-308, math.inf,
-                                                          -math.inf, math.nan])),
-                min_size=1, max_size=40))
-def test_one_row_leaves_score_their_loss_as_fsum_does(losses):
+@given(st.sampled_from([np.float64, np.float32, np.int64, object]), st.data())
+def test_one_row_leaves_score_their_loss_as_fsum_does(dtype, data):
     """`_score_chunks` sets the scores of one-row chunks from the losses
     plus 0.0, which is math.fsum([loss]) / 1 byte for byte: -0.0 becomes
-    0.0, subnormals, infinities and NaNs keep their bits."""
+    0.0, subnormals, infinities and NaNs keep their bits.  Losses given as
+    float32, int64 or object arrays score as their `tolist()` did, and the
+    report of the float64 array of scores is the report of their list."""
+    if dtype is np.int64:
+        losses = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
+    else:
+        width = 32 if dtype is np.float32 else 64
+        losses = data.draw(st.lists(st.one_of(
+            st.floats(width=width),
+            st.sampled_from([-0.0, 5e-324 if width == 64 else 1e-45, -2.2e-308 if width == 64
+                             else -1.2e-38, math.inf, -math.inf, math.nan])),
+            min_size=1, max_size=40))
     n = len(losses)
-    values = np.array(losses)
-    run = SimpleNamespace(partition=Partition(tuple(range(n + 1))), fold_scores=[None] * n)
+    values = np.array(losses, dtype=dtype)
+    run = SimpleNamespace(partition=Partition(tuple(range(n + 1))), fold_scores=np.zeros(n))
     tree._score_chunks(run, values, 0, n - 1)
+    expected = [math.fsum([v]) / 1 for v in values.tolist()]
     pack = lambda scores: struct.pack(f"<{n}d", *scores)  # noqa: E731
-    assert pack(run.fold_scores) == pack([math.fsum([v]) / 1 for v in values.tolist()])
+    assert pack(run.fold_scores.tolist()) == pack(expected)
+
+    def report(scores):
+        """The report's scores and estimate as bytes, or the error fsum
+        raises on inf + -inf or an overflowing sum."""
+        try:
+            made = make_report(scores, WorkCounters(), 0.0, "tree", "fixed", 0)
+        except (ValueError, OverflowError) as err:
+            return type(err), str(err)
+        assert all(type(score) is float for score in made.fold_scores)
+        return pack(made.fold_scores), struct.pack("<d", made.estimate)
+
+    assert report(run.fold_scores) == report(expected)
 
 
 @given(st.lists(st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from([-0.0, 5e-324])),
@@ -637,6 +663,67 @@ class PlainPegasos(Pegasos):
 
 class PlainLsqSgd(LsqSgd):
     """A subclass with the base rule; it runs the recursion."""
+
+
+def batch_loss(name, batch):
+    """A loss whose batch form is `batch` and whose pointwise form is row
+    0 of a one-row batch."""
+    return Loss(name, lambda p, x, y: batch(np.atleast_1d(p), x[None], y)[0], batch)
+
+
+def cast_loss(loss, dtype):
+    return batch_loss(f"{loss.name}-{np.dtype(dtype).name}",
+                      lambda p, x, y: loss.batch(p, x, y).astype(dtype))
+
+
+def constant_loss(value):
+    return batch_loss(f"constant-{value}", lambda p, x, y: np.full(len(p), value))
+
+
+@pytest.mark.parametrize("workers", [0, 2, 4])
+@pytest.mark.parametrize("learner, plain, loss", [
+    (LsqSgd, PlainLsqSgd, cast_loss(SQUARED, np.float32)),
+    (Pegasos, PlainPegasos, cast_loss(ZERO_ONE, np.int64)),
+    (LsqSgd, PlainLsqSgd, cast_loss(SQUARED, object)),
+    (LsqSgd, PlainLsqSgd, constant_loss(-0.0)),
+    (LsqSgd, PlainLsqSgd, constant_loss(math.inf)),
+    (LsqSgd, PlainLsqSgd, constant_loss(math.nan)),
+], ids=["float32", "int64", "object", "minus-zero", "inf", "nan"])
+def test_array_fold_scores_report_what_the_recursions_list_reported(learner, plain, loss,
+                                                                    workers):
+    """The tree's fold scores, now a float64 array, give the report the
+    list of `evaluate_chunk` scores gives, byte for byte, at 2 and 4
+    workers as sequentially: for batch losses of float32, int64 and
+    object arrays, and one-row leaves of -0.0, inf and nan, in LOOCV and
+    on ragged chunks."""
+    data = synth_regression(45, 3, noise=0.2, seed=4)
+    if learner is Pegasos:
+        data = synth_classification(45, 3, margin=0.1, noise=0.2, seed=4)
+    pack = lambda r: struct.pack(f"<{len(r.fold_scores) + 1}d", *r.fold_scores,  # noqa: E731
+                                 r.estimate)
+    for part in (partition(data, data.n), partition(data, 7)):
+        config = TreeCvConfig("randomized", max_workers=workers, seed=9)
+        report = tree_cv(lambda: learner(3, 0.05), data, part, loss, config)
+        sequential = tree_cv(lambda: learner(3, 0.05), data, part, loss,
+                             dataclasses.replace(config, max_workers=0))
+        recursion = tree_cv(lambda: plain(3, 0.05), data, part, loss,
+                            dataclasses.replace(config, max_workers=0))
+        assert all(type(score) is float for score in report.fold_scores)
+        assert pack(report) == pack(sequential) == pack(recursion)
+        assert report.counters == sequential.counters == recursion.counters
+        if not math.isnan(report.estimate):
+            assert report.comparable() == sequential.comparable()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_complex_batch_loss_raises_as_the_recursion_does():
+    """`float()` and `math.fsum` refuse complex losses, so the one-row
+    leaves of `tree_feed` refuse them too, rather than casting them."""
+    data = synth_regression(20, 2, seed=1)
+    loss = batch_loss("complex", lambda p, x, y: SQUARED.batch(p, x, y) + 0j)
+    for learner in (LsqSgd, PlainLsqSgd):
+        with pytest.raises(TypeError):
+            loocv(lambda: learner(2, 0.1), data, loss)
 
 
 def loocv_pegasos_n120(seed):
@@ -951,7 +1038,8 @@ def test_an_untrained_kmeans_leaf_raises_the_recursions_error(monkeypatch):
     of `predict_many`."""
     counts = LevelCounts(monkeypatch)
     data = Dataset(synth_blobs(12, 3, 2, seed=1).x)
-    run = tree._Run(data, partition(data, 4), QUANTIZATION, TreeCvConfig(), None)
+    part = partition(data, 4)
+    run = tree._Run(data, part, tree.check_partition(part), QUANTIZATION, TreeCvConfig(), None)
     with pytest.raises(UntrainedModelError, match="no centers"):
         tree._node(run, 2, 2, OnlineKMeans(3, 2), 0)
     assert counts.subtrees == counts.failures == tree_feed_runs()
@@ -1034,19 +1122,23 @@ def test_numpy_integer_counts_bounds_and_seeds_run_as_python_ints():
     ((0, 6, 4, 10), InvalidChunkError),
     ((0, 5, 5, 10), InvalidChunkError),
     ((0, 5.0, 10), InvalidChunkError),
+    ((0, 5, 2**63), InvalidChunkError),
 ], ids=["skips-rows-0-1", "one-chunk", "no-chunks", "not-monotone", "empty-chunk",
-        "fractional-bound"])
+        "fractional-bound", "beyond-int64"])
 def test_hand_built_partitions_are_checked_before_any_training(bounds, error):
+    """Hand-built partitions, and partitions that `dataclasses.replace`
+    gives new bounds, carry no checked array: each scheduler checks them
+    in full."""
     ds = regression_data(10)
-    part = Partition(bounds)
-    with pytest.raises(error):
-        tree_cv(mean_factory(), ds, part, SQUARED)
-    with pytest.raises(error):
-        standard_cv(mean_factory(), ds, part, SQUARED)
-    with pytest.raises(error):
-        brute_force_oracle(mean_factory(), ds, part, SQUARED, [[]] * part.k)
-    with pytest.raises(error):
-        tree_feed_orders(part)
+    for part in (Partition(bounds), dataclasses.replace(partition(ds, 2), bounds=bounds)):
+        with pytest.raises(error):
+            tree_cv(mean_factory(), ds, part, SQUARED)
+        with pytest.raises(error):
+            standard_cv(mean_factory(), ds, part, SQUARED)
+        with pytest.raises(error):
+            brute_force_oracle(mean_factory(), ds, part, SQUARED, [[]] * part.k)
+        with pytest.raises(error):
+            tree_feed_orders(part)
 
 
 def test_update_failure_is_annotated_with_chunk_range():

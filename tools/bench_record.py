@@ -2,7 +2,7 @@
 JSON file that later changes can be compared against.
 
     python3 tools/bench_record.py --label NAME [--seeds 1,2,3] [--seconds 30]
-                                  [--workloads W,...] [--tiny] [--out DIR]
+                                  [--workloads W,...] [--tiny] [--against REV] [--out DIR]
 
 Run from anywhere; it runs, from the repository root, one process per
 workload and seed, one after another:
@@ -16,16 +16,31 @@ value; each run's `correct`, `attempted` and `failed`; the environment
 the first run reports; the git HEAD; and the exact commands.  A run that
 prints no result line counts as failed, with the end of its stderr.  It
 exits 1 when any run failed.
+
+With --against REV it also runs the same commands from the files of git
+revision REV, exported by `git archive` into a temporary directory that
+is removed afterwards (nothing is written to the repository's .git).
+The two sides run seed by seed, as a pair, and the side that runs first
+alternates: this checkout first at the first seed, REV first at the
+second, and so on.  Per workload the file then also holds REV's
+metrics and runs (`against`), which side ran first at each seed
+(`first`), and per metric (`pairs`) how many pairs this checkout won,
+lost and tied by the metric's declared direction, with the relative
+change of the median and REV's quartile spread.  Host drift between
+two recordings made one after the other moves every metric, so only
+alternating pairs compare a change.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -39,11 +54,20 @@ def _git(*args: str) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def _run(workload: str, seed: int, seconds: float, tiny: bool) -> tuple[list[str], dict]:
-    """The command of one benchmark run and what it reported."""
+def _export(commit: str, directory: str) -> None:
+    """Write the files of `commit` into `directory`."""
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                             capture_output=True, check=True, timeout=300)
+    subprocess.run(["tar", "-x", "-C", directory], input=archive.stdout, check=True,
+                   timeout=300)
+
+
+def _run(root: str, workload: str, seed: int, seconds: float,
+         tiny: bool) -> tuple[list[str], dict]:
+    """The command of one benchmark run from `root` and what it reported."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", repr(seconds), "--trace", "0"] + (["--tiny"] if tiny else [])
-    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+    done = subprocess.run(command, cwd=root, capture_output=True, text=True)
     lines = [line for line in done.stdout.splitlines() if line.startswith("{")]
     try:
         first, last = json.loads(lines[0]), json.loads(lines[-1])
@@ -69,33 +93,78 @@ def _summary(values: dict[int, float], unit: str) -> dict:
     return out
 
 
+def _metrics(runs: list[dict], units: dict[str, str]) -> dict:
+    return {name: _summary({run["seed"]: run["metrics"][name] for run in runs
+                            if name in run["metrics"]}, unit)
+            for name, unit in units.items()}
+
+
+def _pairs(this: dict, against: dict, better: str) -> dict:
+    """How this checkout fared against REV on one metric, pair by pair:
+    `this` and `against` are the two sides' `_summary`."""
+    seeds = [seed for seed in this["by_seed"] if seed in against["by_seed"]]
+    sign = 1 if better == "lower" else -1
+    gaps = [sign * (against["by_seed"][seed] - this["by_seed"][seed]) for seed in seeds]
+    out = {"better": better, "n": len(gaps), "wins": sum(gap > 0 for gap in gaps),
+           "losses": sum(gap < 0 for gap in gaps), "ties": sum(gap == 0 for gap in gaps)}
+    if gaps and against["median"]:
+        out.update(median_change=this["median"] / against["median"] - 1,
+                   against_spread=against["p75"] - against["p25"])
+    return out
+
+
 def record(label: str, seeds: list[int], seconds: float, workloads: list[str] | None,
-           tiny: bool) -> dict:
+           tiny: bool, against: str | None = None) -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         benchmark = json.load(handle)
-    metrics = {entry["name"]: entry["unit"] for entry in benchmark["end_to_end"]}
+    units = {entry["name"]: entry["unit"] for entry in benchmark["end_to_end"]}
     names = workloads or [entry["name"] for entry in benchmark["workloads"]]
-    commands, results, environment = [], {}, None
-    for workload in names:
-        runs = []
-        for seed in seeds:
-            command, run = _run(workload, seed, seconds, tiny)
-            commands.append(" ".join(command[1:]))
-            env = run.pop("env", None)
-            if environment is None and env:
-                environment = {k: v for k, v in env.items() if k not in ("seed", "loadavg_start")}
-            if env:
-                run["loadavg_start"] = env.get("loadavg_start")
-            runs.append(run)
-            print(f"{workload} seed {seed}: correct={run['correct']} "
-                  + " ".join(f"{k}={v:.6g}" for k, v in run["metrics"].items()), file=sys.stderr)
-        results[workload] = {
-            "metrics": {name: _summary({run["seed"]: run["metrics"][name] for run in runs
-                                        if name in run["metrics"]}, unit)
-                        for name, unit in metrics.items()},
-            "runs": runs,
-        }
-    return {
+    commit = None
+    if against is not None:
+        commit = _git("rev-parse", "--verify", "--end-of-options", f"{against}^{{commit}}")
+        if commit is None:
+            raise SystemExit(f"--against {against}: not a git revision of {ROOT}")
+    exported = (tempfile.TemporaryDirectory(prefix="bench-against-") if commit is not None
+                else contextlib.nullcontext())
+    with exported as scratch:
+        roots = {"this": ROOT}
+        if commit is not None:
+            _export(commit, scratch)
+            roots["against"] = scratch
+        commands, results, environment = [], {}, None
+        for workload in names:
+            runs: dict[str, list] = {side: [] for side in roots}
+            first = {}
+            for i, seed in enumerate(seeds):
+                order = list(roots) if i % 2 == 0 else list(roots)[::-1]
+                first[str(seed)] = order[0]
+                for side in order:
+                    command, run = _run(roots[side], workload, seed, seconds, tiny)
+                    if side == "this":
+                        commands.append(" ".join(command[1:]))
+                    env = run.pop("env", None)
+                    if environment is None and env and side == "this":
+                        environment = {k: v for k, v in env.items()
+                                       if k not in ("seed", "loadavg_start")}
+                    if env:
+                        run["loadavg_start"] = env.get("loadavg_start")
+                    runs[side].append(run)
+                    print(f"{workload} seed {seed} {side}: correct={run['correct']} "
+                          + " ".join(f"{k}={v:.6g}" for k, v in run["metrics"].items()),
+                          file=sys.stderr)
+            results[workload] = {"metrics": _metrics(runs["this"], units), "runs": runs["this"]}
+            if commit is not None:
+                theirs = _metrics(runs["against"], units)
+                results[workload].update(
+                    against={"metrics": theirs, "runs": runs["against"]}, first=first,
+                    pairs={entry["name"]: _pairs(results[workload]["metrics"][entry["name"]],
+                                                 theirs[entry["name"]], entry["better"])
+                           for entry in benchmark["end_to_end"]})
+                for name, pair in results[workload]["pairs"].items():
+                    print(f"{workload} {name}: won {pair['wins']}/{pair['n']} against {against}, "
+                          f"median change {pair.get('median_change', float('nan')):+.2%}",
+                          file=sys.stderr)
+    out = {
         "label": label,
         "git_head": _git("rev-parse", "HEAD"),
         "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
@@ -107,6 +176,9 @@ def record(label: str, seeds: list[int], seconds: float, workloads: list[str] | 
         "environment": environment or {},
         "workloads": results,
     }
+    if commit is not None:
+        out["against"] = {"rev": against, "commit": commit}
+    return out
 
 
 def main(argv=None) -> int:
@@ -116,18 +188,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0, help="seconds per run")
     parser.add_argument("--workloads", help="comma-separated names (default: every workload)")
     parser.add_argument("--tiny", action="store_true", help="pass --tiny to every run")
+    parser.add_argument("--against", metavar="REV",
+                        help="also run git revision REV, alternating with this checkout")
     parser.add_argument("--out", default=ROOT, help="directory of the file")
     args = parser.parse_args(argv)
     seeds = [int(token) for token in args.seeds.split(",")]
     workloads = args.workloads.split(",") if args.workloads else None
-    result = record(args.label, seeds, args.seconds, workloads, args.tiny)
+    result = record(args.label, seeds, args.seconds, workloads, args.tiny, args.against)
     path = os.path.join(args.out, f"BENCH_{args.label}.json")
     with open(path, "w") as handle:
         json.dump(result, handle, indent=1)
         handle.write("\n")
     print(path)
-    failed = [run for w in result["workloads"].values() for run in w["runs"]
-              if not run["correct"]]
+    failed = [run for w in result["workloads"].values()
+              for run in w["runs"] + w.get("against", {}).get("runs", []) if not run["correct"]]
     return 1 if failed else 0
 
 

@@ -691,7 +691,7 @@ def constant_loss(value):
 ], ids=["float32", "int64", "object", "minus-zero", "inf", "nan"])
 def test_array_fold_scores_report_what_the_recursions_list_reported(learner, plain, loss,
                                                                     workers):
-    """The tree's fold scores, now a float64 array, give the report the
+    """The tree's fold scores, a float64 array, give the report the
     list of `evaluate_chunk` scores gives, byte for byte, at 2 and 4
     workers as sequentially: for batch losses of float32, int64 and
     object arrays, and one-row leaves of -0.0, inf and nan, in LOOCV and

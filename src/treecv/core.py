@@ -418,7 +418,10 @@ class WorkCounters:
     nodes_visited counts recursion-tree nodes; transfers counts
     chunk-to-model incorporation events, the number of times a model
     would be shipped to a chunk's storage node in a distributed run;
-    evaluations counts per-point loss evaluations.
+    evaluations counts per-point loss evaluations.  forks counts the
+    worker processes the run forked; it says how a run was executed, not
+    what it computed, so it takes no part in comparing counters nor in
+    their repr, which the pinned report digests hash.
     """
 
     point_updates: int = 0
@@ -426,6 +429,7 @@ class WorkCounters:
     nodes_visited: int = 0
     model_transfers: int = 0
     evaluations: int = 0
+    forks: int = field(default=0, compare=False, repr=False)
 
     def merge(self, other: "WorkCounters") -> None:
         self.point_updates += other.point_updates
@@ -433,6 +437,7 @@ class WorkCounters:
         self.nodes_visited += other.nodes_visited
         self.model_transfers += other.model_transfers
         self.evaluations += other.evaluations
+        self.forks += other.forks
 
 
 @dataclass(frozen=True)
@@ -441,7 +446,9 @@ class CvReport:
 
     `estimate` is the equal-weight mean of the per-fold scores, aggregated
     with exact (compensated) summation so that scheduler variants agree to
-    the last bit whenever their fold scores do.
+    the last bit whenever their fold scores do.  Where that summation
+    refuses, for scores holding both infinities or summing beyond the
+    largest double, it is their plain sum over k: nan or an infinity.
     """
 
     fold_scores: tuple[float, ...]
@@ -477,7 +484,11 @@ def make_report(
         scores = tuple(fold_scores.astype(np.float64, copy=False).tolist())
     else:
         scores = tuple(map(float, fold_scores))
-    estimate = math.fsum(scores) / len(scores)
+    try:
+        total = math.fsum(scores)
+    except (ValueError, OverflowError):  # inf + -inf, or a finite sum beyond the doubles
+        total = sum(scores)  # nan or an infinity, as the scores imply
+    estimate = total / len(scores)
     return CvReport(scores, estimate, counters, wall_time, scheduler, ordering, seed)
 
 

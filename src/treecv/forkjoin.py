@@ -1,10 +1,14 @@
 """Fork-join on worker processes.
 
-The learners' per-point update loops run in the interpreter, so threads
-cannot overlap them; forked processes can.  `fork` starts a callable in a
-child made with the POSIX "fork" start method: the child sees the
-parent's memory as a copy-on-write image, so models, datasets and
-closures reach it without pickling, and only the callable's result
+Forked processes are the package's one parallel mechanism.  A Python
+learner's update loop, and the Python recursion around every learner,
+run in the interpreter, which one thread holds at a time, so threads
+cannot overlap them; processes can.  The compiled learners' loops run
+in C (`_native`), so a fork pays for them only when the work it moves
+outweighs its cost of a few ms (`tree.FORK_FLOOR`).  `fork` starts a
+callable in a child made with the POSIX "fork" start method: the child
+sees the parent's memory as a copy-on-write image, so models, datasets
+and closures reach it without pickling, and only the callable's result
 travels back, pickled over a one-way pipe.
 
 Forking is only safe while the parent runs a single thread; the package

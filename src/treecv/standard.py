@@ -106,8 +106,8 @@ def _run_folds(model_of, dataset, partition, loss, folds, order_of):
     return results
 
 
-def _report(results, wall: float, ordering: str, seed: int) -> CvReport:
-    counters = WorkCounters()
+def _report(results, wall: float, ordering: str, seed: int, forks: int = 0) -> CvReport:
+    counters = WorkCounters(forks=forks)
     for _, fold_counters in results:
         counters.merge(fold_counters)
     return make_report([s for s, _ in results], counters, wall, "standard", ordering, seed)
@@ -144,6 +144,7 @@ def standard_cv(
     load_kernels(first)
     model_of = lambda fold: first if fold == 0 else learner_factory().fresh()
     start = time.perf_counter()
+    joins = []
     if max_workers > 1:
         groups = make_partition(k, min(max_workers, k))
         joins = [fork(_run_folds, model_of, dataset, partition, loss,
@@ -152,7 +153,7 @@ def standard_cv(
         results = [r for group in join_all(joins) for r in group]
     else:
         results = _run_folds(model_of, dataset, partition, loss, range(k), order_of)
-    return _report(results, time.perf_counter() - start, ordering, seed)
+    return _report(results, time.perf_counter() - start, ordering, seed, len(joins))
 
 
 def brute_force_oracle(

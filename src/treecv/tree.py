@@ -9,15 +9,23 @@ evaluate a model that has been trained on every chunk except their own.
 Relative to training one model, the extra work is a log2(k) factor
 instead of the k-fold repetition of the standard method.
 
-Fork-join runs (max_workers > 1) split the top floor(log2(max_workers))
-levels of the recursion across worker processes made with the POSIX
-"fork" start method (see `forkjoin`): at each of those nodes a worker
-trains and descends the right branch from a copy-on-write image of the
-node's model, which stands in for the copy, and the parent process the
-left.
+Fork-join runs (max_workers > 1) may split the top
+floor(log2(max_workers)) levels of the recursion across worker processes
+made with the POSIX "fork" start method (see `forkjoin`): at a node that
+forks, a worker trains and descends the right branch from a
+copy-on-write image of the node's model, which stands in for the copy,
+and the parent process the left.  A fork pays only for the work it
+moves: one costs a few ms, more than a compiled subtree of ~100,000
+point updates takes.  So a node whose subtree `tree_feed` (below) would
+run forks only when its right branch makes more than `FORK_FLOOR` point
+updates (`_right_pays`); below the floor the subtree runs in this
+process, as in a sequential run.  The Python recursion, whose updates
+cost µs each, forks at every node of those levels.  Each fork counts in
+`WorkCounters.forks`.
 
-Every node at the fork depth (the root, in a sequential run) runs its
-subtree as one unit (`_subtree`).  If the compiled kernels are loaded
+Every node at the fork depth (the root, in a sequential run), and every
+node above it that does not fork, runs its subtree as one unit
+(`_subtree`).  If the compiled kernels are loaded
 (`_native`), the model's exact type is `Pegasos`, `LsqSgd` or
 `OnlineKMeans` (`learners.COMPILED`) and the loss scores a batch, one
 C call, `tree_feed`, runs the whole subtree: the same recursion, with a
@@ -46,7 +54,7 @@ the kernels, so its orders come from the Python loop of
 Determinism: every node's shuffle is derived from the run seed and the
 node's position in the recursion, never from execution order, so
 sequential and fork-join runs of the same configuration produce
-bit-identical reports (wall time aside).
+bit-identical reports (wall time and the fork count aside).
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _native
+from . import _native, forkjoin
 from .core import (
     CvReport,
     Dataset,
@@ -75,7 +83,7 @@ from .core import (
     make_report,
     partition as make_partition,
 )
-from .forkjoin import check_workers, fork, join_all
+from .forkjoin import check_workers, join_all
 from .learners import COMPILED, load_kernels
 from .rng import derive_seed, shuffled
 
@@ -83,15 +91,39 @@ from .rng import derive_seed, shuffled
 # distinct leading tag so no two components share a stream.
 TAG_NODE_SHUFFLE = 2
 
+# Above the fork depth, a node whose subtree `tree_feed` runs forks only
+# when its right branch makes more than this many point updates
+# (`_right_pays`).  A fork pays once that branch's work exceeds the fork's
+# cost over 2 - s, where s is how much two busy processes slow each other.
+# `python3 tools/fork_floor.py` on a 2-vCPU Xeon VM, three runs (medians
+# of 9, the sides rotating): a fork of a no-op plus its join 2.7-5.6 ms;
+# a sequential k=16 estimate of n=40,000 spends 40-52 (Pegasos), 90-108
+# (LsqSgd) and 75-143 (OnlineKMeans) ns per point update; and a root
+# forced to fork at 2 workers, against the sequential estimate, ran
+#   k=16 LsqSgd, right branch of  80,000 updates: 16.2-26.8 / 10.1-15.8 ms
+#                                160,000 updates: 24.1-43.4 / 30.0-31.6 ms
+#                                240,000 updates: 32.3-45.8 / 43.7-48.1 ms
+#                                320,000 updates: 32.8-39.9 / 51.9-59.7 ms
+#   Pegasos LOOCV,               143,616 updates: 14.5-18.0 / 8.2-13.7 ms
+#                                307,232 updates: 29.3-30.7 / 30.4-31.6 ms
+# Forking loses up to ~150,000 updates, wins or loses by turns at 160,000
+# and wins from 240,000; with s ~ 1.5, a 4 ms fork over 2 - s at 40-100
+# ns per update puts the turn at 80,000-200,000.  The floor sits above
+# every size at which the fork lost in all three runs and below every
+# size at which it won in all three.
+FORK_FLOOR = 200_000
+
 
 @dataclass(frozen=True)
 class TreeCvConfig:
     """Scheduler options.
 
-    max_workers 0 or 1: sequential; larger values fork the top
-    floor(log2(max_workers)) recursion levels onto worker processes, up
-    to `forkjoin.MAX_WORKERS`.  Negative counts are rejected.  The seed
-    fully determines all shuffles regardless of worker count.
+    max_workers 0 or 1: sequential; larger values are a cap, up to
+    `forkjoin.MAX_WORKERS`: the top floor(log2(max_workers)) recursion
+    levels may fork onto worker processes, and a node there whose
+    subtree runs compiled forks only above `FORK_FLOOR` point updates in
+    its right branch.  Negative counts are rejected.  The seed fully
+    determines all shuffles regardless of worker count.
     """
 
     ordering: str = "fixed"
@@ -172,11 +204,53 @@ def _fed_rows(kernels, part: Partition, ordering: str, shuffle_seed: int, first:
 
 
 def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> None:
-    """Visit chunk range s..e with a model trained on every other chunk:
-    at the fork depth by one `tree_feed` call where `_subtree` can make
-    it, else by `_visit`."""
-    if depth != run.fork_depth or not _subtree(run, s, e, model, depth):
-        _visit(run, s, e, model, depth)
+    """Visit chunk range s..e with a model trained on every other chunk.
+
+    Above the fork depth a node forks where its right branch pays for the
+    fork: always in the Python recursion, and for a model that `tree_feed`
+    takes (`_tree_feed`) only above `FORK_FLOOR` point updates.  Down to
+    the fork depth, a node that does not fork runs its whole subtree by
+    one `tree_feed` call where `_subtree` can make it; every other node is
+    visited by `_visit`."""
+    fork = False
+    if depth <= run.fork_depth:
+        feed = _tree_feed(run, model)
+        fork = depth < run.fork_depth and s < e and (
+            feed is None or _right_pays(run.row_bounds, s, e))
+        if not fork and feed is not None and _subtree(run, feed, s, e, model, depth):
+            return
+    _visit(run, s, e, model, depth, fork)
+
+
+def _right_pays(b: np.ndarray, s: int, e: int) -> bool:
+    """Whether internal node s..e's right branch makes more than
+    `FORK_FLOOR` point updates (`_right_updates`).  Every leaf of subtree
+    m+1..e lies D or D + 1 levels below its root, D = floor(log2(e - m)),
+    so the count lies between the rows fed to the branch plus D or D + 1
+    times the subtree's rows; it is counted only when the floor falls
+    between the two."""
+    m = (s + e) // 2
+    fed, rows, depth = int(b[m + 1] - b[s]), int(b[e + 1] - b[m + 1]), (e - m).bit_length() - 1
+    if fed + depth * rows > FORK_FLOOR:
+        return True
+    return fed + (depth + 1) * rows > FORK_FLOOR and _right_updates(b, s, e) > FORK_FLOOR
+
+
+def _right_updates(b: np.ndarray, s: int, e: int) -> int:
+    """The point updates of internal node s..e's right branch, in chunks
+    delimited by `b`: the rows of chunks s..m fed to it, and inside
+    subtree m+1..e the rows of each internal node, which feeds each of
+    them once, to one branch or the other."""
+    m = (s + e) // 2
+    total = int(b[m + 1] - b[s])
+    first, last = np.array([m + 1]), np.array([e])
+    while first.size:  # one level of internal nodes at a time
+        internal = first < last
+        first, last = first[internal], last[internal]
+        total += int((b[last + 1] - b[first]).sum())
+        mid = (first + last) // 2
+        first, last = np.concatenate((first, mid + 1)), np.concatenate((mid, last))
+    return total
 
 
 def _node_trace(b, s: int, e: int, depth: int) -> NodeTrace:
@@ -187,15 +261,16 @@ def _node_trace(b, s: int, e: int, depth: int) -> NodeTrace:
     return NodeTrace(s, e, m, b[e + 1] - b[m + 1], b[m + 1] - b[s], depth)
 
 
-def _visit(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> None:
+def _visit(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int,
+           fork: bool = False) -> None:
     """One node of the recursion.
 
     A leaf scores its chunk.  An internal node preserves its model for
-    the right branch and descends: in the top `run.fork_depth` levels a
-    forked worker takes the right branch from a copy-on-write image of
-    the model while this process runs the left; below them the right
-    branch runs inline on a clone.  Either way a left-branch failure
-    takes precedence, as in sequential order.
+    the right branch and descends: where `fork` is set a forked worker
+    takes the right branch from a copy-on-write image of the model while
+    this process runs the left; elsewhere the right branch runs inline on
+    a clone.  Either way a left-branch failure takes precedence, as in
+    sequential order.
     """
     run.counters.nodes_visited += 1
     part = run.partition
@@ -207,8 +282,9 @@ def _visit(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> 
         return
     m = (s + e) // 2
     run.counters.snapshots += 1
-    if depth < run.fork_depth:
-        join_right = fork(_worker_branch, run, m + 1, e, model, s, m, depth + 1)
+    if fork:
+        run.counters.forks += 1
+        join_right = forkjoin.fork(_worker_branch, run, m + 1, e, model, s, m, depth + 1)
         _, (scores, counters, traces) = join_all([
             lambda: _branch(run, s, m, model, m + 1, e, depth + 1), join_right])
         run.fold_scores[m + 1:e + 1] = scores
@@ -221,14 +297,28 @@ def _visit(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> 
         _branch(run, m + 1, e, right, s, m, depth + 1)
 
 
-def _subtree(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> bool:
-    """Run subtree s..e by one `tree_feed` call, and say whether that
-    happened.
+def _tree_feed(run: _Run, model: IncrementalLearner):
+    """The `COMPILED` feed of `model` if `tree_feed` runs subtrees from it,
+    else None.
 
-    It runs with the compiled kernels loaded and `tree_feed` checked, for
-    a model of an exact compiled type (`COMPILED`) that holds state the
-    kernels read as its Python update does, for the rows of the data and
-    with the labels it needs (`takes`), and a loss that scores a batch.
+    It runs them with the compiled kernels loaded and `tree_feed` checked,
+    for a model of an exact compiled type (`COMPILED`) that holds state
+    the kernels read as its Python update does, for the rows of the data
+    and with the labels it needs (`takes`), and a loss that scores a
+    batch.
+    """
+    feed = COMPILED.get(type(model))
+    if (feed is None or run.loss.batch is None or (kernels := _native.kernels()) is None
+            or kernels.tree() is None
+            or not feed.takes(kernels, model, run.dataset.x, run.dataset.y)):
+        return None
+    return feed
+
+
+def _subtree(run: _Run, feed, s: int, e: int, model: IncrementalLearner, depth: int) -> bool:
+    """Run subtree s..e by one `tree_feed` call through `feed`, which
+    `_tree_feed` gave for `model`, and say whether that happened.
+
     `model` is left untouched, and scores, counters and traces are added
     only when it returns True.  On False the recursion runs the subtree:
     where `tree_feed` or the loss failed, it meets the failure sequential
@@ -236,11 +326,7 @@ def _subtree(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -
     if it meets none, gives the sequential results.
     """
     x, y = run.dataset.x, run.dataset.y
-    feed = COMPILED.get(type(model))
-    if (feed is None or run.loss.batch is None or (kernels := _native.kernels()) is None
-            or kernels.tree() is None or not feed.takes(kernels, model, x, y)):
-        return False
-    ran = feed(model).run_subtree(kernels, run.row_bounds, s, e, x, y,
+    ran = feed(model).run_subtree(_native.kernels(), run.row_bounds, s, e, x, y,
                                   run.shuffle_seed if run.ordering == "randomized" else None)
     if ran is None:
         return False

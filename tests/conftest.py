@@ -1,6 +1,6 @@
 import pytest
 
-from treecv import _native
+from treecv import _native, tree
 
 
 @pytest.fixture
@@ -19,3 +19,11 @@ def kernels():
     if loaded is None:
         pytest.skip(f"no compiled kernels: {_native.reason()}")
     return loaded
+
+
+@pytest.fixture
+def fork_always(monkeypatch):
+    """Set the fork floor to 0: every node above the fork depth forks, as
+    the fork-join tests need at their small sizes, where a compiled
+    subtree would otherwise run in this process."""
+    monkeypatch.setattr(tree, "FORK_FLOOR", 0)

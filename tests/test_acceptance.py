@@ -196,7 +196,7 @@ def test_criterion_08_learner_unit_correctness():
     passed(8, "learner unit correctness")
 
 
-def test_criterion_09_determinism():
+def test_criterion_09_determinism(fork_always):
     """Equal seeds give bit-identical reports, sequential or fork-join."""
     ds = synth_classification(160, 6, margin=0.2, noise=0.1, seed=9)
     part = partition(ds, 16)
@@ -210,9 +210,11 @@ def test_criterion_09_determinism():
             tree_cv(factory, ds, part, ZERO_ONE, par),
         ]
         assert runs[0].comparable() == runs[1].comparable() == runs[2].comparable()
+        assert runs[2].counters.forks == 3
         flat = standard_cv(factory, ds, part, ZERO_ONE, ordering, seed=13)
         forked = standard_cv(factory, ds, part, ZERO_ONE, ordering, seed=13, max_workers=4)
         assert flat.comparable() == forked.comparable()
+        assert forked.counters.forks == 4
     passed(9, "determinism across reruns and fork-join")
 
 

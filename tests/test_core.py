@@ -29,6 +29,7 @@ from treecv import (
     evaluate_chunk,
     get_loss,
     partition,
+    standard_cv,
     synth_classification,
     tree_cv,
 )
@@ -319,3 +320,37 @@ def test_report_estimate_is_mean_of_fold_scores():
         report = make_report(scores, WorkCounters(), 0.0, "tree", "fixed", 0)
         assert report.estimate == pytest.approx(sum(scores) / k, rel=1e-12)
         assert report.estimate == math.fsum(scores) / k
+
+
+@pytest.mark.parametrize("signs, value, estimate", [
+    ([1.0, 1.0, -1.0, -1.0], math.inf, math.nan),
+    ([1.0] * 4, 8.99e307, math.inf),
+], ids=["both-infinities", "overflowing-sum"])
+@pytest.mark.parametrize("learner", [LsqSgd, MeanPredictor])
+def test_scores_that_fsum_refuses_still_make_a_report(signs, value, estimate, learner):
+    """Fold scores holding inf and -inf, or summing beyond the largest
+    double, make `math.fsum` raise; the report keeps them and takes the
+    plain sum over k as its estimate: nan or inf.  Each fold's loss is
+    `value` times the sign of its row's first feature (leave-one-out: a
+    chunk of two such rows would overflow its own sum)."""
+    x = np.array(signs)[:, None] * np.ones((1, 2))
+    data = Dataset(x, np.linspace(-1.0, 1.0, x.shape[0]))
+    part = partition(data, 4)
+    loss = Loss("signed", lambda p, xi, y: value * xi[0],
+                lambda p, x, y: value * x[:, 0])
+    factory = lambda: learner(2, 0.1) if learner is LsqSgd else learner(2)  # noqa: E731
+    expected = tuple(value * sign for sign in signs)
+    reports = [tree_cv(factory, data, part, loss, TreeCvConfig(max_workers=workers))
+               for workers in (0, 2)]
+    reports += [standard_cv(factory, data, part, loss, max_workers=workers)
+                for workers in (0, 2)]
+    for report in reports:
+        assert report.fold_scores == expected
+        assert report.estimate == estimate or math.isnan(estimate) and math.isnan(report.estimate)
+
+
+def test_work_counters_compare_without_their_forks_and_merge_them():
+    counters = WorkCounters(point_updates=3, forks=1)
+    counters.merge(WorkCounters(point_updates=2, forks=2))
+    assert counters.forks == 3 and counters.point_updates == 5
+    assert counters == WorkCounters(point_updates=5)

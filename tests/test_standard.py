@@ -111,6 +111,7 @@ def test_parallel_folds_are_bit_identical_to_sequential():
         seq = standard_cv(factory, ds, part, ZERO_ONE, ordering, seed=8)
         par = standard_cv(factory, ds, part, ZERO_ONE, ordering, seed=8, max_workers=4)
         assert seq.comparable() == par.comparable()
+        assert (seq.counters.forks, par.counters.forks) == (0, 4)
 
 
 # ---------------------------------------------------------------------------

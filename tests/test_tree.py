@@ -38,7 +38,7 @@ from treecv import (
     tree_cv,
     tree_feed_orders,
 )
-from treecv import _native, rng, tree
+from treecv import _native, forkjoin, rng, tree
 from treecv.core import make_report
 from treecv.learners import COMPILED, _Feed
 from treecv.rng import SplitMix64Stream, derive_seed
@@ -296,7 +296,7 @@ def test_equal_seeds_give_bit_identical_reports():
     assert runs[0] == runs[1]
 
 
-def test_kmeans_fork_join_and_oracle_replay_equal_sequential():
+def test_kmeans_fork_join_and_oracle_replay_equal_sequential(fork_always):
     """k-means runs the recursion, whose `update` runs compiled: forked
     runs of either scheduler equal sequential ones, and the oracle replay
     of the tree's feeding orders gives its fold scores."""
@@ -310,6 +310,7 @@ def test_kmeans_fork_join_and_oracle_replay_equal_sequential():
             forked = tree_cv(factory, data, part, QUANTIZATION,
                              TreeCvConfig(ordering=ordering, seed=k, max_workers=3))
             assert forked.comparable() == sequential.comparable()
+            assert forked.counters.forks > 0 == sequential.counters.forks
             replay = brute_force_oracle(factory, data, part, QUANTIZATION,
                                         tree_feed_orders(part, ordering, seed=k))
             assert replay.fold_scores == sequential.fold_scores
@@ -320,7 +321,7 @@ def test_kmeans_fork_join_and_oracle_replay_equal_sequential():
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4, 8])
-def test_fork_join_matches_sequential_bit_exactly(workers):
+def test_fork_join_matches_sequential_bit_exactly(workers, fork_always):
     ds = synth_classification(130, 6, margin=0.2, noise=0.1, seed=4)
     part = partition(ds, 13)
     factory = lambda: Pegasos(6, 1e-2)
@@ -329,6 +330,7 @@ def test_fork_join_matches_sequential_bit_exactly(workers):
     forked = tree_cv(factory, ds, part, ZERO_ONE,
                      TreeCvConfig(ordering="randomized", seed=31, max_workers=workers))
     assert forked.comparable() == sequential.comparable()
+    assert forked.counters.forks > 0
 
     stream = SplitMix64Stream(workers)
     for _ in range(2):
@@ -344,6 +346,7 @@ def test_fork_join_matches_sequential_bit_exactly(workers):
                              TreeCvConfig(ordering=ordering, seed=k, max_workers=workers),
                              trace_sink=par_traces)
             assert forked.comparable() == sequential.comparable()
+            assert forked.counters.forks > 0
             assert par_traces == seq_traces
             c = forked.counters
             assert (c.nodes_visited, c.snapshots, c.evaluations) == (2 * k - 1, k - 1, n)
@@ -397,6 +400,7 @@ def test_learner_with_its_own_stream_matches_oracle_and_fork_join(ordering):
         forked = tree_cv(factory, ds, part, SQUARED,
                          TreeCvConfig(ordering=ordering, seed=k, max_workers=2))
         assert forked.comparable() == report.comparable()
+        assert forked.counters.forks > 0
         # every fold model drew once per training point, and dropped some
         assert [m.draws for m in leaves] == [n - size for size in part.sizes()]
         assert any(m.count < m.draws for m in leaves)
@@ -407,9 +411,111 @@ def test_fork_join_preserves_trace_order():
     part = partition(ds, 8)
     seq_traces, par_traces = [], []
     tree_cv(mean_factory(), ds, part, SQUARED, TreeCvConfig(seed=1), trace_sink=seq_traces)
-    tree_cv(mean_factory(), ds, part, SQUARED, TreeCvConfig(seed=1, max_workers=4),
-            trace_sink=par_traces)
+    forked = tree_cv(mean_factory(), ds, part, SQUARED, TreeCvConfig(seed=1, max_workers=4),
+                     trace_sink=par_traces)
     assert seq_traces == par_traces
+    assert forked.counters.forks == 3
+
+
+# ---------------------------------------------------------------------------
+# The fork floor: above the fork depth, a node whose model `tree_feed` takes
+# forks only when its right branch makes more than `tree.FORK_FLOOR` point
+# updates; the Python recursion always forks there.
+
+
+def refuse_forks(monkeypatch):
+    def refused(*args):
+        raise AssertionError("forked below the floor")
+    monkeypatch.setattr(forkjoin, "fork", refused)
+
+
+def right_updates_of_traces(b, s: int, e: int) -> int:
+    """The point updates of node s..e's right branch, as the node traces
+    of a run count them: the rows fed to it, and those its subtree's nodes
+    feed their branches."""
+    m = (s + e) // 2
+    traces = []
+    tree._trace_subtree(traces, b, m + 1, e, 1)
+    return b[m + 1] - b[s] + sum(t.points_fed_left + t.points_fed_right for t in traces)
+
+
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=300), st.integers(-3, 3))
+def test_the_right_branch_count_is_the_traced_one_and_decides_the_fork(sizes, offset):
+    """`_right_updates` counts what the node traces of the right branch
+    add up to, and `_right_pays` says whether that count is above the
+    floor, at every floor near it."""
+    bounds = tuple(int(b) for b in np.cumsum([0] + sizes))
+    b = np.array(bounds, dtype=np.int64)
+    k = len(sizes)
+    for s, e in ((0, k - 1), (0, (k - 1) // 2), ((k - 1) // 2 + 1, k - 1)):
+        if s == e:
+            continue
+        count = tree._right_updates(b, s, e)
+        assert count == right_updates_of_traces(bounds, s, e)
+        for floor in (count + offset, 0, count // 2, 2 * count):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tree, "FORK_FLOOR", floor)
+                assert tree._right_pays(b, s, e) == (count > floor)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_compiled_subtree_below_the_floor_runs_without_forking(monkeypatch, workers):
+    """Below the floor a 2- or 4-worker run of a learner that `tree_feed`
+    takes forks no worker: it gives the sequential report, and its
+    counters say it made no fork."""
+    if not tree_feed_runs():
+        pytest.skip("no compiled tree_feed here: the Python recursion forks")
+    data = synth_regression(4000, 5, seed=3)
+    part = partition(data, 16)
+    assert tree._right_updates(tree.check_partition(part), 0, 15) <= tree.FORK_FLOOR
+    config = TreeCvConfig(ordering="randomized", seed=3)
+    sequential = tree_cv(lambda: LsqSgd(5, 0.05), data, part, SQUARED, config)
+    refuse_forks(monkeypatch)
+    counts = LevelCounts(monkeypatch)
+    report = tree_cv(lambda: LsqSgd(5, 0.05), data, part, SQUARED,
+                     dataclasses.replace(config, max_workers=workers))
+    assert counts.ran(1)  # the whole tree, by one call in this process
+    assert report.comparable() == sequential.comparable()
+    assert report.counters.forks == sequential.counters.forks == 0
+
+
+def test_a_compiled_subtree_forks_above_the_floor(monkeypatch):
+    """Above the floor the root of a 2-worker run forks once, from the
+    first point update past it: with the floor at the right branch's count
+    it runs in this process, one update below it and at the package's
+    floor (the right branch of k=16 feeds about 2n rows) it forks."""
+    n = tree.FORK_FLOOR // 2 + 16
+    data = synth_regression(n, 2, seed=5)
+    part = partition(data, 16)
+    count = tree._right_updates(tree.check_partition(part), 0, 15)
+    assert count > tree.FORK_FLOOR
+    sequential = tree_cv(lambda: LsqSgd(2, 0.01), data, part, SQUARED)
+    for floor in (None, count - 1, count):
+        with monkeypatch.context() as patch:
+            if floor is not None:
+                patch.setattr(tree, "FORK_FLOOR", floor)
+            forked = tree_cv(lambda: LsqSgd(2, 0.01), data, part, SQUARED,
+                             TreeCvConfig(max_workers=2))
+        assert forked.comparable() == sequential.comparable()
+        assert forked.counters.forks == (floor != count or not tree_feed_runs())
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kernels_off", [False, True], ids=["subclass", "no-kernels"])
+def test_the_python_recursion_forks_whatever_the_floor(monkeypatch, kernels_off):
+    """A learner the recursion runs, a subclass of a compiled type or any
+    learner without the kernels, forks at 2 workers however little work
+    its branches hold."""
+    if kernels_off:
+        monkeypatch.setattr(_native, "kernels", lambda: None)
+    data = synth_regression(64, 3, seed=8)
+    part = partition(data, 8)
+    learner = LsqSgd if kernels_off else PlainLsqSgd
+    sequential = tree_cv(lambda: learner(3, 0.1), data, part, SQUARED)
+    assert tree._right_updates(tree.check_partition(part), 0, 7) < tree.FORK_FLOOR
+    forked = tree_cv(lambda: learner(3, 0.1), data, part, SQUARED, TreeCvConfig(max_workers=2))
+    assert forked.comparable() == sequential.comparable()
+    assert (forked.counters.forks, sequential.counters.forks) == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +584,7 @@ def test_level_table_feeds_most_ranges_of_the_n120_loocv_gates(seed, monkeypatch
     assert report.fold_scores == replay.fold_scores
 
 
-def test_level_table_under_fork_join_matches_sequential(monkeypatch):
+def test_level_table_under_fork_join_matches_sequential(monkeypatch, fork_always):
     # with 4 workers each of the four nodes at depth 2 runs one tree_feed
     # call, in its own process; the parent's own (rows 0-74) counts here,
     # after the parent's two Python feeds above it
@@ -493,6 +599,7 @@ def test_level_table_under_fork_join_matches_sequential(monkeypatch):
     sequential = tree_cv(factory, data, part, ZERO_ONE,
                          TreeCvConfig(ordering="randomized", seed=12))
     assert forked.comparable() == sequential.comparable()
+    assert forked.counters.forks == 3
     assert multiprocessing.active_children() == []
 
 
@@ -587,9 +694,9 @@ class LevelCounts:
             self.failures += ran is None
             return ran
 
-        def counted_visit(run, s, e, model, depth):
+        def counted_visit(run, s, e, model, *rest):
             self.visits += type(model) in COMPILED
-            visit(run, s, e, model, depth)
+            visit(run, s, e, model, *rest)
 
         monkeypatch.setattr(_Feed, "run_subtree", counted_run_subtree)
         monkeypatch.setattr(tree, "_visit", counted_visit)
@@ -629,12 +736,9 @@ def test_one_row_leaves_score_their_loss_as_fsum_does(dtype, data):
     assert pack(run.fold_scores.tolist()) == pack(expected)
 
     def report(scores):
-        """The report's scores and estimate as bytes, or the error fsum
-        raises on inf + -inf or an overflowing sum."""
-        try:
-            made = make_report(scores, WorkCounters(), 0.0, "tree", "fixed", 0)
-        except (ValueError, OverflowError) as err:
-            return type(err), str(err)
+        """The report's scores and estimate as bytes: a plain sum's where
+        fsum refuses inf + -inf or an overflowing sum."""
+        made = make_report(scores, WorkCounters(), 0.0, "tree", "fixed", 0)
         assert all(type(score) is float for score in made.fold_scores)
         return pack(made.fold_scores), struct.pack("<d", made.estimate)
 
@@ -690,7 +794,7 @@ def constant_loss(value):
     (LsqSgd, PlainLsqSgd, constant_loss(math.nan)),
 ], ids=["float32", "int64", "object", "minus-zero", "inf", "nan"])
 def test_array_fold_scores_report_what_the_recursions_list_reported(learner, plain, loss,
-                                                                    workers):
+                                                                    workers, fork_always):
     """The tree's fold scores, a float64 array, give the report the
     list of `evaluate_chunk` scores gives, byte for byte, at 2 and 4
     workers as sequentially: for batch losses of float32, int64 and
@@ -711,6 +815,7 @@ def test_array_fold_scores_report_what_the_recursions_list_reported(learner, pla
         assert all(type(score) is float for score in report.fold_scores)
         assert pack(report) == pack(sequential) == pack(recursion)
         assert report.counters == sequential.counters == recursion.counters
+        assert (report.counters.forks > 0) == (workers > 1)
         if not math.isnan(report.estimate):
             assert report.comparable() == sequential.comparable()
     assert multiprocessing.active_children() == []
@@ -789,7 +894,8 @@ def test_level_loop_reports_and_traces_are_the_recursions(ordering, monkeypatch)
     assert counts.ran(12)
 
 
-def test_small_subtree_bound_runs_the_recursion_above_and_level_loops_below(monkeypatch):
+def test_small_subtree_bound_runs_the_recursion_above_and_level_loops_below(monkeypatch,
+                                                                          fork_always):
     """The recursion runs the nodes above the fork depth and `tree_feed`
     each subtree at it: with 4 workers, n=120 LOOCV recurses through
     depths 0-1 and runs the four 30-row subtrees at depth 2 by one call
@@ -812,6 +918,7 @@ def test_small_subtree_bound_runs_the_recursion_above_and_level_loops_below(monk
                      trace_sink=forked_traces)
     assert counts.ran(1, visits=2)
     assert forked.comparable() == report.comparable()
+    assert forked.counters.forks == 3
     assert forked_traces == traces
     assert multiprocessing.active_children() == []
 
@@ -961,7 +1068,8 @@ def tree_problems(draw):
 @settings(deadline=None, max_examples=120,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(tree_problems())
-def test_tree_feed_gives_the_recursions_scores_counters_and_traces(monkeypatch, problem):
+def test_tree_feed_gives_the_recursions_scores_counters_and_traces(monkeypatch, fork_always,
+                                                                   problem):
     """`tree_feed` runs the subtree at the fork depth to the Python
     recursion's fold scores, byte for byte, its `WorkCounters` and its node
     traces, for every built-in learner it takes: ragged partitions, k from
@@ -977,6 +1085,7 @@ def test_tree_feed_gives_the_recursions_scores_counters_and_traces(monkeypatch, 
     pack = lambda r: struct.pack(f"<{part.k + 1}d", *r.fold_scores, r.estimate)  # noqa: E731
     assert pack(report) == pack(recursion)
     assert report.counters == recursion.counters
+    assert report.counters.forks == recursion.counters.forks == (config.max_workers > 1)
     assert traces == plain_traces
 
 
@@ -1096,7 +1205,7 @@ def test_partition_dataset_mismatch():
         tree_cv(mean_factory(), ds, partition(12, 3), SQUARED)
 
 
-def test_numpy_integer_counts_bounds_and_seeds_run_as_python_ints():
+def test_numpy_integer_counts_bounds_and_seeds_run_as_python_ints(fork_always):
     data = synth_classification(64, 3, margin=0.2, noise=0.1, seed=1)
     factory = lambda: Pegasos(3, 1e-3)
     part = partition(data, 16)
@@ -1105,8 +1214,9 @@ def test_numpy_integer_counts_bounds_and_seeds_run_as_python_ints():
     for seed in (7, -3):
         config = TreeCvConfig("randomized", max_workers=2, seed=seed)
         numpy_config = TreeCvConfig("randomized", max_workers=np.uint8(2), seed=np.int64(seed))
-        assert (tree_cv(factory, data, numpy_part, ZERO_ONE, numpy_config).comparable()
-                == tree_cv(factory, data, part, ZERO_ONE, config).comparable())
+        forked = tree_cv(factory, data, numpy_part, ZERO_ONE, numpy_config)
+        assert forked.comparable() == tree_cv(factory, data, part, ZERO_ONE, config).comparable()
+        assert forked.counters.forks == 1
         assert (standard_cv(factory, data, numpy_part, ZERO_ONE, "randomized", np.int64(seed),
                             np.int32(2)).comparable()
                 == standard_cv(factory, data, part, ZERO_ONE, "randomized", seed, 2).comparable())

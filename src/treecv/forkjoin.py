@@ -1,9 +1,9 @@
 """Fork-join on worker processes.
 
 Forked processes are the package's one parallel mechanism.  A Python
-learner's update loop, and the Python recursion around every learner,
-run in the interpreter, which one thread holds at a time, so threads
-cannot overlap them; processes can.  The compiled learners' loops run
+learner's update loop, and the tree's Python recursion, run in the
+interpreter, which one thread holds at a time, so threads cannot overlap
+them; processes can.  The compiled learners' loops run
 in C (`_native`), so a fork pays for them only when the work it moves
 outweighs its cost of a few ms (`tree.FORK_FLOOR`).  `fork` starts a
 callable in a child made with the POSIX "fork" start method: the child

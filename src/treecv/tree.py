@@ -262,7 +262,7 @@ def _node_trace(b, s: int, e: int, depth: int) -> NodeTrace:
 
 
 def _visit(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int,
-           fork: bool = False) -> None:
+           fork: bool) -> None:
     """One node of the recursion.
 
     A leaf scores its chunk.  An internal node preserves its model for

@@ -1,12 +1,12 @@
-/* The compiled tree recursion (`tree_feed`) and per-point update kernels
-   for the exact `Pegasos`, `LsqSgd` and `OnlineKMeans` types, the
-   shuffle of every randomized estimate, and the sparse-text scanner of
+/* The compiled tree recursion (`tree_feed`), the feed (`feed_rows`) of
+   the exact `Pegasos`, `LsqSgd` and `OnlineKMeans` types, the shuffle of
+   every randomized estimate, and the sparse-text scanner of
    `dataio.parse_sparse_text`.
 
-   `pegasos_feed`, `lsqsgd_feed` and `kmeans_feed` feed one model every
-   row of x.  Every step is the learner's `_update_point`, with the same
-   operations in the same order, so the model gets the bits the Python
-   update gives it:
+   `feed_rows` feeds one model of any of the three types every row of x,
+   each by `step`, which `tree_feed` feeds its models with too.  Every
+   step is the learner's `_update_point`, with the same operations in the
+   same order, so the model gets the bits the Python update gives it:
 
    - every dot product is `ndarray.dot` of two contiguous vectors: the
      BLAS ddot that numpy calls, through the pointer `set_ddot` stores,
@@ -21,9 +21,9 @@
      remaining pairs in order, an odd last element paired with +0.0;
      then lane 0 plus lane 1, and that sum added to +0.0.  That is how an
      x86-64 numpy built for its SSE baseline, with no einsum dispatched
-     at run time, reduces; the loader keeps `kmeans_feed` only if its
-     distances match np.einsum's bit for bit on this numpy, and
-     `tree_feed` only if its predictions match `predict_many`'s;
+     at run time, reduces; the loader feeds k-means models here only if
+     their distances match np.einsum's bit for bit on this numpy, and
+     keeps `tree_feed` only if its predictions match `predict_many`'s;
    - a nearest center is numpy's `argmin`: the lowest index of the least
      distance, or of the first NaN;
    - vector steps are elementwise, as numpy's ufuncs compute them;
@@ -53,11 +53,11 @@
    overflows sends the rows to Python, which gives the same bits.)  The
    caller's own flags are restored either way.
 
-   `shuffle_ranges` is integer code only: it is `SplitMix64Stream.shuffle`
-   run on each range with its own seed, so it gives the permutation that
-   the Python loop gives.  It shuffles, one range per call, the rows the
-   tree's Python recursion feeds a node and a standard-CV fold's training
-   rows; `tree_feed` runs the same loop on each range it feeds.
+   `shuffle` is integer code only: it is `SplitMix64Stream.shuffle`, so
+   it gives the permutation that the Python loop gives.  It shuffles the
+   rows the tree's Python recursion feeds a node and a standard-CV fold's
+   training rows, one vector per call; `tree_feed` runs the same loop on
+   each range it feeds.
 
    `parse_sparse` scans sparse text once and converts each number with
    strtod.  strtod and Python's float() are both correctly rounded (as
@@ -157,7 +157,7 @@ static double einsum_dot(int64_t d, const double *x, const double *w)
     return 0.0 + (lane0 + lane1);
 }
 
-static void pegasos_step(int64_t d, double lam, double *a, double *v, int64_t *t,
+static inline void pegasos_step(int64_t d, double lam, double *a, double *v, int64_t *t,
                          const double *x, double y)
 {
     double margin = y * (*a * dot(d, v, x));
@@ -248,24 +248,43 @@ static int kmeans_step(int64_t d, int64_t k, double *centers, int64_t *counts, i
     return 0;
 }
 
-int pegasos_feed(int64_t n, int64_t d, double lam, double *a, double *v, int64_t *t,
-                 const double *x, const double *y)
+/* The learners `feed_rows` and `tree_feed` feed, and the three state
+   arrays of each, in the order the caller passes them and a slot holds
+   them: PEGASOS a (1), v (d), t (1, int64); LSQSGD w (d), w_avg (d), t
+   (1, int64); KMEANS centers (k * d), counts (k, int64), centers in use
+   (1, int64). */
+enum { PEGASOS, LSQSGD, KMEANS };
+
+/* One step of a model of `kind`, its state f0, f1 and f2, on the row x,
+   labeled y for the linear learners; param is lam or alpha, and k the
+   k-means model's centers.  Nonzero as `kmeans_step` says.  It and
+   `pegasos_step` are inline so that GCC keeps the Pegasos step within
+   both callers' row loops, as it did when each learner had a feed of its
+   own, and calls no function per Pegasos row. */
+static inline int step(int64_t kind, int64_t d, double param, int64_t k, double *f0,
+                       void *f1, int64_t *f2, const double *x, double y)
 {
-    fexcept_t caller;
-    begin(&caller);
-    for (int64_t i = 0; i < n; i++)
-        pegasos_step(d, lam, a, v, t, x + i * d, y[i]);
-    return end(&caller, 0);
+    if (kind == PEGASOS)
+        pegasos_step(d, param, f0, f1, f2, x, y);
+    else if (kind == LSQSGD)
+        lsqsgd_step(d, 2.0 * param, f0, f1, f2, x, y);
+    else
+        return kmeans_step(d, k, f0, f1, f2, x);
+    return 0;
 }
 
-int lsqsgd_feed(int64_t n, int64_t d, double alpha, double *w, double *w_avg, int64_t *t,
-                const double *x, const double *y)
+/* Feed one model of `kind` (see `step`) the n rows of x, d wide and
+   labeled by y for the linear learners (NULL for k-means); nonzero as
+   `kmeans_step` says, or on a raised flag. */
+int feed_rows(int64_t kind, int64_t n, int64_t d, double param, int64_t k, double *f0, void *f1,
+              int64_t *f2, const double *x, const double *y)
 {
     fexcept_t caller;
     begin(&caller);
-    for (int64_t i = 0; i < n; i++)
-        lsqsgd_step(d, 2.0 * alpha, w, w_avg, t, x + i * d, y[i]);
-    return end(&caller, 0);
+    int failed = 0;
+    for (int64_t i = 0; i < n && !failed; i++)
+        failed = step(kind, d, param, k, f0, f1, f2, x + i * d, y ? y[i] : 0.0);
+    return end(&caller, failed);
 }
 
 void kmeans_distances(int64_t k, int64_t d, const double *centers, const double *x,
@@ -273,19 +292,6 @@ void kmeans_distances(int64_t k, int64_t d, const double *centers, const double 
 {
     for (int64_t j = 0; j < k; j++)
         out[j] = distance(d, centers + j * d, x);
-}
-
-/* Feed one `OnlineKMeans` model of k centers, *seeded of them in use,
-   the n rows of x; nonzero as `kmeans_step` says, or on a raised flag. */
-int kmeans_feed(int64_t n, int64_t d, int64_t k, double *centers, int64_t *counts,
-                int64_t *seeded, const double *x)
-{
-    fexcept_t caller;
-    begin(&caller);
-    int failed = 0;
-    for (int64_t i = 0; i < n && !failed; i++)
-        failed = kmeans_step(d, k, centers, counts, seeded, x + i * d);
-    return end(&caller, failed);
 }
 
 /* The SplitMix64 finalizer, as `rng._mix`. */
@@ -300,7 +306,7 @@ static uint64_t mix(uint64_t z)
    `SplitMix64Stream(state).shuffle`: from the last position i down to 1,
    swap i with j = randbelow(i + 1), where a draw u with u - u % bound >
    2**64 - bound is rejected and drawn again. */
-static void shuffle(int64_t *part, int64_t n, uint64_t state)
+static void fisher_yates(int64_t *part, int64_t n, uint64_t state)
 {
     for (int64_t i = n - 1; i > 0; i--) {
         uint64_t bound = (uint64_t)i + 1, u, j;
@@ -315,21 +321,13 @@ static void shuffle(int64_t *part, int64_t n, uint64_t state)
     }
 }
 
-/* Shuffle values[starts[r]:stops[r]] in place for every r of m, each as
-   `shuffle` does with seeds[r].  The ranges must not overlap. */
-void shuffle_ranges(int64_t *values, int64_t m, const uint64_t *seeds, const int64_t *starts,
-                    const int64_t *stops)
+/* `fisher_yates`, exported for `rng.shuffled`.  `feed` calls the static
+   loop, which the compiler inlines there; a call to an exported function
+   goes through the PLT, since another library may interpose it. */
+void shuffle(int64_t *part, int64_t n, uint64_t state)
 {
-    for (int64_t r = 0; r < m; r++)
-        shuffle(values + starts[r], stops[r] - starts[r], seeds[r]);
+    fisher_yates(part, n, state);
 }
-
-/* The learners `tree_feed` runs, and the three state arrays of each, in
-   the order the caller passes them and a slot holds them:
-   PEGASOS a (1), v (d), t (1, int64); LSQSGD w (d), w_avg (d), t (1,
-   int64); KMEANS centers (k * d), counts (k, int64), centers in use (1,
-   int64). */
-enum { PEGASOS, LSQSGD, KMEANS };
 
 /* What every node of one `tree_feed` call reads, and what it adds up. */
 struct tree {
@@ -367,20 +365,17 @@ static int feed(struct tree *t, char *slot, int64_t first, int64_t last)
         order = t->rows + (lo - t->base);
         for (int64_t i = 0; i < n; i++)
             order[i] = lo + i;
-        shuffle(order, n, mix((seed + GAMMA) ^ (uint64_t)last));
+        fisher_yates(order, n, mix((seed + GAMMA) ^ (uint64_t)last));
     }
     t->updates += n;
     t->transfers += last - first + 1;
-    double *f0 = field(t, slot, 0), *f1 = field(t, slot, 1);
+    double *f0 = field(t, slot, 0);
+    void *f1 = field(t, slot, 1);
     int64_t *f2 = field(t, slot, 2);
     for (int64_t i = 0; i < n; i++) {
         int64_t row = order ? order[i] : lo + i;
-        const double *x = t->x + row * t->d;
-        if (t->kind == PEGASOS)
-            pegasos_step(t->d, t->param, f0, f1, f2, x, t->y[row]);
-        else if (t->kind == LSQSGD)
-            lsqsgd_step(t->d, 2.0 * t->param, f0, f1, f2, x, t->y[row]);
-        else if (kmeans_step(t->d, t->k, f0, field(t, slot, 1), f2, x))
+        if (step(t->kind, t->d, t->param, t->k, f0, f1, f2, t->x + row * t->d,
+                 t->y ? t->y[row] : 0.0))
             return 1;
     }
     return 0;

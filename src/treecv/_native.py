@@ -1,15 +1,15 @@
-"""The compiled tree recursion (`tree_feed`) and per-point kernels of the
-exact `Pegasos`, `LsqSgd` and `OnlineKMeans` types, the Fisher-Yates
-shuffle that both schedulers draw their randomized orders with
-(`rng.shuffled`), and the sparse-text scanner of
+"""The compiled tree recursion (`tree_feed`) and per-point feed
+(`feed_rows`) of the exact `Pegasos`, `LsqSgd` and `OnlineKMeans` types,
+the Fisher-Yates shuffle that both schedulers draw their randomized
+orders with (`rng.shuffled`), and the sparse-text scanner of
 `dataio.parse_sparse_text`.
 
 `_kernels.c` feeds models of these types point by point, bit for bit as
 their `_update_point` does, runs whole subtrees of the tree's recursion
-for them, shuffles ranges as `SplitMix64Stream.shuffle` does, and parses
-the strict part of the sparse-text grammar with strtod, which rounds as
-float() does; its header says how.  This module builds and loads it
-with the standard library alone:
+for them, shuffles a vector as `SplitMix64Stream.shuffle` does, and
+parses the strict part of the sparse-text grammar with strtod, which
+rounds as float() does; its header says how.  This module builds and
+loads it with the standard library alone:
 
 * it compiles the source once with the system C compiler, `cc`, at
   `FLAGS`, into a per-user cache (`$XDG_CACHE_HOME/treecv`, else
@@ -22,16 +22,16 @@ with the standard library alone:
   and the kernels keep every bit the checks below compare;
 * it hands the kernels `scipy_cblas_ddot64_`, the BLAS ddot that
   `ndarray.dot` calls, resolved from numpy's own extension module;
-* it feeds a pinned probe through both the kernels and `_update_point`,
-  and shuffles pinned ranges through both `shuffle_ranges` and
-  `SplitMix64Stream.shuffle`, and keeps the kernels only if every bit
-  agrees;
-* when k-means first asks for its kernel (`Kernels.kmeans`), it checks
+* it feeds a pinned probe of the linear learners through both
+  `feed_rows` and `_update_point`, and shuffles pinned ranges through
+  both `shuffle` and `SplitMix64Stream.shuffle`, and keeps the kernels
+  only if every bit agrees;
+* when k-means first asks for its feed (`Kernels.kmeans`), it checks
   that the kernel's distances sum as this numpy's `np.einsum("ij,ij->i")`
   does, a property of the numpy build, and feeds a second probe through
-  `kmeans_feed`.  A mismatch there leaves `kmeans_feed` out and keeps
-  the other kernels.  A process that never trains k-means never runs
-  this check;
+  `feed_rows`.  A mismatch there leaves `OnlineKMeans` in Python and
+  keeps the other kernels.  A process that never trains k-means never
+  runs this check;
 * when the tree first asks for `tree_feed` (`Kernels.tree`), it runs a
   pinned tree of each learner through it, and compares each leaf's
   predictions with `predict_many` of a model fed that fold's
@@ -55,6 +55,7 @@ and `reason()` says why.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import os
 import struct
@@ -71,89 +72,71 @@ class _Unavailable(Exception):
     """Why the kernels cannot be used in this process."""
 
 
+# Every function `_kernels.c` exports, with its argument and result
+# types; `Kernels` binds each under its own name.
+_INT, _FLOAT, _ARRAY = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_FUNCTIONS = {
+    "set_ddot": ([_ARRAY], None),
+    "feed_rows": ([_INT] * 3 + [_FLOAT, _INT] + [_ARRAY] * 5, ctypes.c_int),
+    "kmeans_distances": ([_INT] * 2 + [_ARRAY] * 3, None),
+    "shuffle": ([_ARRAY, _INT, ctypes.c_uint64], None),
+    "tree_feed": ([_INT] * 3 + [_ARRAY, _INT] + [_ARRAY] * 2
+                  + [_INT, ctypes.c_uint64, _FLOAT, _INT] + [_ARRAY] * 5, ctypes.c_int),
+    "parse_sparse": ([ctypes.c_char_p] + [_INT] * 4 + [_ARRAY] * 5, _INT),
+}
+
+
 class Kernels:
     """The loaded kernels, every array passed as a pointer to its
     C-contiguous data (see `_kernels.c`):
 
-    * `pegasos_feed` and `lsqsgd_feed`, each called as (n, d, parameter,
-      three state arrays, x, y) through `learners._LinearFeed`;
-    * `kmeans_feed`, called as (n, d, k, centers, counts, n_centers, x),
-      n_centers a one-element int64 array, once `kmeans()` has checked it;
+    * `feed_rows`, called as (kind, n, d, parameter, k, three state
+      arrays, x, y) through `learners._Feed.feed_rows`, which checks the
+      arrays; for k-means (y NULL) once `kmeans()` has checked it;
     * `kmeans_distances`, called as (k, d, centers, x, out): the squared
-      distances `kmeans_feed` computes, for that check;
+      distances `feed_rows` computes for k-means, for that check;
     * `tree_feed`, called as (kind, s, e, bounds, d, x, y, randomized,
       shuffle_seed, parameter, k, three state arrays, out, counts)
       through `learners._Feed.run_subtree`, once `tree()` has checked it;
-    * `shuffle_ranges`, called as (values, m, seeds, starts, stops)
-      through `rng.shuffle_ranges`, which checks the arrays;
+    * `shuffle`, called as (values, n, seed) through `rng.shuffled`,
+      which checks the vector;
     * `parse_sparse`, called as (text, size, expected_dim, row_cap,
       entry_cap, counts, labels, cols, vals, out) through
       `dataio.parse_compiled`, which sizes the arrays, once `parser()`
       has checked it.
+
+    `kmeans()`, `tree()` and `parser()` each run their self-check on
+    their first call (`_CHECKS`); `reasons` maps each check run to why it
+    failed, or None.
     """
 
     def __init__(self, lib: ctypes.CDLL, ddot: int):
-        lib.set_ddot.argtypes = [ctypes.c_void_p]
-        lib.set_ddot.restype = None
-        lib.set_ddot(ddot)
-        linear = [ctypes.c_int64, ctypes.c_int64, ctypes.c_double] + [ctypes.c_void_p] * 5
-        tree = ([ctypes.c_int64] * 3 + [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 2
-                + [ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_int64]
-                + [ctypes.c_void_p] * 5)
-        for name, argtypes, restype in [
-            ("pegasos_feed", linear, ctypes.c_int),
-            ("lsqsgd_feed", linear, ctypes.c_int),
-            ("kmeans_feed", [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 4, ctypes.c_int),
-            ("kmeans_distances", [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3, None),
-            ("tree_feed", tree, ctypes.c_int),
-            ("shuffle_ranges", [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3, None),
-            ("parse_sparse", [ctypes.c_char_p] + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 5,
-             ctypes.c_int64),
-        ]:
+        for name, (argtypes, restype) in _FUNCTIONS.items():
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes, restype
             setattr(self, name, fn)
+        self.set_ddot(ddot)
         self.lib = lib  # the functions are valid while the library is loaded
-        self.kmeans_checked = False
-        self.kmeans_reason: str | None = None  # why `kmeans()` gives None
-        self.parser_checked = False
-        self.parser_reason: str | None = None  # why `parser()` gives None
-        self.tree_checked = False
-        self.tree_reason: str | None = None  # why `tree()` gives None
+        self.reasons: dict[str, str | None] = {}
 
-    def kmeans(self):
-        """`kmeans_feed` if it passes its self-check (`_probe_kmeans`),
+    def _checked(self, check: str):
+        """The kernel `_CHECKS[check]` gates if it passes its self-check,
         else None.  The first call runs the check."""
-        if not self.kmeans_checked:
-            # marked first: the probe feeds its models through this method
-            self.kmeans_checked = True
-            mismatch = _probe_kmeans(self)
+        kernel, probe, falls_back = _CHECKS[check]
+        if check not in self.reasons:
+            # marked first: the k-means probe feeds its models through `kmeans()`
+            self.reasons[check] = None
+            mismatch = probe(self)
             if mismatch is not None:
-                self.kmeans_reason = ("kmeans_feed failed its self-check, so OnlineKMeans runs "
-                                      "in Python: " + mismatch)
-        return None if self.kmeans_reason else self.kmeans_feed
+                self.reasons[check] = f"{falls_back}: {mismatch}"
+        return None if self.reasons[check] else getattr(self, kernel)
 
-    def tree(self):
-        """`tree_feed` if it passes its self-check (`_probe_tree`), else
-        None.  The first call runs the check."""
-        if not self.tree_checked:
-            self.tree_checked = True
-            mismatch = _probe_tree(self)
-            if mismatch is not None:
-                self.tree_reason = ("tree_feed failed its self-check, so the tree runs the "
-                                    "recursion: " + mismatch)
-        return None if self.tree_reason else self.tree_feed
-
-    def parser(self):
-        """`parse_sparse` if it passes its self-check (`_probe_parser`),
-        else None.  The first call runs the check."""
-        if not self.parser_checked:
-            self.parser_checked = True
-            mismatch = _probe_parser(self)
-            if mismatch is not None:
-                self.parser_reason = ("parse_sparse failed its self-check, so sparse text parses "
-                                      "in Python: " + mismatch)
-        return None if self.parser_reason else self.parse_sparse
+    # `feed_rows` for `OnlineKMeans` (`_probe_kmeans`), `tree_feed`
+    # (`_probe_tree`) and `parse_sparse` (`_probe_parser`), each if it
+    # passes its self-check, else None
+    kmeans = functools.partialmethod(_checked, "kmeans")
+    tree = functools.partialmethod(_checked, "tree")
+    parser = functools.partialmethod(_checked, "parser")
 
 
 def _numpy_ddot() -> tuple[int, str]:
@@ -231,12 +214,12 @@ def _probe(kernels: Kernels) -> str | None:
     and `_update_point`, at widths 0, 1, 2 and 20: runs of 3, 0, 7 and 5
     rows into a fresh model, a trained one, a t = 0 restart from a
     nonzero iterate and one with a -0.0 iterate, with `LsqSgd`
-    projections.  `shuffle_ranges` shuffles ranges of length 0, 1, 2, 3
-    and 40, one of them seeded so that its first draw is rejected, which
-    `SplitMix64Stream.shuffle` must shuffle alike."""
+    projections.  `shuffle` shuffles ranges of length 0, 1, 2, 3 and 40,
+    one call each, one of them seeded so that its first draw is rejected,
+    which `SplitMix64Stream.shuffle` must shuffle alike."""
     from .core import IncrementalLearner
     from .learners import COMPILED, LsqSgd, Pegasos
-    from .rng import SplitMix64Stream, shuffle_ranges
+    from .rng import SplitMix64Stream
 
     counts = (3, 0, 7, 5)
     rows = sum(counts)
@@ -267,18 +250,16 @@ def _probe(kernels: Kernels) -> str | None:
                         return (f"self-check against _update_point failed: "
                                 f"{type(proto).__name__}.{name} of model {i} differs at d={d}")
 
-    lengths = [0, 1, 2, 3, 40]
-    seeds = np.array([5, 6, 7, 8, _REJECTED_SEED], dtype=np.uint64)
-    stops = np.cumsum(lengths)
-    starts = stops - lengths
-    values = np.arange(stops[-1], dtype=np.int64)
-    shuffle_ranges(kernels, values, seeds, starts, stops)
-    for seed, start, stop in zip(seeds.tolist(), starts.tolist(), stops.tolist()):
-        expected = list(range(start, stop))
+    start = 0
+    for length, seed in zip((0, 1, 2, 3, 40), (5, 6, 7, 8, _REJECTED_SEED)):
+        values = np.arange(start, start + length, dtype=np.int64)
+        expected = values.tolist()
+        start += length
+        kernels.shuffle(values.ctypes.data, length, seed)
         SplitMix64Stream(seed).shuffle(expected)
-        if values[start:stop].tolist() != expected:
-            return (f"self-check against SplitMix64Stream.shuffle failed: shuffle_ranges "
-                    f"gives another order of a range of {stop - start} with seed {seed:#x}")
+        if values.tolist() != expected:
+            return (f"self-check against SplitMix64Stream.shuffle failed: the compiled shuffle "
+                    f"gives another order of a range of {length} with seed {seed:#x}")
     return None
 
 
@@ -289,8 +270,8 @@ def _einsum_rows(diffs: np.ndarray) -> np.ndarray:
 
 
 def _probe_kmeans(kernels: Kernels) -> str | None:
-    """Where `kmeans_distances` and np.einsum, or `kmeans_feed` and
-    `_update_point`, disagree on a pinned probe, or None.
+    """Where `kmeans_distances` and np.einsum, or `feed_rows` and
+    `_update_point`, disagree on a pinned k-means probe, or None.
 
     The distances are taken from rows whose elements span 16 orders of
     magnitude, so that summing them in any other order changes the last
@@ -351,6 +332,8 @@ def _probe_tree(kernels: Kernels) -> str | None:
 
     part = Partition((0, 2, 3, 7, 8, 12, 13))
     bounds = check_partition(part)
+    orderings = ("fixed", "randomized")
+    orders = {ordering: tree_feed_orders(part, ordering, 11) for ordering in orderings}
     for d in (0, 1, 2, 3, 7, 8, 9, 17, 33):
         i = np.arange(part.n * d)
         x = (np.sin(i * 1.3 + 0.2) * 10.0 ** (i * 7 % 17 - 8)).reshape(part.n, d)
@@ -358,7 +341,7 @@ def _probe_tree(kernels: Kernels) -> str | None:
         protos = [Pegasos(d, 0.05), LsqSgd(d, 0.3)]
         if kernels.kmeans() is not None:
             protos.append(OnlineKMeans(d, 3))
-        for proto, ordering in itertools.product(protos, ("fixed", "randomized")):
+        for proto, ordering in itertools.product(protos, orderings):
             name = type(proto).__name__
             ran = COMPILED[type(proto)](proto).run_subtree(
                 kernels, bounds, 0, part.k - 1, x, y,
@@ -366,7 +349,7 @@ def _probe_tree(kernels: Kernels) -> str | None:
             if ran is None:
                 return f"it failed on {name} at d={d}"
             expected = []
-            for fold, order in enumerate(tree_feed_orders(part, ordering, 11)):
+            for fold, order in enumerate(orders[ordering]):
                 model = proto.fresh()
                 IncrementalLearner.update(model, x[order], y[order])
                 expected.append(model.predict_many(x[part.chunk_slice(fold)]))
@@ -442,6 +425,17 @@ def _resolve() -> tuple[Kernels | None, str | None]:
     return loaded, None
 
 
+# The lazy self-checks of `Kernels`: for each, the kernel it gates, its
+# probe, and what runs instead when the probe fails.
+_CHECKS = {
+    "kmeans": ("feed_rows", _probe_kmeans,
+               "feed_rows failed its k-means self-check, so OnlineKMeans runs in Python"),
+    "tree": ("tree_feed", _probe_tree,
+             "tree_feed failed its self-check, so the tree runs the recursion"),
+    "parser": ("parse_sparse", _probe_parser,
+               "parse_sparse failed its self-check, so sparse text parses in Python"),
+}
+
 _resolved: tuple[Kernels | None, str | None] | None = None
 
 
@@ -461,5 +455,4 @@ def reason() -> str | None:
     loaded = kernels()
     if loaded is None:
         return _resolved[1]
-    return "; ".join(filter(None, [loaded.kmeans_reason, loaded.tree_reason,
-                                   loaded.parser_reason])) or None
+    return "; ".join(filter(None, map(loaded.reasons.get, _CHECKS))) or None

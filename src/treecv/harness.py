@@ -176,6 +176,8 @@ class ExperimentPlan:
             check_ordering(o)
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if self.update_budget < 0:
+            raise ValueError(f"update budget must be at least 0, got {self.update_budget}")
         check_workers(self.threads, "threads")
         for kv in self.k_values:
             if kv != "n" and (not isinstance(kv, int) or kv < 2):

@@ -32,20 +32,21 @@ the batch holds (a BLAS `X @ w` does, in the last bits), and inherits
 The exact types `Pegasos`, `LsqSgd` and `OnlineKMeans` (not their
 subclasses, which may change `_update_point`) also run compiled
 (`COMPILED`).  `_kernels.c`, built and loaded by `_native`, feeds their
-models point by point in C, so every model gets the bits of
-`_update_point`: the linear kernels call the BLAS ddot that
-`ndarray.dot` calls, and the k-means kernel sums each squared distance
-in the order numpy's `np.einsum` sums a row, which the loader checks
-against this numpy's einsum.  Their `update` hands the kernel a copy of
-the model's state (`PegasosFeed`, `LsqSgdFeed`, `KMeansFeed`) and any
-C-contiguous float64 batch of at least `min_rows` rows, labeled for the
-linear two.  A point then costs ~0.06 us (Pegasos) or ~0.1 us (LsqSgd)
-at d=20, and ~0.07 us (k-means) at d=10 and K=5, against ~1.6, ~4-7
-and ~8-10 us in Python.  Without a C compiler, or when the kernel
-raises a floating-point flag, the Python update runs, with its own
-warnings and errors; k-means also runs in Python where numpy's einsum
-sums in another order.  The tree runs a whole subtree of such a model
-from the same copy in one `tree_feed` call (`tree._subtree`).
+models point by point in C by one function, `feed_rows`, so every model
+gets the bits of `_update_point`: the linear steps call the BLAS ddot
+that `ndarray.dot` calls, and the k-means step sums each squared
+distance in the order numpy's `np.einsum` sums a row, which the loader
+checks against this numpy's einsum.  Their `update` hands the kernel a
+copy of the model's state (`PegasosFeed`, `LsqSgdFeed`, `KMeansFeed`,
+checked by one `_Feed.feed_rows`) and any C-contiguous float64 batch of
+at least `min_rows` rows, labeled for the linear two.  A point then
+costs ~0.06 us (Pegasos) or ~0.1 us (LsqSgd) at d=20, and ~0.07 us
+(k-means) at d=10 and K=5, against ~1.6, ~4-7 and ~8-10 us in Python.
+Without a C compiler, or when the kernel raises a floating-point flag,
+the Python update runs, with its own warnings and errors; k-means also
+runs in Python where numpy's einsum sums in another order.  The tree
+runs a whole subtree of such a model from the same copy in one
+`tree_feed` call (`tree._subtree`).
 """
 
 from __future__ import annotations
@@ -305,24 +306,29 @@ class _Feed:
     an exact built-in type (a value of `COMPILED`): each of `fields` as a
     C-contiguous array of its dtype, a scalar as an array of one element.
 
-    Subclasses name the fields in the order the kernels take them, say
-    whether a model holds state that the kernels read as the Python
-    update does (`takes`), and feed the copy rows (`feed_rows`).
-    `run_subtree` runs a subtree of the tree from the copy by `tree_feed`,
-    which takes the learner's number `kind`, its float parameter `param`
-    and its cluster count `k`.
+    Subclasses name the fields in the order the kernels take them and the
+    shape the kernels read each in (`shapes`), and say whether a model
+    holds state that the kernels read as the Python update does
+    (`takes`).  `feed_rows` feeds the copy rows, and `run_subtree` runs a
+    subtree of the tree from it by `tree_feed`; both take the learner's
+    number `kind`, its float parameter `param` (the model's `parameter`)
+    and its cluster count `k` (the rows of a first field of shape "kd").
     """
 
     fields: tuple[str, ...] = ()
     dtypes: tuple[type, ...] = ()
+    shapes: tuple[str, ...] = ()  # per field: "k" a row per cluster, "d" an element per feature
     kind = -1
+    parameter = ""
+    labeled = True  # whether the kernels read a label per row
     vector_predictions = False  # whether `predict_many` gives d values per row
     min_rows = 1
 
     def __init__(self, model: IncrementalLearner):
-        self.arrays = [np.array(getattr(model, name), dtype=dtype, ndmin=1)
+        self.arrays = [np.array(getattr(model, name), dtype=dtype, order="C", ndmin=1)
                        for name, dtype in zip(self.fields, self.dtypes)]
-        self.param, self.k = 0.0, 0
+        self.param = getattr(model, self.parameter) if self.parameter else 0.0
+        self.k = len(self.arrays[0]) if self.shapes[0] == "kd" else 0
 
     def pointers(self) -> list[int]:
         return [array.ctypes.data for array in self.arrays]
@@ -336,6 +342,29 @@ class _Feed:
                 value[...] = array
             else:
                 setattr(model, name, array.item())
+
+    def feed_rows(self, kernels: "_native.Kernels", x: np.ndarray, y: np.ndarray | None) -> bool:
+        """Feed the copy the rows of x, labeled by y if the learner reads
+        labels, through the compiled `feed_rows`.
+
+        x (float64, a row of the copy's width per point) and y (float64,
+        one per row) must be C-contiguous; ValueError says they are not,
+        before the kernel reads past an array.  False when the kernel
+        failed (a k-means step it leaves to Python) or raised a
+        floating-point flag: the copy is then spoiled, and the rows must
+        be fed by Python to the model.
+        """
+        n, d = x.shape if type(x) is np.ndarray and x.ndim == 2 else (-1, -1)
+        sizes = {"1": (1,), "d": (d,), "k": (self.k,), "kd": (self.k, d)}
+        layout = [(sizes[shape], dtype) for shape, dtype in zip(self.shapes, self.dtypes)]
+        arrays = self.arrays + [x] + ([y] if self.labeled else [])
+        layout += [((n, d), np.float64), ((n,), np.float64)]
+        if any(type(a) is not np.ndarray or a.shape != shape or a.dtype != dtype
+               or not a.flags.c_contiguous for a, (shape, dtype) in zip(arrays, layout)):
+            raise ValueError("a feed_rows call needs C-contiguous state, rows and labels that "
+                             "agree in shape and dtype")
+        return not kernels.feed_rows(self.kind, n, d, self.param, self.k, *self.pointers(),
+                                     x.ctypes.data, y.ctypes.data if self.labeled else None)
 
     def run_subtree(self, kernels: "_native.Kernels", bounds: np.ndarray, s: int, e: int,
                     x: np.ndarray, y: np.ndarray | None, shuffle_seed: int | None):
@@ -383,8 +412,6 @@ class _LinearFeed(_Feed):
     parameter `parameter` among them), float64 vectors of one element per
     feature (`vectors`) and an int step count `t`."""
 
-    kernel = ""  # the `_native.Kernels` function that feeds this type
-    parameter = ""
     floats: tuple[str, ...] = ()
     vectors: tuple[str, ...] = ()
     # `update` runs a batch of fewer rows in Python.  On a 2-vCPU Xeon VM,
@@ -397,10 +424,6 @@ class _LinearFeed(_Feed):
     # to 3.4x (Pegasos) or 1.9x (LsqSgd) slower with every batch compiled
     # (LOOCV n=5000, k=2000 of n=6000 and k=1000 of n=8000).
     min_rows = 1
-
-    def __init__(self, model: IncrementalLearner):
-        super().__init__(model)
-        self.param = getattr(model, self.parameter)
 
     @classmethod
     def takes(cls, kernels: "_native.Kernels", model: IncrementalLearner, x: np.ndarray,
@@ -422,35 +445,12 @@ class _LinearFeed(_Feed):
         return not any(np.may_share_memory(a, b)
                        for i, a in enumerate(vectors) for b in arrays[i + 1:])
 
-    def feed_rows(self, kernels: "_native.Kernels", x: np.ndarray, y: np.ndarray) -> bool:
-        """Feed the copy the rows of x, labeled by y, through the compiled
-        kernel.
-
-        x (float64, a row of the model's width per point) and y (float64,
-        one per row) must be C-contiguous; ValueError says they are not,
-        before the kernel reads past an array.  False when the kernel
-        raised a floating-point flag: the copy is then spoiled, and the
-        rows must be fed by Python to the model.
-        """
-        d = self.arrays[self.fields.index(self.vectors[0])].size
-        n = x.shape[0] if type(x) is np.ndarray and x.ndim == 2 else -1
-        layout = [((d,) if name in self.vectors else (1,), dtype)
-                  for name, dtype in zip(self.fields, self.dtypes)]
-        layout += [((n, d), np.float64), ((n,), np.float64)]
-        if any(type(a) is not np.ndarray or a.shape != shape or a.dtype != dtype
-               or not a.flags.c_contiguous
-               for a, (shape, dtype) in zip(self.arrays + [x, y], layout)):
-            raise ValueError(f"a {self.kernel} call needs the state, rows and labels to agree "
-                             "in shape and dtype")
-        return not getattr(kernels, self.kernel)(n, d, self.param, *self.pointers(),
-                                                 x.ctypes.data, y.ctypes.data)
-
 
 class PegasosFeed(_LinearFeed):
     """`Pegasos`: the scale `a`, the vector `v` and the step count `t`."""
 
     fields, dtypes, kind = ("a", "v", "t"), (np.float64, np.float64, np.int64), 0
-    kernel, parameter, floats, vectors = "pegasos_feed", "lam", ("lam", "a"), ("v",)
+    shapes, parameter, floats, vectors = ("1", "d", "1"), "lam", ("lam", "a"), ("v",)
     min_rows = 20
 
 
@@ -459,16 +459,16 @@ class LsqSgdFeed(_LinearFeed):
     `t`."""
 
     fields, dtypes, kind = ("w", "w_avg", "t"), (np.float64, np.float64, np.int64), 1
-    kernel, parameter, floats, vectors = "lsqsgd_feed", "alpha", ("alpha",), ("w", "w_avg")
+    shapes, parameter, floats, vectors = ("d", "d", "1"), "alpha", ("alpha",), ("w", "w_avg")
     min_rows = 8
 
 
 class KMeansFeed(_Feed):
     """`OnlineKMeans`: the centers, their counts and the number in use,
-    fed by `kmeans_feed` once `Kernels.kmeans` has checked it."""
+    fed once `Kernels.kmeans` has checked the feed."""
 
     fields, dtypes, kind = ("centers", "counts", "n_centers"), (np.float64, np.int64, np.int64), 2
-    vector_predictions = True
+    shapes, labeled, vector_predictions = ("kd", "k", "1"), False, True
     # `update` runs a batch of fewer rows in Python.  On a 2-vCPU Xeon VM,
     # at d in {2, 10, 50, 200} and K in {3, 5, 8}, a call costs ~12-18 us,
     # most of it checks, copies of the state and ctypes' pointers, against
@@ -478,19 +478,15 @@ class KMeansFeed(_Feed):
     # k=1000 with a cut at 1 / 2 / 3 / 8 rows, and 0.61 / 0.44 s in Python.
     min_rows = 2
 
-    def __init__(self, model: OnlineKMeans):
-        super().__init__(model)
-        self.k = len(model.centers)
-
     @classmethod
     def takes(cls, kernels: "_native.Kernels", model: OnlineKMeans, x: np.ndarray,
               y: np.ndarray | None = None) -> bool:
-        """Whether `kmeans_feed` passed its self-check and `model` holds
-        the state it reads, of the types its constructor gives, for the
-        rows of x: writable float64 centers of x's width and int64 counts,
-        one of each per cluster and at least one, sharing no memory with
-        each other or with x, and an int count of centers in use.  The
-        outcomes y are not read."""
+        """Whether the k-means feed passed its self-check and `model`
+        holds the state it reads, of the types its constructor gives, for
+        the rows of x: writable float64 centers of x's width and int64
+        counts, one of each per cluster and at least one, sharing no
+        memory with each other or with x, and an int count of centers in
+        use.  The outcomes y are not read."""
         centers, counts = model.centers, model.counts
         return (kernels.kmeans() is not None
                 and type(centers) is np.ndarray and centers.dtype == np.float64
@@ -502,12 +498,6 @@ class KMeansFeed(_Feed):
                 and not np.may_share_memory(centers, counts)
                 and not np.may_share_memory(centers, x) and not np.may_share_memory(counts, x))
 
-    def feed_rows(self, kernels: "_native.Kernels", x: np.ndarray, y=None) -> bool:
-        """Feed the copy the rows of x, a C-contiguous float64 matrix of
-        the centers' width, through `kmeans_feed`; False, with the copy
-        spoiled, when it failed or raised a flag."""
-        return not kernels.kmeans_feed(*x.shape, self.k, *self.pointers(), x.ctypes.data)
-
 
 # The compiled kernels of each built-in type that has them, by exact type:
 # a subclass may change the update rule, so it runs its own.
@@ -516,8 +506,8 @@ COMPILED = {Pegasos: PegasosFeed, LsqSgd: LsqSgdFeed, OnlineKMeans: KMeansFeed}
 
 def load_kernels(model: IncrementalLearner, tree: bool = False) -> None:
     """Resolve the compiled kernels now if `model`'s exact type runs on
-    them (`COMPILED`), with the self-checks of `kmeans_feed` for k-means
-    and of `tree_feed` for the tree, so that worker processes forked
+    them (`COMPILED`), with the self-checks of the k-means feed for
+    k-means and of `tree_feed` for the tree, so that worker processes forked
     later inherit them and the checks run outside any wall time.  A
     learner of another type, even one that delegates to a built-in, leaves
     them to be resolved at the first compiled update, by each process for

@@ -14,17 +14,15 @@ draws them in one `next_u64_array` call and reduces them with numpy; the
 scalar loop is the reference, used for short inputs and whenever a draw
 would be rejected.
 
-`shuffle_ranges` shuffles disjoint ranges of an int64 array in place,
-each with its own stream, in one call of the compiled kernel of the same
-name (`_kernels.c`).  That kernel is `shuffle`'s scalar loop in C,
-randbelow's rejection included, so every range gets the permutation
-`shuffle` gives it; the loader checks that against `shuffle` before it
-keeps the kernels (`_native`).  `shuffled` draws the order of one int64
-row vector, a standard-CV fold's or a tree node's in the Python
-recursion: by that kernel, as a single range, or by `shuffle` on a list
-when the kernels are not loaded or the vector is shorter than a kernel
-call is worth.  (The compiled tree recursion, `tree_feed`, runs the same
-loop in C on each range it feeds.)  The oracle's feed orders
+`shuffled` draws the order of one int64 row vector, a standard-CV
+fold's or a tree node's in the Python recursion: by one call of the
+compiled `shuffle` (`_kernels.c`), or by `SplitMix64Stream.shuffle` on a
+list when the kernels are not loaded or the vector is shorter than a
+kernel call is worth.  That kernel is `shuffle`'s scalar loop in C,
+randbelow's rejection included, so it gives the permutation `shuffle`
+gives; the loader checks that against `shuffle` before it keeps the
+kernels (`_native`).  (The compiled tree recursion, `tree_feed`, runs
+the same loop in C on each range it feeds.)  The oracle's feed orders
 (`tree.tree_feed_orders`) keep to the list, so the tests check the one
 against the other.
 
@@ -218,44 +216,23 @@ class SplitMix64Stream:
         return np.array(order, dtype=np.int64)
 
 
-def shuffle_ranges(kernels, values: np.ndarray, seeds: np.ndarray, starts: np.ndarray,
-                   stops: np.ndarray) -> None:
-    """Shuffle disjoint slices of an int64 array in place, each with its
-    own stream, in one call of `kernels.shuffle_ranges`.
-
-    Afterwards values[starts[r]:stops[r]] is in the order that
-    `SplitMix64Stream(seeds[r]).shuffle` leaves that slice in, for every r.
-    values must be a writable int64 vector, seeds a uint64 vector and
-    starts and stops int64 vectors of the same length, all C-contiguous,
-    with 0 <= starts[r] <= stops[r] <= len(values); ValueError says they
-    are not, before the kernel reads or writes past an array.  The slices
-    must not overlap.
-    """
-    arrays = [(values, np.int64), (seeds, np.uint64), (starts, np.int64), (stops, np.int64)]
-    if (any(type(a) is not np.ndarray or a.dtype != dtype or a.ndim != 1
-            or not a.flags.c_contiguous for a, dtype in arrays)
-            or not values.flags.writeable or not seeds.shape == starts.shape == stops.shape
-            or (starts.size and (starts.min() < 0 or (stops < starts).any()
-                                 or stops.max() > values.size))):
-        raise ValueError("a shuffle_ranges call needs an int64 vector of values, uint64 seeds "
-                         "and int64 starts and stops of one length, C-contiguous, each slice "
-                         "within the values")
-    kernels.shuffle_ranges(values.ctypes.data, seeds.size, seeds.ctypes.data,
-                           starts.ctypes.data, stops.ctypes.data)
-
-
 def shuffled(kernels, rows: np.ndarray, seed: int) -> np.ndarray:
     """The int64 vector `rows` in the order `SplitMix64Stream(seed).shuffle`
     leaves it in; `rows` may be shuffled in place.
 
     With the kernels loaded (`_native.kernels()`), a vector of at least
-    `_BULK_MIN` rows is shuffled by one `shuffle_ranges` call; otherwise,
-    and with `kernels` None, as a list by `shuffle`.
+    `_BULK_MIN` rows is shuffled in place by one call of the compiled
+    `shuffle`, which needs it writable, int64, one-dimensional and
+    C-contiguous; ValueError says it is not, before the kernel reads or
+    writes it.  Otherwise, and with `kernels` None, it is shuffled as a
+    list by `SplitMix64Stream.shuffle`.
     """
     if kernels is None or rows.size < _BULK_MIN:
         order = rows.tolist()
         SplitMix64Stream(seed).shuffle(order)
         return np.array(order, dtype=np.int64)
-    shuffle_ranges(kernels, rows, np.array([seed], dtype=np.uint64), np.zeros(1, dtype=np.int64),
-                   np.array([rows.size], dtype=np.int64))
+    if (type(rows) is not np.ndarray or rows.dtype != np.int64 or rows.ndim != 1
+            or not rows.flags.c_contiguous or not rows.flags.writeable):
+        raise ValueError("a compiled shuffle needs a writable, C-contiguous int64 vector")
+    kernels.shuffle(rows.ctypes.data, rows.size, seed)
     return rows

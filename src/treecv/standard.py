@@ -7,8 +7,8 @@ supplied feeding order per fold, which lets tests replay the exact point
 order the tree schedule induces and confirm fold-score equality.
 
 A randomized run shuffles each fold's training rows as an int64 vector
-with `rng.shuffled`, in the compiled `shuffle_ranges` kernel when the
-kernels are loaded (`_native`), and gathers them through it.
+with `rng.shuffled`, in the compiled `shuffle` kernel when the kernels
+are loaded (`_native`), and gathers them through it.
 """
 
 from __future__ import annotations

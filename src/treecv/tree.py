@@ -45,8 +45,8 @@ sequential order meets first.
 Randomized runs feed each node's rows in the order of a Fisher-Yates
 shuffle drawn from a stream keyed by the run seed and the fed chunk
 range.  The recursion draws one range at a time (`_fed_rows`, through
-`rng.shuffled`, in the compiled `shuffle_ranges` kernel when the kernels
-are loaded); `tree_feed` inlines the same seed derivation and loop.
+`rng.shuffled`, in the compiled `shuffle` kernel when the kernels are
+loaded); `tree_feed` inlines the same seed derivation and loop.
 `tree_feed_orders`, which the oracle replays, calls `_fed_rows` without
 the kernels, so its orders come from the Python loop of
 `SplitMix64Stream.shuffle` and the tests check the kernels against it.

@@ -431,6 +431,14 @@ def test_cli_verify_keeps_to_the_update_budget(tmp_path, monkeypatch):
     assert [r["status"] for r in run("n")] == ["ok", "budget-exceeded"]
 
 
+def test_cli_update_budget_of_zero_skips_every_standard_run(tmp_path):
+    out = tmp_path / "records.csv"
+    assert main(["run", "--synth", "classification:n=60,d=3", "--learner", "pegasos",
+                 "--update-budget", "0", "--scheduler", "both", "--out", str(out)]) == 0
+    assert [(r["scheduler"], r["status"]) for r in read_csv(out)] == [
+        ("tree", "ok"), ("standard", "budget-exceeded")]
+
+
 def test_cli_trace_rows_are_the_tree_node_traces(tmp_path):
     out = tmp_path / "records.csv"
     spec = "classification:n=30,d=2,seed=6"
@@ -625,6 +633,12 @@ NO_OUTPUT_CASES = [
     ("bench-pegasos-infinite-lambda",
      ["bench", "--synth", "classification:n=40,d=3", "--learner", "pegasos", "--k", "4",
       "--lambda", "inf", "--n-grid", "40"], "lam must be positive and finite, got inf"),
+    ("run-negative-update-budget",
+     ["run", "--synth", "classification:n=60,d=3", "--learner", "pegasos", "--update-budget",
+      "-5", "--scheduler", "both"], "update budget must be at least 0, got -5"),
+    ("bench-negative-update-budget",
+     ["bench", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
+      "--n-grid", "10", "--update-budget", "-1"], "update budget must be at least 0, got -1"),
     ("bench-kmeans-no-clusters",
      ["bench", "--synth", "blobs:n=20,d=2", "--learner", "kmeans", "--k", "2",
       "--clusters", "0", "--n-grid", "20"], "n_clusters must be at least 1"),

@@ -638,18 +638,26 @@ def test_update_runs_compiled_only_for_what_the_python_update_would_give(learner
     assert type(model.t) is int and type(model.t) is type(twin.t)
 
 
-@pytest.mark.parametrize("name", ["pegasos", "lsqsgd"])
+@pytest.mark.parametrize("name", ["pegasos", "lsqsgd", "kmeans"])
 def test_compiled_feed_refuses_arrays_of_the_wrong_shape_or_type(kernels, name):
-    """The kernel takes its width from the state and its row count from x;
-    rows, labels or state that do not match them are a ValueError, not a
-    read past an array's end."""
+    """The kernel takes its width and row count from x; rows, labels or
+    state that do not match them are a ValueError, not a read past an
+    array's end.  k-means reads no labels."""
     stream = SplitMix64Stream(5)
-    models, rows = _distinct_models(name, 1, 3, stream, 0, False)
-    x, y = rows(6)
+    if name == "kmeans":
+        models = [OnlineKMeans(3, 2)]
+        x, y = stream.normal_array(18).reshape(6, 3), None
+    else:
+        models, rows = _distinct_models(name, 1, 3, stream, 0, False)
+        x, y = rows(6)
     wide = np.ascontiguousarray(np.hstack([x, x]))
-    for args in [(wide, y), (x, y[:-1]), (x, np.append(y, 1.0)), (x[0], y[:1]),
-                 (x.astype(np.float32), y), (np.asfortranarray(x), y), (x, y.astype(np.float32)),
-                 (x, y.tolist())]:
+    cases = [(wide, y), (x.astype(np.float32), y), (np.asfortranarray(x), y)]
+    if y is None:
+        cases.append((x[0], y))
+    else:
+        cases += [(x, y[:-1]), (x, np.append(y, 1.0)), (x[0], y[:1]), (x, y.astype(np.float32)),
+                  (x, y.tolist())]
+    for args in cases:
         state = COMPILED[type(models[0])](models[0])
         before = [array.tobytes() for array in state.arrays]
         with pytest.raises(ValueError, match="agree in shape and dtype"):
@@ -674,7 +682,7 @@ def _kmeans_state(model):
 def test_compiled_kmeans_is_the_scalar_update_byte_for_byte(kernels, k, d, seed, values, trained,
                                                             nans):
     """A k-means model fed ragged batches, each of at least `min_rows`
-    rows through `kmeans_feed` and each shorter one through Python, ends
+    rows through the compiled `feed_rows` and each shorter one through Python, ends
     every batch with the bytes of a model fed the same rows one at a time
     by `_update_point`.  The model starts fresh, partly seeded or trained;
     batches may be shorter than K; points on a grid of halves repeat,
@@ -718,8 +726,8 @@ def test_kmeans_update_runs_compiled_only_for_what_the_python_update_would_give(
     """`update` takes the kernel for a plain batch of enough rows, labeled
     or not, and leaves every other batch, model or subclass to Python."""
     calls = []
-    feed = kernels.kmeans_feed
-    monkeypatch.setattr(kernels, "kmeans_feed", lambda *args: calls.append(1) or feed(*args))
+    feed = kernels.feed_rows
+    monkeypatch.setattr(kernels, "feed_rows", lambda *args: calls.append(1) or feed(*args))
     stream = SplitMix64Stream(4)
     n = KMeansFeed.min_rows + 3
     x = stream.normal_array(n * 3).reshape(n, 3)
@@ -768,6 +776,18 @@ def test_kmeans_update_runs_compiled_only_for_what_the_python_update_would_give(
         assert _kmeans_state(model) == _kmeans_state(twin)
         assert type(model.n_centers) is int
     assert calls == [1, 1]
+
+
+def test_fortran_ordered_centers_run_compiled_to_the_python_bits(kernels):
+    """The copy the kernels read is C-ordered whatever the order of the
+    model's arrays: k-means centers in Fortran order train, compiled, to
+    the bits of the Python update."""
+    x = SplitMix64Stream(6).normal_array(150).reshape(50, 3)
+    model, twin = OnlineKMeans(3, 2), OnlineKMeans(3, 2)
+    model.centers, twin.centers = np.asfortranarray(model.centers), np.asfortranarray(twin.centers)
+    assert _update_compiled(model, x, None) == (kernels.kmeans() is not None)
+    IncrementalLearner.update(twin, x)
+    assert _kmeans_state(model) == _kmeans_state(twin)
 
 
 def test_compiled_updates_serve_only_the_exact_built_in_types():

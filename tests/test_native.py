@@ -2,10 +2,13 @@
 floating-point exceptions the kernels hand back to the Python update."""
 
 import platform
+import re
 import shutil
 import sys
 import time
 import warnings
+
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ from treecv.learners import COMPILED, KMeansFeed, _update_compiled
 
 
 def test_the_kernels_load_wherever_a_c_compiler_is_on_path(monkeypatch):
-    """CI runs on x86-64 Linux, where numpy's einsum sums as `kmeans_feed`
+    """CI runs on x86-64 Linux, where numpy's einsum sums as `feed_rows`
     and `tree_feed` do and glibc's strtod rounds correctly: a silent fall
     back to the Python path of any learner, to the tree's Python
     recursion, or to the Python parser fails there, and a 1,000-line text
@@ -58,9 +61,20 @@ def test_the_kernels_load_wherever_a_c_compiler_is_on_path(monkeypatch):
         assert parse_sparse_text(text).n == 1000
         assert len(calls) == 1
     elif loaded.kmeans() is None:
-        assert "kmeans_feed" in _native.reason()
+        assert "k-means self-check" in _native.reason()
     else:
         assert _native.reason() is None
+
+
+def test_the_kernels_export_exactly_the_functions_the_loader_binds():
+    """Every top-level definition of `_kernels.c` that is not `static` is
+    a function `Kernels` binds, and every function it binds is one: an
+    export that nothing binds is dead code.  Read from the source, so no
+    compiler is needed."""
+    source = (resources.files("treecv") / _native.SOURCE).read_text(encoding="utf-8")
+    code = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    definition = r"^(?!static\b|typedef\b)[A-Za-z_][\w \t*]*?\b(\w+)\("
+    assert sorted(re.findall(definition, code, flags=re.M)) == sorted(_native._FUNCTIONS)
 
 
 def test_an_unusable_kernel_leaves_the_python_path_with_a_reason(monkeypatch, tmp_path):
@@ -107,10 +121,10 @@ def test_a_kernel_that_disagrees_with_update_point_is_not_used(monkeypatch):
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_a_shuffle_kernel_that_disagrees_with_shuffle_is_not_used(monkeypatch):
     """The self-check shuffles ranges of 0, 1, 2, 3 and 40 values, the last
-    with a rejected first draw, through both `shuffle_ranges` and
+    with a rejected first draw, through both the compiled `shuffle` and
     `SplitMix64Stream.shuffle`; a reference that shuffles otherwise (here,
     one that never rejects a draw) makes the loader refuse the kernels,
-    naming `shuffle_ranges`."""
+    naming the compiled shuffle."""
     def never_rejects(stream, values):
         for i in range(len(values) - 1, 0, -1):
             j = stream.next_u64() % (i + 1)
@@ -120,13 +134,13 @@ def test_a_shuffle_kernel_that_disagrees_with_shuffle_is_not_used(monkeypatch):
     assert kernels is not None and reason is None
     monkeypatch.setattr(SplitMix64Stream, "shuffle", never_rejects)
     kernels, reason = _native._resolve()
-    assert kernels is None and "shuffle_ranges" in reason
+    assert kernels is None and "compiled shuffle" in reason
     assert "range of 40" in reason
 
 
 def test_kernels_are_resolved_before_the_clock_only_for_learners_that_run_them(monkeypatch):
     """Fixed-order `MeanPredictor` runs never resolve the kernels.  An
-    `OnlineKMeans` run resolves them and checks `kmeans_feed` once per
+    `OnlineKMeans` run resolves them and checks their k-means feed once per
     process, before its clock starts and before it forks, in either
     scheduler.  So does a randomized `MeanPredictor` run, which shuffles
     with them."""
@@ -217,8 +231,8 @@ def _other_order_rows(lanes):
 @pytest.mark.parametrize("lanes", [1, 4])
 def test_a_kmeans_kernel_that_sums_in_another_order_is_left_out_alone(lanes, monkeypatch):
     """A numpy whose einsum sums rows in another order than the kernel
-    fails the k-means self-check: `kmeans_feed` is left out, with a reason
-    that names it, and `Pegasos` and `LsqSgd` stay compiled."""
+    fails the k-means self-check: `OnlineKMeans` is left to Python, with a
+    reason that names the check, and `Pegasos` and `LsqSgd` stay compiled."""
     monkeypatch.setattr(_native, "_einsum_rows", _other_order_rows(lanes))
     loaded, reason = _native._resolve()
     assert loaded is not None and reason is None
@@ -226,7 +240,7 @@ def test_a_kmeans_kernel_that_sums_in_another_order_is_left_out_alone(lanes, mon
     assert _native.reason() is None  # k-means has not asked for its kernel yet
     assert loaded.kmeans() is None
     reason = _native.reason()
-    assert "kmeans_feed" in reason and "OnlineKMeans" in reason and "np.einsum" in reason
+    assert "k-means self-check" in reason and "OnlineKMeans" in reason and "np.einsum" in reason
 
     x = np.sin(np.arange(60.0)).reshape(20, 3)
     y = np.where(np.arange(20) % 2, 1.0, -1.0)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from treecv import _native, dataio, harness, rng, standard, tree
 from treecv import SQUARED, LsqSgd, TreeCvConfig, synth_regression, tree_cv
 from treecv.core import partition
-from treecv.rng import SplitMix64Stream, derive_seed, shuffle_ranges
+from treecv.rng import SplitMix64Stream, derive_seed
 from treecv.tree import tree_feed_orders
 
 # Reference SplitMix64 output sequence for seed 0.
@@ -306,8 +306,9 @@ def test_shuffle_rejects_a_real_draw_like_randbelow(n):
 
 
 # ---------------------------------------------------------------------------
-# The kernel shuffle: ranges in one kernel call, each as `shuffle` would
-# shuffle it
+# Disjoint ranges of one array, each shuffled in place by `rng.shuffled`
+# with its own seed, as `shuffle` would shuffle it.  (The names are those
+# of the tests of the multi-range kernel call these replace.)
 
 
 def per_range(values, seeds, starts, stops) -> list[int]:
@@ -318,6 +319,13 @@ def per_range(values, seeds, starts, stops) -> list[int]:
         SplitMix64Stream(int(seed)).shuffle(part)
         values[a:b] = part
     return values
+
+
+def shuffle_ranges(kernels, values, seeds, starts, stops) -> None:
+    """values[starts[r]:stops[r]] shuffled by `rng.shuffled` with seeds[r],
+    for every r: in place by the kernel, or through a list."""
+    for seed, a, b in zip(seeds, starts, stops):
+        values[a:b] = rng.shuffled(kernels, values[a:b], int(seed))
 
 
 @st.composite
@@ -398,38 +406,30 @@ def test_shuffle_ranges_redoes_only_a_range_with_a_rejected_draw(draw, kernels):
 
 def test_shuffle_ranges_of_nothing_changes_nothing(kernels):
     values = np.arange(5, dtype=np.int64)
-    none = np.array([], dtype=np.int64)
-    shuffle_ranges(kernels, values, np.array([], dtype=np.uint64), none, none)
-    shuffle_ranges(kernels, values, np.array([3, 4], dtype=np.uint64), np.array([0, 2]),
-                   np.array([1, 2]))
+    for start, stop, seed in ((0, 0, 3), (0, 1, 4), (2, 2, 5), (4, 5, 6)):
+        kernels.shuffle(values[start:].ctypes.data, stop - start, seed)
+    shuffle_ranges(kernels, values, [3, 4], [0, 2], [1, 2])
     assert values.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_shuffle_ranges_refuses_what_the_kernel_would_read_or_write_past(kernels):
-    """Every array the kernel reads is checked before it is called: a
-    slice that ends past the values, or starts before them, or any array
-    of another dtype, shape or layout is a ValueError, and the values
-    stay as they were."""
-    values = np.arange(10, dtype=np.int64)
-    seeds, starts, stops = np.array([3, 4], dtype=np.uint64), np.array([0, 5]), np.array([5, 10])
-    for args in [
-        (values, seeds, starts, np.array([5, 11])),  # a stop past the end
-        (values, seeds, np.array([-1, 5]), stops),
-        (values, seeds, np.array([6, 5]), stops),  # a start past its stop
-        (values, seeds[:1], starts, stops),
-        (values, seeds.astype(np.int64), starts, stops),
-        (values, seeds, starts.astype(np.int32), stops),
-        (values.astype(np.float64), seeds, starts, stops),
-        (np.arange(20, dtype=np.int64)[::2], seeds, starts, stops),
-        (values.reshape(2, 5), seeds, starts, stops),
-        (values.tolist(), seeds, starts, stops),
+    """`rng.shuffled` checks the vector before the kernel shuffles it in
+    place: one of another dtype, shape or layout, or a read-only one, is
+    a ValueError, and the values stay as they were."""
+    n = 2 * rng._BULK_MIN
+    values = np.arange(n, dtype=np.int64)
+    for rows in [
+        values.astype(np.float64),
+        values.astype(np.int32),
+        np.arange(2 * n, dtype=np.int64)[::2],
+        values.reshape(2, -1),
     ]:
-        with pytest.raises(ValueError, match="shuffle_ranges call"):
-            shuffle_ranges(kernels, *args)
-    assert values.tolist() == list(range(10))
+        with pytest.raises(ValueError, match="compiled shuffle"):
+            rng.shuffled(kernels, rows, 3)
     values.flags.writeable = False
-    with pytest.raises(ValueError, match="shuffle_ranges call"):
-        shuffle_ranges(kernels, values, seeds, starts, stops)
+    with pytest.raises(ValueError, match="compiled shuffle"):
+        rng.shuffled(kernels, values, 3)
+    assert values.tolist() == list(range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +471,8 @@ def test_shuffled_calls_the_kernel_from_the_bulk_size_on(kernels, n, monkeypatch
     """A kernel call costs what ~20 elements of the Python loop do, so
     shorter vectors are shuffled as lists."""
     calls = []
-    shuffle_ranges = rng.shuffle_ranges
-    monkeypatch.setattr(rng, "shuffle_ranges", lambda *args: calls.append(args[1].size)
-                        or shuffle_ranges(*args))
+    shuffle = kernels.shuffle
+    monkeypatch.setattr(kernels, "shuffle", lambda *args: calls.append(args[1]) or shuffle(*args))
     rows = np.arange(n, dtype=np.int64)
     got = rng.shuffled(kernels, rows, 11)
     assert got.tolist() == list_shuffled(range(n), 11)

@@ -651,9 +651,11 @@ def test_the_recursion_shuffles_in_the_kernel_and_the_oracle_orders_do_not(monke
     orders the oracle replays are drawn by the Python loop alone, and
     give the same fold scores."""
     calls = []
-    shuffle_ranges = rng.shuffle_ranges
-    monkeypatch.setattr(rng, "shuffle_ranges",
-                        lambda *args: calls.append(args[1].size) or shuffle_ranges(*args))
+    loaded = _native.kernels()
+    if loaded is not None:
+        shuffle = loaded.shuffle
+        monkeypatch.setattr(loaded, "shuffle",
+                            lambda *args: calls.append(args[1]) or shuffle(*args))
     data = synth_classification(300, 4, margin=0.2, noise=0.1, seed=9)
     part = partition(data, data.n)
     factory = lambda: PlainPegasos(4, 1e-3)  # noqa: E731, runs the recursion
@@ -1095,7 +1097,7 @@ def test_a_planted_rejected_draw_gives_the_oracles_fold_scores(ordering, monkeyp
     A run seed that gives that range the stream `_REJECTED_SEED` makes
     the Python loop reject its first draw and draw 60 times for 59
     positions; `tree_feed`, the recursion (which shuffles 60 rows in the
-    `shuffle_ranges` kernel) and the oracle (which replays the Python
+    `shuffle` kernel) and the oracle (which replays the Python
     loop's orders) give the same fold scores."""
     counts = LevelCounts(monkeypatch)
     reference = SplitMix64Stream(_native._REJECTED_SEED)

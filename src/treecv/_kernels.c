@@ -1,12 +1,14 @@
-/* The compiled tree recursion (`tree_feed`), the feed (`feed_rows`) of
-   the exact `Pegasos`, `LsqSgd` and `OnlineKMeans` types, the shuffle of
-   every randomized estimate, and the sparse-text scanner of
+/* The compiled tree recursion (`tree_feed`), the compiled folds of
+   standard CV (`standard_feed`), the feed (`feed_rows`) of the exact
+   `Pegasos`, `LsqSgd` and `OnlineKMeans` types, the shuffle of every
+   randomized estimate, and the sparse-text scanner of
    `dataio.parse_sparse_text`.
 
    `feed_rows` feeds one model of any of the three types every row of x,
-   each by `step`, which `tree_feed` feeds its models with too.  Every
-   step is the learner's `_update_point`, with the same operations in the
-   same order, so the model gets the bits the Python update gives it:
+   by the one row loop, `feed_each`, that `tree_feed` and `standard_feed`
+   feed their models with too.  Every step is the learner's
+   `_update_point`, with the same operations in the same order, so the
+   model gets the bits the Python update gives it:
 
    - every dot product is `ndarray.dot` of two contiguous vectors: the
      BLAS ddot that numpy calls, through the pointer `set_ddot` stores,
@@ -23,7 +25,8 @@
      x86-64 numpy built for its SSE baseline, with no einsum dispatched
      at run time, reduces; the loader feeds k-means models here only if
      their distances match np.einsum's bit for bit on this numpy, and
-     keeps `tree_feed` only if its predictions match `predict_many`'s;
+     keeps `tree_feed` and `standard_feed` only if their predictions
+     match `predict_many`'s;
    - a nearest center is numpy's `argmin`: the lowest index of the least
      distance, or of the first NaN;
    - vector steps are elementwise, as numpy's ufuncs compute them;
@@ -43,6 +46,13 @@
    the range's own offset, and reads the rows of x by index; a fixed
    node reads them in place.
 
+   `standard_feed` runs folds first..last of `standard.standard_cv` for
+   one model of those types: each fold copies the fresh model into a
+   slot, feeds it the rows of every other chunk, in dataset order or
+   shuffled as `standard._shuffled_order` shuffles them, with the stream
+   derive_seed(fold_seed, c), reading x by index, and writes its
+   `predict_many` of its chunk into one output array.
+
    numpy warns on, or under np.errstate raises for, an overflow, an
    invalid operation, a division by zero or an underflow in those dot
    products and vector steps, and Python raises on a scalar division by
@@ -56,8 +66,8 @@
    `shuffle` is integer code only: it is `SplitMix64Stream.shuffle`, so
    it gives the permutation that the Python loop gives.  It shuffles the
    rows the tree's Python recursion feeds a node and a standard-CV fold's
-   training rows, one vector per call; `tree_feed` runs the same loop on
-   each range it feeds.
+   training rows, one vector per call; `tree_feed` and `standard_feed`
+   run the same loop on each range they feed.
 
    `parse_sparse` scans sparse text once and converts each number with
    strtod.  strtod and Python's float() are both correctly rounded (as
@@ -248,32 +258,50 @@ static int kmeans_step(int64_t d, int64_t k, double *centers, int64_t *counts, i
     return 0;
 }
 
-/* The learners `feed_rows` and `tree_feed` feed, and the three state
-   arrays of each, in the order the caller passes them and a slot holds
-   them: PEGASOS a (1), v (d), t (1, int64); LSQSGD w (d), w_avg (d), t
-   (1, int64); KMEANS centers (k * d), counts (k, int64), centers in use
-   (1, int64). */
+/* The learners `feed_rows`, `tree_feed` and `standard_feed` feed, and the
+   three state arrays of each, in the order the caller passes them and a
+   slot holds them: PEGASOS a (1), v (d), t (1, int64); LSQSGD w (d),
+   w_avg (d), t (1, int64); KMEANS centers (k * d), counts (k, int64),
+   centers in use (1, int64). */
 enum { PEGASOS, LSQSGD, KMEANS };
 
-/* One step of a model of `kind`, its state f0, f1 and f2, on the row x,
-   labeled y for the linear learners; param is lam or alpha, and k the
-   k-means model's centers.  Nonzero as `kmeans_step` says.  It and
-   `pegasos_step` are inline so that GCC keeps the Pegasos step within
-   both callers' row loops, as it did when each learner had a feed of its
-   own, and calls no function per Pegasos row. */
-static inline int step(int64_t kind, int64_t d, double param, int64_t k, double *f0,
-                       void *f1, int64_t *f2, const double *x, double y)
+/* Run `body` for each `row` that `order` lists, or for rows lo to
+   lo + n - 1 when it is NULL: one loop for each, so no row tests it. */
+#define EACH_ROW(body)                                    \
+    do {                                                  \
+        if (order)                                        \
+            for (int64_t i = 0; i < n; i++) {             \
+                int64_t row = order[i];                   \
+                body;                                     \
+            }                                             \
+        else                                              \
+            for (int64_t row = lo; row < lo + n; row++) { \
+                body;                                     \
+            }                                             \
+    } while (0)
+
+/* The one row loop of every feed: feed a model of `kind`, its state f0,
+   f1 and f2, the rows of x (d wide, labeled by y for the linear
+   learners) that `order` lists, or rows lo to lo + n - 1.  param is lam
+   or alpha, and k the k-means model's centers.  Nonzero as `kmeans_step`
+   says.  Each learner has loops of its own, so no row tests `kind` or
+   reads a label it does not take: GCC unswitches neither test from a
+   loop of this size.  `pegasos_step` is inline so that the Pegasos step
+   stays within its loops, with no function call per row. */
+static int feed_each(int64_t kind, int64_t d, double param, int64_t k, double *f0, void *f1,
+                     int64_t *f2, const double *x, const double *y, const int64_t *order,
+                     int64_t lo, int64_t n)
 {
     if (kind == PEGASOS)
-        pegasos_step(d, param, f0, f1, f2, x, y);
+        EACH_ROW(pegasos_step(d, param, f0, f1, f2, x + row * d, y[row]));
     else if (kind == LSQSGD)
-        lsqsgd_step(d, 2.0 * param, f0, f1, f2, x, y);
+        EACH_ROW(lsqsgd_step(d, 2.0 * param, f0, f1, f2, x + row * d, y[row]));
     else
-        return kmeans_step(d, k, f0, f1, f2, x);
+        EACH_ROW(if (kmeans_step(d, k, f0, f1, f2, x + row * d)) return 1);
     return 0;
 }
 
-/* Feed one model of `kind` (see `step`) the n rows of x, d wide and
+/* Feed one model of `kind` (see `feed_each`) the n rows of x, d wide and
    labeled by y for the linear learners (NULL for k-means); nonzero as
    `kmeans_step` says, or on a raised flag. */
 int feed_rows(int64_t kind, int64_t n, int64_t d, double param, int64_t k, double *f0, void *f1,
@@ -281,10 +309,7 @@ int feed_rows(int64_t kind, int64_t n, int64_t d, double param, int64_t k, doubl
 {
     fexcept_t caller;
     begin(&caller);
-    int failed = 0;
-    for (int64_t i = 0; i < n && !failed; i++)
-        failed = step(kind, d, param, k, f0, f1, f2, x + i * d, y ? y[i] : 0.0);
-    return end(&caller, failed);
+    return end(&caller, feed_each(kind, d, param, k, f0, f1, f2, x, y, NULL, 0, n));
 }
 
 void kmeans_distances(int64_t k, int64_t d, const double *centers, const double *x,
@@ -321,7 +346,7 @@ static void fisher_yates(int64_t *part, int64_t n, uint64_t state)
     }
 }
 
-/* `fisher_yates`, exported for `rng.shuffled`.  `feed` calls the static
+/* `fisher_yates`, exported for `rng.shuffled`.  The feeds call the static
    loop, which the compiler inlines there; a call to an exported function
    goes through the PLT, since another library may interpose it. */
 void shuffle(int64_t *part, int64_t n, uint64_t state)
@@ -329,21 +354,25 @@ void shuffle(int64_t *part, int64_t n, uint64_t state)
     fisher_yates(part, n, state);
 }
 
-/* What every node of one `tree_feed` call reads, and what it adds up. */
+/* What one `tree_feed` or `standard_feed` call reads, and what it adds
+   up. */
 struct tree {
     int64_t kind, d, k;
     double param;  /* lam, alpha, or unused */
     const int64_t *bounds;
     const double *x, *y;
     int64_t randomized;
-    uint64_t shuffle_seed;
+    uint64_t seed;  /* tree_feed's shuffle_seed, or standard_feed's fold_seed */
     size_t sizes[3];  /* the bytes of each state array */
     size_t slot;  /* the bytes of a model: their sum */
-    char *slots;  /* one model per depth below the call's root */
-    int64_t base;  /* bounds[s]: the first row of the subtree */
-    int64_t *rows;  /* the randomized order of a fed range, at its offset from base */
-    double *out;  /* the leaves' predictions, from row base on */
+    char *slots;  /* tree_feed: one model per depth below the call's root;
+                     standard_feed: the fresh model, then the fold's */
+    int64_t base;  /* the first row predicted */
+    int64_t *rows;  /* a randomized order: of a fed range, at its offset from base,
+                       or of a fold's training rows */
+    double *out;  /* the predictions, from row base on */
     int64_t updates, transfers;
+    fexcept_t caller;  /* the caller's floating-point flags */
 };
 
 static void *field(const struct tree *t, char *slot, int i)
@@ -351,6 +380,14 @@ static void *field(const struct tree *t, char *slot, int i)
     for (int j = 0; j < i; j++)
         slot += t->sizes[j];
     return slot;
+}
+
+/* `feed_each` for the model in `slot`. */
+static int feed_slot(struct tree *t, char *slot, const int64_t *order, int64_t lo, int64_t n)
+{
+    t->updates += n;
+    return feed_each(t->kind, t->d, t->param, t->k, field(t, slot, 0), field(t, slot, 1),
+                     field(t, slot, 2), t->x, t->y, order, lo, n);
 }
 
 /* Feed the model in `slot` the rows of chunks first..last, in the order
@@ -361,24 +398,14 @@ static int feed(struct tree *t, char *slot, int64_t first, int64_t last)
     int64_t *order = NULL;
     if (t->randomized && n > 1) {
         /* derive_seed(shuffle_seed, first, last), inlined */
-        uint64_t seed = mix((t->shuffle_seed + GAMMA) ^ (uint64_t)first);
+        uint64_t seed = mix((t->seed + GAMMA) ^ (uint64_t)first);
         order = t->rows + (lo - t->base);
         for (int64_t i = 0; i < n; i++)
             order[i] = lo + i;
         fisher_yates(order, n, mix((seed + GAMMA) ^ (uint64_t)last));
     }
-    t->updates += n;
     t->transfers += last - first + 1;
-    double *f0 = field(t, slot, 0);
-    void *f1 = field(t, slot, 1);
-    int64_t *f2 = field(t, slot, 2);
-    for (int64_t i = 0; i < n; i++) {
-        int64_t row = order ? order[i] : lo + i;
-        if (step(t->kind, t->d, t->param, t->k, f0, f1, f2, t->x + row * t->d,
-                 t->y ? t->y[row] : 0.0))
-            return 1;
-    }
-    return 0;
+    return feed_slot(t, slot, order, lo, n);
 }
 
 /* Write the `predict_many` of the model in `slot` for every row of
@@ -419,6 +446,72 @@ static int node(struct tree *t, int64_t s, int64_t e, char *slot, int64_t depth)
            || feed(t, right, s, m) || node(t, m + 1, e, right, depth + 1);
 }
 
+/* Folds first..last of standard CV over the `chunks` chunks: each copies
+   the fresh model of the first slot into the second, feeds it the rows
+   of every other chunk, rows 0 to bounds[c] - 1 and then bounds[c + 1]
+   to the last, as `standard._train_rows` lists them, in that order or,
+   randomized, shuffled with the stream derive_seed(fold_seed, c), and
+   predicts its chunk. */
+static int folds(struct tree *t, int64_t first, int64_t last, int64_t chunks)
+{
+    int64_t n = t->bounds[chunks];
+    char *model = t->slots + t->slot;
+    for (int64_t c = first; c <= last; c++) {
+        int64_t lo = t->bounds[c], hi = t->bounds[c + 1], fed = 0;
+        memcpy(model, t->slots, t->slot);
+        t->transfers += chunks - 1;
+        if (t->randomized) {
+            for (int64_t row = 0; row < lo; row++)
+                t->rows[fed++] = row;
+            for (int64_t row = hi; row < n; row++)
+                t->rows[fed++] = row;
+            fisher_yates(t->rows, fed, mix((t->seed + GAMMA) ^ (uint64_t)c));
+        }
+        int failed = t->randomized ? feed_slot(t, model, t->rows, 0, fed)
+                                   : feed_slot(t, model, NULL, 0, lo)
+                                         || feed_slot(t, model, NULL, hi, n - hi);
+        if (failed || predict(t, model, c))
+            return 1;
+    }
+    return 0;
+}
+
+/* Set up `t` for a model of `kind` (see the enum above) whose state is
+   f0, f1 and f2: the caller's flags kept and cleared, the bytes of each
+   array, `count` model slots, the first holding a copy of that state,
+   and for a randomized run `rows` row indices.  Nonzero if an allocation
+   failed. */
+static int start(struct tree *t, size_t count, int64_t rows, const void *f0, const void *f1,
+                 const void *f2)
+{
+    begin(&t->caller);
+    size_t width = (size_t)t->d * sizeof(double), one = sizeof(int64_t), k = (size_t)t->k;
+    t->sizes[0] = t->kind == PEGASOS ? sizeof(double) : (t->kind == KMEANS ? k : 1) * width;
+    t->sizes[1] = t->kind == KMEANS ? k * one : width;
+    t->sizes[2] = one;
+    t->slot = t->sizes[0] + t->sizes[1] + t->sizes[2];
+    t->slots = malloc(count * t->slot);
+    if (t->randomized)
+        t->rows = malloc((size_t)rows * sizeof(int64_t));
+    if (t->slots == NULL || (t->randomized && t->rows == NULL))
+        return 1;
+    memcpy(t->slots, f0, t->sizes[0]);
+    memcpy(field(t, t->slots, 1), f1, t->sizes[1]);
+    memcpy(field(t, t->slots, 2), f2, t->sizes[2]);
+    return 0;
+}
+
+/* Hand back the counts of `t`, free what `start` allocated, restore the
+   caller's flags and return whether the run failed or raised a flag. */
+static int finish(struct tree *t, int failed, int64_t *counts)
+{
+    counts[0] = t->updates;
+    counts[1] = t->transfers;
+    free(t->slots);
+    free(t->rows);
+    return end(&t->caller, failed);
+}
+
 /* Run subtree s..e of the chunks that bounds delimits for a model whose
    state is f0, f1 and f2 (see the enum above), which is only read; a
    Pegasos or LsqSgd model's parameter is param, a k-means model has k
@@ -435,36 +528,36 @@ int tree_feed(int64_t kind, int64_t s, int64_t e, const int64_t *bounds, int64_t
               double param, int64_t k, const void *f0, const void *f1, const void *f2,
               double *out, int64_t *counts)
 {
-    size_t width = (size_t)d * sizeof(double), one = sizeof(int64_t);
-    struct tree t = {kind, d, k, param, bounds, x, y, randomized, shuffle_seed,
-                     {width, width, one}, 0, NULL, bounds[s], NULL, out, 0, 0};
-    if (kind == PEGASOS)
-        t.sizes[0] = sizeof(double);
-    else if (kind == KMEANS) {
-        t.sizes[0] = (size_t)k * width;
-        t.sizes[1] = (size_t)k * one;
-    }
-    t.slot = t.sizes[0] + t.sizes[1] + t.sizes[2];
+    struct tree t = {.kind = kind, .d = d, .k = k, .param = param, .bounds = bounds, .x = x,
+                     .y = y, .randomized = randomized, .seed = shuffle_seed,
+                     .base = bounds[s], .out = out};
     int64_t height = 0;
     while (((int64_t)1 << height) < e - s + 1)
         height++;
-    t.slots = malloc((size_t)(height + 1) * t.slot);
-    if (randomized)
-        t.rows = malloc((size_t)(bounds[e + 1] - bounds[s]) * sizeof(int64_t));
-    int failed = t.slots == NULL || (randomized && t.rows == NULL);
-    if (!failed) {
-        memcpy(t.slots, f0, t.sizes[0]);
-        memcpy(field(&t, t.slots, 1), f1, t.sizes[1]);
-        memcpy(field(&t, t.slots, 2), f2, t.sizes[2]);
-        fexcept_t caller;
-        begin(&caller);
-        failed = end(&caller, node(&t, s, e, t.slots, 0));
-        counts[0] = t.updates;
-        counts[1] = t.transfers;
-    }
-    free(t.slots);
-    free(t.rows);
-    return failed;
+    int failed = start(&t, (size_t)height + 1, bounds[e + 1] - bounds[s], f0, f1, f2)
+                 || node(&t, s, e, t.slots, 0);
+    return finish(&t, failed, counts);
+}
+
+/* Run folds first..last of standard CV over the `chunks` chunks that
+   bounds delimits, each from a fresh model whose state is f0, f1 and f2,
+   which is only read; the other arguments are `tree_feed`'s.  A
+   randomized run shuffles fold c's training rows with the stream
+   derive_seed(fold_seed, c), where fold_seed = derive_seed(run seed,
+   TAG_FOLD_SHUFFLE).  out receives each fold's predictions for its
+   chunk, rows bounds[first] to bounds[last + 1] - 1, and counts the point
+   updates and model transfers.  Nonzero, with out spoiled, as
+   `tree_feed` says. */
+int standard_feed(int64_t kind, int64_t first, int64_t last, int64_t chunks,
+                  const int64_t *bounds, int64_t d, const double *x, const double *y,
+                  int64_t randomized, uint64_t fold_seed, double param, int64_t k,
+                  const void *f0, const void *f1, const void *f2, double *out, int64_t *counts)
+{
+    struct tree t = {.kind = kind, .d = d, .k = k, .param = param, .bounds = bounds, .x = x,
+                     .y = y, .randomized = randomized, .seed = fold_seed,
+                     .base = bounds[first], .out = out};
+    int failed = start(&t, 2, bounds[chunks], f0, f1, f2) || folds(&t, first, last, chunks);
+    return finish(&t, failed, counts);
 }
 
 /* The longest number token `parse_sparse` converts; a longer one sends

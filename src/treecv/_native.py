@@ -1,12 +1,13 @@
-"""The compiled tree recursion (`tree_feed`) and per-point feed
-(`feed_rows`) of the exact `Pegasos`, `LsqSgd` and `OnlineKMeans` types,
-the Fisher-Yates shuffle that both schedulers draw their randomized
-orders with (`rng.shuffled`), and the sparse-text scanner of
-`dataio.parse_sparse_text`.
+"""The compiled tree recursion (`tree_feed`), standard-CV folds
+(`standard_feed`) and per-point feed (`feed_rows`) of the exact
+`Pegasos`, `LsqSgd` and `OnlineKMeans` types, the Fisher-Yates shuffle
+that both schedulers draw their randomized orders with (`rng.shuffled`),
+and the sparse-text scanner of `dataio.parse_sparse_text`.
 
 `_kernels.c` feeds models of these types point by point, bit for bit as
 their `_update_point` does, runs whole subtrees of the tree's recursion
-for them, shuffles a vector as `SplitMix64Stream.shuffle` does, and
+and groups of standard-CV folds for them, shuffles a vector as
+`SplitMix64Stream.shuffle` does, and
 parses the strict part of the sparse-text grammar with strtod, which
 rounds as float() does; its header says how.  This module builds and
 loads it with the standard library alone:
@@ -32,13 +33,15 @@ loads it with the standard library alone:
   `feed_rows`.  A mismatch there leaves `OnlineKMeans` in Python and
   keeps the other kernels.  A process that never trains k-means never
   runs this check;
-* when the tree first asks for `tree_feed` (`Kernels.tree`), it runs a
-  pinned tree of each learner through it, and compares each leaf's
-  predictions with `predict_many` of a model fed that fold's
-  `tree_feed_orders` order in Python, bit for bit, which checks that the
-  kernel's linear predictions sum as this numpy's `np.einsum("ij,j->i")`
-  does.  A mismatch there leaves `tree_feed` out, and the tree runs the
-  recursion;
+* when a scheduler first asks for `tree_feed` and `standard_feed`
+  (`Kernels.tree`), it runs a pinned tree and the folds of standard CV
+  on the same chunks, for each learner and ordering, through them, and
+  compares each fold's predictions with `predict_many` of a model fed
+  that fold's order in Python (`tree_feed_orders`, or `_train_rows`
+  shuffled by `_shuffled_order` without the kernels), bit for bit, which
+  checks that the kernels' linear predictions sum as this numpy's
+  `np.einsum("ij,j->i")` does.  A mismatch there leaves both out: the
+  tree runs the recursion and standard CV its Python loop;
 * when the parser first asks for its kernel (`Kernels.parser`), it
   parses `_PARSER_PROBES`, strings that a conversion which is not
   correctly rounded gets wrong, and compares each double with float()'s.
@@ -47,9 +50,10 @@ loads it with the standard library alone:
 `kernels()` does the rest at most once per process, on first use, and
 gives None when any step fails: no compiler, no ddot symbol, an
 unwritable cache, a failed compile or a mismatch.  The learners then
-keep their Python path, the tree runs the recursion, every shuffle runs
-the Python loop of `SplitMix64Stream.shuffle`, text parses in Python,
-and `reason()` says why.
+keep their Python path, the tree runs the recursion, standard CV its
+Python loop, every shuffle runs the Python loop of
+`SplitMix64Stream.shuffle`, text parses in Python, and `reason()` says
+why.
 """
 
 from __future__ import annotations
@@ -82,6 +86,8 @@ _FUNCTIONS = {
     "shuffle": ([_ARRAY, _INT, ctypes.c_uint64], None),
     "tree_feed": ([_INT] * 3 + [_ARRAY, _INT] + [_ARRAY] * 2
                   + [_INT, ctypes.c_uint64, _FLOAT, _INT] + [_ARRAY] * 5, ctypes.c_int),
+    "standard_feed": ([_INT] * 4 + [_ARRAY, _INT] + [_ARRAY] * 2
+                      + [_INT, ctypes.c_uint64, _FLOAT, _INT] + [_ARRAY] * 5, ctypes.c_int),
     "parse_sparse": ([ctypes.c_char_p] + [_INT] * 4 + [_ARRAY] * 5, _INT),
 }
 
@@ -98,6 +104,10 @@ class Kernels:
     * `tree_feed`, called as (kind, s, e, bounds, d, x, y, randomized,
       shuffle_seed, parameter, k, three state arrays, out, counts)
       through `learners._Feed.run_subtree`, once `tree()` has checked it;
+    * `standard_feed`, called as (kind, first, last, chunks, bounds, d, x,
+      y, randomized, fold_seed, parameter, k, three state arrays, out,
+      counts) through `learners._Feed.run_folds`, once `tree()` has
+      checked it;
     * `shuffle`, called as (values, n, seed) through `rng.shuffled`,
       which checks the vector;
     * `parse_sparse`, called as (text, size, expected_dim, row_cap,
@@ -131,9 +141,9 @@ class Kernels:
                 self.reasons[check] = f"{falls_back}: {mismatch}"
         return None if self.reasons[check] else getattr(self, kernel)
 
-    # `feed_rows` for `OnlineKMeans` (`_probe_kmeans`), `tree_feed`
-    # (`_probe_tree`) and `parse_sparse` (`_probe_parser`), each if it
-    # passes its self-check, else None
+    # `feed_rows` for `OnlineKMeans` (`_probe_kmeans`), `tree_feed`, which
+    # also gates `standard_feed` (`_probe_tree`), and `parse_sparse`
+    # (`_probe_parser`), each if it passes its self-check, else None
     kmeans = functools.partialmethod(_checked, "kmeans")
     tree = functools.partialmethod(_checked, "tree")
     parser = functools.partialmethod(_checked, "parser")
@@ -315,25 +325,34 @@ def _probe_kmeans(kernels: Kernels) -> str | None:
 
 def _probe_tree(kernels: Kernels) -> str | None:
     """Where `tree_feed` and the oracle replay of the tree's feeding
-    orders disagree on a pinned probe, or None.
+    orders, or `standard_feed` and standard CV's Python loop, disagree on
+    a pinned probe, or None.
 
     Each learner (k-means only if `kmeans()` passed) runs a tree of six
-    ragged chunks in both orderings, at widths on both sides of einsum's
-    8-element blocks and 2-element pairs, on rows whose elements span 16
-    orders of magnitude, so that a prediction summed in any other order
-    than `predict_many`'s changes its last bits.  Each fold's reference
-    is `predict_many` of a model fed its `tree_feed_orders` order by the
-    Python update.
+    ragged chunks, and their six folds of standard CV in two calls, in
+    both orderings, at widths on both sides of einsum's 8-element blocks
+    and 2-element pairs, on rows whose elements span 16 orders of
+    magnitude, so that a prediction summed in any other order than
+    `predict_many`'s changes its last bits.  Each fold's reference is
+    `predict_many` of a model fed by the Python update: for the tree its
+    `tree_feed_orders` order, for standard CV its `_train_rows`, shuffled
+    by `_shuffled_order` without the kernels when randomized.
     """
     from .core import IncrementalLearner, Partition, check_partition
     from .learners import COMPILED, LsqSgd, OnlineKMeans, Pegasos
-    from .tree import TAG_NODE_SHUFFLE, tree_feed_orders
     from .rng import derive_seed
+    from .standard import TAG_FOLD_SHUFFLE, _shuffled_order, _train_rows
+    from .tree import TAG_NODE_SHUFFLE, tree_feed_orders
 
     part = Partition((0, 2, 3, 7, 8, 12, 13))
     bounds = check_partition(part)
-    orderings = ("fixed", "randomized")
-    orders = {ordering: tree_feed_orders(part, ordering, 11) for ordering in orderings}
+    seeds = {"fixed": None, "randomized": 11}
+    orders = {}  # each fold's feeding order, by kernel and ordering
+    for ordering, seed in seeds.items():
+        orders["tree_feed", ordering] = tree_feed_orders(part, ordering, 11)
+        orders["standard_feed", ordering] = [
+            _train_rows(part, fold) if seed is None else _shuffled_order(None, part, seed, fold)
+            for fold in range(part.k)]
     for d in (0, 1, 2, 3, 7, 8, 9, 17, 33):
         i = np.arange(part.n * d)
         x = (np.sin(i * 1.3 + 0.2) * 10.0 ** (i * 7 % 17 - 8)).reshape(part.n, d)
@@ -341,20 +360,25 @@ def _probe_tree(kernels: Kernels) -> str | None:
         protos = [Pegasos(d, 0.05), LsqSgd(d, 0.3)]
         if kernels.kmeans() is not None:
             protos.append(OnlineKMeans(d, 3))
-        for proto, ordering in itertools.product(protos, orderings):
-            name = type(proto).__name__
-            ran = COMPILED[type(proto)](proto).run_subtree(
-                kernels, bounds, 0, part.k - 1, x, y,
-                derive_seed(11, TAG_NODE_SHUFFLE) if ordering == "randomized" else None)
-            if ran is None:
-                return f"it failed on {name} at d={d}"
+        for proto, (kernel, ordering) in itertools.product(protos, orders):
+            name, state, seed = type(proto).__name__, COMPILED[type(proto)](proto), seeds[ordering]
+            if kernel == "tree_feed":
+                runs = [state.run_subtree(kernels, bounds, 0, part.k - 1, x, y,
+                                          seed and derive_seed(seed, TAG_NODE_SHUFFLE))]
+            else:
+                runs = [state.run_folds(kernels, bounds, first, last, x, y,
+                                        seed and derive_seed(seed, TAG_FOLD_SHUFFLE))
+                        for first, last in ((0, 1), (2, part.k - 1))]
+            if None in runs:
+                return f"{kernel} failed on {name} at d={d}"
             expected = []
-            for fold, order in enumerate(orders[ordering]):
+            for fold, order in enumerate(orders[kernel, ordering]):
                 model = proto.fresh()
                 IncrementalLearner.update(model, x[order], y[order])
                 expected.append(model.predict_many(x[part.chunk_slice(fold)]))
-            if ran[0].tobytes() != np.concatenate(expected).tobytes():
-                return f"{name}'s leaf predictions at d={d} are not predict_many's"
+            if (b"".join(ran[0].tobytes() for ran in runs)
+                    != np.concatenate(expected).tobytes()):
+                return f"{kernel}'s {name} predictions at d={d} are not predict_many's"
     return None
 
 
@@ -431,7 +455,8 @@ _CHECKS = {
     "kmeans": ("feed_rows", _probe_kmeans,
                "feed_rows failed its k-means self-check, so OnlineKMeans runs in Python"),
     "tree": ("tree_feed", _probe_tree,
-             "tree_feed failed its self-check, so the tree runs the recursion"),
+             "tree_feed and standard_feed failed their self-check, so the tree runs the "
+             "recursion and standard CV its Python loop"),
     "parser": ("parse_sparse", _probe_parser,
                "parse_sparse failed its self-check, so sparse text parses in Python"),
 }

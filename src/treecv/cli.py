@@ -3,7 +3,7 @@
 Subcommands:
 
 * `run`: execute a cross-validation plan and stream one CSV record per run.
-* `bench`: runtime sweep over an ascending n grid, medians per cell.
+* `bench`: runtime sweep over a strictly ascending n grid, medians per cell.
 * `stability`: incremental-vs-batch gap table over training-set sizes.
 * `report`: aggregate run records into mean +/- std cells.
 
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_learner_arguments(p_bench)
     _add_grid_arguments(p_bench)
     p_bench.add_argument("--n-grid", required=True,
-                         help="comma-separated ascending dataset sizes")
+                         help="comma-separated, strictly ascending dataset sizes")
     p_bench.set_defaults(func=cmd_bench)
 
     p_stab = sub.add_parser("stability", help="incremental-vs-batch gap measurement")

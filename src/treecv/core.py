@@ -517,3 +517,22 @@ def evaluate_chunk(
     if counters is not None:
         counters.evaluations += m
     return math.fsum(values) / m
+
+
+def chunk_scores(values: np.ndarray, bounds: Sequence[int], s: int, e: int):
+    """The scores of chunks s..e, which `bounds` delimits, from `values`,
+    the losses of their rows in order: each is `evaluate_chunk`'s, the
+    `math.fsum` of the chunk's losses over its size.  One-row chunks are
+    scored in one array operation, whatever the dtype of `values`: a real
+    dtype's element becomes the double its `tolist()` element does."""
+    if values.size == e - s + 1:
+        # a row per chunk: fsum([v]) / 1 is v + 0.0 bit for bit, -0.0 going
+        # to 0.0 and inf and nan passing through
+        scores = values + 0.0
+        if scores.dtype.kind == "c":  # which fsum, and float(), refuse
+            raise TypeError(f"a loss must be real, got {scores.dtype} values")
+        return scores
+    values = values.tolist()
+    base = bounds[s]
+    return [math.fsum(values[bounds[c] - base:bounds[c + 1] - base]) / (bounds[c + 1] - bounds[c])
+            for c in range(s, e + 1)]

@@ -182,6 +182,8 @@ class ExperimentPlan:
         for kv in self.k_values:
             if kv != "n" and (not isinstance(kv, int) or kv < 2):
                 raise ValueError(f"k values must be integers >= 2 or 'n', got {kv!r}")
+        if len(set(self.k_values)) < len(self.k_values):  # the same rows, twice
+            raise ValueError(f"k values must not repeat, got {list(self.k_values)}")
 
 
 def check_labels(plan: ExperimentPlan, dataset: Dataset) -> None:
@@ -330,7 +332,7 @@ def _run_records(plan: ExperimentPlan, dataset: Dataset, trace_log: list | None)
 
 
 def bench_rows(plan: ExperimentPlan, dataset: Dataset, n_grid: list[int]):
-    """Median wall time and update counts over an ascending n grid.
+    """Median wall time and update counts over a strictly ascending n grid.
 
     Each row summarizes the `plan.repetitions` run records of one cell of
     the plan, run on the first n points of the dataset for each grid
@@ -340,8 +342,8 @@ def bench_rows(plan: ExperimentPlan, dataset: Dataset, n_grid: list[int]):
     """
     if not n_grid:
         raise ValueError("n grid must not be empty")
-    if sorted(n_grid) != list(n_grid):
-        raise ValueError("n grid must be ascending")
+    if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError("n grid must be strictly ascending")
     if n_grid[-1] > dataset.n:
         raise ValueError(f"n grid exceeds dataset size {dataset.n}")
     _check_entry(plan, dataset)

@@ -39,14 +39,17 @@ distance in the order numpy's `np.einsum` sums a row, which the loader
 checks against this numpy's einsum.  Their `update` hands the kernel a
 copy of the model's state (`PegasosFeed`, `LsqSgdFeed`, `KMeansFeed`,
 checked by one `_Feed.feed_rows`) and any C-contiguous float64 batch of
-at least `min_rows` rows, labeled for the linear two.  A point then
-costs ~0.06 us (Pegasos) or ~0.1 us (LsqSgd) at d=20, and ~0.07 us
-(k-means) at d=10 and K=5, against ~1.6, ~4-7 and ~8-10 us in Python.
-Without a C compiler, or when the kernel raises a floating-point flag,
-the Python update runs, with its own warnings and errors; k-means also
-runs in Python where numpy's einsum sums in another order.  The tree
-runs a whole subtree of such a model from the same copy in one
-`tree_feed` call (`tree._subtree`).
+at least `min_rows` rows, labeled for the linear two.  On a 2-vCPU
+Xeon VM a point then costs ~35 ns (Pegasos) or ~47 ns (LsqSgd) at d=20,
+and ~47 ns (k-means) at d=10 and K=5 (`feed_rows`, minimum of 31 feeds
+of 200,000 rows), against ~1.6, ~4-7 and ~8-10 us in Python.  Without a
+C compiler, or when the kernel raises a floating-point flag, the Python
+update runs, with its own warnings and errors; k-means also runs in
+Python where numpy's einsum sums in another order.  From the same copy
+of a model's state, the tree runs a whole subtree in one `tree_feed`
+call (`tree._subtree`), and standard CV a group of folds in one
+`standard_feed` call (`standard._compiled_folds`); `compiled_feed` says
+which models and losses both take.
 """
 
 from __future__ import annotations
@@ -378,13 +381,30 @@ class _Feed:
         model transfers as an int64 pair, or None when the kernel failed:
         a raised flag, a failed k-means step or a k-means leaf with no
         center, which the recursion then meets."""
-        rows = int(bounds[e + 1] - bounds[s])
+        return self._run(kernels.tree_feed, (s, e), bounds, x, y, shuffle_seed)
+
+    def run_folds(self, kernels: "_native.Kernels", bounds: np.ndarray, first: int, last: int,
+                  x: np.ndarray, y: np.ndarray | None, fold_seed: int | None):
+        """Run folds first..last of standard CV by one `standard_feed`
+        call, each from this copy, as `run_subtree` runs a subtree: fixed
+        order, or randomized with `fold_seed` (derive_seed(run seed,
+        TAG_FOLD_SHUFFLE)).  Gives each fold's `predict_many` of its chunk
+        and the counts as `run_subtree` does, or None when the kernel
+        failed, which the Python loop then meets."""
+        return self._run(kernels.standard_feed, (first, last, len(bounds) - 1), bounds, x, y,
+                         fold_seed)
+
+    def _run(self, kernel, head: tuple, bounds: np.ndarray, x: np.ndarray, y: np.ndarray | None,
+             seed: int | None):
+        """Call `kernel` with the learner, `head` (the chunks it runs from
+        `head[0]` to `head[1]`, and for `standard_feed` their count), the
+        data, the seed and this copy."""
+        rows = int(bounds[head[1] + 1] - bounds[head[0]])
         out = np.empty((rows, x.shape[1]) if self.vector_predictions else rows)
         counts = np.zeros(2, dtype=np.int64)
-        if kernels.tree_feed(self.kind, s, e, bounds.ctypes.data, x.shape[1], x.ctypes.data,
-                             None if y is None else y.ctypes.data, shuffle_seed is not None,
-                             shuffle_seed or 0, self.param, self.k, *self.pointers(),
-                             out.ctypes.data, counts.ctypes.data):
+        if kernel(self.kind, *head, bounds.ctypes.data, x.shape[1], x.ctypes.data,
+                  None if y is None else y.ctypes.data, seed is not None, seed or 0,
+                  self.param, self.k, *self.pointers(), out.ctypes.data, counts.ctypes.data):
             return None
         return out, counts
 
@@ -504,16 +524,33 @@ class KMeansFeed(_Feed):
 COMPILED = {Pegasos: PegasosFeed, LsqSgd: LsqSgdFeed, OnlineKMeans: KMeansFeed}
 
 
-def load_kernels(model: IncrementalLearner, tree: bool = False) -> None:
+def compiled_feed(model: IncrementalLearner, loss, x: np.ndarray, y: np.ndarray | None):
+    """The `COMPILED` feed of `model` if `tree_feed` and `standard_feed`
+    run it on the rows x labeled y and score its predictions with `loss`,
+    else None.
+
+    They run it with the compiled kernels loaded and their self-check
+    (`Kernels.tree`) passed, for a model of an exact compiled type that
+    holds state the kernels read as its Python update does, for the rows
+    of the data and with the labels it needs (`takes`), and a loss that
+    scores a batch.
+    """
+    feed = COMPILED.get(type(model))
+    if (feed is None or loss.batch is None or (kernels := _native.kernels()) is None
+            or kernels.tree() is None or not feed.takes(kernels, model, x, y)):
+        return None
+    return feed
+
+
+def load_kernels(model: IncrementalLearner) -> None:
     """Resolve the compiled kernels now if `model`'s exact type runs on
     them (`COMPILED`), with the self-checks of the k-means feed for
-    k-means and of `tree_feed` for the tree, so that worker processes forked
-    later inherit them and the checks run outside any wall time.  A
-    learner of another type, even one that delegates to a built-in, leaves
-    them to be resolved at the first compiled update, by each process for
-    itself."""
+    k-means and of `tree_feed` and `standard_feed` (`Kernels.tree`), so
+    that worker processes forked later inherit them and the checks run
+    outside any wall time.  A learner of another type, even one that
+    delegates to a built-in, leaves them to be resolved at the first
+    compiled update, by each process for itself."""
     if type(model) in COMPILED and (loaded := _native.kernels()) is not None:
         if type(model) is OnlineKMeans:
             loaded.kmeans()
-        if tree:
-            loaded.tree()
+        loaded.tree()

@@ -6,9 +6,23 @@ scheduler.  `brute_force_oracle` runs the same fold loop with a caller
 supplied feeding order per fold, which lets tests replay the exact point
 order the tree schedule induces and confirm fold-score equality.
 
-A randomized run shuffles each fold's training rows as an int64 vector
+If the compiled kernels are loaded (`_native`) and pass the schedulers'
+self-check (`Kernels.tree`), every fold's model is of one exact
+`Pegasos`, `LsqSgd` or `OnlineKMeans` type with the first fold's state
+and parameter, and the loss scores a batch (`learners.compiled_feed`),
+one C call, `standard_feed`, runs each group of folds (all k, or one
+worker's): it copies the fresh state into a slot per fold, feeds it the
+other chunks' rows, read from x by index in the fold's order, and
+writes the fold's predictions into one array, which the loss scores at
+once (`core.chunk_scores`), as the tree's `tree_feed` does a subtree.
+Every model gets the rows, the order and the bits the Python loop gives
+it, and every fold its score.  The Python loop is the reference: it
+runs any other learner, a factory whose models differ, the oracle's
+explicit orders, and a group whose kernel or loss failed (a raised
+floating-point flag, say), where it raises or warns as it does alone.
+There a randomized fold's training rows are shuffled as an int64 vector
 with `rng.shuffled`, in the compiled `shuffle` kernel when the kernels
-are loaded (`_native`), and gathers them through it.
+are loaded, and gathered through it.
 """
 
 from __future__ import annotations
@@ -32,12 +46,13 @@ from .core import (
     check_integer,
     check_ordering,
     check_partition,
+    chunk_scores,
     evaluate_chunk,
     make_report,
     partition as make_partition,
 )
 from .forkjoin import check_workers, fork, join_all
-from .learners import load_kernels
+from .learners import compiled_feed, load_kernels
 from .rng import derive_seed, shuffled
 
 TAG_FOLD_SHUFFLE = 4
@@ -84,13 +99,21 @@ def _checked_order(partition: Partition, fold_orders, fold: int) -> np.ndarray:
     return order
 
 
-def _run_folds(model_of, dataset, partition, loss, folds, order_of):
-    """(score, counters) of each fold: the fresh model `model_of(fold)`
-    trained on the rows `order_of(fold)` lists (None: the other chunks in
-    dataset order) and scored on the fold's chunk."""
+def _run_folds(model_of, dataset, partition, loss, folds, order_of, compiled=None):
+    """(scores, counters) of the folds of the range `folds`: each the
+    fresh model `model_of(fold)` trained on the rows `order_of(fold)`
+    lists (None: the other chunks in dataset order) and scored on the
+    fold's chunk.  With `compiled` (see `_compiled_folds`), one
+    `standard_feed` call runs them where it can."""
+    models = map(model_of, folds)
+    if compiled is not None:
+        models = list(models)  # the factory runs once per fold, whichever path runs it
+        ran = _compiled_folds(compiled, models, dataset, partition, loss, folds)
+        if ran is not None:
+            return ran
     x, y = dataset.x, dataset.y
-    results = []
-    for fold in folds:
+    scores, counters = [], WorkCounters()
+    for fold, model in zip(folds, models):
         sl = partition.chunk_slice(fold)
         order = order_of(fold)
         if order is None:
@@ -99,18 +122,47 @@ def _run_folds(model_of, dataset, partition, loss, folds, order_of):
             fy = np.concatenate((y[:sl.start], y[sl.stop:])) if y is not None else None
         else:  # an int64 index: gathering through a list of ints costs ~3.5x more
             fx, fy = x[order], y[order] if y is not None else None
-        model = model_of(fold)
         model.update(fx, fy)
-        counters = WorkCounters(point_updates=fx.shape[0], model_transfers=partition.k - 1)
-        results.append((evaluate_chunk(model, dataset, sl, loss, counters), counters))
-    return results
+        counters.point_updates += fx.shape[0]
+        counters.model_transfers += partition.k - 1
+        scores.append(evaluate_chunk(model, dataset, sl, loss, counters))
+    return scores, counters
 
 
-def _report(results, wall: float, ordering: str, seed: int, forks: int = 0) -> CvReport:
+def _compiled_folds(compiled, models, dataset, partition, loss, folds):
+    """What `_run_folds` gives, from one `standard_feed` call, or None
+    where the Python loop must run the folds: a fold's model is not of
+    the first model's feed, or holds another state or parameter, or the
+    kernel or the loss failed.  `compiled` is (first model, its feed,
+    the row bounds, the fold seed or None)."""
+    first, feed, bounds, fold_seed = compiled
+    x, y = dataset.x, dataset.y
+    state = feed(first)
+    for model in models:
+        other = state if model is first else feed(model)
+        if (compiled_feed(model, loss, x, y) is not feed or other.param != state.param
+                or any(a.tobytes() != b.tobytes() for a, b in zip(other.arrays, state.arrays))):
+            return None
+    ran = state.run_folds(_native.kernels(), bounds, folds[0], folds[-1], x, y, fold_seed)
+    if ran is None:
+        return None
+    predictions, (updates, transfers) = ran
+    rows = slice(partition.bounds[folds[0]], partition.bounds[folds[-1] + 1])
+    try:
+        scores = chunk_scores(loss.batch(predictions, x[rows], None if y is None else y[rows]),
+                              partition.bounds, folds[0], folds[-1])
+    except Exception:  # the loss, or a chunk's sum, failed
+        return None
+    return list(scores), WorkCounters(point_updates=int(updates), model_transfers=int(transfers),
+                                      evaluations=rows.stop - rows.start)
+
+
+def _report(groups, wall: float, ordering: str, seed: int, forks: int = 0) -> CvReport:
     counters = WorkCounters(forks=forks)
-    for _, fold_counters in results:
-        counters.merge(fold_counters)
-    return make_report([s for s, _ in results], counters, wall, "standard", ordering, seed)
+    for _, group_counters in groups:
+        counters.merge(group_counters)
+    return make_report([s for scores, _ in groups for s in scores], counters, wall, "standard",
+                       ordering, seed)
 
 
 def standard_cv(
@@ -133,26 +185,31 @@ def standard_cv(
     check_ordering(ordering)
     check_workers(max_workers)
     seed = check_integer(seed, "seed")
-    check_partition(partition, dataset)
+    bounds = check_partition(partition, dataset)
     k = partition.k
     # the kernels a randomized run shuffles with, and fold 0's model, built
-    # here to resolve the kernels its type runs on: both outside the wall
-    # time, and before forked workers would each do it
+    # here to resolve the kernels its type runs on and whether its folds
+    # run compiled: outside the wall time, and before forked workers would
+    # each do it
     order_of = (partial(_shuffled_order, _native.kernels(), partition, seed)
                 if ordering == "randomized" else lambda fold: None)
     first = learner_factory().fresh()
     load_kernels(first)
+    feed = compiled_feed(first, loss, dataset.x, dataset.y)
+    compiled = None if feed is None else (
+        first, feed, bounds,
+        derive_seed(seed, TAG_FOLD_SHUFFLE) if ordering == "randomized" else None)
     model_of = lambda fold: first if fold == 0 else learner_factory().fresh()
     start = time.perf_counter()
     joins = []
     if max_workers > 1:
         groups = make_partition(k, min(max_workers, k))
         joins = [fork(_run_folds, model_of, dataset, partition, loss,
-                      range(g.start, g.stop), order_of)
+                      range(g.start, g.stop), order_of, compiled)
                  for g in map(groups.chunk_slice, range(groups.k))]
-        results = [r for group in join_all(joins) for r in group]
+        results = join_all(joins)
     else:
-        results = _run_folds(model_of, dataset, partition, loss, range(k), order_of)
+        results = [_run_folds(model_of, dataset, partition, loss, range(k), order_of, compiled)]
     return _report(results, time.perf_counter() - start, ordering, seed, len(joins))
 
 
@@ -179,4 +236,4 @@ def brute_force_oracle(
     start = time.perf_counter()
     results = _run_folds(lambda fold: learner_factory().fresh(), dataset, partition, loss,
                          range(partition.k), partial(_checked_order, partition, fold_orders))
-    return _report(results, time.perf_counter() - start, "explicit", seed)
+    return _report([results], time.perf_counter() - start, "explicit", seed)

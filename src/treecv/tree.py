@@ -30,8 +30,8 @@ node above it that does not fork, runs its subtree as one unit
 `OnlineKMeans` (`learners.COMPILED`) and the loss scores a batch, one
 C call, `tree_feed`, runs the whole subtree: the same recursion, with a
 memcpy for each preserved model, and each leaf's predictions written to
-one array, which the loss scores at once (`_score_chunks`).  Every model
-gets the rows, the order and the bits the recursion gives it, and every
+one array, which the loss scores at once (`core.chunk_scores`).  Every
+model gets the rows, the order and the bits the recursion gives it, and every
 fold the score `evaluate_chunk` gives it.  Any other learner, including
 a subclass of those three (it may override `_update_point`), and every
 learner without the kernels, runs the recursion in Python, which holds
@@ -59,7 +59,6 @@ bit-identical reports (wall time and the fork count aside).
 
 from __future__ import annotations
 
-import math
 import operator
 import time
 from dataclasses import dataclass
@@ -79,12 +78,13 @@ from .core import (
     check_integer,
     check_ordering,
     check_partition,
+    chunk_scores,
     evaluate_chunk,
     make_report,
     partition as make_partition,
 )
 from .forkjoin import check_workers, join_all
-from .learners import COMPILED, load_kernels
+from .learners import compiled_feed, load_kernels
 from .rng import derive_seed, shuffled
 
 # Stream purpose tag; every derive_seed call site in the package uses a
@@ -208,13 +208,13 @@ def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> N
 
     Above the fork depth a node forks where its right branch pays for the
     fork: always in the Python recursion, and for a model that `tree_feed`
-    takes (`_tree_feed`) only above `FORK_FLOOR` point updates.  Down to
-    the fork depth, a node that does not fork runs its whole subtree by
-    one `tree_feed` call where `_subtree` can make it; every other node is
-    visited by `_visit`."""
+    takes (`learners.compiled_feed`) only above `FORK_FLOOR` point
+    updates.  Down to the fork depth, a node that does not fork runs its
+    whole subtree by one `tree_feed` call where `_subtree` can make it;
+    every other node is visited by `_visit`."""
     fork = False
     if depth <= run.fork_depth:
-        feed = _tree_feed(run, model)
+        feed = compiled_feed(model, run.loss, run.dataset.x, run.dataset.y)
         fork = depth < run.fork_depth and s < e and (
             feed is None or _right_pays(run.row_bounds, s, e))
         if not fork and feed is not None and _subtree(run, feed, s, e, model, depth):
@@ -297,27 +297,9 @@ def _visit(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int,
         _branch(run, m + 1, e, right, s, m, depth + 1)
 
 
-def _tree_feed(run: _Run, model: IncrementalLearner):
-    """The `COMPILED` feed of `model` if `tree_feed` runs subtrees from it,
-    else None.
-
-    It runs them with the compiled kernels loaded and `tree_feed` checked,
-    for a model of an exact compiled type (`COMPILED`) that holds state
-    the kernels read as its Python update does, for the rows of the data
-    and with the labels it needs (`takes`), and a loss that scores a
-    batch.
-    """
-    feed = COMPILED.get(type(model))
-    if (feed is None or run.loss.batch is None or (kernels := _native.kernels()) is None
-            or kernels.tree() is None
-            or not feed.takes(kernels, model, run.dataset.x, run.dataset.y)):
-        return None
-    return feed
-
-
 def _subtree(run: _Run, feed, s: int, e: int, model: IncrementalLearner, depth: int) -> bool:
     """Run subtree s..e by one `tree_feed` call through `feed`, which
-    `_tree_feed` gave for `model`, and say whether that happened.
+    `compiled_feed` gave for `model`, and say whether that happened.
 
     `model` is left untouched, and scores, counters and traces are added
     only when it returns True.  On False the recursion runs the subtree:
@@ -334,8 +316,8 @@ def _subtree(run: _Run, feed, s: int, e: int, model: IncrementalLearner, depth: 
     b = run.partition.bounds
     rows = slice(b[s], b[e + 1])
     try:
-        _score_chunks(run, run.loss.batch(predictions, x[rows], None if y is None else y[rows]),
-                      s, e)
+        run.fold_scores[s:e + 1] = chunk_scores(
+            run.loss.batch(predictions, x[rows], None if y is None else y[rows]), b, s, e)
     except Exception:  # the loss, or a chunk's sum, failed
         return False
     run.counters.merge(WorkCounters(
@@ -344,27 +326,6 @@ def _subtree(run: _Run, feed, s: int, e: int, model: IncrementalLearner, depth: 
     if run.traces is not None:
         _trace_subtree(run.traces, b, s, e, depth)
     return True
-
-
-def _score_chunks(run: _Run, values: np.ndarray, s: int, e: int) -> None:
-    """Set the fold scores of chunks s..e from `values`, the losses of
-    their rows in order: each is `evaluate_chunk`'s, the `math.fsum` of
-    the chunk's losses over its size.  One-row chunks are scored in one
-    array operation, whatever the dtype of `values`: a real dtype's
-    element becomes the double its `tolist()` element does."""
-    if values.size == e - s + 1:
-        # a row per chunk: fsum([v]) / 1 is v + 0.0 bit for bit, -0.0 going
-        # to 0.0 and inf and nan passing through
-        scores = values + 0.0
-        if scores.dtype.kind == "c":  # which fsum, and float(), refuse
-            raise TypeError(f"a loss must be real, got {scores.dtype} values")
-    else:
-        b = run.partition.bounds
-        values = values.tolist()
-        base = b[s]
-        scores = [math.fsum(values[b[c] - base:b[c + 1] - base]) / (b[c + 1] - b[c])
-                  for c in range(s, e + 1)]
-    run.fold_scores[s:e + 1] = scores
 
 
 def _trace_subtree(traces: list, b, s: int, e: int, depth: int) -> None:
@@ -421,7 +382,7 @@ def tree_cv(
     config.validate()
     run = _Run(dataset, partition, check_partition(partition, dataset), loss, config, trace_sink)
     model = learner_factory().fresh()
-    load_kernels(model, tree=True)  # outside the wall time, and inherited by forked workers
+    load_kernels(model)  # outside the wall time, and inherited by forked workers
     start = time.perf_counter()
     _node(run, 0, partition.k - 1, model, 0)
     wall = time.perf_counter() - start

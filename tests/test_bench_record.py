@@ -93,3 +93,41 @@ def test_an_unknown_revision_is_refused(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode != 0 and "no-such-revision" in done.stderr
     assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_git_dirty_is_read_before_the_runs_and_only_over_what_they_read(tmp_path):
+    """`git_dirty` says whether `src/`, `perfbench/` or BENCHMARK.json
+    differ from HEAD before the first run: an edited doc file leaves it
+    false, and so does a file a run itself changes; an edited `src/` file
+    sets it."""
+    if shutil.which("git") is None:
+        pytest.skip("git is not on PATH")
+    repo = tmp_path / "repo"
+    (repo / "tools").mkdir(parents=True)
+    (repo / "src").mkdir()
+    (repo / "perfbench").mkdir()
+    shutil.copy(RECORDER, repo / "tools")
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    (repo / "README.md").write_text("docs\n")
+    (repo / "src" / "module.py").write_text("x = 1\n")
+    # a run that edits src/ and reports nothing
+    (repo / "perfbench" / "run.py").write_text(
+        "import pathlib\npathlib.Path('src/module.py').write_text('x = 2\\n')\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "seed"]):
+        subprocess.run(git + args, cwd=repo, check=True, capture_output=True)
+
+    def dirty():
+        out = tmp_path / "out"
+        out.mkdir(exist_ok=True)
+        subprocess.run([sys.executable, str(repo / "tools" / "bench_record.py"), "--label", "t",
+                        "--seconds", "0.1", "--workloads", "w", "--seeds", "1", "--out",
+                        str(out)], capture_output=True, text=True, timeout=300)
+        subprocess.run(git + ["checkout", "-q", "--", "src"], cwd=repo, check=True)
+        return json.loads((out / "BENCH_t.json").read_text())["git_dirty"]
+
+    assert dirty() is False
+    (repo / "README.md").write_text("docs, edited\n")
+    assert dirty() is False
+    (repo / "src" / "module.py").write_text("x = 3\n")
+    assert dirty() is True

@@ -594,6 +594,12 @@ NO_OUTPUT_CASES = [
     ("bench-grid-beyond-data",
      ["bench", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "2",
       "--n-grid", "20"], "n grid exceeds dataset size"),
+    ("run-repeated-k",
+     ["run", "--synth", "classification:n=20,d=3", "--learner", "pegasos", "--k", "4,4"],
+     "k values must not repeat, got [4, 4]"),
+    ("bench-repeated-grid-size",
+     ["bench", "--synth", "regression:n=20,d=2", "--learner", "mean", "--k", "2",
+      "--n-grid", "10,10", "--reps", "1"], "n grid must be strictly ascending"),
     ("run-k-below-2",
      ["run", "--synth", "regression:n=10,d=2", "--learner", "mean", "--k", "1"],
      "k values must be integers >= 2"),

@@ -1,6 +1,8 @@
 """Standard k-repetition CV and the explicit-order replay oracle."""
 
 import statistics
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -10,15 +12,20 @@ from treecv import (
     Dataset,
     InvalidChunkError,
     InvalidOrderError,
+    LsqSgd,
     MeanPredictor,
+    OnlineKMeans,
     Pegasos,
+    QUANTIZATION,
     SQUARED,
     TreeCvConfig,
     ZERO_ONE,
     brute_force_oracle,
     partition,
     standard_cv,
+    synth_blobs,
     synth_classification,
+    synth_regression,
     tree_cv,
     tree_feed_orders,
 )
@@ -216,6 +223,146 @@ def test_partition_dataset_mismatch():
     with pytest.raises(InvalidChunkError):
         brute_force_oracle(lambda: MeanPredictor(1), ds, part, SQUARED,
                            tree_feed_orders(part))
+
+
+# ---------------------------------------------------------------------------
+# The compiled folds: one `standard_feed` call per fold group
+
+
+class PlainPegasos(Pegasos):
+    """A subclass with the base rule; it runs the Python loop."""
+
+
+class PlainLsqSgd(LsqSgd):
+    """A subclass with the base rule; it runs the Python loop."""
+
+
+class PlainOnlineKMeans(OnlineKMeans):
+    """A subclass with the base rule; it runs the Python loop."""
+
+
+# each learner: the exact type, its subclass, its data and its loss
+LEARNERS = {
+    "pegasos": (Pegasos, PlainPegasos, 0.05, lambda n, d, seed: synth_classification(
+        n, d, margin=0.1, noise=0.2, seed=seed), ZERO_ONE),
+    "lsqsgd": (LsqSgd, PlainLsqSgd, 0.3, lambda n, d, seed: synth_regression(n, d, seed=seed),
+               SQUARED),
+    "kmeans": (OnlineKMeans, PlainOnlineKMeans, 3, lambda n, d, seed: Dataset(
+        synth_blobs(n, d, 3, seed=seed).x), QUANTIZATION),
+}
+
+
+def report_bytes(report):
+    """The report's scores and estimate as bytes, and the rest of it."""
+    scores = struct.pack(f"<{len(report.fold_scores) + 1}d", *report.fold_scores,
+                         report.estimate)
+    return scores, report.counters, report.scheduler, report.ordering, report.seed
+
+
+class FeedCalls:
+    """Records the folds of each `standard_feed` call, in this process and
+    in forked workers, in a file."""
+
+    def __init__(self, kernels, monkeypatch, path):
+        self.path, feed = path, kernels.standard_feed
+        path.write_text("")
+
+        def logged(*args):
+            with open(path, "a") as log:
+                log.write(f"{args[1]} {args[2]}\n")
+            return feed(*args)
+
+        monkeypatch.setattr(kernels, "standard_feed", logged)
+
+    def folds(self):
+        """The (first, last) fold of each call so far, sorted."""
+        return sorted(tuple(map(int, line.split())) for line in self.path.read_text().split("\n")
+                      if line)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.data(), st.sampled_from(sorted(LEARNERS)),
+       st.sampled_from(["fixed", "randomized"]), st.sampled_from([0, 2]),
+       st.integers(1, 11), st.integers(0, 2**64 - 1))
+def test_compiled_folds_report_what_the_python_loop_reports(n, data, name, ordering, workers,
+                                                            d, seed):
+    """On ragged chunks and in LOOCV, at 0 and 2 workers, the exact
+    learners' report is, byte for byte, that of a subclass with the same
+    rule, which runs the Python loop."""
+    k = data.draw(st.one_of(st.just(n), st.integers(2, n)), label="k")
+    learner, plain, param, make, loss = LEARNERS[name]
+    dataset = make(n, d, seed % 1000)
+    part = partition(dataset, k)
+    reports = [standard_cv(lambda: cls(d, param), dataset, part, loss, ordering, seed, workers)
+               for cls in (learner, plain)]
+    assert report_bytes(reports[0]) == report_bytes(reports[1])
+    assert reports[0].counters.forks == reports[1].counters.forks
+
+
+def test_a_factory_whose_models_differ_runs_the_python_loop(kernels, monkeypatch, tmp_path):
+    """A factory whose `lam` changes from call to call gives folds of other
+    states than the first's, so no `standard_feed` call runs them, and
+    the report is the Python loop's."""
+    calls = FeedCalls(kernels, monkeypatch, tmp_path / "calls")
+    dataset = synth_classification(80, 4, margin=0.1, noise=0.2, seed=3)
+    part = partition(dataset, 8)
+
+    def varying(cls):
+        lams = iter(np.linspace(0.01, 0.5, 8))
+        return lambda: cls(4, float(next(lams)))
+
+    for ordering in ("fixed", "randomized"):
+        report = standard_cv(varying(Pegasos), dataset, part, ZERO_ONE, ordering, 5)
+        python = standard_cv(varying(PlainPegasos), dataset, part, ZERO_ONE, ordering, 5)
+        assert report_bytes(report) == report_bytes(python)
+    assert calls.folds() == []
+    standard_cv(lambda: Pegasos(4, 0.01), dataset, part, ZERO_ONE)
+    assert calls.folds() == ([(0, 7)] if kernels.tree() is not None else [])
+
+
+@pytest.mark.parametrize("errstate", [{}, {"over": "raise"}])
+def test_an_overflow_in_standard_feed_raises_or_warns_as_the_python_loop(errstate, kernels):
+    """An update that overflows raises a flag in `standard_feed`, and the
+    Python loop reruns the folds: under np.errstate(over="raise") the
+    error is the Python loop's, else its warnings and report."""
+    dataset = synth_regression(60, 3, seed=4)
+    x = dataset.x.copy()
+    x[[10, 40]] = 1e160
+    dataset = Dataset(x, dataset.y)
+
+    def outcome(cls):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
+            warnings.simplefilter("always")
+            try:
+                report = report_bytes(standard_cv(lambda: cls(3, 0.1), dataset,
+                                                  partition(dataset, 6), SQUARED, "randomized", 2))
+            except FloatingPointError as err:
+                report = str(err)
+        return report, [str(w.message) for w in caught]
+
+    compiled = outcome(LsqSgd)
+    assert compiled == outcome(PlainLsqSgd)
+    assert (compiled[0] == "overflow encountered in multiply") == bool(errstate)
+    assert bool(compiled[1]) != bool(errstate)
+
+
+@pytest.mark.parametrize("workers, groups", [(0, [(0, 9)]), (2, [(0, 4), (5, 9)])])
+def test_the_standard10_shape_runs_one_standard_feed_call_per_fold_group(workers, groups, kernels,
+                                                                        monkeypatch, tmp_path):
+    """The standard10 benchmark shape (randomized OnlineKMeans, k=10, d=10)
+    makes one `standard_feed` call per fold group, in this process or in
+    each forked worker; the oracle's explicit orders make none."""
+    if kernels.kmeans() is None or kernels.tree() is None:
+        pytest.skip(f"OnlineKMeans or standard_feed runs in Python here: {_native.reason()}")
+    calls = FeedCalls(kernels, monkeypatch, tmp_path / "calls")
+    dataset = Dataset(synth_blobs(200, 10, 5, seed=8).x)
+    part = partition(dataset, 10)
+    factory = lambda: OnlineKMeans(10, 5)
+    report = standard_cv(factory, dataset, part, QUANTIZATION, "randomized", 8, workers)
+    assert calls.folds() == groups
+    orders = [standard._shuffled_order(None, part, 8, fold).tolist() for fold in range(10)]
+    replay = brute_force_oracle(factory, dataset, part, QUANTIZATION, orders, seed=8)
+    assert calls.folds() == groups and replay.fold_scores == report.fold_scores
 
 
 # ---------------------------------------------------------------------------

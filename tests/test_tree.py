@@ -5,7 +5,6 @@ import dataclasses
 import math
 import multiprocessing
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +38,7 @@ from treecv import (
     tree_feed_orders,
 )
 from treecv import _native, forkjoin, rng, tree
-from treecv.core import make_report
+from treecv.core import chunk_scores, make_report
 from treecv.learners import COMPILED, _Feed
 from treecv.rng import SplitMix64Stream, derive_seed
 
@@ -715,7 +714,7 @@ class LevelCounts:
 
 @given(st.sampled_from([np.float64, np.float32, np.int64, object]), st.data())
 def test_one_row_leaves_score_their_loss_as_fsum_does(dtype, data):
-    """`_score_chunks` sets the scores of one-row chunks from the losses
+    """`chunk_scores` gives the scores of one-row chunks from the losses
     plus 0.0, which is math.fsum([loss]) / 1 byte for byte: -0.0 becomes
     0.0, subnormals, infinities and NaNs keep their bits.  Losses given as
     float32, int64 or object arrays score as their `tolist()` did, and the
@@ -731,11 +730,11 @@ def test_one_row_leaves_score_their_loss_as_fsum_does(dtype, data):
             min_size=1, max_size=40))
     n = len(losses)
     values = np.array(losses, dtype=dtype)
-    run = SimpleNamespace(partition=Partition(tuple(range(n + 1))), fold_scores=np.zeros(n))
-    tree._score_chunks(run, values, 0, n - 1)
+    fold_scores = np.zeros(n)  # the tree's, which it sets from them
+    fold_scores[:] = chunk_scores(values, tuple(range(n + 1)), 0, n - 1)
     expected = [math.fsum([v]) / 1 for v in values.tolist()]
     pack = lambda scores: struct.pack(f"<{n}d", *scores)  # noqa: E731
-    assert pack(run.fold_scores.tolist()) == pack(expected)
+    assert pack(fold_scores.tolist()) == pack(expected)
 
     def report(scores):
         """The report's scores and estimate as bytes: a plain sum's where
@@ -744,23 +743,22 @@ def test_one_row_leaves_score_their_loss_as_fsum_does(dtype, data):
         assert all(type(score) is float for score in made.fold_scores)
         return pack(made.fold_scores), struct.pack("<d", made.estimate)
 
-    assert report(run.fold_scores) == report(expected)
+    assert report(fold_scores) == report(expected)
 
 
 @given(st.lists(st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from([-0.0, 5e-324])),
                          min_size=1, max_size=5), min_size=1, max_size=12),
        st.integers(0, 3))
 def test_ragged_chunks_score_their_loss_as_evaluate_chunk_does(chunks, s):
-    """`_score_chunks` scores each chunk of chunks s..e as `evaluate_chunk`
+    """`chunk_scores` scores each chunk of chunks s..e as `evaluate_chunk`
     does, the `math.fsum` of its losses over its size, byte for byte."""
     sizes = [1] * s + [len(chunk) for chunk in chunks]
     bounds = tuple(int(b) for b in np.cumsum([0] + sizes))
-    run = SimpleNamespace(partition=Partition(bounds), fold_scores=[None] * len(sizes))
     values = [v for chunk in chunks for v in chunk]
-    tree._score_chunks(run, np.array(values), s, len(sizes) - 1)
+    scores = chunk_scores(np.array(values), bounds, s, len(sizes) - 1)
     expected = [math.fsum(chunk) / len(chunk) for chunk in chunks]
     pack = lambda scores: struct.pack(f"<{len(scores)}d", *scores)  # noqa: E731
-    assert pack(run.fold_scores[s:]) == pack(expected)
+    assert pack(scores) == pack(expected)
 
 
 class PlainPegasos(Pegasos):

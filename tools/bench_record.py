@@ -13,9 +13,11 @@ and writes DIR/BENCH_<label>.json (DIR is the repository root by
 default) holding, per workload, the median and quartiles over the seeds
 of each end-to-end metric BENCHMARK.json declares, with every seed's
 value; each run's `correct`, `attempted` and `failed`; the environment
-the first run reports; the git HEAD; and the exact commands.  A run that
-prints no result line counts as failed, with the end of its stderr.  It
-exits 1 when any run failed.
+the first run reports; the git HEAD and whether, before the first run,
+the checkout differed from it in what a run reads (`git_dirty`, over
+`RUN_READS`); and the exact commands.  A run that prints no result line
+counts as failed, with the end of its stderr.  It exits 1 when any run
+failed.
 
 With --against REV it also runs the same commands from the files of git
 revision REV, exported by `git archive` into a temporary directory that
@@ -43,6 +45,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# what a benchmark run reads of the checkout, which `git_dirty` covers
+RUN_READS = ("src", "perfbench", "BENCHMARK.json")
 
 
 def _git(*args: str) -> str | None:
@@ -118,6 +122,10 @@ def record(label: str, seeds: list[int], seconds: float, workloads: list[str] | 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         benchmark = json.load(handle)
     units = {entry["name"]: entry["unit"] for entry in benchmark["end_to_end"]}
+    # read before any run, and only over what a run reads: an edit to the
+    # docs, or one made while the runs go, dirties nothing they measured
+    head = _git("rev-parse", "HEAD")
+    dirty = bool(_git("status", "--porcelain", "--untracked-files=no", "--", *RUN_READS))
     names = workloads or [entry["name"] for entry in benchmark["workloads"]]
     commit = None
     if against is not None:
@@ -166,8 +174,8 @@ def record(label: str, seeds: list[int], seconds: float, workloads: list[str] | 
                           file=sys.stderr)
     out = {
         "label": label,
-        "git_head": _git("rev-parse", "HEAD"),
-        "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "git_head": head,
+        "git_dirty": dirty,
         "command": " ".join(["python3", "tools/bench_record.py", *sys.argv[1:]]),
         "run_commands": ["python3 " + command for command in commands],
         "seeds": seeds,

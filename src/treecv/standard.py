@@ -153,8 +153,8 @@ def _compiled_folds(compiled, models, dataset, partition, loss, folds):
                               partition.bounds, folds[0], folds[-1])
     except Exception:  # the loss, or a chunk's sum, failed
         return None
-    return list(scores), WorkCounters(point_updates=int(updates), model_transfers=int(transfers),
-                                      evaluations=rows.stop - rows.start)
+    return scores, WorkCounters(point_updates=int(updates), model_transfers=int(transfers),
+                                evaluations=rows.stop - rows.start)
 
 
 def _report(groups, wall: float, ordering: str, seed: int, forks: int = 0) -> CvReport:

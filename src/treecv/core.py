@@ -286,9 +286,10 @@ class Loss:
     `batch`, when given, computes the same measure over a whole chunk:
     (predictions, X, Y) -> float64 array of per-row losses, with Y None
     for unlabeled data.  Each element must equal `fn` on that row bit for
-    bit; `evaluate_chunk` uses it when present and calls `fn` per row
-    otherwise, so a loss built as Loss(name, fn) stays valid.  Each
-    built-in loss is one numpy function that serves as both forms.
+    bit.  `chunk_scores`, the one scorer of every path, uses it when
+    present and calls `fn` per row otherwise, so a loss built as
+    Loss(name, fn) is valid everywhere, the compiled schedulers included.
+    Each built-in loss is one numpy function that serves as both forms.
     """
 
     name: str
@@ -503,36 +504,44 @@ def evaluate_chunk(
     loss: Loss,
     counters: WorkCounters | None = None,
 ) -> float:
-    """Mean loss of a model over one chunk.  Never mutates the model."""
+    """Mean loss of a model over one chunk.  Never mutates the model.
+
+    A loss with a batch form scores `predict_many` of the chunk; any other
+    scores `predict` of each row as it is made."""
     x = dataset.x[chunk]
     m = x.shape[0]
     if m == 0:
         raise InvalidChunkError("cannot evaluate an empty chunk")
     y = dataset.y[chunk] if dataset.y is not None else None
-    if loss.batch is not None:
-        values = loss.batch(model.predict_many(x), x, y).tolist()
-    else:
-        ys = y.tolist() if y is not None else [None] * m
-        values = [loss.fn(model.predict(xi), xi, yi) for xi, yi in zip(x, ys)]
+    predictions = model.predict_many(x) if loss.batch is not None else map(model.predict, x)
+    score = chunk_scores(loss, predictions, x, y, (0, m), 0, 0)[0]
     if counters is not None:
         counters.evaluations += m
-    return math.fsum(values) / m
+    return float(score)
 
 
-def chunk_scores(values: np.ndarray, bounds: Sequence[int], s: int, e: int):
-    """The scores of chunks s..e, which `bounds` delimits, from `values`,
-    the losses of their rows in order: each is `evaluate_chunk`'s, the
-    `math.fsum` of the chunk's losses over its size.  One-row chunks are
-    scored in one array operation, whatever the dtype of `values`: a real
-    dtype's element becomes the double its `tolist()` element does."""
-    if values.size == e - s + 1:
-        # a row per chunk: fsum([v]) / 1 is v + 0.0 bit for bit, -0.0 going
-        # to 0.0 and inf and nan passing through
-        scores = values + 0.0
-        if scores.dtype.kind == "c":  # which fsum, and float(), refuse
-            raise TypeError(f"a loss must be real, got {scores.dtype} values")
-        return scores
-    values = values.tolist()
+def chunk_scores(loss: Loss, predictions, x: np.ndarray, y: np.ndarray | None,
+                 bounds: Sequence[int], s: int, e: int):
+    """The scores under `loss` of chunks s..e, which `bounds` delimits,
+    from the `predictions` of their rows x (labeled y) in order: each is
+    the `math.fsum` of the chunk's losses over its size.
+
+    A loss with a batch form scores all rows in one call, and one-row
+    chunks in one array operation, whatever the dtype of its losses: a
+    real dtype's element becomes the double its `tolist()` element does.
+    Any other loss scores each prediction with its row by `loss.fn`, in
+    order, so the first row whose loss raises is the one that raises."""
+    if loss.batch is not None:
+        values = loss.batch(predictions, x, y)
+        if values.size == e - s + 1:
+            # a row per chunk: fsum([v]) / 1 is v + 0.0 bit for bit, -0.0 going
+            # to 0.0 and inf and nan passing through
+            if values.dtype.kind == "c":  # which fsum, and float(), refuse
+                raise TypeError(f"a loss must be real, got {values.dtype} values")
+            return values + 0.0
+        values = values.tolist()
+    else:
+        values = list(map(loss.fn, predictions, x, [None] * len(x) if y is None else y.tolist()))
     base = bounds[s]
     return [math.fsum(values[bounds[c] - base:bounds[c + 1] - base]) / (bounds[c + 1] - bounds[c])
             for c in range(s, e + 1)]

@@ -49,7 +49,9 @@ Python where numpy's einsum sums in another order.  From the same copy
 of a model's state, the tree runs a whole subtree in one `tree_feed`
 call (`tree._subtree`), and standard CV a group of folds in one
 `standard_feed` call (`standard._compiled_folds`); `compiled_feed` says
-which models and losses both take.
+which models both take.  Either takes any loss: `core.chunk_scores`
+scores their predictions at once for a loss with a batch form, and one
+row at a time, as `evaluate_chunk` does, for any other.
 """
 
 from __future__ import annotations
@@ -434,16 +436,6 @@ class _LinearFeed(_Feed):
 
     floats: tuple[str, ...] = ()
     vectors: tuple[str, ...] = ()
-    # `update` runs a batch of fewer rows in Python.  On a 2-vCPU Xeon VM,
-    # at d in {2, 20, 200}, a one-model kernel call costs ~30 us, most of
-    # it checks, copies of the state and ctypes' pointers, against ~1.3 us per
-    # Pegasos row and ~4.3 us per LsqSgd row in Python: they break even at
-    # ~20 and ~7-8 rows.  Tree CV at d=20 through a learner that delegates
-    # to one of them, whose recursion feeds it batches of every size, ran
-    # 16-28% faster for Pegasos with a cut at 20 rows than at 8, and up
-    # to 3.4x (Pegasos) or 1.9x (LsqSgd) slower with every batch compiled
-    # (LOOCV n=5000, k=2000 of n=6000 and k=1000 of n=8000).
-    min_rows = 1
 
     @classmethod
     def takes(cls, kernels: "_native.Kernels", model: IncrementalLearner, x: np.ndarray,
@@ -471,6 +463,15 @@ class PegasosFeed(_LinearFeed):
 
     fields, dtypes, kind = ("a", "v", "t"), (np.float64, np.float64, np.int64), 0
     shapes, parameter, floats, vectors = ("1", "d", "1"), "lam", ("lam", "a"), ("v",)
+    # `update` runs a batch of fewer rows in Python.  On a 2-vCPU Xeon VM,
+    # at d in {2, 20, 200}, a one-model kernel call costs ~30 us, most of
+    # it checks, copies of the state and ctypes' pointers, against ~1.3 us per
+    # Pegasos row and ~4.3 us per LsqSgd row in Python: they break even at
+    # ~20 and ~7-8 rows.  Tree CV at d=20 through a learner that delegates
+    # to one of them, whose recursion feeds it batches of every size, ran
+    # 16-28% faster for Pegasos with a cut at 20 rows than at 8, and up
+    # to 3.4x (Pegasos) or 1.9x (LsqSgd) slower with every batch compiled
+    # (LOOCV n=5000, k=2000 of n=6000 and k=1000 of n=8000).
     min_rows = 20
 
 
@@ -480,7 +481,7 @@ class LsqSgdFeed(_LinearFeed):
 
     fields, dtypes, kind = ("w", "w_avg", "t"), (np.float64, np.float64, np.int64), 1
     shapes, parameter, floats, vectors = ("d", "d", "1"), "alpha", ("alpha",), ("w", "w_avg")
-    min_rows = 8
+    min_rows = 8  # the break-even of `PegasosFeed.min_rows`'s comment
 
 
 class KMeansFeed(_Feed):
@@ -524,19 +525,19 @@ class KMeansFeed(_Feed):
 COMPILED = {Pegasos: PegasosFeed, LsqSgd: LsqSgdFeed, OnlineKMeans: KMeansFeed}
 
 
-def compiled_feed(model: IncrementalLearner, loss, x: np.ndarray, y: np.ndarray | None):
+def compiled_feed(model: IncrementalLearner, x: np.ndarray, y: np.ndarray | None):
     """The `COMPILED` feed of `model` if `tree_feed` and `standard_feed`
-    run it on the rows x labeled y and score its predictions with `loss`,
-    else None.
+    run it on the rows x labeled y, else None.
 
     They run it with the compiled kernels loaded and their self-check
     (`Kernels.tree`) passed, for a model of an exact compiled type that
     holds state the kernels read as its Python update does, for the rows
-    of the data and with the labels it needs (`takes`), and a loss that
-    scores a batch.
+    of the data and with the labels it needs (`takes`).  Any loss scores
+    its predictions (`core.chunk_scores`): a loss without a batch form
+    one row at a time, as `evaluate_chunk` scores `predict` of each row.
     """
     feed = COMPILED.get(type(model))
-    if (feed is None or loss.batch is None or (kernels := _native.kernels()) is None
+    if (feed is None or (kernels := _native.kernels()) is None
             or kernels.tree() is None or not feed.takes(kernels, model, x, y)):
         return None
     return feed

@@ -9,17 +9,19 @@ order the tree schedule induces and confirm fold-score equality.
 If the compiled kernels are loaded (`_native`) and pass the schedulers'
 self-check (`Kernels.tree`), every fold's model is of one exact
 `Pegasos`, `LsqSgd` or `OnlineKMeans` type with the first fold's state
-and parameter, and the loss scores a batch (`learners.compiled_feed`),
-one C call, `standard_feed`, runs each group of folds (all k, or one
-worker's): it copies the fresh state into a slot per fold, feeds it the
-other chunks' rows, read from x by index in the fold's order, and
-writes the fold's predictions into one array, which the loss scores at
-once (`core.chunk_scores`), as the tree's `tree_feed` does a subtree.
+and parameter (`learners.compiled_feed`), one C call, `standard_feed`,
+runs each group of folds (all k, or one worker's), under any loss: it
+copies the fresh state into a slot per fold, feeds it the other chunks'
+rows, read from x by index in the fold's order, and writes the fold's
+predictions into one array, which `core.chunk_scores` scores, at once
+for a loss with a batch form and one row at a time for any other, as
+the tree's `tree_feed` does a subtree.
 Every model gets the rows, the order and the bits the Python loop gives
 it, and every fold its score.  The Python loop is the reference: it
 runs any other learner, a factory whose models differ, the oracle's
 explicit orders, and a group whose kernel or loss failed (a raised
-floating-point flag, say), where it raises or warns as it does alone.
+floating-point flag, or a per-row loss that raises), where it raises or
+warns as it does alone.
 There a randomized fold's training rows are shuffled as an int64 vector
 with `rng.shuffled`, in the compiled `shuffle` kernel when the kernels
 are loaded, and gathered through it.
@@ -140,7 +142,7 @@ def _compiled_folds(compiled, models, dataset, partition, loss, folds):
     state = feed(first)
     for model in models:
         other = state if model is first else feed(model)
-        if (compiled_feed(model, loss, x, y) is not feed or other.param != state.param
+        if (compiled_feed(model, x, y) is not feed or other.param != state.param
                 or any(a.tobytes() != b.tobytes() for a, b in zip(other.arrays, state.arrays))):
             return None
     ran = state.run_folds(_native.kernels(), bounds, folds[0], folds[-1], x, y, fold_seed)
@@ -149,7 +151,7 @@ def _compiled_folds(compiled, models, dataset, partition, loss, folds):
     predictions, (updates, transfers) = ran
     rows = slice(partition.bounds[folds[0]], partition.bounds[folds[-1] + 1])
     try:
-        scores = chunk_scores(loss.batch(predictions, x[rows], None if y is None else y[rows]),
+        scores = chunk_scores(loss, predictions, x[rows], None if y is None else y[rows],
                               partition.bounds, folds[0], folds[-1])
     except Exception:  # the loss, or a chunk's sum, failed
         return None
@@ -195,7 +197,7 @@ def standard_cv(
                 if ordering == "randomized" else lambda fold: None)
     first = learner_factory().fresh()
     load_kernels(first)
-    feed = compiled_feed(first, loss, dataset.x, dataset.y)
+    feed = compiled_feed(first, dataset.x, dataset.y)
     compiled = None if feed is None else (
         first, feed, bounds,
         derive_seed(seed, TAG_FOLD_SHUFFLE) if ordering == "randomized" else None)

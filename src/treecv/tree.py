@@ -26,21 +26,22 @@ cost µs each, forks at every node of those levels.  Each fork counts in
 Every node at the fork depth (the root, in a sequential run), and every
 node above it that does not fork, runs its subtree as one unit
 (`_subtree`).  If the compiled kernels are loaded
-(`_native`), the model's exact type is `Pegasos`, `LsqSgd` or
-`OnlineKMeans` (`learners.COMPILED`) and the loss scores a batch, one
-C call, `tree_feed`, runs the whole subtree: the same recursion, with a
-memcpy for each preserved model, and each leaf's predictions written to
-one array, which the loss scores at once (`core.chunk_scores`).  Every
-model gets the rows, the order and the bits the recursion gives it, and every
-fold the score `evaluate_chunk` gives it.  Any other learner, including
+(`_native`) and the model's exact type is `Pegasos`, `LsqSgd` or
+`OnlineKMeans` (`learners.COMPILED`), one C call, `tree_feed`, runs the
+whole subtree under any loss: the same recursion, with a memcpy for each
+preserved model, and each leaf's predictions written to one array, which
+`core.chunk_scores` scores, at once for a loss with a batch form and one
+row at a time for any other.  Every model gets the rows, the order and
+the bits the recursion gives it, and every fold the score
+`evaluate_chunk` gives it.  Any other learner, including
 a subclass of those three (it may override `_update_point`), and every
 learner without the kernels, runs the recursion in Python, which holds
 only the log2(k) models of one root-to-leaf path; there the `update` of
 an exact `Pegasos`, `LsqSgd` or `OnlineKMeans` runs compiled when the
 kernels are loaded.  The Python recursion is the reference: when
 `tree_feed` fails (a raised floating-point flag, which np.errstate may
-turn into an error), the recursion reruns the subtree and raises what
-sequential order meets first.
+turn into an error) or the loss raises, the recursion reruns the
+subtree and raises what sequential order meets first.
 
 Randomized runs feed each node's rows in the order of a Fisher-Yates
 shuffle drawn from a stream keyed by the run seed and the fed chunk
@@ -214,7 +215,7 @@ def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> N
     every other node is visited by `_visit`."""
     fork = False
     if depth <= run.fork_depth:
-        feed = compiled_feed(model, run.loss, run.dataset.x, run.dataset.y)
+        feed = compiled_feed(model, run.dataset.x, run.dataset.y)
         fork = depth < run.fork_depth and s < e and (
             feed is None or _right_pays(run.row_bounds, s, e))
         if not fork and feed is not None and _subtree(run, feed, s, e, model, depth):
@@ -316,8 +317,8 @@ def _subtree(run: _Run, feed, s: int, e: int, model: IncrementalLearner, depth: 
     b = run.partition.bounds
     rows = slice(b[s], b[e + 1])
     try:
-        run.fold_scores[s:e + 1] = chunk_scores(
-            run.loss.batch(predictions, x[rows], None if y is None else y[rows]), b, s, e)
+        run.fold_scores[s:e + 1] = chunk_scores(run.loss, predictions, x[rows],
+                                                None if y is None else y[rows], b, s, e)
     except Exception:  # the loss, or a chunk's sum, failed
         return False
     run.counters.merge(WorkCounters(

@@ -6,12 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treecv import (
     Dataset,
     InvalidChunkError,
     InvalidOrderError,
+    Loss,
     LsqSgd,
     MeanPredictor,
     OnlineKMeans,
@@ -31,6 +32,8 @@ from treecv import (
 )
 from treecv import _native, standard
 from treecv.rng import SplitMix64Stream, derive_seed
+
+from test_tree import LevelCounts, tree_feed_runs
 
 
 def regression_data(n, seed=0):
@@ -363,6 +366,76 @@ def test_the_standard10_shape_runs_one_standard_feed_call_per_fold_group(workers
     orders = [standard._shuffled_order(None, part, 8, fold).tolist() for fold in range(10)]
     replay = brute_force_oracle(factory, dataset, part, QUANTIZATION, orders, seed=8)
     assert calls.folds() == groups and replay.fold_scores == report.fold_scores
+
+
+def refusing(loss, row):
+    """`loss` without its batch form, raising on each point equal to `row`
+    an error that names the prediction, the point and its label."""
+    refused = row.tobytes()
+
+    def fn(prediction, x, y):
+        if x.tobytes() == refused:
+            raise ValueError(f"refused {prediction!r} at {x.tolist()} labeled {y!r}")
+        return loss.fn(prediction, x, y)
+
+    return Loss(f"{loss.name}-refusing", fn)
+
+
+def outcome(run):
+    """The report of `run()`, or the type and message of what it raised."""
+    try:
+        return run().comparable()
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 40), st.data(), st.sampled_from(sorted(LEARNERS)),
+       st.sampled_from(["fixed", "randomized"]), st.sampled_from([0, 2]),
+       st.integers(1, 11), st.integers(0, 2**64 - 1))
+def test_a_per_row_loss_runs_compiled_to_the_python_paths_report(monkeypatch, tmp_path, n, data,
+                                                                  name, ordering, workers, d,
+                                                                  seed):
+    """An exact learner under `Loss(name, fn)` of its built-in loss, which
+    has no batch form, runs each sequential tree by one `tree_feed` call
+    and each fold group by one `standard_feed` call, to the report of its
+    subclass, which runs the Python paths, and of the built-in loss: on
+    ragged chunks and in LOOCV, both orderings, at 0 and 2 workers.  A
+    per-row loss that raises on a row raises as it does under the
+    subclass, in both schedulers."""
+    k = data.draw(st.one_of(st.just(n), st.integers(2, n)), label="k")
+    learner, plain, param, make, loss = LEARNERS[name]
+    dataset = make(n, d, seed % 1000)
+    part = partition(dataset, k)
+    per_row = Loss(loss.name, loss.fn)
+    if data.draw(st.booleans(), label="raises"):
+        per_row = refusing(loss, dataset.x[data.draw(st.integers(0, n - 1), label="row")])
+    loaded = _native.kernels()
+    compiled = tree_feed_runs() and (name != "kmeans" or loaded.kmeans() is not None)
+    cuts = partition(k, 2).bounds if workers else (0, k)
+    groups = [(first, stop - 1) for first, stop in zip(cuts, cuts[1:])]
+    config = TreeCvConfig(ordering, workers, seed)
+    with monkeypatch.context() as patch:  # one example's counts
+        counts = LevelCounts(patch)
+        calls = FeedCalls(loaded, patch, tmp_path / "calls") if loaded is not None else None
+        trees = [outcome(lambda: tree_cv(lambda: cls(d, param), dataset, part, each, config))
+                 for cls, each in ((learner, per_row), (plain, per_row), (learner, loss))]
+        tree_subtrees = counts.subtrees
+        folds = [outcome(lambda: standard_cv(lambda: cls(d, param), dataset, part, each, ordering,
+                                             seed, workers))
+                 for cls, each in ((learner, per_row), (plain, per_row), (learner, loss))]
+        fold_calls = calls.folds() if calls is not None else []
+    assert trees[0] == trees[1] and folds[0] == folds[1]
+    if per_row.fn is loss.fn:
+        assert trees[0] == trees[2] and folds[0] == folds[2]
+        # the per-row run's calls, then the built-in loss run's
+        assert (tree_subtrees, counts.failures) == (2 * compiled, 0)
+        assert counts.visits == 0 or not compiled
+        assert fold_calls == sorted(2 * compiled * groups)
+    else:
+        assert trees[0][0] is ValueError and folds[0][0] is ValueError
+        assert (tree_subtrees > 0) == compiled and bool(fold_calls) == compiled
 
 
 # ---------------------------------------------------------------------------

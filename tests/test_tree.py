@@ -712,13 +712,21 @@ class LevelCounts:
         return (self.subtrees, self.failures, self.visits) == (subtrees, 0, visits)
 
 
-@given(st.sampled_from([np.float64, np.float32, np.int64, object]), st.data())
-def test_one_row_leaves_score_their_loss_as_fsum_does(dtype, data):
-    """`chunk_scores` gives the scores of one-row chunks from the losses
+def values_loss(batch: bool) -> Loss:
+    """A loss whose value is the prediction, with a batch form or
+    without."""
+    fn = lambda p, x, y: p  # noqa: E731
+    return Loss("values", fn, fn if batch else None)
+
+
+@given(st.sampled_from([np.float64, np.float32, np.int64, object]), st.data(), st.booleans())
+def test_one_row_leaves_score_their_loss_as_fsum_does(dtype, data, batch):
+    """`chunk_scores` gives the scores of one-row chunks from a batch loss
     plus 0.0, which is math.fsum([loss]) / 1 byte for byte: -0.0 becomes
     0.0, subnormals, infinities and NaNs keep their bits.  Losses given as
     float32, int64 or object arrays score as their `tolist()` did, and the
-    report of the float64 array of scores is the report of their list."""
+    report of the float64 array of scores is the report of their list.
+    A per-row loss scores each of them as fsum does too."""
     if dtype is np.int64:
         losses = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
     else:
@@ -731,7 +739,8 @@ def test_one_row_leaves_score_their_loss_as_fsum_does(dtype, data):
     n = len(losses)
     values = np.array(losses, dtype=dtype)
     fold_scores = np.zeros(n)  # the tree's, which it sets from them
-    fold_scores[:] = chunk_scores(values, tuple(range(n + 1)), 0, n - 1)
+    fold_scores[:] = chunk_scores(values_loss(batch), values, np.zeros((n, 0)), None,
+                                  tuple(range(n + 1)), 0, n - 1)
     expected = [math.fsum([v]) / 1 for v in values.tolist()]
     pack = lambda scores: struct.pack(f"<{n}d", *scores)  # noqa: E731
     assert pack(fold_scores.tolist()) == pack(expected)
@@ -748,14 +757,16 @@ def test_one_row_leaves_score_their_loss_as_fsum_does(dtype, data):
 
 @given(st.lists(st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from([-0.0, 5e-324])),
                          min_size=1, max_size=5), min_size=1, max_size=12),
-       st.integers(0, 3))
-def test_ragged_chunks_score_their_loss_as_evaluate_chunk_does(chunks, s):
+       st.integers(0, 3), st.booleans())
+def test_ragged_chunks_score_their_loss_as_evaluate_chunk_does(chunks, s, batch):
     """`chunk_scores` scores each chunk of chunks s..e as `evaluate_chunk`
-    does, the `math.fsum` of its losses over its size, byte for byte."""
+    does, the `math.fsum` of its losses over its size, byte for byte,
+    under a batch loss and a per-row one."""
     sizes = [1] * s + [len(chunk) for chunk in chunks]
     bounds = tuple(int(b) for b in np.cumsum([0] + sizes))
     values = [v for chunk in chunks for v in chunk]
-    scores = chunk_scores(np.array(values), bounds, s, len(sizes) - 1)
+    scores = chunk_scores(values_loss(batch), np.array(values), np.zeros((len(values), 0)), None,
+                          bounds, s, len(sizes) - 1)
     expected = [math.fsum(chunk) / len(chunk) for chunk in chunks]
     pack = lambda scores: struct.pack(f"<{len(scores)}d", *scores)  # noqa: E731
     assert pack(scores) == pack(expected)

@@ -542,6 +542,8 @@ def chunk_scores(loss: Loss, predictions, x: np.ndarray, y: np.ndarray | None,
         values = values.tolist()
     else:
         values = list(map(loss.fn, predictions, x, [None] * len(x) if y is None else y.tolist()))
+    if s == e:  # one chunk, as every Python-path leaf and fold scores: no per-chunk loop
+        return [math.fsum(values) / len(values)]
     base = bounds[s]
     return [math.fsum(values[bounds[c] - base:bounds[c + 1] - base]) / (bounds[c + 1] - bounds[c])
             for c in range(s, e + 1)]

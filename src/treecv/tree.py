@@ -7,7 +7,9 @@ on the second half of the range, recurses into the first half, then
 trains the copy on the first half and recurses into the second.  Leaves
 evaluate a model that has been trained on every chunk except their own.
 Relative to training one model, the extra work is a log2(k) factor
-instead of the k-fold repetition of the standard method.
+instead of the k-fold repetition of the standard method.  `_branches`
+writes that split, and what each branch is fed, once: the recursion,
+the fork rule, the node traces and `tree_feed_orders` all read it.
 
 Fork-join runs (max_workers > 1) may split the top
 floor(log2(max_workers)) levels of the recursion across worker processes
@@ -56,6 +58,12 @@ Determinism: every node's shuffle is derived from the run seed and the
 node's position in the recursion, never from execution order, so
 sequential and fork-join runs of the same configuration produce
 bit-identical reports (wall time and the fork count aside).
+
+Node traces (`trace_sink`) describe the schedule, not the visits one run
+made: they are a function of the partition alone (`_node_traces`), which
+`tree_cv` writes once the estimate completes, outside its wall time.  So
+sequential, forked and compiled runs of one partition write the same
+traces, and a run that raises writes none.
 """
 
 from __future__ import annotations
@@ -158,16 +166,16 @@ class NodeTrace:
 class _Run:
     """What every node of one run reads, and the totals it writes: the
     fold scores, a float64 array that `make_report` reads with one
-    `tolist()`, the counters and the traces.
+    `tolist()`, and the counters.
 
     A forked worker gets its own copy-on-write image of the run and sends
-    back the fold scores, counters and traces of its subtree.
+    back the fold scores and counters of its subtree.
     """
 
     __slots__ = ("dataset", "partition", "loss", "ordering", "shuffle_seed", "kernels",
-                 "fork_depth", "fold_scores", "counters", "traces", "row_bounds")
+                 "fork_depth", "fold_scores", "counters", "row_bounds")
 
-    def __init__(self, dataset, partition, row_bounds, loss, config, traces):
+    def __init__(self, dataset, partition, row_bounds, loss, config):
         self.dataset = dataset
         self.partition = partition
         # the partition's bounds as `check_partition` gives them, for `tree_feed`
@@ -183,7 +191,19 @@ class _Run:
         self.fork_depth = max(operator.index(config.max_workers).bit_length() - 1, 0)
         self.fold_scores = np.zeros(partition.k)
         self.counters = WorkCounters()
-        self.traces = traces
+
+
+def _branches(s, e):
+    """The two branches of internal node s..e, in the order the recursion
+    runs them, each as (its subtree, the chunks fed to its model), two
+    (first, last) chunk ranges: the node splits at m = (s + e) // 2, and
+    the left branch holds out s..m and is fed m+1..e, the right holds out
+    m+1..e and is fed s..m.  `s` and `e` are ints, or int64 arrays of
+    nodes.  This is the one place the package's Python writes the split;
+    the C `node()` of `tree_feed` is its compiled copy, which
+    `Kernels.tree()` checks against `tree_feed_orders`."""
+    m = (s + e) // 2
+    return ((s, m), (m + 1, e)), ((m + 1, e), (s, m))
 
 
 def _fed_rows(kernels, part: Partition, ordering: str, shuffle_seed: int, first: int,
@@ -218,20 +238,21 @@ def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> N
         feed = compiled_feed(model, run.dataset.x, run.dataset.y)
         fork = depth < run.fork_depth and s < e and (
             feed is None or _right_pays(run.row_bounds, s, e))
-        if not fork and feed is not None and _subtree(run, feed, s, e, model, depth):
+        if not fork and feed is not None and _subtree(run, feed, s, e, model):
             return
     _visit(run, s, e, model, depth, fork)
 
 
 def _right_pays(b: np.ndarray, s: int, e: int) -> bool:
     """Whether internal node s..e's right branch makes more than
-    `FORK_FLOOR` point updates (`_right_updates`).  Every leaf of subtree
-    m+1..e lies D or D + 1 levels below its root, D = floor(log2(e - m)),
-    so the count lies between the rows fed to the branch plus D or D + 1
-    times the subtree's rows; it is counted only when the floor falls
-    between the two."""
-    m = (s + e) // 2
-    fed, rows, depth = int(b[m + 1] - b[s]), int(b[e + 1] - b[m + 1]), (e - m).bit_length() - 1
+    `FORK_FLOOR` point updates (`_right_updates`).  Every leaf of its
+    subtree first..last lies D or D + 1 levels below the subtree's root,
+    D = floor(log2(last - first + 1)), so the count lies between the rows
+    fed to the branch plus D or D + 1 times the subtree's rows; it is
+    counted only when the floor falls between the two."""
+    (first, last), (fed_first, fed_last) = _branches(s, e)[1]
+    fed, rows = int(b[fed_last + 1] - b[fed_first]), int(b[last + 1] - b[first])
+    depth = (last - first + 1).bit_length() - 1
     if fed + depth * rows > FORK_FLOOR:
         return True
     return fed + (depth + 1) * rows > FORK_FLOOR and _right_updates(b, s, e) > FORK_FLOOR
@@ -239,27 +260,19 @@ def _right_pays(b: np.ndarray, s: int, e: int) -> bool:
 
 def _right_updates(b: np.ndarray, s: int, e: int) -> int:
     """The point updates of internal node s..e's right branch, in chunks
-    delimited by `b`: the rows of chunks s..m fed to it, and inside
-    subtree m+1..e the rows of each internal node, which feeds each of
-    them once, to one branch or the other."""
-    m = (s + e) // 2
-    total = int(b[m + 1] - b[s])
-    first, last = np.array([m + 1]), np.array([e])
+    delimited by `b`: the rows of the chunks fed to it, and inside its
+    subtree the rows of each internal node, which feeds each of them once,
+    to one branch or the other."""
+    (first, last), fed = _branches(s, e)[1]
+    total = int(b[fed[1] + 1] - b[fed[0]])
+    first, last = np.array([first]), np.array([last])
     while first.size:  # one level of internal nodes at a time
         internal = first < last
         first, last = first[internal], last[internal]
         total += int((b[last + 1] - b[first]).sum())
-        mid = (first + last) // 2
-        first, last = np.concatenate((first, mid + 1)), np.concatenate((mid, last))
+        (left, _), (right, _) = _branches(first, last)
+        first, last = (np.concatenate(ends) for ends in zip(left, right))
     return total
-
-
-def _node_trace(b, s: int, e: int, depth: int) -> NodeTrace:
-    """The trace of node s..e at `depth`; `b` holds the chunk bounds."""
-    if s == e:
-        return NodeTrace(s, s, s, 0, 0, depth)
-    m = (s + e) // 2
-    return NodeTrace(s, e, m, b[e + 1] - b[m + 1], b[m + 1] - b[s], depth)
 
 
 def _visit(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int,
@@ -274,35 +287,31 @@ def _visit(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int,
     sequential order.
     """
     run.counters.nodes_visited += 1
-    part = run.partition
-    if run.traces is not None:
-        run.traces.append(_node_trace(part.bounds, s, e, depth))
     if s == e:
-        run.fold_scores[s] = evaluate_chunk(model, run.dataset, part.chunk_slice(s), run.loss,
-                                            run.counters)
+        run.fold_scores[s] = evaluate_chunk(model, run.dataset, run.partition.chunk_slice(s),
+                                            run.loss, run.counters)
         return
-    m = (s + e) // 2
+    left, right = _branches(s, e)
     run.counters.snapshots += 1
     if fork:
         run.counters.forks += 1
-        join_right = forkjoin.fork(_worker_branch, run, m + 1, e, model, s, m, depth + 1)
-        _, (scores, counters, traces) = join_all([
-            lambda: _branch(run, s, m, model, m + 1, e, depth + 1), join_right])
-        run.fold_scores[m + 1:e + 1] = scores
+        join_right = forkjoin.fork(_worker_branch, run, *right, model, depth + 1)
+        _, (scores, counters) = join_all([lambda: _branch(run, *left, model, depth + 1),
+                                          join_right])
+        (first, last), _ = right
+        run.fold_scores[first:last + 1] = scores
         run.counters.merge(counters)
-        if run.traces is not None:
-            run.traces.extend(traces)
     else:
-        right = model.clone()
-        _branch(run, s, m, model, m + 1, e, depth + 1)
-        _branch(run, m + 1, e, right, s, m, depth + 1)
+        right_model = model.clone()
+        _branch(run, *left, model, depth + 1)
+        _branch(run, *right, right_model, depth + 1)
 
 
-def _subtree(run: _Run, feed, s: int, e: int, model: IncrementalLearner, depth: int) -> bool:
+def _subtree(run: _Run, feed, s: int, e: int, model: IncrementalLearner) -> bool:
     """Run subtree s..e by one `tree_feed` call through `feed`, which
     `compiled_feed` gave for `model`, and say whether that happened.
 
-    `model` is left untouched, and scores, counters and traces are added
+    `model` is left untouched, and scores and counters are added
     only when it returns True.  On False the recursion runs the subtree:
     where `tree_feed` or the loss failed, it meets the failure sequential
     order meets first and raises it, an update's with its chunk range, or,
@@ -324,23 +333,14 @@ def _subtree(run: _Run, feed, s: int, e: int, model: IncrementalLearner, depth: 
     run.counters.merge(WorkCounters(
         point_updates=int(updates), snapshots=e - s, nodes_visited=2 * (e - s) + 1,
         model_transfers=int(transfers), evaluations=rows.stop - rows.start))
-    if run.traces is not None:
-        _trace_subtree(run.traces, b, s, e, depth)
     return True
 
 
-def _trace_subtree(traces: list, b, s: int, e: int, depth: int) -> None:
-    """Append the node traces of subtree s..e in the recursion's pre-order."""
-    traces.append(_node_trace(b, s, e, depth))
-    if s != e:
-        m = (s + e) // 2
-        _trace_subtree(traces, b, s, m, depth + 1)
-        _trace_subtree(traces, b, m + 1, e, depth + 1)
-
-
-def _branch(run: _Run, s: int, e: int, model: IncrementalLearner, first: int, last: int,
+def _branch(run: _Run, subtree: tuple, fed: tuple, model: IncrementalLearner,
             depth: int) -> None:
-    """Train the model on chunks first..last, then visit subtree s..e."""
+    """Train the model on the chunks `fed`, then visit `subtree`; each is a
+    (first, last) chunk range."""
+    first, last = fed
     rows = _fed_rows(run.kernels, run.partition, run.ordering, run.shuffle_seed, first, last)
     x = run.dataset.x[rows]
     y = run.dataset.y[rows] if run.dataset.y is not None else None
@@ -351,17 +351,28 @@ def _branch(run: _Run, s: int, e: int, model: IncrementalLearner, first: int, la
     run.counters.point_updates += x.shape[0]
     run.counters.model_transfers += last - first + 1
     del rows, x, y  # free this batch before the subtree feeds its own
-    _node(run, s, e, model, depth)
+    _node(run, *subtree, model, depth)
 
 
-def _worker_branch(run: _Run, s: int, e: int, model: IncrementalLearner, first: int,
-                   last: int, depth: int):
+def _worker_branch(run: _Run, subtree: tuple, fed: tuple, model: IncrementalLearner,
+                   depth: int):
     """Forked side of a node: run the branch on this process's copy of
     the run and return what the parent merges."""
     run.counters = WorkCounters()
-    run.traces = [] if run.traces is not None else None
-    _branch(run, s, e, model, first, last, depth)
-    return run.fold_scores[s:e + 1], run.counters, run.traces
+    _branch(run, subtree, fed, model, depth)
+    first, last = subtree
+    return run.fold_scores[first:last + 1], run.counters
+
+
+def _node_traces(b, s: int, e: int, depth: int = 0) -> list[NodeTrace]:
+    """The traces of subtree s..e, its root at `depth`, in the recursion's
+    pre-order; `b` holds the chunk bounds."""
+    if s == e:
+        return [NodeTrace(s, s, s, 0, 0, depth)]
+    (left, left_fed), (right, right_fed) = _branches(s, e)
+    fed = [b[last + 1] - b[first] for first, last in (left_fed, right_fed)]
+    return [NodeTrace(s, e, left[1], *fed, depth),
+            *_node_traces(b, *left, depth + 1), *_node_traces(b, *right, depth + 1)]
 
 
 def tree_cv(
@@ -377,16 +388,19 @@ def tree_cv(
     Every fold's model is trained incrementally on all chunks except its
     own, in the order the tree induces; fold i's score is the mean loss
     on chunk i.  `trace_sink`, when given, receives one NodeTrace per
-    visited node in sequential pre-order.  `tree_feed_orders` gives the
-    sequence of rows each fold's model was fed.
+    node of the schedule, in the recursion's pre-order, once the estimate
+    completes: a run that raises leaves it as it was.  `tree_feed_orders`
+    gives the sequence of rows each fold's model was fed.
     """
     config.validate()
-    run = _Run(dataset, partition, check_partition(partition, dataset), loss, config, trace_sink)
+    run = _Run(dataset, partition, check_partition(partition, dataset), loss, config)
     model = learner_factory().fresh()
     load_kernels(model)  # outside the wall time, and inherited by forked workers
     start = time.perf_counter()
     _node(run, 0, partition.k - 1, model, 0)
     wall = time.perf_counter() - start
+    if trace_sink is not None:
+        trace_sink.extend(_node_traces(partition.bounds, 0, partition.k - 1))
     return make_report(run.fold_scores, run.counters, wall, "tree", config.ordering, config.seed)
 
 
@@ -423,9 +437,8 @@ def tree_feed_orders(part: Partition, ordering: str = "fixed", seed: int = 0) ->
         if s == e:
             orders[s] = fed
             return
-        m = (s + e) // 2
-        walk(s, m, fed + fed_rows(m + 1, e))
-        walk(m + 1, e, fed + fed_rows(s, m))
+        for subtree, chunks in _branches(s, e):
+            walk(*subtree, fed + fed_rows(*chunks))
 
     walk(0, part.k - 1, [])
     return orders

@@ -1,6 +1,8 @@
 """The benchmark recorder, tools/bench_record.py, on --tiny runs."""
 
+import importlib.util
 import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -52,7 +54,10 @@ def test_a_run_without_a_result_is_recorded_as_failed(tmp_path):
     assert bench["workloads"]["no-such-workload"]["metrics"]["cv_s"]["n"] == 0
 
 
-def test_tiny_record_against_a_revision_alternates_the_sides(tmp_path):
+def test_tiny_record_against_a_revision_alternates_the_sides(monkeypatch):
+    """Both sides run from fresh copies, neither from the repository root:
+    this checkout's side from its files, REV's from REV's, and both
+    copies are gone afterwards."""
     if shutil.which("git") is None or shutil.which("tar") is None:
         pytest.skip("--against exports a revision with git and tar, and one is not on PATH")
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
@@ -60,9 +65,32 @@ def test_tiny_record_against_a_revision_alternates_the_sides(tmp_path):
         pytest.skip(f"not a git checkout: {head.stderr.strip()}")
     worktrees = subprocess.run(["git", "worktree", "list"], cwd=ROOT, capture_output=True,
                                text=True).stdout
-    done, bench = _record(tmp_path, "--workloads", "standard10-kmeans-file", "--seeds", "3,4,5",
-                          "--against", "HEAD")
-    assert done.returncode == 0, done.stderr
+    spec = importlib.util.spec_from_file_location("bench_record", RECORDER)
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    module = pathlib.Path("src", "treecv", "tree.py")
+    sources = {"this": (ROOT / module).read_bytes(), "against": subprocess.run(
+        ["git", "show", f"HEAD:{module.as_posix()}"], cwd=ROOT, capture_output=True,
+        check=True).stdout}
+    calls = []  # (the root a run ran from, its copy of `module`)
+    real_run = recorder._run
+
+    def spied_run(root, *args):
+        calls.append((root, pathlib.Path(root, module).read_bytes()))
+        return real_run(root, *args)
+
+    monkeypatch.setattr(recorder, "_run", spied_run)
+    bench = recorder.record("t", [3, 4, 5], 0.1, ["standard10-kmeans-file"], True, "HEAD")
+    # seed 3 runs this side first, seed 4 REV's, seed 5 this side's
+    sides = ["this", "against", "against", "this", "this", "against"]
+    roots = {side: {root for (root, _), named in zip(calls, sides) if named == side}
+             for side in sources}
+    assert len(calls) == 6 and all(len(found) == 1 for found in roots.values())
+    (this_root,), (rev_root,) = roots.values()
+    assert len({os.path.realpath(root) for root in (this_root, rev_root, ROOT)}) == 3
+    for side, root in (("this", this_root), ("against", rev_root)):
+        assert {source for called, source in calls if called == root} == {sources[side]}
+        assert not os.path.exists(root)
     assert bench["against"] == {"rev": "HEAD", "commit": head.stdout.strip()}
     assert bench["run_commands"] == [
         f"python3 perfbench/run.py --workload standard10-kmeans-file --seed {seed} "

@@ -433,8 +433,7 @@ def right_updates_of_traces(b, s: int, e: int) -> int:
     of a run count them: the rows fed to it, and those its subtree's nodes
     feed their branches."""
     m = (s + e) // 2
-    traces = []
-    tree._trace_subtree(traces, b, m + 1, e, 1)
+    traces = tree._node_traces(b, m + 1, e, 1)
     return b[m + 1] - b[s] + sum(t.points_fed_left + t.points_fed_right for t in traces)
 
 
@@ -1159,7 +1158,7 @@ def test_an_untrained_kmeans_leaf_raises_the_recursions_error(monkeypatch):
     counts = LevelCounts(monkeypatch)
     data = Dataset(synth_blobs(12, 3, 2, seed=1).x)
     part = partition(data, 4)
-    run = tree._Run(data, part, tree.check_partition(part), QUANTIZATION, TreeCvConfig(), None)
+    run = tree._Run(data, part, tree.check_partition(part), QUANTIZATION, TreeCvConfig())
     with pytest.raises(UntrainedModelError, match="no centers"):
         tree._node(run, 2, 2, OnlineKMeans(3, 2), 0)
     assert counts.subtrees == counts.failures == tree_feed_runs()
@@ -1290,6 +1289,19 @@ def test_clone_keeps_a_subclass_update_rule():
     with pytest.raises(UpdateFailedError) as info:
         tree_cv(lambda: FailsOnMarkedRow(1), ds, partition(ds, 4), SQUARED, TreeCvConfig())
     assert info.value.chunk_range == (0, 0)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_a_run_that_raises_leaves_the_trace_sink_as_it_was(workers):
+    """Traces are written once the estimate completes, so a run whose
+    update raises, sequential or forked, after the root's visit writes
+    none."""
+    ds = Dataset(np.zeros((8, 1)), np.array([0.5, 0.25, 0.75, 0.5, 0.25, 0.75, 0.5, -1.0]))
+    sink = ["kept"]
+    with pytest.raises(UpdateFailedError, match="marked row"):
+        tree_cv(lambda: FailsOnMarkedRow(1), ds, partition(ds, 8), SQUARED,
+                TreeCvConfig(max_workers=workers), trace_sink=sink)
+    assert sink == ["kept"]
 
 
 def test_worker_only_failure_reaches_the_caller_with_its_chunk_range():

@@ -22,9 +22,13 @@ failed.
 With --against REV it also runs the same commands from the files of git
 revision REV, exported by `git archive` into a temporary directory that
 is removed afterwards (nothing is written to the repository's .git).
-The two sides run seed by seed, as a pair, and the side that runs first
-alternates: this checkout first at the first seed, REV first at the
-second, and so on.  Per workload the file then also holds REV's
+This checkout's side then runs from a fresh temporary copy too, as REV's
+does: HEAD exported the same way when `git_dirty` is false, else the
+files of `RUN_READS` that git tracks or would track, copied from the
+working tree.  So neither side runs from the repository root, and the
+pairs differ in the code alone.  The two sides run seed by seed, as a
+pair, and the side that runs first alternates: this checkout first at
+the first seed, REV first at the second, and so on.  Per workload the file then also holds REV's
 metrics and runs (`against`), which side ran first at each seed
 (`first`), and per metric (`pairs`) how many pairs this checkout won,
 lost and tied by the metric's declared direction, with the relative
@@ -39,6 +43,7 @@ import argparse
 import contextlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -64,6 +69,17 @@ def _export(commit: str, directory: str) -> None:
                              capture_output=True, check=True, timeout=300)
     subprocess.run(["tar", "-x", "-C", directory], input=archive.stdout, check=True,
                    timeout=300)
+
+
+def _copy_worktree(directory: str) -> None:
+    """Copy into `directory` the working tree's files of `RUN_READS` that
+    git tracks, or would track (untracked files .gitignore does not name)."""
+    listed = _git("ls-files", "--cached", "--others", "--exclude-standard", "--", *RUN_READS)
+    for name in (listed or "").splitlines():
+        source = os.path.join(ROOT, name)
+        if os.path.isfile(source):  # a tracked file deleted from the tree is left out
+            os.makedirs(os.path.dirname(os.path.join(directory, name)), exist_ok=True)
+            shutil.copy2(source, os.path.join(directory, name))
 
 
 def _run(root: str, workload: str, seed: int, seconds: float,
@@ -132,13 +148,16 @@ def record(label: str, seeds: list[int], seconds: float, workloads: list[str] | 
         commit = _git("rev-parse", "--verify", "--end-of-options", f"{against}^{{commit}}")
         if commit is None:
             raise SystemExit(f"--against {against}: not a git revision of {ROOT}")
-    exported = (tempfile.TemporaryDirectory(prefix="bench-against-") if commit is not None
-                else contextlib.nullcontext())
-    with exported as scratch:
+    with contextlib.ExitStack() as stack:
         roots = {"this": ROOT}
         if commit is not None:
-            _export(commit, scratch)
-            roots["against"] = scratch
+            roots = {side: stack.enter_context(tempfile.TemporaryDirectory(prefix=f"bench-{side}-"))
+                     for side in ("this", "against")}
+            if dirty:
+                _copy_worktree(roots["this"])
+            else:
+                _export(head, roots["this"])
+            _export(commit, roots["against"])
         commands, results, environment = [], {}, None
         for workload in names:
             runs: dict[str, list] = {side: [] for side in roots}

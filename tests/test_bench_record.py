@@ -115,6 +115,44 @@ def test_tiny_record_against_a_revision_alternates_the_sides(monkeypatch):
                           text=True).stdout == worktrees
 
 
+def test_a_dirty_checkout_runs_against_a_revision_from_a_copy_of_its_working_tree(tmp_path):
+    """With --against, a checkout whose `src/` differs from HEAD runs its
+    side from a copy of its working tree, with the untracked files that
+    .gitignore does not name, and REV's side from REV's files; the
+    checkout itself is left as it was."""
+    if shutil.which("git") is None or shutil.which("tar") is None:
+        pytest.skip("--against exports a revision with git and tar, and one is not on PATH")
+    repo = tmp_path / "repo"
+    for directory in ("tools", "src", "perfbench"):
+        (repo / directory).mkdir(parents=True)
+    shutil.copy(RECORDER, repo / "tools")
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    (repo / ".gitignore").write_text("ignored.py\n")
+    (repo / "src" / "module.py").write_text("x = 1\n")
+    # a run that reports, as every metric, `module.x` plus 10 per .py file in src/
+    (repo / "perfbench" / "run.py").write_text(
+        "import json, os, sys\nsys.path.insert(0, 'src')\nimport module\n"
+        "value = module.x + 10 * sum(name.endswith('.py') for name in os.listdir('src'))\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {\n"
+        "    name: {'value': value} for name in ('cv_s', 'setup_s', 'peak_rss_mb')}}))\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "seed"]):
+        subprocess.run(git + args, cwd=repo, check=True, capture_output=True)
+    for name, text in (("module.py", "x = 3\n"), ("new.py", ""), ("ignored.py", "")):
+        (repo / "src" / name).write_text(text)
+    done = subprocess.run([sys.executable, str(repo / "tools" / "bench_record.py"), "--label",
+                           "t", "--workloads", "w", "--seeds", "1", "--against", "HEAD",
+                           "--out", str(tmp_path)], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    bench = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert bench["git_dirty"] is True
+    workload = bench["workloads"]["w"]
+    assert workload["metrics"]["cv_s"]["by_seed"] == {"1": 23}  # x = 3, module.py and new.py
+    assert workload["against"]["metrics"]["cv_s"]["by_seed"] == {"1": 11}  # HEAD: x = 1
+    assert sorted(path.name for path in (repo / "src").iterdir()) == [
+        "ignored.py", "module.py", "new.py"]
+
+
 def test_an_unknown_revision_is_refused(tmp_path):
     done = subprocess.run([sys.executable, str(RECORDER), "--label", "t", "--tiny",
                            "--out", str(tmp_path), "--against", "no-such-revision"],

@@ -28,11 +28,11 @@ files of `RUN_READS` that git tracks or would track, copied from the
 working tree.  So neither side runs from the repository root, and the
 pairs differ in the code alone.  The two sides run seed by seed, as a
 pair, and the side that runs first alternates: this checkout first at
-the first seed, REV first at the second, and so on.  Per workload the file then also holds REV's
-metrics and runs (`against`), which side ran first at each seed
-(`first`), and per metric (`pairs`) how many pairs this checkout won,
-lost and tied by the metric's declared direction, with the relative
-change of the median and REV's quartile spread.  Host drift between
+the first seed, REV first at the second, and so on.  Per workload the
+file then also holds REV's metrics and runs (`against`), which side ran
+first at each seed (`first`), and per metric (`pairs`) how many pairs
+this checkout won, lost and tied by the metric's declared direction,
+with the relative change of the median and REV's quartile spread.  Host drift between
 two recordings made one after the other moves every metric, so only
 alternating pairs compare a change.
 """

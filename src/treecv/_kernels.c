@@ -34,24 +34,44 @@
      fast-math, because a fused multiply-add or a reassociated sum
      changes bits.  -O3 vectorizes the elementwise loops, whose lanes
      round each element as the scalar code does, and reorders no sum.
+     Under GCC on x86-64 ELF the Pegasos and LsqSgd row loop,
+     `feed_linear`, is also built for AVX2, whose wider lanes still
+     round each element alone and fuse nothing, and the dynamic loader
+     picks that clone or the baseline one per CPU (an ifunc); other
+     compilers and architectures build the baseline loop alone.  On a
+     2-vCPU Xeon VM the clone takes an LsqSgd update at d=20 from ~42 to
+     ~30 ns, and a Pegasos one from ~31 to ~27.  k-means stays on the
+     baseline: built for AVX2 its step ran slower.
 
    `tree_feed` runs subtree s..e of `tree._visit`'s recursion for one
    model of those types: depth first, in `_visit`'s order, each node
    keeping its incoming model for the right branch in a slot of its
    depth (a memcpy is the clone), feeding the left branch's model the
    right half and the right branch's the left half, and writing each
-   leaf's `predict_many` of its chunk into one output array.  A
-   randomized node shuffles its fed rows as `tree._fed_rows` does, with
-   the stream derive_seed(shuffle_seed, first, last), into a buffer at
-   the range's own offset, and reads the rows of x by index; a fixed
-   node reads them in place.
+   leaf's `predict_many` of its chunk into one output array, or under a
+   built-in loss its score.  A randomized node shuffles its fed rows as
+   `tree._fed_rows` does, with the stream derive_seed(shuffle_seed,
+   first, last), into a buffer at the range's own offset, and reads the
+   rows of x by index; a fixed node reads them in place.
 
    `standard_feed` runs folds first..last of `standard.standard_cv` for
    one model of those types: each fold copies the fresh model into a
    slot, feeds it the rows of every other chunk, in dataset order or
    shuffled as `standard._shuffled_order` shuffles them, with the stream
    derive_seed(fold_seed, c), reading x by index, and writes its
-   `predict_many` of its chunk into one output array.
+   `predict_many` of its chunk into one output array, or its score.
+
+   Under the ZERO_ONE, SQUARED or QUANTIZATION loss of `core`, both
+   score each chunk in C, as `core.chunk_scores` scores its
+   predictions: each row's loss with the bits of the loss's numpy
+   function (for k-means the distance to the nearest center, which is
+   np.einsum("...i,...i->...") of the row minus it where `Kernels.kmeans`
+   found so), summed by `add` and `total`, CPython's math.fsum, and
+   divided by the chunk's size.  The one correctly rounded sum has one
+   set of bits, so the sums are fsum's.  A sum that meets an inf, a NaN
+   or an overflow fails the call, as a raised flag does, and the caller
+   scores the chunks from predictions in Python, which raises or
+   reports what it always did.
 
    numpy warns on, or under np.errstate raises for, an overflow, an
    invalid operation, a division by zero or an underflow in those dot
@@ -78,6 +98,7 @@
    the whole text in Python.  */
 
 #include <fenv.h>
+#include <float.h>
 #include <math.h>
 #include <stdlib.h>
 #include <stdint.h>
@@ -168,7 +189,7 @@ static double einsum_dot(int64_t d, const double *x, const double *w)
 }
 
 static inline void pegasos_step(int64_t d, double lam, double *a, double *v, int64_t *t,
-                         const double *x, double y)
+                                const double *x, double y)
 {
     double margin = y * (*a * dot(d, v, x));
     int64_t step = ++*t;
@@ -187,8 +208,8 @@ static inline void pegasos_step(int64_t d, double lam, double *a, double *v, int
 }
 
 /* rate is 2 * alpha. */
-static void lsqsgd_step(int64_t d, double rate, double *w, double *w_avg, int64_t *t,
-                        const double *x, double y)
+static inline void lsqsgd_step(int64_t d, double rate, double *w, double *w_avg,
+                               int64_t *t, const double *x, double y)
 {
     double scale = rate * (dot(d, w, x) - y);
     for (int64_t k = 0; k < d; k++)
@@ -202,16 +223,18 @@ static void lsqsgd_step(int64_t d, double rate, double *w, double *w_avg, int64_
         w_avg[k] += (w[k] - w_avg[k]) / step;
 }
 
-/* The nearest of the first `active` centers to x. */
-static int64_t nearest(int64_t d, int64_t active, const double *centers, const double *x)
+/* The nearest of the first `active` centers to x, and in *least its
+   squared distance. */
+static int64_t nearest(int64_t d, int64_t active, const double *centers, const double *x,
+                       double *least)
 {
     int64_t best = 0;
-    double least = 0.0;
+    *least = 0.0;
     for (int64_t j = 0; j < active; j++) {
         double dist = distance(d, centers + j * d, x);
-        if (j == 0 || (!isnan(least) && (isnan(dist) || dist < least))) {
+        if (j == 0 || (!isnan(*least) && (isnan(dist) || dist < *least))) {
             best = j;
-            least = dist;
+            *least = dist;
         }
     }
     return best;
@@ -238,7 +261,8 @@ static int kmeans_step(int64_t d, int64_t k, double *centers, int64_t *counts, i
             return 0;
         }
     }
-    int64_t best = nearest(d, *active, centers, x);
+    double least;
+    int64_t best = nearest(d, *active, centers, x, &least);
     if (counts[best] == INT64_MAX)
         return 1;
     double count = (double)++counts[best];
@@ -280,22 +304,40 @@ enum { PEGASOS, LSQSGD, KMEANS };
             }                                             \
     } while (0)
 
+/* The AVX2 and baseline clones of `feed_linear` (see the header). */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__ELF__)
+#define LINEAR_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define LINEAR_CLONES
+#endif
+
+/* The row loop of `feed_each` for a Pegasos or LsqSgd model: each has
+   loops of its own, so no row tests `kind`. */
+static LINEAR_CLONES void feed_linear(int64_t kind, int64_t d, double param, double *f0,
+                                      double *f1, int64_t *f2, const double *x,
+                                      const double *y, const int64_t *order, int64_t lo,
+                                      int64_t n)
+{
+    if (kind == PEGASOS)
+        EACH_ROW(pegasos_step(d, param, f0, f1, f2, x + row * d, y[row]));
+    else
+        EACH_ROW(lsqsgd_step(d, 2.0 * param, f0, f1, f2, x + row * d, y[row]));
+}
+
 /* The one row loop of every feed: feed a model of `kind`, its state f0,
    f1 and f2, the rows of x (d wide, labeled by y for the linear
    learners) that `order` lists, or rows lo to lo + n - 1.  param is lam
    or alpha, and k the k-means model's centers.  Nonzero as `kmeans_step`
    says.  Each learner has loops of its own, so no row tests `kind` or
    reads a label it does not take: GCC unswitches neither test from a
-   loop of this size.  `pegasos_step` is inline so that the Pegasos step
-   stays within its loops, with no function call per row. */
+   loop of this size.  The steps are inline so that each stays within
+   its loops, with no function call per row. */
 static int feed_each(int64_t kind, int64_t d, double param, int64_t k, double *f0, void *f1,
                      int64_t *f2, const double *x, const double *y, const int64_t *order,
                      int64_t lo, int64_t n)
 {
-    if (kind == PEGASOS)
-        EACH_ROW(pegasos_step(d, param, f0, f1, f2, x + row * d, y[row]));
-    else if (kind == LSQSGD)
-        EACH_ROW(lsqsgd_step(d, 2.0 * param, f0, f1, f2, x + row * d, y[row]));
+    if (kind != KMEANS)
+        feed_linear(kind, d, param, f0, f1, f2, x, y, order, lo, n);
     else
         EACH_ROW(if (kmeans_step(d, k, f0, f1, f2, x + row * d)) return 1);
     return 0;
@@ -317,6 +359,92 @@ void kmeans_distances(int64_t k, int64_t d, const double *centers, const double 
 {
     for (int64_t j = 0; j < k; j++)
         out[j] = distance(d, centers + j * d, x);
+}
+
+/* The most partials `add` keeps.  Nonoverlapping partials each hold
+   bits of their own among the 2,098 places of a double's bits, from
+   2**-1074 to 2**1023, so no sum needs more; CPython's math.fsum starts
+   with 32 and reallocates. */
+#define PARTIALS 2098
+
+/* A sum kept as exact partials, as CPython's math.fsum keeps it: each
+   a double, nonoverlapping, in increasing magnitude. */
+struct sum {
+    int n;
+    double p[PARTIALS];
+};
+
+/* Add x to s by the loop of math.fsum (Shewchuk's, as in CPython's
+   `msum`).  Nonzero, with s spoiled, where x is not finite or the sum
+   overflows, where fsum returns a non-finite sum or raises. */
+static int add(struct sum *s, double x)
+{
+    int i = 0;
+    for (int j = 0; j < s->n; j++) {
+        double y = s->p[j];
+        if (fabs(x) < fabs(y)) {
+            double held = x;
+            x = y;
+            y = held;
+        }
+        double hi = x + y;
+        double lo = y - (hi - x);
+        if (lo != 0.0)
+            s->p[i++] = lo;
+        x = hi;
+    }
+    s->n = i;
+    if (x != 0.0) {
+        if (!isfinite(x) || i == PARTIALS)
+            return 1;
+        s->p[s->n++] = x;
+    }
+    return 0;
+}
+
+/* The sum of s rounded to the nearest double, ties to even, as
+   math.fsum rounds it: there is one such double, so fsum of the same
+   values gives its bits. */
+static double total(const struct sum *s)
+{
+    int n = s->n;
+    double hi = 0.0, lo = 0.0;
+    if (n == 0)
+        return hi;
+    hi = s->p[--n];
+    while (n > 0) {  /* add from the top while the sum stays exact */
+        double x = hi, y = s->p[--n];
+        hi = x + y;
+        lo = y - (hi - x);
+        if (lo != 0.0)
+            break;
+    }
+    /* a tie between hi and its neighbour that the partials below break;
+       fsum's hi + y overflows past DBL_MAX, and keeps hi, where this does
+       not add it */
+    if (n > 0 && ((lo < 0.0 && s->p[n - 1] < 0.0) || (lo > 0.0 && s->p[n - 1] > 0.0))
+        && fabs(hi) < DBL_MAX) {
+        double y = lo * 2.0, x = hi + y;
+        if (y == x - hi)
+            hi = x;
+    }
+    return hi;
+}
+
+/* The math.fsum of the n values into *out, for the self-check and the
+   tests of `add` and `total`.  Nonzero where `add` is, or a flag was
+   raised. */
+int exact_sum(const double *values, int64_t n, double *out)
+{
+    fexcept_t caller;
+    begin(&caller);
+    struct sum sum;
+    sum.n = 0;
+    int failed = 0;
+    for (int64_t i = 0; i < n && !failed; i++)
+        failed = add(&sum, values[i]);
+    *out = total(&sum);
+    return end(&caller, failed);
 }
 
 /* The SplitMix64 finalizer, as `rng._mix`. */
@@ -354,10 +482,16 @@ void shuffle(int64_t *part, int64_t n, uint64_t state)
     fisher_yates(part, n, state);
 }
 
+/* The losses `tree_feed` and `standard_feed` score each chunk by, as
+   `core`'s: NO_LOSS writes predictions instead.  The caller pairs
+   ZERO_ONE and SQUARED with the linear learners and QUANTIZATION with
+   k-means. */
+enum { NO_LOSS, ZERO_ONE, SQUARED, QUANTIZATION };
+
 /* What one `tree_feed` or `standard_feed` call reads, and what it adds
    up. */
 struct tree {
-    int64_t kind, d, k;
+    int64_t kind, loss, d, k;
     double param;  /* lam, alpha, or unused */
     const int64_t *bounds;
     const double *x, *y;
@@ -367,12 +501,13 @@ struct tree {
     size_t slot;  /* the bytes of a model: their sum */
     char *slots;  /* tree_feed: one model per depth below the call's root;
                      standard_feed: the fresh model, then the fold's */
-    int64_t base;  /* the first row predicted */
+    int64_t base, first;  /* the first row and the first chunk predicted */
     int64_t *rows;  /* a randomized order: of a fed range, at its offset from base,
                        or of a fold's training rows */
-    double *out;  /* the predictions, from row base on */
+    double *out;  /* the predictions, from row base on, or the scores, from chunk first on */
     int64_t updates, transfers;
     fexcept_t caller;  /* the caller's floating-point flags */
+    struct sum sum;  /* a chunk's losses */
 };
 
 static void *field(const struct tree *t, char *slot, int i)
@@ -409,26 +544,49 @@ static int feed(struct tree *t, char *slot, int64_t first, int64_t last)
 }
 
 /* Write the `predict_many` of the model in `slot` for every row of
-   chunk c; nonzero for a k-means model with no center, which
-   `predict_many` refuses. */
+   chunk c or, under a loss, the chunk's score: the `math.fsum` of its
+   rows' losses over its size, each loss the bits of `core`'s numpy
+   function.  A QUANTIZATION loss is the distance `nearest` takes, the
+   einsum of the center minus the row.  Nonzero for a k-means model with
+   no center, which `predict_many` refuses, or a sum `add` refuses. */
 static int predict(struct tree *t, char *slot, int64_t c)
 {
-    int64_t d = t->d;
+    int64_t d = t->d, lo = t->bounds[c], hi = t->bounds[c + 1];
     double *f0 = field(t, slot, 0), *f1 = field(t, slot, 1);
     int64_t *f2 = field(t, slot, 2);
+    t->sum.n = 0;
     if (t->kind == KMEANS && *f2 == 0)
         return 1;
-    for (int64_t row = t->bounds[c]; row < t->bounds[c + 1]; row++) {
+    for (int64_t row = lo; row < hi; row++) {
         const double *x = t->x + row * d;
+        double p;
         if (t->kind == KMEANS) {
-            memcpy(t->out + (row - t->base) * d, f0 + nearest(d, *f2, f0, x) * d,
-                   (size_t)d * sizeof(double));
+            int64_t best = nearest(d, *f2, f0, x, &p);
+            if (t->loss == NO_LOSS) {
+                memcpy(t->out + (row - t->base) * d, f0 + best * d, (size_t)d * sizeof(double));
+                continue;
+            }
         } else {
             /* v or w_avg, from +0.0, so copysign maps a zero to +1 */
-            double p = einsum_dot(d, x, f1);
-            t->out[row - t->base] = t->kind == PEGASOS ? copysign(1.0, p) : p;
+            p = einsum_dot(d, x, f1);
+            if (t->kind == PEGASOS)
+                p = copysign(1.0, p);
+            if (t->loss == NO_LOSS) {
+                t->out[row - t->base] = p;
+                continue;
+            }
+            if (t->loss == ZERO_ONE) {
+                p = p != t->y[row];
+            } else {
+                double diff = p - t->y[row];
+                p = diff * diff;
+            }
         }
+        if (add(&t->sum, p))
+            return 1;
     }
+    if (t->loss != NO_LOSS)
+        t->out[c - t->first] = total(&t->sum) / (double)(hi - lo);
     return 0;
 }
 
@@ -517,20 +675,21 @@ static int finish(struct tree *t, int failed, int64_t *counts)
    Pegasos or LsqSgd model's parameter is param, a k-means model has k
    centers.  Rows of x are d wide, and y holds the linear learners'
    labels.  A randomized run shuffles with shuffle_seed =
-   derive_seed(run seed, TAG_NODE_SHUFFLE).  out receives the leaves'
-   predictions for rows bounds[s] to bounds[e + 1] - 1, one double per row
-   (times d for k-means), and counts the point updates and model
-   transfers.  Returns nonzero, with out spoiled, on a raised flag, a
-   failed k-means step, a k-means leaf with no center or a failed
-   allocation. */
+   derive_seed(run seed, TAG_NODE_SHUFFLE).  With `loss` NO_LOSS, out
+   receives the leaves' predictions for rows bounds[s] to bounds[e + 1] -
+   1, one double per row (times d for k-means); under another loss (see
+   its enum), the scores of chunks s to e, one double each.  counts
+   receives the point updates and model transfers.  Returns nonzero,
+   with out spoiled, on a raised flag, a failed k-means step, a k-means
+   leaf with no center, a sum `add` refuses or a failed allocation. */
 int tree_feed(int64_t kind, int64_t s, int64_t e, const int64_t *bounds, int64_t d,
               const double *x, const double *y, int64_t randomized, uint64_t shuffle_seed,
               double param, int64_t k, const void *f0, const void *f1, const void *f2,
-              double *out, int64_t *counts)
+              int64_t loss, double *out, int64_t *counts)
 {
-    struct tree t = {.kind = kind, .d = d, .k = k, .param = param, .bounds = bounds, .x = x,
-                     .y = y, .randomized = randomized, .seed = shuffle_seed,
-                     .base = bounds[s], .out = out};
+    struct tree t = {.kind = kind, .loss = loss, .d = d, .k = k, .param = param,
+                     .bounds = bounds, .x = x, .y = y, .randomized = randomized,
+                     .seed = shuffle_seed, .base = bounds[s], .first = s, .out = out};
     int64_t height = 0;
     while (((int64_t)1 << height) < e - s + 1)
         height++;
@@ -545,17 +704,18 @@ int tree_feed(int64_t kind, int64_t s, int64_t e, const int64_t *bounds, int64_t
    randomized run shuffles fold c's training rows with the stream
    derive_seed(fold_seed, c), where fold_seed = derive_seed(run seed,
    TAG_FOLD_SHUFFLE).  out receives each fold's predictions for its
-   chunk, rows bounds[first] to bounds[last + 1] - 1, and counts the point
-   updates and model transfers.  Nonzero, with out spoiled, as
-   `tree_feed` says. */
+   chunk, rows bounds[first] to bounds[last + 1] - 1, or under a loss the
+   scores of folds first to last, and counts the point updates and model
+   transfers.  Nonzero, with out spoiled, as `tree_feed` says. */
 int standard_feed(int64_t kind, int64_t first, int64_t last, int64_t chunks,
                   const int64_t *bounds, int64_t d, const double *x, const double *y,
                   int64_t randomized, uint64_t fold_seed, double param, int64_t k,
-                  const void *f0, const void *f1, const void *f2, double *out, int64_t *counts)
+                  const void *f0, const void *f1, const void *f2, int64_t loss, double *out,
+                  int64_t *counts)
 {
-    struct tree t = {.kind = kind, .d = d, .k = k, .param = param, .bounds = bounds, .x = x,
-                     .y = y, .randomized = randomized, .seed = fold_seed,
-                     .base = bounds[first], .out = out};
+    struct tree t = {.kind = kind, .loss = loss, .d = d, .k = k, .param = param,
+                     .bounds = bounds, .x = x, .y = y, .randomized = randomized,
+                     .seed = fold_seed, .base = bounds[first], .first = first, .out = out};
     int failed = start(&t, 2, bounds[chunks], f0, f1, f2) || folds(&t, first, last, chunks);
     return finish(&t, failed, counts);
 }

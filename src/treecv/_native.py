@@ -6,10 +6,11 @@ and the sparse-text scanner of `dataio.parse_sparse_text`.
 
 `_kernels.c` feeds models of these types point by point, bit for bit as
 their `_update_point` does, runs whole subtrees of the tree's recursion
-and groups of standard-CV folds for them, shuffles a vector as
-`SplitMix64Stream.shuffle` does, and
-parses the strict part of the sparse-text grammar with strtod, which
-rounds as float() does; its header says how.  This module builds and
+and groups of standard-CV folds for them, scoring each chunk under the
+built-in losses as `math.fsum` sums, shuffles a vector as
+`SplitMix64Stream.shuffle` does, and parses the strict part of the
+sparse-text grammar with strtod, which rounds as float() does; its
+header says how.  This module builds and
 loads it with the standard library alone:
 
 * it compiles the source once with the system C compiler, `cc`, at
@@ -20,7 +21,10 @@ loads it with the standard library alone:
   forked workers never load a partial one.  `FLAGS` build at -O3, which
   vectorizes the elementwise loops, with -ffp-contract=off and no
   fast-math, so the compiler fuses no multiply-add and reorders no sum,
-  and the kernels keep every bit the checks below compare;
+  and the kernels keep every bit the checks below compare.  Under GCC
+  on x86-64 the linear learners' row loop is built for AVX2 as well, and
+  the dynamic loader picks that clone where the CPU has AVX2; the checks
+  below run whichever clone it picked;
 * it hands the kernels `scipy_cblas_ddot64_`, the BLAS ddot that
   `ndarray.dot` calls, resolved from numpy's own extension module;
 * it feeds a pinned probe of the linear learners through both
@@ -31,17 +35,24 @@ loads it with the standard library alone:
   that the kernel's distances sum as this numpy's `np.einsum("ij,ij->i")`
   does, a property of the numpy build, and feeds a second probe through
   `feed_rows`.  A mismatch there leaves `OnlineKMeans` in Python and
-  keeps the other kernels.  A process that never trains k-means never
-  runs this check;
+  keeps the other kernels.  Where those distances are also the bits of
+  the QUANTIZATION loss, `np.einsum("...i,...i->...")`, the kernels
+  score that loss (`Kernels.quantization`).  A process that never
+  trains k-means never runs this check;
 * when a scheduler first asks for `tree_feed` and `standard_feed`
-  (`Kernels.tree`), it runs a pinned tree and the folds of standard CV
-  on the same chunks, for each learner and ordering, through them, and
-  compares each fold's predictions with `predict_many` of a model fed
-  that fold's order in Python (`tree_feed_orders`, or `_train_rows`
-  shuffled by `_shuffled_order` without the kernels), bit for bit, which
-  checks that the kernels' linear predictions sum as this numpy's
-  `np.einsum("ij,j->i")` does.  A mismatch there leaves both out: the
-  tree runs the recursion and standard CV its Python loop;
+  (`Kernels.tree`), it checks that `exact_sum`, the kernels' chunk sum,
+  gives math.fsum's bits on `_SUM_PROBES` and refuses what fsum refuses.
+  It runs a pinned tree and the folds of standard CV on the same
+  chunks, for each learner and ordering, through them, and compares
+  each fold's predictions with `predict_many` of a model fed that
+  fold's order in Python (`tree_feed_orders`, or `_train_rows` shuffled
+  by `_shuffled_order` without the kernels), bit for bit, which checks
+  that the kernels' linear predictions sum as this numpy's
+  `np.einsum("ij,j->i")` does.  At every other width the same calls
+  score a built-in loss, in turn each one the kernels score for the
+  learner, and the scores must be `core.chunk_scores`' of those
+  predictions.  A mismatch there leaves both out: the tree runs the
+  recursion and standard CV its Python loop;
 * when the parser first asks for its kernel (`Kernels.parser`), it
   parses `_PARSER_PROBES`, strings that a conversion which is not
   correctly rounded gets wrong, and compares each double with float()'s.
@@ -61,6 +72,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
+import math
 import os
 import struct
 from importlib import resources
@@ -84,10 +96,11 @@ _FUNCTIONS = {
     "feed_rows": ([_INT] * 3 + [_FLOAT, _INT] + [_ARRAY] * 5, ctypes.c_int),
     "kmeans_distances": ([_INT] * 2 + [_ARRAY] * 3, None),
     "shuffle": ([_ARRAY, _INT, ctypes.c_uint64], None),
-    "tree_feed": ([_INT] * 3 + [_ARRAY, _INT] + [_ARRAY] * 2
-                  + [_INT, ctypes.c_uint64, _FLOAT, _INT] + [_ARRAY] * 5, ctypes.c_int),
-    "standard_feed": ([_INT] * 4 + [_ARRAY, _INT] + [_ARRAY] * 2
-                      + [_INT, ctypes.c_uint64, _FLOAT, _INT] + [_ARRAY] * 5, ctypes.c_int),
+    "tree_feed": ([_INT] * 3 + [_ARRAY, _INT] + [_ARRAY] * 2 + [_INT, ctypes.c_uint64, _FLOAT,
+                  _INT] + [_ARRAY] * 3 + [_INT] + [_ARRAY] * 2, ctypes.c_int),
+    "standard_feed": ([_INT] * 4 + [_ARRAY, _INT] + [_ARRAY] * 2 + [_INT, ctypes.c_uint64,
+                      _FLOAT, _INT] + [_ARRAY] * 3 + [_INT] + [_ARRAY] * 2, ctypes.c_int),
+    "exact_sum": ([_ARRAY, _INT, _ARRAY], ctypes.c_int),
     "parse_sparse": ([ctypes.c_char_p] + [_INT] * 4 + [_ARRAY] * 5, _INT),
 }
 
@@ -102,12 +115,15 @@ class Kernels:
     * `kmeans_distances`, called as (k, d, centers, x, out): the squared
       distances `feed_rows` computes for k-means, for that check;
     * `tree_feed`, called as (kind, s, e, bounds, d, x, y, randomized,
-      shuffle_seed, parameter, k, three state arrays, out, counts)
+      shuffle_seed, parameter, k, three state arrays, loss, out, counts)
       through `learners._Feed.run_subtree`, once `tree()` has checked it;
     * `standard_feed`, called as (kind, first, last, chunks, bounds, d, x,
-      y, randomized, fold_seed, parameter, k, three state arrays, out,
-      counts) through `learners._Feed.run_folds`, once `tree()` has
+      y, randomized, fold_seed, parameter, k, three state arrays, loss,
+      out, counts) through `learners._Feed.run_folds`, once `tree()` has
       checked it;
+    * `exact_sum`, called as (values, n, out): the `math.fsum` that
+      `tree_feed` and `standard_feed` score a chunk's losses by, for the
+      check of `tree()`;
     * `shuffle`, called as (values, n, seed) through `rng.shuffled`,
       which checks the vector;
     * `parse_sparse`, called as (text, size, expected_dim, row_cap,
@@ -117,7 +133,9 @@ class Kernels:
 
     `kmeans()`, `tree()` and `parser()` each run their self-check on
     their first call (`_CHECKS`); `reasons` maps each check run to why it
-    failed, or None.
+    failed, or None.  `quantization` says whether `kmeans()` found that
+    the kernel's squared distances are the bits of the QUANTIZATION
+    loss, which `tree_feed` and `standard_feed` then score k-means by.
     """
 
     def __init__(self, lib: ctypes.CDLL, ddot: int):
@@ -128,6 +146,7 @@ class Kernels:
         self.set_ddot(ddot)
         self.lib = lib  # the functions are valid while the library is loaded
         self.reasons: dict[str, str | None] = {}
+        self.quantization = False
 
     def _checked(self, check: str):
         """The kernel `_CHECKS[check]` gates if it passes its self-check,
@@ -289,10 +308,14 @@ def _probe_kmeans(kernels: Kernels) -> str | None:
     2-element pairs.  The models are fed runs from a grid of halves,
     which repeats points and ties distances, at widths 0 to 20, from a
     fresh model, a partly seeded one and a trained one; one run seeds a
-    duplicate, a -0.0, a tie that the lower index wins and a NaN.
+    duplicate, a -0.0, a tie that the lower index wins and a NaN.  Where
+    the QUANTIZATION loss of those rows, np.einsum("...i,...i->..."), has
+    the bits of the distances too, it sets `Kernels.quantization`.
     """
+    from .core import QUANTIZATION
     from .learners import KMeansFeed, OnlineKMeans
 
+    quantization = True
     for d in (0, 1, 2, 3, 7, 8, 9, 10, 17, 20):
         i = np.arange(6 * d)
         centers = (np.sin(i * 1.3 + 0.2) * 10.0 ** (i * 7 % 17 - 8)).reshape(6, d)
@@ -301,6 +324,8 @@ def _probe_kmeans(kernels: Kernels) -> str | None:
         kernels.kmeans_distances(6, d, centers.ctypes.data, x.ctypes.data, distances.ctypes.data)
         if distances.tobytes() != _einsum_rows(centers - x).tobytes():
             return f"its squared distances at d={d} are not np.einsum's"
+        quantization &= QUANTIZATION.batch(centers, x, None).tobytes() == distances.tobytes()
+    kernels.quantization = quantization
 
     mixed = np.array([[2.0, 0.0], [2.0, 0.0], [0.0, 0.0], [1.0, 0.0], [-0.0, 0.0],
                       [3.0, 1.0], [np.nan, 0.0], [0.0, 1.0]])
@@ -323,10 +348,35 @@ def _probe_kmeans(kernels: Kernels) -> str | None:
     return None
 
 
+# Losses whose math.fsum a sum that is not exactly rounded gets wrong:
+# cancellation down to a term 200 orders of magnitude below the others, a
+# tie that a partial below it breaks, subnormals that cancel normal
+# numbers, the largest double cancelled, ten equal terms whose float sum
+# drifts, and no terms or a -0.0, which sum to +0.0; then sums that fsum
+# refuses or makes infinite: an intermediate overflow, an inf and a NaN.
+_SUM_PROBES = (
+    (1e100, 1.0, -1e100, 1e-100), (1e-16, 1.0, 1e16),
+    (5e-324, 5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308),
+    (1.7976931348623157e308, 1.0, -1.7976931348623157e308), (0.1,) * 10, (), (-0.0,),
+    (1e308, 1e308, -1e308), (math.inf, 1.0), (math.nan,),
+)
+
+
+def _fsum(values) -> float | None:
+    """The reference sum of the sum probe: math.fsum, or None where it
+    raises or gives an inf or a NaN."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):
+        return None
+    return total if math.isfinite(total) else None
+
+
 def _probe_tree(kernels: Kernels) -> str | None:
     """Where `tree_feed` and the oracle replay of the tree's feeding
     orders, or `standard_feed` and standard CV's Python loop, disagree on
-    a pinned probe, or None.
+    a pinned probe, or `exact_sum` and math.fsum on `_SUM_PROBES`, or
+    None.
 
     Each learner (k-means only if `kmeans()` passed) runs a tree of six
     ragged chunks, and their six folds of standard CV in two calls, in
@@ -336,13 +386,26 @@ def _probe_tree(kernels: Kernels) -> str | None:
     `predict_many`'s changes its last bits.  Each fold's reference is
     `predict_many` of a model fed by the Python update: for the tree its
     `tree_feed_orders` order, for standard CV its `_train_rows`, shuffled
-    by `_shuffled_order` without the kernels when randomized.
+    by `_shuffled_order` without the kernels when randomized.  At every
+    other width of each ordering, the same calls run again under one of
+    the losses the kernels score for the learner (`learners._Feed.code`),
+    each in turn, and their scores must be `core.chunk_scores` of the
+    reference predictions.
     """
-    from .core import IncrementalLearner, Partition, check_partition
+    from .core import IncrementalLearner, Partition, check_partition, chunk_scores
     from .learners import COMPILED, LsqSgd, OnlineKMeans, Pegasos
     from .rng import derive_seed
     from .standard import TAG_FOLD_SHUFFLE, _shuffled_order, _train_rows
     from .tree import TAG_NODE_SHUFFLE, tree_feed_orders
+
+    out = np.empty(1)
+    for values in _SUM_PROBES:
+        array = np.array(values, dtype=np.float64)
+        refused = kernels.exact_sum(array.ctypes.data, len(array), out.ctypes.data)
+        expected = _fsum(values)
+        if (expected is None) != bool(refused) or (
+                expected is not None and out.tobytes() != struct.pack("d", expected)):
+            return f"exact_sum of {values} is not math.fsum's"
 
     part = Partition((0, 2, 3, 7, 8, 12, 13))
     bounds = check_partition(part)
@@ -353,7 +416,10 @@ def _probe_tree(kernels: Kernels) -> str | None:
         orders["standard_feed", ordering] = [
             _train_rows(part, fold) if seed is None else _shuffled_order(None, part, seed, fold)
             for fold in range(part.k)]
-    for d in (0, 1, 2, 3, 7, 8, 9, 17, 33):
+    # the chunks of each call, with the tag of its seed
+    heads = {"tree_feed": ([(0, part.k - 1)], TAG_NODE_SHUFFLE),
+             "standard_feed": ([(0, 1, part.k), (2, part.k - 1, part.k)], TAG_FOLD_SHUFFLE)}
+    for width, d in enumerate((0, 1, 2, 3, 7, 8, 9, 17, 33)):
         i = np.arange(part.n * d)
         x = (np.sin(i * 1.3 + 0.2) * 10.0 ** (i * 7 % 17 - 8)).reshape(part.n, d)
         y = np.where(np.arange(part.n) % 3, 1.0, -1.0)
@@ -361,24 +427,33 @@ def _probe_tree(kernels: Kernels) -> str | None:
         if kernels.kmeans() is not None:
             protos.append(OnlineKMeans(d, 3))
         for proto, (kernel, ordering) in itertools.product(protos, orders):
-            name, state, seed = type(proto).__name__, COMPILED[type(proto)](proto), seeds[ordering]
-            if kernel == "tree_feed":
-                runs = [state.run_subtree(kernels, bounds, 0, part.k - 1, x, y,
-                                          seed and derive_seed(seed, TAG_NODE_SHUFFLE))]
-            else:
-                runs = [state.run_folds(kernels, bounds, first, last, x, y,
-                                        seed and derive_seed(seed, TAG_FOLD_SHUFFLE))
-                        for first, last in ((0, 1), (2, part.k - 1))]
-            if None in runs:
-                return f"{kernel} failed on {name} at d={d}"
+            name, state = type(proto).__name__, COMPILED[type(proto)](proto)
+            calls, tag = heads[kernel]
+            seed = seeds[ordering] and derive_seed(seeds[ordering], tag)
             expected = []
             for fold, order in enumerate(orders[kernel, ordering]):
                 model = proto.fresh()
                 IncrementalLearner.update(model, x[order], y[order])
                 expected.append(model.predict_many(x[part.chunk_slice(fold)]))
-            if (b"".join(ran[0].tobytes() for ran in runs)
-                    != np.concatenate(expected).tobytes()):
-                return f"{kernel}'s {name} predictions at d={d} are not predict_many's"
+            predicted = np.concatenate(expected)
+            runs = [(None, 0)]  # the predictions
+            scored = [(loss, code) for loss, code in state.losses if state.code(kernels, loss)]
+            turn = width + (ordering == "randomized")
+            if scored and turn % 2 == 0:  # and at every other width, a scored loss in turn
+                runs.append(scored[turn // 2 % len(scored)])
+            for loss, code in runs:
+                for head in calls:
+                    ran = state.call(getattr(kernels, kernel), code, head, bounds, x, y, seed)
+                    if ran is None:
+                        return f"{kernel} failed on {name} at d={d}"
+                    rows = slice(bounds[head[0]], bounds[head[1] + 1])
+                    if loss is None:
+                        if ran[0].tobytes() != predicted[rows].tobytes():
+                            return f"{kernel}'s {name} predictions at d={d} are not predict_many's"
+                    elif ran[0].tobytes() != np.array(chunk_scores(
+                            loss, predicted[rows], x[rows], y[rows], bounds, *head[:2])).tobytes():
+                        return (f"{kernel}'s {name} {loss.name} scores at d={d} are not "
+                                f"chunk_scores'")
     return None
 
 

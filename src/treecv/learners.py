@@ -40,18 +40,23 @@ checks against this numpy's einsum.  Their `update` hands the kernel a
 copy of the model's state (`PegasosFeed`, `LsqSgdFeed`, `KMeansFeed`,
 checked by one `_Feed.feed_rows`) and any C-contiguous float64 batch of
 at least `min_rows` rows, labeled for the linear two.  On a 2-vCPU
-Xeon VM a point then costs ~35 ns (Pegasos) or ~47 ns (LsqSgd) at d=20,
-and ~47 ns (k-means) at d=10 and K=5 (`feed_rows`, minimum of 31 feeds
-of 200,000 rows), against ~1.6, ~4-7 and ~8-10 us in Python.  Without a
+Xeon VM a point then costs ~26-27 ns (Pegasos) or ~30-32 ns (LsqSgd) at
+d=20 in the AVX2 clone of the linear row loop, which the loader picks on
+a CPU with AVX2 (~31 and ~42 ns in the baseline one), and ~47-48 ns
+(k-means) at d=10 and K=5 (`feed_rows`, minimum of 20 feeds of 100,000
+rows), against ~1.6, ~4-7 and ~8-10 us in Python.  Without a
 C compiler, or when the kernel raises a floating-point flag, the Python
 update runs, with its own warnings and errors; k-means also runs in
 Python where numpy's einsum sums in another order.  From the same copy
 of a model's state, the tree runs a whole subtree in one `tree_feed`
 call (`tree._subtree`), and standard CV a group of folds in one
 `standard_feed` call (`standard._compiled_folds`); `compiled_feed` says
-which models both take.  Either takes any loss: `core.chunk_scores`
-scores their predictions at once for a loss with a batch form, and one
-row at a time, as `evaluate_chunk` does, for any other.
+which models both take.  Either takes any loss.  Each scores the
+built-in losses its learner predicts for in C (`_Feed.losses`):
+`ZERO_ONE` and `SQUARED` for the linear two, `QUANTIZATION` for k-means.
+Any other loss, and a chunk whose sum C refuses, is scored from the
+predictions by `core.chunk_scores`: at once for a loss with a batch
+form, and one row at a time, as `evaluate_chunk` does, for any other.
 """
 
 from __future__ import annotations
@@ -61,7 +66,15 @@ import math
 import numpy as np
 
 from . import _native
-from .core import IncrementalLearner, LabelRequiredError, UntrainedModelError
+from .core import (
+    QUANTIZATION,
+    SQUARED,
+    ZERO_ONE,
+    IncrementalLearner,
+    LabelRequiredError,
+    UntrainedModelError,
+    chunk_scores,
+)
 
 
 def _exact_add(partials: list[float], value: float) -> None:
@@ -324,6 +337,9 @@ class _Feed:
     dtypes: tuple[type, ...] = ()
     shapes: tuple[str, ...] = ()  # per field: "k" a row per cluster, "d" an element per feature
     kind = -1
+    # the built-in losses the kernels score for the learner, each with the
+    # number `_kernels.c` gives it
+    losses: tuple = ()
     parameter = ""
     labeled = True  # whether the kernels read a label per row
     vector_predictions = False  # whether `predict_many` gives d values per row
@@ -372,41 +388,77 @@ class _Feed:
                                      x.ctypes.data, y.ctypes.data if self.labeled else None)
 
     def run_subtree(self, kernels: "_native.Kernels", bounds: np.ndarray, s: int, e: int,
-                    x: np.ndarray, y: np.ndarray | None, shuffle_seed: int | None):
+                    x: np.ndarray, y: np.ndarray | None, shuffle_seed: int | None,
+                    loss=None):
         """Run subtree s..e of the tree's recursion over the chunks that
         `bounds` (int64) delimits by one `tree_feed` call, from this copy,
         which it only reads: fixed order, or randomized with `shuffle_seed`
         (derive_seed(run seed, TAG_NODE_SHUFFLE)).  x (and y, for the
         linear learners) must be C-contiguous float64 rows and labels the
         model takes.  Gives each leaf's `predict_many` of its chunk, rows
-        bounds[s] to bounds[e + 1] - 1 in order, and the point updates and
+        bounds[s] to bounds[e + 1] - 1 in order, or under `loss` the fold
+        scores of chunks s..e (see `_run`), and the point updates and
         model transfers as an int64 pair, or None when the kernel failed:
         a raised flag, a failed k-means step or a k-means leaf with no
-        center, which the recursion then meets."""
-        return self._run(kernels.tree_feed, (s, e), bounds, x, y, shuffle_seed)
+        center, which the recursion then meets, or the loss failed."""
+        return self._run(kernels, kernels.tree_feed, (s, e), bounds, x, y, shuffle_seed, loss)
 
     def run_folds(self, kernels: "_native.Kernels", bounds: np.ndarray, first: int, last: int,
-                  x: np.ndarray, y: np.ndarray | None, fold_seed: int | None):
+                  x: np.ndarray, y: np.ndarray | None, fold_seed: int | None, loss=None):
         """Run folds first..last of standard CV by one `standard_feed`
         call, each from this copy, as `run_subtree` runs a subtree: fixed
         order, or randomized with `fold_seed` (derive_seed(run seed,
-        TAG_FOLD_SHUFFLE)).  Gives each fold's `predict_many` of its chunk
-        and the counts as `run_subtree` does, or None when the kernel
-        failed, which the Python loop then meets."""
-        return self._run(kernels.standard_feed, (first, last, len(bounds) - 1), bounds, x, y,
-                         fold_seed)
+        TAG_FOLD_SHUFFLE)).  Gives each fold's `predict_many` of its chunk,
+        or under `loss` its score, and the counts as `run_subtree` does,
+        or None when the kernel or the loss failed, which the Python loop
+        then meets."""
+        return self._run(kernels, kernels.standard_feed, (first, last, len(bounds) - 1), bounds,
+                         x, y, fold_seed, loss)
 
-    def _run(self, kernel, head: tuple, bounds: np.ndarray, x: np.ndarray, y: np.ndarray | None,
-             seed: int | None):
-        """Call `kernel` with the learner, `head` (the chunks it runs from
-        `head[0]` to `head[1]`, and for `standard_feed` their count), the
-        data, the seed and this copy."""
-        rows = int(bounds[head[1] + 1] - bounds[head[0]])
-        out = np.empty((rows, x.shape[1]) if self.vector_predictions else rows)
+    def code(self, kernels: "_native.Kernels", loss) -> int:
+        """The number `tree_feed` and `standard_feed` score `loss` by for
+        this learner (`losses`), or 0 when they leave it to Python."""
+        return next((code for scored, code in self.losses if scored is loss), 0)
+
+    def _run(self, kernels: "_native.Kernels", kernel, head: tuple, bounds: np.ndarray,
+             x: np.ndarray, y: np.ndarray | None, seed: int | None, loss):
+        """The output of `kernel` (see `call`): with no loss, predictions.
+        Under a loss the kernel scores (`code`), its scores, unless the
+        kernel fails, which a sum that meets an inf, a NaN or an overflow
+        makes it do; then, and under any other loss, its predictions
+        scored by `core.chunk_scores`, which raises or reports what the
+        Python path does.  None where the kernel or the loss failed."""
+        code = 0 if loss is None else self.code(kernels, loss)
+        if code and (ran := self.call(kernel, code, head, bounds, x, y, seed)) is not None:
+            return ran
+        ran = self.call(kernel, 0, head, bounds, x, y, seed)
+        if ran is None or loss is None:
+            return ran
+        first, last = head[0], head[1]
+        rows = slice(bounds[first], bounds[last + 1])
+        try:
+            return chunk_scores(loss, ran[0], x[rows], None if y is None else y[rows], bounds,
+                                first, last), ran[1]
+        except Exception:  # the loss, or a chunk's sum, failed
+            return None
+
+    def call(self, kernel, code: int, head: tuple, bounds: np.ndarray, x: np.ndarray,
+             y: np.ndarray | None, seed: int | None):
+        """Call `kernel` with the learner, the loss `code` (0: none),
+        `head` (the chunks it runs from `head[0]` to `head[1]`, and for
+        `standard_feed` their count), the data, the seed and this copy.
+        Gives the predictions of rows bounds[head[0]] to bounds[head[1] +
+        1] - 1, or under a loss the scores of chunks head[0] to head[1],
+        and the counts, or None when the kernel failed."""
+        first, last = head[0], head[1]
+        rows = int(bounds[last + 1] - bounds[first])
+        out = np.empty(last - first + 1 if code else
+                       (rows, x.shape[1]) if self.vector_predictions else rows)
         counts = np.zeros(2, dtype=np.int64)
         if kernel(self.kind, *head, bounds.ctypes.data, x.shape[1], x.ctypes.data,
                   None if y is None else y.ctypes.data, seed is not None, seed or 0,
-                  self.param, self.k, *self.pointers(), out.ctypes.data, counts.ctypes.data):
+                  self.param, self.k, *self.pointers(), code, out.ctypes.data,
+                  counts.ctypes.data):
             return None
         return out, counts
 
@@ -436,6 +488,7 @@ class _LinearFeed(_Feed):
 
     floats: tuple[str, ...] = ()
     vectors: tuple[str, ...] = ()
+    losses = ((ZERO_ONE, 1), (SQUARED, 2))
 
     @classmethod
     def takes(cls, kernels: "_native.Kernels", model: IncrementalLearner, x: np.ndarray,
@@ -490,6 +543,7 @@ class KMeansFeed(_Feed):
 
     fields, dtypes, kind = ("centers", "counts", "n_centers"), (np.float64, np.int64, np.int64), 2
     shapes, labeled, vector_predictions = ("kd", "k", "1"), False, True
+    losses = ((QUANTIZATION, 3),)
     # `update` runs a batch of fewer rows in Python.  On a 2-vCPU Xeon VM,
     # at d in {2, 10, 50, 200} and K in {3, 5, 8}, a call costs ~12-18 us,
     # most of it checks, copies of the state and ctypes' pointers, against
@@ -498,6 +552,11 @@ class KMeansFeed(_Feed):
     # / 0.32 / 0.38 s at LOOCV and 0.088 / 0.083 / 0.088 / 0.128 s at
     # k=1000 with a cut at 1 / 2 / 3 / 8 rows, and 0.61 / 0.44 s in Python.
     min_rows = 2
+
+    def code(self, kernels: "_native.Kernels", loss) -> int:
+        """`_Feed.code`, where `Kernels.kmeans` found that the distances
+        the kernel computes are the QUANTIZATION loss's, else 0."""
+        return super().code(kernels, loss) if kernels.quantization else 0
 
     @classmethod
     def takes(cls, kernels: "_native.Kernels", model: OnlineKMeans, x: np.ndarray,
@@ -532,9 +591,11 @@ def compiled_feed(model: IncrementalLearner, x: np.ndarray, y: np.ndarray | None
     They run it with the compiled kernels loaded and their self-check
     (`Kernels.tree`) passed, for a model of an exact compiled type that
     holds state the kernels read as its Python update does, for the rows
-    of the data and with the labels it needs (`takes`).  Any loss scores
-    its predictions (`core.chunk_scores`): a loss without a batch form
-    one row at a time, as `evaluate_chunk` scores `predict` of each row.
+    of the data and with the labels it needs (`takes`).  Any loss: the
+    kernels score a built-in one the learner predicts for (`_Feed.code`),
+    and `core.chunk_scores` any other from the predictions, a loss
+    without a batch form one row at a time, as `evaluate_chunk` scores
+    `predict` of each row.
     """
     feed = COMPILED.get(type(model))
     if (feed is None or (kernels := _native.kernels()) is None

@@ -12,10 +12,11 @@ self-check (`Kernels.tree`), every fold's model is of one exact
 and parameter (`learners.compiled_feed`), one C call, `standard_feed`,
 runs each group of folds (all k, or one worker's), under any loss: it
 copies the fresh state into a slot per fold, feeds it the other chunks'
-rows, read from x by index in the fold's order, and writes the fold's
-predictions into one array, which `core.chunk_scores` scores, at once
-for a loss with a batch form and one row at a time for any other, as
-the tree's `tree_feed` does a subtree.
+rows, read from x by index in the fold's order, and scores the fold in
+C under the built-in loss of its learner, or writes its predictions
+into one array, which `core.chunk_scores` scores, at once for a loss
+with a batch form and one row at a time for any other, as the tree's
+`tree_feed` does a subtree.
 Every model gets the rows, the order and the bits the Python loop gives
 it, and every fold its score.  The Python loop is the reference: it
 runs any other learner, a factory whose models differ, the oracle's
@@ -48,7 +49,6 @@ from .core import (
     check_integer,
     check_ordering,
     check_partition,
-    chunk_scores,
     evaluate_chunk,
     make_report,
     partition as make_partition,
@@ -145,18 +145,13 @@ def _compiled_folds(compiled, models, dataset, partition, loss, folds):
         if (compiled_feed(model, x, y) is not feed or other.param != state.param
                 or any(a.tobytes() != b.tobytes() for a, b in zip(other.arrays, state.arrays))):
             return None
-    ran = state.run_folds(_native.kernels(), bounds, folds[0], folds[-1], x, y, fold_seed)
+    ran = state.run_folds(_native.kernels(), bounds, folds[0], folds[-1], x, y, fold_seed, loss)
     if ran is None:
         return None
-    predictions, (updates, transfers) = ran
-    rows = slice(partition.bounds[folds[0]], partition.bounds[folds[-1] + 1])
-    try:
-        scores = chunk_scores(loss, predictions, x[rows], None if y is None else y[rows],
-                              partition.bounds, folds[0], folds[-1])
-    except Exception:  # the loss, or a chunk's sum, failed
-        return None
+    scores, (updates, transfers) = ran
+    b = partition.bounds
     return scores, WorkCounters(point_updates=int(updates), model_transfers=int(transfers),
-                                evaluations=rows.stop - rows.start)
+                                evaluations=b[folds[-1] + 1] - b[folds[0]])
 
 
 def _report(groups, wall: float, ordering: str, seed: int, forks: int = 0) -> CvReport:

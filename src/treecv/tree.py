@@ -31,11 +31,12 @@ node above it that does not fork, runs its subtree as one unit
 (`_native`) and the model's exact type is `Pegasos`, `LsqSgd` or
 `OnlineKMeans` (`learners.COMPILED`), one C call, `tree_feed`, runs the
 whole subtree under any loss: the same recursion, with a memcpy for each
-preserved model, and each leaf's predictions written to one array, which
+preserved model, and each leaf's score under the built-in loss of its
+learner computed in C, or its predictions written to one array, which
 `core.chunk_scores` scores, at once for a loss with a batch form and one
-row at a time for any other.  Every model gets the rows, the order and
-the bits the recursion gives it, and every fold the score
-`evaluate_chunk` gives it.  Any other learner, including
+row at a time for any other (`learners._Feed.run_subtree`).  Every model
+gets the rows, the order and the bits the recursion gives it, and every
+fold the score `evaluate_chunk` gives it.  Any other learner, including
 a subclass of those three (it may override `_update_point`), and every
 learner without the kernels, runs the recursion in Python, which holds
 only the log2(k) models of one root-to-leaf path; there the `update` of
@@ -87,7 +88,6 @@ from .core import (
     check_integer,
     check_ordering,
     check_partition,
-    chunk_scores,
     evaluate_chunk,
     make_report,
     partition as make_partition,
@@ -105,22 +105,24 @@ TAG_NODE_SHUFFLE = 2
 # (`_right_pays`).  A fork pays once that branch's work exceeds the fork's
 # cost over 2 - s, where s is how much two busy processes slow each other.
 # `python3 tools/fork_floor.py` on a 2-vCPU Xeon VM, three runs (medians
-# of 9, the sides rotating): a fork of a no-op plus its join 2.7-5.6 ms;
-# a sequential k=16 estimate of n=40,000 spends 40-52 (Pegasos), 90-108
-# (LsqSgd) and 75-143 (OnlineKMeans) ns per point update; and a root
+# of 9, the sides rotating): a fork of a no-op plus its join 2.6-3.5 ms;
+# a sequential k=16 estimate of n=40,000 spends 24-37 (Pegasos), 58-106
+# (LsqSgd) and 62-99 (OnlineKMeans) ns per point update; and a root
 # forced to fork at 2 workers, against the sequential estimate, ran
-#   k=16 LsqSgd, right branch of  80,000 updates: 16.2-26.8 / 10.1-15.8 ms
-#                                160,000 updates: 24.1-43.4 / 30.0-31.6 ms
-#                                240,000 updates: 32.3-45.8 / 43.7-48.1 ms
-#                                320,000 updates: 32.8-39.9 / 51.9-59.7 ms
-#   Pegasos LOOCV,               143,616 updates: 14.5-18.0 / 8.2-13.7 ms
-#                                307,232 updates: 29.3-30.7 / 30.4-31.6 ms
-# Forking loses up to ~150,000 updates, wins or loses by turns at 160,000
-# and wins from 240,000; with s ~ 1.5, a 4 ms fork over 2 - s at 40-100
-# ns per update puts the turn at 80,000-200,000.  The floor sits above
-# every size at which the fork lost in all three runs and below every
-# size at which it won in all three.
-FORK_FLOOR = 200_000
+#   k=16 LsqSgd, right branch of    80,000 updates: 8.3-18.7 / 5.8-9.5 ms
+#                                  160,000 updates: 15.3-26.9 / 11.3-18.7 ms
+#                                  240,000 updates: 19.6-33.1 / 16.8-27.3 ms
+#                                  320,000 updates: 22.3-27.9 / 24.3-37.9 ms
+#                                1,280,000 updates: 83.5-90.4 / 133.7-158.1 ms
+#   Pegasos LOOCV,                 143,616 updates: 13.3-15.8 / 7.6-12.5 ms
+#                                  307,232 updates: 21.7-25.8 / 18.1-26.8 ms
+# Forking loses up to 240,000 updates, wins or loses by turns at
+# 307,000-320,000 and wins at 1,280,000; with s ~ 1.5, a 3 ms fork over
+# 2 - s at 25-100 ns per update puts the turn at 60,000-240,000.  The
+# floor sits above every size at which the fork lost in all three runs
+# and below every size at which it won in all three.  It was 200,000
+# while an LsqSgd update cost 90-108 ns; cheaper updates moved it up.
+FORK_FLOOR = 300_000
 
 
 @dataclass(frozen=True)
@@ -317,22 +319,17 @@ def _subtree(run: _Run, feed, s: int, e: int, model: IncrementalLearner) -> bool
     order meets first and raises it, an update's with its chunk range, or,
     if it meets none, gives the sequential results.
     """
-    x, y = run.dataset.x, run.dataset.y
-    ran = feed(model).run_subtree(_native.kernels(), run.row_bounds, s, e, x, y,
-                                  run.shuffle_seed if run.ordering == "randomized" else None)
+    ran = feed(model).run_subtree(_native.kernels(), run.row_bounds, s, e, run.dataset.x,
+                                  run.dataset.y,
+                                  run.shuffle_seed if run.ordering == "randomized" else None,
+                                  run.loss)
     if ran is None:
         return False
-    predictions, (updates, transfers) = ran
+    run.fold_scores[s:e + 1], (updates, transfers) = ran
     b = run.partition.bounds
-    rows = slice(b[s], b[e + 1])
-    try:
-        run.fold_scores[s:e + 1] = chunk_scores(run.loss, predictions, x[rows],
-                                                None if y is None else y[rows], b, s, e)
-    except Exception:  # the loss, or a chunk's sum, failed
-        return False
     run.counters.merge(WorkCounters(
         point_updates=int(updates), snapshots=e - s, nodes_visited=2 * (e - s) + 1,
-        model_transfers=int(transfers), evaluations=rows.stop - rows.start))
+        model_transfers=int(transfers), evaluations=b[e + 1] - b[s]))
     return True
 
 

@@ -54,6 +54,41 @@ def test_a_run_without_a_result_is_recorded_as_failed(tmp_path):
     assert bench["workloads"]["no-such-workload"]["metrics"]["cv_s"]["n"] == 0
 
 
+def _load_recorder():
+    spec = importlib.util.spec_from_file_location("bench_record", RECORDER)
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    return recorder
+
+
+def test_the_claim_rule_needs_nine_wins_in_ten_and_a_gap_beyond_the_spread():
+    """`_pairs` meets the claim rule where this checkout wins at least 9 of
+    10 pairs and its median beats REV's by more than REV's quartile
+    spread: not where it wins all 10 by less than that spread, nor where
+    it wins 8 by more, and in the direction the metric declares."""
+    recorder = _load_recorder()
+    rev = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+
+    def pairs(this, better="lower", against=rev):
+        return recorder._pairs(recorder._summary(dict(enumerate(this)), "s"),
+                               recorder._summary(dict(enumerate(against)), "s"), better)
+
+    met = pairs([v - 0.1 for v in rev])
+    assert (met["wins"], met["claim_rule"]) == (10, True)
+    assert met["against_spread"] < 0.1
+    inside = pairs([v - 0.005 for v in rev])
+    assert (inside["wins"], inside["claim_rule"]) == (10, False)
+    assert inside["against_spread"] > 0.005
+    eight = pairs([v - 0.1 for v in rev[:8]] + [v + 0.01 for v in rev[8:]])
+    assert (eight["wins"], eight["losses"], eight["claim_rule"]) == (8, 2, False)
+    assert eight["median_change"] < -0.05
+    nine = pairs([v - 0.1 for v in rev[:9]] + [rev[9] + 0.01])
+    assert (nine["wins"], nine["claim_rule"]) == (9, True)
+    assert pairs([v + 0.1 for v in rev], "higher")["claim_rule"] is True
+    assert pairs([v - 0.1 for v in rev], "higher")["claim_rule"] is False
+    assert pairs([], against=[])["claim_rule"] is False
+
+
 def test_tiny_record_against_a_revision_alternates_the_sides(monkeypatch):
     """Both sides run from fresh copies, neither from the repository root:
     this checkout's side from its files, REV's from REV's, and both
@@ -65,9 +100,7 @@ def test_tiny_record_against_a_revision_alternates_the_sides(monkeypatch):
         pytest.skip(f"not a git checkout: {head.stderr.strip()}")
     worktrees = subprocess.run(["git", "worktree", "list"], cwd=ROOT, capture_output=True,
                                text=True).stdout
-    spec = importlib.util.spec_from_file_location("bench_record", RECORDER)
-    recorder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(recorder)
+    recorder = _load_recorder()
     module = pathlib.Path("src", "treecv", "tree.py")
     sources = {"this": (ROOT / module).read_bytes(), "against": subprocess.run(
         ["git", "show", f"HEAD:{module.as_posix()}"], cwd=ROOT, capture_output=True,

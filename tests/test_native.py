@@ -1,9 +1,11 @@
 """The compiled per-point kernels: the loader and its reasons, and the
 floating-point exceptions the kernels hand back to the Python update."""
 
+import math
 import platform
 import re
 import shutil
+import struct
 import sys
 import time
 import warnings
@@ -12,6 +14,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treecv import (
     QUANTIZATION,
@@ -430,3 +433,105 @@ def test_a_kmeans_overflow_in_the_tree_is_the_python_paths_update_failure(monkey
             loocv(lambda: OnlineKMeans(4, 3), data, QUANTIZATION, config)
         ranges.append(info.value.chunk_range)
     assert ranges[0] == ranges[1]
+
+
+# ---------------------------------------------------------------------------
+# The chunk sum of `tree_feed` and `standard_feed`: math.fsum in C
+
+
+def exact_sum(kernels, values):
+    """`exact_sum` of the values: their sum, or None where it refuses them."""
+    array = np.array(values, dtype=np.float64)
+    out = np.empty(1)
+    refused = kernels.exact_sum(array.ctypes.data, len(array), out.ctypes.data)
+    return None if refused else out[0]
+
+
+def fsum(values):
+    """math.fsum of the values, or None where it raises or gives an inf or
+    a NaN, which sends a chunk to the Python path."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):
+        return None
+    return total if math.isfinite(total) else None
+
+
+def wide(mantissa: float, exponent: int) -> float:
+    return math.ldexp(mantissa, exponent)
+
+
+@st.composite
+def sums(draw):
+    """Values to sum: runs of finite doubles from anywhere in the range,
+    subnormals, doubles of any exponent, long runs of one value, and now
+    and then an inf, a NaN or a double near the largest; some of them
+    cancelled by their negations, in any order."""
+    piece = st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+        st.lists(st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308), max_size=6),
+        st.lists(st.builds(wide, st.floats(-1.0, 1.0), st.integers(-1074, 1023)), max_size=6),
+        st.builds(lambda value, count: [value] * count,
+                  st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 300)),
+        st.lists(st.sampled_from([math.inf, -math.inf, math.nan, 1.7976931348623157e308,
+                                  -1.7976931348623157e308, 8.98846567431158e307]), max_size=2),
+    )
+    values = [value for part in draw(st.lists(piece, max_size=6)) for value in part]
+    cancelled = draw(st.lists(st.sampled_from(values), max_size=6)) if values else []
+    return draw(st.permutations(values + [-value for value in cancelled]))
+
+
+# `kernels` is the same object in every example
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sums())
+def test_the_chunk_sum_is_math_fsum(kernels, values):
+    """`exact_sum`, the sum `tree_feed` and `standard_feed` score a chunk
+    by, gives math.fsum's bits, and refuses the values exactly where fsum
+    raises or gives an inf or a NaN: cancellation, subnormals, every
+    exponent, long runs of one value and non-finite values."""
+    expected = fsum(values)
+    total = exact_sum(kernels, values)
+    assert (total is None) == (expected is None)
+    if expected is not None:
+        assert struct.pack("<d", total) == struct.pack("<d", expected)
+
+
+def test_the_chunk_sum_breaks_a_tie_as_math_fsum_does(kernels):
+    """Pinned sums that a sum not exactly rounded gets wrong: a tie that
+    a partial below it breaks, a term lost to cancellation, ten equal
+    terms whose float sum drifts, and the largest double plus a quarter
+    of its last place and more, which fsum rounds down to it."""
+    for values in ([1e-16, 1.0, 1e16], [1e100, 1.0, -1e100], [0.1] * 10,
+                   [1.7976931348623157e308, 2.0 ** 969, 1e-300],
+                   [5e-324, -5e-324, -0.0], []):
+        assert struct.pack("<d", exact_sum(kernels, values)) == struct.pack("<d", fsum(values))
+
+
+def test_kmeans_scores_its_predictions_where_the_quantization_check_fails(monkeypatch):
+    """Where `Kernels.kmeans` found that np.einsum("...i,...i->...") sums
+    otherwise than the kernel's distances (`quantization` False),
+    `tree_feed` and `standard_feed` write k-means predictions, which
+    `core.chunk_scores` scores, to the reports of the kernel's own
+    scores."""
+    loaded = _native.kernels()
+    if loaded is None or loaded.kmeans() is None or loaded.tree() is None:
+        pytest.skip(f"k-means or tree_feed runs in Python here: {_native.reason()}")
+    assert loaded.quantization
+    data = Dataset(synth_blobs(300, 4, 3, seed=2).x)
+    part = partition(data, 10)
+    codes = []
+    call = KMeansFeed.call
+    monkeypatch.setattr(KMeansFeed, "call",
+                        lambda self, kernel, code, *rest: codes.append(code)
+                        or call(self, kernel, code, *rest))
+
+    def reports():
+        factory = lambda: OnlineKMeans(4, 3)  # noqa: E731
+        return (tree_cv(factory, data, part, QUANTIZATION).comparable(),
+                standard_cv(factory, data, part, QUANTIZATION, "randomized", 4).comparable())
+
+    scored = reports()
+    monkeypatch.setattr(loaded, "quantization", False)
+    assert reports() == scored
+    assert codes == [3, 3, 0, 0]

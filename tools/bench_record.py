@@ -32,7 +32,11 @@ the first seed, REV first at the second, and so on.  Per workload the
 file then also holds REV's metrics and runs (`against`), which side ran
 first at each seed (`first`), and per metric (`pairs`) how many pairs
 this checkout won, lost and tied by the metric's declared direction,
-with the relative change of the median and REV's quartile spread.  Host drift between
+with the relative change of the median, REV's quartile spread and
+whether a claimed gain meets the rule that judges one (`claim_rule`):
+wins in at least 9 of 10 pairs, and a median better than REV's by more
+than that spread.  Pairs lean by ~0.5% one way even when both sides run
+the same code, so a win count alone shows no gain.  Host drift between
 two recordings made one after the other moves every metric, so only
 alternating pairs compare a change.
 """
@@ -121,15 +125,21 @@ def _metrics(runs: list[dict], units: dict[str, str]) -> dict:
 
 def _pairs(this: dict, against: dict, better: str) -> dict:
     """How this checkout fared against REV on one metric, pair by pair:
-    `this` and `against` are the two sides' `_summary`."""
+    `this` and `against` are the two sides' `_summary`.  `claim_rule`
+    says whether a claimed gain holds: this checkout won at least 9 of
+    every 10 pairs, and its median is better than REV's by more than
+    REV's quartile spread."""
     seeds = [seed for seed in this["by_seed"] if seed in against["by_seed"]]
     sign = 1 if better == "lower" else -1
     gaps = [sign * (against["by_seed"][seed] - this["by_seed"][seed]) for seed in seeds]
     out = {"better": better, "n": len(gaps), "wins": sum(gap > 0 for gap in gaps),
-           "losses": sum(gap < 0 for gap in gaps), "ties": sum(gap == 0 for gap in gaps)}
+           "losses": sum(gap < 0 for gap in gaps), "ties": sum(gap == 0 for gap in gaps),
+           "claim_rule": False}
     if gaps and against["median"]:
         out.update(median_change=this["median"] / against["median"] - 1,
                    against_spread=against["p75"] - against["p25"])
+        out["claim_rule"] = (10 * out["wins"] >= 9 * len(gaps) and sign * (
+            against["median"] - this["median"]) > out["against_spread"])
     return out
 
 
@@ -189,7 +199,8 @@ def record(label: str, seeds: list[int], seconds: float, workloads: list[str] | 
                            for entry in benchmark["end_to_end"]})
                 for name, pair in results[workload]["pairs"].items():
                     print(f"{workload} {name}: won {pair['wins']}/{pair['n']} against {against}, "
-                          f"median change {pair.get('median_change', float('nan')):+.2%}",
+                          f"median change {pair.get('median_change', float('nan')):+.2%}, "
+                          f"claim rule {'met' if pair['claim_rule'] else 'not met'}",
                           file=sys.stderr)
     out = {
         "label": label,

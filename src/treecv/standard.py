@@ -10,7 +10,8 @@ If the compiled kernels are loaded (`_native`) and pass the schedulers'
 self-check (`Kernels.tree`), every fold's model is of one exact
 `Pegasos`, `LsqSgd` or `OnlineKMeans` type with the first fold's state
 and parameter (`learners.compiled_feed`), one C call, `standard_feed`,
-runs each group of folds (all k, or one worker's), under any loss: it
+runs each group of folds (all k when sequential; whether a group forks
+is the rule of `forkjoin`, see `standard_cv`), under any loss: it
 copies the fresh state into a slot per fold, feeds it the other chunks'
 rows, read from x by index in the fold's order, and scores the fold in
 C under the built-in loss of its learner, or writes its predictions
@@ -51,9 +52,9 @@ from .core import (
     check_partition,
     evaluate_chunk,
     make_report,
-    partition as make_partition,
 )
-from .forkjoin import check_workers, fork, join_all
+from . import forkjoin
+from .forkjoin import check_workers, join_all
 from .learners import compiled_feed, load_kernels
 from .rng import derive_seed, shuffled
 
@@ -175,9 +176,10 @@ def standard_cv(
 
     Fixed ordering feeds each fold's training chunks in dataset order;
     randomized ordering feeds a seeded shuffle of the fold's training
-    points.  Folds are independent, so max_workers > 1 splits them into
-    min(max_workers, k) contiguous groups, each run by its own forked
-    worker process, with bit-identical results.
+    points.  Folds are independent, so they run in min(max_workers, k)
+    contiguous groups (one when max_workers is 0 or 1): this process runs
+    the first, and forks each later group where the rule of `forkjoin`
+    says the fork pays, or else runs it too, with bit-identical results.
     """
     check_ordering(ordering)
     check_workers(max_workers)
@@ -197,17 +199,19 @@ def standard_cv(
         first, feed, bounds,
         derive_seed(seed, TAG_FOLD_SHUFFLE) if ordering == "randomized" else None)
     model_of = lambda fold: first if fold == 0 else learner_factory().fresh()
+    run = partial(_run_folds, model_of, dataset, partition, loss, order_of=order_of,
+                  compiled=compiled)
+    w = min(max(max_workers, 1), k)
+    cuts = [i * (k // w) + min(i, k % w) for i in range(w + 1)]  # as `core.partition` cuts
+    groups = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     start = time.perf_counter()
-    joins = []
-    if max_workers > 1:
-        groups = make_partition(k, min(max_workers, k))
-        joins = [fork(_run_folds, model_of, dataset, partition, loss,
-                      range(g.start, g.stop), order_of, compiled)
-                 for g in map(groups.chunk_slice, range(groups.k))]
-        results = join_all(joins)
-    else:
-        results = [_run_folds(model_of, dataset, partition, loss, range(k), order_of, compiled)]
-    return _report(results, time.perf_counter() - start, ordering, seed, len(joins))
+    # the rule of `forkjoin`: a group after the first forks where the
+    # Python loop runs it, or where its point updates exceed the floor
+    forks = [g.start > 0 and (compiled is None or len(g) * partition.n - int(
+        bounds[g.stop] - bounds[g.start]) > forkjoin.FORK_FLOOR) for g in groups]
+    results = join_all([forkjoin.fork(run, g) if f else partial(run, g)
+                        for g, f in zip(groups, forks)])
+    return _report(results, time.perf_counter() - start, ordering, seed, sum(forks))
 
 
 def brute_force_oracle(

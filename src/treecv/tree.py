@@ -16,14 +16,10 @@ floor(log2(max_workers)) levels of the recursion across worker processes
 made with the POSIX "fork" start method (see `forkjoin`): at a node that
 forks, a worker trains and descends the right branch from a
 copy-on-write image of the node's model, which stands in for the copy,
-and the parent process the left.  A fork pays only for the work it
-moves: one costs a few ms, more than a compiled subtree of ~100,000
-point updates takes.  So a node whose subtree `tree_feed` (below) would
-run forks only when its right branch makes more than `FORK_FLOOR` point
-updates (`_right_pays`); below the floor the subtree runs in this
-process, as in a sequential run.  The Python recursion, whose updates
-cost µs each, forks at every node of those levels.  Each fork counts in
-`WorkCounters.forks`.
+and the parent process the left.  Whether a node forks is the rule
+stated in `forkjoin`, which `_right_pays` applies to the node's right
+branch; a node that does not fork runs its subtree in this process, as
+in a sequential run.
 
 Every node at the fork depth (the root, in a sequential run), and every
 node above it that does not fork, runs its subtree as one unit
@@ -100,30 +96,6 @@ from .rng import derive_seed, shuffled
 # distinct leading tag so no two components share a stream.
 TAG_NODE_SHUFFLE = 2
 
-# Above the fork depth, a node whose subtree `tree_feed` runs forks only
-# when its right branch makes more than this many point updates
-# (`_right_pays`).  A fork pays once that branch's work exceeds the fork's
-# cost over 2 - s, where s is how much two busy processes slow each other.
-# `python3 tools/fork_floor.py` on a 2-vCPU Xeon VM, three runs (medians
-# of 9, the sides rotating): a fork of a no-op plus its join 2.6-3.5 ms;
-# a sequential k=16 estimate of n=40,000 spends 24-37 (Pegasos), 58-106
-# (LsqSgd) and 62-99 (OnlineKMeans) ns per point update; and a root
-# forced to fork at 2 workers, against the sequential estimate, ran
-#   k=16 LsqSgd, right branch of    80,000 updates: 8.3-18.7 / 5.8-9.5 ms
-#                                  160,000 updates: 15.3-26.9 / 11.3-18.7 ms
-#                                  240,000 updates: 19.6-33.1 / 16.8-27.3 ms
-#                                  320,000 updates: 22.3-27.9 / 24.3-37.9 ms
-#                                1,280,000 updates: 83.5-90.4 / 133.7-158.1 ms
-#   Pegasos LOOCV,                 143,616 updates: 13.3-15.8 / 7.6-12.5 ms
-#                                  307,232 updates: 21.7-25.8 / 18.1-26.8 ms
-# Forking loses up to 240,000 updates, wins or loses by turns at
-# 307,000-320,000 and wins at 1,280,000; with s ~ 1.5, a 3 ms fork over
-# 2 - s at 25-100 ns per update puts the turn at 60,000-240,000.  The
-# floor sits above every size at which the fork lost in all three runs
-# and below every size at which it won in all three.  It was 200,000
-# while an LsqSgd update cost 90-108 ns; cheaper updates moved it up.
-FORK_FLOOR = 300_000
-
 
 @dataclass(frozen=True)
 class TreeCvConfig:
@@ -131,9 +103,8 @@ class TreeCvConfig:
 
     max_workers 0 or 1: sequential; larger values are a cap, up to
     `forkjoin.MAX_WORKERS`: the top floor(log2(max_workers)) recursion
-    levels may fork onto worker processes, and a node there whose
-    subtree runs compiled forks only above `FORK_FLOOR` point updates in
-    its right branch.  Negative counts are rejected.  The seed fully
+    levels may fork onto worker processes, where the rule of `forkjoin`
+    says a fork pays.  Negative counts are rejected.  The seed fully
     determines all shuffles regardless of worker count.
     """
 
@@ -230,11 +201,11 @@ def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> N
     """Visit chunk range s..e with a model trained on every other chunk.
 
     Above the fork depth a node forks where its right branch pays for the
-    fork: always in the Python recursion, and for a model that `tree_feed`
-    takes (`learners.compiled_feed`) only above `FORK_FLOOR` point
-    updates.  Down to the fork depth, a node that does not fork runs its
-    whole subtree by one `tree_feed` call where `_subtree` can make it;
-    every other node is visited by `_visit`."""
+    fork, by the rule of `forkjoin`: always in the Python recursion, and
+    for a model that `tree_feed` takes (`learners.compiled_feed`) where
+    `_right_pays`.  Down to the fork depth, a node that does not fork runs
+    its whole subtree by one `tree_feed` call where `_subtree` can make
+    it; every other node is visited by `_visit`."""
     fork = False
     if depth <= run.fork_depth:
         feed = compiled_feed(model, run.dataset.x, run.dataset.y)
@@ -247,17 +218,17 @@ def _node(run: _Run, s: int, e: int, model: IncrementalLearner, depth: int) -> N
 
 def _right_pays(b: np.ndarray, s: int, e: int) -> bool:
     """Whether internal node s..e's right branch makes more than
-    `FORK_FLOOR` point updates (`_right_updates`).  Every leaf of its
-    subtree first..last lies D or D + 1 levels below the subtree's root,
+    `forkjoin.FORK_FLOOR` point updates (`_right_updates`).  Every leaf of
+    its subtree first..last lies D or D + 1 levels below the subtree's root,
     D = floor(log2(last - first + 1)), so the count lies between the rows
     fed to the branch plus D or D + 1 times the subtree's rows; it is
     counted only when the floor falls between the two."""
     (first, last), (fed_first, fed_last) = _branches(s, e)[1]
     fed, rows = int(b[fed_last + 1] - b[fed_first]), int(b[last + 1] - b[first])
-    depth = (last - first + 1).bit_length() - 1
-    if fed + depth * rows > FORK_FLOOR:
+    depth, floor = (last - first + 1).bit_length() - 1, forkjoin.FORK_FLOOR
+    if fed + depth * rows > floor:
         return True
-    return fed + (depth + 1) * rows > FORK_FLOOR and _right_updates(b, s, e) > FORK_FLOOR
+    return fed + (depth + 1) * rows > floor and _right_updates(b, s, e) > floor
 
 
 def _right_updates(b: np.ndarray, s: int, e: int) -> int:

@@ -1,6 +1,6 @@
 import pytest
 
-from treecv import _native, tree
+from treecv import _native, forkjoin
 
 
 @pytest.fixture
@@ -26,4 +26,4 @@ def fork_always(monkeypatch):
     """Set the fork floor to 0: every node above the fork depth forks, as
     the fork-join tests need at their small sizes, where a compiled
     subtree would otherwise run in this process."""
-    monkeypatch.setattr(tree, "FORK_FLOOR", 0)
+    monkeypatch.setattr(forkjoin, "FORK_FLOOR", 0)

@@ -15,16 +15,21 @@ def test_tiny_run_prints_every_measurement():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     kinds = [line.split()[0] for line in lines]
-    assert kinds == ["floor", "kernels", "fork"] + ["update"] * 3 + ["run"] * 8
+    assert kinds == ["floor", "kernels", "fork"] + ["update"] * 3 + ["run"] * 11
     assert re.fullmatch(r"fork +\d+\.\d\d ms .*", lines[2])
     assert [line.split()[1] for line in lines[3:6]] == ["pegasos", "lsqsgd", "kmeans"]
+    problems = [line.split()[1] for line in lines[7:]]
+    assert problems == ["lsqsgd"] * 5 + ["loocv"] * 2 + ["standard"] * 3
     for line in lines[7:]:
         fields = line.split()
-        assert fields[1] in ("lsqsgd", "loocv") and fields[2].isdigit()
+        assert fields[2].isdigit() and fields[10].isdigit()
         assert [fields[i] for i in (4, 6, 8)] == ["ms"] * 3
         forks, forced = map(int, fields[9].split("/"))
+        if fields[1] == "standard":  # the second of k=10 fold groups
+            assert int(fields[10]) == 9 * int(fields[2]) // 2
         # the forced side always forks; the other only above the floor,
-        # which no --tiny size reaches once the kernels run the subtree
+        # which no --tiny size reaches once the kernels run the subtree or
+        # the fold group
         assert forced == 1 and forks == (lines[1].split()[1] != "compiled")
 
 

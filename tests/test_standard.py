@@ -1,5 +1,6 @@
 """Standard k-repetition CV and the explicit-order replay oracle."""
 
+import multiprocessing
 import statistics
 import struct
 import warnings
@@ -30,10 +31,10 @@ from treecv import (
     tree_cv,
     tree_feed_orders,
 )
-from treecv import _native, standard
+from treecv import _native, forkjoin, standard
 from treecv.rng import SplitMix64Stream, derive_seed
 
-from test_tree import LevelCounts, tree_feed_runs
+from test_tree import LevelCounts, refuse_forks, tree_feed_runs
 
 
 def regression_data(n, seed=0):
@@ -113,7 +114,7 @@ def test_randomized_folds_are_the_oracles_replay_of_their_orders():
     assert replay.fold_scores == report.fold_scores
 
 
-def test_parallel_folds_are_bit_identical_to_sequential():
+def test_parallel_folds_are_bit_identical_to_sequential(fork_always):
     ds = synth_classification(60, 4, margin=0.2, noise=0.1, seed=10)
     part = partition(ds, 6)
     factory = lambda: Pegasos(4, 1e-2)
@@ -121,7 +122,103 @@ def test_parallel_folds_are_bit_identical_to_sequential():
         seq = standard_cv(factory, ds, part, ZERO_ONE, ordering, seed=8)
         par = standard_cv(factory, ds, part, ZERO_ONE, ordering, seed=8, max_workers=4)
         assert seq.comparable() == par.comparable()
-        assert (seq.counters.forks, par.counters.forks) == (0, 4)
+        assert (seq.counters.forks, par.counters.forks) == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# The fork rule of `forkjoin`: this process runs the first fold group; a
+# later group forks where the Python loop runs it, or where its point
+# updates exceed `forkjoin.FORK_FLOOR`, and else runs here too.
+
+
+def recording_forks(monkeypatch):
+    """The (first, last) folds of each group `standard_cv` forks, in order."""
+    forked, fork = [], forkjoin.fork
+
+    def recording(fn, *args):
+        forked.append((args[-1].start, args[-1].stop - 1))
+        return fork(fn, *args)
+
+    monkeypatch.setattr(forkjoin, "fork", recording)
+    return forked
+
+
+def group_updates(part, first, last):
+    """The point updates of folds first..last: n less each fold's chunk."""
+    return sum(part.n - part.chunk_size(fold) for fold in range(first, last + 1))
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_compiled_run_below_the_floor_forks_no_group(monkeypatch, workers):
+    """Below the floor a 2- or 4-worker run of a learner that
+    `standard_feed` takes forks no worker and gives the sequential
+    report."""
+    if not tree_feed_runs():
+        pytest.skip("no compiled standard_feed here: the Python loop forks")
+    data = synth_regression(4000, 5, seed=3)
+    part = partition(data, 10)
+    assert group_updates(part, 0, 9) <= forkjoin.FORK_FLOOR
+    sequential = standard_cv(lambda: LsqSgd(5, 0.05), data, part, SQUARED, "randomized", 3)
+    refuse_forks(monkeypatch)
+    report = standard_cv(lambda: LsqSgd(5, 0.05), data, part, SQUARED, "randomized", 3, workers)
+    assert report.comparable() == sequential.comparable()
+    assert report.counters.forks == sequential.counters.forks == 0
+
+
+@pytest.mark.parametrize("group", [(2, 3), (4, 5)])
+def test_a_later_group_forks_from_the_first_update_past_the_floor(monkeypatch, group):
+    """With the floor one below a later group's point updates that group
+    forks, and at its updates it runs in this process; each other group
+    forks exactly where its own updates exceed the floor."""
+    data = synth_regression(63, 2, seed=5)  # chunks of 11, 11, 11, 10, 10, 10 rows
+    part = partition(data, 6)
+    groups = [(0, 1), (2, 3), (4, 5)]
+    updates = group_updates(part, *group)
+    sequential = standard_cv(lambda: LsqSgd(2, 0.01), data, part, SQUARED)
+    for floor in (updates - 1, updates):
+        with monkeypatch.context() as patch:
+            patch.setattr(forkjoin, "FORK_FLOOR", floor)
+            forked = recording_forks(patch)
+            report = standard_cv(lambda: LsqSgd(2, 0.01), data, part, SQUARED, max_workers=3)
+        due = [g for g in groups[1:]
+               if group_updates(part, *g) > floor or not tree_feed_runs()]
+        assert (group in forked) == (floor < updates or not tree_feed_runs())
+        assert forked == due and report.counters.forks == len(due)
+        assert report.comparable() == sequential.comparable()
+    assert multiprocessing.active_children() == []
+
+
+def test_the_python_loop_forks_every_group_but_the_first_whatever_the_floor(monkeypatch):
+    """A subclass of a compiled type runs the Python loop, whose groups
+    after the first fork however few point updates they make."""
+    data = synth_regression(60, 3, seed=8)
+    part = partition(data, 6)
+    sequential = standard_cv(lambda: PlainLsqSgd(3, 0.1), data, part, SQUARED, "randomized", 4)
+    monkeypatch.setattr(forkjoin, "FORK_FLOOR", 10**12)
+    forked = recording_forks(monkeypatch)
+    report = standard_cv(lambda: PlainLsqSgd(3, 0.1), data, part, SQUARED, "randomized", 4, 3)
+    assert forked == [(2, 3), (4, 5)] and report.counters.forks == 2
+    assert report.comparable() == sequential.comparable()
+
+
+class FailingLsqSgd(LsqSgd):
+    """Raises at its first update, naming the first row it was fed."""
+
+    def update(self, x, y=None):
+        raise ValueError(f"fed row {int(x[0, 0])} first")
+
+
+def test_an_error_in_the_first_group_is_raised_first_and_every_worker_reaped(monkeypatch):
+    """Every fold fails; the first group's error, from this process, is
+    the one raised, as in sequential order, after the forked groups'
+    workers, which failed too, have been reaped."""
+    data = Dataset(np.arange(9.0).reshape(9, 1), np.zeros(9))  # x holds the row number
+    part = partition(data, 3)
+    forked = recording_forks(monkeypatch)
+    with pytest.raises(ValueError, match="^fed row 3 first$"):  # fold 0 is fed rows 3..8
+        standard_cv(lambda: FailingLsqSgd(1, 0.1), data, part, SQUARED, max_workers=3)
+    assert forked == [(1, 1), (2, 2)]
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +388,17 @@ def test_compiled_folds_report_what_the_python_loop_reports(n, data, name, order
                                                             d, seed):
     """On ragged chunks and in LOOCV, at 0 and 2 workers, the exact
     learners' report is, byte for byte, that of a subclass with the same
-    rule, which runs the Python loop."""
+    rule, which runs the Python loop; with the fork floor at 0 both fork
+    alike."""
     k = data.draw(st.one_of(st.just(n), st.integers(2, n)), label="k")
     learner, plain, param, make, loss = LEARNERS[name]
     dataset = make(n, d, seed % 1000)
     part = partition(dataset, k)
-    reports = [standard_cv(lambda: cls(d, param), dataset, part, loss, ordering, seed, workers)
-               for cls in (learner, plain)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forkjoin, "FORK_FLOOR", 0)
+        reports = [standard_cv(lambda: cls(d, param), dataset, part, loss, ordering, seed,
+                               workers)
+                   for cls in (learner, plain)]
     assert report_bytes(reports[0]) == report_bytes(reports[1])
     assert reports[0].counters.forks == reports[1].counters.forks
 

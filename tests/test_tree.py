@@ -418,7 +418,7 @@ def test_fork_join_preserves_trace_order():
 
 # ---------------------------------------------------------------------------
 # The fork floor: above the fork depth, a node whose model `tree_feed` takes
-# forks only when its right branch makes more than `tree.FORK_FLOOR` point
+# forks only when its right branch makes more than `forkjoin.FORK_FLOOR` point
 # updates; the Python recursion always forks there.
 
 
@@ -452,7 +452,7 @@ def test_the_right_branch_count_is_the_traced_one_and_decides_the_fork(sizes, of
         assert count == right_updates_of_traces(bounds, s, e)
         for floor in (count + offset, 0, count // 2, 2 * count):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(tree, "FORK_FLOOR", floor)
+                patch.setattr(forkjoin, "FORK_FLOOR", floor)
                 assert tree._right_pays(b, s, e) == (count > floor)
 
 
@@ -465,7 +465,7 @@ def test_a_compiled_subtree_below_the_floor_runs_without_forking(monkeypatch, wo
         pytest.skip("no compiled tree_feed here: the Python recursion forks")
     data = synth_regression(4000, 5, seed=3)
     part = partition(data, 16)
-    assert tree._right_updates(tree.check_partition(part), 0, 15) <= tree.FORK_FLOOR
+    assert tree._right_updates(tree.check_partition(part), 0, 15) <= forkjoin.FORK_FLOOR
     config = TreeCvConfig(ordering="randomized", seed=3)
     sequential = tree_cv(lambda: LsqSgd(5, 0.05), data, part, SQUARED, config)
     refuse_forks(monkeypatch)
@@ -482,16 +482,16 @@ def test_a_compiled_subtree_forks_above_the_floor(monkeypatch):
     first point update past it: with the floor at the right branch's count
     it runs in this process, one update below it and at the package's
     floor (the right branch of k=16 feeds about 2n rows) it forks."""
-    n = tree.FORK_FLOOR // 2 + 16
+    n = forkjoin.FORK_FLOOR // 2 + 16
     data = synth_regression(n, 2, seed=5)
     part = partition(data, 16)
     count = tree._right_updates(tree.check_partition(part), 0, 15)
-    assert count > tree.FORK_FLOOR
+    assert count > forkjoin.FORK_FLOOR
     sequential = tree_cv(lambda: LsqSgd(2, 0.01), data, part, SQUARED)
     for floor in (None, count - 1, count):
         with monkeypatch.context() as patch:
             if floor is not None:
-                patch.setattr(tree, "FORK_FLOOR", floor)
+                patch.setattr(forkjoin, "FORK_FLOOR", floor)
             forked = tree_cv(lambda: LsqSgd(2, 0.01), data, part, SQUARED,
                              TreeCvConfig(max_workers=2))
         assert forked.comparable() == sequential.comparable()
@@ -510,7 +510,7 @@ def test_the_python_recursion_forks_whatever_the_floor(monkeypatch, kernels_off)
     part = partition(data, 8)
     learner = LsqSgd if kernels_off else PlainLsqSgd
     sequential = tree_cv(lambda: learner(3, 0.1), data, part, SQUARED)
-    assert tree._right_updates(tree.check_partition(part), 0, 7) < tree.FORK_FLOOR
+    assert tree._right_updates(tree.check_partition(part), 0, 7) < forkjoin.FORK_FLOOR
     forked = tree_cv(lambda: learner(3, 0.1), data, part, SQUARED, TreeCvConfig(max_workers=2))
     assert forked.comparable() == sequential.comparable()
     assert (forked.counters.forks, sequential.counters.forks) == (1, 0)

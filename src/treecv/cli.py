@@ -76,8 +76,7 @@ def _add_grid_arguments(parser):
     parser.add_argument("--reps", type=int, default=1, metavar="M")
     parser.add_argument("--threads", type=int, default=0, metavar="T",
                         help=f"forked worker processes inside each run, 0 to {MAX_WORKERS} "
-                             "(0 or 1: sequential); a cap: work forks only where the rule "
-                             "of treecv.forkjoin says the fork pays")
+                             "(0 or 1: sequential); a cap: treecv.forkjoin's rule decides")
     parser.add_argument("--update-budget", type=int, default=10_000_000,
                         help="skip standard runs, and tree runs under --verify (whose "
                              "oracle replay does as many updates), whose point updates "

@@ -89,13 +89,18 @@
    training rows, one vector per call; `tree_feed` and `standard_feed`
    run the same loop on each range they feed.
 
-   `parse_sparse` scans sparse text once and converts each number with
-   strtod.  strtod and Python's float() are both correctly rounded (as
-   in Gay's and Clinger's conversions), so every decimal string the
-   grammar admits becomes the double float() gives; the loader checks
-   that on pinned hard cases before first use.  Any line outside its
-   strict grammar, or in error, is handed back, and the caller parses
-   the whole text in Python.  */
+   `parse_sparse` scans sparse text once.  A number of at most 19
+   significant digits w, whose decimal exponent q (its exponent less its
+   fraction's digits) has |q| <= 19, is w * 10**q computed exactly in
+   128-bit integers and rounded once to 53 bits, as in Clinger's and
+   Lemire's conversions; that takes in the `repr` of every double of
+   magnitude in [1e-3, 1e20), and zero.  Any other number goes to strtod.
+   Both are correctly rounded, as Python's float() is, so every decimal
+   string the grammar admits becomes the double float() gives; the
+   loader checks that on pinned hard cases of both before first use.  A
+   compiler without 128-bit integers sends every number to strtod.  Any
+   line outside the strict grammar, or in error, is handed back, and the
+   caller parses the whole text in Python.  */
 
 #include <fenv.h>
 #include <float.h>
@@ -724,6 +729,9 @@ int standard_feed(int64_t kind, int64_t first, int64_t last, int64_t chunks,
    its line to Python.  `repr` of a double is at most 24 characters. */
 #define NUMBER_MAX 64
 
+/* The most significant digits, and the largest |q|, `exact` takes. */
+#define EXACT_DIGITS 19
+
 static int is_digit(char c)
 {
     return c >= '0' && c <= '9';
@@ -734,43 +742,116 @@ static int is_blank(char c)
     return c == ' ' || c == '\t' || c == '\r';
 }
 
+/* Set *out to w * 10**q rounded once to the nearest double, ties to even,
+   and return 1, when w > 0 has at most EXACT_DIGITS digits and |q| <=
+   EXACT_DIGITS; else return 0, as always without 128-bit integers.  The
+   value is m * 2**e plus a sticky part below m's last bit: for q >= 0, m
+   is the 128-bit product w * 10**q and e = 0; for q < 0, m is w shifted
+   to the top of 128 bits and divided by 10**-q, a quotient of at least 64
+   bits whose nonzero remainder is the sticky part.  Rounding m to 53 bits
+   sees every bit of the value, so the double is the correctly rounded
+   one, as float()'s is.  The value lies in [1e-19, 1e38], so it is
+   normal. */
+static int exact(uint64_t w, int64_t digits, int64_t q, double *out)
+{
+#ifdef __SIZEOF_INT128__
+    typedef unsigned __int128 u128;
+    static const uint64_t POW10[EXACT_DIGITS + 1] = {
+        1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 100000000, 1000000000, 10000000000,
+        100000000000, 1000000000000, 10000000000000, 100000000000000, 1000000000000000,
+        10000000000000000, 100000000000000000, 1000000000000000000, 10000000000000000000u};
+    if (digits > EXACT_DIGITS || q < -EXACT_DIGITS || q > EXACT_DIGITS)
+        return 0;
+    u128 m = (u128)w * POW10[q > 0 ? q : 0];
+    int e = 0, sticky = 0;
+    if (q < 0) {
+        e = -64 - __builtin_clzll(w);
+        u128 n = m << -e;
+        m = n / POW10[-q];
+        sticky = m * POW10[-q] != n;
+    }
+    /* Shift m's top bit to bit 127: its top 53 bits are the mantissa, and
+       the 75 below them, moved to the top of `rest`, decide the rounding. */
+    uint64_t high = (uint64_t)(m >> 64);
+    int z = high ? __builtin_clzll(high) : 64 + __builtin_clzll((uint64_t)m);
+    m <<= z;
+    uint64_t mantissa = (uint64_t)(m >> 75);
+    u128 rest = m << 53, half = (u128)1 << 127;
+    mantissa += rest > half || (rest == half && (sticky || (mantissa & 1)));
+    /* mantissa * 2**(e - z + 75), mantissa in [2**52, 2**53]: its implicit
+       bit adds one to the biased exponent, and a mantissa that rounded up
+       to 2**53 carries into it. */
+    uint64_t bits = ((uint64_t)(e - z + 75 + 1074) << 52) + mantissa;
+    memcpy(out, &bits, sizeof bits);
+    return 1;
+#else
+    (void)w, (void)digits, (void)q, (void)out;
+    return 0;
+#endif
+}
+
+/* Scan the digits at p, before stop, into the significand *w, which wraps
+   past EXACT_DIGITS digits, and count in *count those after its leading
+   zeros; return where they end. */
+static const char *scan_digits(const char *p, const char *stop, uint64_t *w, int64_t *count)
+{
+    for (; p < stop && is_digit(*p); p++) {
+        *w = *w * 10 + (uint64_t)(*p - '0');
+        *count += *w != 0;
+    }
+    return p;
+}
+
 /* Convert the number token at *s, which must match
-   [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? up to a blank or `stop`, with strtod, which must consume all of it and give a finite
-   double.  On success advance *s past it and return 1; else return 0. */
+   [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? up to a blank or `stop`.  Its
+   significant digits w, and its decimal exponent q (the exponent less the
+   fraction's digits), go to `exact`; zero is 0.0, and a token `exact`
+   does not take goes to strtod, which must consume all of it and give a
+   finite double.  On success advance *s past the token and return 1;
+   else return 0. */
 static int number(const char **s, const char *stop, double *out)
 {
-    const char *start = *s, *p = start;
+    const char *p = *s;
+    int negative = p < stop && *p == '-';
     if (p < stop && (*p == '+' || *p == '-'))
         p++;
     const char *digits = p;
-    while (p < stop && is_digit(*p))
-        p++;
+    uint64_t w = 0;
+    int64_t count = 0, q = 0;
+    p = scan_digits(p, stop, &w, &count);
     int whole = p > digits, fraction = 0;
     if (p < stop && *p == '.') {
         const char *first = ++p;
-        while (p < stop && is_digit(*p))
-            p++;
+        p = scan_digits(p, stop, &w, &count);
         fraction = p > first;
+        q = first - p;
     }
     if (!whole && !fraction)
         return 0;
     if (p < stop && (*p == 'e' || *p == 'E')) {
         p++;
+        int minus = p < stop && *p == '-';
         if (p < stop && (*p == '+' || *p == '-'))
             p++;
         const char *exponent = p;
-        while (p < stop && is_digit(*p))
-            p++;
+        int64_t magnitude = 0;
+        for (; p < stop && is_digit(*p); p++)
+            if (magnitude < 1000000)
+                magnitude = magnitude * 10 + (*p - '0');
         if (p == exponent)
             return 0;
+        q += minus ? -magnitude : magnitude;
     }
-    if ((p < stop && !is_blank(*p)) || p - start > NUMBER_MAX)
+    if ((p < stop && !is_blank(*p)) || p - *s > NUMBER_MAX)
         return 0;
-    char *used;
-    double value = strtod(start, &used);
-    if (used != p || !isfinite(value))
-        return 0;
-    *out = value;
+    double value = 0.0;
+    if (count > 0 && !exact(w, count, q, &value)) {
+        char *used;
+        value = strtod(digits, &used);
+        if (used != p || !isfinite(value))
+            return 0;
+    }
+    *out = negative ? -value : value;
     *s = p;
     return 1;
 }
@@ -787,8 +868,8 @@ static int number(const char **s, const char *stop, double *out)
    The grammar is strict: lines split on '\n', '#' starts a comment,
    tokens split on ' ', '\t' and '\r', a number is as `number` takes it
    and an index is +?d+, at least 1, below 2**63, increasing along the
-   line and at most expected_dim.  Every value is strtod's, which is
-   correctly rounded, as Python's float() is, so each matches float()
+   line and at most expected_dim.  Every value is correctly rounded, by
+   `exact` or strtod, as Python's float() is, so each matches float()
    bit for bit.  strtod follows LC_NUMERIC, but a locale whose radix is
    not '.' stops it short of the token's end, which hands the line back.
    Returns 0 when every line parsed, else the 1-based number of the

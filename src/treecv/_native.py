@@ -9,9 +9,10 @@ their `_update_point` does, runs whole subtrees of the tree's recursion
 and groups of standard-CV folds for them, scoring each chunk under the
 built-in losses as `math.fsum` sums, shuffles a vector as
 `SplitMix64Stream.shuffle` does, and parses the strict part of the
-sparse-text grammar with strtod, which rounds as float() does; its
-header says how.  This module builds and
-loads it with the standard library alone:
+sparse-text grammar, converting a number of at most 19 significant
+digits and a decimal exponent within 19 exactly in 128-bit integers and
+any other with strtod, both rounding as float() does; its header says
+how.  This module builds and loads it with the standard library alone:
 
 * it compiles the source once with the system C compiler, `cc`, at
   `FLAGS`, into a per-user cache (`$XDG_CACHE_HOME/treecv`, else
@@ -55,7 +56,8 @@ loads it with the standard library alone:
   recursion and standard CV its Python loop;
 * when the parser first asks for its kernel (`Kernels.parser`), it
   parses `_PARSER_PROBES`, strings that a conversion which is not
-  correctly rounded gets wrong, and compares each double with float()'s.
+  correctly rounded gets wrong, on the exact path and on strtod's, and
+  compares each double with float()'s.
   A mismatch there leaves `parse_sparse` out, and text parses in Python.
 
 `kernels()` does the rest at most once per process, on first use, and
@@ -463,7 +465,13 @@ def _probe_tree(kernels: Kernels) -> str | None:
 # subnormal and the strings either side of half of it; the step from
 # subnormal to normal (2.2250738585072011e-308); DBL_MAX and a string
 # that rounds down to it; signed zeros, the grammar's short forms and
-# underflow to zero; and values of 17 to 38 significant digits.
+# underflow to zero; and values of 17 to 38 significant digits.  Then
+# the edges of `_kernels.c`'s exact path (at most 19 significant digits,
+# |q| <= 19): ties at 2**52 + 0.5 and + 1.5, which round down and up to
+# even, and at 2**53 + 3; 19 digits at q = 19 and -19, and 20 digits and
+# q = 20 and -20, which go to strtod; and a 17-digit value just above a
+# tie whose quotient in 128 bits is the tie itself, so that only the
+# division's remainder rounds it up (found by an exact-integer search).
 _PARSER_PROBES = (
     "9007199254740993", "9007199254740993.0000000001", "9007199254740992.9999999999",
     "1e23", "9.999999999999999e22", "1.0000000000000001e23", "8.5", "2.5e-1", "0.1",
@@ -474,6 +482,10 @@ _PARSER_PROBES = (
     "0.30000000000000004", "1.0000000000000002", "-4.3749999999999996e-5",
     "1234567890123456789012345", "0.1000000000000000055511151231257827",
     "7.2057594037927933e16", "3.4028234663852885981170418348451692544e38",
+    "4503599627370496.5", "4503599627370497.5", "9007199254740995",
+    "9876543210987654321e19", "-0.9876543210987654321", "1234567890123456789e-19",
+    "12345678901234567891", "98765432109876543215e-20", "1e20", "7e-20",
+    "0.0044971322986972922",
 )
 
 
@@ -495,7 +507,8 @@ def _probe_parser(kernels: Kernels) -> str | None:
     for value, label, entry in zip(_PARSER_PROBES, labels.tolist(), values.tolist()):
         expected = struct.pack("<d", _float(value))
         if struct.pack("<d", label) != expected or struct.pack("<d", entry) != expected:
-            return f"strtod and float() convert {value!r} to different doubles"
+            return (f"parse_sparse (its exact conversion, else strtod) and float() convert "
+                    f"{value!r} to different doubles")
     return None
 
 

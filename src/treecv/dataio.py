@@ -41,13 +41,16 @@ def parse_sparse_text(source, expected_dim: int | None = None) -> Dataset:
 
     An ASCII string is parsed by the compiled `parse_sparse` when the
     kernels load and its self-check passes (`_native.Kernels.parser`).
-    It takes the strict grammar its comment in `_kernels.c` gives and
-    converts numbers with strtod, which is correctly rounded as float()
-    is, so it gives the bits the Python loop below gives.  At the first
-    line it does not take (any error, or anything outside that grammar,
-    such as other whitespace, `1_0` or `inf`) the whole text goes to the
-    Python loop, which raises every ParseError.  A non-ASCII string and
-    a text stream go to the Python loop directly.
+    It takes the strict grammar its comment in `_kernels.c` gives.  A
+    number of at most 19 significant digits w and a decimal exponent q
+    (its exponent less its fraction's digits) with |q| <= 19 is w * 10**q
+    computed exactly in 128-bit integers and rounded once; any other goes
+    to strtod.  Both are correctly rounded, as float() is, so it gives
+    the bits the Python loop below gives.  At the first line it does not
+    take (any error, or anything outside that grammar, such as other
+    whitespace, `1_0` or `inf`) the whole text goes to the Python loop,
+    which raises every ParseError.  A non-ASCII string and a text stream
+    go to the Python loop directly.
     """
     parsed = None
     if isinstance(source, str) and source.isascii() and (
@@ -80,8 +83,9 @@ def parse_compiled(parser, text: str, expected_dim: int | None):
     are sized from the text's line and ':' counts, which bound its rows
     and entries."""
     data = text.encode("ascii")  # its buffer ends in the NUL the scanner relies on
-    rows = data.count(b"\n") + 1
-    pairs = data.count(b":")
+    buffer = np.frombuffer(data, np.uint8)
+    rows = int(np.count_nonzero(buffer == ord("\n"))) + 1
+    pairs = int(np.count_nonzero(buffer == ord(":")))
     counts = np.empty(rows, dtype=np.int64)
     labels = np.empty(rows)
     columns = np.empty(pairs, dtype=np.int64)

@@ -280,6 +280,48 @@ def test_the_standard10_text_parses_alike_on_both_paths():
         assert _outcome(text) == _outcome(io.StringIO(text))
 
 
+@st.composite
+def _exact_path_tokens(draw):
+    """Spellings of one value near the compiled parser's exact path (at
+    most 19 significant digits w and a decimal exponent q with |q| <=
+    19): w of 1 to 19 digits at q in [-21, 21] as an integer with an
+    exponent, as a fraction with leading and trailing zeros, and in
+    exponent form; or an exact midpoint between two doubles m * 2**e +
+    2**(e - 1), which fits in 19 digits for e in [-2, 10]."""
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    if draw(st.booleans()):
+        m, e = draw(st.integers(2**52, 2**53 - 1)), draw(st.integers(-2, 10))
+        if e >= 1:
+            return [sign + str((2 * m + 1) << (e - 1))]
+        digits = str((2 * m + 1) * 5 ** (1 - e))
+        return [f"{sign}{digits[:e - 1]}.{digits[e - 1:]}"]
+    size = draw(st.integers(1, 19))
+    w = str(draw(st.integers(10 ** (size - 1), 10**size - 1)))
+    q = draw(st.integers(-21, 21))
+    padded = w + "0" * q if q >= 0 else w.rjust(1 - q, "0")
+    point = len(padded) - max(-q, 0)
+    lead, trail = "0" * draw(st.integers(0, 2)), "0" * draw(st.integers(0, 2))
+    fraction = f"{lead}{padded[:point]}.{padded[point:]}{trail}"
+    return [sign + f"{w}e{q}", sign + fraction, sign + f"{w[0]}.{w[1:]}E{q + size - 1:+d}"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_exact_path_tokens(), min_size=1, max_size=8))
+def test_the_compiled_parser_converts_as_float_on_and_beside_its_exact_path(spellings):
+    """Each token, parsed by `parse_compiled` as a label and as a value,
+    gives float()'s bits."""
+    loaded = _native.kernels()
+    parser = loaded.parser() if loaded is not None else None
+    if parser is None:
+        pytest.skip(f"no compiled parser: {_native.reason()}")
+    tokens = [token for tokens in spellings for token in tokens]
+    parsed = parse_compiled(parser, "".join(f"{t} 1:{t}\n" for t in tokens), None)
+    assert parsed is not None
+    labels, _, _, values, _ = parsed
+    expected = np.array([float(t) for t in tokens])
+    assert labels.tobytes() == expected.tobytes() and values.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Transforms
 

@@ -318,6 +318,24 @@ def test_a_parser_whose_strtod_disagrees_with_float_is_left_out_alone(monkeypatc
         assert _update_compiled(OnlineKMeans(3, 2), x, None)
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_a_parser_whose_exact_conversion_disagrees_with_float_is_left_out_alone(monkeypatch):
+    """A reference that differs in the last bit of a probe that the exact
+    128-bit path converts, the one whose rounding rests on the division's
+    remainder alone, fails the parser's self-check, with a reason that
+    names the probe and the conversion."""
+    probe = "0.0044971322986972922"
+    exact = _native._float
+    monkeypatch.setattr(_native, "_float", lambda text: np.nextafter(exact(probe), 0.0)
+                        if text == probe else exact(text))
+    loaded, reason = _native._resolve()
+    assert loaded is not None and reason is None
+    monkeypatch.setattr(_native, "_resolved", (loaded, reason))
+    assert loaded.parser() is None
+    reason = _native.reason()
+    assert "parse_sparse" in reason and repr(probe) in reason and "exact conversion" in reason
+
+
 def _overflowing_batch():
     # the iterate's step on row 4 overflows
     x = np.full((10, 3), 0.5)

@@ -791,13 +791,14 @@ static int exact(uint64_t w, int64_t digits, int64_t q, double *out)
 }
 
 /* Scan the digits at p, before stop, into the significand *w, which wraps
-   past EXACT_DIGITS digits, and count in *count those after its leading
-   zeros; return where they end. */
+   past EXACT_DIGITS digits, and count in *count those from its first
+   nonzero digit on (not those where *w is nonzero: a wrapped *w can be
+   0); return where they end. */
 static const char *scan_digits(const char *p, const char *stop, uint64_t *w, int64_t *count)
 {
     for (; p < stop && is_digit(*p); p++) {
         *w = *w * 10 + (uint64_t)(*p - '0');
-        *count += *w != 0;
+        *count += *count > 0 || *p != '0';
     }
     return p;
 }

@@ -471,7 +471,8 @@ def _probe_tree(kernels: Kernels) -> str | None:
 # even, and at 2**53 + 3; 19 digits at q = 19 and -19, and 20 digits and
 # q = 20 and -20, which go to strtod; and a 17-digit value just above a
 # tie whose quotient in 128 bits is the tie itself, so that only the
-# division's remainder rounds it up (found by an exact-integer search).
+# division's remainder rounds it up (found by an exact-integer search);
+# and 2**64 in 20 digits, which wraps a 64-bit significand to 0.
 _PARSER_PROBES = (
     "9007199254740993", "9007199254740993.0000000001", "9007199254740992.9999999999",
     "1e23", "9.999999999999999e22", "1.0000000000000001e23", "8.5", "2.5e-1", "0.1",
@@ -485,7 +486,7 @@ _PARSER_PROBES = (
     "4503599627370496.5", "4503599627370497.5", "9007199254740995",
     "9876543210987654321e19", "-0.9876543210987654321", "1234567890123456789e-19",
     "12345678901234567891", "98765432109876543215e-20", "1e20", "7e-20",
-    "0.0044971322986972922",
+    "0.0044971322986972922", "18446744073709551616", "1.8446744073709551616e19",
 )
 
 

@@ -284,10 +284,12 @@ def test_the_standard10_text_parses_alike_on_both_paths():
 def _exact_path_tokens(draw):
     """Spellings of one value near the compiled parser's exact path (at
     most 19 significant digits w and a decimal exponent q with |q| <=
-    19): w of 1 to 19 digits at q in [-21, 21] as an integer with an
+    19): w of 1 to 21 digits at q in [-21, 21] as an integer with an
     exponent, as a fraction with leading and trailing zeros, and in
     exponent form; or an exact midpoint between two doubles m * 2**e +
-    2**(e - 1), which fits in 19 digits for e in [-2, 10]."""
+    2**(e - 1), which fits in 19 digits for e in [-2, 10].  A w of 20 or
+    21 digits is at times k * 2**64 followed by zeros, whose first 20
+    digits wrap a 64-bit significand to 0."""
     sign = draw(st.sampled_from(["", "-", "+"]))
     if draw(st.booleans()):
         m, e = draw(st.integers(2**52, 2**53 - 1)), draw(st.integers(-2, 10))
@@ -295,8 +297,11 @@ def _exact_path_tokens(draw):
             return [sign + str((2 * m + 1) << (e - 1))]
         digits = str((2 * m + 1) * 5 ** (1 - e))
         return [f"{sign}{digits[:e - 1]}.{digits[e - 1:]}"]
-    size = draw(st.integers(1, 19))
-    w = str(draw(st.integers(10 ** (size - 1), 10**size - 1)))
+    size = draw(st.integers(1, 21))
+    if size >= 20 and draw(st.booleans()):
+        w = str(draw(st.integers(1, 5)) << 64) + "0" * (size - 20)
+    else:
+        w = str(draw(st.integers(10 ** (size - 1), 10**size - 1)))
     q = draw(st.integers(-21, 21))
     padded = w + "0" * q if q >= 0 else w.rjust(1 - q, "0")
     point = len(padded) - max(-q, 0)

@@ -533,8 +533,10 @@ def test_lockstep_predict_is_each_models_predict_many(name, m, n, d, seed, scale
     so their sign is the rounding of the sum.  (The name is that of the
     test of the level loop's stacked prediction, which `tree_feed`
     replaced.)  At scale 10**6 an iterate can shrink below the normal
-    range: the kernel then raises the underflow flag and gives None, and
-    the same leaves in Python meet that flag under np.errstate."""
+    range: the kernel then raises the underflow flag and gives None.  Each
+    leaf is then run alone by the kernels, fed by `feed_rows` and
+    predicting as a one-chunk tree; at least one declines, and each that
+    declines raises FloatingPointError in Python under np.errstate."""
     kernels = _native.kernels()
     if kernels is None or kernels.tree() is None:
         pytest.skip(f"no tree_feed: {_native.reason()}")
@@ -556,11 +558,19 @@ def test_lockstep_predict_is_each_models_predict_many(name, m, n, d, seed, scale
         bounds = np.array([0, n, len(y_all)], dtype=np.int64)
         ran = COMPILED[type(model)](model).run_subtree(kernels, bounds, 0, 1, x_all, y_all, None)
         if ran is None:
-            with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-                for fed, labels, predicted in ((x1, y1, x), (x, y, x1)):
-                    leaf = model.clone()
+            declined = 0
+            for fed, labels, predicted, truth in ((x1, y1, x, y), (x, y, x1, y1)):
+                alone = COMPILED[type(model)](model)
+                chunk = np.array([0, len(truth)], dtype=np.int64)
+                if (alone.feed_rows(kernels, fed, labels)
+                        and alone.run_subtree(kernels, chunk, 0, 0, predicted, truth, None)):
+                    continue
+                declined += 1
+                leaf = model.clone()
+                with np.errstate(all="raise"), pytest.raises(FloatingPointError):
                     IncrementalLearner.update(leaf, fed, labels)
                     leaf.predict_many(predicted)
+            assert declined
             continue
         expected = np.concatenate([leaf0.predict_many(x), leaf1.predict_many(x1)])
         assert ran[0].tobytes() == expected.tobytes()

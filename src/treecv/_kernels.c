@@ -1,8 +1,8 @@
 /* The compiled tree recursion (`tree_feed`), the compiled folds of
    standard CV (`standard_feed`), the feed (`feed_rows`) of the exact
    `Pegasos`, `LsqSgd` and `OnlineKMeans` types, the shuffle of every
-   randomized estimate, and the sparse-text scanner of
-   `dataio.parse_sparse_text`.
+   randomized estimate, the uniforms of a large synthetic draw, and the
+   sparse-text scanner of `dataio.parse_sparse_text`.
 
    `feed_rows` feeds one model of any of the three types every row of x,
    by the one row loop, `feed_each`, that `tree_feed` and `standard_feed`
@@ -88,6 +88,14 @@
    rows the tree's Python recursion feeds a node and a standard-CV fold's
    training rows, one vector per call; `tree_feed` and `standard_feed`
    run the same loop on each range they feed.
+
+   `uniforms` is integer code too, but for one exact conversion and
+   scale: it is `SplitMix64Stream.uniform_array`, one draw per double,
+   written where `SplitMix64Stream.normal_array` finishes Box-Muller in
+   place.  numpy's uint64 multiplies have no SIMD form, and its finalizer
+   and conversion make six temporaries: on a 2-vCPU Xeon VM this loop
+   draws a uniform in ~1.8 ns against `uniform_array`'s ~9.6
+   (`tools/synth_rate.py`).
 
    `parse_sparse` scans sparse text once.  A number of at most 19
    significant digits w, whose decimal exponent q (its exponent less its
@@ -485,6 +493,18 @@ static void fisher_yates(int64_t *part, int64_t n, uint64_t state)
 void shuffle(int64_t *part, int64_t n, uint64_t state)
 {
     fisher_yates(part, n, state);
+}
+
+/* `SplitMix64Stream(state).uniform_array(count)` into out, for
+   `SplitMix64Stream.normal_array`: draw i is (mix(state + (i + 1) *
+   GAMMA) >> 11) * 2**-53, whose 53-bit integer and power-of-two scale
+   convert and multiply exactly. */
+void uniforms(uint64_t state, int64_t count, double *out)
+{
+    for (int64_t i = 0; i < count; i++) {
+        state += GAMMA;
+        out[i] = (double)(mix(state) >> 11) * 0x1p-53;
+    }
 }
 
 /* The losses `tree_feed` and `standard_feed` score each chunk by, as

@@ -2,13 +2,15 @@
 (`standard_feed`) and per-point feed (`feed_rows`) of the exact
 `Pegasos`, `LsqSgd` and `OnlineKMeans` types, the Fisher-Yates shuffle
 that both schedulers draw their randomized orders with (`rng.shuffled`),
+the uniforms of a large `SplitMix64Stream.normal_array` (`uniforms`),
 and the sparse-text scanner of `dataio.parse_sparse_text`.
 
 `_kernels.c` feeds models of these types point by point, bit for bit as
 their `_update_point` does, runs whole subtrees of the tree's recursion
 and groups of standard-CV folds for them, scoring each chunk under the
 built-in losses as `math.fsum` sums, shuffles a vector as
-`SplitMix64Stream.shuffle` does, and parses the strict part of the
+`SplitMix64Stream.shuffle` does, draws uniforms as
+`SplitMix64Stream.uniform_array` does, and parses the strict part of the
 sparse-text grammar, converting a number of at most 19 significant
 digits and a decimal exponent within 19 exactly in 128-bit integers and
 any other with strtod, both rounding as float() does; its header says
@@ -29,9 +31,10 @@ how.  This module builds and loads it with the standard library alone:
 * it hands the kernels `scipy_cblas_ddot64_`, the BLAS ddot that
   `ndarray.dot` calls, resolved from numpy's own extension module;
 * it feeds a pinned probe of the linear learners through both
-  `feed_rows` and `_update_point`, and shuffles pinned ranges through
-  both `shuffle` and `SplitMix64Stream.shuffle`, and keeps the kernels
-  only if every bit agrees;
+  `feed_rows` and `_update_point`, shuffles pinned ranges through both
+  `shuffle` and `SplitMix64Stream.shuffle`, draws from pinned states
+  through both `uniforms` and `SplitMix64Stream.uniform_array`, and keeps
+  the kernels only if every bit agrees;
 * when k-means first asks for its feed (`Kernels.kmeans`), it checks
   that the kernel's distances sum as this numpy's `np.einsum("ij,ij->i")`
   does, a property of the numpy build, and feeds a second probe through
@@ -65,8 +68,8 @@ gives None when any step fails: no compiler, no ddot symbol, an
 unwritable cache, a failed compile or a mismatch.  The learners then
 keep their Python path, the tree runs the recursion, standard CV its
 Python loop, every shuffle runs the Python loop of
-`SplitMix64Stream.shuffle`, text parses in Python, and `reason()` says
-why.
+`SplitMix64Stream.shuffle`, normals draw their uniforms with numpy, text
+parses in Python, and `reason()` says why.
 """
 
 from __future__ import annotations
@@ -98,6 +101,7 @@ _FUNCTIONS = {
     "feed_rows": ([_INT] * 3 + [_FLOAT, _INT] + [_ARRAY] * 5, ctypes.c_int),
     "kmeans_distances": ([_INT] * 2 + [_ARRAY] * 3, None),
     "shuffle": ([_ARRAY, _INT, ctypes.c_uint64], None),
+    "uniforms": ([ctypes.c_uint64, _INT, _ARRAY], None),
     "tree_feed": ([_INT] * 3 + [_ARRAY, _INT] + [_ARRAY] * 2 + [_INT, ctypes.c_uint64, _FLOAT,
                   _INT] + [_ARRAY] * 3 + [_INT] + [_ARRAY] * 2, ctypes.c_int),
     "standard_feed": ([_INT] * 4 + [_ARRAY, _INT] + [_ARRAY] * 2 + [_INT, ctypes.c_uint64,
@@ -128,6 +132,8 @@ class Kernels:
       check of `tree()`;
     * `shuffle`, called as (values, n, seed) through `rng.shuffled`,
       which checks the vector;
+    * `uniforms`, called as (state, count, out) through
+      `SplitMix64Stream.normal_array`, which allocates out;
     * `parse_sparse`, called as (text, size, expected_dim, row_cap,
       entry_cap, counts, labels, cols, vals, out) through
       `dataio.parse_compiled`, which sizes the arrays, once `parser()`
@@ -237,6 +243,11 @@ def _build(source: bytes, blas: str) -> str:
 # step by step): randbelow(40) rejects that draw and draws again.
 _REJECTED_SEED = 0x31628AF67B2131AB
 
+# (state, count) of the uniforms probe: no draw, one, an odd count, a
+# state that wraps 2**64, and one whose first draw is 0 (2**64 - GAMMA),
+# whose first uniform is 0.0
+_UNIFORM_PROBES = ((5, 0), (6, 1), (7, 37), (2**64 - 1, 4), (0x61C8864680B583EB, 3))
+
 
 def _probe(kernels: Kernels) -> str | None:
     """Why the kernels fail their self-check on a pinned probe, or None.
@@ -247,7 +258,10 @@ def _probe(kernels: Kernels) -> str | None:
     nonzero iterate and one with a -0.0 iterate, with `LsqSgd`
     projections.  `shuffle` shuffles ranges of length 0, 1, 2, 3 and 40,
     one call each, one of them seeded so that its first draw is rejected,
-    which `SplitMix64Stream.shuffle` must shuffle alike."""
+    which `SplitMix64Stream.shuffle` must shuffle alike.  `uniforms` draws
+    `_UNIFORM_PROBES`, which `SplitMix64Stream.uniform_array` must draw
+    alike.  No draw here goes through `normal_array`, which would resolve
+    the kernels that this check is resolving."""
     from .core import IncrementalLearner
     from .learners import COMPILED, LsqSgd, Pegasos
     from .rng import SplitMix64Stream
@@ -291,6 +305,13 @@ def _probe(kernels: Kernels) -> str | None:
         if values.tolist() != expected:
             return (f"self-check against SplitMix64Stream.shuffle failed: the compiled shuffle "
                     f"gives another order of a range of {length} with seed {seed:#x}")
+
+    for state, count in _UNIFORM_PROBES:
+        drawn = np.empty(count)
+        kernels.uniforms(state, count, drawn.ctypes.data)
+        if drawn.tobytes() != SplitMix64Stream(state).uniform_array(count).tobytes():
+            return (f"self-check against SplitMix64Stream.uniform_array failed: the compiled "
+                    f"uniforms draw other doubles from state {state:#x}, count {count}")
     return None
 
 

@@ -18,7 +18,8 @@ Both schedulers fork by one rule:
 - a compiled unit of work (a subtree that `tree_feed` runs, or a fold
   group that `standard_feed` runs) forks only when the point updates it
   moves exceed `FORK_FLOOR`; otherwise it runs in the parent: a tree
-  node's whole subtree at once, a later fold group after the first;
+  node's whole subtree at once, a later fold group merged with the
+  groups the parent runs just before it, into one `standard_feed` call;
 - Python-path work (the tree's recursion, or the standard fold loop)
   forks at any size, since its updates cost µs each.
 `tree._right_pays` applies the floor to a node's right branch, and

@@ -4,9 +4,12 @@ Every source of randomness in this package (dataset shuffles, per-node
 training permutations, synthetic data) draws from a SplitMix64 stream.
 The generator is counter-based: output i is a pure function of (seed,
 i), so streams can be replayed, snapshotted by value, and generated in
-bulk with numpy.  Substreams are derived by hashing the parent seed
-together with integer tags, which keeps every component's randomness an
-explicit function of the run seed and its position in the computation.
+bulk: with numpy, or, for the uniforms of a large `normal_array`, by the
+compiled `uniforms` (`_kernels.c`), which the loader checks against
+`uniform_array` before it keeps the kernels (`_native`).  Substreams are
+derived by hashing the parent seed together with integer tags, which
+keeps every component's randomness an explicit function of the run seed
+and its position in the computation.
 
 `shuffle` is a Fisher-Yates shuffle whose index draws are exactly those of
 `randbelow`, one per position from the last down.  Above a small size it
@@ -36,6 +39,8 @@ import math
 
 import numpy as np
 
+from . import _native
+
 _TOP = 1 << 64
 _MASK64 = _TOP - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -47,6 +52,12 @@ _MIX2 = 0x94D049BB133111EB
 # on a 2-vCPU Xeon VM), or a checked kernel call's (~22 us), is more than
 # the scalar loop's ~0.5-0.8 us per element.
 _BULK_MIN = 24
+
+# A normal draw of at least this many uniforms takes them from the
+# kernels, resolving them on its first call (8-12 ms, once a process):
+# below it the kernel would save under ~35 us a draw (~1.8 against ~9.6
+# ns a uniform on a 2-vCPU Xeon VM).
+_COMPILED_UNIFORMS = 4096
 
 
 def _mix(z: int) -> int:
@@ -135,28 +146,35 @@ class SplitMix64Stream:
         """Standard normals via Box-Muller; consumes 2*ceil(count/2) outputs.
 
         With pairs = ceil(count/2), u1 is `uniform_array(pairs)` and u2 the
-        next `uniform_array(pairs)`, drawn in one call; a zero u1 becomes
-        2**-53.  The normals are radius * cos(theta) for every pair, then
-        radius * sin(theta), with radius = sqrt(-2 log u1) and theta =
-        2 pi u2, computed in place in those two buffers.
+        next `uniform_array(pairs)`.  Both are drawn into the one result
+        buffer of 2*pairs doubles, u1 into its second half and u2 into its
+        first: by the compiled `uniforms` where the kernels are loaded and
+        the draw has at least `_COMPILED_UNIFORMS` of them, else by
+        `uniform_array`.  Then, in place, a zero u1 becomes 2**-53, the
+        second half becomes radius = sqrt(-2 log u1) and the first theta =
+        2 pi u2; the first half becomes cos(theta) * radius and the second
+        radius * sin(theta), and the result is its first `count`
+        normals.
         """
         pairs = (count + 1) // 2
-        draws = self.next_u64_array(2 * pairs)
-        draws >>= _U11
-        uniforms = draws.astype(np.float64)
-        del draws
-        uniforms *= 2.0**-53
-        radius, theta = uniforms[:pairs], uniforms[pairs:]
+        out = np.empty(2 * pairs)
+        theta, radius = out[:pairs], out[pairs:]
+        loaded = _native.kernels() if 2 * pairs >= _COMPILED_UNIFORMS else None
+        for half in (radius, theta):  # u1, then u2
+            if loaded is None:
+                half[:] = self.uniform_array(pairs)
+            else:
+                loaded.uniforms(self._state, pairs, half.ctypes.data)
+                self._state = (self._state + pairs * _GAMMA) & _MASK64
         radius[radius == 0.0] = 2.0**-53
         np.log(radius, out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
         theta *= 2.0 * math.pi
-        out = np.empty(2 * pairs)
-        np.cos(theta, out=out[:pairs])
-        np.sin(theta, out=out[pairs:])
-        out[:pairs] *= radius
-        out[pairs:] *= radius
+        sines = np.sin(theta)
+        np.cos(theta, out=theta)
+        theta *= radius
+        radius *= sines
         return out[:count]
 
     def randbelow(self, n: int) -> int:

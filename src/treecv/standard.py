@@ -180,6 +180,8 @@ def standard_cv(
     contiguous groups (one when max_workers is 0 or 1): this process runs
     the first, and forks each later group where the rule of `forkjoin`
     says the fork pays, or else runs it too, with bit-identical results.
+    Each stretch of consecutive groups that this process runs is one
+    range of folds, so one `standard_feed` call where they run compiled.
     """
     check_ordering(ordering)
     check_workers(max_workers)
@@ -209,8 +211,13 @@ def standard_cv(
     # Python loop runs it, or where its point updates exceed the floor
     forks = [g.start > 0 and (compiled is None or len(g) * partition.n - int(
         bounds[g.stop] - bounds[g.start]) > forkjoin.FORK_FLOOR) for g in groups]
-    results = join_all([forkjoin.fork(run, g) if f else partial(run, g)
-                        for g, f in zip(groups, forks)])
+    runs = []  # each stretch of groups that runs here merged into one range
+    for g, f in zip(groups, forks):
+        if f or not runs or runs[-1][1]:
+            runs.append((g, f))
+        else:
+            runs[-1] = (range(runs[-1][0].start, g.stop), False)
+    results = join_all([forkjoin.fork(run, g) if f else partial(run, g) for g, f in runs])
     return _report(results, time.perf_counter() - start, ordering, seed, sum(forks))
 
 

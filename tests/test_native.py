@@ -141,6 +141,41 @@ def test_a_shuffle_kernel_that_disagrees_with_shuffle_is_not_used(monkeypatch):
     assert "range of 40" in reason
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+@pytest.mark.parametrize("mutation", ["shift by 12", "count from i"])
+def test_a_uniforms_kernel_that_disagrees_with_uniform_array_is_not_used(mutation, monkeypatch):
+    """The self-check draws `_UNIFORM_PROBES` through both the compiled
+    `uniforms` and `SplitMix64Stream.uniform_array`; a reference that
+    draws otherwise (here, one that shifts each draw by 12 bits, not 11,
+    or one whose counter starts a step early) makes the loader refuse the
+    kernels, naming the compiled uniforms."""
+    uniform_array = SplitMix64Stream.uniform_array
+
+    def drawn(stream, count):
+        if mutation == "count from i":
+            return uniform_array(SplitMix64Stream(stream.state - 0x9E3779B97F4A7C15), count)
+        return (stream.next_u64_array(count) >> np.uint64(12)).astype(np.float64) * 2.0**-53
+
+    kernels, reason = _native._resolve()
+    assert kernels is not None and reason is None
+    monkeypatch.setattr(SplitMix64Stream, "uniform_array", drawn)
+    kernels, reason = _native._resolve()
+    assert kernels is None and "compiled uniforms" in reason
+    assert "state 0x6, count 1" in reason  # the first probe that draws anything
+
+
+def test_the_load_time_check_draws_no_normals(monkeypatch):
+    """A large `normal_array` resolves the kernels, so the check that
+    resolving them runs must draw no normals: it would resolve them again
+    inside itself."""
+    drawn = []
+    monkeypatch.setattr(SplitMix64Stream, "normal_array",
+                        lambda stream, count: drawn.append(_native._resolved))
+    monkeypatch.setattr(_native, "_resolved", None)
+    _native.kernels()
+    assert drawn == []
+
+
 def test_kernels_are_resolved_before_the_clock_only_for_learners_that_run_them(monkeypatch):
     """Fixed-order `MeanPredictor` runs never resolve the kernels.  An
     `OnlineKMeans` run resolves them and checks their k-means feed once per

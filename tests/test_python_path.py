@@ -3,8 +3,9 @@ kernels forced off, so the Python update and the recursion that stands
 in for `tree_feed` stay checked on hosts that compile the kernels.
 The digests include both k-means shapes, standard CV on parsed text and
 tree LOOCV; the parser tests compare the Python loop with itself here,
-which checks that a string and a stream still parse alike.  Each imported test runs here under the `python_path`
-fixture; the tests of `tree_feed` assert there that it never runs,
+which checks that a string and a stream still parse alike; the normal
+draws take their uniforms from `uniform_array`.  Each imported test runs
+here under the `python_path` fixture; the tests of `tree_feed` assert there that it never runs,
 and the shuffle tests that no shuffle calls the kernel."""
 
 import pytest
@@ -32,6 +33,7 @@ from test_reference_digests import (
     loocv_pegasos_randomized,
     test_report_digest_is_pinned,
 )
+from test_rng import test_normal_array_keeps_the_formulas_bits_and_stream_state
 from test_standard import (
     test_oracle_replays_tree_feeding_order_bit_exactly,
     test_oracle_with_dataset_order_equals_standard_fixed,

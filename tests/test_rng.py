@@ -172,6 +172,35 @@ def test_normal_array_keeps_the_formulas_bits_and_stream_state(count):
         assert stream.state == reference.state
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 5000))
+def test_normal_array_is_the_formula_from_any_state(seed, count):
+    """From any state (a draw of two or more wraps 2**64 from most of
+    them, since GAMMA exceeds 2**63) and at counts on both sides of
+    `rng._COMPILED_UNIFORMS`, `normal_array` gives the out-of-place
+    formula's bytes and stream state."""
+    stream, reference = SplitMix64Stream(seed), SplitMix64Stream(seed)
+    assert stream.normal_array(count).tobytes() == box_muller(reference, count).tobytes()
+    assert stream.state == reference.state
+
+
+@pytest.mark.parametrize("count", [0, 1, rng._COMPILED_UNIFORMS - 2, rng._COMPILED_UNIFORMS - 1,
+                                   9001])
+def test_normal_array_draws_in_the_kernel_from_the_compiled_size_on(kernels, count, monkeypatch):
+    """A draw of at least `_COMPILED_UNIFORMS` uniforms takes u1 and then
+    u2 from one `uniforms` call each; a smaller one calls no kernel."""
+    calls = []
+    uniforms = kernels.uniforms
+    monkeypatch.setattr(kernels, "uniforms",
+                        lambda *args: calls.append(args[:2]) or uniforms(*args))
+    stream, reference = SplitMix64Stream(9), SplitMix64Stream(9)
+    assert stream.normal_array(count).tobytes() == box_muller(reference, count).tobytes()
+    pairs = (count + 1) // 2
+    u2_state = (9 + pairs * 0x9E3779B97F4A7C15) % 2**64
+    assert calls == ([(9, pairs), (u2_state, pairs)]
+                     if 2 * pairs >= rng._COMPILED_UNIFORMS else [])
+
+
 def test_randbelow_bounds_and_coverage():
     stream = SplitMix64Stream(5)
     draws = [stream.randbelow(7) for _ in range(2000)]

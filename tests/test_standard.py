@@ -188,6 +188,25 @@ def test_a_later_group_forks_from_the_first_update_past_the_floor(monkeypatch, g
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("floor, calls", [(104, [(0, 1), (2, 3), (4, 5)]),
+                                          (105, [(0, 3), (4, 5)]), (106, [(0, 5)])])
+def test_the_groups_run_here_make_one_standard_feed_call(floor, calls, kernels, monkeypatch,
+                                                         tmp_path):
+    """Groups of 104, 105 and 106 point updates: each stretch of groups
+    that this process runs is one `standard_feed` call, and each forked
+    group one call in its worker."""
+    if kernels.tree() is None:
+        pytest.skip(f"no compiled standard_feed here: {_native.reason()}")
+    data = synth_regression(63, 2, seed=5)  # chunks of 11, 11, 11, 10, 10, 10 rows
+    part = partition(data, 6)
+    sequential = standard_cv(lambda: LsqSgd(2, 0.01), data, part, SQUARED)
+    monkeypatch.setattr(forkjoin, "FORK_FLOOR", floor)
+    feeds = FeedCalls(kernels, monkeypatch, tmp_path / "calls")
+    report = standard_cv(lambda: LsqSgd(2, 0.01), data, part, SQUARED, max_workers=3)
+    assert feeds.folds() == calls and report.counters.forks == len(calls) - 1
+    assert report.comparable() == sequential.comparable()
+
+
 def test_the_python_loop_forks_every_group_but_the_first_whatever_the_floor(monkeypatch):
     """A subclass of a compiled type runs the Python loop, whose groups
     after the first fork however few point updates they make."""
@@ -326,7 +345,8 @@ def test_partition_dataset_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# The compiled folds: one `standard_feed` call per fold group
+# The compiled folds: one `standard_feed` call per forked fold group, and
+# one per stretch of groups this process runs
 
 
 class PlainPegasos(Pegasos):
@@ -450,12 +470,14 @@ def test_an_overflow_in_standard_feed_raises_or_warns_as_the_python_loop(errstat
     assert bool(compiled[1]) != bool(errstate)
 
 
-@pytest.mark.parametrize("workers, groups", [(0, [(0, 9)]), (2, [(0, 4), (5, 9)])])
+@pytest.mark.parametrize("workers, groups", [(0, [(0, 9)]), (2, [(0, 9)])])
 def test_the_standard10_shape_runs_one_standard_feed_call_per_fold_group(workers, groups, kernels,
                                                                         monkeypatch, tmp_path):
     """The standard10 benchmark shape (randomized OnlineKMeans, k=10, d=10)
     makes one `standard_feed` call per fold group, in this process or in
-    each forked worker; the oracle's explicit orders make none."""
+    each forked worker; below the fork floor no group forks, and the two
+    groups of 2 workers, both run here, are one call.  The oracle's
+    explicit orders make none."""
     if kernels.kmeans() is None or kernels.tree() is None:
         pytest.skip(f"OnlineKMeans or standard_feed runs in Python here: {_native.reason()}")
     calls = FeedCalls(kernels, monkeypatch, tmp_path / "calls")
@@ -500,7 +522,7 @@ def test_a_per_row_loss_runs_compiled_to_the_python_paths_report(monkeypatch, tm
                                                                   seed):
     """An exact learner under `Loss(name, fn)` of its built-in loss, which
     has no batch form, runs each sequential tree by one `tree_feed` call
-    and each fold group by one `standard_feed` call, to the report of its
+    and its folds by one `standard_feed` call, to the report of its
     subclass, which runs the Python paths, and of the built-in loss: on
     ragged chunks and in LOOCV, both orderings, at 0 and 2 workers.  A
     per-row loss that raises on a row raises as it does under the
@@ -514,8 +536,7 @@ def test_a_per_row_loss_runs_compiled_to_the_python_paths_report(monkeypatch, tm
         per_row = refusing(loss, dataset.x[data.draw(st.integers(0, n - 1), label="row")])
     loaded = _native.kernels()
     compiled = tree_feed_runs() and (name != "kmeans" or loaded.kmeans() is not None)
-    cuts = partition(k, 2).bounds if workers else (0, k)
-    groups = [(first, stop - 1) for first, stop in zip(cuts, cuts[1:])]
+    groups = [(0, k - 1)]  # n <= 40 is below the fork floor: 2 workers' groups run here as one
     config = TreeCvConfig(ordering, workers, seed)
     with monkeypatch.context() as patch:  # one example's counts
         counts = LevelCounts(patch)

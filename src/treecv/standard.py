@@ -213,10 +213,9 @@ def standard_cv(
         bounds[g.stop] - bounds[g.start]) > forkjoin.FORK_FLOOR) for g in groups]
     runs = []  # each stretch of groups that runs here merged into one range
     for g, f in zip(groups, forks):
-        if f or not runs or runs[-1][1]:
-            runs.append((g, f))
-        else:
-            runs[-1] = (range(runs[-1][0].start, g.stop), False)
+        if runs and not f and not runs[-1][1]:
+            g = range(runs.pop()[0].start, g.stop)
+        runs.append((g, f))
     results = join_all([forkjoin.fork(run, g) if f else partial(run, g) for g, f in runs])
     return _report(results, time.perf_counter() - start, ordering, seed, sum(forks))
 

@@ -5,8 +5,9 @@ The digests include both k-means shapes, standard CV on parsed text and
 tree LOOCV; the parser tests compare the Python loop with itself here,
 which checks that a string and a stream still parse alike; the normal
 draws take their uniforms from `uniform_array`.  Each imported test runs
-here under the `python_path` fixture; the tests of `tree_feed` assert there that it never runs,
-and the shuffle tests that no shuffle calls the kernel."""
+here under the `python_path` fixture; the tests of `tree_feed` assert
+there that it never runs, and the shuffle tests that no shuffle calls
+the kernel."""
 
 import pytest
 
